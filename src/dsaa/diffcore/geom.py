@@ -2,8 +2,9 @@
 bilinear texture sampling, windowed scatter-add (rasterizer accumulation),
 blend-skinning application, and small interpolation-matrix upsamplers.
 
-All scatter paths go through np.add.at, which applies updates in index
-order, so repeated runs are bit-identical.
+Every scatter (np.add.at, np.bincount) applies its updates in index
+order, so repeated runs are bit-identical. The bilinear helpers are
+shared with the fused rasterizer in renderer/raster.py.
 """
 
 from __future__ import annotations
@@ -12,6 +13,72 @@ import numpy as np
 
 from .tensor import Tensor, make_node
 from . import ops
+
+
+class BilinearTaps:
+    """Where bilinear samples at flat (u, v) arrays in [0,1]^2 read an
+    [H,W] grid: flat index of the top-left texel, the fractional weights,
+    and where each coordinate lies strictly inside the clamp range (the
+    uv gradient is zero elsewhere)."""
+
+    __slots__ = ("idx", "wx", "wy", "in_x", "in_y", "H", "W")
+
+    def __init__(self, u, v, H: int, W: int, dtype):
+        px = u * W - 0.5
+        py = v * H - 0.5
+        pxc = np.clip(px, 0.0, W - 1.0)
+        pyc = np.clip(py, 0.0, H - 1.0)
+        x0 = np.minimum(np.floor(pxc).astype(np.intp), W - 2)
+        y0 = np.minimum(np.floor(pyc).astype(np.intp), H - 2)
+        self.idx = y0 * W + x0
+        self.wx = (pxc - x0).astype(dtype)
+        self.wy = (pyc - y0).astype(dtype)
+        self.in_x = (px > 0.0) & (px < W - 1.0)
+        self.in_y = (py > 0.0) & (py < H - 1.0)
+        self.H, self.W = H, W
+
+
+def bilinear_sample(tflat: np.ndarray, taps: BilinearTaps):
+    """Sample tflat [C,H*W] at taps. Returns (values [C,M], slopes), where
+    slopes = (x-slope of the top row, of the bottom row, y-slope) feed
+    bilinear_uv_grad."""
+    i, W = taps.idx, taps.W
+    t00 = tflat.take(i, axis=1)
+    t01 = tflat.take(i + 1, axis=1)
+    t10 = tflat.take(i + W, axis=1)
+    t11 = tflat.take(i + W + 1, axis=1)
+    sx_top = t01 - t00
+    sx_bot = t11 - t10
+    top = t00 + taps.wx * sx_top
+    bot = t10 + taps.wx * sx_bot
+    sy = bot - top
+    return top + taps.wy * sy, (sx_top, sx_bot, sy)
+
+
+def bilinear_tex_grad(g: np.ndarray, taps: BilinearTaps, dtype) -> np.ndarray:
+    """Texture gradient [C,H,W] of bilinear samples given their gradient
+    g [C,M]. One bincount per channel over the four corners in turn, so a
+    texel sums its contributions in a fixed order (in float64, then cast
+    to dtype)."""
+    C = g.shape[0]
+    H, W, wx, wy = taps.H, taps.W, taps.wx, taps.wy
+    corners = ((1 - wy) * (1 - wx), (1 - wy) * wx, wy * (1 - wx), wy * wx)
+    i = taps.idx
+    idx4 = np.concatenate([i, i + 1, i + W, i + W + 1])
+    out = np.empty((C, H * W), dtype=dtype)
+    for c in range(C):
+        out[c] = np.bincount(idx4, np.concatenate([g[c] * w for w in corners]),
+                             minlength=H * W)
+    return out.reshape(C, H, W)
+
+
+def bilinear_uv_grad(g: np.ndarray, taps: BilinearTaps, slopes):
+    """(du, dv), each [M], of bilinear samples given their gradient g [C,M]."""
+    sx_top, sx_bot, sy = slopes
+    wy = taps.wy
+    du = (((1 - wy) * sx_top + wy * sx_bot) * g).sum(axis=0) * taps.W * taps.in_x
+    dv = (sy * g).sum(axis=0) * taps.H * taps.in_y
+    return du, dv
 
 
 def texture_sample(tex: Tensor, uv):
@@ -23,47 +90,18 @@ def texture_sample(tex: Tensor, uv):
     """
     uvd = uv.data if isinstance(uv, Tensor) else np.asarray(uv)
     C, H, W = tex.shape
-    px = uvd[:, 0] * W - 0.5
-    py = uvd[:, 1] * H - 0.5
-    pxc = np.clip(px, 0.0, W - 1.0)
-    pyc = np.clip(py, 0.0, H - 1.0)
-    x0 = np.minimum(np.floor(pxc).astype(np.intp), W - 2)
-    y0 = np.minimum(np.floor(pyc).astype(np.intp), H - 2)
-    wx = (pxc - x0).astype(tex.dtype)
-    wy = (pyc - y0).astype(tex.dtype)
-
-    td = tex.data
-    t00 = td[:, y0, x0]        # [C,M]
-    t01 = td[:, y0, x0 + 1]
-    t10 = td[:, y0 + 1, x0]
-    t11 = td[:, y0 + 1, x0 + 1]
-    top = t00 + wx * (t01 - t00)
-    bot = t10 + wx * (t11 - t10)
-    out = (top + wy * (bot - top)).T   # [M,C]
+    taps = BilinearTaps(uvd[:, 0], uvd[:, 1], H, W, tex.dtype)
+    vals, slopes = bilinear_sample(tex.data.reshape(C, H * W), taps)
 
     def bw(g):
         gT = g.T                       # [C,M]
         if tex.requires_grad:
-            w00 = (1 - wy) * (1 - wx)
-            w01 = (1 - wy) * wx
-            w10 = wy * (1 - wx)
-            w11 = wy * wx
-            dt = np.zeros((H * W, C), dtype=td.dtype)
-            np.add.at(dt, y0 * W + x0, g * w00[:, None])
-            np.add.at(dt, y0 * W + x0 + 1, g * w01[:, None])
-            np.add.at(dt, (y0 + 1) * W + x0, g * w10[:, None])
-            np.add.at(dt, (y0 + 1) * W + x0 + 1, g * w11[:, None])
-            tex.accumulate_grad(dt.T.reshape(C, H, W))
+            tex.accumulate_grad(bilinear_tex_grad(gT, taps, tex.dtype))
         if isinstance(uv, Tensor) and uv.requires_grad:
-            dpx = ((1 - wy) * (t01 - t00) + wy * (t11 - t10)) * gT
-            dpy = ((bot - top)) * gT
-            in_x = (px > 0.0) & (px < W - 1.0)
-            in_y = (py > 0.0) & (py < H - 1.0)
-            duv = np.stack([dpx.sum(axis=0) * W * in_x,
-                            dpy.sum(axis=0) * H * in_y], axis=1)
-            uv.accumulate_grad(duv.astype(uvd.dtype))
+            du, dv = bilinear_uv_grad(gT, taps, slopes)
+            uv.accumulate_grad(np.stack([du, dv], axis=1).astype(uvd.dtype))
 
-    return make_node(out, (tex, uv), bw, "texture_sample")
+    return make_node(vals.T, (tex, uv), bw, "texture_sample")
 
 
 def window_indices(oy: np.ndarray, ox: np.ndarray, Ky: int, Kx: int, H: int, W: int):

@@ -362,13 +362,27 @@ def stack(tensors, axis=0):
     return make_node(out, tuple(tensors), bw, "stack")
 
 
+def _is_basic_index(idx) -> bool:
+    """True for ints, slices, Ellipsis and None (alone or in a tuple):
+    indices that select each element at most once."""
+    items = idx if isinstance(idx, tuple) else (idx,)
+    return all(i is None or i is Ellipsis or isinstance(i, slice)
+               or (isinstance(i, (int, np.integer))
+                   and not isinstance(i, (bool, np.bool_)))
+               for i in items)
+
+
 def getitem(a, idx):
     out = a.data[idx]
+    basic = _is_basic_index(idx)
 
     def bw(g):
         if a.requires_grad:
             dz = np.zeros_like(a.data)
-            np.add.at(dz, idx, g)
+            if basic:
+                dz[idx] += g
+            else:      # array indices may repeat; add.at sums duplicates
+                np.add.at(dz, idx, g)
             a.accumulate_grad(dz)
 
     return make_node(out, (a,), bw, "getitem")

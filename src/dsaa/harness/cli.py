@@ -13,9 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import (TrainConfig, TrainData, TrainingDiverged, build_report,
-                      drive, load_config, load_model, parse_data_config,
-                      train, write_heatmaps)
+from ..avatar import parse_manifest
+from .config import TrainConfig, load_config, parse_data_config
+from .data import TrainData
+from .evaluate import (build_report, drive, load_model, model_path,
+                       write_heatmaps)
+from .trainer import TrainingDiverged, train
 
 __all__ = ["main"]
 
@@ -87,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------- commands
 
 def _cmd_gen_data(args) -> int:
-    from .synthdata import default_scene, generate_dataset, split_dataset
+    from ..synthdata import default_scene, generate_dataset, split_dataset
 
     overrides, n_frames, test_fraction = ({}, 2200, 200.0 / 2200.0)
     if args.config:
@@ -133,9 +136,17 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _open_checkpoint(checkpoint, dataset):
+    """The dataset at the resolutions the checkpoint was trained with
+    (its manifest's geo_res and shadow_res), and the model."""
+    path = model_path(checkpoint)
+    config = parse_manifest(Path(f"{path}.manifest").read_text())
+    data = TrainData(dataset, geo_res=config.geo_res, ao_res=config.shadow_res)
+    return data, load_model(path, data)
+
+
 def _cmd_drive(args) -> int:
-    data = TrainData(args.dataset)
-    model = load_model(args.checkpoint, data)
+    data, model = _open_checkpoint(args.checkpoint, args.dataset)
     frames = [f for f in args.frames.split(",") if f]
     results = drive(model, data, frames, mode=args.mode, out_dir=args.out,
                     seed=args.seed, steps=args.steps, lr=args.lr)
@@ -162,8 +173,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
-    data = TrainData(args.dataset)
-    model = load_model(args.checkpoint, data)
+    data, model = _open_checkpoint(args.checkpoint, args.dataset)
     n = model.masks.data.shape[0]
     if args.indices == "all":
         indices = list(range(n))

@@ -24,7 +24,7 @@ from ..rng import stream
 from .config import ABLATIONS
 from .data import TrainData
 
-__all__ = ["load_model", "union_l1", "render_frame", "drive", "eval_errors",
+__all__ = ["load_model", "model_path", "union_l1", "render_frame", "drive", "eval_errors",
            "build_report", "write_heatmaps", "heatmap_locality",
            "reconstruction_gap", "VARIANT_LABELS"]
 
@@ -38,15 +38,21 @@ VARIANT_LABELS = (("ours", "OURS"),
 _METRIC_TAG = "union-l1-v1"
 
 
-def load_model(checkpoint, data: TrainData) -> AvatarModel:
-    """Model from a run directory (or a direct container path), rigged
-    with the dataset's template and skeleton."""
+def model_path(checkpoint) -> Path:
+    """The model container of a run directory (or a direct container
+    path); raises if it does not exist."""
     path = Path(checkpoint)
     if path.is_dir():
         path = path / "model.dsaa1"
     if not path.exists():
         raise ValueError(f"no model checkpoint at {path}")
-    return AvatarModel.load(path, data.template, data.skeleton)
+    return path
+
+
+def load_model(checkpoint, data: TrainData) -> AvatarModel:
+    """Model from a run directory (or a direct container path), rigged
+    with the dataset's template and skeleton."""
+    return AvatarModel.load(model_path(checkpoint), data.template, data.skeleton)
 
 
 def _raster_config(data: TrainData) -> RasterConfig:

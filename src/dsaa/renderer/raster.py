@@ -1,17 +1,51 @@
-"""Differentiable soft rasterizer.
+"""Differentiable soft rasterizer (SoftRas-style), fused into one tape node.
 
-Per triangle and pixel, coverage is sigmoid(sign * d^2 / sigma_r) with d
-the distance to the triangle boundary and sign +1 inside / -1 outside;
-color blends coverage-weighted texture samples with a depth softmax
-(weight D * exp(z_norm / gamma), background weight 1), and the soft mask
-is 1 - prod(1 - D).
+`rasterize` projects the mesh on the tape (`project`), then hands the
+projected screen coordinates [V,2], camera depths [V] and the texture
+[3,Ht,Wt] to a single node whose output is [4,H,W]: three image channels
+and the soft mask. `RenderTarget.image` and `.mask` are basic-index views
+of it.
 
-Triangles only touch a window of pixels around their screen bbox; the
-window extent is chosen so the dropped sigmoid tail is below coverage_tol.
-Each call uses one window size, so everything vectorizes as [F,Ky,Kx]
-arrays; window origins come from detached vertex data. With window=None
-every window is the full image and the result has no truncation at all
-(the mode gradient checks run in).
+Forward stages, all plain numpy over [F,P] arrays (P = Ky*Kx pixels of a
+face's window):
+
+1. Window layout. Each face touches a Ky x Kx pixel window around its
+   screen bbox, sized so the sigmoid tail dropped outside it is below
+   coverage_tol; one size per call. window=None makes every window the
+   whole image (no truncation; the mode gradient checks run in).
+2. Edges and barycentrics. Per edge, the squared distance from the pixel
+   center to the segment (the projection parameter t clamped to [0,1]);
+   d2 is the minimum over the three edges. Unnormalized barycentrics are
+   twice the signed subtriangle areas, divided by the signed face area.
+3. Coverage. D = sigmoid(sign * d2 / sigma_r), sign +1 inside / -1
+   outside, and log(1 - D) = -softplus(sign * d2 / sigma_r).
+4. Attributes. Barycentrics clamped to [0,1] and renormalised
+   interpolate uv and depth; rgb is the bilinear texture sample at uv
+   (shared helpers in diffcore/geom.py).
+5. Depth softmax. Face weight D * exp((zn - shift) / gamma) with zn the
+   inverted normalised depth clamped to [0,1]; background weight
+   exp(-shift / gamma). The shift is the per-pixel max of
+   zn + gamma * ln(D) (background pinned at 0); it cancels out of the
+   softmax ratio, so it only keeps exp() in range.
+6. Window scatter. rgb * weight, weight and log(1 - D) are summed onto
+   the canvas with np.bincount in window order; image = (sum rgb*w +
+   background * bg_w) / (sum w + bg_w), mask = 1 - exp(sum log(1 - D)).
+
+Every float64 value equals the one the composed graph of generic tape
+ops used to compute (same operations in the same order); float32 differs
+only in the scatter sums, which np.bincount accumulates in float64.
+
+Backward is derived by hand from saved intermediates: per edge the
+pixel-to-vertex vectors, clamp inputs, residual vectors and distances;
+the barycentrics before and after clamping; D, the depth factor, the
+face weight, rgb and the bilinear taps. Detached (no gradient): the
+inside/outside sign, the window layout and the depth shift. Subgradient
+conventions: a clamp passes no gradient where it saturates (t, the
+barycentrics, zn, and the texel coordinates, so uv has zero gradient
+where the texel clamp saturates); the minimum over edges sends a tie to
+its first argument (edge ab before bc before ca). Per-face sums reduce
+contiguous [F,P] rows; per-vertex sums and the texture gradient use
+np.bincount. Under no_grad nothing is kept for backward.
 """
 
 from __future__ import annotations
@@ -21,6 +55,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import diffcore as dc
+from ..diffcore.geom import (BilinearTaps, bilinear_sample, bilinear_tex_grad,
+                             bilinear_uv_grad, window_indices)
+from ..diffcore.ops import _expit
+from ..diffcore.tensor import make_node
 from .camera import Camera, project
 
 
@@ -45,19 +83,6 @@ class RenderTarget:
     mask: dc.Tensor               # [H,W]
 
 
-def _edge_d2(p, a, b):
-    """Squared distance from pixel points p [F,Ky,Kx,2] to segments a-b
-    ([F,1,1,2] each)."""
-    e = dc.sub(b, a)                                   # [F,1,1,2]
-    ee = dc.sum_(dc.mul(e, e), axis=3, keepdims=True)
-    pa = dc.sub(p, a)
-    t = dc.mul(dc.sum_(dc.mul(pa, e), axis=3, keepdims=True),
-               dc.reciprocal(dc.add(ee, 1e-12)))
-    t = dc.clamp(t, 0.0, 1.0)
-    d = dc.sub(pa, dc.mul(t, e))
-    return dc.sum_(dc.mul(d, d), axis=3)               # [F,Ky,Kx]
-
-
 def rasterize(verts: dc.Tensor, faces: np.ndarray, uvs: np.ndarray,
               texture: dc.Tensor, cam: Camera, cfg: RasterConfig) -> RenderTarget:
     """verts [V,3] world space, faces [F,3], uvs [V,2], texture [3,Ht,Wt].
@@ -67,9 +92,8 @@ def rasterize(verts: dc.Tensor, faces: np.ndarray, uvs: np.ndarray,
     """
     H, W = cam.height, cam.width
     dt = verts.dtype
-    F = faces.shape[0]
 
-    if F == 0 or verts.shape[0] == 0:
+    if faces.shape[0] == 0 or verts.shape[0] == 0:
         bg = np.asarray(cfg.background, dtype=dt)
         img = dc.Tensor(np.broadcast_to(bg[:, None, None], (3, H, W)).copy())
         return RenderTarget(img, dc.Tensor(np.zeros((H, W), dtype=dt)))
@@ -77,121 +101,219 @@ def rasterize(verts: dc.Tensor, faces: np.ndarray, uvs: np.ndarray,
     screen, z = project(cam, verts)
     if not (z.data > 0.0).any():
         raise ValueError("mesh is entirely behind the camera")
+    out = _soft_raster(screen, z, texture, faces, uvs, H, W, cfg)
+    return RenderTarget(dc.getitem(out, slice(0, 3)), dc.getitem(out, 3))
 
-    pf = dc.getitem(screen, faces)                     # [F,3,2]
-    zf = dc.getitem(z, faces)                          # [F,3]
 
-    # window layout from detached screen coords
-    pd = pf.data
+def _window_layout(pf: np.ndarray, H: int, W: int, cfg: RasterConfig):
+    """Window size and top-left corners (oy, ox) [F] from detached screen
+    coordinates pf [F,3,2]."""
+    F = pf.shape[0]
     if cfg.window is None:
-        Ky, Kx = H, W
-        oy = np.zeros((1, F), dtype=np.intp)
-        ox = np.zeros((1, F), dtype=np.intp)
-    else:
-        margin = float(np.sqrt(cfg.sigma_r * np.log(1.0 / cfg.coverage_tol))) + 1.0
-        xmin = pd[:, :, 0].min(axis=1) - margin
-        xmax = pd[:, :, 0].max(axis=1) + margin
-        ymin = pd[:, :, 1].min(axis=1) - margin
-        ymax = pd[:, :, 1].max(axis=1) + margin
-        need = max(float((xmax - xmin).max()), float((ymax - ymin).max()))
-        K = min(max(int(np.ceil(need)) + 1, 2), max(H, W), cfg.window)
-        Ky = Kx = K
-        # clip origins to the canvas so windows never waste area outside
-        oy = np.clip(np.floor(0.5 * (ymin + ymax)).astype(np.intp) - K // 2,
-                     -K + 1, H - 1)[None, :]
-        ox = np.clip(np.floor(0.5 * (xmin + xmax)).astype(np.intp) - K // 2,
-                     -K + 1, W - 1)[None, :]
+        return H, W, np.zeros(F, dtype=np.intp), np.zeros(F, dtype=np.intp)
+    margin = float(np.sqrt(cfg.sigma_r * np.log(1.0 / cfg.coverage_tol))) + 1.0
+    xmin = pf[:, :, 0].min(axis=1) - margin
+    xmax = pf[:, :, 0].max(axis=1) + margin
+    ymin = pf[:, :, 1].min(axis=1) - margin
+    ymax = pf[:, :, 1].max(axis=1) + margin
+    need = max(float((xmax - xmin).max()), float((ymax - ymin).max()))
+    K = min(max(int(np.ceil(need)) + 1, 2), max(H, W), cfg.window)
+    # clip origins to the canvas so windows never waste area outside
+    oy = np.clip(np.floor(0.5 * (ymin + ymax)).astype(np.intp) - K // 2, -K + 1, H - 1)
+    ox = np.clip(np.floor(0.5 * (xmin + xmax)).astype(np.intp) - K // 2, -K + 1, W - 1)
+    return K, K, oy, ox
 
-    # pixel center grids per window, constants
-    py = (oy[0][:, None, None] + np.arange(Ky, dtype=np.intp)[None, :, None] + 0.5).astype(dt)
-    px = (ox[0][:, None, None] + np.arange(Kx, dtype=np.intp)[None, None, :] + 0.5).astype(dt)
-    pgrid = dc.Tensor(np.stack([np.broadcast_to(px, (F, Ky, Kx)),
-                                np.broadcast_to(py, (F, Ky, Kx))], axis=3))
 
-    va = dc.reshape(dc.getitem(pf, (slice(None), 0)), (F, 1, 1, 2))
-    vb = dc.reshape(dc.getitem(pf, (slice(None), 1)), (F, 1, 1, 2))
-    vc = dc.reshape(dc.getitem(pf, (slice(None), 2)), (F, 1, 1, 2))
+def _rowsum(a: np.ndarray) -> np.ndarray:
+    """Per-face sum of an [F,P] array, kept as [F,1]."""
+    return a.sum(axis=1, keepdims=True)
 
-    def cross2(u, v):
-        return dc.sub(dc.mul(dc.getitem(u, (Ellipsis, 0)), dc.getitem(v, (Ellipsis, 1))),
-                      dc.mul(dc.getitem(u, (Ellipsis, 1)), dc.getitem(v, (Ellipsis, 0))))
 
-    # unnormalized barycentric (twice signed subtriangle areas)
-    wa = cross2(dc.sub(vc, vb), dc.sub(pgrid, vb))
-    wb = cross2(dc.sub(va, vc), dc.sub(pgrid, vc))
-    wc = cross2(dc.sub(vb, va), dc.sub(pgrid, va))
-    area2 = cross2(dc.sub(vb, va), dc.sub(vc, va))     # [F,1,1]
+def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
+                 faces: np.ndarray, uvs: np.ndarray, H: int, W: int,
+                 cfg: RasterConfig) -> dc.Tensor:
+    """The fused node: screen [V,2], z [V], texture [3,Ht,Wt] -> [4,H,W]."""
+    dt = screen.dtype
+    F, V = faces.shape[0], screen.shape[0]
+    pf = screen.data[faces]                            # [F,3,2]
+    zf = z.data[faces]                                 # [F,3]
+    Ky, Kx, oy, ox = _window_layout(pf, H, W, cfg)
+    P = Ky * Kx
 
-    area_d = area2.data
-    sign_stab = np.where(area_d >= 0.0, 1e-12, -1e-12).astype(dt)
-    inv_area = dc.reciprocal(dc.add(area2, sign_stab))
-    ba = dc.mul(wa, inv_area)
-    bb = dc.mul(wb, inv_area)
-    bc = dc.mul(wc, inv_area)
+    # pixel centers per window, [F,P]
+    py = (oy[:, None, None] + np.arange(Ky, dtype=np.intp)[None, :, None] + 0.5).astype(dt)
+    px = (ox[:, None, None] + np.arange(Kx, dtype=np.intp)[None, None, :] + 0.5).astype(dt)
+    py = np.broadcast_to(py, (F, Ky, Kx)).reshape(F, P)
+    px = np.broadcast_to(px, (F, Ky, Kx)).reshape(F, P)
 
-    inside = (ba.data >= 0.0) & (bb.data >= 0.0) & (bc.data >= 0.0)
-    sign = np.where(inside, 1.0, -1.0).astype(dt)
+    vx = [pf[:, k, 0:1] for k in range(3)]             # [F,1] each
+    vy = [pf[:, k, 1:2] for k in range(3)]
 
-    d2 = dc.minimum(dc.minimum(_edge_d2(pgrid, va, vb), _edge_d2(pgrid, vb, vc)),
-                    _edge_d2(pgrid, vc, va))
-    D = dc.sigmoid(dc.mul(d2, sign / cfg.sigma_r))     # [F,Ky,Kx]
-    # log(1 - D) = -softplus(sign * d2 / sigma), stable for either sign
-    log1mD = dc.neg(dc.softplus(dc.mul(d2, sign / cfg.sigma_r)))
+    # edge j runs from vertex j to vertex j+1 (ab, bc, ca); q_j = p - v_j
+    ex, ey, qx, qy, t0, rx, ry, r, num, d2 = ([] for _ in range(10))
+    for j in range(3):
+        k = (j + 1) % 3
+        exj, eyj = vx[k] - vx[j], vy[k] - vy[j]
+        qxj, qyj = px - vx[j], py - vy[j]
+        rj = 1.0 / ((exj * exj + eyj * eyj) + 1e-12)
+        numj = qxj * exj + qyj * eyj
+        t0j = numj * rj
+        tj = np.clip(t0j, 0.0, 1.0)
+        rxj, ryj = qxj - tj * exj, qyj - tj * eyj      # pixel minus closest point
+        for lst, val in ((ex, exj), (ey, eyj), (qx, qxj), (qy, qyj), (t0, t0j),
+                         (rx, rxj), (ry, ryj), (r, rj), (num, numj),
+                         (d2, rxj * rxj + ryj * ryj)):
+            lst.append(val)
+
+    # unnormalized barycentric of vertex (j+2)%3: cross(e_j, q_j)
+    w = [None] * 3
+    for j in range(3):
+        w[(j + 2) % 3] = ex[j] * qy[j] - ey[j] * qx[j]
+    area2 = ex[0] * (vy[2] - vy[0]) - ey[0] * (vx[2] - vx[0])     # [F,1]
+    sign_stab = np.where(area2 >= 0.0, 1e-12, -1e-12).astype(dt)
+    inv_area = 1.0 / (area2 + sign_stab)
+    bary = [wk * inv_area for wk in w]
+
+    inside = (bary[0] >= 0.0) & (bary[1] >= 0.0) & (bary[2] >= 0.0)
+    s = np.where(inside, 1.0, -1.0).astype(dt) / cfg.sigma_r
+    take_ab = d2[0] <= d2[1]
+    m01 = np.where(take_ab, d2[0], d2[1])
+    take_m01 = m01 <= d2[2]
+    x = np.where(take_m01, m01, d2[2]) * s
+    D = _expit(x)
+    log1mD = -np.logaddexp(np.zeros((), dtype=dt), x)
 
     # clip + renormalize barycentrics for sampling outside the triangle
-    bac = dc.clamp(ba, 0.0, 1.0)
-    bbc = dc.clamp(bb, 0.0, 1.0)
-    bcc = dc.clamp(bc, 0.0, 1.0)
-    bsum = dc.add(dc.add(dc.add(bac, bbc), bcc), 1e-12)
-    inv_bsum = dc.reciprocal(bsum)
-
+    bclip = [np.clip(b, 0.0, 1.0) for b in bary]
+    inv_bsum = 1.0 / (((bclip[0] + bclip[1]) + bclip[2]) + 1e-12)
+    bn = [b * inv_bsum for b in bclip]
     uvf = uvs[faces].astype(dt)                        # [F,3,2] constant
-    uv_pix = None
-    zf3 = [dc.reshape(dc.getitem(zf, (slice(None), k)), (F, 1, 1)) for k in range(3)]
-    z_pix = None
-    for k, bk in enumerate((bac, bbc, bcc)):
-        bkn = dc.mul(bk, inv_bsum)
-        term_uv = dc.mul(dc.reshape(bkn, (F, Ky, Kx, 1)),
-                         uvf[:, k, :].reshape(F, 1, 1, 2))
-        term_z = dc.mul(bkn, zf3[k])
-        uv_pix = term_uv if uv_pix is None else dc.add(uv_pix, term_uv)
-        z_pix = term_z if z_pix is None else dc.add(z_pix, term_z)
+    uf = [uvf[:, k, 0:1] for k in range(3)]
+    vf = [uvf[:, k, 1:2] for k in range(3)]
+    zk = [zf[:, k:k + 1] for k in range(3)]
+    u_pix = (bn[0] * uf[0] + bn[1] * uf[1]) + bn[2] * uf[2]
+    v_pix = (bn[0] * vf[0] + bn[1] * vf[1]) + bn[2] * vf[2]
+    z_pix = (bn[0] * zk[0] + bn[1] * zk[1]) + bn[2] * zk[2]
 
-    rgb = dc.texture_sample(texture, dc.reshape(uv_pix, (F * Ky * Kx, 2)))
-    rgb = dc.transpose(dc.reshape(rgb, (F, Ky, Kx, 3)), (3, 0, 1, 2))  # [3,F,Ky,Kx]
+    C, Ht, Wt = texture.shape
+    taps = BilinearTaps(u_pix.reshape(-1), v_pix.reshape(-1), Ht, Wt, texture.dtype)
+    rgb, slopes = bilinear_sample(texture.data.reshape(C, Ht * Wt), taps)   # [3,F*P]
+    rgb = rgb.reshape(C, F, P)
 
     # inverted normalized depth in [0,1], nearer -> larger softmax weight
-    zn = dc.clamp(dc.mul(dc.sub(float(cfg.zfar), z_pix), 1.0 / (cfg.zfar - cfg.znear)),
-                  0.0, 1.0)
+    zscale = 1.0 / (cfg.zfar - cfg.znear)
+    zn_raw = (float(cfg.zfar) - z_pix) * zscale
+    zn = np.clip(zn_raw, 0.0, 1.0)
 
-    # Per-pixel shift of the depth exponent keeps exp() in range at any
-    # gamma. Shifting every weight (background included, pinned at zn=0)
-    # by a per-pixel constant cancels out of the softmax ratio exactly, so
-    # using detached data for the shift changes neither value nor gradient.
-    # The shift is the max full log-weight zn + gamma*ln(D), which bounds
-    # the largest weight near 1 and the denominator away from 0.
-    ys, xs, validw = dc.window_indices(oy[0], ox[0], Ky, Kx, H, W)
-    # D underflows to exact 0 in float32; log -> -inf is correct here (the
-    # face cannot win the max) but would warn, so floor at the dtype's tiny
-    logw = zn.data + cfg.gamma * np.log(np.maximum(D.data, np.finfo(dt).tiny))
-    smap = np.zeros((H, W), dtype=dt)                 # background log-weight 0
-    np.maximum.at(smap, (ys[validw], xs[validw]), logw[validw])
-    shift = np.where(validw, smap[np.where(validw, ys, 0), np.where(validw, xs, 0)],
-                     np.asarray(2.0, dtype=dt))
-    wdepth = dc.mul(D, dc.exp(dc.mul(dc.sub(zn, shift), 1.0 / cfg.gamma)))
-    bgw = np.exp(-smap / dt.type(cfg.gamma))                          # [H,W]
+    # Per-pixel shift of the depth exponent (detached; see the module
+    # docstring). D underflows to exact 0 in float32; log -> -inf is
+    # correct there (the face cannot win the max) but would warn, so
+    # floor at the dtype's tiny.
+    ys, xs, valid = window_indices(oy, ox, Ky, Kx, H, W)
+    valid = valid.reshape(F, P)
+    pix = np.where(valid, (ys * W + xs).reshape(F, P), 0)
+    pix_v = pix[valid]
+    logw = zn + cfg.gamma * np.log(np.maximum(D, np.finfo(dt).tiny))
+    smap = np.zeros(H * W, dtype=dt)                   # background log-weight 0
+    np.maximum.at(smap, pix_v, logw[valid])
+    shift = np.where(valid, smap[pix], np.asarray(2.0, dtype=dt))
+    edepth = np.exp((zn - shift) * (1.0 / cfg.gamma))
+    wdepth = D * edepth
+    bgw = np.exp(-smap / dt.type(cfg.gamma))           # [H*W]
 
-    chans = [dc.mul(dc.getitem(rgb, c), wdepth) for c in range(3)]
-    chans.append(wdepth)
-    chans.append(log1mD)
-    stackv = dc.stack(chans)                                          # [5,F,Ky,Kx]
-    canvas = dc.scatter_add_window(stackv, np.broadcast_to(oy, (5, F)),
-                                   np.broadcast_to(ox, (5, F)), H, W)  # [5,H,W]
+    def scatter(vals):
+        return np.bincount(pix_v, vals[valid], minlength=H * W).astype(dt)
 
-    den = dc.add(dc.getitem(canvas, 3), bgw)
-    inv_den = dc.reciprocal(den)
+    canvas = [scatter(rgb[c] * wdepth) for c in range(C)]
+    wsum = scatter(wdepth)
+    inv_den = 1.0 / (wsum + bgw)
     bg = np.asarray(cfg.background, dtype=dt)
-    img = dc.stack([dc.mul(dc.add(dc.getitem(canvas, c), bg[c] * bgw), inv_den)
-                    for c in range(3)])
-    mask = dc.sub(1.0, dc.exp(dc.getitem(canvas, 4)))
-    return RenderTarget(img, mask)
+    out = np.empty((C + 1, H * W), dtype=dt)
+    for c in range(C):
+        out[c] = (canvas[c] + bg[c] * bgw) * inv_den
+    emask = np.exp(scatter(log1mD))
+    out[C] = 1.0 - emask
+
+    def backward(g):
+        g = g.reshape(C + 1, H * W)
+        # canvas gradients: image channels, weight sum, log(1 - D) sum
+        gcanvas = np.empty((C + 2, H * W), dtype=dt)
+        gcanvas[:C] = g[:C] * inv_den
+        gcanvas[C] = -(g[:C] * out[:C]).sum(axis=0) * inv_den
+        gcanvas[C + 1] = -g[C] * emask
+        gv = gcanvas[:, pix]                           # [C+2,F,P] window gather
+        if pix_v.size != pix.size:
+            gv *= valid
+
+        g_w = gv[C] + (gv[0] * rgb[0] + gv[1] * rgb[1]) + gv[2] * rgb[2]
+        g_rgb = gv[:C] * wdepth                        # [3,F,P]
+        # D feeds the face weight and log(1 - D) = -softplus(x), whose
+        # x-derivative is -sigmoid(x) = -D
+        g_x = D * (g_w * edepth * (1.0 - D) - gv[C + 1])
+        g_zpix = (g_w * wdepth) * (-zscale / cfg.gamma) * ((zn_raw > 0.0) & (zn_raw < 1.0))
+
+        if texture.requires_grad:
+            texture.accumulate_grad(bilinear_tex_grad(g_rgb.reshape(C, F * P), taps,
+                                                        texture.dtype))
+        if not (screen.requires_grad or z.requires_grad):
+            return
+        du, dv = bilinear_uv_grad(g_rgb.reshape(C, F * P), taps, slopes)
+        du, dv = du.reshape(F, P), dv.reshape(F, P)
+
+        g_pf = np.zeros((F, 3, 2), dtype=dt)
+        if z.requires_grad:
+            g_zf = np.concatenate([_rowsum(g_zpix * b) for b in bn], axis=1)
+            z.accumulate_grad(np.bincount(faces.ravel(), g_zf.ravel(),
+                                          minlength=V).astype(dt))
+        if not screen.requires_grad:
+            return
+
+        # renormalised, clamped barycentrics -> raw barycentrics
+        g_bn = [du * uf[k] + dv * vf[k] + g_zpix * zk[k] for k in range(3)]
+        g_sum = -((g_bn[0] * bclip[0] + g_bn[1] * bclip[1]) + g_bn[2] * bclip[2]) \
+            * inv_bsum * inv_bsum
+        g_b = [(g_bn[k] * inv_bsum + g_sum) * ((bary[k] > 0.0) & (bary[k] < 1.0))
+               for k in range(3)]
+        g_inv_area = _rowsum((g_b[0] * w[0] + g_b[1] * w[1]) + g_b[2] * w[2])
+        g_area = -g_inv_area * inv_area * inv_area                 # [F,1]
+
+        # edge distances: only the edge that won the min gets the gradient
+        g_d2 = g_x * s
+        win = (take_m01 & take_ab, take_m01 & ~take_ab, ~take_m01)
+        for j in range(3):
+            k, opp = (j + 1) % 3, (j + 2) % 3
+            g_dj = g_d2 * win[j]
+            grx, gry = 2.0 * rx[j] * g_dj, 2.0 * ry[j] * g_dj
+            t = np.clip(t0[j], 0.0, 1.0)
+            g_t = -(grx * ex[j] + gry * ey[j]) * ((t0[j] > 0.0) & (t0[j] < 1.0))
+            g_num = g_t * r[j]
+            g_r = _rowsum(g_t * num[j])
+            g_ee = -g_r * r[j] * r[j]
+            # w[opp] = ex*qy - ey*qx
+            g_w_opp = g_b[opp] * inv_area
+            g_qx = grx + g_num * ex[j] - g_w_opp * ey[j]
+            g_qy = gry + g_num * ey[j] + g_w_opp * ex[j]
+            g_ex = _rowsum(g_w_opp * qy[j] - t * grx + g_num * qx[j]) + 2.0 * ex[j] * g_ee
+            g_ey = _rowsum(-g_w_opp * qx[j] - t * gry + g_num * qy[j]) + 2.0 * ey[j] * g_ee
+            # q_j = p - v_j (p constant); e_j = v_k - v_j
+            g_pf[:, j, 0] -= _rowsum(g_qx)[:, 0] + g_ex[:, 0]
+            g_pf[:, j, 1] -= _rowsum(g_qy)[:, 0] + g_ey[:, 0]
+            g_pf[:, k, 0] += g_ex[:, 0]
+            g_pf[:, k, 1] += g_ey[:, 0]
+        # area2 = cross(v1 - v0, v2 - v0)
+        ux, uy = ex[0], ey[0]
+        wx, wy = vx[2] - vx[0], vy[2] - vy[0]
+        ga = g_area[:, 0]
+        g_pf[:, 1, 0] += ga * wy[:, 0]
+        g_pf[:, 1, 1] -= ga * wx[:, 0]
+        g_pf[:, 2, 0] -= ga * uy[:, 0]
+        g_pf[:, 2, 1] += ga * ux[:, 0]
+        g_pf[:, 0, 0] -= ga * (wy[:, 0] - uy[:, 0])
+        g_pf[:, 0, 1] -= ga * (ux[:, 0] - wx[:, 0])
+        fl = faces.ravel()
+        g_screen = np.stack([np.bincount(fl, g_pf[:, :, c].ravel(), minlength=V)
+                             for c in range(2)], axis=1)
+        screen.accumulate_grad(g_screen.astype(dt))
+
+    return make_node(out.reshape(C + 1, H, W), (screen, z, texture), backward,
+                     "rasterize")

@@ -193,6 +193,22 @@ def test_fd_concat_stack_getitem():
     check(lambda t: dc.sum_(dc.mul(dc.getitem(t, idx), dc.getitem(t, idx))), x)
 
 
+@pytest.mark.parametrize("idx", [
+    (slice(None), 1), 2, (Ellipsis, 0), (slice(1, 5, 2), slice(None, 2)),
+    (None, 3), np.array([0, 2, 2, 5, 0]), (np.array([1, 1, 4]), 2)])
+def test_getitem_backward_matches_add_at(idx):
+    # basic indices take the slice-add path, array indices (which may
+    # repeat) keep np.add.at; both must equal the add.at reference exactly
+    r = rng(27)
+    x = dc.Tensor(r.normal(size=(6, 3)), requires_grad=True)
+    out = dc.getitem(x, idx)
+    g = r.normal(size=out.shape)
+    dc.backward(out, g)
+    ref = np.zeros_like(x.data)
+    np.add.at(ref, idx, g)
+    npt.assert_array_equal(x.grad, ref)
+
+
 def test_fd_conv2d():
     r = rng(21)
     check(lambda x, w, b: dc.sum_(dc.mul(dc.conv2d(x, w, b, stride=2, padding=1), 0.1)),
