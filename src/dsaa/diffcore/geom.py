@@ -57,19 +57,19 @@ def bilinear_sample(tflat: np.ndarray, taps: BilinearTaps):
 
 def bilinear_tex_grad(g: np.ndarray, taps: BilinearTaps, dtype) -> np.ndarray:
     """Texture gradient [C,H,W] of bilinear samples given their gradient
-    g [C,M]. One bincount per channel over the four corners in turn, so a
-    texel sums its contributions in a fixed order (in float64, then cast
-    to dtype)."""
+    g [C,M]. Each channel and corner is one bincount over the top-left
+    texel index, added into the canvas at the corner's offset; the sums
+    run in float64 in a fixed order and are then cast to dtype."""
     C = g.shape[0]
     H, W, wx, wy = taps.H, taps.W, taps.wx, taps.wy
-    corners = ((1 - wy) * (1 - wx), (1 - wy) * wx, wy * (1 - wx), wy * wx)
-    i = taps.idx
-    idx4 = np.concatenate([i, i + 1, i + W, i + W + 1])
-    out = np.empty((C, H * W), dtype=dtype)
+    HW = H * W
+    corners = (((1 - wy) * (1 - wx), 0), ((1 - wy) * wx, 1),
+               (wy * (1 - wx), W), (wy * wx, W + 1))
+    out = np.zeros((C, HW))
     for c in range(C):
-        out[c] = np.bincount(idx4, np.concatenate([g[c] * w for w in corners]),
-                             minlength=H * W)
-    return out.reshape(C, H, W)
+        for w, shift in corners:
+            out[c, shift:] += np.bincount(taps.idx, g[c] * w, minlength=HW - shift)
+    return out.astype(dtype).reshape(C, H, W)
 
 
 def bilinear_uv_grad(g: np.ndarray, taps: BilinearTaps, slopes):

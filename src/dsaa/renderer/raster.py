@@ -124,37 +124,36 @@ def _window_layout(pf: np.ndarray, H: int, W: int, cfg: RasterConfig):
     return K, K, oy, ox
 
 
-def _rowsum(a: np.ndarray) -> np.ndarray:
-    """Per-face sum of an [F,P] array, kept as [F,1]."""
-    return a.sum(axis=1, keepdims=True)
+def _facesum(a: np.ndarray) -> np.ndarray:
+    """Per-face sum of a contiguous [F,Ky,Kx] array, as [F,1,1]."""
+    return a.reshape(a.shape[0], -1).sum(axis=1).reshape(-1, 1, 1)
 
 
 def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
                  faces: np.ndarray, uvs: np.ndarray, H: int, W: int,
                  cfg: RasterConfig) -> dc.Tensor:
-    """The fused node: screen [V,2], z [V], texture [3,Ht,Wt] -> [4,H,W]."""
+    """The fused node: screen [V,2], z [V], texture [3,Ht,Wt] -> [4,H,W].
+
+    Pixel arrays are [F,Ky,Kx]; per-face values are [F,1,1]."""
     dt = screen.dtype
     F, V = faces.shape[0], screen.shape[0]
+    HW = H * W
     pf = screen.data[faces]                            # [F,3,2]
-    zf = z.data[faces]                                 # [F,3]
     Ky, Kx, oy, ox = _window_layout(pf, H, W, cfg)
-    P = Ky * Kx
 
-    # pixel centers per window, [F,P]
-    py = (oy[:, None, None] + np.arange(Ky, dtype=np.intp)[None, :, None] + 0.5).astype(dt)
+    # pixel centers: x varies along Kx only, y along Ky only
     px = (ox[:, None, None] + np.arange(Kx, dtype=np.intp)[None, None, :] + 0.5).astype(dt)
-    py = np.broadcast_to(py, (F, Ky, Kx)).reshape(F, P)
-    px = np.broadcast_to(px, (F, Ky, Kx)).reshape(F, P)
-
-    vx = [pf[:, k, 0:1] for k in range(3)]             # [F,1] each
-    vy = [pf[:, k, 1:2] for k in range(3)]
+    py = (oy[:, None, None] + np.arange(Ky, dtype=np.intp)[None, :, None] + 0.5).astype(dt)
+    vx = [pf[:, k, 0].reshape(F, 1, 1) for k in range(3)]
+    vy = [pf[:, k, 1].reshape(F, 1, 1) for k in range(3)]
+    zk = [z.data[faces[:, k]].reshape(F, 1, 1) for k in range(3)]
 
     # edge j runs from vertex j to vertex j+1 (ab, bc, ca); q_j = p - v_j
     ex, ey, qx, qy, t0, rx, ry, r, num, d2 = ([] for _ in range(10))
     for j in range(3):
         k = (j + 1) % 3
         exj, eyj = vx[k] - vx[j], vy[k] - vy[j]
-        qxj, qyj = px - vx[j], py - vy[j]
+        qxj, qyj = px - vx[j], py - vy[j]              # [F,1,Kx], [F,Ky,1]
         rj = 1.0 / ((exj * exj + eyj * eyj) + 1e-12)
         numj = qxj * exj + qyj * eyj
         t0j = numj * rj
@@ -169,7 +168,7 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
     w = [None] * 3
     for j in range(3):
         w[(j + 2) % 3] = ex[j] * qy[j] - ey[j] * qx[j]
-    area2 = ex[0] * (vy[2] - vy[0]) - ey[0] * (vx[2] - vx[0])     # [F,1]
+    area2 = ex[0] * (vy[2] - vy[0]) - ey[0] * (vx[2] - vx[0])
     sign_stab = np.where(area2 >= 0.0, 1e-12, -1e-12).astype(dt)
     inv_area = 1.0 / (area2 + sign_stab)
     bary = [wk * inv_area for wk in w]
@@ -188,83 +187,93 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
     inv_bsum = 1.0 / (((bclip[0] + bclip[1]) + bclip[2]) + 1e-12)
     bn = [b * inv_bsum for b in bclip]
     uvf = uvs[faces].astype(dt)                        # [F,3,2] constant
-    uf = [uvf[:, k, 0:1] for k in range(3)]
-    vf = [uvf[:, k, 1:2] for k in range(3)]
-    zk = [zf[:, k:k + 1] for k in range(3)]
+    uf = [uvf[:, k, 0].reshape(F, 1, 1) for k in range(3)]
+    vf = [uvf[:, k, 1].reshape(F, 1, 1) for k in range(3)]
     u_pix = (bn[0] * uf[0] + bn[1] * uf[1]) + bn[2] * uf[2]
     v_pix = (bn[0] * vf[0] + bn[1] * vf[1]) + bn[2] * vf[2]
     z_pix = (bn[0] * zk[0] + bn[1] * zk[1]) + bn[2] * zk[2]
-
-    C, Ht, Wt = texture.shape
-    taps = BilinearTaps(u_pix.reshape(-1), v_pix.reshape(-1), Ht, Wt, texture.dtype)
-    rgb, slopes = bilinear_sample(texture.data.reshape(C, Ht * Wt), taps)   # [3,F*P]
-    rgb = rgb.reshape(C, F, P)
 
     # inverted normalized depth in [0,1], nearer -> larger softmax weight
     zscale = 1.0 / (cfg.zfar - cfg.znear)
     zn_raw = (float(cfg.zfar) - z_pix) * zscale
     zn = np.clip(zn_raw, 0.0, 1.0)
 
+    # canvas index per window pixel; off-canvas pixels go to a dump bin
+    # at HW that every scatter drops and every gather reads as zero
+    ys, xs, valid = window_indices(oy, ox, Ky, Kx, H, W)
+    pix = np.where(valid, ys * W + xs, HW).reshape(-1)
+
     # Per-pixel shift of the depth exponent (detached; see the module
     # docstring). D underflows to exact 0 in float32; log -> -inf is
     # correct there (the face cannot win the max) but would warn, so
     # floor at the dtype's tiny.
-    ys, xs, valid = window_indices(oy, ox, Ky, Kx, H, W)
-    valid = valid.reshape(F, P)
-    pix = np.where(valid, (ys * W + xs).reshape(F, P), 0)
-    pix_v = pix[valid]
-    logw = zn + cfg.gamma * np.log(np.maximum(D, np.finfo(dt).tiny))
-    smap = np.zeros(H * W, dtype=dt)                   # background log-weight 0
-    np.maximum.at(smap, pix_v, logw[valid])
-    shift = np.where(valid, smap[pix], np.asarray(2.0, dtype=dt))
+    tiny = np.finfo(dt).tiny
+    logw = zn + cfg.gamma * np.log(np.maximum(D, tiny))
+    smap = np.zeros(HW + 1, dtype=dt)                  # background log-weight 0
+    np.maximum.at(smap, pix, logw.reshape(-1))
+    shift = smap[pix].reshape(F, Ky, Kx)
     edepth = np.exp((zn - shift) * (1.0 / cfg.gamma))
     wdepth = D * edepth
-    bgw = np.exp(-smap / dt.type(cfg.gamma))           # [H*W]
+    bgw = np.exp(-smap[:HW] / dt.type(cfg.gamma))
 
-    def scatter(vals):
-        return np.bincount(pix_v, vals[valid], minlength=H * W).astype(dt)
+    # Texture only at live pixels (on the canvas, nonzero weight): the
+    # color scatter of any other pixel adds exact zeros or lands in the
+    # dump bin, so leaving it out changes no sum.
+    live = np.flatnonzero((wdepth != 0.0) & valid)
+    pix_live = pix[live]
+    w_live = wdepth.reshape(-1)[live]
+    C, Ht, Wt = texture.shape
+    taps = BilinearTaps(u_pix.reshape(-1)[live], v_pix.reshape(-1)[live], Ht, Wt,
+                        texture.dtype)
+    rgb, slopes = bilinear_sample(texture.data.reshape(C, Ht * Wt), taps)
 
-    canvas = [scatter(rgb[c] * wdepth) for c in range(C)]
-    wsum = scatter(wdepth)
-    inv_den = 1.0 / (wsum + bgw)
+    def scatter(idx, vals):
+        return np.bincount(idx, vals, minlength=HW + 1)[:HW].astype(dt)
+
+    inv_den = 1.0 / (scatter(pix, wdepth.reshape(-1)) + bgw)
     bg = np.asarray(cfg.background, dtype=dt)
-    out = np.empty((C + 1, H * W), dtype=dt)
+    out = np.empty((C + 1, HW), dtype=dt)
     for c in range(C):
-        out[c] = (canvas[c] + bg[c] * bgw) * inv_den
-    emask = np.exp(scatter(log1mD))
+        out[c] = (scatter(pix_live, rgb[c] * w_live) + bg[c] * bgw) * inv_den
+    emask = np.exp(scatter(pix, log1mD.reshape(-1)))
     out[C] = 1.0 - emask
 
     def backward(g):
-        g = g.reshape(C + 1, H * W)
-        # canvas gradients: image channels, weight sum, log(1 - D) sum
-        gcanvas = np.empty((C + 2, H * W), dtype=dt)
-        gcanvas[:C] = g[:C] * inv_den
-        gcanvas[C] = -(g[:C] * out[:C]).sum(axis=0) * inv_den
-        gcanvas[C + 1] = -g[C] * emask
-        gv = gcanvas[:, pix]                           # [C+2,F,P] window gather
-        if pix_v.size != pix.size:
-            gv *= valid
+        g = g.reshape(C + 1, HW)
+        # canvas gradients (image channels, weight sum, log(1 - D) sum),
+        # then gathered back to the windows (live pixels for the colors)
+        gcanvas = np.zeros((C + 2, HW + 1), dtype=dt)
+        gcanvas[:C, :HW] = g[:C] * inv_den
+        gcanvas[C, :HW] = -(g[:C] * out[:C]).sum(axis=0) * inv_den
+        gcanvas[C + 1, :HW] = -g[C] * emask
+        g_rgb = gcanvas[:C, pix_live]                  # [3,live]
+        g_w = gcanvas[C, pix]
+        g_w[live] += (g_rgb[0] * rgb[0] + g_rgb[1] * rgb[1]) + g_rgb[2] * rgb[2]
+        g_w = g_w.reshape(F, Ky, Kx)
+        g_l = gcanvas[C + 1, pix].reshape(F, Ky, Kx)
 
-        g_w = gv[C] + (gv[0] * rgb[0] + gv[1] * rgb[1]) + gv[2] * rgb[2]
-        g_rgb = gv[:C] * wdepth                        # [3,F,P]
+        # subnormal coverage and weights (far outside a face) carry no
+        # usable gradient but make every product they enter slow
+        Dn = np.where(D < tiny, 0.0, D)
+        wn = np.where(wdepth < tiny, 0.0, wdepth)
+        g_rgb *= np.where(w_live < tiny, 0.0, w_live)
         # D feeds the face weight and log(1 - D) = -softplus(x), whose
         # x-derivative is -sigmoid(x) = -D
-        g_x = D * (g_w * edepth * (1.0 - D) - gv[C + 1])
-        g_zpix = (g_w * wdepth) * (-zscale / cfg.gamma) * ((zn_raw > 0.0) & (zn_raw < 1.0))
+        g_x = Dn * (g_w * edepth * (1.0 - Dn) - g_l)
+        g_zpix = (g_w * wn) * (-zscale / cfg.gamma) * ((zn_raw > 0.0) & (zn_raw < 1.0))
 
         if texture.requires_grad:
-            texture.accumulate_grad(bilinear_tex_grad(g_rgb.reshape(C, F * P), taps,
-                                                        texture.dtype))
+            texture.accumulate_grad(bilinear_tex_grad(g_rgb, taps, texture.dtype))
         if not (screen.requires_grad or z.requires_grad):
             return
-        du, dv = bilinear_uv_grad(g_rgb.reshape(C, F * P), taps, slopes)
-        du, dv = du.reshape(F, P), dv.reshape(F, P)
+        du, dv = np.zeros((2, F * Ky * Kx), dtype=dt)
+        du[live], dv[live] = bilinear_uv_grad(g_rgb, taps, slopes)
+        du, dv = du.reshape(F, Ky, Kx), dv.reshape(F, Ky, Kx)
 
-        g_pf = np.zeros((F, 3, 2), dtype=dt)
+        fl = faces.ravel()
         if z.requires_grad:
-            g_zf = np.concatenate([_rowsum(g_zpix * b) for b in bn], axis=1)
-            z.accumulate_grad(np.bincount(faces.ravel(), g_zf.ravel(),
-                                          minlength=V).astype(dt))
+            g_zf = np.stack([_facesum(g_zpix * b)[:, 0, 0] for b in bn], axis=1)
+            z.accumulate_grad(np.bincount(fl, g_zf.ravel(), minlength=V).astype(dt))
         if not screen.requires_grad:
             return
 
@@ -274,46 +283,44 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
             * inv_bsum * inv_bsum
         g_b = [(g_bn[k] * inv_bsum + g_sum) * ((bary[k] > 0.0) & (bary[k] < 1.0))
                for k in range(3)]
-        g_inv_area = _rowsum((g_b[0] * w[0] + g_b[1] * w[1]) + g_b[2] * w[2])
-        g_area = -g_inv_area * inv_area * inv_area                 # [F,1]
+        g_area = -_facesum((g_b[0] * w[0] + g_b[1] * w[1]) + g_b[2] * w[2]) \
+            * inv_area * inv_area
 
+        # per-face gradients of the three vertices, [F,1,1] each
+        gvx = [np.zeros((F, 1, 1), dtype=dt) for _ in range(3)]
+        gvy = [np.zeros((F, 1, 1), dtype=dt) for _ in range(3)]
         # edge distances: only the edge that won the min gets the gradient
-        g_d2 = g_x * s
+        g2_d2 = 2.0 * g_x * s
         win = (take_m01 & take_ab, take_m01 & ~take_ab, ~take_m01)
         for j in range(3):
             k, opp = (j + 1) % 3, (j + 2) % 3
-            g_dj = g_d2 * win[j]
-            grx, gry = 2.0 * rx[j] * g_dj, 2.0 * ry[j] * g_dj
+            g2 = g2_d2 * win[j]
+            grx, gry = rx[j] * g2, ry[j] * g2
             t = np.clip(t0[j], 0.0, 1.0)
             g_t = -(grx * ex[j] + gry * ey[j]) * ((t0[j] > 0.0) & (t0[j] < 1.0))
             g_num = g_t * r[j]
-            g_r = _rowsum(g_t * num[j])
-            g_ee = -g_r * r[j] * r[j]
-            # w[opp] = ex*qy - ey*qx
-            g_w_opp = g_b[opp] * inv_area
-            g_qx = grx + g_num * ex[j] - g_w_opp * ey[j]
-            g_qy = gry + g_num * ey[j] + g_w_opp * ex[j]
-            g_ex = _rowsum(g_w_opp * qy[j] - t * grx + g_num * qx[j]) + 2.0 * ex[j] * g_ee
-            g_ey = _rowsum(-g_w_opp * qx[j] - t * gry + g_num * qy[j]) + 2.0 * ey[j] * g_ee
-            # q_j = p - v_j (p constant); e_j = v_k - v_j
-            g_pf[:, j, 0] -= _rowsum(g_qx)[:, 0] + g_ex[:, 0]
-            g_pf[:, j, 1] -= _rowsum(g_qy)[:, 0] + g_ey[:, 0]
-            g_pf[:, k, 0] += g_ex[:, 0]
-            g_pf[:, k, 1] += g_ey[:, 0]
+            g_ee = -_facesum(g_t * num[j]) * r[j] * r[j]
+            g_wo = g_b[opp] * inv_area                 # w[opp] = ex*qy - ey*qx
+            s_num, s_wo = _facesum(g_num), _facesum(g_wo)
+            g_ex = _facesum(g_wo * qy[j] - t * grx + g_num * qx[j]) + 2.0 * ex[j] * g_ee
+            g_ey = _facesum(-g_wo * qx[j] - t * gry + g_num * qy[j]) + 2.0 * ey[j] * g_ee
+            # q_j = p - v_j with p constant; e_j = v_k - v_j
+            gvx[j] -= _facesum(grx) + ex[j] * s_num - ey[j] * s_wo + g_ex
+            gvy[j] -= _facesum(gry) + ey[j] * s_num + ex[j] * s_wo + g_ey
+            gvx[k] += g_ex
+            gvy[k] += g_ey
         # area2 = cross(v1 - v0, v2 - v0)
         ux, uy = ex[0], ey[0]
         wx, wy = vx[2] - vx[0], vy[2] - vy[0]
-        ga = g_area[:, 0]
-        g_pf[:, 1, 0] += ga * wy[:, 0]
-        g_pf[:, 1, 1] -= ga * wx[:, 0]
-        g_pf[:, 2, 0] -= ga * uy[:, 0]
-        g_pf[:, 2, 1] += ga * ux[:, 0]
-        g_pf[:, 0, 0] -= ga * (wy[:, 0] - uy[:, 0])
-        g_pf[:, 0, 1] -= ga * (ux[:, 0] - wx[:, 0])
-        fl = faces.ravel()
-        g_screen = np.stack([np.bincount(fl, g_pf[:, :, c].ravel(), minlength=V)
-                             for c in range(2)], axis=1)
-        screen.accumulate_grad(g_screen.astype(dt))
+        gvx[1] += g_area * wy
+        gvy[1] -= g_area * wx
+        gvx[2] -= g_area * uy
+        gvy[2] += g_area * ux
+        gvx[0] -= g_area * (wy - uy)
+        gvy[0] -= g_area * (ux - wx)
+        g_screen = [np.bincount(fl, np.concatenate(gv_, axis=1).ravel(), minlength=V)
+                    for gv_ in (gvx, gvy)]
+        screen.accumulate_grad(np.stack(g_screen, axis=1).astype(dt))
 
     return make_node(out.reshape(C + 1, H, W), (screen, z, texture), backward,
                      "rasterize")
