@@ -1,6 +1,6 @@
 """Gather/scatter style differentiable ops used by the geometry pipeline:
-bilinear texture sampling, windowed scatter-add (rasterizer accumulation),
-blend-skinning application, and small interpolation-matrix upsamplers.
+bilinear texture sampling, windowed scatter-add, blend-skinning
+application, and small interpolation-matrix upsamplers.
 
 Every scatter (np.add.at, np.bincount) applies its updates in index
 order, so repeated runs are bit-identical. The bilinear helpers are
@@ -24,6 +24,8 @@ class BilinearTaps:
     __slots__ = ("idx", "wx", "wy", "in_x", "in_y", "H", "W")
 
     def __init__(self, u, v, H: int, W: int, dtype):
+        if H < 2 or W < 2:
+            raise ValueError(f"bilinear sampling needs at least 2x2 texels, got {H}x{W}")
         px = u * W - 0.5
         py = v * H - 0.5
         pxc = np.clip(px, 0.0, W - 1.0)

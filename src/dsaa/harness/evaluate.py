@@ -24,8 +24,8 @@ from ..rng import stream
 from .config import ABLATIONS
 from .data import TrainData
 
-__all__ = ["load_model", "model_path", "union_l1", "render_frame", "drive", "eval_errors",
-           "build_report", "write_heatmaps", "heatmap_locality",
+__all__ = ["load_model", "model_path", "union_l1", "render_frame", "drive",
+           "eval_errors", "build_report", "write_heatmaps", "heatmap_locality",
            "reconstruction_gap", "VARIANT_LABELS"]
 
 VARIANT_LABELS = (("ours", "OURS"),

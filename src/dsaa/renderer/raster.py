@@ -6,46 +6,53 @@ projected screen coordinates [V,2], camera depths [V] and the texture
 and the soft mask. `RenderTarget.image` and `.mask` are basic-index views
 of it.
 
-Forward stages, all plain numpy over [F,P] arrays (P = Ky*Kx pixels of a
-face's window):
+Forward stages, plain numpy over [F,Ky,Kx] arrays (one pixel window per
+face):
 
 1. Window layout. Each face touches a Ky x Kx pixel window around its
    screen bbox, sized so the sigmoid tail dropped outside it is below
    coverage_tol; one size per call. window=None makes every window the
-   whole image (no truncation; the mode gradient checks run in).
+   whole image (no truncation; the mode gradient checks run in). Window
+   pixels off the canvas map to a dump bin that scatters drop.
 2. Edges and barycentrics. Per edge, the squared distance from the pixel
-   center to the segment (the projection parameter t clamped to [0,1]);
-   d2 is the minimum over the three edges. Unnormalized barycentrics are
+   center to the segment (projection parameter t clamped to [0,1]); d2
+   is the minimum over the three edges. Unnormalized barycentrics are
    twice the signed subtriangle areas, divided by the signed face area.
 3. Coverage. D = sigmoid(sign * d2 / sigma_r), sign +1 inside / -1
    outside, and log(1 - D) = -softplus(sign * d2 / sigma_r).
 4. Attributes. Barycentrics clamped to [0,1] and renormalised
-   interpolate uv and depth; rgb is the bilinear texture sample at uv
-   (shared helpers in diffcore/geom.py).
+   interpolate uv and depth.
 5. Depth softmax. Face weight D * exp((zn - shift) / gamma) with zn the
    inverted normalised depth clamped to [0,1]; background weight
    exp(-shift / gamma). The shift is the per-pixel max of
    zn + gamma * ln(D) (background pinned at 0); it cancels out of the
    softmax ratio, so it only keeps exp() in range.
-6. Window scatter. rgb * weight, weight and log(1 - D) are summed onto
-   the canvas with np.bincount in window order; image = (sum rgb*w +
+6. Texture. rgb is the bilinear sample at uv (helpers shared with
+   dc.texture_sample), taken only at live pixels: on the canvas with a
+   nonzero face weight. Every other pixel would add an exact zero.
+7. Scatter. rgb * weight, weight and log(1 - D) are summed onto the
+   canvas with np.bincount in window order; image = (sum rgb*w +
    background * bg_w) / (sum w + bg_w), mask = 1 - exp(sum log(1 - D)).
 
-Every float64 value equals the one the composed graph of generic tape
-ops used to compute (same operations in the same order); float32 differs
-only in the scatter sums, which np.bincount accumulates in float64.
+Every float64 output equals what the same formulas give as a graph of
+generic tape ops (tests/raster_oracle.py): the same operations in the
+same order. In float32 only the scatter sums differ, because np.bincount
+accumulates in float64.
 
-Backward is derived by hand from saved intermediates: per edge the
-pixel-to-vertex vectors, clamp inputs, residual vectors and distances;
+Backward is derived by hand. Saved for it: per edge the pixel-to-vertex
+vectors, the unclamped t, the residual vectors and the edge-winner masks;
 the barycentrics before and after clamping; D, the depth factor, the
-face weight, rgb and the bilinear taps. Detached (no gradient): the
-inside/outside sign, the window layout and the depth shift. Subgradient
-conventions: a clamp passes no gradient where it saturates (t, the
-barycentrics, zn, and the texel coordinates, so uv has zero gradient
-where the texel clamp saturates); the minimum over edges sends a tie to
-its first argument (edge ab before bc before ca). Per-face sums reduce
-contiguous [F,P] rows; per-vertex sums and the texture gradient use
-np.bincount. Under no_grad nothing is kept for backward.
+face weight, the live rgb and bilinear taps; the canvas normalisers.
+Detached (no gradient): the inside/outside sign, the window layout and
+the depth shift. Subgradient conventions, as the generic ops had them: a
+clamp passes no gradient where it saturates (t, the barycentrics, zn, and
+the texel coordinates, so uv gets zero gradient where the texel clamp
+saturates); the minimum over edges gives ties to its first argument
+(edge ab before bc before ca). Subnormal coverage and weights are
+flushed to zero in backward, dropping gradient terms below the dtype's
+smallest normal number. Per-face sums reduce contiguous rows; per-vertex
+sums and the texture gradient use np.bincount. Under no_grad the node
+keeps nothing for backward.
 """
 
 from __future__ import annotations
@@ -256,7 +263,7 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
         # usable gradient but make every product they enter slow
         Dn = np.where(D < tiny, 0.0, D)
         wn = np.where(wdepth < tiny, 0.0, wdepth)
-        g_rgb *= np.where(w_live < tiny, 0.0, w_live)
+        g_rgb *= wn.reshape(-1)[live]
         # D feeds the face weight and log(1 - D) = -softplus(x), whose
         # x-derivative is -sigmoid(x) = -D
         g_x = Dn * (g_w * edepth * (1.0 - Dn) - g_l)
