@@ -155,26 +155,22 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
     vy = [pf[:, k, 1].reshape(F, 1, 1) for k in range(3)]
     zk = [z.data[faces[:, k]].reshape(F, 1, 1) for k in range(3)]
 
-    # edge j runs from vertex j to vertex j+1 (ab, bc, ca); q_j = p - v_j
-    ex, ey, qx, qy, t0, rx, ry, r, num, d2 = ([] for _ in range(10))
-    for j in range(3):
+    def edge(j):
+        """Edge j runs from vertex j to vertex j+1 (ab, bc, ca)."""
         k = (j + 1) % 3
-        exj, eyj = vx[k] - vx[j], vy[k] - vy[j]
-        qxj, qyj = px - vx[j], py - vy[j]              # [F,1,Kx], [F,Ky,1]
-        rj = 1.0 / ((exj * exj + eyj * eyj) + 1e-12)
-        numj = qxj * exj + qyj * eyj
-        t0j = numj * rj
-        tj = np.clip(t0j, 0.0, 1.0)
-        rxj, ryj = qxj - tj * exj, qyj - tj * eyj      # pixel minus closest point
-        for lst, val in ((ex, exj), (ey, eyj), (qx, qxj), (qy, qyj), (t0, t0j),
-                         (rx, rxj), (ry, ryj), (r, rj), (num, numj),
-                         (d2, rxj * rxj + ryj * ryj)):
-            lst.append(val)
+        ex, ey = vx[k] - vx[j], vy[k] - vy[j]
+        qx, qy = px - vx[j], py - vy[j]                # p - v_j: [F,1,Kx], [F,Ky,1]
+        r = 1.0 / ((ex * ex + ey * ey) + 1e-12)
+        num = qx * ex + qy * ey
+        t0 = num * r
+        t = np.clip(t0, 0.0, 1.0)
+        rx, ry = qx - t * ex, qy - t * ey              # pixel minus closest point
+        return ex, ey, qx, qy, r, num, t0, rx, ry, rx * rx + ry * ry
 
-    # unnormalized barycentric of vertex (j+2)%3: cross(e_j, q_j)
-    w = [None] * 3
-    for j in range(3):
-        w[(j + 2) % 3] = ex[j] * qy[j] - ey[j] * qx[j]
+    ex, ey, qx, qy, r, num, t0, rx, ry, d2 = zip(*(edge(j) for j in range(3)))
+
+    # unnormalized barycentrics: w of vertex (j+2)%3 is cross(e_j, q_j)
+    w = [ex[j] * qy[j] - ey[j] * qx[j] for j in (1, 2, 0)]
     area2 = ex[0] * (vy[2] - vy[0]) - ey[0] * (vx[2] - vx[0])
     sign_stab = np.where(area2 >= 0.0, 1e-12, -1e-12).astype(dt)
     inv_area = 1.0 / (area2 + sign_stab)
