@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import diffcore as dc
-from ..body import (Skeleton, TemplateMesh, fk_transforms_tensor,
-                    forward_kinematics, lbs_apply, lbs_apply_tensor)
+from ..body import Skeleton, TemplateMesh, forward_kinematics, lbs_apply
 
 __all__ = ["AvatarOutput", "apply_gain", "compose"]
 
@@ -36,10 +35,11 @@ def apply_gain(texture: dc.Tensor, gain: dc.Tensor, clamp: bool = True) -> dc.Te
 
 def compose(theta, displacement, texture, gain, template: TemplateMesh,
             skeleton: Skeleton) -> AvatarOutput:
-    """Build the posed, shaded avatar; differentiable end to end.
+    """Build the posed, shaded avatar; differentiable in displacement,
+    texture and gain.
 
-    theta may be a Tensor (gradients flow through forward kinematics) or a
-    plain array. The corrective is additive, so zero displacement leaves
+    theta is a plain pose vector (posing is a constant transform per
+    joint). The corrective is additive, so zero displacement leaves
     exactly the skinned template.
     """
     disp = displacement if isinstance(displacement, dc.Tensor) \
@@ -50,14 +50,8 @@ def compose(theta, displacement, texture, gain, template: TemplateMesh,
 
     corrective = dc.texture_sample(disp, template.uvs)            # [V,3]
     canonical = dc.add(corrective, template.verts.astype(disp.dtype))
-    if isinstance(theta, dc.Tensor):
-        transforms = fk_transforms_tensor(skeleton, theta)
-        posed = lbs_apply_tensor(canonical, transforms,
-                                 template.weights.astype(disp.dtype))
-    else:
-        theta = np.asarray(theta, dtype=np.float64)
-        posed = lbs_apply(canonical, forward_kinematics(skeleton, theta),
-                          template.weights)
+    posed = lbs_apply(canonical, forward_kinematics(skeleton, theta),
+                      template.weights)
     if not np.isfinite(posed.data).all():
         raise ValueError("composed geometry has non-finite vertices")
     return AvatarOutput(disp, canonical, posed, tex, gn, apply_gain(tex, gn))

@@ -3,9 +3,11 @@ self-describing."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
+
+from .. import keyvalue
 
 __all__ = ["AvatarConfig", "manifest_text", "parse_manifest"]
 
@@ -73,55 +75,14 @@ class AvatarConfig:
 
 def manifest_text(config: AvatarConfig) -> str:
     """Line-oriented `key = value` dump, one line per config field."""
-    lines = [f"format = {_FORMAT}"]
-    for f in fields(AvatarConfig):
-        v = getattr(config, f.name)
-        if isinstance(v, bool):
-            v = "true" if v else "false"
-        elif isinstance(v, tuple):
-            v = ",".join(str(c) for c in v)
-        elif isinstance(v, float):
-            v = repr(v)
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
+    return keyvalue.dump([("format", _FORMAT)] + keyvalue.field_items(config))
 
 
 def parse_manifest(text: str) -> AvatarConfig:
     """Strict inverse of manifest_text: every field required, none extra."""
-    kv = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, val = line.partition("=")
-        if not sep:
-            raise ValueError(f"manifest line has no '=': {raw!r}")
-        kv[key.strip()] = val.strip()
+    kv = keyvalue.read(text)
     if kv.pop("format", None) != _FORMAT:
         raise ValueError(f"manifest must declare 'format = {_FORMAT}'")
-
-    names = [f.name for f in fields(AvatarConfig)]
-    unknown = sorted(set(kv) - set(names))
-    if unknown:
-        raise ValueError(f"unknown manifest keys: {unknown}")
-    missing = sorted(set(names) - set(kv))
-    if missing:
-        raise ValueError(f"manifest missing keys: {missing}")
-
-    defaults = AvatarConfig()
-    args = {}
-    for name in names:
-        ref, v = getattr(defaults, name), kv[name]
-        if isinstance(ref, bool):
-            if v not in ("true", "false"):
-                raise ValueError(f"{name} must be true or false, got {v!r}")
-            args[name] = v == "true"
-        elif isinstance(ref, int):
-            args[name] = int(v)
-        elif isinstance(ref, float):
-            args[name] = float(v)
-        elif isinstance(ref, tuple):
-            args[name] = tuple(int(c) for c in v.split(","))
-        else:
-            args[name] = v
+    args = keyvalue.take_fields(AvatarConfig, kv)
+    keyvalue.reject_unknown(kv, "manifest")
     return AvatarConfig(**args)

@@ -101,7 +101,7 @@ class AvatarModel:
             raise ValueError(f"face must have {self.masks.n_face} scalars, "
                              f"got {signal.face.shape}")
         zt = self._latent(z)
-        # same wiring as conditioning.localized_encode, with the signal
+        # pose and face scalars go through their own localized projectors,
         # cast to the model dtype so embeddings do not silently upcast
         e_pose = self.proj_pose(signal.theta.astype(dt))
         e_face = self.proj_face(signal.face.astype(dt))

@@ -1,19 +1,18 @@
 """Articulation: skeleton, forward kinematics, skinning, Laplacian, atlas."""
 
 from .skeleton import (Skeleton, JointTransforms, euler_xyz,
-                       forward_kinematics, fk_transforms_tensor,
-                       save_skeleton, load_skeleton)
-from .mesh import TemplateMesh, mesh_laplacian, laplacian_loss
-from .lbs import lbs_apply, lbs_apply_tensor, lbs_unpose
+                       forward_kinematics, save_skeleton, load_skeleton)
+from .mesh import TemplateMesh, mesh_laplacian
+from .lbs import lbs_apply, lbs_unpose
 from .atlas import TexelAtlas, build_atlas, render_position_map
 from .io import (save_obj, load_obj, save_weights, load_weights,
                  save_mesh, load_mesh)
 
 __all__ = [
     "Skeleton", "JointTransforms", "euler_xyz", "forward_kinematics",
-    "fk_transforms_tensor", "save_skeleton", "load_skeleton",
-    "TemplateMesh", "mesh_laplacian", "laplacian_loss",
-    "lbs_apply", "lbs_apply_tensor", "lbs_unpose",
+    "save_skeleton", "load_skeleton",
+    "TemplateMesh", "mesh_laplacian",
+    "lbs_apply", "lbs_unpose",
     "TexelAtlas", "build_atlas", "render_position_map",
     "save_obj", "load_obj", "save_weights", "load_weights",
     "save_mesh", "load_mesh",

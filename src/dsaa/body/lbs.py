@@ -20,22 +20,17 @@ def _check_shapes(verts, transforms: JointTransforms, weights):
 def lbs_apply(verts, transforms: JointTransforms, weights: np.ndarray):
     """Pose vertices: x_v -> sum_j w_vj (R_j x_v + t_j).
 
-    verts may be a numpy array (fast path) or a Tensor; with a Tensor the
-    result is differentiable w.r.t. the vertices. For theta gradients build
-    the transforms with fk_transforms_tensor and call lbs_apply_tensor.
+    The one posing entry point. verts may be a numpy array (fast path) or
+    a Tensor; with a Tensor the result is differentiable w.r.t. the
+    vertices. The transforms are constants: pose is an input, never fit.
     """
     vd = verts.data if isinstance(verts, dc.Tensor) else np.asarray(verts)
     _check_shapes(vd, transforms, weights)
     if isinstance(verts, dc.Tensor):
-        T = dc.Tensor(transforms.as_mat34().astype(verts.dtype))
-        return dc.lbs_apply(weights.astype(verts.dtype), T, verts)
+        return dc.lbs_apply(weights.astype(verts.dtype),
+                            transforms.as_mat34().astype(verts.dtype), verts)
     M = np.tensordot(weights, transforms.as_mat34(), axes=([1], [0]))
     return np.einsum("vrc,vc->vr", M[:, :, :3], vd) + M[:, :, 3]
-
-
-def lbs_apply_tensor(verts, transforms_34: dc.Tensor, weights: np.ndarray):
-    """Differentiable posing with transforms as a [J,3,4] Tensor."""
-    return dc.lbs_apply(weights, transforms_34, verts)
 
 
 def lbs_unpose(posed: np.ndarray, transforms: JointTransforms, weights: np.ndarray):

@@ -93,13 +93,3 @@ def mesh_laplacian(mesh: TemplateMesh, verts=None):
     diffs = v[idx] - v[:, None, :]
     return -(diffs.sum(axis=1)) * inv_deg[:, None].astype(v.dtype)
 
-
-def laplacian_loss(mesh: TemplateMesh, verts_a, verts_b):
-    """Squared L2 between differential coordinates of two vertex sets."""
-    da = mesh_laplacian(mesh, verts_a)
-    db = mesh_laplacian(mesh, verts_b)
-    if isinstance(da, dc.Tensor) or isinstance(db, dc.Tensor):
-        d = dc.sub(da, db)
-        return dc.sum_(dc.mul(d, d))
-    d = da - db
-    return float((d * d).sum())

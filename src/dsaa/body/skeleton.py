@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import diffcore as dc
-
 
 def euler_xyz(angles: np.ndarray) -> np.ndarray:
     """[...,3] angles -> [...,3,3] rotation, R = Rx @ Ry @ Rz (intrinsic XYZ)."""
@@ -109,58 +107,6 @@ def forward_kinematics(skel: Skeleton, theta: np.ndarray) -> JointTransforms:
     S_R = wr @ R0.transpose(0, 2, 1)
     S_t = wt - np.einsum("jrc,jc->jr", S_R, t0)
     return JointTransforms(S_R, S_t)
-
-
-def _rot_axis_tensor(c, s, axis: int):
-    """3x3 rotation Tensor about a coordinate axis from scalar cos/sin Tensors."""
-    one, zero = 1.0, 0.0
-    if axis == 0:
-        rows = [dc.stack([one, zero, zero]),
-                dc.stack([zero, c, dc.neg(s)]),
-                dc.stack([zero, s, c])]
-    elif axis == 1:
-        rows = [dc.stack([c, zero, s]),
-                dc.stack([zero, one, zero]),
-                dc.stack([dc.neg(s), zero, c])]
-    else:
-        rows = [dc.stack([c, dc.neg(s), zero]),
-                dc.stack([s, c, zero]),
-                dc.stack([zero, zero, one])]
-    return dc.stack(rows)
-
-
-def fk_transforms_tensor(skel: Skeleton, theta: dc.Tensor) -> dc.Tensor:
-    """Differentiable forward kinematics: theta [3J] -> [J,3,4] rest-relative
-    transforms. Builds the same chain as forward_kinematics out of tape ops,
-    so gradients w.r.t. theta come from the graph. Slow path, used by
-    gradient checks and any theta-sensitive objective."""
-    if theta.shape != (skel.dof,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({skel.dof},)")
-    J = skel.joint_count
-    world_R: list = [None] * J
-    world_t: list = [None] * J
-    for j in range(J):
-        a = dc.getitem(theta, slice(3 * j, 3 * j + 3))
-        R = None
-        for axis in range(3):
-            ang = dc.getitem(a, axis)
-            Rax = _rot_axis_tensor(dc.cos(ang), dc.sin(ang), axis)
-            R = Rax if R is None else dc.matmul(R, Rax)
-        R = dc.matmul(dc.Tensor(skel.rest_rot[j]), R)
-        t = dc.Tensor(skel.rest_t[j].reshape(3, 1))
-        p = skel.parents[j]
-        if p < 0:
-            world_R[j], world_t[j] = R, t
-        else:
-            world_R[j] = dc.matmul(world_R[p], R)
-            world_t[j] = dc.add(dc.matmul(world_R[p], t), world_t[p])
-    mats = []
-    R0, t0 = skel.rest_world_rot, skel.rest_world_t
-    for j in range(J):
-        S_R = dc.matmul(world_R[j], dc.Tensor(R0[j].T))
-        S_t = dc.sub(world_t[j], dc.matmul(S_R, dc.Tensor(t0[j].reshape(3, 1))))
-        mats.append(dc.concat([S_R, S_t], axis=1))
-    return dc.stack(mats)       # [J,3,4]
 
 
 def save_skeleton(path, skel: Skeleton) -> None:

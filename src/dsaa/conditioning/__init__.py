@@ -1,13 +1,13 @@
 """Spatially localized driving-signal conditioning."""
 
 from .signal import DrivingSignal, tile2d
-from .masks import InfluenceMask, build_masks, save_masks, load_masks
-from .encode import LocalizedProjector, localized_encode
+from .masks import InfluenceMask, build_masks
+from .encode import LocalizedProjector
 from .heatmap import influence_heatmap
 
 __all__ = [
     "DrivingSignal", "tile2d",
-    "InfluenceMask", "build_masks", "save_masks", "load_masks",
-    "LocalizedProjector", "localized_encode",
+    "InfluenceMask", "build_masks",
+    "LocalizedProjector",
     "influence_heatmap",
 ]

@@ -6,7 +6,7 @@ from .. import diffcore as dc
 from .masks import InfluenceMask
 from .signal import tile2d
 
-__all__ = ["LocalizedProjector", "localized_encode"]
+__all__ = ["LocalizedProjector"]
 
 
 class LocalizedProjector:
@@ -52,10 +52,3 @@ class LocalizedProjector:
                         (self.w2.data.shape[0], h, w)) + self.b2
         return dc.mul(z2, self._union)
 
-
-def localized_encode(signal, masks: InfluenceMask, proj_pose: LocalizedProjector,
-                     proj_face: LocalizedProjector):
-    """Embed pose and face scalars through their localized projectors."""
-    if proj_pose.n_signal != masks.n_pose or proj_face.n_signal != masks.n_face:
-        raise ValueError("projector channel counts do not match masks")
-    return proj_pose(signal.theta), proj_face(signal.face)

@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import imgio
 from ..body import Skeleton, TemplateMesh, build_atlas
 
-__all__ = ["InfluenceMask", "build_masks", "save_masks", "load_masks"]
+__all__ = ["InfluenceMask", "build_masks"]
 
 
 @dataclass(frozen=True)
@@ -106,22 +105,3 @@ def build_masks(template: TemplateMesh, skeleton: Skeleton, height: int,
             names.append(f"face:{k}")
     return InfluenceMask(np.stack(channels), tuple(names))
 
-
-def save_masks(masks: InfluenceMask, prefix) -> None:
-    """PBM stack `<prefix>_NNN.pbm` plus `<prefix>_index.txt`."""
-    prefix = str(prefix)
-    with open(f"{prefix}_index.txt", "w") as f:
-        for k, name in enumerate(masks.names):
-            imgio.write_pbm(f"{prefix}_{k:03d}.pbm", masks.data[k])
-            f.write(f"{k:03d} {name}\n")
-
-
-def load_masks(prefix) -> InfluenceMask:
-    prefix = str(prefix)
-    names, channels = [], []
-    with open(f"{prefix}_index.txt") as f:
-        for line in f:
-            idx, name = line.split(maxsplit=1)
-            channels.append(imgio.read_pbm(f"{prefix}_{idx}.pbm"))
-            names.append(name.strip())
-    return InfluenceMask(np.stack(channels), tuple(names))

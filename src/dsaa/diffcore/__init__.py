@@ -1,8 +1,8 @@
 """Minimal reverse-mode autodiff on numpy, plus Adam and checkpoint I/O."""
 
-from .tensor import Tensor, backward, no_grad, nan_checks, grad_enabled, as_tensor
+from .tensor import Tensor, backward, no_grad, nan_checks, grad_enabled
 from .ops import (
-    add, sub, mul, neg, matmul, reciprocal, pow_const, sqrt,
+    add, sub, mul, neg, matmul, reciprocal,
     exp, log, sin, cos, tanh, relu, leaky_relu, softplus, sigmoid,
     minimum, maximum, clamp, sum_, mean_, reshape, transpose,
     broadcast_to, concat, stack, getitem, conv2d, conv_transpose2d, linear,
@@ -14,8 +14,8 @@ from .checkpoint import save_arrays, load_arrays, MAGIC
 from .fd import gradcheck, numeric_grad
 
 __all__ = [
-    "Tensor", "backward", "no_grad", "nan_checks", "grad_enabled", "as_tensor",
-    "add", "sub", "mul", "neg", "matmul", "reciprocal", "pow_const", "sqrt",
+    "Tensor", "backward", "no_grad", "nan_checks", "grad_enabled",
+    "add", "sub", "mul", "neg", "matmul", "reciprocal",
     "exp", "log", "sin", "cos", "tanh", "relu", "leaky_relu", "softplus",
     "sigmoid", "minimum", "maximum", "clamp", "sum_", "mean_", "reshape",
     "transpose", "broadcast_to", "concat", "stack", "getitem",

@@ -140,28 +140,21 @@ def scatter_add_window(vals: Tensor, oy: np.ndarray, ox: np.ndarray, H: int, W: 
     return make_node(out.reshape(N, H, W), (vals,), bw, "scatter_add_window")
 
 
-def lbs_apply(weights: np.ndarray, transforms: Tensor, verts):
+def lbs_apply(weights: np.ndarray, transforms: np.ndarray, verts: Tensor):
     """Apply blended transforms: out_v = sum_j w[v,j] (R_j x_v + t_j).
 
-    weights [V,J] is a constant; transforms [J,3,4] and verts [V,3] may
+    weights [V,J] and transforms [J,3,4] are constants; verts [V,3] may
     carry gradients. The per-vertex blended matrix M_v = sum_j w[v,j] T_j
     is formed once; backward distributes through it analytically.
     """
-    wd = np.asarray(weights)
-    Td = transforms.data
-    xd = verts.data if isinstance(verts, Tensor) else np.asarray(verts)
-    M = np.tensordot(wd, Td, axes=([1], [0]))          # [V,3,4]
-    out = np.einsum("vrc,vc->vr", M[:, :, :3], xd) + M[:, :, 3]
+    M = np.tensordot(weights, transforms, axes=([1], [0]))      # [V,3,4]
+    out = np.einsum("vrc,vc->vr", M[:, :, :3], verts.data) + M[:, :, 3]
 
     def bw(g):
-        if isinstance(verts, Tensor) and verts.requires_grad:
+        if verts.requires_grad:
             verts.accumulate_grad(np.einsum("vrc,vr->vc", M[:, :, :3], g))
-        if transforms.requires_grad:
-            hom = np.concatenate([xd, np.ones((xd.shape[0], 1), dtype=xd.dtype)], axis=1)
-            outer = g[:, :, None] * hom[:, None, :]    # [V,3,4]
-            transforms.accumulate_grad(np.tensordot(wd, outer, axes=([0], [0])))
 
-    return make_node(out, (transforms, verts), bw, "lbs_apply")
+    return make_node(out, (verts,), bw, "lbs_apply")
 
 
 _INTERP_CACHE: dict = {}

@@ -114,32 +114,6 @@ def matmul(a, b):
     return make_node(out, (a, b), bw, "matmul")
 
 
-def pow_const(a, p: float):
-    """a**p for constant p >= 1 (zeros in a are fine for p >= 1)."""
-    d = a.data
-    y = d ** p
-
-    def bw(g):
-        if a.requires_grad:
-            if p == 1.0:
-                a.accumulate_grad(g)
-            else:
-                base = np.where(d == 0.0, 0.0, d ** (p - 1.0))
-                a.accumulate_grad(g * p * base)
-
-    return make_node(y, (a,), bw, "pow_const")
-
-
-def sqrt(a):
-    y = np.sqrt(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * 0.5 / y)
-
-    return make_node(y, (a,), bw, "sqrt")
-
-
 # ---------------------------------------------------------------- pointwise
 
 def exp(a):

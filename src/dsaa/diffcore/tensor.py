@@ -135,10 +135,6 @@ class Tensor:
 _OPS: dict = {}
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def make_node(data: np.ndarray, parents, backward_fn, name: str | None = None) -> Tensor:
     """Create an op output, recording the edge only when grads are live."""
     if _NAN_CHECKS and not np.all(np.isfinite(data)):

@@ -5,9 +5,8 @@ from .config import (ABLATIONS, TrainConfig, apply_ablation, config_text,
 from .data import FrameBundle, TrainData
 from .trainer import TrainingDiverged, TrainResult, train
 from .evaluate import (VARIANT_LABELS, build_report, drive, eval_errors,
-                       heatmap_locality, latent_mi, load_model,
-                       reconstruction_gap, render_frame, union_l1,
-                       write_heatmaps)
+                       heatmap_locality, latent_mi, load_model, open_run,
+                       render_frame, union_l1, write_heatmaps)
 
 __all__ = [
     "ABLATIONS", "TrainConfig", "apply_ablation", "config_text",
@@ -15,6 +14,6 @@ __all__ = [
     "FrameBundle", "TrainData",
     "TrainingDiverged", "TrainResult", "train",
     "VARIANT_LABELS", "build_report", "drive", "eval_errors",
-    "heatmap_locality", "latent_mi", "load_model", "reconstruction_gap",
+    "heatmap_locality", "latent_mi", "load_model", "open_run",
     "render_frame", "union_l1", "write_heatmaps",
 ]

@@ -13,11 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..avatar import parse_manifest
 from .config import TrainConfig, load_config, parse_data_config
 from .data import TrainData
-from .evaluate import (build_report, drive, load_model, model_path,
-                       write_heatmaps)
+from .evaluate import build_report, drive, open_run, write_heatmaps
 from .trainer import TrainingDiverged, train
 
 __all__ = ["main"]
@@ -92,10 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_gen_data(args) -> int:
     from ..synthdata import default_scene, generate_dataset, split_dataset
 
-    overrides, n_frames, test_fraction = ({}, 2200, 200.0 / 2200.0)
-    if args.config:
-        overrides, n_frames, test_fraction = parse_data_config(
-            Path(args.config).read_text())
+    overrides, n_frames, test_fraction = parse_data_config(
+        Path(args.config).read_text() if args.config else "")
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.frames is not None:
@@ -136,17 +132,8 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _open_checkpoint(checkpoint, dataset):
-    """The dataset at the resolutions the checkpoint was trained with
-    (its manifest's geo_res and shadow_res), and the model."""
-    path = model_path(checkpoint)
-    config = parse_manifest(Path(f"{path}.manifest").read_text())
-    data = TrainData(dataset, geo_res=config.geo_res, ao_res=config.shadow_res)
-    return data, load_model(path, data)
-
-
 def _cmd_drive(args) -> int:
-    data, model = _open_checkpoint(args.checkpoint, args.dataset)
+    data, model = open_run(args.checkpoint, args.dataset)
     frames = [f for f in args.frames.split(",") if f]
     results = drive(model, data, frames, mode=args.mode, out_dir=args.out,
                     seed=args.seed, steps=args.steps, lr=args.lr)
@@ -173,7 +160,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
-    data, model = _open_checkpoint(args.checkpoint, args.dataset)
+    data, model = open_run(args.checkpoint, args.dataset)
     n = model.masks.data.shape[0]
     if args.indices == "all":
         indices = list(range(n))

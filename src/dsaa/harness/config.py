@@ -1,7 +1,8 @@
 """Experiment configuration: text format, training options, ablations.
 
-Config files are line-oriented ``section.key = value`` with ``#``
-comments.  The ablation presets give the report table's variants exact
+Config files are line-oriented ``section.key = value`` with whole-line
+``#`` comments (see dsaa.keyvalue); keys not given keep their defaults.
+The ablation presets give the report table's variants exact
 definitions:
 
     ours              full model
@@ -21,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from .. import keyvalue
 from ..avatar import AvatarConfig
 from ..renderer import LossWeights
 
@@ -92,76 +94,36 @@ def apply_ablation(name: str, model: AvatarConfig, weights: LossWeights):
 
 # --------------------------------------------------------------- text I/O
 
-_SECTIONS = {"train": TrainConfig, "model": AvatarConfig, "loss": LossWeights}
-_TRAIN_SCALARS = tuple(f.name for f in dataclasses.fields(TrainConfig)
-                       if f.name not in ("model", "weights"))
-
-
-def _parse_scalar(default, text: str):
-    if isinstance(default, bool):
-        if text not in ("true", "false"):
-            raise ValueError(f"expected true/false, got {text!r}")
-        return text == "true"
-    if isinstance(default, int):
-        return int(text)
-    if isinstance(default, float):
-        return float(text)
-    if isinstance(default, tuple):
-        return tuple(int(x) for x in text.split(","))
-    return text
-
-
 def parse_config(text: str) -> TrainConfig:
-    """Strict parse: every key must belong to a known section and field."""
-    sections: dict[str, dict] = {"train": {}, "model": {}, "loss": {}}
-    for ln in text.splitlines():
-        ln = ln.split("#", 1)[0].strip()
-        if not ln:
-            continue
-        key, sep, value = ln.partition("=")
-        if not sep:
-            raise ValueError(f"malformed config line: {ln!r}")
-        key = key.strip()
-        value = value.strip()
-        section, dot, field = key.partition(".")
-        if not dot or section not in sections:
-            raise ValueError(f"unknown config key {key!r}")
-        cls = _SECTIONS[section]
-        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-        if field not in defaults or field in ("model", "weights"):
-            raise ValueError(f"unknown config key {key!r}")
-        sections[section][field] = _parse_scalar(defaults[field], value)
-    return TrainConfig(model=AvatarConfig(**sections["model"]),
-                       weights=LossWeights(**sections["loss"]),
-                       **sections["train"])
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(str(int(x)) for x in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    """Strict parse: every key must belong to a known section and field;
+    fields not given keep their defaults."""
+    kv = keyvalue.read(text)
+    model = keyvalue.take_fields(AvatarConfig, kv, "model.", complete=False)
+    loss = keyvalue.take_fields(LossWeights, kv, "loss.", complete=False)
+    train = keyvalue.take_fields(TrainConfig, kv, "train.", complete=False)
+    keyvalue.reject_unknown(kv, "config")
+    return TrainConfig(model=AvatarConfig(**model),
+                       weights=LossWeights(**loss), **train)
 
 
 def config_text(config: TrainConfig) -> str:
     """Canonical dump; parse_config(config_text(c)) == c field for field."""
-    lines = []
-    for name in _TRAIN_SCALARS:
-        lines.append(f"train.{name} = {_fmt(getattr(config, name))}")
-    for f in dataclasses.fields(AvatarConfig):
-        lines.append(f"model.{f.name} = {_fmt(getattr(config.model, f.name))}")
-    for f in dataclasses.fields(LossWeights):
-        lines.append(f"loss.{f.name} = {_fmt(getattr(config.weights, f.name))}")
-    return "\n".join(lines) + "\n"
+    return keyvalue.dump(keyvalue.field_items(config, "train.")
+                         + keyvalue.field_items(config.model, "model.")
+                         + keyvalue.field_items(config.weights, "loss."))
 
 
 def load_config(path, **overrides) -> TrainConfig:
     """Read a config file and apply CLI-style scalar overrides."""
     config = parse_config(open(path).read())
     return dataclasses.replace(config, **overrides) if overrides else config
+
+
+@dataclass(frozen=True)
+class _DataRun:
+    """The data.* keys that are not scene fields."""
+    n_frames: int = 2200
+    test_fraction: float = 200.0 / 2200.0
 
 
 def parse_data_config(text: str):
@@ -172,33 +134,9 @@ def parse_data_config(text: str):
     """
     from ..synthdata import SceneSpec
 
-    fields = {f.name: f.default for f in dataclasses.fields(SceneSpec)
-              if f.name != "figure"}
-    extras = {"n_frames": 2200, "test_fraction": 200.0 / 2200.0}
-    overrides, n_frames, test_fraction = {}, extras["n_frames"], extras["test_fraction"]
-    for ln in text.splitlines():
-        ln = ln.split("#", 1)[0].strip()
-        if not ln:
-            continue
-        key, sep, value = ln.partition("=")
-        if not sep:
-            raise ValueError(f"malformed config line: {ln!r}")
-        key, value = key.strip(), value.strip()
-        section, dot, field = key.partition(".")
-        if not dot or section != "data":
-            raise ValueError(f"unknown config key {key!r}")
-        if field == "n_frames":
-            n_frames = int(value)
-        elif field == "test_fraction":
-            test_fraction = float(value)
-        elif field in fields:
-            ref = fields[field]
-            if isinstance(ref, tuple):
-                overrides[field] = tuple(float(x) for x in value.split(","))
-            elif isinstance(ref, int) and not isinstance(ref, bool):
-                overrides[field] = int(value)
-            else:
-                overrides[field] = float(value)
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    return overrides, n_frames, test_fraction
+    kv = keyvalue.read(text)
+    overrides = keyvalue.take_fields(SceneSpec, kv, "data.", complete=False)
+    run = _DataRun(**keyvalue.take_fields(_DataRun, kv, "data.",
+                                          complete=False))
+    keyvalue.reject_unknown(kv, "config")
+    return overrides, run.n_frames, run.test_fraction

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .. import diffcore as dc
-from ..avatar import AvatarModel
-from ..body import load_mesh, load_skeleton
+from .. import keyvalue
+from ..avatar import AvatarModel, parse_manifest
 from ..conditioning import build_masks, influence_heatmap
 from ..disentangle import StatisticsNet, fit_statistics, mi_estimate
 from ..imgio import write_pgm, write_ppm
@@ -26,7 +26,7 @@ from .data import TrainData
 
 __all__ = ["load_model", "model_path", "union_l1", "render_frame", "drive",
            "eval_errors", "build_report", "write_heatmaps", "heatmap_locality",
-           "reconstruction_gap", "VARIANT_LABELS"]
+           "open_run", "VARIANT_LABELS"]
 
 VARIANT_LABELS = (("ours", "OURS"),
                   ("pose+face", "pose+face"),
@@ -55,6 +55,15 @@ def load_model(checkpoint, data: TrainData) -> AvatarModel:
     return AvatarModel.load(model_path(checkpoint), data.template, data.skeleton)
 
 
+def open_run(checkpoint, dataset) -> tuple[TrainData, AvatarModel]:
+    """The dataset at the resolutions the checkpoint was trained with
+    (its manifest's geo_res and shadow_res), and the model."""
+    path = model_path(checkpoint)
+    config = parse_manifest(Path(f"{path}.manifest").read_text())
+    data = TrainData(dataset, geo_res=config.geo_res, ao_res=config.shadow_res)
+    return data, load_model(path, data)
+
+
 def _raster_config(data: TrainData) -> RasterConfig:
     return RasterConfig(sigma_r=data.spec.sigma_r, gamma=data.spec.gamma_r)
 
@@ -69,21 +78,26 @@ def union_l1(pred_img, pred_mask, gt_img, gt_mask) -> float:
     return float(diff[:, union].mean() * 255.0)
 
 
+def _camera_renders(model: AvatarModel, data: TrainData, frame_id: str, z):
+    """Yield one RenderTarget per camera, in camera order: the model
+    driven by that camera's signal at latent z, then rasterized."""
+    cfg = _raster_config(data)
+    ao = data.ao(frame_id) if model.config.use_shadow else None
+    for k, camera in enumerate(data.cameras):
+        pred = model.forward(data.signal(frame_id, k), z, ao)
+        yield rasterize(pred.posed, data.template.faces, data.template.uvs,
+                        pred.final, camera, cfg)
+
+
 def render_frame(model: AvatarModel, data: TrainData, frame_id: str, z=None):
     """All-camera renders for one frame at a fixed latent.
 
     Returns (images [n_cam,3,H,W], masks [n_cam,H,W]) as plain arrays; no
     graph is kept.
     """
-    cfg = _raster_config(data)
-    ao = data.ao(frame_id) if model.config.use_shadow else None
     images, masks = [], []
     with dc.no_grad():
-        for k in range(len(data.cameras)):
-            pred = model.forward(data.signal(frame_id, k), z, ao)
-            rt = rasterize(pred.posed, data.template.faces,
-                           data.template.uvs, pred.final,
-                           data.cameras[k], cfg)
+        for rt in _camera_renders(model, data, frame_id, z):
             images.append(rt.image.data.copy())
             masks.append(rt.mask.data.copy())
     return np.stack(images), np.stack(masks)
@@ -104,8 +118,6 @@ def _fit_latent(model, data, frame_id, steps, lr, weights):
     driving under the reported metric.
     """
     fr = data.frame(frame_id)
-    cfg = _raster_config(data)
-    ao = data.ao(frame_id) if model.config.use_shadow else None
     zstore = dc.ParamStore()
     zt = zstore.add("z", np.zeros(model.config.d_z,
                                   dtype=model.config.np_dtype))
@@ -114,11 +126,7 @@ def _fit_latent(model, data, frame_id, steps, lr, weights):
     for it in range(steps + 1):
         zstore.zero_grad()
         total, images, masks = None, [], []
-        for k in range(len(data.cameras)):
-            pred = model.forward(data.signal(frame_id, k), zt, ao)
-            rt = rasterize(pred.posed, data.template.faces,
-                           data.template.uvs, pred.final,
-                           data.cameras[k], cfg)
+        for k, rt in enumerate(_camera_renders(model, data, frame_id, zt)):
             part, _ = losses(rt, fr.images[k], fr.masks[k], None, None,
                              data.template, weights, 2, retain_lap=False)
             total = part if total is None else dc.add(total, part)
@@ -174,16 +182,16 @@ def drive(model: AvatarModel, data: TrainData, frame_ids, mode: str = "zero",
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        lines = [f"mode = {mode}", f"seed = {seed}"]
+        items = [("mode", mode), ("seed", seed)]
         for fid in frame_ids:
             r = results[fid]
             for k in range(r["images"].shape[0]):
                 write_ppm(out / f"{fid}_cam{k}.ppm", r["images"][k])
-                lines.append(f"frame.{fid}.cam{k} = {r['cams'][k]!r}")
-            lines.append(f"frame.{fid} = {r['err']!r}")
+                items.append((f"frame.{fid}.cam{k}", repr(r["cams"][k])))
+            items.append((f"frame.{fid}", repr(r["err"])))
         mean = float(np.mean([results[f]["err"] for f in frame_ids]))
-        lines.append(f"mean = {mean!r}")
-        (out / "drive.kv").write_text("\n".join(lines) + "\n")
+        items.append(("mean", repr(mean)))
+        (out / "drive.kv").write_text(keyvalue.dump(items))
     return results
 
 
@@ -223,21 +231,16 @@ def _cache_key(model, data) -> str:
 def _read_cache(path: Path, key: str) -> dict:
     if not path.exists():
         return {}
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != f"key = {key}":
+    kv = keyvalue.read(path.read_text())
+    if kv.pop("key", None) != key:
         return {}
-    out = {}
-    for ln in lines[1:]:
-        name, _, val = ln.partition(" = ")
-        if name.startswith("frame."):
-            out[name[len("frame."):]] = float(val)
-    return out
+    return {name[len("frame."):]: float(val) for name, val in kv.items()
+            if name.startswith("frame.")}
 
 
 def _write_cache(path: Path, key: str, errors: dict) -> None:
-    lines = [f"key = {key}"]
-    lines += [f"frame.{f} = {errors[f]!r}" for f in sorted(errors)]
-    path.write_text("\n".join(lines) + "\n")
+    items = [(f"frame.{f}", repr(errors[f])) for f in sorted(errors)]
+    path.write_text(keyvalue.dump([("key", key)] + items))
 
 
 def _subsample(ids, limit, rng) -> list:
@@ -350,7 +353,10 @@ def write_heatmaps(model: AvatarModel, out_dir, indices, signal=None,
 def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
                  eval_frames: int = 200) -> str:
     """Error table plus disentanglement diagnostics across the six
-    canonical variants; writes report.txt and report.kv into out_dir."""
+    canonical variants; writes report.txt and report.kv into out_dir.
+
+    `data` supplies the frame lists; each run is scored on the dataset
+    reopened at that run's own resolutions (open_run)."""
     known = [v for v, _ in VARIANT_LABELS]
     missing = [v for v in known if v not in runs]
     if missing:
@@ -367,32 +373,33 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
     if not test_ids or not train_ids:
         raise ValueError("dataset provides no train/test frames to score")
 
-    rows, kv = [], [f"metric = {_METRIC_TAG}",
-                    f"frames.train = {len(train_ids)}",
-                    f"frames.test = {len(test_ids)}"]
+    rows, kv = [], [("metric", _METRIC_TAG),
+                    ("frames.train", len(train_ids)),
+                    ("frames.test", len(test_ids))]
     diag = []
     for variant, label in VARIANT_LABELS:
         run_dir = Path(runs[variant])
-        model = load_model(run_dir, data)
-        tr = eval_errors(model, data, train_ids, run_dir / "errors_train.kv")
-        te = eval_errors(model, data, test_ids, run_dir / "errors_test.kv")
+        run_data, model = open_run(run_dir, data.root)
+        tr = eval_errors(model, run_data, train_ids,
+                         run_dir / "errors_train.kv")
+        te = eval_errors(model, run_data, test_ids, run_dir / "errors_test.kv")
         tr_m = float(np.mean(list(tr.values())))
         te_m = float(np.mean(list(te.values())))
         rows.append((label, tr_m, te_m))
-        kv.append(f"error.{variant}.train = {tr_m!r}")
-        kv.append(f"error.{variant}.test = {te_m!r}")
+        kv.append((f"error.{variant}.train", repr(tr_m)))
+        kv.append((f"error.{variant}.test", repr(te_m)))
 
-        loc = heatmap_locality(model, data, seed=seed)
+        loc = heatmap_locality(model, run_data, seed=seed)
         loc_m = float(np.mean(list(loc.values()))) if loc else float("nan")
-        kv.append(f"locality.{variant} = {loc_m!r}")
+        kv.append((f"locality.{variant}", repr(loc_m)))
         extras = [f"locality {loc_m:.3f}"]
         if model.config.use_latent:
-            mi = latent_mi(model, data, test_ids, seed=seed)
-            mu_tr, _, u_tr = _encodings(model, data, train_ids)
-            mu_te, _, u_te = _encodings(model, data, test_ids)
+            mi = latent_mi(model, run_data, test_ids, seed=seed)
+            mu_tr, _, u_tr = _encodings(model, run_data, train_ids)
+            mu_te, _, u_te = _encodings(model, run_data, test_ids)
             r2 = _probe_r2(mu_tr, u_tr, mu_te, u_te)
-            kv.append(f"mi.{variant} = {mi!r}")
-            kv.append(f"probe_r2.{variant} = {r2!r}")
+            kv.append((f"mi.{variant}", repr(mi)))
+            kv.append((f"probe_r2.{variant}", repr(r2)))
             extras += [f"MI(z;signal) {mi:.3f} nats", f"probe R2 {r2:.3f}"]
         diag.append(f"{label}: " + ", ".join(extras))
 
@@ -409,48 +416,5 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text(text)
-    (out / "report.kv").write_text("\n".join(kv) + "\n")
+    (out / "report.kv").write_text(keyvalue.dump(kv))
     return text
-
-
-# --------------------------------------------- driving-vs-reconstruction gap
-
-def reconstruction_gap(model: AvatarModel, data: TrainData, frame_id: str,
-                       steps: int = 40, lr: float = 0.1,
-                       lo: float = 0.1, hi: float = 0.9,
-                       thresh: float = 2.0 / 255.0):
-    """(masked_ratio, whole_ratio) of zero-driving error to fitted error.
-
-    The mask selects pixels whose ground truth actually depends on the
-    hidden appearance factor (re-rendered at factor values lo and hi);
-    the driving error should concentrate there, so the masked ratio is
-    expected to exceed the whole-image ratio.
-    """
-    from ..renderer import LossWeights
-    from ..synthdata import frame_mesh, frame_texture, render_views
-
-    fr = data.frame(frame_id)
-    sens = []
-    for uval in (lo, hi):
-        _, posed = frame_mesh(data.spec, fr.theta, uval)
-        tex = frame_texture(data.spec, uval, fr.face)
-        imgs, _ = render_views(data.spec, posed, tex)
-        sens.append(np.stack(imgs))
-    region = (np.abs(sens[1] - sens[0]).max(axis=1) > thresh)  # [n_cam,H,W]
-    if not region.any():
-        raise ValueError(f"frame {frame_id} has no factor-sensitive pixels")
-
-    zero_img, _ = render_frame(model, data, frame_id, None)
-    _, fit_img, _ = _fit_latent(model, data, frame_id, steps, lr,
-                                LossWeights())
-    gt = fr.images.astype(np.float64)
-
-    def pooled(pred, mask):
-        sel = np.broadcast_to(mask[:, None], pred.shape)
-        return float(np.abs(pred - gt)[sel].mean() * 255.0)
-
-    whole = np.ones_like(region)
-    masked_ratio = pooled(zero_img, region) / max(pooled(fit_img, region),
-                                                  1e-9)
-    whole_ratio = pooled(zero_img, whole) / max(pooled(fit_img, whole), 1e-9)
-    return masked_ratio, whole_ratio

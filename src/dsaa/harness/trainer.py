@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import diffcore as dc
+from .. import keyvalue
 from ..avatar import AvatarModel, reparameterize
 from ..disentangle import (StatisticsNet, adversarial_dis_loss, joint_sites,
                            kl_loss, mine_loss, perturbation_loss)
@@ -248,11 +249,9 @@ def _format(rec, iters):
 
 
 def _dump_divergence(out, rec, bad):
-    lines = []
-    if bad:
-        lines.append(f"non-finite components: {', '.join(bad)}")
-    lines += [f"{k} = {v!r}" for k, v in rec.items()]
-    (out / "diverged.txt").write_text("\n".join(lines) + "\n")
+    head = f"non-finite components: {', '.join(bad)}\n" if bad else ""
+    (out / "diverged.txt").write_text(
+        head + keyvalue.dump((k, repr(v)) for k, v in rec.items()))
 
 
 # ------------------------------------------------------------- persistence
@@ -295,9 +294,8 @@ def _check_resumable(config_path, cfg: TrainConfig):
     if not config_path.exists():
         raise ValueError("run directory has state but no config.txt")
     old = parse_config(config_path.read_text())
-    old_lines = dict(l.split(" = ", 1) for l in
-                     config_text(old.resolved()).splitlines())
-    new_lines = dict(l.split(" = ", 1) for l in config_text(cfg).splitlines())
+    old_lines = keyvalue.read(config_text(old.resolved()))
+    new_lines = keyvalue.read(config_text(cfg))
     clash = [k for k in new_lines
              if k not in _RESUME_FREE and old_lines.get(k) != new_lines[k]]
     if clash:

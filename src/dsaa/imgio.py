@@ -1,5 +1,5 @@
 """Netpbm image I/O: PPM (P6) for RGB, PGM (P5) for grayscale at maxval
-255 or 65535, PBM (P4) for bit masks. Round-trips are bit-exact.
+255 or 65535. Round-trips are bit-exact.
 
 Float images are exchanged in [0,1]: writers quantize with
 round(x * maxval) after clipping, readers divide by maxval. 16-bit
@@ -88,24 +88,3 @@ def read_pgm(path, as_float: bool = True):
         return img.astype(np.float64) / maxval
     return img.astype(np.uint16 if maxval == 65535 else np.uint8)
 
-
-def write_pbm(path, bits: np.ndarray) -> None:
-    """bits: bool [H,W]; 1 = set, packed MSB-first per PBM."""
-    if bits.ndim != 2:
-        raise ValueError("PBM writer expects [H,W]")
-    H, W = bits.shape
-    packed = np.packbits(bits.astype(np.uint8), axis=1)
-    with open(path, "wb") as f:
-        f.write(f"P4\n{W} {H}\n".encode())
-        f.write(packed.tobytes())
-
-
-def read_pbm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        W, H = _read_header(f, b"P4", 2)
-        rowbytes = (W + 7) // 8
-        raw = f.read(rowbytes * H)
-    if len(raw) != rowbytes * H:
-        raise ValueError("truncated PBM payload")
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(H, rowbytes)
-    return np.unpackbits(rows, axis=1)[:, :W].astype(bool)

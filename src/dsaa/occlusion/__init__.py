@@ -2,12 +2,10 @@
 
 from .ao import (AOSamplerConfig, AOMap, vertex_normals, build_frames,
                  stratified_square, hemisphere_dirs, texel_geometry,
-                 UniformGrid, ray_any_hit, compute_ao, ao_oracle,
-                 save_ao_pgm, load_ao_pgm)
+                 UniformGrid, ray_any_hit, compute_ao, ao_oracle)
 
 __all__ = [
     "AOSamplerConfig", "AOMap", "vertex_normals", "build_frames",
     "stratified_square", "hemisphere_dirs", "texel_geometry",
     "UniformGrid", "ray_any_hit", "compute_ao", "ao_oracle",
-    "save_ao_pgm", "load_ao_pgm",
 ]

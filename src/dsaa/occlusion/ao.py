@@ -3,14 +3,14 @@
 Each valid atlas texel owns a surface point and an interpolated normal;
 visibility is the fraction of stratified cosine-weighted hemisphere rays
 that escape the mesh. Rays are frozen data, never differentiated. The map
-feeds the low-resolution shading branch and is serialized as 16-bit PGM.
+feeds the low-resolution shading branch; training data caches it per
+frame in `ao<res>.dsaa1`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .. import imgio
 from ..body import TemplateMesh, TexelAtlas, build_atlas
 from ..rng import stream
 
@@ -18,7 +18,6 @@ __all__ = [
     "AOSamplerConfig", "AOMap", "vertex_normals", "build_frames",
     "stratified_square", "hemisphere_dirs", "texel_geometry",
     "UniformGrid", "ray_any_hit", "compute_ao", "ao_oracle",
-    "save_ao_pgm", "load_ao_pgm",
 ]
 
 # barycentric slack so rays crossing a shared edge cannot leak between the
@@ -345,10 +344,3 @@ def ao_oracle(point, normal, verts, faces, n_rays: int, seed: int = 0,
     o = np.broadcast_to(point + offset * normal, d.shape)
     return float(1.0 - ray_any_hit(o, d, verts, faces).mean())
 
-
-def save_ao_pgm(ao: AOMap, path) -> None:
-    imgio.write_pgm(path, ao.values, maxval=65535)
-
-
-def load_ao_pgm(path) -> np.ndarray:
-    return imgio.read_pgm(path)

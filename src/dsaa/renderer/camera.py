@@ -29,11 +29,6 @@ class Camera:
         object.__setattr__(self, "rot", R)
         object.__setattr__(self, "t", np.asarray(self.t, dtype=np.float64))
 
-    def to_dict(self) -> dict:
-        return {"fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy,
-                "rot": self.rot.tolist(), "t": self.t.tolist(),
-                "height": self.height, "width": self.width}
-
 
 def look_at(eye, target, up=(0.0, 1.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
     """World->camera rotation and translation for a camera at `eye` looking

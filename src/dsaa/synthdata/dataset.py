@@ -22,10 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import keyvalue
 from ..body import save_obj, load_obj, save_mesh, save_skeleton
 from ..imgio import read_pgm, read_ppm, write_pgm, write_ppm
 from ..rng import stream
-from .figure import Figure, build_figure, figure_bytes
+from .figure import build_figure, figure_bytes
 from .generate import frame_mesh, frame_texture, render_views
 from .scene import SceneSpec, sample_frame
 
@@ -35,10 +36,6 @@ __all__ = ["FrameEntry", "FrameRecord", "DatasetManifest",
 
 _FORMAT = "dsaa-dataset-1"
 _FIGURES = {"default-v1": build_figure}
-
-# serialized SceneSpec fields in manifest order; figure travels as a tag
-_SPEC_FIELDS = tuple(f.name for f in dataclasses.fields(SceneSpec)
-                     if f.name != "figure")
 
 
 @dataclass(frozen=True)
@@ -74,82 +71,47 @@ class DatasetManifest:
                 and (split is None or e.split == split)]
 
 
-def _fmt(value):
-    if isinstance(value, tuple):
-        return ",".join(repr(float(x)) for x in value)
-    if isinstance(value, float):
-        return repr(value)
-    return repr(int(value))
-
-
-def _spec_lines(spec: SceneSpec):
-    lines = [f"figure = {spec.figure.tag}"]
-    for name in _SPEC_FIELDS:
-        lines.append(f"spec.{name} = {_fmt(getattr(spec, name))}")
-    return lines
+def _spec_items(spec: SceneSpec) -> list:
+    return [("figure", spec.figure.tag)] + keyvalue.field_items(spec, "spec.")
 
 
 def _spec_hash(spec: SceneSpec) -> str:
     h = hashlib.sha256()
     h.update(_FORMAT.encode())
-    h.update("\n".join(_spec_lines(spec)).encode())
+    # spec lines joined by newlines, no final one: stored hashes depend on it
+    h.update(keyvalue.dump(_spec_items(spec)).removesuffix("\n").encode())
     h.update(figure_bytes(spec.figure))
     return h.hexdigest()
 
 
 def _write_manifest(m: DatasetManifest) -> None:
-    lines = [f"format = {_FORMAT}", f"spec_hash = {m.spec_hash}"]
-    lines += _spec_lines(m.spec)
+    items = [("format", _FORMAT), ("spec_hash", m.spec_hash)]
+    items += _spec_items(m.spec)
     if m.test_fraction is not None:
-        lines.append(f"split.test_fraction = {repr(float(m.test_fraction))}")
-        lines.append(f"split.seed = {int(m.split_seed)}")
-    for e in m.frames:
-        lines.append(f"frame.{e.id} = {e.group} {e.split}")
-    (m.root / "manifest.txt").write_text("\n".join(lines) + "\n")
-
-
-def _parse_value(name, text):
-    default = next(f.default for f in dataclasses.fields(SceneSpec)
-                   if f.name == name)
-    if isinstance(default, tuple):
-        return tuple(float(x) for x in text.split(","))
-    if isinstance(default, float):
-        return float(text)
-    return int(text)
+        items += [("split.test_fraction", repr(float(m.test_fraction))),
+                  ("split.seed", str(int(m.split_seed)))]
+    items += [(f"frame.{e.id}", f"{e.group} {e.split}") for e in m.frames]
+    (m.root / "manifest.txt").write_text(keyvalue.dump(items))
 
 
 def load_manifest(root) -> DatasetManifest:
     root = Path(root)
-    raw = {}
-    frames = []
-    for ln in (root / "manifest.txt").read_text().splitlines():
-        if not ln.strip():
-            continue
-        key, _, value = ln.partition(" = ")
-        if not _:
-            raise ValueError(f"malformed manifest line: {ln!r}")
-        if key.startswith("frame."):
-            group, _, split = value.partition(" ")
-            frames.append(FrameEntry(key[len("frame."):], group, split))
-        else:
-            raw[key] = value
-    if raw.pop("format", None) != _FORMAT:
+    kv = keyvalue.read((root / "manifest.txt").read_text())
+    if kv.pop("format", None) != _FORMAT:
         raise ValueError("unsupported or missing dataset format")
-    if raw.get("figure") not in _FIGURES:
-        raise ValueError(f"unknown figure tag {raw.get('figure')!r}")
-    figure = _FIGURES[raw.pop("figure")]()
-    kwargs = {}
-    for name in _SPEC_FIELDS:
-        key = f"spec.{name}"
-        if key not in raw:
-            raise ValueError(f"manifest missing {key}")
-        kwargs[name] = _parse_value(name, raw.pop(key))
-    spec = SceneSpec(figure=figure, **kwargs)
-    stored = raw.pop("spec_hash", "")
-    fraction = raw.pop("split.test_fraction", None)
-    seed = raw.pop("split.seed", None)
-    if raw:
-        raise ValueError(f"unknown manifest keys: {sorted(raw)}")
+    tag = kv.pop("figure", None)
+    if tag not in _FIGURES:
+        raise ValueError(f"unknown figure tag {tag!r}")
+    spec = SceneSpec(figure=_FIGURES[tag](),
+                     **keyvalue.take_fields(SceneSpec, kv, "spec."))
+    stored = kv.pop("spec_hash", "")
+    fraction = kv.pop("split.test_fraction", None)
+    seed = kv.pop("split.seed", None)
+    frames = []
+    for key in [k for k in kv if k.startswith("frame.")]:
+        group, _, split = kv.pop(key).partition(" ")
+        frames.append(FrameEntry(key[len("frame."):], group, split))
+    keyvalue.reject_unknown(kv, "manifest")
     if stored != _spec_hash(spec):
         raise ValueError("manifest hash does not match the regenerated scene")
     return DatasetManifest(root=root, spec=spec, spec_hash=stored,

@@ -58,15 +58,6 @@ def test_fk_rejects_wrong_length():
         body.forward_kinematics(two_bone(), np.zeros(5))
 
 
-def test_fk_tensor_matches_numpy():
-    sk = chain_skeleton([(0, 0, 0), (0.6, 0.1, 0), (0.8, 0, 0.2)])
-    r = np.random.default_rng(0)
-    theta = r.uniform(-1.2, 1.2, sk.dof)
-    tf = body.forward_kinematics(sk, theta)
-    T = body.fk_transforms_tensor(sk, dc.Tensor(theta))
-    npt.assert_allclose(T.data, tf.as_mat34(), atol=1e-12)
-
-
 # ------------------------------------------------------------------ LBS
 
 def random_rig(seed=0, V=40):
@@ -154,23 +145,6 @@ def test_rigid_equivariance_via_root():
     npt.assert_allclose(posed, base @ G.T, atol=1e-9)
 
 
-def test_lbs_theta_gradients_fd():
-    sk = chain_skeleton([(0, 0, 0), (0.7, 0, 0)])
-    r = np.random.default_rng(10)
-    verts = r.normal(size=(6, 3))
-    w = r.random(size=(6, 2))
-    w /= w.sum(axis=1, keepdims=True)
-    probe = r.normal(size=(6, 3))
-    theta = r.uniform(-1.0, 1.0, sk.dof)
-
-    def loss(th):
-        T = body.fk_transforms_tensor(sk, th)
-        posed = body.lbs_apply_tensor(dc.Tensor(verts), T, w)
-        return dc.sum_(dc.mul(posed, probe))
-
-    assert dc.gradcheck(loss, [theta]) < 1e-4
-
-
 def test_lbs_vertex_gradients_fd():
     sk, verts, w = random_rig(11, V=6)
     theta = np.random.default_rng(12).uniform(-1.0, 1.0, sk.dof)
@@ -204,11 +178,6 @@ def test_laplacian_zero_on_grid_interior():
     L = body.mesh_laplacian(mesh)
     center = 2 * 5 + 2
     npt.assert_allclose(L[center], 0.0, atol=1e-12)
-
-
-def test_laplacian_loss_identical_meshes():
-    mesh = grid_mesh()
-    assert body.laplacian_loss(mesh, mesh.verts, mesh.verts.copy()) == 0.0
 
 
 def test_laplacian_translation_invariance_exact():

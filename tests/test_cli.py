@@ -1,6 +1,10 @@
-"""The dsaa command line end to end through main(argv): gen-data, a short
-train run, and zero-mode drive of the resulting checkpoint."""
+"""The dsaa command line end to end through main(argv): gen-data, short
+train runs with resume, drive in every mode, heatmap and report."""
 
+import pytest
+
+from dsaa import keyvalue
+from dsaa.harness import ABLATIONS
 from dsaa.harness.cli import main
 from dsaa.synthdata import load_manifest
 
@@ -26,3 +30,67 @@ def test_gen_data_train_drive(tmp_path):
     assert main(["drive", "--checkpoint", str(run), "--dataset", str(data),
                  "--frames", frame, "--mode", "zero", "--out", str(out)]) == 0
     assert (out / f"{frame}_cam0.ppm").exists()
+
+
+# ------------------------------------------------- one split dataset, one run
+
+@pytest.fixture(scope="module")
+def cli_run(tmp_path_factory):
+    """A split 32x32 dataset (2 train, 2 test, 2 novel frames) and a
+    3-iteration geo_res 16 run on it, both made through main(argv)."""
+    root = tmp_path_factory.mktemp("cli")
+    (root / "data.cfg").write_text("data.image_size = 32\n")
+    (root / "train.cfg").write_text(
+        "train.batch = 2\ntrain.phase1 = 1\n"
+        "model.geo_res = 16\nmodel.tex_res = 32\n")
+    assert main(["gen-data", "--config", str(root / "data.cfg"),
+                 "--out", str(root / "data"), "--frames", "4",
+                 "--test-fraction", "0.5", "--seed", "4"]) == 0
+    assert _train(root, "run", "--iters", "3") == 0
+    return root
+
+
+def _train(root, run, *args):
+    return main(["train", "--config", str(root / "train.cfg"),
+                 "--dataset", str(root / "data"), "--out", str(root / run),
+                 "--seed", "1", *args])
+
+
+def test_resume_matches_uninterrupted_run(cli_run):
+    assert _train(cli_run, "resumed", "--iters", "2") == 0
+    assert _train(cli_run, "resumed", "--iters", "3", "--resume") == 0
+    for name in ("trainer.dsaa1", "model.dsaa1", "model.dsaa1.manifest"):
+        assert (cli_run / "resumed" / name).read_bytes() \
+            == (cli_run / "run" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("mode", ["sample", "fit"])
+def test_drive_sample_and_fit(cli_run, mode):
+    frame = load_manifest(cli_run / "data").ids(split="test")[0]
+    out = cli_run / f"drive_{mode}"
+    assert main(["drive", "--checkpoint", str(cli_run / "run"),
+                 "--dataset", str(cli_run / "data"), "--frames", frame,
+                 "--mode", mode, "--steps", "2", "--out", str(out)]) == 0
+    kv = keyvalue.read((out / "drive.kv").read_text())
+    assert kv["mode"] == mode and float(kv[f"frame.{frame}"]) >= 0.0
+    assert (out / f"{frame}_cam0.ppm").exists()
+
+
+def test_heatmap(cli_run):
+    out = cli_run / "heat"
+    frame = load_manifest(cli_run / "data").ids()[0]
+    assert main(["heatmap", "--checkpoint", str(cli_run / "run"),
+                 "--dataset", str(cli_run / "data"), "--out", str(out),
+                 "--indices", "0,3", "--frame", frame,
+                 "--n-perturb", "4"]) == 0
+    assert len(list(out.glob("heatmap_*.pgm"))) == 2
+
+
+def test_report_uses_each_runs_resolutions(cli_run):
+    # the run's shadow grid is 8, not the TrainData default of 16
+    out = cli_run / "report"
+    runs = [f"--run={v}={cli_run / 'run'}" for v in ABLATIONS]
+    assert main(["report", "--dataset", str(cli_run / "data"),
+                 "--out", str(out), "--frames", "2", *runs]) == 0
+    kv = keyvalue.read((out / "report.kv").read_text())
+    assert all(f"error.{v}.test" in kv for v in ABLATIONS)

@@ -1,5 +1,5 @@
 """Signal tiling, influence masks from skinning weights, localized
-projection (exact locality), heatmaps, and PBM round trips."""
+projection (exact locality), and heatmaps."""
 
 import numpy as np
 import numpy.testing as npt
@@ -126,16 +126,6 @@ def test_masks_rebuild_bit_exact_and_scalar_channels_match():
     npt.assert_array_equal(a.data, b.data)
     assert a.names == b.names
     npt.assert_array_equal(a.data[0], a.data[1])   # scalars of one joint share a mask
-
-
-def test_masks_pbm_round_trip(tmp_path):
-    tpl, skel = strip_rig()
-    m = cond.build_masks(tpl, skel, 16, 16, tau=0.05, n_face=2)
-    prefix = tmp_path / "masks"
-    cond.save_masks(m, prefix)
-    back = cond.load_masks(prefix)
-    npt.assert_array_equal(back.data, m.data)
-    assert back.names == m.names
 
 
 # -------------------------------------------------------- localized encode

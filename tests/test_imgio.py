@@ -50,14 +50,6 @@ def test_pgm_16bit_roundtrip(tmp_path):
     npt.assert_array_equal(raw, np.round(ao * 65535).astype(np.uint16))
 
 
-def test_pbm_roundtrip_odd_width(tmp_path):
-    r = np.random.default_rng(3)
-    bits = r.random(size=(9, 13)) > 0.5
-    p = tmp_path / "b.pbm"
-    imgio.write_pbm(p, bits)
-    npt.assert_array_equal(imgio.read_pbm(p), bits)
-
-
 def test_header_comments_are_skipped(tmp_path):
     p = tmp_path / "c.pgm"
     payload = bytes(range(6))

@@ -1,11 +1,11 @@
 """Visibility-map oracles: analytic wall integral, convexity, enclosure,
-grid-vs-brute ray casting, monotonicity, rigid invariance, PGM round trip."""
+grid-vs-brute ray casting, monotonicity, rigid invariance."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dsaa import body, occlusion
+from dsaa import body
 from dsaa.occlusion import (AOSamplerConfig, ao_oracle, build_frames,
                             compute_ao, ray_any_hit, texel_geometry,
                             UniformGrid)
@@ -200,13 +200,3 @@ def test_fixed_seed_is_bit_identical():
     b = compute_ao(tpl, cfg, resolution=16)
     npt.assert_array_equal(a.values, b.values)
     npt.assert_array_equal(a.valid, b.valid)
-
-
-def test_pgm_round_trip(tmp_path):
-    tpl = as_template(*uv_sphere(12, 9))
-    ao = compute_ao(tpl, AOSamplerConfig(rays=32, seed=29), resolution=16)
-    path = tmp_path / "ao.pgm"
-    occlusion.save_ao_pgm(ao, path)
-    back = occlusion.load_ao_pgm(path)
-    assert np.abs(back - ao.values).max() <= 0.5 / 65535
-    npt.assert_array_equal(back[~ao.valid], 0.0)
