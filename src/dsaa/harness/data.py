@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .. import diffcore as dc
-from ..body import (TemplateMesh, build_atlas, forward_kinematics, lbs_apply,
-                    lbs_unpose, load_mesh, load_skeleton, render_position_map)
+from ..body import (TemplateMesh, TexelAtlas, build_atlas, forward_kinematics,
+                    lbs_apply, lbs_unpose, load_mesh, load_skeleton,
+                    render_position_map)
 from ..conditioning import DrivingSignal
 from ..occlusion import AOSamplerConfig, compute_ao
 from ..renderer import Camera
@@ -67,6 +68,7 @@ class TrainData:
         self._frames: dict[str, FrameBundle] = {}
         self._pos_maps: dict[str, np.ndarray] = {}
         self._ao: dict[str, np.ndarray] = {}
+        self._ao_atlas: TexelAtlas | None = None   # built by the first bake
         self._ao_dirty = False
 
     # ------------------------------------------------------------- frames
@@ -125,7 +127,12 @@ class TrainData:
             posed = lbs_apply(self.template.verts, tf, self.template.weights)
             mesh = TemplateMesh(posed, self.template.faces, self.template.uvs,
                                 self.template.weights)
-            amap = compute_ao(mesh, self.ao_config, self.ao_res)
+            if self._ao_atlas is None:
+                self._ao_atlas = build_atlas(self.template.uvs,
+                                             self.template.faces,
+                                             self.ao_res, self.ao_res)
+            amap = compute_ao(mesh, self.ao_config, self.ao_res,
+                              atlas=self._ao_atlas)
             self._ao[frame_id] = np.where(amap.valid, amap.values,
                                           1.0).astype(np.float32)
             self._ao_dirty = True

@@ -377,6 +377,9 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
                     ("frames.train", len(train_ids)),
                     ("frames.test", len(test_ids))]
     diag = []
+    # the MI critic trains on minibatches of two or more test rows, and
+    # the probe needs two rows per split to fit and to have a variance
+    score_latent = min(len(train_ids), len(test_ids)) >= 2
     for variant, label in VARIANT_LABELS:
         run_dir = Path(runs[variant])
         run_data, model = open_run(run_dir, data.root)
@@ -393,7 +396,7 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
         loc_m = float(np.mean(list(loc.values()))) if loc else float("nan")
         kv.append((f"locality.{variant}", repr(loc_m)))
         extras = [f"locality {loc_m:.3f}"]
-        if model.config.use_latent:
+        if model.config.use_latent and score_latent:
             mi = latent_mi(model, run_data, test_ids, seed=seed)
             mu_tr, _, u_tr = _encodings(model, run_data, train_ids)
             mu_te, _, u_te = _encodings(model, run_data, test_ids)
@@ -411,6 +414,9 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
     for label, tr_m, te_m in rows:
         lines.append(f"{label.ljust(width)} {tr_m:8.3f} {te_m:8.3f}")
     lines += ["", "diagnostics:"] + diag
+    if not score_latent:
+        lines.append("MI(z;signal) and probe R2 omitted: they need at least "
+                     "2 train and 2 test frames")
     text = "\n".join(lines) + "\n"
 
     out = Path(out_dir)

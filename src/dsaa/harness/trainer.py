@@ -37,7 +37,8 @@ _RESUME_FREE = ("train.iters", "train.checkpoint_every", "train.eval_frames",
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss left the finite range; the run aborted on its last checkpoint."""
+    """Loss or a parameter left the finite range; the run aborted on its
+    last checkpoint."""
 
 
 @dataclass
@@ -111,8 +112,13 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
                             critic_opt, corr, raster_cfg, train_ids, i)
             except (ValueError, FloatingPointError, OverflowError) as e:
                 # exploded parameters usually trip a shape-independent
-                # validation check before the loss itself reads non-finite
-                _dump_divergence(out, {"iter": i + 1, "error": repr(e)}, [])
+                # validation check before the loss itself reads non-finite;
+                # with every parameter finite, a ValueError is a config or
+                # shape error and propagates as one
+                bad = _nonfinite_params(model.store, critic_store)
+                if isinstance(e, ValueError) and not bad:
+                    raise
+                _dump_divergence(out, {"iter": i + 1, "error": repr(e)}, bad)
                 raise TrainingDiverged(
                     f"training failed at iteration {i + 1}: {e}; last "
                     f"checkpoint kept, diagnostics in {out / 'diverged.txt'}"
@@ -246,6 +252,12 @@ def _format(rec, iters):
     bits += [f"{k} {v:.6f}" for k, v in rec.items()
              if k not in ("iter", "phase", "total")]
     return " ".join(bits)
+
+
+def _nonfinite_params(*stores):
+    """Names of the parameters holding a NaN or an infinity."""
+    return [name for store in stores if store is not None
+            for name, t in store.items() if not np.isfinite(t.data).all()]
 
 
 def _dump_divergence(out, rec, bad):

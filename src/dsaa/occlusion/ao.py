@@ -23,6 +23,9 @@ __all__ = [
 # barycentric slack so rays crossing a shared edge cannot leak between the
 # two inclusive triangle tests
 _EDGE_TOL = 1e-9
+# rays walked together; bounds the walk's per-step (ray, triangle) arrays
+# (a 16x16 map of 64 rays per texel fits one walk)
+_WALK_RAYS = 16384
 
 
 @dataclass(frozen=True)
@@ -137,25 +140,56 @@ def texel_geometry(mesh: TemplateMesh, atlas: TexelAtlas):
     return pts, normals, ok
 
 
-def _mt_any_hit(o, d, a, b, c, t_min):
-    """Row-wise ray/triangle intersection in determinant form.
+def _corners(verts, faces):
+    """[F,3,3] triangle corners of a (verts, faces) soup."""
+    return np.asarray(verts, dtype=np.float64)[
+        np.asarray(faces, dtype=np.intp).reshape(-1, 3)]
 
-    Both orientations count; near-parallel rays are rejected (a grazing
-    miss is acceptable for occlusion queries).
-    """
-    e1 = b - a
-    e2 = c - a
-    p = np.cross(d, e2)
-    det = np.einsum("ij,ij->i", e1, p)
+
+def _triangles(tri):
+    """Per-triangle constants of `_mt_any_hit` for [F,3,3] corners (a, b,
+    c): a, b - a and c - a as [3,F] component rows, and the determinant
+    tolerance [F] (1e-12 of twice the area)."""
+    a = tri[:, 0]
+    e1 = tri[:, 1] - a
+    e2 = tri[:, 2] - a
     area = np.linalg.norm(np.cross(e1, e2), axis=1)
-    usable = np.abs(det) > 1e-12 * np.maximum(area, 1e-300)
+    return (np.ascontiguousarray(a.T), np.ascontiguousarray(e1.T),
+            np.ascontiguousarray(e2.T), 1e-12 * np.maximum(area, 1e-300))
+
+
+def _cross(a, b):
+    """Cross product of [3,N] component rows, term by term as np.cross."""
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _dot(a, b):
+    """Dot product of [3,N] component rows, summed (x0 + x2) + x1: the
+    order np.einsum("ij,ij->i") sums three terms in, so maps equal those
+    of an einsum predicate bit for bit."""
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
+
+
+def _mt_any_hit(o, d, a, e1, e2, tol, t_min):
+    """Ray/triangle intersection in determinant form, column by column.
+
+    Columns of the [3,N] component rows pair a ray (o, d) with one
+    triangle's `_triangles` constants. Both orientations count;
+    near-parallel rays are rejected (a grazing miss is acceptable for
+    occlusion queries).
+    """
+    p = _cross(d, e2)
+    det = _dot(e1, p)
+    usable = np.abs(det) > tol
     inv = np.where(usable, det, 1.0)
     inv = 1.0 / inv
     tv = o - a
-    u = np.einsum("ij,ij->i", tv, p) * inv
-    q = np.cross(tv, e1)
-    v = np.einsum("ij,ij->i", d, q) * inv
-    t = np.einsum("ij,ij->i", e2, q) * inv
+    u = _dot(tv, p) * inv
+    q = _cross(tv, e1)
+    v = _dot(d, q) * inv
+    t = _dot(e2, q) * inv
     return (usable & (u >= -_EDGE_TOL) & (v >= -_EDGE_TOL)
             & (u + v <= 1.0 + _EDGE_TOL) & (t > t_min))
 
@@ -164,111 +198,163 @@ def ray_any_hit(origins, dirs, verts, faces, t_min=0.0, chunk=256):
     """Brute-force any-hit over every triangle; the grid's reference."""
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
-    tri = np.asarray(verts, dtype=np.float64)[np.asarray(faces)]
-    F = len(tri)
+    a, e1, e2, tol = _triangles(_corners(verts, faces))
+    F = len(tol)
     hit = np.zeros(len(origins), dtype=bool)
     if F == 0:
         return hit
     for s in range(0, len(origins), chunk):
-        o = origins[s:s + chunk]
-        d = dirs[s:s + chunk]
-        r = len(o)
-        oo = np.repeat(o, F, axis=0)
-        dd = np.repeat(d, F, axis=0)
-        aa = np.tile(tri[:, 0], (r, 1))
-        bb = np.tile(tri[:, 1], (r, 1))
-        cc = np.tile(tri[:, 2], (r, 1))
-        h = _mt_any_hit(oo, dd, aa, bb, cc, t_min).reshape(r, F)
-        hit[s:s + chunk] = h.any(axis=1)
+        o = origins[s:s + chunk].T
+        d = dirs[s:s + chunk].T
+        r = o.shape[1]
+        h = _mt_any_hit(np.repeat(o, F, axis=1), np.repeat(d, F, axis=1),
+                        np.tile(a, r), np.tile(e1, r), np.tile(e2, r),
+                        np.tile(tol, r), t_min)
+        hit[s:s + chunk] = h.reshape(r, F).any(axis=1)
     return hit
+
+
+def _ragged(counts):
+    """Position of each element inside its run, for runs of `counts`."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                               counts)
 
 
 class UniformGrid:
     """Axis-aligned uniform grid over a triangle soup for any-hit queries.
 
-    Candidate cells come from an exact ray/box slab test against every
-    occupied cell, so pruning is conservative: a triangle sits in each cell
-    its bounding box touches, and cell boxes carry a small guard band.
+    A triangle is listed in every cell that its bounding box touches once
+    widened by a guard band of 1e-9 of the grid diagonal. `any_hit` clips
+    each ray to the grid box (widened by the same guard) from
+    max(t_min, t_enter) on, and walks all rays at once, cell by cell, with
+    the 3D-DDA of Amanatides & Woo (1987): per ray, tMax holds the t of
+    the next cell plane on each axis and tDelta the t between planes, and
+    each step crosses the nearest plane. At every step the rays still in
+    flight are tested, with the `_mt_any_hit` predicate of `ray_any_hit`,
+    against triangles of their current cell only; a ray retires as soon
+    as one test hits or it leaves the grid. A step changes one cell index,
+    so a triangle listed in the new cell but not in the old one has its
+    range start (or end) on that axis there: each cell also keeps, per
+    entry direction, the sub-list of such triangles, and a ray tests the
+    whole list only in its first cell and this sub-list after each step.
+    Every triangle of every visited cell is thus tested once per run of
+    cells, never skipped.
+
+    Hits equal `ray_any_hit` bit for bit. Each pair the walk tests is a
+    pair the brute force tests, with the same arithmetic, so the grid
+    reports no hit the brute force lacks. Conversely, a brute-force hit
+    point lies inside the grid box at a t the walk covers, and on its
+    triangle up to the barycentric slack; where it sits on or near a cell
+    plane, the walk may hold the cell on either side (rounding of the
+    tMax sums is far below the guard band), and the guard lists the
+    triangle on both sides.
     """
 
     def __init__(self, verts: np.ndarray, faces: np.ndarray):
-        verts = np.asarray(verts, dtype=np.float64)
-        faces = np.asarray(faces)
-        self.tri = verts[faces]                       # [F,3,3]
-        F = len(self.tri)
-        lo = self.tri.reshape(-1, 3).min(axis=0) if F else np.zeros(3)
-        hi = self.tri.reshape(-1, 3).max(axis=0) if F else np.ones(3)
+        corners = _corners(verts, faces)
+        self._a, self._e1, self._e2, self._tol = _triangles(corners)
+        F = len(corners)
+        lo = corners.reshape(-1, 3).min(axis=0) if F else np.zeros(3)
+        hi = corners.reshape(-1, 3).max(axis=0) if F else np.ones(3)
         ext = np.maximum(hi - lo, 1e-9)
         pad = 1e-3 * ext + 1e-9
         lo, hi = lo - pad, hi + pad
         ext = hi - lo
-        target = np.clip(2 * F, 8, 4096)
+        target = np.clip(8 * F, 8, 32 ** 3)
         cell = (ext.prod() / target) ** (1.0 / 3.0)
-        self.res = np.clip(np.ceil(ext / cell).astype(int), 1, 24)
-        self.lo, self.cell = lo, ext / self.res
+        self.res = np.clip(np.ceil(ext / cell).astype(int), 1, 32)
+        self.lo, self.hi, self.cell = lo, hi, ext / self.res
+        self._guard = 1e-9 * np.linalg.norm(ext)
 
-        pairs = []
-        for f in range(F):
-            tlo = np.floor((self.tri[f].min(axis=0) - lo) / self.cell).astype(int)
-            thi = np.floor((self.tri[f].max(axis=0) - lo) / self.cell).astype(int)
-            tlo = np.clip(tlo, 0, self.res - 1)
-            thi = np.clip(thi, 0, self.res - 1)
-            for x in range(tlo[0], thi[0] + 1):
-                for y in range(tlo[1], thi[1] + 1):
-                    for z in range(tlo[2], thi[2] + 1):
-                        pairs.append(((x * self.res[1] + y) * self.res[2] + z, f))
-        if pairs:
-            arr = np.asarray(pairs)
-            order = np.argsort(arr[:, 0], kind="stable")
-            cid, tid = arr[order, 0], arr[order, 1]
-            occupied, start = np.unique(cid, return_index=True)
-            counts = np.append(start[1:], len(cid)) - start
-        else:
-            occupied = np.zeros(0, dtype=int)
-            start = counts = np.zeros(0, dtype=int)
-            tid = np.zeros(0, dtype=int)
-        self._tris = tid
-        self._start = start
-        self._counts = counts
-        xyz = np.stack(np.unravel_index(occupied, self.res), axis=1)
-        guard = 1e-9 * np.linalg.norm(ext)
-        self._box_lo = lo + xyz * self.cell - guard
-        self._box_hi = lo + (xyz + 1) * self.cell + guard
+        def cell_of(x):
+            return np.clip(np.floor((x - lo) / self.cell).astype(int),
+                           0, self.res - 1)
 
-    def any_hit(self, origins, dirs, t_min=0.0, chunk=1024):
-        origins = np.asarray(origins, dtype=np.float64)
-        dirs = np.asarray(dirs, dtype=np.float64)
-        hit = np.zeros(len(origins), dtype=bool)
-        C = len(self._box_lo)
-        if C == 0:
-            return hit
-        for s in range(0, len(origins), chunk):
-            o = origins[s:s + chunk]
-            d = dirs[s:s + chunk]
-            safe = np.where(np.abs(d) < 1e-300, np.copysign(1e-300, d), d)
-            tn = np.full((len(o), C), -np.inf)
-            tf = np.full((len(o), C), np.inf)
-            for ax in range(3):
-                inv = 1.0 / safe[:, ax, None]
-                ta = (self._box_lo[None, :, ax] - o[:, ax, None]) * inv
-                tb = (self._box_hi[None, :, ax] - o[:, ax, None]) * inv
-                tn = np.maximum(tn, np.minimum(ta, tb))
-                tf = np.minimum(tf, np.maximum(ta, tb))
-            rows, cells = np.nonzero(tf >= np.maximum(tn, t_min))
-            if len(rows) == 0:
-                continue
-            cnt = self._counts[cells]
-            keep = cnt > 0
-            rows, cells, cnt = rows[keep], cells[keep], cnt[keep]
-            total = int(cnt.sum())
-            if total == 0:
-                continue
-            rr = np.repeat(rows, cnt)
-            inner = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-            tt = self._tris[np.repeat(self._start[cells], cnt) + inner]
-            h = _mt_any_hit(o[rr], d[rr], self.tri[tt, 0], self.tri[tt, 1],
-                            self.tri[tt, 2], t_min)
-            hit[s + rr[h]] = True
+        tlo = cell_of(corners.min(axis=1) - self._guard)
+        thi = cell_of(corners.max(axis=1) + self._guard)
+        span = thi - tlo + 1
+        tid = np.repeat(np.arange(F), span.prod(axis=1))
+        k = _ragged(span.prod(axis=1))
+        ny, nz = span[tid, 1], span[tid, 2]
+        xyz = tlo[tid] + np.stack([k // (ny * nz), k // nz % ny, k % nz],
+                                  axis=1)
+        # list 6 of a cell holds all its triangles; lists 0-5 only those a
+        # ray entering the cell along +x, +y, +z, -x, -y, -z meets first
+        lists = np.concatenate([xyz == tlo[tid], xyz == thi[tid],
+                                np.ones((len(tid), 1), dtype=bool)], axis=1)
+        e, key = np.nonzero(lists)
+        cid = (key * self.res[0] + xyz[e, 0]) * self.res[1] + xyz[e, 1]
+        cid = cid * self.res[2] + xyz[e, 2]
+        self._tris = tid[e][np.argsort(cid, kind="stable")]
+        self._counts = np.bincount(cid, minlength=7 * int(self.res.prod()))
+        self._start = np.cumsum(self._counts) - self._counts
+
+    def any_hit(self, origins, dirs, t_min=0.0):
+        o = np.asarray(origins, dtype=np.float64)
+        d = np.asarray(dirs, dtype=np.float64)
+        hit = np.zeros(len(o), dtype=bool)
+        if len(self._tris):
+            for s in range(0, len(o), _WALK_RAYS):
+                hit[s:s + _WALK_RAYS] = self._walk(o[s:s + _WALK_RAYS],
+                                                   d[s:s + _WALK_RAYS], t_min)
+        return hit
+
+    def _walk(self, o, d, t_min):
+        hit = np.zeros(len(o), dtype=bool)
+        box_lo, box_hi = self.lo - self._guard, self.hi + self._guard
+        flat = d == 0.0
+        within = (o >= box_lo) & (o <= box_hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ta = (box_lo - o) / d
+            tb = (box_hi - o) / d
+        near = np.where(flat, np.where(within, -np.inf, np.inf),
+                        np.minimum(ta, tb)).max(axis=1)
+        far = np.where(flat, np.where(within, np.inf, -np.inf),
+                       np.maximum(ta, tb)).min(axis=1)
+        t0 = np.maximum(near, t_min)
+        ray = np.flatnonzero((t0 <= far) & ~flat.all(axis=1))
+
+        # walk state in [3,R] component rows, rays along the last axis
+        o, d = np.ascontiguousarray(o[ray].T), np.ascontiguousarray(d[ray].T)
+        lo, cell, res = self.lo[:, None], self.cell[:, None], self.res[:, None]
+        idx = np.clip(np.floor((o + t0[ray] * d - lo) / cell),
+                      0, res - 1).astype(int)
+        step = np.sign(d).astype(int)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tdelta = cell / np.abs(d)
+            tmax = np.where(step == 0, np.inf,
+                            (lo + (idx + (step > 0)) * cell - o) / d)
+        key = np.full(len(ray), 6)            # whole list in the first cell
+        while len(ray):
+            cid = (key * self.res[0] + idx[0]) * self.res[1] + idx[1]
+            cid = cid * self.res[2] + idx[2]
+            cnt = self._counts[cid]
+            rows = np.flatnonzero(cnt)
+            got = np.zeros(len(ray), dtype=bool)
+            if len(rows):
+                cnt = cnt[rows]
+                pr = np.repeat(rows, cnt)
+                tt = self._tris[np.repeat(self._start[cid[rows]], cnt)
+                                + _ragged(cnt)]
+                h = _mt_any_hit(
+                    np.take(o, pr, axis=1), np.take(d, pr, axis=1),
+                    *(np.take(x, tt, axis=-1)
+                      for x in (self._a, self._e1, self._e2, self._tol)),
+                    t_min)
+                got[pr[h]] = True
+                hit[ray[got]] = True
+            n = np.arange(len(ray))
+            ax = np.argmin(tmax, axis=0)
+            moving = np.isfinite(tmax[ax, n])
+            idx[ax, n] += step[ax, n]
+            tmax[ax, n] += tdelta[ax, n]
+            j = idx[ax, n]
+            key = ax + 3 * (step[ax, n] < 0)
+            keep = np.flatnonzero(~got & moving & (j >= 0)
+                                  & (j < self.res[ax]))
+            ray, o, d, idx, step, tdelta, tmax, key = (
+                np.take(x, keep, axis=-1)
+                for x in (ray, o, d, idx, step, tdelta, tmax, key))
         return hit
 
 

@@ -1,10 +1,12 @@
 """The dsaa command line end to end through main(argv): gen-data, short
-train runs with resume, drive in every mode, heatmap and report."""
+train runs with resume and their failure exit codes, drive in every mode,
+heatmap and report."""
 
+import numpy as np
 import pytest
 
 from dsaa import keyvalue
-from dsaa.harness import ABLATIONS
+from dsaa.harness import ABLATIONS, trainer
 from dsaa.harness.cli import main
 from dsaa.synthdata import load_manifest
 
@@ -64,6 +66,33 @@ def test_resume_matches_uninterrupted_run(cli_run):
             == (cli_run / "run" / name).read_bytes(), name
 
 
+def test_step_value_error_with_finite_params_is_not_divergence(
+        cli_run, monkeypatch, capsys):
+    def step(*args):
+        raise ValueError("shapes (3,) and (4,) do not match")
+
+    monkeypatch.setattr(trainer, "_step", step)
+    assert _train(cli_run, "bad_shape", "--iters", "1") == 2
+    assert "do not match" in capsys.readouterr().err
+    assert not (cli_run / "bad_shape" / "diverged.txt").exists()
+
+
+def test_nan_parameter_is_divergence(cli_run, monkeypatch):
+    real_step = trainer._step
+    poisoned = []
+
+    def step(cfg, data, model, *rest):
+        name, t = next(iter(model.store.items()))
+        t.data.reshape(-1)[0] = np.nan
+        poisoned.append(name)
+        return real_step(cfg, data, model, *rest)
+
+    monkeypatch.setattr(trainer, "_step", step)
+    assert _train(cli_run, "nan_param", "--iters", "1") == 3
+    text = (cli_run / "nan_param" / "diverged.txt").read_text()
+    assert text.splitlines()[0] == f"non-finite components: {poisoned[0]}"
+
+
 @pytest.mark.parametrize("mode", ["sample", "fit"])
 def test_drive_sample_and_fit(cli_run, mode):
     frame = load_manifest(cli_run / "data").ids(split="test")[0]
@@ -94,3 +123,28 @@ def test_report_uses_each_runs_resolutions(cli_run):
                  "--out", str(out), "--frames", "2", *runs]) == 0
     kv = keyvalue.read((out / "report.kv").read_text())
     assert all(f"error.{v}.test" in kv for v in ABLATIONS)
+
+
+def test_report_on_one_test_frame(tmp_path):
+    # a single test frame leaves too few rows for the MI critic's
+    # minibatches and the probe's held-out variance: both are omitted
+    (tmp_path / "data.cfg").write_text("data.image_size = 32\n")
+    (tmp_path / "train.cfg").write_text(
+        "train.batch = 2\ntrain.phase1 = 1\n"
+        "model.geo_res = 16\nmodel.tex_res = 32\n")
+    assert main(["gen-data", "--config", str(tmp_path / "data.cfg"),
+                 "--out", str(tmp_path / "data"), "--frames", "4",
+                 "--test-fraction", "0.25", "--seed", "4"]) == 0
+    assert len(load_manifest(tmp_path / "data").ids(group="standard",
+                                                    split="test")) == 1
+    assert _train(tmp_path, "run", "--iters", "2") == 0
+    out = tmp_path / "report"
+    runs = [f"--run={v}={tmp_path / 'run'}" for v in ABLATIONS]
+    assert main(["report", "--dataset", str(tmp_path / "data"),
+                 "--out", str(out), *runs]) == 0
+    kv = keyvalue.read((out / "report.kv").read_text())
+    assert kv["frames.test"] == "1"
+    assert all(f"error.{v}.test" in kv and f"locality.{v}" in kv
+               for v in ABLATIONS)
+    assert not [k for k in kv if k.startswith(("mi.", "probe_r2."))]
+    assert "omitted" in (out / "report.txt").read_text()

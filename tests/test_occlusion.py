@@ -1,11 +1,15 @@
 """Visibility-map oracles: analytic wall integral, convexity, enclosure,
-grid-vs-brute ray casting, monotonicity, rigid invariance."""
+grid-vs-brute ray casting (random and traversal edge cases), monotonicity,
+rigid invariance, and a golden map of the posed default figure."""
+
+import hashlib
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from dsaa import body
+from dsaa.synthdata import default_scene
 from dsaa.occlusion import (AOSamplerConfig, ao_oracle, build_frames,
                             compute_ao, ray_any_hit, texel_geometry,
                             UniformGrid)
@@ -119,6 +123,147 @@ def test_grid_matches_brute_force():
     npt.assert_array_equal(fast, slow)
 
 
+def grid_matches_brute(verts, faces, origins, dirs, t_min=1e-6):
+    """UniformGrid.any_hit equals ray_any_hit; returns the hits."""
+    fast = UniformGrid(verts, faces).any_hit(origins, dirs, t_min=t_min)
+    slow = ray_any_hit(origins, dirs, verts, faces, t_min=t_min)
+    npt.assert_array_equal(fast, slow)
+    return fast
+
+
+def unit_rows(rng, n):
+    d = rng.normal(size=(n, 3))
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+def test_grid_small_triangles_far_along_rays():
+    # one triangle, smaller than a cell, across each ray some cells ahead
+    # of its origin: a walk that strays from the ray's cells misses it
+    rng = np.random.default_rng(12)
+    n = 800
+    origins = rng.uniform(-1.0, 1.0, size=(n, 3))
+    dirs = unit_rows(rng, n)
+    centers = origins + rng.uniform(0.3, 2.0, size=(n, 1)) * dirs
+    verts = (centers[:, None] + 0.02 * rng.normal(size=(n, 3, 3))).reshape(-1, 3)
+    faces = np.arange(len(verts)).reshape(-1, 3)
+    assert (UniformGrid(verts, faces).cell > 0.06).all()
+    hits = grid_matches_brute(verts, faces, origins, dirs)
+    assert 0.2 < hits.mean() < 0.9
+
+
+def test_grid_axis_aligned_directions():
+    tpl = composite_scene()
+    rng = np.random.default_rng(3)
+    axes = np.vstack([np.eye(3), -np.eye(3)])                   # two zeros
+    diag = np.array([[a, b, 0.0] for a in (1, -1) for b in (1, -1)]) / np.sqrt(2)
+    diag = np.vstack([diag, np.roll(diag, 1, axis=1), np.roll(diag, 2, axis=1)])
+    dirs = np.vstack([axes, diag])                             # one zero
+    origins = rng.normal(size=(300, 3)) * 0.8
+    o = np.repeat(origins, len(dirs), axis=0)
+    d = np.tile(dirs, (len(origins), 1))
+    hits = grid_matches_brute(tpl.verts, tpl.faces, o, d)
+    assert hits.any() and not hits.all()
+
+
+def test_grid_origins_on_cell_planes():
+    tpl = composite_scene()
+    grid = UniformGrid(tpl.verts, tpl.faces)
+    rng = np.random.default_rng(4)
+    n = 600
+    k = rng.integers(1, grid.res, size=(n, 3))          # interior planes
+    on_planes = grid.lo + k * grid.cell
+    origins = rng.normal(size=(n, 3)) * 0.8
+    one_axis = rng.integers(0, 3, size=n)
+    origins[np.arange(n), one_axis] = on_planes[np.arange(n), one_axis]
+    origins[: n // 3] = on_planes[: n // 3]              # on three planes
+    dirs = unit_rows(rng, n)
+    dirs[::4] = np.eye(3)[one_axis[::4]]                 # along a plane
+    hits = grid_matches_brute(tpl.verts, tpl.faces, origins, dirs)
+    assert hits.any() and not hits.all()
+
+
+def test_grid_rays_through_vertex_on_cell_corner():
+    # the test triangle fills one of the eight cells around a grid corner,
+    # with a vertex on that corner; most rays through the vertex never
+    # enter its cell, so only the guard band lists it where they pass
+    verts = np.array([[-1, -1, -1], [-0.9, -1, -1], [-1, -0.9, -1],
+                      [1, 1, 1], [0.9, 1, 1], [1, 0.9, 1],
+                      [0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]], dtype=float)
+    faces = np.arange(9).reshape(3, 3)
+    grid = UniformGrid(verts, faces)
+    corner = grid.lo + grid.res // 2 * grid.cell
+    verts[6:] = corner + grid.cell * np.array([[0, 0, 0], [0.5, 0.2, 0.1],
+                                               [0.1, 0.5, 0.3]])
+    rng = np.random.default_rng(10)
+    u = unit_rows(rng, 400)
+    origins = corner + 0.7 * np.linalg.norm(grid.cell) * u
+    hits = grid_matches_brute(verts, faces, origins, -u)
+    assert hits.mean() > 0.5
+
+
+def test_grid_origins_outside_box_and_misses():
+    tpl = composite_scene()
+    rng = np.random.default_rng(5)
+    center = tpl.verts.mean(axis=0)
+    origins = center + 6.0 * unit_rows(rng, 800)
+    toward = center + rng.normal(size=(800, 3)) * 0.4 - origins
+    toward /= np.linalg.norm(toward, axis=1, keepdims=True)
+    away = -toward
+    hits = grid_matches_brute(tpl.verts, tpl.faces, np.vstack([origins, origins]),
+                              np.vstack([toward, away]))
+    assert hits[:800].any() and not hits[800:].any()
+
+
+def test_grid_t_min_beyond_exit():
+    tpl = composite_scene()
+    rng = np.random.default_rng(6)
+    origins = rng.normal(size=(500, 3)) * 0.8
+    dirs = unit_rows(rng, 500)
+    assert not grid_matches_brute(tpl.verts, tpl.faces, origins, dirs,
+                                  t_min=50.0).any()
+    # a t_min inside the box clips the walk's start
+    hits = grid_matches_brute(tpl.verts, tpl.faces, origins, dirs, t_min=0.7)
+    assert hits.any() and not hits.all()
+
+
+def test_grid_flat_single_plane_mesh():
+    n = 6
+    xs = np.linspace(-1.0, 1.0, n + 1)
+    verts = np.array([[x, 0.3, z] for x in xs for z in xs])
+    idx = lambda i, j: i * (n + 1) + j
+    faces = np.array([f for i in range(n) for j in range(n)
+                      for f in ([idx(i, j), idx(i + 1, j), idx(i + 1, j + 1)],
+                                [idx(i, j), idx(i + 1, j + 1), idx(i, j + 1)])])
+    assert UniformGrid(verts, faces).res[1] == 1
+    rng = np.random.default_rng(7)
+    origins = rng.uniform(-1.5, 1.5, size=(900, 3))
+    origins[600:, 1] = 0.3                               # in the plane
+    dirs = unit_rows(rng, 900)
+    dirs[300:, 1] = 0.0                                  # parallel to it
+    dirs[300:] /= np.linalg.norm(dirs[300:], axis=1, keepdims=True)
+    hits = grid_matches_brute(verts, faces, origins, dirs)
+    assert hits[:300].any() and not hits[:300].all()
+
+
+def test_grid_single_triangle():
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.2, 0.0], [0.1, 1.0, 0.3]])
+    faces = np.array([[0, 1, 2]])
+    rng = np.random.default_rng(8)
+    origins = rng.normal(size=(1000, 3)) + np.array([0.3, 0.3, 0.0])
+    dirs = unit_rows(rng, 1000)
+    hits = grid_matches_brute(verts, faces, origins, dirs)
+    assert hits.any() and not hits.all()
+
+
+def test_grid_empty_face_list_never_hits():
+    rng = np.random.default_rng(9)
+    origins = rng.normal(size=(50, 3))
+    dirs = unit_rows(rng, 50)
+    faces = np.zeros((0, 3), dtype=int)
+    hits = grid_matches_brute(np.zeros((0, 3)), faces, origins, dirs)
+    assert not hits.any()
+
+
 # -------------------------------------------------------------- compute_ao
 
 def test_convex_sphere_is_fully_visible():
@@ -200,3 +345,19 @@ def test_fixed_seed_is_bit_identical():
     b = compute_ao(tpl, cfg, resolution=16)
     npt.assert_array_equal(a.values, b.values)
     npt.assert_array_equal(a.valid, b.valid)
+
+
+def test_default_figure_golden_map():
+    # digests of the posed default figure's map, as written before the
+    # grid walk replaced the all-cells slab test
+    fig = default_scene().figure
+    tpl, sk = fig.template, fig.skeleton
+    theta = 0.5 * np.sin(np.arange(3 * len(sk.names)))
+    posed = body.lbs_apply(tpl.verts, body.forward_kinematics(sk, theta),
+                           tpl.weights)
+    ao = compute_ao(body.TemplateMesh(posed, tpl.faces, tpl.uvs, tpl.weights),
+                    AOSamplerConfig(rays=64), resolution=16)
+    assert hashlib.sha256(ao.values.tobytes()).hexdigest() == (
+        "d156da2d2740808b1aeffee7f25bbc2710c0d03145576137f17cf8e9a2a9eaa2")
+    assert hashlib.sha256(ao.valid.tobytes()).hexdigest() == (
+        "cd5f51b072e013b794b71f99ce265dbfe55e18b8646ca06bdab4a61afb601127")
