@@ -8,6 +8,7 @@ import numpy as np
 
 from .. import diffcore as dc
 from ..conditioning import tile2d
+from ..conditioning.masks import dilate
 
 __all__ = ["AvatarDecoder", "displacement_footprint", "texture_footprint"]
 
@@ -26,18 +27,12 @@ class AvatarDecoder:
         wt, ec = config.width_tex, config.embed_channels
 
         def deconv(name, ci, co):
-            w = store.add(f"{prefix}/{name}/w",
-                          (rng.normal(size=(ci, co, 4, 4))
-                           / np.sqrt(ci * 4.0)).astype(dt))
-            b = store.add(f"{prefix}/{name}/b", np.zeros(co, dtype=dt))
-            return w, b
+            return store.add_layer(f"{prefix}/{name}", (ci, co, 4, 4),
+                                   ci * 4.0, co, rng, dt)
 
         def conv(name, co, ci, k):
-            w = store.add(f"{prefix}/{name}/w",
-                          (rng.normal(size=(co, ci, k, k))
-                           / np.sqrt(ci * k * k)).astype(dt))
-            b = store.add(f"{prefix}/{name}/b", np.zeros(co, dtype=dt))
-            return w, b
+            return store.add_layer(f"{prefix}/{name}", (co, ci, k, k),
+                                   ci * k * k, co, rng, dt)
 
         self.w_up1, self.b_up1 = deconv("up1", dz, wg)
         self.w_up2, self.b_up2 = deconv("up2", wg, wg)
@@ -73,22 +68,10 @@ class AvatarDecoder:
         return disp, dc.reshape(tex, (3, tr, tr))
 
 
-def _grow(mask: np.ndarray) -> np.ndarray:
-    """One texel of 8-neighborhood dilation (a 3x3 conv's reach)."""
-    m = np.asarray(mask).astype(bool)
-    out = m.copy()
-    h, w = m.shape
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            src = m[max(0, -di): h - max(0, di), max(0, -dj): w - max(0, dj)]
-            out[max(0, di): h - max(0, -di), max(0, dj): w - max(0, -dj)] |= src
-    return out
-
-
 def displacement_footprint(mask) -> np.ndarray:
     """Displacement texels a mask channel can reach: the 3x3 trunk conv
     grows it by one texel and the 1x1 geometry head adds nothing."""
-    return _grow(mask)
+    return dilate(mask)
 
 
 def texture_footprint(mask) -> np.ndarray:
@@ -96,7 +79,7 @@ def texture_footprint(mask) -> np.ndarray:
     then the 4/2/1 transposed conv sends texel i to rows 2i-1..2i+2, then
     one more pixel for the 3x3 tail. Outside this set the texture is
     bitwise independent of the signal scalar."""
-    m = _grow(mask)
+    m = dilate(mask)
     h, w = m.shape
     up = np.zeros((2 * h, 2 * w), dtype=bool)
     ii, jj = np.nonzero(m)
@@ -105,4 +88,4 @@ def texture_footprint(mask) -> np.ndarray:
             r, c = 2 * ii + di, 2 * jj + dj
             ok = (r >= 0) & (r < 2 * h) & (c >= 0) & (c < 2 * w)
             up[r[ok], c[ok]] = True
-    return _grow(up)
+    return dilate(up)

@@ -60,18 +60,15 @@ class GeometryEncoder:
         self.convs = []
         c_in, res = 3, ref.shape[1]
         for i, c_out in enumerate(channels):
-            w = store.add(f"{prefix}/c{i}/w",
-                          (rng.normal(size=(c_out, c_in, 3, 3))
-                           / np.sqrt(c_in * 9.0)).astype(dtype))
-            b = store.add(f"{prefix}/c{i}/b", np.zeros(c_out, dtype=dtype))
-            self.convs.append((w, b))
+            self.convs.append(store.add_layer(
+                f"{prefix}/c{i}", (c_out, c_in, 3, 3), c_in * 9.0, c_out,
+                rng, dtype))
             c_in = c_out
             res = (res + 1) // 2
         self._flat = c_in * res * res
-        self.head_w = store.add(f"{prefix}/head/w",
-                                (rng.normal(size=(self._flat, 2 * d_z))
-                                 / np.sqrt(self._flat)).astype(dtype))
-        self.head_b = store.add(f"{prefix}/head/b", np.zeros(2 * d_z, dtype=dtype))
+        self.head_w, self.head_b = store.add_layer(
+            f"{prefix}/head", (self._flat, 2 * d_z), self._flat, 2 * d_z,
+            rng, dtype)
 
     def __call__(self, pos_map) -> LatentDistribution:
         raw = pos_map.data if isinstance(pos_map, dc.Tensor) else np.asarray(pos_map)

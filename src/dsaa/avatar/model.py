@@ -3,6 +3,7 @@ decoder, shadow branch, and self-describing checkpoint I/O."""
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -131,8 +132,12 @@ class AvatarModel:
     # -------------------------------------------------------- persistence
 
     def save(self, path) -> None:
-        """Parameter container at `path`, text manifest at `path`.manifest."""
-        dc.save_arrays(path, self.store.state_arrays())
+        """Parameter container at `path`, text manifest at `path`.manifest.
+        The container is written to `path`.tmp and renamed over `path`, so
+        an interrupted save leaves the previous container whole."""
+        tmp = f"{path}.tmp"
+        dc.save_arrays(tmp, self.store.state_arrays())
+        os.replace(tmp, path)
         Path(f"{path}.manifest").write_text(manifest_text(self.config))
 
     @classmethod

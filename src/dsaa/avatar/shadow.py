@@ -24,18 +24,14 @@ class ShadowNet:
         self._dt = dtype
 
         def conv(name, co, ci, k):
-            w = store.add(f"{prefix}/{name}/w",
-                          (rng.normal(size=(co, ci, k, k))
-                           / np.sqrt(ci * k * k)).astype(dtype))
-            b = store.add(f"{prefix}/{name}/b", np.zeros(co, dtype=dtype))
-            return w, b
+            return store.add_layer(f"{prefix}/{name}", (co, ci, k, k),
+                                   ci * k * k, co, rng, dtype)
 
         self.w0, self.b0 = conv("c0", width, 1, 3)
         self.w1, self.b1 = conv("down", 2 * width, width, 3)
-        self.w2 = store.add(f"{prefix}/up/w",
-                            (rng.normal(size=(2 * width, width, 4, 4))
-                             / np.sqrt(2 * width * 4.0)).astype(dtype))
-        self.b2 = store.add(f"{prefix}/up/b", np.zeros(width, dtype=dtype))
+        self.w2, self.b2 = store.add_layer(
+            f"{prefix}/up", (2 * width, width, 4, 4), 2 * width * 4.0, width,
+            rng, dtype)
         self.w3, self.b3 = conv("c3", width, 2 * width, 3)
         self.w4, self.b4 = conv("out", 1, width, 1)
 

@@ -50,12 +50,14 @@ class InfluenceMask:
         return self.data.any(axis=0)
 
 
-def _dilate(mask: np.ndarray) -> np.ndarray:
-    out = mask.copy()
-    h, w = mask.shape
+def dilate(mask) -> np.ndarray:
+    """One texel of 8-neighbourhood dilation (a 3x3 conv's reach), as bool."""
+    m = np.asarray(mask).astype(bool)
+    out = m.copy()
+    h, w = m.shape
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
-            src = mask[max(0, -di): h - max(0, di), max(0, -dj): w - max(0, dj)]
+            src = m[max(0, -di): h - max(0, di), max(0, -dj): w - max(0, dj)]
             out[max(0, di): h - max(0, -di), max(0, dj): w - max(0, -dj)] |= src
     return out
 
@@ -84,7 +86,7 @@ def build_masks(template: TemplateMesh, skeleton: Skeleton, height: int,
 
     joint_mask = np.zeros((J, height, width), dtype=np.uint8)
     for j in range(J):
-        m = _dilate((peak[j] >= tau).astype(np.uint8))
+        m = dilate(peak[j] >= tau)
         if not m.any():
             raise ValueError(
                 f"joint {skeleton.names[j]!r} has no texel above tau={tau}")

@@ -3,12 +3,11 @@
 from .tensor import Tensor, backward, no_grad, nan_checks, grad_enabled
 from .ops import (
     add, sub, mul, neg, matmul, reciprocal,
-    exp, log, sin, cos, tanh, relu, leaky_relu, softplus, sigmoid,
+    exp, log, tanh, relu, leaky_relu, softplus, sigmoid,
     minimum, maximum, clamp, sum_, mean_, reshape, transpose,
     broadcast_to, concat, stack, getitem, conv2d, conv_transpose2d, linear,
 )
-from .geom import (texture_sample, scatter_add_window, window_indices,
-                   lbs_apply, upsample2d)
+from .geom import texture_sample, window_indices, lbs_apply, upsample2d
 from .adam import Adam, ParamStore
 from .checkpoint import save_arrays, load_arrays, MAGIC
 from .fd import gradcheck, numeric_grad
@@ -16,11 +15,11 @@ from .fd import gradcheck, numeric_grad
 __all__ = [
     "Tensor", "backward", "no_grad", "nan_checks", "grad_enabled",
     "add", "sub", "mul", "neg", "matmul", "reciprocal",
-    "exp", "log", "sin", "cos", "tanh", "relu", "leaky_relu", "softplus",
+    "exp", "log", "tanh", "relu", "leaky_relu", "softplus",
     "sigmoid", "minimum", "maximum", "clamp", "sum_", "mean_", "reshape",
     "transpose", "broadcast_to", "concat", "stack", "getitem",
     "conv2d", "conv_transpose2d", "linear",
-    "texture_sample", "scatter_add_window", "window_indices", "lbs_apply",
+    "texture_sample", "window_indices", "lbs_apply",
     "upsample2d",
     "Adam", "ParamStore", "save_arrays", "load_arrays", "MAGIC",
     "gradcheck", "numeric_grad",

@@ -25,6 +25,15 @@ class ParamStore:
         self._params[name] = t
         return t
 
+    def add_layer(self, name: str, w_shape, fan_in, n_out: int,
+                  rng: np.random.Generator, dtype) -> tuple[Tensor, Tensor]:
+        """A layer's weight `name`/w, drawn N(0, 1/fan_in) from rng and cast
+        to dtype, then its zero bias `name`/b of length n_out."""
+        w = self.add(f"{name}/w",
+                     (rng.normal(size=w_shape) / np.sqrt(fan_in)).astype(dtype))
+        b = self.add(f"{name}/b", np.zeros(n_out, dtype=dtype))
+        return w, b
+
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 

@@ -9,8 +9,9 @@ Layout: the 5-byte magic b"DSAA1", then one record per array:
     uint32 LE   per dimension
     bytes       raw array data, C order, little endian
 
-Records run to end of file. Writing is deterministic (insertion order of
-the dict), so equal state produces byte-identical files.
+Records run to end of file; a file that ends inside a record is
+rejected as truncated. Writing is deterministic (insertion order of the
+dict), so equal state produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -42,6 +43,13 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
             f.write(le.tobytes())
 
 
+def _read(f, n: int, path, what: str) -> bytes:
+    raw = f.read(n)
+    if len(raw) != n:
+        raise ValueError(f"{path}: truncated record {what}")
+    return raw
+
+
 def load_arrays(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
@@ -51,17 +59,19 @@ def load_arrays(path) -> dict[str, np.ndarray]:
             head = f.read(4)
             if not head:
                 break
+            if len(head) != 4:
+                raise ValueError(f"{path}: truncated record header")
             (nlen,) = struct.unpack("<I", head)
-            name = f.read(nlen).decode("utf-8")
-            (tag,) = struct.unpack("<B", f.read(1))
+            name = _read(f, nlen, path, "header").decode("utf-8")
+            what = f"for {name!r}"
+            (tag,) = struct.unpack("<B", _read(f, 1, path, what))
             if tag not in _DTYPES:
                 raise ValueError(f"{path}: unknown dtype tag {tag} for {name!r}")
-            (rank,) = struct.unpack("<I", f.read(4))
-            shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(rank))
+            (rank,) = struct.unpack("<I", _read(f, 4, path, what))
+            shape = tuple(struct.unpack("<I", _read(f, 4, path, what))[0]
+                          for _ in range(rank))
             dt = _DTYPES[tag]
             n = int(np.prod(shape)) if shape else 1
-            raw = f.read(n * dt.itemsize)
-            if len(raw) != n * dt.itemsize:
-                raise ValueError(f"{path}: truncated record for {name!r}")
+            raw = _read(f, n * dt.itemsize, path, what)
             out[name] = np.frombuffer(raw, dtype=dt).reshape(shape).copy()
     return out

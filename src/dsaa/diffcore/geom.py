@@ -1,6 +1,6 @@
 """Gather/scatter style differentiable ops used by the geometry pipeline:
-bilinear texture sampling, windowed scatter-add, blend-skinning
-application, and small interpolation-matrix upsamplers.
+bilinear texture sampling, window layout, blend-skinning application,
+and small interpolation-matrix upsamplers.
 
 Every scatter (np.add.at, np.bincount) applies its updates in index
 order, so repeated runs are bit-identical. The bilinear helpers are
@@ -116,30 +116,6 @@ def window_indices(oy: np.ndarray, ox: np.ndarray, Ky: int, Kx: int, H: int, W: 
     return ys, xs, valid
 
 
-def scatter_add_window(vals: Tensor, oy: np.ndarray, ox: np.ndarray, H: int, W: int):
-    """Scatter KyxKx windows into an [N,H,W] canvas.
-
-    vals [N,F,Ky,Kx]; window f of batch n covers rows oy[n,f]..oy[n,f]+Ky-1
-    and columns ox[n,f]..; out-of-canvas texels are dropped. Backward is a
-    plain gather of the same windows.
-    """
-    N, F, Ky, Kx = vals.shape
-    ys, xs, valid = window_indices(oy, ox, Ky, Kx, H, W)
-    flat = np.where(valid, ys * W + xs, 0)
-    nidx = np.broadcast_to(np.arange(N, dtype=np.intp)[:, None, None, None], flat.shape)
-
-    out = np.zeros((N, H * W), dtype=vals.dtype)
-    np.add.at(out, (nidx[valid], flat[valid]), vals.data[valid])
-
-    def bw(g):
-        if vals.requires_grad:
-            gf = g.reshape(N, H * W)
-            dv = gf[nidx, flat] * valid
-            vals.accumulate_grad(dv)
-
-    return make_node(out.reshape(N, H, W), (vals,), bw, "scatter_add_window")
-
-
 def lbs_apply(weights: np.ndarray, transforms: np.ndarray, verts: Tensor):
     """Apply blended transforms: out_v = sum_j w[v,j] (R_j x_v + t_j).
 
@@ -160,30 +136,27 @@ def lbs_apply(weights: np.ndarray, transforms: np.ndarray, verts: Tensor):
 _INTERP_CACHE: dict = {}
 
 
-def _interp_matrix(n_out: int, n_in: int, dtype, mode: str) -> np.ndarray:
-    key = (n_out, n_in, np.dtype(dtype).str, mode)
+def _interp_matrix(n_out: int, n_in: int, dtype) -> np.ndarray:
+    key = (n_out, n_in, np.dtype(dtype).str)
     if key not in _INTERP_CACHE:
         M = np.zeros((n_out, n_in), dtype=dtype)
         for i in range(n_out):
             s = (i + 0.5) * n_in / n_out - 0.5
             s = min(max(s, 0.0), n_in - 1.0)
-            if mode == "nearest":
-                M[i, int(round(s))] = 1.0
-            else:
-                i0 = min(int(np.floor(s)), max(n_in - 2, 0))
-                t = s - i0
-                M[i, i0] += 1.0 - t
-                if n_in > 1:
-                    M[i, i0 + 1] += t
+            i0 = min(int(np.floor(s)), max(n_in - 2, 0))
+            t = s - i0
+            M[i, i0] += 1.0 - t
+            if n_in > 1:
+                M[i, i0 + 1] += t
         _INTERP_CACHE[key] = M
     return _INTERP_CACHE[key]
 
 
-def upsample2d(x: Tensor, factor: int, mode: str = "bilinear"):
-    """Upsample [..,H,W] by an integer factor via two constant interpolation
-    matmuls (half-texel aligned, clamped at the border)."""
+def upsample2d(x: Tensor, factor: int):
+    """Bilinear upsample of [..,H,W] by an integer factor via two constant
+    interpolation matmuls (half-texel aligned, clamped at the border)."""
     H, W = x.shape[-2], x.shape[-1]
-    Mr = _interp_matrix(H * factor, H, x.dtype, mode)
-    Mc = _interp_matrix(W * factor, W, x.dtype, mode)
+    Mr = _interp_matrix(H * factor, H, x.dtype)
+    Mc = _interp_matrix(W * factor, W, x.dtype)
     y = ops.matmul(Mr, x)              # [..,H*f,W]
     return ops.matmul(y, Mc.T)         # [..,H*f,W*f]

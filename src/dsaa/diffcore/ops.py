@@ -4,6 +4,12 @@ its transpose.
 Python-number operands stay raw scalars (keeps float32 graphs float32
 under NEP 50 promotion); numpy-array operands are treated as constants
 unless wrapped in a Tensor. Gather/scatter style ops live in geom.py.
+
+Both convolutions are three matrix products around one layout pair:
+_im2col turns windows into rows, _col2im adds rows back into windows.
+conv2d is im2col then a product, and its input gradient a product then
+col2im; conv_transpose2d, its adjoint, swaps the two. Only those two
+helpers know the window layout.
 """
 
 from __future__ import annotations
@@ -132,22 +138,6 @@ def log(a):
             a.accumulate_grad(g / a.data)
 
     return make_node(np.log(a.data), (a,), bw, "log")
-
-
-def sin(a):
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * np.cos(a.data))
-
-    return make_node(np.sin(a.data), (a,), bw, "sin")
-
-
-def cos(a):
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(-g * np.sin(a.data))
-
-    return make_node(np.cos(a.data), (a,), bw, "cos")
 
 
 def tanh(a):
@@ -364,6 +354,35 @@ def getitem(a, idx):
 
 # ------------------------------------------------------------- convolutions
 
+def _im2col(xp: np.ndarray, kh: int, kw: int, s: int,
+            Ho: int, Wo: int) -> np.ndarray:
+    """The kh x kw windows of xp [N,C,Hp,Wp] at stride s as rows.
+
+    Returns [N*Ho*Wo, C*kh*kw]: rows run over (n, i, j), the output pixels
+    in NHWC order; columns over (c, u, v), so row (n, i, j) is
+    xp[n, :, s*i:s*i+kh, s*j:s*j+kw] flattened.
+    """
+    N, C = xp.shape[:2]
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::s, ::s]                      # [N,C,Ho,Wo,kh,kw]
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(N * Ho * Wo, C * kh * kw)
+
+
+def _col2im(col: np.ndarray, shape, kh: int, kw: int, s: int,
+            Ho: int, Wo: int) -> np.ndarray:
+    """Adjoint of _im2col: add the rows of col [N*Ho*Wo, C*kh*kw], laid out
+    as _im2col makes them, back into their windows of a zero [N,C,Hp,Wp]
+    array `shape`. Overlapping windows sum, in (u, v) order."""
+    N, C = shape[:2]
+    col = col.reshape(N, Ho, Wo, C, kh, kw)
+    out = np.zeros(shape, dtype=col.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            out[:, :, u:u + s * Ho:s, v:v + s * Wo:s] += \
+                col[:, :, :, :, u, v].transpose(0, 3, 1, 2)
+    return out
+
+
 def conv2d(x, w, b=None, stride: int = 1, padding: int = 0):
     """x [N,Ci,H,W], w [Co,Ci,kh,kw], b [Co] or None. Plain cross-correlation."""
     xd, wd = x.data, w.data
@@ -375,9 +394,7 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0):
     Ho = (H + 2 * p - kh) // s + 1
     Wo = (W + 2 * p - kw) // s + 1
 
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::s, ::s]                      # [N,Ci,Ho,Wo,kh,kw]
-    col = win.transpose(0, 2, 3, 1, 4, 5).reshape(N * Ho * Wo, Ci * kh * kw)
+    col = _im2col(xp, kh, kw, s, Ho, Wo)
     w2 = wd.reshape(Co, Ci * kh * kw)
     out2 = col @ w2.T
     if b is not None:
@@ -391,12 +408,7 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0):
         if w.requires_grad:
             w.accumulate_grad((g2.T @ col).reshape(wd.shape))
         if x.requires_grad:
-            dcol = (g2 @ w2).reshape(N, Ho, Wo, Ci, kh, kw)
-            dxp = np.zeros_like(xp)
-            for u in range(kh):
-                for v in range(kw):
-                    dxp[:, :, u:u + s * Ho:s, v:v + s * Wo:s] += \
-                        dcol[:, :, :, :, u, v].transpose(0, 3, 1, 2)
+            dxp = _col2im(g2 @ w2, xp.shape, kh, kw, s, Ho, Wo)
             x.accumulate_grad(dxp[:, :, p:p + H, p:p + W] if p else dxp)
 
     parents = (x, w) if b is None else (x, w, b)
@@ -406,7 +418,9 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0):
 def conv_transpose2d(x, w, b=None, stride: int = 2, padding: int = 1):
     """Adjoint of conv2d. x [N,Ci,H,W], w [Ci,Co,kh,kw].
 
-    With kh=kw=4, stride=2, padding=1 this is an exact 2x upsampler.
+    The forward is conv2d's input gradient and the input gradient is
+    conv2d's forward, with the weight read as [Ci, Co*kh*kw]. With
+    kh=kw=4, stride=2, padding=1 this is an exact 2x upsampler.
     """
     xd, wd = x.data, w.data
     N, Ci, H, W = xd.shape
@@ -416,12 +430,9 @@ def conv_transpose2d(x, w, b=None, stride: int = 2, padding: int = 1):
     Hf = (H - 1) * s + kh
     Wf = (W - 1) * s + kw
 
-    xw = np.tensordot(xd, wd, axes=([1], [0]))     # [N,H,W,Co,kh,kw]
-    yf = np.zeros((N, Co, Hf, Wf), dtype=xd.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            yf[:, :, u:u + s * (H - 1) + 1:s, v:v + s * (W - 1) + 1:s] += \
-                xw[:, :, :, :, u, v].transpose(0, 3, 1, 2)
+    x2 = xd.transpose(0, 2, 3, 1).reshape(N * H * W, Ci)
+    w2 = wd.reshape(Ci, Co * kh * kw)
+    yf = _col2im(x2 @ w2, (N, Co, Hf, Wf), kh, kw, s, H, W)
     out = yf[:, :, p:Hf - p, p:Wf - p] if p else yf
     if b is not None:
         out = out + b.data[None, :, None, None]
@@ -429,23 +440,13 @@ def conv_transpose2d(x, w, b=None, stride: int = 2, padding: int = 1):
     def bw(g):
         if b is not None and b.requires_grad:
             b.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        gf = np.zeros((N, Co, Hf, Wf), dtype=g.dtype)
-        if p:
-            gf[:, :, p:Hf - p, p:Wf - p] = g
-        else:
-            gf = g
-        dxw = np.empty((N, H, W, Co, kh, kw), dtype=g.dtype)
-        for u in range(kh):
-            for v in range(kw):
-                dxw[:, :, :, :, u, v] = \
-                    gf[:, :, u:u + s * (H - 1) + 1:s, v:v + s * (W - 1) + 1:s].transpose(0, 2, 3, 1)
+        gp = np.pad(g, ((0, 0), (0, 0), (p, p), (p, p))) if p else g
+        col = _im2col(gp, kh, kw, s, H, W)
         if x.requires_grad:
-            dx = np.tensordot(dxw, wd, axes=([3, 4, 5], [1, 2, 3]))   # [N,H,W,Ci]
+            dx = (col @ w2.T).reshape(N, H, W, Ci)
             x.accumulate_grad(dx.transpose(0, 3, 1, 2))
         if w.requires_grad:
-            xt = xd.transpose(0, 2, 3, 1)
-            dw = np.tensordot(xt, dxw, axes=([0, 1, 2], [0, 1, 2]))   # [Ci,Co,kh,kw]
-            w.accumulate_grad(dw)
+            w.accumulate_grad((x2.T @ col).reshape(wd.shape))
 
     parents = (x, w) if b is None else (x, w, b)
     return make_node(out, parents, bw, "conv_transpose2d")

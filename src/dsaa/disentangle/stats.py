@@ -29,10 +29,8 @@ class StatisticsNet:
         self.n_latent = n_latent
 
         def lin(name, din, dout):
-            w = store.add(f"{prefix}/{name}/w",
-                          (rng.normal(size=(din, dout)) / np.sqrt(din)).astype(dtype))
-            b = store.add(f"{prefix}/{name}/b", np.zeros(dout, dtype=dtype))
-            return w, b
+            return store.add_layer(f"{prefix}/{name}", (din, dout), din, dout,
+                                   rng, dtype)
 
         self.w1, self.b1 = lin("l1", n_signal + n_latent, width)
         self.w2, self.b2 = lin("l2", width, width)

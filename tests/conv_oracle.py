@@ -1,0 +1,101 @@
+"""Reference conv2d and conv_transpose2d for the kernel tests: the
+explicit-loop forms that ``dsaa.diffcore.ops`` used before it moved both
+convolutions onto one im2col/col2im pair. The convolution's input
+gradient is k*k strided adds; the transpose is ``tensordot`` plus a k*k
+strided scatter. They run the same arithmetic in the same order as the
+im2col forms, so forwards and gradients must agree bit for bit. Test
+oracle only; production code calls ``dsaa.diffcore``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from dsaa.diffcore.tensor import make_node
+
+
+def conv2d(x, w, b=None, stride: int = 1, padding: int = 0):
+    """x [N,Ci,H,W], w [Co,Ci,kh,kw], b [Co] or None. Plain cross-correlation."""
+    xd, wd = x.data, w.data
+    N, Ci, H, W = xd.shape
+    Co, Ci2, kh, kw = wd.shape
+    assert Ci == Ci2, (Ci, Ci2)
+    s, p = stride, padding
+    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
+    Ho = (H + 2 * p - kh) // s + 1
+    Wo = (W + 2 * p - kw) // s + 1
+
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::s, ::s]                      # [N,Ci,Ho,Wo,kh,kw]
+    col = win.transpose(0, 2, 3, 1, 4, 5).reshape(N * Ho * Wo, Ci * kh * kw)
+    w2 = wd.reshape(Co, Ci * kh * kw)
+    out2 = col @ w2.T
+    if b is not None:
+        out2 = out2 + b.data
+    out = out2.reshape(N, Ho, Wo, Co).transpose(0, 3, 1, 2)
+
+    def bw(g):
+        g2 = g.transpose(0, 2, 3, 1).reshape(N * Ho * Wo, Co)
+        if b is not None and b.requires_grad:
+            b.accumulate_grad(g2.sum(axis=0))
+        if w.requires_grad:
+            w.accumulate_grad((g2.T @ col).reshape(wd.shape))
+        if x.requires_grad:
+            dcol = (g2 @ w2).reshape(N, Ho, Wo, Ci, kh, kw)
+            dxp = np.zeros_like(xp)
+            for u in range(kh):
+                for v in range(kw):
+                    dxp[:, :, u:u + s * Ho:s, v:v + s * Wo:s] += \
+                        dcol[:, :, :, :, u, v].transpose(0, 3, 1, 2)
+            x.accumulate_grad(dxp[:, :, p:p + H, p:p + W] if p else dxp)
+
+    parents = (x, w) if b is None else (x, w, b)
+    return make_node(out, parents, bw, "conv2d")
+
+
+def conv_transpose2d(x, w, b=None, stride: int = 2, padding: int = 1):
+    """Adjoint of conv2d. x [N,Ci,H,W], w [Ci,Co,kh,kw].
+
+    With kh=kw=4, stride=2, padding=1 this is an exact 2x upsampler.
+    """
+    xd, wd = x.data, w.data
+    N, Ci, H, W = xd.shape
+    Ci2, Co, kh, kw = wd.shape
+    assert Ci == Ci2, (Ci, Ci2)
+    s, p = stride, padding
+    Hf = (H - 1) * s + kh
+    Wf = (W - 1) * s + kw
+
+    xw = np.tensordot(xd, wd, axes=([1], [0]))     # [N,H,W,Co,kh,kw]
+    yf = np.zeros((N, Co, Hf, Wf), dtype=xd.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            yf[:, :, u:u + s * (H - 1) + 1:s, v:v + s * (W - 1) + 1:s] += \
+                xw[:, :, :, :, u, v].transpose(0, 3, 1, 2)
+    out = yf[:, :, p:Hf - p, p:Wf - p] if p else yf
+    if b is not None:
+        out = out + b.data[None, :, None, None]
+
+    def bw(g):
+        if b is not None and b.requires_grad:
+            b.accumulate_grad(g.sum(axis=(0, 2, 3)))
+        gf = np.zeros((N, Co, Hf, Wf), dtype=g.dtype)
+        if p:
+            gf[:, :, p:Hf - p, p:Wf - p] = g
+        else:
+            gf = g
+        dxw = np.empty((N, H, W, Co, kh, kw), dtype=g.dtype)
+        for u in range(kh):
+            for v in range(kw):
+                dxw[:, :, :, :, u, v] = \
+                    gf[:, :, u:u + s * (H - 1) + 1:s, v:v + s * (W - 1) + 1:s].transpose(0, 2, 3, 1)
+        if x.requires_grad:
+            dx = np.tensordot(dxw, wd, axes=([3, 4, 5], [1, 2, 3]))   # [N,H,W,Ci]
+            x.accumulate_grad(dx.transpose(0, 3, 1, 2))
+        if w.requires_grad:
+            xt = xd.transpose(0, 2, 3, 1)
+            dw = np.tensordot(xt, dxw, axes=([0, 1, 2], [0, 1, 2]))   # [Ci,Co,kh,kw]
+            w.accumulate_grad(dw)
+
+    parents = (x, w) if b is None else (x, w, b)
+    return make_node(out, parents, bw, "conv_transpose2d")

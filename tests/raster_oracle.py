@@ -1,6 +1,6 @@
 """Reference soft rasterizer for the oracle tests: the composed-graph
 form of ``dsaa.renderer.rasterize``, built from generic tape ops (about
-180 nodes per call).
+180 nodes per call) and the windowed scatter-add defined here.
 
 It computes the same quantities in the same order as the fused node, so
 float64 forwards agree bit for bit and gradients agree to rounding. It
@@ -12,8 +12,33 @@ from __future__ import annotations
 import numpy as np
 
 from dsaa import diffcore as dc
+from dsaa.diffcore.tensor import make_node
 from dsaa.renderer import RasterConfig, RenderTarget
 from dsaa.renderer.camera import Camera, project
+
+
+def scatter_add_window(vals: dc.Tensor, oy: np.ndarray, ox: np.ndarray, H: int, W: int):
+    """Scatter KyxKx windows into an [N,H,W] canvas.
+
+    vals [N,F,Ky,Kx]; window f of batch n covers rows oy[n,f]..oy[n,f]+Ky-1
+    and columns ox[n,f]..; out-of-canvas texels are dropped. Backward is a
+    plain gather of the same windows.
+    """
+    N, F, Ky, Kx = vals.shape
+    ys, xs, valid = dc.window_indices(oy, ox, Ky, Kx, H, W)
+    flat = np.where(valid, ys * W + xs, 0)
+    nidx = np.broadcast_to(np.arange(N, dtype=np.intp)[:, None, None, None], flat.shape)
+
+    out = np.zeros((N, H * W), dtype=vals.dtype)
+    np.add.at(out, (nidx[valid], flat[valid]), vals.data[valid])
+
+    def bw(g):
+        if vals.requires_grad:
+            gf = g.reshape(N, H * W)
+            dv = gf[nidx, flat] * valid
+            vals.accumulate_grad(dv)
+
+    return make_node(out.reshape(N, H, W), (vals,), bw, "scatter_add_window")
 
 
 def _edge_d2(p, a, b):
@@ -156,8 +181,8 @@ def rasterize_graph(verts: dc.Tensor, faces: np.ndarray, uvs: np.ndarray,
     chans.append(wdepth)
     chans.append(log1mD)
     stackv = dc.stack(chans)                                          # [5,F,Ky,Kx]
-    canvas = dc.scatter_add_window(stackv, np.broadcast_to(oy, (5, F)),
-                                   np.broadcast_to(ox, (5, F)), H, W)  # [5,H,W]
+    canvas = scatter_add_window(stackv, np.broadcast_to(oy, (5, F)),
+                                np.broadcast_to(ox, (5, F)), H, W)  # [5,H,W]
 
     den = dc.add(dc.getitem(canvas, 3), bgw)
     inv_den = dc.reciprocal(den)

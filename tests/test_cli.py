@@ -148,3 +148,18 @@ def test_report_on_one_test_frame(tmp_path):
                for v in ABLATIONS)
     assert not [k for k in kv if k.startswith(("mi.", "probe_r2."))]
     assert "omitted" in (out / "report.txt").read_text()
+
+
+def test_drive_on_truncated_checkpoint_exits_2(cli_run, capsys):
+    run = cli_run / "truncated"
+    run.mkdir()
+    (run / "model.dsaa1.manifest").write_bytes(
+        (cli_run / "run" / "model.dsaa1.manifest").read_bytes())
+    # the file ends two bytes into the first record's name length
+    (run / "model.dsaa1").write_bytes(
+        (cli_run / "run" / "model.dsaa1").read_bytes()[:7])
+    frame = load_manifest(cli_run / "data").ids()[0]
+    assert main(["drive", "--checkpoint", str(run),
+                 "--dataset", str(cli_run / "data"), "--frames", frame,
+                 "--mode", "zero", "--out", str(cli_run / "drive_cut")]) == 2
+    assert "truncated" in capsys.readouterr().err

@@ -106,3 +106,27 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     p.write_bytes(b"NOPE!" + b"\x00" * 16)
     with pytest.raises(ValueError, match="magic"):
         dc.load_arrays(p)
+
+
+def test_checkpoint_truncated_at_every_offset(tmp_path):
+    # a cut inside a record raises ValueError; a cut on a record boundary
+    # reads back exactly the records before it
+    arrays = {"a": np.arange(3.0), "bb": np.ones((2, 1), dtype=np.float32)}
+    p = tmp_path / "x.dsaa1"
+    dc.save_arrays(p, arrays)
+    full = p.read_bytes()
+    ends = {}
+    for k in range(len(arrays) + 1):
+        dc.save_arrays(p, dict(list(arrays.items())[:k]))
+        ends[p.stat().st_size] = list(arrays)[:k]
+    cut = tmp_path / "cut.dsaa1"
+    for n in range(len(full)):
+        cut.write_bytes(full[:n])
+        if n in ends:
+            back = dc.load_arrays(cut)
+            assert list(back) == ends[n]
+            for name in back:
+                npt.assert_array_equal(back[name], arrays[name])
+        else:
+            with pytest.raises(ValueError, match="truncated|magic"):
+                dc.load_arrays(cut)

@@ -1,11 +1,16 @@
 """The benchmark's span tracer still finds every library function it
-wraps, so renaming or deleting a traced function fails here rather than
-only inside a benchmark run."""
+wraps, and its per-block probes still run, so renaming or deleting a
+traced function or changing a block's call fails here rather than only
+inside a benchmark run."""
 
+import math
 import sys
 from pathlib import Path
 
 import dsaa.harness  # noqa: F401  (loads every module the tracer scans)
+import dsaa.synthdata as sd
+from dsaa.avatar import AvatarConfig, AvatarModel
+from dsaa.harness import TrainData
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -22,3 +27,24 @@ def test_tracer_reaches_required_sites(monkeypatch):
         tracer.uninstall()
         for name in ("tracing", "catalog"):
             sys.modules.pop(name, None)
+
+
+def test_block_probes_run(tmp_path, monkeypatch):
+    # the traced run's per-block forward/backward probes, on a 2-frame
+    # 32 px dataset and a geo_res 16 model
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import probes
+
+    sd.generate_dataset(sd.default_scene(image_size=32), tmp_path, 2, seed=3)
+    cfg = AvatarConfig(geo_res=16, tex_res=32)
+    data = TrainData(tmp_path, geo_res=cfg.geo_res, ao_res=cfg.shadow_res)
+    model = AvatarModel(data.template, data.skeleton, cfg, seed=0)
+    try:
+        out = probes.probe_blocks(model, data, data.ids()[0], 0, reps=1)
+    finally:
+        sys.modules.pop("probes", None)
+    blocks = ("renderer.raster", "avatar.encoder", "avatar.decoder",
+              "avatar.shadow", "avatar.compose")
+    keys = {f"{b}_{d}_ms" for b in blocks for d in ("fwd", "bwd")}
+    assert set(out) == keys
+    assert all(math.isfinite(v) and v >= 0.0 for v in out.values())
