@@ -1,5 +1,5 @@
-"""Composition into the final avatar: corrective displacement sampled at
-vertex UVs, blend skinning, and gain-modulated texture."""
+"""Composition into the final avatar: posing (corrective displacement
+sampled at vertex UVs, then blend skinning) and gain-modulated texture."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 from .. import diffcore as dc
 from ..body import Skeleton, TemplateMesh, forward_kinematics, lbs_apply
 
-__all__ = ["AvatarOutput", "apply_gain", "compose"]
+__all__ = ["AvatarOutput", "apply_gain", "compose", "pose"]
 
 
 @dataclass
@@ -33,25 +33,28 @@ def apply_gain(texture: dc.Tensor, gain: dc.Tensor, clamp: bool = True) -> dc.Te
     return dc.clamp(out, 0.0, 1.0) if clamp else out
 
 
-def compose(theta, displacement, texture, gain, template: TemplateMesh,
-            skeleton: Skeleton) -> AvatarOutput:
-    """Build the posed, shaded avatar; differentiable in displacement,
-    texture and gain.
+def pose(theta, displacement: dc.Tensor, template: TemplateMesh,
+         skeleton: Skeleton) -> tuple[dc.Tensor, dc.Tensor]:
+    """(canonical, posed) vertices; differentiable in displacement.
 
     theta is a plain pose vector (posing is a constant transform per
     joint). The corrective is additive, so zero displacement leaves
     exactly the skinned template.
     """
-    disp = displacement if isinstance(displacement, dc.Tensor) \
-        else dc.Tensor(np.asarray(displacement))
-    tex = texture if isinstance(texture, dc.Tensor) \
-        else dc.Tensor(np.asarray(texture))
-    gn = gain if isinstance(gain, dc.Tensor) else dc.Tensor(np.asarray(gain))
-
-    corrective = dc.texture_sample(disp, template.uvs)            # [V,3]
-    canonical = dc.add(corrective, template.verts.astype(disp.dtype))
+    corrective = dc.texture_sample(displacement, template.uvs)    # [V,3]
+    canonical = dc.add(corrective, template.verts.astype(displacement.dtype))
     posed = lbs_apply(canonical, forward_kinematics(skeleton, theta),
                       template.weights)
     if not np.isfinite(posed.data).all():
         raise ValueError("composed geometry has non-finite vertices")
-    return AvatarOutput(disp, canonical, posed, tex, gn, apply_gain(tex, gn))
+    return canonical, posed
+
+
+def compose(theta, displacement: dc.Tensor, texture: dc.Tensor,
+            gain: dc.Tensor, template: TemplateMesh,
+            skeleton: Skeleton) -> AvatarOutput:
+    """Build the posed, shaded avatar: `pose` plus the gain-modulated
+    texture; differentiable in displacement, texture and gain."""
+    canonical, posed = pose(theta, displacement, template, skeleton)
+    return AvatarOutput(displacement, canonical, posed, texture, gain,
+                        apply_gain(texture, gain))

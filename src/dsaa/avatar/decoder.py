@@ -15,10 +15,10 @@ __all__ = ["AvatarDecoder", "displacement_footprint", "texture_footprint"]
 
 class AvatarDecoder:
     """z is broadcast over a (geo_res/4)^2 bottleneck and upsampled twice;
-    pose/face embeddings join at geo_res where a 3x3 trunk mixes them. The
-    geometry head is 1x1 (displacement map at geo_res); the texture branch
-    upsamples once more, takes the tiled view vector, and ends in a
-    sigmoid so texels stay in (0, 1)."""
+    pose/face embeddings join at geo_res where a 3x3 trunk mixes them. A
+    call returns the 1x1 geometry head's displacement map at geo_res and
+    the trunk; `texture(trunk, view)` upsamples once more, takes the tiled
+    view vector, and ends in a sigmoid so texels stay in (0, 1)."""
 
     def __init__(self, store: dc.ParamStore, prefix: str, config,
                  rng: np.random.Generator):
@@ -46,9 +46,8 @@ class AvatarDecoder:
         self._geo_res = config.geo_res
         self._tex_res = config.tex_res
 
-    def __call__(self, z: dc.Tensor, e_pose: dc.Tensor, e_face: dc.Tensor,
-                 view: np.ndarray):
-        g, gr, tr = self._bottleneck, self._geo_res, self._tex_res
+    def __call__(self, z: dc.Tensor, e_pose: dc.Tensor, e_face: dc.Tensor):
+        g, gr = self._bottleneck, self._geo_res
         zm = dc.reshape(tile2d(z, g, g), (1, z.data.shape[0], g, g))
         x = dc.leaky_relu(dc.conv_transpose2d(zm, self.w_up1, self.b_up1))
         x = dc.leaky_relu(dc.conv_transpose2d(x, self.w_up2, self.b_up2))
@@ -57,7 +56,10 @@ class AvatarDecoder:
         trunk = dc.leaky_relu(dc.conv2d(dc.concat([x, ep, ef], axis=1),
                                         self.w_trunk, self.b_trunk, padding=1))
         disp = dc.reshape(dc.conv2d(trunk, self.w_geo, self.b_geo), (3, gr, gr))
+        return disp, trunk
 
+    def texture(self, trunk: dc.Tensor, view: np.ndarray) -> dc.Tensor:
+        tr = self._tex_res
         tx = dc.leaky_relu(dc.conv_transpose2d(trunk, self.w_texup, self.b_texup))
         vmap = np.broadcast_to(
             np.asarray(view, dtype=self._dt)[None, :, None, None],
@@ -65,7 +67,7 @@ class AvatarDecoder:
         tx = dc.concat([tx, dc.Tensor(vmap)], axis=1)
         tx = dc.leaky_relu(dc.conv2d(tx, self.w_tex1, self.b_tex1, padding=1))
         tex = dc.sigmoid(dc.conv2d(tx, self.w_tex2, self.b_tex2))
-        return disp, dc.reshape(tex, (3, tr, tr))
+        return dc.reshape(tex, (3, tr, tr))
 
 
 def displacement_footprint(mask) -> np.ndarray:

@@ -12,7 +12,7 @@ from .. import diffcore as dc
 from ..body import Skeleton, TemplateMesh, build_atlas, render_position_map
 from ..conditioning import DrivingSignal, InfluenceMask, LocalizedProjector, build_masks
 from ..rng import stream
-from .compose import AvatarOutput, compose
+from .compose import AvatarOutput, apply_gain, compose, pose
 from .config import AvatarConfig, manifest_text, parse_manifest
 from .decoder import AvatarDecoder
 from .encoder import GeometryEncoder, LatentDistribution
@@ -28,6 +28,10 @@ class AvatarModel:
     reference position map are derived deterministically from the template
     and skeleton, so a checkpoint plus its manifest reconstructs the model
     exactly.
+
+    `geometry` (posed vertices, decoder trunk) and `appearance` (one
+    view's final texture) split the model at the decoder trunk; `forward`
+    is `decode` + `shadow_gain` + `compose` over the same pieces.
     """
 
     def __init__(self, template: TemplateMesh, skeleton: Skeleton,
@@ -91,9 +95,8 @@ class AvatarModel:
 
     # ------------------------------------------------------------ forward
 
-    def decode(self, signal: DrivingSignal, z=None):
-        """(displacement map, texture) for a driving signal; z defaults to
-        the zero vector (maximum-likelihood imputation)."""
+    def _trunk(self, signal: DrivingSignal, z):
+        """(displacement map, decoder trunk) for a driving signal."""
         dt = self.config.np_dtype
         if signal.theta.shape != (self.masks.n_pose,):
             raise ValueError(f"theta must have {self.masks.n_pose} scalars, "
@@ -106,27 +109,39 @@ class AvatarModel:
         # cast to the model dtype so embeddings do not silently upcast
         e_pose = self.proj_pose(signal.theta.astype(dt))
         e_face = self.proj_face(signal.face.astype(dt))
-        return self.decoder(zt, e_pose, e_face, signal.view)
+        return self.decoder(zt, e_pose, e_face)
 
-    def shadow_gain(self, ao) -> dc.Tensor:
-        if self.shadow is None:
-            raise RuntimeError("model was built without a shadow branch")
-        return self.shadow(ao)
+    def decode(self, signal: DrivingSignal, z=None):
+        """(displacement map, texture) for a driving signal; z defaults to
+        the zero vector (maximum-likelihood imputation)."""
+        disp, trunk = self._trunk(signal, z)
+        return disp, self.decoder.texture(trunk, signal.view)
 
-    def forward(self, signal: DrivingSignal, z=None, ao=None) -> AvatarOutput:
-        """Decode, shade, and pose one frame."""
-        disp, tex = self.decode(signal, z)
+    def geometry(self, signal: DrivingSignal, z=None):
+        """(posed vertices [V,3], decoder trunk); the view is not read."""
+        disp, trunk = self._trunk(signal, z)
+        return pose(signal.theta, disp, self.template, self.skeleton)[1], trunk
+
+    def appearance(self, trunk: dc.Tensor, view, gain: dc.Tensor) -> dc.Tensor:
+        """Final texture for one view: the texture branch times the gain."""
+        return apply_gain(self.decoder.texture(trunk, view), gain)
+
+    def shadow_gain(self, ao=None) -> dc.Tensor:
+        """Gain [1,R,R] from an AO map; exactly 1 without a shadow branch."""
         if self.shadow is None:
             if ao is not None:
                 raise ValueError("AO map supplied to a model without a "
                                  "shadow branch")
             r = self.config.shadow_res
-            gain = dc.Tensor(np.ones((1, r, r), dtype=self.config.np_dtype))
-        else:
-            if ao is None:
-                raise ValueError("shadow branch needs an ambient-occlusion map")
-            gain = self.shadow(ao)
-        return compose(signal.theta, disp, tex, gain,
+            return dc.Tensor(np.ones((1, r, r), dtype=self.config.np_dtype))
+        if ao is None:
+            raise ValueError("shadow branch needs an ambient-occlusion map")
+        return self.shadow(ao)
+
+    def forward(self, signal: DrivingSignal, z=None, ao=None) -> AvatarOutput:
+        """Decode, shade, and pose one frame."""
+        disp, tex = self.decode(signal, z)
+        return compose(signal.theta, disp, tex, self.shadow_gain(ao),
                        self.template, self.skeleton)
 
     # -------------------------------------------------------- persistence

@@ -51,8 +51,7 @@ class TrainData:
     grid; both default to the standard model sizes.
     """
 
-    def __init__(self, dataset_root, geo_res: int = 32, ao_res: int = 16,
-                 ao_rays: int = 64):
+    def __init__(self, dataset_root, geo_res: int = 32, ao_res: int = 16):
         self.root = Path(dataset_root)
         self.manifest = load_manifest(self.root)
         self.spec = self.manifest.spec
@@ -62,7 +61,6 @@ class TrainData:
         self.cameras: list[Camera] = scene_cameras(self.spec)
         self.geo_res = int(geo_res)
         self.ao_res = int(ao_res)
-        self.ao_config = AOSamplerConfig(rays=ao_rays)
         self._atlas = build_atlas(self.template.uvs, self.template.faces,
                                   self.geo_res, self.geo_res)
         self._frames: dict[str, FrameBundle] = {}
@@ -131,7 +129,8 @@ class TrainData:
                 self._ao_atlas = build_atlas(self.template.uvs,
                                              self.template.faces,
                                              self.ao_res, self.ao_res)
-            amap = compute_ao(mesh, self.ao_config, self.ao_res,
+            # default sampler only: the disk cache is keyed by resolution
+            amap = compute_ao(mesh, AOSamplerConfig(), self.ao_res,
                               atlas=self._ao_atlas)
             self._ao[frame_id] = np.where(amap.valid, amap.values,
                                           1.0).astype(np.float32)

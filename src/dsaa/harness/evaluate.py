@@ -79,14 +79,17 @@ def union_l1(pred_img, pred_mask, gt_img, gt_mask) -> float:
 
 
 def _camera_renders(model: AvatarModel, data: TrainData, frame_id: str, z):
-    """Yield one RenderTarget per camera, in camera order: the model
-    driven by that camera's signal at latent z, then rasterized."""
+    """Yield one RenderTarget per camera, in camera order: the frame's
+    geometry and shadow gain decoded once at latent z, the texture for
+    that camera's view, then rasterized."""
     cfg = _raster_config(data)
-    ao = data.ao(frame_id) if model.config.use_shadow else None
+    posed, trunk = model.geometry(data.signal(frame_id, 0), z)
+    gain = model.shadow_gain(data.ao(frame_id) if model.config.use_shadow
+                             else None)
     for k, camera in enumerate(data.cameras):
-        pred = model.forward(data.signal(frame_id, k), z, ao)
-        yield rasterize(pred.posed, data.template.faces, data.template.uvs,
-                        pred.final, camera, cfg)
+        final = model.appearance(trunk, data.signal(frame_id, k).view, gain)
+        yield rasterize(posed, data.template.faces, data.template.uvs, final,
+                        camera, cfg)
 
 
 def render_frame(model: AvatarModel, data: TrainData, frame_id: str, z=None):

@@ -1,10 +1,12 @@
 """Two-phase training loop.
 
 Phase 1 (mesh warmup) fits geometry directly against the registered
-meshes and never rasterizes; phase 2 switches to the image objective
-plus the latent regularizers (KL, adversarial independence, perturbation
-consistency). The adversary is a separate statistics net with its own
-optimizer, stepped once per model step on the same minibatch.
+meshes: it decodes and poses geometry only (no texture branch, shadow
+net or AO map) and never rasterizes. Phase 2 switches to the image
+objective plus the latent regularizers (KL, adversarial independence,
+perturbation consistency, which also reads posed geometry only). The
+adversary is a separate statistics net with its own optimizer, stepped
+once per model step on the same minibatch.
 
 Every random draw comes from a stream keyed by (seed, purpose,
 iteration), so a resumed run consumes exactly the numbers the
@@ -180,12 +182,13 @@ def _step(cfg, data, model, opt, critic, critic_store, critic_opt, corr,
             z = reparameterize(dist, eps[b])
             dists.append(dist)
             z_list.append(z)
-        ao = data.ao(fid) if mw.use_shadow else None
-        pred = model.forward(sig, z, ao)
         if phase == 1:
-            loss_b, parts_b = losses(None, None, None, pred.posed, fr.verts,
+            posed = model.geometry(sig, z)[0]
+            loss_b, parts_b = losses(None, None, None, posed, fr.verts,
                                      data.template, lw, 1)
         else:
+            pred = model.forward(sig, z, data.ao(fid) if mw.use_shadow
+                                 else None)
             render = rasterize(pred.posed, data.template.faces,
                                data.template.uvs, pred.final, cam, raster_cfg)
             loss_b, parts_b = losses(render, fr.images[int(cams[b])],
@@ -196,27 +199,26 @@ def _step(cfg, data, model, opt, critic, critic_store, critic_opt, corr,
         total = loss_b if total is None else dc.add(total, loss_b)
 
     if phase == 2 and mw.use_latent:
+        C = np.stack([data.scalars(fid) for fid in batch_ids])
         if lw.lam_kl > 0:
             kl = kl_loss(dists[0])
             for d in dists[1:]:
                 kl = dc.add(kl, kl_loss(d))
             acc(kl, lw.lam_kl, "kl")
         if lw.lam_dis > 0:
-            C = np.stack([data.scalars(fid) for fid in batch_ids])
             Z = dc.stack(z_list, axis=0)
             acc(adversarial_dis_loss(critic, C, Z), lw.lam_dis, "dis")
         if lw.lam_pc > 0:
             zp = stream(cfg.seed, "prior", i).standard_normal(
                 (cfg.batch, mw.d_z))
-            acc(perturbation_loss(_pc_decoder(model), signals, zp, corr),
-                lw.lam_pc, "pc")
+            acc(perturbation_loss(lambda s, z: model.geometry(s, z)[0],
+                                  signals, zp, corr), lw.lam_pc, "pc")
 
     dc.backward(total)
     opt.step()
     model.store.zero_grad()
 
     if phase == 2 and critic is not None:
-        C = np.stack([data.scalars(fid) for fid in batch_ids])
         Zd = np.stack([z.data for z in z_list])
         critic_store.zero_grad()
         closs = mine_loss(critic, C, Zd)
@@ -228,22 +230,6 @@ def _step(cfg, data, model, opt, critic, critic_store, critic_opt, corr,
     rec = {"iter": i + 1, "phase": phase, "total": float(total.data)}
     rec.update(sorted(parts.items()))
     return rec
-
-
-def _pc_decoder(model):
-    """Posed geometry as a function of (signal, z): texture and shadow do
-    not participate in the consistency term."""
-    from ..avatar import compose
-
-    r = model.config.shadow_res
-    ones = dc.Tensor(np.ones((1, r, r), dtype=model.config.np_dtype))
-
-    def decode(sig, z):
-        disp, tex = model.decode(sig, z)
-        return compose(sig.theta, disp, tex, ones,
-                       model.template, model.skeleton).posed
-
-    return decode
 
 
 def _format(rec, iters):

@@ -31,7 +31,6 @@ _WALK_RAYS = 16384
 @dataclass(frozen=True)
 class AOSamplerConfig:
     rays: int = 64
-    cosine_weighted: bool = True
     offset_scale: float = 1e-4   # ray origin offset, times bbox diagonal
     seed: int = 0
 
@@ -100,15 +99,12 @@ def stratified_square(rng: np.random.Generator, n: int) -> np.ndarray:
     return u
 
 
-def hemisphere_dirs(u: np.ndarray, cosine_weighted: bool = True) -> np.ndarray:
-    """Map unit-square samples to local z-up hemisphere directions."""
+def hemisphere_dirs(u: np.ndarray) -> np.ndarray:
+    """Map unit-square samples to cosine-weighted local z-up hemisphere
+    directions."""
     ang = 2.0 * np.pi * u[:, 1]
-    if cosine_weighted:
-        r = np.sqrt(u[:, 0])
-        z = np.sqrt(1.0 - u[:, 0])
-    else:
-        z = u[:, 0]
-        r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    r = np.sqrt(u[:, 0])
+    z = np.sqrt(1.0 - u[:, 0])
     return np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=1)
 
 
@@ -398,17 +394,13 @@ def compute_ao(mesh: TemplateMesh, config: AOSamplerConfig, resolution: int,
         local = np.empty((len(sel), n, 3))
         for row, k in enumerate(sel):
             rng = stream(config.seed, "ao", int(flat_ids[k]))
-            local[row] = hemisphere_dirs(stratified_square(rng, n),
-                                         config.cosine_weighted)
+            local[row] = hemisphere_dirs(stratified_square(rng, n))
         world = np.einsum("tij,tnj->tni", frames[sel], local)
         origins = np.broadcast_to((pts[sel] + eps * nrm[sel])[:, None, :],
                                   world.shape)
         blocked = grid.any_hit(origins.reshape(-1, 3), world.reshape(-1, 3))
         blocked = blocked.reshape(len(sel), n)
-        if config.cosine_weighted:
-            vis = 1.0 - blocked.mean(axis=1)
-        else:
-            vis = np.clip((2.0 * local[:, :, 2] * ~blocked).mean(axis=1), 0.0, 1.0)
+        vis = 1.0 - blocked.mean(axis=1)
         values.reshape(-1)[flat_ids[sel]] = vis
         valid.reshape(-1)[flat_ids[sel]] = True
     return AOMap(values, valid)
@@ -425,7 +417,7 @@ def ao_oracle(point, normal, verts, faces, n_rays: int, seed: int = 0,
     if offset is None:
         offset = 1e-4 * np.linalg.norm(verts.max(axis=0) - verts.min(axis=0))
     rng = stream(seed, "ao-oracle")
-    local = hemisphere_dirs(stratified_square(rng, n_rays), True)
+    local = hemisphere_dirs(stratified_square(rng, n_rays))
     d = local @ build_frames(normal[None])[0].T
     o = np.broadcast_to(point + offset * normal, d.shape)
     return float(1.0 - ray_any_hit(o, d, verts, faces).mean())

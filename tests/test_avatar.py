@@ -344,7 +344,7 @@ def test_shadow_shapes_range_and_errors():
     with pytest.raises(ValueError):
         model.shadow_gain(np.full((1, 16, 16), np.nan))
     noshadow, _, _ = build_model(use_shadow=False)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError):
         noshadow.shadow_gain(ao)
 
 
@@ -539,6 +539,21 @@ def test_shadow_flag_controls_gain_path():
     withshadow, _, _ = build_model()
     with pytest.raises(ValueError):
         withshadow.forward(SIG, np.zeros(16))      # shadow branch needs AO
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("use_shadow", [True, False])
+def test_geometry_and_appearance_match_forward(dtype, use_shadow):
+    model, _, _ = build_model(dtype=dtype, seed=4, use_shadow=use_shadow)
+    z = rng.stream(4, "z").normal(size=16)
+    ao = (rng.stream(4, "ao").uniform(0.3, 1.0, size=(1, 16, 16))
+          if use_shadow else None)
+    ref = model.forward(SIG, z, ao)
+    posed, trunk = model.geometry(SIG, z)
+    final = model.appearance(trunk, SIG.view, model.shadow_gain(ao))
+    assert posed.dtype == final.dtype == np.dtype(dtype)
+    assert posed.data.tobytes() == ref.posed.data.tobytes()
+    assert final.data.tobytes() == ref.final.data.tobytes()
 
 
 def test_spatial_local_flag_widens_influence():

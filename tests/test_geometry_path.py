@@ -1,0 +1,157 @@
+"""Each harness caller runs only the model part its output reads: a
+phase-1 step and the perturbation term pose geometry alone, and the
+evaluators decode a frame's geometry and shadow gain once for all of its
+cameras. Each path is checked against the full per-call `forward` it
+stands for."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from dsaa import diffcore as dc
+from dsaa import synthdata as sd
+from dsaa.avatar import AvatarConfig, AvatarDecoder, AvatarModel, ShadowNet, compose
+from dsaa.harness import TrainConfig, TrainData, evaluate, train, trainer
+from dsaa.renderer import LossWeights, RasterConfig, losses, rasterize
+from dsaa.rng import stream
+
+SMALL = AvatarConfig(geo_res=16, tex_res=32)
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("geometry")
+    sd.generate_dataset(sd.default_scene(image_size=32), root, 2, seed=3)
+    return root
+
+
+def _train_two_steps(dataset, out):
+    """One phase-1 step, then one phase-2 step, at batch 2."""
+    return train(TrainConfig(dataset=str(dataset), out=str(out), iters=2,
+                             phase1=1, batch=2, model=SMALL))
+
+
+def _data_and_model(dataset, **kw):
+    cfg = AvatarConfig(geo_res=16, tex_res=32, **kw)
+    data = TrainData(dataset, geo_res=cfg.geo_res, ao_res=cfg.shadow_res)
+    return data, AvatarModel(data.template, data.skeleton, cfg, seed=2)
+
+
+def _per_camera(model, data, frame_id, z):
+    """The full model per camera, as the evaluators once ran it."""
+    cfg = RasterConfig(sigma_r=data.spec.sigma_r, gamma=data.spec.gamma_r)
+    ao = data.ao(frame_id) if model.config.use_shadow else None
+    for k, camera in enumerate(data.cameras):
+        pred = model.forward(data.signal(frame_id, k), z, ao)
+        yield rasterize(pred.posed, data.template.faces, data.template.uvs,
+                        pred.final, camera, cfg)
+
+
+def test_phase1_step_reads_no_texture_shadow_or_ao(dataset, tmp_path,
+                                                   monkeypatch):
+    calls = Counter()
+    phase = []
+    real_step = trainer._step
+
+    def step(cfg, *args):
+        phase.append(1 if args[-1] < cfg.phase1 else 2)
+        try:
+            return real_step(cfg, *args)
+        finally:
+            phase.pop()
+
+    def count(owner, attr):
+        orig = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            if phase:
+                calls[phase[-1], owner.__name__] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    monkeypatch.setattr(trainer, "_step", step)
+    count(AvatarDecoder, "texture")
+    count(ShadowNet, "__call__")
+    count(TrainData, "ao")
+    _train_two_steps(dataset, tmp_path / "run")
+    names = ("AvatarDecoder", "ShadowNet", "TrainData")
+    assert [calls[1, n] for n in names] == [0, 0, 0]
+    assert [calls[2, n] for n in names] == [2, 2, 2]
+
+
+def test_perturbation_term_matches_full_decode(dataset, tmp_path,
+                                               monkeypatch):
+    seen = []
+    real = trainer.perturbation_loss
+
+    def capture(decode_fn, signals, z_samples, corr):
+        seen.append((decode_fn, signals, z_samples, corr))
+        return real(decode_fn, signals, z_samples, corr)
+
+    monkeypatch.setattr(trainer, "perturbation_loss", capture)
+    model = _train_two_steps(dataset, tmp_path / "run").model
+    (decode_fn, signals, z_samples, corr), = seen
+
+    def oracle(sig, z):
+        # decode + compose with a unit gain, texture decoded and unread
+        disp, tex = model.decode(sig, z)
+        r = model.config.shadow_res
+        ones = dc.Tensor(np.ones((1, r, r), dtype=model.config.np_dtype))
+        return compose(sig.theta, disp, tex, ones, model.template,
+                       model.skeleton).posed
+
+    results = []
+    for fn in (decode_fn, oracle):
+        model.store.zero_grad()
+        term = real(fn, signals, z_samples, corr)
+        dc.backward(term)
+        results.append((term.data.tobytes(),
+                        {name: None if t.grad is None else t.grad.tobytes()
+                         for name, t in model.store.items()}))
+    model.store.zero_grad()
+    assert results[0] == results[1]
+    assert any(g is not None for g in results[0][1].values())
+
+
+@pytest.mark.parametrize("use_shadow", [True, False])
+def test_render_frame_matches_per_camera_forward(dataset, use_shadow):
+    data, model = _data_and_model(dataset, use_shadow=use_shadow)
+    fid = data.ids()[0]
+    z = stream(2, "z").standard_normal(model.config.d_z)
+    images, masks = evaluate.render_frame(model, data, fid, z)
+    with dc.no_grad():
+        renders = list(_per_camera(model, data, fid, z))
+    assert len(renders) == len(images) == len(data.cameras)
+    for k, rt in enumerate(renders):
+        assert images[k].tobytes() == rt.image.data.tobytes()
+        assert masks[k].tobytes() == rt.mask.data.tobytes()
+
+
+@pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-12)])
+def test_camera_renders_z_gradient_matches_per_camera_forward(dataset, dtype,
+                                                              tol):
+    # the shared geometry sums the cameras' z-gradients in another order,
+    # so only rounding may differ
+    data, model = _data_and_model(dataset, dtype=dtype)
+    fid = data.ids()[0]
+    fr = data.frame(fid)
+    z0 = 0.5 * stream(2, "z").standard_normal(model.config.d_z)
+
+    def z_grad(renders):
+        z = dc.Tensor(z0.astype(model.config.np_dtype), requires_grad=True)
+        total = None
+        for k, rt in enumerate(renders(model, data, fid, z)):
+            part, _ = losses(rt, fr.images[k], fr.masks[k], None, None,
+                             data.template, LossWeights(), 2,
+                             retain_lap=False)
+            total = part if total is None else dc.add(total, part)
+        dc.backward(total)
+        return z.grad
+
+    g = z_grad(evaluate._camera_renders)
+    ref = z_grad(_per_camera)
+    scale = np.abs(ref).max()
+    assert scale > 0.0
+    assert np.abs(g - ref).max() <= tol * scale
