@@ -7,7 +7,7 @@ from .ops import (
     minimum, maximum, clamp, sum_, mean_, reshape, transpose,
     broadcast_to, concat, stack, getitem, conv2d, conv_transpose2d, linear,
 )
-from .geom import texture_sample, window_indices, lbs_apply, upsample2d
+from .geom import texture_sample, lbs_apply, upsample2d
 from .adam import Adam, ParamStore
 from .checkpoint import save_arrays, load_arrays, MAGIC
 from .fd import gradcheck, numeric_grad
@@ -19,7 +19,7 @@ __all__ = [
     "sigmoid", "minimum", "maximum", "clamp", "sum_", "mean_", "reshape",
     "transpose", "broadcast_to", "concat", "stack", "getitem",
     "conv2d", "conv_transpose2d", "linear",
-    "texture_sample", "window_indices", "lbs_apply",
+    "texture_sample", "lbs_apply",
     "upsample2d",
     "Adam", "ParamStore", "save_arrays", "load_arrays", "MAGIC",
     "gradcheck", "numeric_grad",

@@ -1,6 +1,6 @@
 """Gather/scatter style differentiable ops used by the geometry pipeline:
-bilinear texture sampling, window layout, blend-skinning application,
-and small interpolation-matrix upsamplers.
+bilinear texture sampling, blend-skinning application and small
+interpolation-matrix upsamplers.
 
 Every scatter (np.add.at, np.bincount) applies its updates in index
 order, so repeated runs are bit-identical. The bilinear helpers are
@@ -104,16 +104,6 @@ def texture_sample(tex: Tensor, uv):
             uv.accumulate_grad(np.stack([du, dv], axis=1).astype(uvd.dtype))
 
     return make_node(vals.T, (tex, uv), bw, "texture_sample")
-
-
-def window_indices(oy: np.ndarray, ox: np.ndarray, Ky: int, Kx: int, H: int, W: int):
-    """Per-window pixel coordinates: (rows, cols, valid), each [..,Ky,Kx],
-    for windows whose top-left corners sit at (oy, ox)."""
-    ys = oy[..., None, None] + np.arange(Ky, dtype=np.intp)[:, None]
-    xs = ox[..., None, None] + np.arange(Kx, dtype=np.intp)[None, :]
-    ys, xs = np.broadcast_arrays(ys, xs)
-    valid = (ys >= 0) & (ys < H) & (xs >= 0) & (xs < W)
-    return ys, xs, valid
 
 
 def lbs_apply(weights: np.ndarray, transforms: np.ndarray, verts: Tensor):

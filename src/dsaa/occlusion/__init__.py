@@ -1,11 +1,11 @@
 """Frozen-ray hemisphere visibility over the posed template."""
 
 from .ao import (AOSamplerConfig, AOMap, vertex_normals, build_frames,
-                 stratified_square, hemisphere_dirs, texel_geometry,
-                 UniformGrid, ray_any_hit, compute_ao, ao_oracle)
+                 stratified_square, hemisphere_dirs, TexelRays, texel_rays,
+                 texel_geometry, UniformGrid, ray_any_hit, compute_ao, ao_oracle)
 
 __all__ = [
     "AOSamplerConfig", "AOMap", "vertex_normals", "build_frames",
-    "stratified_square", "hemisphere_dirs", "texel_geometry",
-    "UniformGrid", "ray_any_hit", "compute_ao", "ao_oracle",
+    "stratified_square", "hemisphere_dirs", "TexelRays", "texel_rays",
+    "texel_geometry", "UniformGrid", "ray_any_hit", "compute_ao", "ao_oracle",
 ]

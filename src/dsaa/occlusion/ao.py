@@ -16,8 +16,8 @@ from ..rng import stream
 
 __all__ = [
     "AOSamplerConfig", "AOMap", "vertex_normals", "build_frames",
-    "stratified_square", "hemisphere_dirs", "texel_geometry",
-    "UniformGrid", "ray_any_hit", "compute_ao", "ao_oracle",
+    "stratified_square", "hemisphere_dirs", "TexelRays", "texel_rays",
+    "texel_geometry", "UniformGrid", "ray_any_hit", "compute_ao", "ao_oracle",
 ]
 
 # barycentric slack so rays crossing a shared edge cannot leak between the
@@ -106,6 +106,28 @@ def hemisphere_dirs(u: np.ndarray) -> np.ndarray:
     r = np.sqrt(u[:, 0])
     z = np.sqrt(1.0 - u[:, 0])
     return np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class TexelRays:
+    """Local (z-up) ray directions dirs [T,rays,3] of the valid texels
+    `texels` (flat atlas indices, row-major) under one sampler config.
+    They depend on neither the mesh nor the pose, so one set serves every
+    frame baked with that config on that atlas."""
+    config: AOSamplerConfig
+    texels: np.ndarray
+    dirs: np.ndarray
+
+
+def texel_rays(config: AOSamplerConfig, atlas: TexelAtlas) -> TexelRays:
+    """The local ray directions of every valid texel of `atlas`; each
+    texel's set is keyed by (seed, flat texel index) only."""
+    texels = np.flatnonzero(atlas.valid.reshape(-1))
+    dirs = np.empty((len(texels), config.rays, 3))
+    for row, k in enumerate(texels):
+        rng = stream(config.seed, "ao", int(k))
+        dirs[row] = hemisphere_dirs(stratified_square(rng, config.rays))
+    return TexelRays(config, texels, dirs)
 
 
 def texel_geometry(mesh: TemplateMesh, atlas: TexelAtlas):
@@ -356,20 +378,26 @@ class UniformGrid:
 
 def compute_ao(mesh: TemplateMesh, config: AOSamplerConfig, resolution: int,
                atlas: TexelAtlas | None = None, frames: np.ndarray | None = None,
-               occluders=None) -> AOMap:
+               occluders=None, rays: TexelRays | None = None) -> AOMap:
     """Visibility per atlas texel of the (posed) template.
 
     Ray sets are keyed by (seed, flat texel index) only, so texel order,
     batching, and the pose all leave the sampling pattern untouched.
     `occluders` appends extra blocking geometry (verts, faces) without
     moving any texel. `frames` overrides the per-texel ray frames (row
-    order: valid texels, row-major).
+    order: valid texels, row-major). `rays` passes the `texel_rays` of
+    this config and atlas, built once for many poses.
     """
     H = W = int(resolution)
     if atlas is None:
         atlas = build_atlas(mesh.uvs, mesh.faces, H, W)
     if atlas.height != H or atlas.width != W:
         raise ValueError("atlas resolution mismatch")
+    if rays is None:
+        rays = texel_rays(config, atlas)
+    elif rays.config != config or not np.array_equal(
+            rays.texels, np.flatnonzero(atlas.valid.reshape(-1))):
+        raise ValueError("rays were built for another sampler config or atlas")
     pts, nrm, ok = texel_geometry(mesh, atlas)
 
     # offset scales with the template itself so extra occluders cannot
@@ -385,17 +413,13 @@ def compute_ao(mesh: TemplateMesh, config: AOSamplerConfig, resolution: int,
 
     if frames is None:
         frames = build_frames(nrm)
-    flat_ids = np.flatnonzero(atlas.valid.reshape(-1))
+    flat_ids = rays.texels
     sel = np.flatnonzero(ok)
     n = config.rays
     values = np.zeros((H, W))
     valid = np.zeros((H, W), dtype=bool)
     if len(sel):
-        local = np.empty((len(sel), n, 3))
-        for row, k in enumerate(sel):
-            rng = stream(config.seed, "ao", int(flat_ids[k]))
-            local[row] = hemisphere_dirs(stratified_square(rng, n))
-        world = np.einsum("tij,tnj->tni", frames[sel], local)
+        world = np.einsum("tij,tnj->tni", frames[sel], rays.dirs[sel])
         origins = np.broadcast_to((pts[sel] + eps * nrm[sel])[:, None, :],
                                   world.shape)
         blocked = grid.any_hit(origins.reshape(-1, 3), world.reshape(-1, 3))

@@ -6,14 +6,16 @@ projected screen coordinates [V,2], camera depths [V] and the texture
 and the soft mask. `RenderTarget.image` and `.mask` are basic-index views
 of it.
 
-Forward stages, plain numpy over [F,Ky,Kx] arrays (one pixel window per
-face):
+Forward stages, plain numpy over one flat list of (face, pixel) pairs:
 
-1. Window layout. Each face touches a Ky x Kx pixel window around its
-   screen bbox, sized so the sigmoid tail dropped outside it is below
-   coverage_tol; one size per call. window=None makes every window the
-   whole image (no truncation; the mode gradient checks run in). Window
-   pixels off the canvas map to a dump bin that scatters drop.
+1. Window layout. Each face touches its own Ky x Kx pixel window around
+   its screen bbox, sized per axis so the sigmoid tail dropped outside it
+   is below coverage_tol, and capped per face at `window`. window=None
+   makes every window the whole image (no truncation; the mode gradient
+   checks run in). Only the on-canvas part of a window is enumerated:
+   pairs run face-major, then by row, then by column, so each face owns
+   one contiguous run (empty for a face with no on-canvas pixel).
+   Per-face constants are gathered once per pair.
 2. Edges and barycentrics. Per edge, the squared distance from the pixel
    center to the segment (projection parameter t clamped to [0,1]); d2
    is the minimum over the three edges. Unnormalized barycentrics are
@@ -28,10 +30,10 @@ face):
    zn + gamma * ln(D) (background pinned at 0); it cancels out of the
    softmax ratio, so it only keeps exp() in range.
 6. Texture. rgb is the bilinear sample at uv (helpers shared with
-   dc.texture_sample), taken only at live pixels: on the canvas with a
-   nonzero face weight. Every other pixel would add an exact zero.
+   dc.texture_sample), taken only at live pairs: those with a nonzero
+   face weight. Every other pair would add an exact zero.
 7. Scatter. rgb * weight, weight and log(1 - D) are summed onto the
-   canvas with np.bincount in window order; image = (sum rgb*w +
+   canvas with np.bincount in pair order; image = (sum rgb*w +
    background * bg_w) / (sum w + bg_w), mask = 1 - exp(sum log(1 - D)).
 
 Every float64 output equals what the same formulas give as a graph of
@@ -39,10 +41,11 @@ generic tape ops (tests/raster_oracle.py): the same operations in the
 same order. In float32 only the scatter sums differ, because np.bincount
 accumulates in float64.
 
-Backward is derived by hand. Saved for it: per edge the pixel-to-vertex
-vectors, the unclamped t, the residual vectors and the edge-winner masks;
-the barycentrics before and after clamping; D, the depth factor, the
-face weight, the live rgb and bilinear taps; the canvas normalisers.
+Backward is derived by hand. Saved for it: the pair layout (face runs
+and canvas index per pair); per edge the pixel-to-vertex vectors, the
+unclamped t, the residual vectors and the edge-winner masks; the
+barycentrics before and after clamping; D, the depth factor, the face
+weight, the live rgb and bilinear taps; the canvas normalisers.
 Detached (no gradient): the inside/outside sign, the window layout and
 the depth shift. Subgradient conventions, as the generic ops had them: a
 clamp passes no gradient where it saturates (t, the barycentrics, zn, and
@@ -50,9 +53,9 @@ the texel coordinates, so uv gets zero gradient where the texel clamp
 saturates); the minimum over edges gives ties to its first argument
 (edge ab before bc before ca). Subnormal coverage and weights are
 flushed to zero in backward, dropping gradient terms below the dtype's
-smallest normal number. Per-face sums reduce contiguous rows; per-vertex
-sums and the texture gradient use np.bincount. Under no_grad the node
-keeps nothing for backward.
+smallest normal number. Per-face sums reduce each face's contiguous run
+(np.add.reduceat); per-vertex sums and the texture gradient use
+np.bincount. Under no_grad the node keeps nothing for backward.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ import numpy as np
 
 from .. import diffcore as dc
 from ..diffcore.geom import (BilinearTaps, bilinear_sample, bilinear_tex_grad,
-                             bilinear_uv_grad, window_indices)
+                             bilinear_uv_grad)
 from ..diffcore.ops import _expit
 from ..diffcore.tensor import make_node
 from .camera import Camera, project
@@ -76,12 +79,17 @@ class RasterConfig:
     background: tuple = (0.0, 0.0, 0.0)
     znear: float = 1.0
     zfar: float = 6.0
-    window: int | None = 16       # max window size; None = full image
+    window: int | None = 16       # max window size per face; None = full image
     coverage_tol: float = 1e-4    # sigmoid tail allowed outside a window
 
     def __post_init__(self):
         if self.sigma_r <= 0 or self.gamma <= 0:
             raise ValueError("sigma_r and gamma must be positive")
+        if self.window is not None and not (isinstance(self.window, (int, np.integer))
+                                            and self.window >= 2):
+            raise ValueError(f"window must be None or an int >= 2, got {self.window!r}")
+        if not 0.0 < self.coverage_tol < 1.0:
+            raise ValueError(f"coverage_tol must lie in (0, 1), got {self.coverage_tol!r}")
 
 
 @dataclass
@@ -113,27 +121,44 @@ def rasterize(verts: dc.Tensor, faces: np.ndarray, uvs: np.ndarray,
 
 
 def _window_layout(pf: np.ndarray, H: int, W: int, cfg: RasterConfig):
-    """Window size and top-left corners (oy, ox) [F] from detached screen
-    coordinates pf [F,3,2]."""
+    """On-canvas window of every face from detached screen coordinates
+    pf [F,3,2]: rows y0..y1-1 and columns x0..x1-1, four [F] arrays.
+
+    The window is Ky x Kx pixels centered on the face's bbox widened by
+    the coverage margin, each side its own need capped at `window`, then
+    clipped to the canvas (possibly to nothing)."""
     F = pf.shape[0]
     if cfg.window is None:
-        return H, W, np.zeros(F, dtype=np.intp), np.zeros(F, dtype=np.intp)
+        zero = np.zeros(F, dtype=np.intp)
+        return zero, np.full(F, H, dtype=np.intp), zero, np.full(F, W, dtype=np.intp)
+    if not np.isfinite(pf).all():
+        raise ValueError("non-finite screen coordinates")
     margin = float(np.sqrt(cfg.sigma_r * np.log(1.0 / cfg.coverage_tol))) + 1.0
-    xmin = pf[:, :, 0].min(axis=1) - margin
-    xmax = pf[:, :, 0].max(axis=1) + margin
-    ymin = pf[:, :, 1].min(axis=1) - margin
-    ymax = pf[:, :, 1].max(axis=1) + margin
-    need = max(float((xmax - xmin).max()), float((ymax - ymin).max()))
-    K = min(max(int(np.ceil(need)) + 1, 2), max(H, W), cfg.window)
-    # clip origins to the canvas so windows never waste area outside
-    oy = np.clip(np.floor(0.5 * (ymin + ymax)).astype(np.intp) - K // 2, -K + 1, H - 1)
-    ox = np.clip(np.floor(0.5 * (xmin + xmax)).astype(np.intp) - K // 2, -K + 1, W - 1)
-    return K, K, oy, ox
+    lo = pf.min(axis=1) - margin                       # [F,2] as (x, y)
+    hi = pf.max(axis=1) + margin
+    K = np.clip(np.ceil(hi - lo).astype(np.intp) + 1, 2, min(max(H, W), cfg.window))
+    o = np.floor(0.5 * (lo + hi)).astype(np.intp) - K // 2
+    x0, y0 = np.clip(o, 0, (W, H)).T
+    x1, y1 = np.clip(o + K, 0, (W, H)).T
+    return y0, y1, x0, x1
 
 
-def _facesum(a: np.ndarray) -> np.ndarray:
-    """Per-face sum of a contiguous [F,Ky,Kx] array, as [F,1,1]."""
-    return a.reshape(a.shape[0], -1).sum(axis=1).reshape(-1, 1, 1)
+def _ragged(counts):
+    """Position of each element inside its run, for runs of `counts`."""
+    return np.arange(counts.sum(), dtype=np.intp) - np.repeat(np.cumsum(counts) - counts,
+                                                              counts)
+
+
+def _pairs(y0, y1, x0, x1):
+    """Flat (face, pixel) pairs of the windows, face-major, then row, then
+    column: the pair count of every face [F] and the row and column of
+    every pair [P]. Windows expand into row runs, rows into pixels."""
+    ny, nx = y1 - y0, x1 - x0
+    row_face = np.repeat(np.arange(y0.size), ny)
+    row_nx = nx[row_face]
+    ys = np.repeat(y0[row_face] + _ragged(ny), row_nx)
+    xs = np.repeat(x0[row_face], row_nx) + _ragged(row_nx)
+    return ny * nx, ys, xs
 
 
 def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
@@ -141,47 +166,65 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
                  cfg: RasterConfig) -> dc.Tensor:
     """The fused node: screen [V,2], z [V], texture [3,Ht,Wt] -> [4,H,W].
 
-    Pixel arrays are [F,Ky,Kx]; per-face values are [F,1,1]."""
+    Pair arrays are [P]; per-face values are [F]."""
     dt = screen.dtype
     F, V = faces.shape[0], screen.shape[0]
     HW = H * W
     pf = screen.data[faces]                            # [F,3,2]
-    Ky, Kx, oy, ox = _window_layout(pf, H, W, cfg)
+    counts, ys, xs = _pairs(*_window_layout(pf, H, W, cfg))
+    pix = ys * W + xs
+    nonempty = counts > 0
+    starts = (np.cumsum(counts) - counts)[nonempty]
 
-    # pixel centers: x varies along Kx only, y along Ky only
-    px = (ox[:, None, None] + np.arange(Kx, dtype=np.intp)[None, None, :] + 0.5).astype(dt)
-    py = (oy[:, None, None] + np.arange(Ky, dtype=np.intp)[None, :, None] + 0.5).astype(dt)
-    vx = [pf[:, k, 0].reshape(F, 1, 1) for k in range(3)]
-    vy = [pf[:, k, 1].reshape(F, 1, 1) for k in range(3)]
-    zk = [z.data[faces[:, k]].reshape(F, 1, 1) for k in range(3)]
+    def facesum(a):
+        """Per-face sums [F] of a pair array over each face's run; faces
+        with no pair get 0 (reduceat would read a neighbour's element)."""
+        out = np.zeros(F, dtype=dt)
+        out[nonempty] = np.add.reduceat(a, starts)
+        return out
 
-    def edge(j):
-        """Edge j runs from vertex j to vertex j+1 (ab, bc, ca)."""
-        k = (j + 1) % 3
-        ex, ey = vx[k] - vx[j], vy[k] - vy[j]
-        qx, qy = px - vx[j], py - vy[j]                # p - v_j: [F,1,Kx], [F,Ky,1]
-        r = 1.0 / ((ex * ex + ey * ey) + 1e-12)
-        num = qx * ex + qy * ey
-        t0 = num * r
-        t = np.clip(t0, 0.0, 1.0)
-        rx, ry = qx - t * ex, qy - t * ey              # pixel minus closest point
-        return ex, ey, qx, qy, r, num, t0, rx, ry, rx * rx + ry * ry
-
-    ex, ey, qx, qy, r, num, t0, rx, ry, d2 = zip(*(edge(j) for j in range(3)))
-
-    # unnormalized barycentrics: w of vertex (j+2)%3 is cross(e_j, q_j)
-    w = [ex[j] * qy[j] - ey[j] * qx[j] for j in (1, 2, 0)]
+    # per-face constants: vertices, edges (vertex j to j+1: ab, bc, ca)
+    vx = [pf[:, k, 0] for k in range(3)]
+    vy = [pf[:, k, 1] for k in range(3)]
+    zk = [z.data[faces[:, k]] for k in range(3)]
+    ex = [vx[(j + 1) % 3] - vx[j] for j in range(3)]
+    ey = [vy[(j + 1) % 3] - vy[j] for j in range(3)]
+    r = [1.0 / ((ex[j] * ex[j] + ey[j] * ey[j]) + 1e-12) for j in range(3)]
     area2 = ex[0] * (vy[2] - vy[0]) - ey[0] * (vx[2] - vx[0])
     sign_stab = np.where(area2 >= 0.0, 1e-12, -1e-12).astype(dt)
     inv_area = 1.0 / (area2 + sign_stab)
-    bary = [wk * inv_area for wk in w]
+    uvf = uvs[faces].astype(dt)                        # [F,3,2] constant
+    uf = [uvf[:, k, 0] for k in range(3)]
+    vf = [uvf[:, k, 1] for k in range(3)]
+    # ... gathered once per pair, as rows of one [25,P] array
+    per_pair = np.repeat(np.stack(vx + vy + ex + ey + r + zk + uf + vf + [inv_area]),
+                         counts, axis=1)
+    vx_p, vy_p, ex_p, ey_p, r_p, zk_p, uf_p, vf_p = (per_pair[i:i + 3] for i in range(0, 24, 3))
+    inv_area_p = per_pair[24]
+
+    px = (xs + 0.5).astype(dt)
+    py = (ys + 0.5).astype(dt)
+
+    def edge(j):
+        qx, qy = px - vx_p[j], py - vy_p[j]            # p - v_j
+        num = qx * ex_p[j] + qy * ey_p[j]
+        t0 = num * r_p[j]
+        t = np.clip(t0, 0.0, 1.0)
+        rx, ry = qx - t * ex_p[j], qy - t * ey_p[j]    # pixel minus closest point
+        return qx, qy, num, t0, rx, ry, rx * rx + ry * ry
+
+    qx, qy, num, t0, rx, ry, d2 = zip(*(edge(j) for j in range(3)))
+
+    # unnormalized barycentrics: w of vertex (j+2)%3 is cross(e_j, q_j)
+    w = [ex_p[j] * qy[j] - ey_p[j] * qx[j] for j in (1, 2, 0)]
+    bary = [wk * inv_area_p for wk in w]
 
     inside = (bary[0] >= 0.0) & (bary[1] >= 0.0) & (bary[2] >= 0.0)
-    s = np.where(inside, 1.0, -1.0).astype(dt) / cfg.sigma_r
+    s = (inside * 2.0 - 1.0).astype(dt) / cfg.sigma_r
     take_ab = d2[0] <= d2[1]
-    m01 = np.where(take_ab, d2[0], d2[1])
+    m01 = np.minimum(d2[0], d2[1])
     take_m01 = m01 <= d2[2]
-    x = np.where(take_m01, m01, d2[2]) * s
+    x = np.minimum(m01, d2[2]) * s
     D = _expit(x)
     log1mD = -np.logaddexp(np.zeros((), dtype=dt), x)
 
@@ -189,22 +232,14 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
     bclip = [np.clip(b, 0.0, 1.0) for b in bary]
     inv_bsum = 1.0 / (((bclip[0] + bclip[1]) + bclip[2]) + 1e-12)
     bn = [b * inv_bsum for b in bclip]
-    uvf = uvs[faces].astype(dt)                        # [F,3,2] constant
-    uf = [uvf[:, k, 0].reshape(F, 1, 1) for k in range(3)]
-    vf = [uvf[:, k, 1].reshape(F, 1, 1) for k in range(3)]
-    u_pix = (bn[0] * uf[0] + bn[1] * uf[1]) + bn[2] * uf[2]
-    v_pix = (bn[0] * vf[0] + bn[1] * vf[1]) + bn[2] * vf[2]
-    z_pix = (bn[0] * zk[0] + bn[1] * zk[1]) + bn[2] * zk[2]
+    u_pix = (bn[0] * uf_p[0] + bn[1] * uf_p[1]) + bn[2] * uf_p[2]
+    v_pix = (bn[0] * vf_p[0] + bn[1] * vf_p[1]) + bn[2] * vf_p[2]
+    z_pix = (bn[0] * zk_p[0] + bn[1] * zk_p[1]) + bn[2] * zk_p[2]
 
     # inverted normalized depth in [0,1], nearer -> larger softmax weight
     zscale = 1.0 / (cfg.zfar - cfg.znear)
     zn_raw = (float(cfg.zfar) - z_pix) * zscale
     zn = np.clip(zn_raw, 0.0, 1.0)
-
-    # canvas index per window pixel; off-canvas pixels go to a dump bin
-    # at HW that every scatter drops and every gather reads as zero
-    ys, xs, valid = window_indices(oy, ox, Ky, Kx, H, W)
-    pix = np.where(valid, ys * W + xs, HW).reshape(-1)
 
     # Per-pixel shift of the depth exponent (detached; see the module
     # docstring). D underflows to exact 0 in float32; log -> -inf is
@@ -212,54 +247,50 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
     # floor at the dtype's tiny.
     tiny = np.finfo(dt).tiny
     logw = zn + cfg.gamma * np.log(np.maximum(D, tiny))
-    smap = np.zeros(HW + 1, dtype=dt)                  # background log-weight 0
-    np.maximum.at(smap, pix, logw.reshape(-1))
-    shift = smap[pix].reshape(F, Ky, Kx)
-    edepth = np.exp((zn - shift) * (1.0 / cfg.gamma))
+    smap = np.zeros(HW, dtype=dt)                      # background log-weight 0
+    np.maximum.at(smap, pix, logw)
+    edepth = np.exp((zn - smap[pix]) * (1.0 / cfg.gamma))
     wdepth = D * edepth
-    bgw = np.exp(-smap[:HW] / dt.type(cfg.gamma))
+    bgw = np.exp(-smap / dt.type(cfg.gamma))
 
-    # Texture only at live pixels (on the canvas, nonzero weight): the
-    # color scatter of any other pixel adds exact zeros or lands in the
-    # dump bin, so leaving it out changes no sum.
-    live = np.flatnonzero((wdepth != 0.0) & valid)
+    # Texture only at live pairs (nonzero weight): the color scatter of
+    # any other pair adds exact zeros, so leaving it out changes no sum.
+    live = np.flatnonzero(wdepth != 0.0)
     pix_live = pix[live]
-    w_live = wdepth.reshape(-1)[live]
+    w_live = wdepth[live]
     C, Ht, Wt = texture.shape
-    taps = BilinearTaps(u_pix.reshape(-1)[live], v_pix.reshape(-1)[live], Ht, Wt,
-                        texture.dtype)
+    taps = BilinearTaps(u_pix[live], v_pix[live], Ht, Wt, texture.dtype)
     rgb, slopes = bilinear_sample(texture.data.reshape(C, Ht * Wt), taps)
 
     def scatter(idx, vals):
-        return np.bincount(idx, vals, minlength=HW + 1)[:HW].astype(dt)
+        return np.bincount(idx, vals, minlength=HW).astype(dt)
 
-    inv_den = 1.0 / (scatter(pix, wdepth.reshape(-1)) + bgw)
+    inv_den = 1.0 / (scatter(pix, wdepth) + bgw)
     bg = np.asarray(cfg.background, dtype=dt)
     out = np.empty((C + 1, HW), dtype=dt)
     for c in range(C):
         out[c] = (scatter(pix_live, rgb[c] * w_live) + bg[c] * bgw) * inv_den
-    emask = np.exp(scatter(pix, log1mD.reshape(-1)))
+    emask = np.exp(scatter(pix, log1mD))
     out[C] = 1.0 - emask
 
     def backward(g):
         g = g.reshape(C + 1, HW)
         # canvas gradients (image channels, weight sum, log(1 - D) sum),
-        # then gathered back to the windows (live pixels for the colors)
-        gcanvas = np.zeros((C + 2, HW + 1), dtype=dt)
-        gcanvas[:C, :HW] = g[:C] * inv_den
-        gcanvas[C, :HW] = -(g[:C] * out[:C]).sum(axis=0) * inv_den
-        gcanvas[C + 1, :HW] = -g[C] * emask
+        # then gathered back to the pairs (live pairs for the colors)
+        gcanvas = np.empty((C + 2, HW), dtype=dt)
+        gcanvas[:C] = g[:C] * inv_den
+        gcanvas[C] = -(g[:C] * out[:C]).sum(axis=0) * inv_den
+        gcanvas[C + 1] = -g[C] * emask
         g_rgb = gcanvas[:C, pix_live]                  # [3,live]
         g_w = gcanvas[C, pix]
         g_w[live] += (g_rgb[0] * rgb[0] + g_rgb[1] * rgb[1]) + g_rgb[2] * rgb[2]
-        g_w = g_w.reshape(F, Ky, Kx)
-        g_l = gcanvas[C + 1, pix].reshape(F, Ky, Kx)
+        g_l = gcanvas[C + 1, pix]
 
         # subnormal coverage and weights (far outside a face) carry no
         # usable gradient but make every product they enter slow
-        Dn = np.where(D < tiny, 0.0, D)
-        wn = np.where(wdepth < tiny, 0.0, wdepth)
-        g_rgb *= wn.reshape(-1)[live]
+        Dn = D * (D >= tiny)
+        wn = wdepth * (wdepth >= tiny)
+        g_rgb *= wn[live]
         # D feeds the face weight and log(1 - D) = -softplus(x), whose
         # x-derivative is -sigmoid(x) = -D
         g_x = Dn * (g_w * edepth * (1.0 - Dn) - g_l)
@@ -269,29 +300,28 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
             texture.accumulate_grad(bilinear_tex_grad(g_rgb, taps, texture.dtype))
         if not (screen.requires_grad or z.requires_grad):
             return
-        du, dv = np.zeros((2, F * Ky * Kx), dtype=dt)
+        du, dv = np.zeros((2, pix.size), dtype=dt)
         du[live], dv[live] = bilinear_uv_grad(g_rgb, taps, slopes)
-        du, dv = du.reshape(F, Ky, Kx), dv.reshape(F, Ky, Kx)
 
         fl = faces.ravel()
         if z.requires_grad:
-            g_zf = np.stack([_facesum(g_zpix * b)[:, 0, 0] for b in bn], axis=1)
+            g_zf = np.stack([facesum(g_zpix * b) for b in bn], axis=1)
             z.accumulate_grad(np.bincount(fl, g_zf.ravel(), minlength=V).astype(dt))
         if not screen.requires_grad:
             return
 
         # renormalised, clamped barycentrics -> raw barycentrics
-        g_bn = [du * uf[k] + dv * vf[k] + g_zpix * zk[k] for k in range(3)]
+        g_bn = [du * uf_p[k] + dv * vf_p[k] + g_zpix * zk_p[k] for k in range(3)]
         g_sum = -((g_bn[0] * bclip[0] + g_bn[1] * bclip[1]) + g_bn[2] * bclip[2]) \
             * inv_bsum * inv_bsum
         g_b = [(g_bn[k] * inv_bsum + g_sum) * ((bary[k] > 0.0) & (bary[k] < 1.0))
                for k in range(3)]
-        g_area = -_facesum((g_b[0] * w[0] + g_b[1] * w[1]) + g_b[2] * w[2]) \
+        g_area = -facesum((g_b[0] * w[0] + g_b[1] * w[1]) + g_b[2] * w[2]) \
             * inv_area * inv_area
 
-        # per-face gradients of the three vertices, [F,1,1] each
-        gvx = [np.zeros((F, 1, 1), dtype=dt) for _ in range(3)]
-        gvy = [np.zeros((F, 1, 1), dtype=dt) for _ in range(3)]
+        # per-face gradients of the three vertices, [F] each
+        gvx = [np.zeros(F, dtype=dt) for _ in range(3)]
+        gvy = [np.zeros(F, dtype=dt) for _ in range(3)]
         # edge distances: only the edge that won the min gets the gradient
         g2_d2 = 2.0 * g_x * s
         win = (take_m01 & take_ab, take_m01 & ~take_ab, ~take_m01)
@@ -300,16 +330,16 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
             g2 = g2_d2 * win[j]
             grx, gry = rx[j] * g2, ry[j] * g2
             t = np.clip(t0[j], 0.0, 1.0)
-            g_t = -(grx * ex[j] + gry * ey[j]) * ((t0[j] > 0.0) & (t0[j] < 1.0))
-            g_num = g_t * r[j]
-            g_ee = -_facesum(g_t * num[j]) * r[j] * r[j]
-            g_wo = g_b[opp] * inv_area                 # w[opp] = ex*qy - ey*qx
-            s_num, s_wo = _facesum(g_num), _facesum(g_wo)
-            g_ex = _facesum(g_wo * qy[j] - t * grx + g_num * qx[j]) + 2.0 * ex[j] * g_ee
-            g_ey = _facesum(-g_wo * qx[j] - t * gry + g_num * qy[j]) + 2.0 * ey[j] * g_ee
+            g_t = -(grx * ex_p[j] + gry * ey_p[j]) * ((t0[j] > 0.0) & (t0[j] < 1.0))
+            g_num = g_t * r_p[j]
+            g_ee = -facesum(g_t * num[j]) * r[j] * r[j]
+            g_wo = g_b[opp] * inv_area_p               # w[opp] = ex*qy - ey*qx
+            s_num, s_wo = facesum(g_num), facesum(g_wo)
+            g_ex = facesum(g_wo * qy[j] - t * grx + g_num * qx[j]) + 2.0 * ex[j] * g_ee
+            g_ey = facesum(-g_wo * qx[j] - t * gry + g_num * qy[j]) + 2.0 * ey[j] * g_ee
             # q_j = p - v_j with p constant; e_j = v_k - v_j
-            gvx[j] -= _facesum(grx) + ex[j] * s_num - ey[j] * s_wo + g_ex
-            gvy[j] -= _facesum(gry) + ey[j] * s_num + ex[j] * s_wo + g_ey
+            gvx[j] -= facesum(grx) + ex[j] * s_num - ey[j] * s_wo + g_ex
+            gvy[j] -= facesum(gry) + ey[j] * s_num + ex[j] * s_wo + g_ey
             gvx[k] += g_ex
             gvy[k] += g_ey
         # area2 = cross(v1 - v0, v2 - v0)
@@ -321,7 +351,7 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
         gvy[2] += g_area * ux
         gvx[0] -= g_area * (wy - uy)
         gvy[0] -= g_area * (ux - wx)
-        g_screen = [np.bincount(fl, np.concatenate(gv_, axis=1).ravel(), minlength=V)
+        g_screen = [np.bincount(fl, np.stack(gv_, axis=1).ravel(), minlength=V)
                     for gv_ in (gvx, gvy)]
         screen.accumulate_grad(np.stack(g_screen, axis=1).astype(dt))
 

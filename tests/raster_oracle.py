@@ -2,9 +2,13 @@
 form of ``dsaa.renderer.rasterize``, built from generic tape ops (about
 180 nodes per call) and the windowed scatter-add defined here.
 
-It computes the same quantities in the same order as the fused node, so
-float64 forwards agree bit for bit and gradients agree to rounding. It
-is a test oracle only; production code calls the fused rasterizer.
+It keeps a uniform [F,Ky,Kx] window per face, Ky x Kx the largest of the
+library's per-face windows (``_window_layout``), anchored at each face's
+own window; pixels outside a face's own window take part in no scatter
+and no shift max. Pairs are thus summed in the fused node's order (face,
+then row, then column), so float64 forwards agree bit for bit and
+gradients agree to rounding. It is a test oracle only; production code
+calls the fused rasterizer.
 """
 
 from __future__ import annotations
@@ -15,17 +19,31 @@ from dsaa import diffcore as dc
 from dsaa.diffcore.tensor import make_node
 from dsaa.renderer import RasterConfig, RenderTarget
 from dsaa.renderer.camera import Camera, project
+from dsaa.renderer.raster import _window_layout
 
 
-def scatter_add_window(vals: dc.Tensor, oy: np.ndarray, ox: np.ndarray, H: int, W: int):
+def window_indices(oy: np.ndarray, ox: np.ndarray, Ky: int, Kx: int, H: int, W: int):
+    """Per-window pixel coordinates: (rows, cols, valid), each [..,Ky,Kx],
+    for windows whose top-left corners sit at (oy, ox)."""
+    ys = oy[..., None, None] + np.arange(Ky, dtype=np.intp)[:, None]
+    xs = ox[..., None, None] + np.arange(Kx, dtype=np.intp)[None, :]
+    ys, xs = np.broadcast_arrays(ys, xs)
+    valid = (ys >= 0) & (ys < H) & (xs >= 0) & (xs < W)
+    return ys, xs, valid
+
+
+def scatter_add_window(vals: dc.Tensor, oy: np.ndarray, ox: np.ndarray, H: int, W: int,
+                       keep=True):
     """Scatter KyxKx windows into an [N,H,W] canvas.
 
     vals [N,F,Ky,Kx]; window f of batch n covers rows oy[n,f]..oy[n,f]+Ky-1
-    and columns ox[n,f]..; out-of-canvas texels are dropped. Backward is a
-    plain gather of the same windows.
+    and columns ox[n,f]..; out-of-canvas texels, and texels where the
+    mask keep (broadcast to vals) is False, are dropped. Backward is a plain
+    gather of the same windows.
     """
     N, F, Ky, Kx = vals.shape
-    ys, xs, valid = dc.window_indices(oy, ox, Ky, Kx, H, W)
+    ys, xs, valid = window_indices(oy, ox, Ky, Kx, H, W)
+    valid = valid & keep
     flat = np.where(valid, ys * W + xs, 0)
     nidx = np.broadcast_to(np.arange(N, dtype=np.intp)[:, None, None, None], flat.shape)
 
@@ -77,26 +95,12 @@ def rasterize_graph(verts: dc.Tensor, faces: np.ndarray, uvs: np.ndarray,
     pf = dc.getitem(screen, faces)                     # [F,3,2]
     zf = dc.getitem(z, faces)                          # [F,3]
 
-    # window layout from detached screen coords
-    pd = pf.data
-    if cfg.window is None:
-        Ky, Kx = H, W
-        oy = np.zeros((1, F), dtype=np.intp)
-        ox = np.zeros((1, F), dtype=np.intp)
-    else:
-        margin = float(np.sqrt(cfg.sigma_r * np.log(1.0 / cfg.coverage_tol))) + 1.0
-        xmin = pd[:, :, 0].min(axis=1) - margin
-        xmax = pd[:, :, 0].max(axis=1) + margin
-        ymin = pd[:, :, 1].min(axis=1) - margin
-        ymax = pd[:, :, 1].max(axis=1) + margin
-        need = max(float((xmax - xmin).max()), float((ymax - ymin).max()))
-        K = min(max(int(np.ceil(need)) + 1, 2), max(H, W), cfg.window)
-        Ky = Kx = K
-        # clip origins to the canvas so windows never waste area outside
-        oy = np.clip(np.floor(0.5 * (ymin + ymax)).astype(np.intp) - K // 2,
-                     -K + 1, H - 1)[None, :]
-        ox = np.clip(np.floor(0.5 * (xmin + xmax)).astype(np.intp) - K // 2,
-                     -K + 1, W - 1)[None, :]
+    # each face's own window from the library's layout (detached screen
+    # coords), placed in a uniform window that holds the largest of them
+    y0, y1, x0, x1 = _window_layout(pf.data, H, W, cfg)
+    Ky = max(int((y1 - y0).max()), 1)
+    Kx = max(int((x1 - x0).max()), 1)
+    oy, ox = y0[None, :], x0[None, :]
 
     # pixel center grids per window, constants
     py = (oy[0][:, None, None] + np.arange(Ky, dtype=np.intp)[None, :, None] + 0.5).astype(dt)
@@ -166,7 +170,9 @@ def rasterize_graph(verts: dc.Tensor, faces: np.ndarray, uvs: np.ndarray,
     # using detached data for the shift changes neither value nor gradient.
     # The shift is the max full log-weight zn + gamma*ln(D), which bounds
     # the largest weight near 1 and the denominator away from 0.
-    ys, xs, validw = dc.window_indices(oy[0], ox[0], Ky, Kx, H, W)
+    ys, xs, validw = window_indices(oy[0], ox[0], Ky, Kx, H, W)
+    own = (ys < y1[:, None, None]) & (xs < x1[:, None, None])
+    validw &= own
     # D underflows to exact 0 in float32; log -> -inf is correct here (the
     # face cannot win the max) but would warn, so floor at the dtype's tiny
     logw = zn.data + cfg.gamma * np.log(np.maximum(D.data, np.finfo(dt).tiny))
@@ -182,7 +188,7 @@ def rasterize_graph(verts: dc.Tensor, faces: np.ndarray, uvs: np.ndarray,
     chans.append(log1mD)
     stackv = dc.stack(chans)                                          # [5,F,Ky,Kx]
     canvas = scatter_add_window(stackv, np.broadcast_to(oy, (5, F)),
-                                np.broadcast_to(ox, (5, F)), H, W)  # [5,H,W]
+                                np.broadcast_to(ox, (5, F)), H, W, own)  # [5,H,W]
 
     den = dc.add(dc.getitem(canvas, 3), bgw)
     inv_den = dc.reciprocal(den)

@@ -12,7 +12,7 @@ from dsaa import body
 from dsaa.synthdata import default_scene
 from dsaa.occlusion import (AOSamplerConfig, ao_oracle, build_frames,
                             compute_ao, ray_any_hit, texel_geometry,
-                            UniformGrid)
+                            texel_rays, UniformGrid)
 
 
 def wall_visibility(d, h):
@@ -361,3 +361,28 @@ def test_default_figure_golden_map():
         "d156da2d2740808b1aeffee7f25bbc2710c0d03145576137f17cf8e9a2a9eaa2")
     assert hashlib.sha256(ao.valid.tobytes()).hexdigest() == (
         "cd5f51b072e013b794b71f99ce265dbfe55e18b8646ca06bdab4a61afb601127")
+
+
+def test_shared_texel_rays_give_the_same_maps():
+    # one set of local ray directions serves every pose, and a set built
+    # for another sampler config or atlas is refused
+    fig = default_scene().figure
+    tpl, sk = fig.template, fig.skeleton
+    cfg = AOSamplerConfig(rays=16, seed=3)
+    atlas = body.build_atlas(tpl.uvs, tpl.faces, 16, 16)
+    rays = texel_rays(cfg, atlas)
+    for k in range(2):
+        theta = 0.4 * np.sin(np.arange(3 * len(sk.names)) + k)
+        posed = body.lbs_apply(tpl.verts, body.forward_kinematics(sk, theta),
+                               tpl.weights)
+        mesh = body.TemplateMesh(posed, tpl.faces, tpl.uvs, tpl.weights)
+        fresh = compute_ao(mesh, cfg, 16, atlas=atlas)
+        shared = compute_ao(mesh, cfg, 16, atlas=atlas, rays=rays)
+        assert shared.values.tobytes() == fresh.values.tobytes()
+        npt.assert_array_equal(shared.valid, fresh.valid)
+    for other in (AOSamplerConfig(rays=16, seed=4), AOSamplerConfig(rays=8, seed=3)):
+        with pytest.raises(ValueError, match="another sampler"):
+            compute_ao(mesh, other, 16, atlas=atlas, rays=rays)
+    with pytest.raises(ValueError, match="another sampler"):
+        compute_ao(mesh, cfg, 8, atlas=body.build_atlas(tpl.uvs, tpl.faces, 8, 8),
+                   rays=rays)

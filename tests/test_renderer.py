@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from dsaa import diffcore as dc, renderer, body
+from dsaa.renderer import raster
 
 
 def front_cam(side=32, f=32.0):
@@ -269,3 +270,120 @@ def test_look_at_points_camera_at_target():
     xy, z = renderer.project(cam, dc.Tensor(np.zeros((1, 3))))
     npt.assert_allclose(xy.data, [[16.0, 16.0]], atol=1e-9)
     assert z.data[0] > 0
+
+
+# ------------------------------------------------------- per-face windows
+
+MIX_CAM = front_cam(side=64, f=64.0)
+
+
+def to_world(sx, sy, z):
+    """World points at depth z that MIX_CAM projects to screen (sx, sy)."""
+    c = MIX_CAM
+    return np.stack([(np.asarray(sx) - c.cx) * z / c.fx,
+                     (np.asarray(sy) - c.cy) * z / c.fy,
+                     np.full(np.shape(sx), z)], axis=-1)
+
+
+def small_mesh():
+    """A 6x6 grid of 2.5-pixel cells (72 small triangles) near the top-left
+    corner of MIX_CAM's canvas."""
+    g = 8.0 + 2.5 * np.arange(7)
+    sx, sy = np.meshgrid(g, g)
+    verts = to_world(sx.ravel(), sy.ravel(), 2.5)
+    k = (np.arange(6)[:, None] * 7 + np.arange(6)[None, :]).ravel()
+    faces = np.concatenate([np.stack([k, k + 1, k + 8], 1),
+                            np.stack([k, k + 8, k + 7], 1)])
+    uvs = np.stack([sx.ravel(), sy.ravel()], 1) / 64.0
+    return verts, faces, uvs
+
+
+def mixed_mesh():
+    """small_mesh plus one large triangle far from it: 12 x 6 pixels on
+    screen, so its window needs 19 x 13 pixels."""
+    verts, faces, uvs = small_mesh()
+    big = to_world(np.array([40.0, 52.0, 44.0]), np.array([40.0, 41.0, 46.0]), 3.0)
+    faces = np.concatenate([faces, len(verts) + np.array([[0, 1, 2]])])
+    uvs = np.concatenate([uvs, [[0.6, 0.6], [0.9, 0.6], [0.7, 0.8]]])
+    return np.concatenate([verts, big]), faces, uvs
+
+
+def screen_faces(verts, faces):
+    screen, _ = renderer.project(MIX_CAM, dc.Tensor(verts))
+    return screen.data[faces]
+
+
+def expected_windows(pf, cfg, side=64):
+    """Per-face windows by the documented rule: per axis, the face's bbox
+    widened by the coverage margin, ceil + 1 pixels capped at cfg.window,
+    centered on the box and clipped to the canvas. Rows (y0, y1), then
+    columns (x0, x1)."""
+    margin = np.sqrt(cfg.sigma_r * np.log(1.0 / cfg.coverage_tol)) + 1.0
+    out = []
+    for axis in (1, 0):
+        lo = pf[:, :, axis].min(axis=1) - margin
+        hi = pf[:, :, axis].max(axis=1) + margin
+        k = np.minimum(np.ceil(hi - lo).astype(int) + 1, cfg.window)
+        o = np.floor(0.5 * (lo + hi)).astype(int) - k // 2
+        out += [np.clip(o, 0, side), np.clip(o + k, 0, side)]
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_far_large_face_leaves_other_windows_alone(dtype):
+    # every face sizes its own window, so adding a large triangle changes
+    # no pixel outside that triangle's window, not even in the tails
+    cfg = renderer.RasterConfig()
+    tex = np.random.default_rng(4).random(size=(3, 8, 8)).astype(dtype)
+    renders = []
+    for verts, faces, uvs in (small_mesh(), mixed_mesh()):
+        rt = renderer.rasterize(dc.Tensor(verts.astype(dtype)), faces, uvs,
+                                dc.Tensor(tex), MIX_CAM, cfg)
+        renders.append((rt.image.data, rt.mask.data))
+    verts, faces, _ = mixed_mesh()
+    y0, y1, x0, x1 = expected_windows(screen_faces(verts, faces)[-1:], cfg)
+    outside = np.ones((64, 64), dtype=bool)
+    outside[y0[0]:y1[0], x0[0]:x1[0]] = False
+    assert outside.sum() > 3000
+    (img_a, mask_a), (img_b, mask_b) = renders
+    npt.assert_array_equal(img_a[:, outside], img_b[:, outside])
+    npt.assert_array_equal(mask_a[outside], mask_b[outside])
+    assert not np.array_equal(mask_a, mask_b)
+
+
+def test_window_layout_gives_each_face_its_own_capped_need():
+    cfg = renderer.RasterConfig()
+    verts, faces, _ = mixed_mesh()
+    pf = screen_faces(verts, faces)
+    y0, y1, x0, x1 = raster._window_layout(pf, 64, 64, cfg)
+    for got, want in zip((y0, y1, x0, x1), expected_windows(pf, cfg)):
+        npt.assert_array_equal(got, want)
+    # small faces need 9 x 9, the large one 19 x 13, capped to 16 x 13
+    assert set(zip(x1[:-1] - x0[:-1], y1[:-1] - y0[:-1])) == {(9, 9)}
+    assert (x1[-1] - x0[-1], y1[-1] - y0[-1]) == (16, 13)
+
+
+def test_mixed_windows_match_dense():
+    verts, faces, uvs = mixed_mesh()
+    tex = np.random.default_rng(5).random(size=(3, 8, 8))
+    dense = renderer.rasterize(dc.Tensor(verts), faces, uvs, dc.Tensor(tex), MIX_CAM, DENSE)
+    win = renderer.rasterize(dc.Tensor(verts), faces, uvs, dc.Tensor(tex), MIX_CAM,
+                             renderer.RasterConfig(window=24))
+    npt.assert_allclose(win.image.data, dense.image.data, atol=5e-4)
+    npt.assert_allclose(win.mask.data, dense.mask.data, atol=5e-4)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"window": 1}, {"window": 0}, {"window": -4}, {"window": 2.5}, {"window": True},
+    {"coverage_tol": 1.0}, {"coverage_tol": 1.5}, {"coverage_tol": 0.0},
+    {"coverage_tol": -1e-4}, {"coverage_tol": float("nan")},
+])
+def test_raster_config_rejects_bad_window_settings(kwargs):
+    with pytest.raises(ValueError):
+        renderer.RasterConfig(**kwargs)
+
+
+def test_raster_config_accepts_window_settings():
+    for window in (2, 16, np.int64(8), None):
+        assert renderer.RasterConfig(window=window).window == window
+    assert renderer.RasterConfig(coverage_tol=0.5).coverage_tol == 0.5
