@@ -1,6 +1,7 @@
 """Gather/scatter style differentiable ops used by the geometry pipeline:
 bilinear texture sampling, blend-skinning application and small
-interpolation-matrix upsamplers.
+interpolation-matrix upsamplers, plus the ragged-run index helper the
+rasterizer and the AO grid share.
 
 Every scatter (np.add.at, np.bincount) applies its updates in index
 order, so repeated runs are bit-identical. The bilinear helpers are
@@ -104,6 +105,12 @@ def texture_sample(tex: Tensor, uv):
             uv.accumulate_grad(np.stack([du, dv], axis=1).astype(uvd.dtype))
 
     return make_node(vals.T, (tex, uv), bw, "texture_sample")
+
+
+def ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """Position of each element inside its run, for consecutive runs of
+    `counts` elements."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def lbs_apply(weights: np.ndarray, transforms: np.ndarray, verts: Tensor):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..body import TemplateMesh, TexelAtlas, build_atlas
+from ..diffcore.geom import ragged_arange
 from ..rng import stream
 
 __all__ = [
@@ -232,12 +233,6 @@ def ray_any_hit(origins, dirs, verts, faces, t_min=0.0, chunk=256):
     return hit
 
 
-def _ragged(counts):
-    """Position of each element inside its run, for runs of `counts`."""
-    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
-                                               counts)
-
-
 class UniformGrid:
     """Axis-aligned uniform grid over a triangle soup for any-hit queries.
 
@@ -292,7 +287,7 @@ class UniformGrid:
         thi = cell_of(corners.max(axis=1) + self._guard)
         span = thi - tlo + 1
         tid = np.repeat(np.arange(F), span.prod(axis=1))
-        k = _ragged(span.prod(axis=1))
+        k = ragged_arange(span.prod(axis=1))
         ny, nz = span[tid, 1], span[tid, 2]
         xyz = tlo[tid] + np.stack([k // (ny * nz), k // nz % ny, k % nz],
                                   axis=1)
@@ -353,7 +348,7 @@ class UniformGrid:
                 cnt = cnt[rows]
                 pr = np.repeat(rows, cnt)
                 tt = self._tris[np.repeat(self._start[cid[rows]], cnt)
-                                + _ragged(cnt)]
+                                + ragged_arange(cnt)]
                 h = _mt_any_hit(
                     np.take(o, pr, axis=1), np.take(d, pr, axis=1),
                     *(np.take(x, tt, axis=-1)

@@ -66,7 +66,7 @@ import numpy as np
 
 from .. import diffcore as dc
 from ..diffcore.geom import (BilinearTaps, bilinear_sample, bilinear_tex_grad,
-                             bilinear_uv_grad)
+                             bilinear_uv_grad, ragged_arange)
 from ..diffcore.ops import _expit
 from ..diffcore.tensor import make_node
 from .camera import Camera, project
@@ -143,12 +143,6 @@ def _window_layout(pf: np.ndarray, H: int, W: int, cfg: RasterConfig):
     return y0, y1, x0, x1
 
 
-def _ragged(counts):
-    """Position of each element inside its run, for runs of `counts`."""
-    return np.arange(counts.sum(), dtype=np.intp) - np.repeat(np.cumsum(counts) - counts,
-                                                              counts)
-
-
 def _pairs(y0, y1, x0, x1):
     """Flat (face, pixel) pairs of the windows, face-major, then row, then
     column: the pair count of every face [F] and the row and column of
@@ -156,8 +150,8 @@ def _pairs(y0, y1, x0, x1):
     ny, nx = y1 - y0, x1 - x0
     row_face = np.repeat(np.arange(y0.size), ny)
     row_nx = nx[row_face]
-    ys = np.repeat(y0[row_face] + _ragged(ny), row_nx)
-    xs = np.repeat(x0[row_face], row_nx) + _ragged(row_nx)
+    ys = np.repeat(y0[row_face] + ragged_arange(ny), row_nx)
+    xs = np.repeat(x0[row_face], row_nx) + ragged_arange(row_nx)
     return ny * nx, ys, xs
 
 

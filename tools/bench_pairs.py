@@ -81,8 +81,8 @@ def summarize(runs: list[dict], better: dict) -> dict:
             "change_better_pairs": wins(side["parent"], side["change"], better)}
 
 
-def _git(*args, cwd=None) -> str:
-    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
+def _git(*args) -> str:
+    return subprocess.run(["git", *args], check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
