@@ -1,6 +1,9 @@
 """The fused rasterizer node against the composed-graph reference
-(tests/raster_oracle.py) on the default figure, plus guards on its
-graph size and its no_grad path."""
+(tests/raster_oracle.py) on the default figure, also moved partly and
+wholly off the canvas, plus guards on its graph size and its no_grad
+path."""
+
+import dataclasses
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +11,8 @@ import pytest
 
 import dsaa.synthdata as sd
 from dsaa import diffcore as dc, renderer
+from dsaa.renderer.camera import project
+from dsaa.renderer.raster import _window_layout
 from raster_oracle import rasterize_graph
 
 
@@ -78,6 +83,59 @@ def test_float32_agrees_with_graph(scene, name, window, subset, cams):
         # carry rounding noise relative to the gradient's own scale
         for a, b in ((fused[2], graph[2]), (fused[3], graph[3])):
             npt.assert_allclose(a, b, rtol=1e-4, atol=1e-4 * np.abs(b).max())
+
+
+def shifted(cam, frac):
+    """`cam` with the principal point moved sideways by frac * width."""
+    return dataclasses.replace(cam, cx=cam.cx + frac * cam.width)
+
+
+def empty_windows(scene, faces, cam, cfg):
+    """Faces of `faces` whose window has no on-canvas pixel under `cam`."""
+    screen, _ = project(cam, dc.Tensor(scene[1]))
+    y0, y1, x0, x1 = _window_layout(screen.data[faces], cam.height, cam.width, cfg)
+    return int(((y1 - y0) * (x1 - x0) == 0).sum())
+
+
+@pytest.mark.parametrize("frac", [0.5, -0.5])
+def test_float64_off_canvas_faces_match_graph(scene, frac):
+    # the figure half off the canvas: faces with an empty pixel run sit
+    # between faces with pixels, which the per-face sums must skip
+    spec, posed, tex = scene
+    fig = spec.figure
+    cfg = raster_config(spec)
+    for k, cam in enumerate(sd.scene_cameras(spec)[:2]):
+        cam = shifted(cam, frac)
+        n_empty = empty_windows(scene, fig.template.faces, cam, cfg)
+        assert 0 < n_empty < len(fig.template.faces)
+        fused, graph = (render_with_grads(fn, posed, tex, fig.template.faces,
+                                          fig.template.uvs, cam, cfg, np.float64, seed=k)
+                        for fn in (renderer.rasterize, rasterize_graph))
+        npt.assert_array_equal(fused[0], graph[0])
+        npt.assert_array_equal(fused[1], graph[1])
+        npt.assert_allclose(fused[3], graph[3], rtol=1e-9, atol=0.0)
+        # vertices whose faces reach the canvas only with their far tail
+        # get near-cancelling sums (down to 1e-50 here): the two summation
+        # orders differ there by rounding at the gradient's own scale
+        npt.assert_allclose(fused[2], graph[2], rtol=1e-9,
+                            atol=1e-12 * np.abs(graph[2]).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_fully_off_canvas_frame_is_background_with_zero_gradients(scene, dtype):
+    spec, posed, tex = scene
+    fig = spec.figure
+    cfg = raster_config(spec)
+    cam = shifted(sd.scene_cameras(spec)[0], 2.0)
+    assert empty_windows(scene, fig.template.faces, cam, cfg) == len(fig.template.faces)
+    image, mask, gv, gt = render_with_grads(renderer.rasterize, posed, tex,
+                                            fig.template.faces, fig.template.uvs,
+                                            cam, cfg, dtype, seed=0)
+    npt.assert_array_equal(image, np.zeros_like(image))   # background (0, 0, 0)
+    npt.assert_array_equal(mask, np.zeros_like(mask))
+    assert gv.dtype == dtype and gt.dtype == dtype
+    npt.assert_array_equal(gv, np.zeros_like(gv))
+    npt.assert_array_equal(gt, np.zeros_like(gt))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

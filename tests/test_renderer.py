@@ -373,6 +373,42 @@ def test_mixed_windows_match_dense():
     npt.assert_allclose(win.mask.data, dense.mask.data, atol=5e-4)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_off_canvas_faces_add_nothing(dtype):
+    # a large triangle between two triangles whose windows miss the canvas:
+    # the large one's window is capped inside it, so the first pair of its
+    # run carries real gradient terms that an empty neighbouring run must
+    # not pick up; the off-canvas faces add no pixel and get no gradient
+    big = to_world(np.array([8.0, 60.0, 30.0]), np.array([8.0, 10.0, 60.0]), 2.5)
+    left = to_world(np.array([-40.0, -30.0, -35.0]), np.array([20.0, 20.0, 30.0]), 2.5)
+    right = to_world(np.array([110.0, 120.0, 115.0]), np.array([20.0, 20.0, 30.0]), 2.5)
+    uv3 = np.array([[0.1, 0.1], [0.9, 0.2], [0.5, 0.9]])
+    tex = np.random.default_rng(6).random(size=(3, 8, 8)).astype(dtype)
+    probe = np.random.default_rng(7).normal(size=(4, 64, 64)).astype(dtype)
+    cfg = renderer.RasterConfig()
+
+    def run(verts, faces, uvs):
+        v = dc.Tensor(verts.astype(dtype), requires_grad=True)
+        t = dc.Tensor(tex, requires_grad=True)
+        rt = renderer.rasterize(v, faces, uvs, t, MIX_CAM, cfg)
+        dc.backward(dc.add(dc.sum_(dc.mul(rt.image, probe[:3])),
+                           dc.sum_(dc.mul(rt.mask, probe[3]))))
+        return rt.image.data, rt.mask.data, v.grad, t.grad
+
+    tri = np.array([[0, 1, 2]])
+    verts = np.concatenate([left, big, right])
+    faces = np.concatenate([tri, tri + 3, tri + 6])
+    y0, y1, x0, x1 = raster._window_layout(screen_faces(verts, faces), 64, 64, cfg)
+    assert list((y1 - y0) * (x1 - x0)) == [0, 16 * 16, 0]
+    image, mask, gv, gt = run(verts, faces, np.concatenate([uv3] * 3))
+    alone = run(big, tri, uv3)
+    assert image.tobytes() == alone[0].tobytes() and mask.tobytes() == alone[1].tobytes()
+    assert gv[3:6].tobytes() == alone[2].tobytes() and gt.tobytes() == alone[3].tobytes()
+    assert np.abs(alone[2]).min() > 0.0
+    npt.assert_array_equal(gv[:3], 0.0)
+    npt.assert_array_equal(gv[6:], 0.0)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"window": 1}, {"window": 0}, {"window": -4}, {"window": 2.5}, {"window": True},
     {"coverage_tol": 1.0}, {"coverage_tol": 1.5}, {"coverage_tol": 0.0},

@@ -1,18 +1,18 @@
 """Alternating parent/change benchmark pairs, written to one JSON file.
 
-    python3 tools/bench_pairs.py --parent REF --out BENCH_<n>.json \
-        [--pairs 10] [--workloads train drive] [--seed 0] [--seconds 15] \
-        [--trace 0]
+    python3 tools/bench_pairs.py --parent REF --out BENCH_<n>.json [--pairs 10]
 
 Run from the repository root. REF is exported (``git archive``) into a
 temporary directory; the change is the working tree itself. For every
-workload, each pair runs ``perfbench/run.py`` once in both trees, the
-parent first in even pairs and the change first in odd ones, so a drift
-of the host's speed does not favour either side. The output holds, per
-workload, every run's ``record`` line and result line, the per-metric
-quartiles and median of both sides, the change/parent ratio of the
-medians and, for the metrics ``BENCHMARK.json`` lists as end-to-end, in
-how many pairs the change was better. Standard library only.
+workload ``BENCHMARK.json`` lists, each pair runs its ``command`` with
+``--workload NAME`` once in both trees (perfbench's own defaults for the
+seed, the run length and tracing), the parent first in even pairs and
+the change first in odd ones, so a drift of the host's speed does not
+favour either side. The output holds, per workload, every run's
+``record`` line and result line, the per-metric quartiles and median of
+both sides, the change/parent ratio of the medians and, for the metrics
+``BENCHMARK.json`` lists as end-to-end, in how many pairs the change was
+better. Standard library only.
 """
 
 from __future__ import annotations
@@ -92,9 +92,8 @@ def _export(ref: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int):
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+def _run(tree: Path, command: list[str], workload: str):
+    cmd = [*command, "--workload", workload]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
@@ -107,10 +106,6 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True, help="git ref of the parent commit")
     p.add_argument("--out", required=True, help="JSON file to write")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--workloads", nargs="+", default=["train", "drive"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seconds", type=float, default=15.0)
-    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
 
     root = Path.cwd()
@@ -120,19 +115,17 @@ def main(argv=None) -> int:
     dirty = bool(_git("status", "--porcelain", "--", "src", "perfbench"))
     out = {"parent": parent_sha,
            "change": _git("rev-parse", "HEAD") + (" + working tree" if dirty else ""),
-           "pairs": args.pairs, "seed": args.seed, "seconds": args.seconds,
-           "trace": args.trace, "workloads": {}}
+           "pairs": args.pairs, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_parent_") as tmp:
         parent_tree = Path(tmp)
         _export(parent_sha, parent_tree)
         trees = {"parent": parent_tree, "change": root}
-        for workload in args.workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             runs = []
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for tree in order:
-                    record, result = _run(trees[tree], workload, args.seed, args.seconds,
-                                          args.trace)
+                    record, result = _run(trees[tree], spec["command"], workload)
                     runs.append({"tree": tree, "pair": pair, "record": record,
                                  "result": result})
                     print(f"{workload} pair {pair} {tree}: correct={result['correct']} "
