@@ -70,17 +70,14 @@ class GeometryEncoder:
             f"{prefix}/head", (self._flat, 2 * d_z), self._flat, 2 * d_z,
             rng, dtype)
 
-    def __call__(self, pos_map) -> LatentDistribution:
-        raw = pos_map.data if isinstance(pos_map, dc.Tensor) else np.asarray(pos_map)
+    def __call__(self, pos_map: np.ndarray) -> LatentDistribution:
+        raw = np.asarray(pos_map)
         if raw.shape != self.ref.shape:
             raise ValueError(
                 f"position map must be {self.ref.shape}, got {raw.shape}")
         if not np.isfinite(raw).all():
             raise ValueError("position map has non-finite texels")
-        if isinstance(pos_map, dc.Tensor):
-            x = pos_map
-        else:
-            x = dc.Tensor(raw.astype(self.ref.dtype))
+        x = dc.Tensor(raw.astype(self.ref.dtype))
         x = dc.mul(dc.sub(x, self.ref), _RESIDUAL_GAIN)
         x = dc.reshape(x, (1,) + self.ref.shape)
         for w, b in self.convs:

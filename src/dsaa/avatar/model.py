@@ -156,10 +156,10 @@ class AvatarModel:
         Path(f"{path}.manifest").write_text(manifest_text(self.config))
 
     @classmethod
-    def load(cls, path, template: TemplateMesh, skeleton: Skeleton,
-             seed: int = 0) -> "AvatarModel":
+    def load(cls, path, template: TemplateMesh,
+             skeleton: Skeleton) -> "AvatarModel":
         config = parse_manifest(Path(f"{path}.manifest").read_text())
-        model = cls(template, skeleton, config, seed=seed)
+        model = cls(template, skeleton, config)
         arrays = dc.load_arrays(path)
         extra = sorted(set(arrays) - set(model.store.names()))
         if extra:

@@ -35,16 +35,14 @@ class ShadowNet:
         self.w3, self.b3 = conv("c3", width, 2 * width, 3)
         self.w4, self.b4 = conv("out", 1, width, 1)
 
-    def __call__(self, ao) -> dc.Tensor:
-        raw = ao.data if isinstance(ao, dc.Tensor) else np.asarray(ao)
-        if raw.shape == (self.res, self.res):
-            raw = raw[None]
-        if raw.shape != (1, self.res, self.res):
+    def __call__(self, ao: np.ndarray) -> dc.Tensor:
+        ao = np.asarray(ao)
+        if ao.shape != (1, self.res, self.res):
             raise ValueError(
-                f"AO map must be [1,{self.res},{self.res}], got {np.shape(ao)}")
-        if not np.isfinite(raw).all():
+                f"AO map must be [1,{self.res},{self.res}], got {ao.shape}")
+        if not np.isfinite(ao).all():
             raise ValueError("AO map has non-finite entries")
-        x = dc.Tensor(raw.astype(self._dt).reshape(1, 1, self.res, self.res))
+        x = dc.Tensor(ao.astype(self._dt).reshape(1, 1, self.res, self.res))
         s = dc.leaky_relu(dc.conv2d(x, self.w0, self.b0, padding=1))
         d = dc.leaky_relu(dc.conv2d(s, self.w1, self.b1, stride=2, padding=1))
         u = dc.leaky_relu(dc.conv_transpose2d(d, self.w2, self.b2))

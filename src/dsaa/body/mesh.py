@@ -44,10 +44,6 @@ class TemplateMesh:
     def vertex_count(self) -> int:
         return self.verts.shape[0]
 
-    @property
-    def joint_count(self) -> int:
-        return self.weights.shape[1]
-
     def neighbor_table(self):
         """(indices [V,Dmax], inv_degree [V]): 1-ring neighbors, rows padded
         with the vertex's own index so padded differences vanish exactly."""

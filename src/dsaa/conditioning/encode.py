@@ -19,10 +19,8 @@ class LocalizedProjector:
     """
 
     def __init__(self, store: dc.ParamStore, prefix: str, masks: InfluenceMask,
-                 hidden: int = 16, out_channels: int = 8,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
-        if rng is None:
-            rng = np.random.default_rng(0)
+                 hidden: int = 16, out_channels: int = 8, *,
+                 rng: np.random.Generator, dtype=np.float32):
         data = masks.data if isinstance(masks, InfluenceMask) else np.asarray(masks)
         n, h, w = data.shape
         self.grid = (h, w)
@@ -46,9 +44,9 @@ class LocalizedProjector:
         h, w = self.grid
         masked = dc.mul(tile2d(x, h, w), self._mask)
         z1 = dc.reshape(dc.matmul(self.w1, dc.reshape(masked, (self.n_signal, h * w))),
-                        (self.w1.data.shape[0], h, w)) + self.b1
-        a1 = dc.tanh(z1)
+                        (self.w1.data.shape[0], h, w))
+        a1 = dc.tanh(dc.add(z1, self.b1))
         z2 = dc.reshape(dc.matmul(self.w2, dc.reshape(a1, (a1.data.shape[0], h * w))),
-                        (self.w2.data.shape[0], h, w)) + self.b2
-        return dc.mul(z2, self._union)
+                        (self.w2.data.shape[0], h, w))
+        return dc.mul(dc.add(z2, self.b2), self._union)
 

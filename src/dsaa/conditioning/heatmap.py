@@ -15,6 +15,8 @@ def influence_heatmap(eval_fn, signal: np.ndarray, k: int, n_perturb: int,
     texel grid; leading axes are averaged. The result is scaled into [0,1]
     (an everywhere-zero response stays zero).
     """
+    if n_perturb < 1:
+        raise ValueError(f"n_perturb must be at least 1, got {n_perturb}")
     signal = np.asarray(signal, dtype=np.float64)
     base = np.asarray(eval_fn(signal), dtype=np.float64)
     acc = np.zeros(base.shape[-2:])

@@ -46,9 +46,6 @@ class InfluenceMask:
     def face(self) -> np.ndarray:
         return self.data[self.n_pose: self.n_pose + self.n_face]
 
-    def union(self) -> np.ndarray:
-        return self.data.any(axis=0)
-
 
 def dilate(mask) -> np.ndarray:
     """One texel of 8-neighbourhood dilation (a 3x3 conv's reach), as bool."""
@@ -64,10 +61,9 @@ def dilate(mask) -> np.ndarray:
 
 def build_masks(template: TemplateMesh, skeleton: Skeleton, height: int,
                 width: int, tau: float = 0.05, n_face: int = 4,
-                head_joint: str = "head", atlas=None) -> InfluenceMask:
+                head_joint: str = "head") -> InfluenceMask:
     """Binary per-scalar influence channels on a height*width UV grid."""
-    if atlas is None:
-        atlas = build_atlas(template.uvs, template.faces, height, width)
+    atlas = build_atlas(template.uvs, template.faces, height, width)
     J = skeleton.joint_count
     if template.weights.shape[1] != J:
         raise ValueError("weight columns must match joint count")

@@ -32,18 +32,8 @@ class DrivingSignal:
         object.__setattr__(self, "face", face)
         object.__setattr__(self, "view", view)
 
-    def scalars(self) -> np.ndarray:
-        """Maskable scalars, pose first then face (view stays global)."""
-        return np.concatenate([self.theta, self.face])
 
-
-def tile2d(x, h: int, w: int):
-    """Repeat a length-N vector over an h*w grid -> [N,h,w].
-
-    Tensor inputs stay on the tape; plain arrays come back as arrays.
-    """
-    if isinstance(x, dc.Tensor):
-        n = x.data.shape[0]
-        return dc.broadcast_to(dc.reshape(x, (n, 1, 1)), (n, h, w))
-    x = np.asarray(x)
-    return np.broadcast_to(x[:, None, None], (x.shape[0], h, w)).copy()
+def tile2d(x: dc.Tensor, h: int, w: int) -> dc.Tensor:
+    """Repeat a length-N Tensor over an h*w grid -> [N,h,w]."""
+    n = x.data.shape[0]
+    return dc.broadcast_to(dc.reshape(x, (n, 1, 1)), (n, h, w))

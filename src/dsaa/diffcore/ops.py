@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, make_node, _OPS
+from .tensor import Tensor, make_node
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -457,9 +457,3 @@ def linear(x, w, b=None):
     y = matmul(x, w)
     return add(y, b) if b is not None else y
 
-
-_OPS.update({
-    "add": add, "sub": sub, "mul": mul, "neg": neg, "matmul": matmul,
-    "getitem": getitem, "reshape": reshape, "transpose": transpose,
-    "sum": sum_, "mean": mean_,
-})

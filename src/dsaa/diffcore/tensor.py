@@ -86,54 +86,6 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
 
-    # operator sugar, wired up by ops.py at import time
-    def __add__(self, other):
-        return _OPS["add"](self, other)
-
-    def __radd__(self, other):
-        return _OPS["add"](other, self)
-
-    def __sub__(self, other):
-        return _OPS["sub"](self, other)
-
-    def __rsub__(self, other):
-        return _OPS["sub"](other, self)
-
-    def __mul__(self, other):
-        return _OPS["mul"](self, other)
-
-    def __rmul__(self, other):
-        return _OPS["mul"](other, self)
-
-    def __neg__(self):
-        return _OPS["neg"](self)
-
-    def __matmul__(self, other):
-        return _OPS["matmul"](self, other)
-
-    def __getitem__(self, idx):
-        return _OPS["getitem"](self, idx)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return _OPS["reshape"](self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return _OPS["transpose"](self, axes if axes else None)
-
-    def sum(self, axis=None, keepdims=False):
-        return _OPS["sum"](self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return _OPS["mean"](self, axis=axis, keepdims=keepdims)
-
-
-# filled in by ops.py; avoids a circular import
-_OPS: dict = {}
-
 
 def make_node(data: np.ndarray, parents, backward_fn, name: str | None = None) -> Tensor:
     """Create an op output, recording the edge only when grads are live."""

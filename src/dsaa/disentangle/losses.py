@@ -50,7 +50,8 @@ def _bound(stats, c, z, frozen: bool) -> dc.Tensor:
         raise ValueError("pairing shuffle needs a batch of at least 2")
     joint = stats(c, z, frozen=frozen)
     if isinstance(z, dc.Tensor):
-        zhat = dc.concat([z[1:], z[:1]], axis=0)
+        zhat = dc.concat([dc.getitem(z, slice(1, None)),
+                          dc.getitem(z, slice(None, 1))], axis=0)
     else:
         zhat = np.concatenate([z[1:], z[:1]], axis=0)
     marg = stats(c, zhat, frozen=frozen)
@@ -103,8 +104,6 @@ def perturbation_loss(decode_fn, signals, z_samples, corr: CorrespondenceSet) ->
     total = None
     for b in range(n):
         out = decode_fn(signals[b], z_samples[b])
-        if not isinstance(out, dc.Tensor):
-            out = dc.Tensor(np.asarray(out))
         if out.ndim != 2:
             raise ValueError(f"decoder output must be 2-d, got {out.shape}")
         if max(rows) >= out.shape[0]:

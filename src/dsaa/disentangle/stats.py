@@ -19,12 +19,10 @@ class StatisticsNet:
     """
 
     def __init__(self, store: dc.ParamStore, prefix: str, n_signal: int,
-                 n_latent: int, width: int = 64,
-                 rng: np.random.Generator | None = None, dtype=np.float64):
+                 n_latent: int, width: int = 64, *,
+                 rng: np.random.Generator, dtype=np.float64):
         if n_signal < 1 or n_latent < 1 or width < 1:
             raise ValueError("input dims and width must be positive")
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.n_signal = n_signal
         self.n_latent = n_latent
 

@@ -2,7 +2,7 @@
 
 from .config import (ABLATIONS, TrainConfig, apply_ablation, config_text,
                      load_config, parse_config, parse_data_config)
-from .data import FrameBundle, TrainData
+from .data import TrainData
 from .trainer import TrainingDiverged, TrainResult, train
 from .evaluate import (VARIANT_LABELS, build_report, drive, eval_errors,
                        heatmap_locality, latent_mi, load_model, open_run,
@@ -11,7 +11,7 @@ from .evaluate import (VARIANT_LABELS, build_report, drive, eval_errors,
 __all__ = [
     "ABLATIONS", "TrainConfig", "apply_ablation", "config_text",
     "load_config", "parse_config", "parse_data_config",
-    "FrameBundle", "TrainData",
+    "TrainData",
     "TrainingDiverged", "TrainResult", "train",
     "VARIANT_LABELS", "build_report", "drive", "eval_errors",
     "heatmap_locality", "latent_mi", "load_model", "open_run",

@@ -98,6 +98,8 @@ def _cmd_gen_data(args) -> int:
         n_frames = args.frames
     if args.test_fraction is not None:
         test_fraction = args.test_fraction
+    if not test_fraction >= 0:
+        raise ValueError(f"test fraction must be >= 0, got {test_fraction}")
     spec = default_scene(**overrides)
     manifest = generate_dataset(spec, args.out, n_frames)
     print(f"generated {n_frames} frames in {args.out}")

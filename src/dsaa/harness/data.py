@@ -14,7 +14,6 @@ of the manifest.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,22 +25,9 @@ from ..body import (TemplateMesh, TexelAtlas, build_atlas, forward_kinematics,
 from ..conditioning import DrivingSignal
 from ..occlusion import AOSamplerConfig, TexelRays, compute_ao, texel_rays
 from ..renderer import Camera
-from ..synthdata import load_frame, load_manifest, scene_cameras
+from ..synthdata import FrameRecord, load_frame, load_manifest, scene_cameras
 
-__all__ = ["FrameBundle", "TrainData"]
-
-
-@dataclass(frozen=True)
-class FrameBundle:
-    """One frame, in the layout the training loop consumes."""
-
-    id: str
-    theta: np.ndarray      # [3J]
-    face: np.ndarray       # [n_face]
-    u: float
-    verts: np.ndarray      # [V,3] registered posed mesh
-    images: np.ndarray     # [n_cam,3,H,W] float32
-    masks: np.ndarray      # [n_cam,H,W] float32
+__all__ = ["TrainData"]
 
 
 class TrainData:
@@ -63,7 +49,7 @@ class TrainData:
         self.ao_res = int(ao_res)
         self._atlas = build_atlas(self.template.uvs, self.template.faces,
                                   self.geo_res, self.geo_res)
-        self._frames: dict[str, FrameBundle] = {}
+        self._frames: dict[str, FrameRecord] = {}
         self._pos_maps: dict[str, np.ndarray] = {}
         self._ao: dict[str, np.ndarray] = {}
         self._ao_atlas: TexelAtlas | None = None   # built by the first bake
@@ -81,14 +67,9 @@ class TrainData:
         ids = self.manifest.ids(group="standard", split="train")
         return ids if ids else self.manifest.ids(group="standard")
 
-    def frame(self, frame_id: str) -> FrameBundle:
+    def frame(self, frame_id: str) -> FrameRecord:
         if frame_id not in self._frames:
-            rec = load_frame(self.manifest, frame_id)
-            self._frames[frame_id] = FrameBundle(
-                id=rec.id, theta=rec.theta, face=rec.face, u=float(rec.u),
-                verts=rec.verts,
-                images=np.stack(rec.images).astype(np.float32),
-                masks=np.stack(rec.masks).astype(np.float32))
+            self._frames[frame_id] = load_frame(self.manifest, frame_id)
         return self._frames[frame_id]
 
     def signal(self, frame_id: str, cam: int) -> DrivingSignal:

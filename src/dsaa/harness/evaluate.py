@@ -160,11 +160,16 @@ def drive(model: AvatarModel, data: TrainData, frame_ids, mode: str = "zero",
         raise ValueError(f"unknown imputation mode {mode!r}")
     if mode != "zero" and not model.config.use_latent:
         raise ValueError(f"{mode} imputation needs a latent-capable model")
+    if mode == "fit" and (steps < 0 or not lr > 0):
+        raise ValueError(f"fit mode needs steps >= 0 and lr > 0, got "
+                         f"steps={steps}, lr={lr}")
     from ..renderer import LossWeights
     weights = weights or LossWeights()
     frame_ids = list(frame_ids)
     if not frame_ids:
         raise ValueError("no frames requested")
+    if len(set(frame_ids)) != len(frame_ids):
+        raise ValueError(f"repeated frame ids in {frame_ids}")
     if model.config.use_shadow:
         data.ensure_ao(frame_ids)
 

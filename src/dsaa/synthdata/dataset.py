@@ -51,9 +51,9 @@ class FrameRecord:
     theta: np.ndarray
     face: np.ndarray
     u: float
-    verts: np.ndarray  # posed, wrinkled; the exact geometry behind the gt
-    images: list       # [3,H,W] float per camera
-    masks: list        # [H,W] float per camera
+    verts: np.ndarray   # posed, wrinkled; the exact geometry behind the gt
+    images: np.ndarray  # [n_cam,3,H,W] float32
+    masks: np.ndarray   # [n_cam,H,W] float32
 
 
 @dataclass
@@ -218,11 +218,11 @@ def split_dataset(manifest: DatasetManifest, test_fraction: float,
 def load_frame(manifest: DatasetManifest, frame_id: str) -> FrameRecord:
     d = Path(manifest.root) / "frames" / frame_id
     verts, _, _ = load_obj(d / "mesh.obj")
-    images, masks = [], []
-    for k in range(manifest.spec.n_cameras):
-        images.append(read_ppm(d / f"cam{k}.ppm"))
-        masks.append(read_pgm(d / f"cam{k}_mask.pgm"))
+    cams = range(manifest.spec.n_cameras)
+    images = np.stack([read_ppm(d / f"cam{k}.ppm") for k in cams])
+    masks = np.stack([read_pgm(d / f"cam{k}_mask.pgm") for k in cams])
     return FrameRecord(id=frame_id, theta=_read_floats(d / "theta.txt"),
                        face=_read_floats(d / "f.txt"),
-                       u=float(_read_floats(d / "u.txt")[0]),
-                       verts=verts, images=images, masks=masks)
+                       u=float(_read_floats(d / "u.txt")[0]), verts=verts,
+                       images=images.astype(np.float32),
+                       masks=masks.astype(np.float32))

@@ -163,3 +163,48 @@ def test_drive_on_truncated_checkpoint_exits_2(cli_run, capsys):
                  "--dataset", str(cli_run / "data"), "--frames", frame,
                  "--mode", "zero", "--out", str(cli_run / "drive_cut")]) == 2
     assert "truncated" in capsys.readouterr().err
+
+
+# ------------------------------------------------- inputs rejected with exit 2
+
+@pytest.mark.parametrize("extra", [["--steps", "-1"], ["--lr", "0"]])
+def test_drive_fit_rejects_bad_steps_and_lr(cli_run, capsys, extra):
+    frame = load_manifest(cli_run / "data").ids()[0]
+    out = cli_run / "drive_bad_fit"
+    assert main(["drive", "--checkpoint", str(cli_run / "run"),
+                 "--dataset", str(cli_run / "data"), "--frames", frame,
+                 "--mode", "fit", "--out", str(out), *extra]) == 2
+    assert "fit mode needs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_drive_rejects_repeated_frames(cli_run, capsys):
+    frame = load_manifest(cli_run / "data").ids()[0]
+    out = cli_run / "drive_repeated"
+    assert main(["drive", "--checkpoint", str(cli_run / "run"),
+                 "--dataset", str(cli_run / "data"),
+                 "--frames", f"{frame},{frame}", "--out", str(out)]) == 2
+    assert "repeated frame ids" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_heatmap_rejects_zero_perturbations(cli_run, capsys):
+    out = cli_run / "heat_zero"
+    assert main(["heatmap", "--checkpoint", str(cli_run / "run"),
+                 "--dataset", str(cli_run / "data"), "--out", str(out),
+                 "--indices", "0", "--n-perturb", "0"]) == 2
+    assert "n_perturb" in capsys.readouterr().err
+    assert not list(out.glob("*.pgm"))
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_gen_data_rejects_negative_test_fraction(tmp_path, capsys, where):
+    cfg = tmp_path / "data.cfg"
+    cfg.write_text("data.image_size = 32\n" + (
+        "data.test_fraction = -0.5\n" if where == "config" else ""))
+    extra = ["--test-fraction", "-0.5"] if where == "flag" else []
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out),
+                 "--frames", "2", *extra]) == 2
+    assert "test fraction" in capsys.readouterr().err
+    assert not out.exists()

@@ -273,7 +273,7 @@ def test_perturbation_nonnegative_and_gradient():
     a = dc.Tensor(np.array(1.5), requires_grad=True)
 
     def decode(c, z):
-        return dc.reshape(dc.mul(a, float(z[0])) + float(c), (1, 1))
+        return dc.reshape(dc.add(dc.mul(a, float(z[0])), float(c)), (1, 1))
 
     loss = dis.perturbation_loss(decode, cs, zs, scalar_corr())
     assert float(loss.data) >= 0.0

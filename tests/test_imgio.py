@@ -38,18 +38,6 @@ def test_pgm_8bit_roundtrip(tmp_path):
     npt.assert_array_equal(imgio.read_pgm(p, as_float=False), img)
 
 
-def test_pgm_16bit_roundtrip(tmp_path):
-    r = np.random.default_rng(2)
-    ao = r.random(size=(16, 16))
-    p = tmp_path / "ao.pgm"
-    imgio.write_pgm(p, ao, maxval=65535)
-    back = imgio.read_pgm(p)
-    npt.assert_allclose(back, np.round(ao * 65535) / 65535, atol=1e-12)
-    raw = imgio.read_pgm(p, as_float=False)
-    assert raw.dtype == np.uint16
-    npt.assert_array_equal(raw, np.round(ao * 65535).astype(np.uint16))
-
-
 def test_header_comments_are_skipped(tmp_path):
     p = tmp_path / "c.pgm"
     payload = bytes(range(6))
