@@ -3,7 +3,6 @@
 import numpy as np
 
 from .. import diffcore as dc
-from .masks import InfluenceMask
 from .signal import tile2d
 
 __all__ = ["LocalizedProjector"]
@@ -15,18 +14,18 @@ class LocalizedProjector:
     Weights are shared across texels; only the biases vary spatially, so a
     signal scalar can reach a texel solely through its own mask channel.
     The output is re-masked by the channel union, which keeps texels no
-    scalar influences at exactly zero.
+    scalar influences at exactly zero. `masks` is the [n, h, w] array of
+    the n scalars' influence masks on the h x w grid.
     """
 
-    def __init__(self, store: dc.ParamStore, prefix: str, masks: InfluenceMask,
+    def __init__(self, store: dc.ParamStore, prefix: str, masks: np.ndarray,
                  hidden: int = 16, out_channels: int = 8, *,
                  rng: np.random.Generator, dtype=np.float32):
-        data = masks.data if isinstance(masks, InfluenceMask) else np.asarray(masks)
-        n, h, w = data.shape
+        n, h, w = masks.shape
         self.grid = (h, w)
         self.n_signal = n
-        self._mask = data.astype(dtype)
-        self._union = data.any(axis=0).astype(dtype)[None]
+        self._mask = masks.astype(dtype)
+        self._union = masks.any(axis=0).astype(dtype)[None]
         self.w1 = store.add(f"{prefix}/w1",
                             (rng.normal(size=(hidden, n)) / np.sqrt(n)).astype(dtype))
         self.b1 = store.add(f"{prefix}/b1", np.zeros((hidden, h, w), dtype=dtype))

@@ -5,11 +5,13 @@ Python-number operands stay raw scalars (keeps float32 graphs float32
 under NEP 50 promotion); numpy-array operands are treated as constants
 unless wrapped in a Tensor. Gather/scatter style ops live in geom.py.
 
-Both convolutions are three matrix products around one layout pair:
-_im2col turns windows into rows, _col2im adds rows back into windows.
-conv2d is im2col then a product, and its input gradient a product then
-col2im; conv_transpose2d, its adjoint, swaps the two. Only those two
-helpers know the window layout.
+Both convolutions are three matrix products around one layout pair,
+channel-first so that a product's [C, N*H*W] result is NCHW at N=1:
+_im2col turns the windows into the columns of a [C*kh*kw, N*Ho*Wo]
+matrix, and _col2im adds such columns back into their windows. conv2d
+is W @ im2col(x), with weight gradient g @ colᵀ and input gradient
+col2im(Wᵀ @ g); conv_transpose2d, its adjoint, swaps the two. Only
+those two helpers know the window layout.
 """
 
 from __future__ import annotations
@@ -38,13 +40,10 @@ def _raw(x):
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Numerically stable logistic: 1 / (1 + e) for x >= 0 and e / (1 + e)
+    below, with e = exp(-|x|) <= 1."""
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1 + e)
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -161,13 +160,19 @@ def relu(a):
     return make_node(y, (a,), bw, "relu")
 
 
-def leaky_relu(a, alpha: float = 0.1):
+# the negative slope: max(d, alpha * d) is the leaky ReLU only for
+# 0 <= alpha <= 1, and the backward's slope on d > 0 is exactly 1 only if
+# (1 - alpha) + alpha == 1.0
+LEAKY_ALPHA = 0.1
+
+
+def leaky_relu(a):
     d = a.data
-    y = np.where(d > 0.0, d, alpha * d)
+    y = np.maximum(d, LEAKY_ALPHA * d)
 
     def bw(g):
         if a.requires_grad:
-            a.accumulate_grad(g * np.where(d > 0.0, 1.0, alpha))
+            a.accumulate_grad(g * ((d > 0.0) * (1.0 - LEAKY_ALPHA) + LEAKY_ALPHA))
 
     return make_node(y, (a,), bw, "leaky_relu")
 
@@ -356,30 +361,34 @@ def getitem(a, idx):
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, s: int,
             Ho: int, Wo: int) -> np.ndarray:
-    """The kh x kw windows of xp [N,C,Hp,Wp] at stride s as rows.
+    """The kh x kw windows of xp [N,C,Hp,Wp] at stride s as columns.
 
-    Returns [N*Ho*Wo, C*kh*kw]: rows run over (n, i, j), the output pixels
-    in NHWC order; columns over (c, u, v), so row (n, i, j) is
-    xp[n, :, s*i:s*i+kh, s*j:s*j+kw] flattened.
+    Returns [C*kh*kw, N*Ho*Wo]: rows run over (c, u, v), the weight's own
+    order; columns over (n, i, j), so column (n, i, j) is
+    xp[n, :, s*i:s*i+kh, s*j:s*j+kw] flattened. Filled by one strided
+    slice copy per (u, v); a 1x1 stride-1 window set is a reshape of xp.
     """
     N, C = xp.shape[:2]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::s, ::s]                      # [N,C,Ho,Wo,kh,kw]
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(N * Ho * Wo, C * kh * kw)
+    if kh == kw == 1 and s == 1:
+        return xp.transpose(1, 0, 2, 3).reshape(C, N * Ho * Wo)
+    col = np.empty((C, kh, kw, N, Ho, Wo), dtype=xp.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            col[:, u, v] = xp[:, :, u:u + s * Ho:s, v:v + s * Wo:s].transpose(1, 0, 2, 3)
+    return col.reshape(C * kh * kw, N * Ho * Wo)
 
 
 def _col2im(col: np.ndarray, shape, kh: int, kw: int, s: int,
             Ho: int, Wo: int) -> np.ndarray:
-    """Adjoint of _im2col: add the rows of col [N*Ho*Wo, C*kh*kw], laid out
-    as _im2col makes them, back into their windows of a zero [N,C,Hp,Wp]
-    array `shape`. Overlapping windows sum, in (u, v) order."""
+    """Adjoint of _im2col: add the columns of col [C*kh*kw, N*Ho*Wo], laid
+    out as _im2col makes them, back into their windows of a zero
+    [N,C,Hp,Wp] array `shape`. Overlapping windows sum, in (u, v) order."""
     N, C = shape[:2]
-    col = col.reshape(N, Ho, Wo, C, kh, kw)
+    col = col.reshape(C, kh, kw, N, Ho, Wo)
     out = np.zeros(shape, dtype=col.dtype)
     for u in range(kh):
         for v in range(kw):
-            out[:, :, u:u + s * Ho:s, v:v + s * Wo:s] += \
-                col[:, :, :, :, u, v].transpose(0, 3, 1, 2)
+            out[:, :, u:u + s * Ho:s, v:v + s * Wo:s] += col[:, u, v].transpose(1, 0, 2, 3)
     return out
 
 
@@ -396,19 +405,21 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0):
 
     col = _im2col(xp, kh, kw, s, Ho, Wo)
     w2 = wd.reshape(Co, Ci * kh * kw)
-    out2 = col @ w2.T
+    out2 = w2 @ col
     if b is not None:
-        out2 = out2 + b.data
-    out = out2.reshape(N, Ho, Wo, Co).transpose(0, 3, 1, 2)
+        out2 = out2 + b.data[:, None]
+    out = out2.reshape(Co, N, Ho, Wo).transpose(1, 0, 2, 3)
 
     def bw(g):
-        g2 = g.transpose(0, 2, 3, 1).reshape(N * Ho * Wo, Co)
+        g2 = g.transpose(1, 0, 2, 3).reshape(Co, N * Ho * Wo)
         if b is not None and b.requires_grad:
-            b.accumulate_grad(g2.sum(axis=0))
+            # row by row over the N*Ho*Wo pixels, the pixel-major kernels'
+            # order; a sum along g2's rows would pair terms differently
+            b.accumulate_grad(np.ascontiguousarray(g2.T).sum(axis=0))
         if w.requires_grad:
-            w.accumulate_grad((g2.T @ col).reshape(wd.shape))
+            w.accumulate_grad((g2 @ col.T).reshape(wd.shape))
         if x.requires_grad:
-            dxp = _col2im(g2 @ w2, xp.shape, kh, kw, s, Ho, Wo)
+            dxp = _col2im(w2.T @ g2, xp.shape, kh, kw, s, Ho, Wo)
             x.accumulate_grad(dxp[:, :, p:p + H, p:p + W] if p else dxp)
 
     parents = (x, w) if b is None else (x, w, b)
@@ -430,9 +441,9 @@ def conv_transpose2d(x, w, b=None, stride: int = 2, padding: int = 1):
     Hf = (H - 1) * s + kh
     Wf = (W - 1) * s + kw
 
-    x2 = xd.transpose(0, 2, 3, 1).reshape(N * H * W, Ci)
+    x2 = xd.transpose(1, 0, 2, 3).reshape(Ci, N * H * W)
     w2 = wd.reshape(Ci, Co * kh * kw)
-    yf = _col2im(x2 @ w2, (N, Co, Hf, Wf), kh, kw, s, H, W)
+    yf = _col2im(w2.T @ x2, (N, Co, Hf, Wf), kh, kw, s, H, W)
     out = yf[:, :, p:Hf - p, p:Wf - p] if p else yf
     if b is not None:
         out = out + b.data[None, :, None, None]
@@ -443,10 +454,9 @@ def conv_transpose2d(x, w, b=None, stride: int = 2, padding: int = 1):
         gp = np.pad(g, ((0, 0), (0, 0), (p, p), (p, p))) if p else g
         col = _im2col(gp, kh, kw, s, H, W)
         if x.requires_grad:
-            dx = (col @ w2.T).reshape(N, H, W, Ci)
-            x.accumulate_grad(dx.transpose(0, 3, 1, 2))
+            x.accumulate_grad((w2 @ col).reshape(Ci, N, H, W).transpose(1, 0, 2, 3))
         if w.requires_grad:
-            w.accumulate_grad((x2.T @ col).reshape(wd.shape))
+            w.accumulate_grad((x2 @ col.T).reshape(wd.shape))
 
     parents = (x, w) if b is None else (x, w, b)
     return make_node(out, parents, bw, "conv_transpose2d")

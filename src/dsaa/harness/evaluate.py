@@ -342,13 +342,14 @@ def write_heatmaps(model: AvatarModel, out_dir, indices, signal=None,
     signal = np.asarray(signal, dtype=np.float64)
     if signal.shape != (n,):
         raise ValueError(f"signal must supply {n} scalars, got {signal.shape}")
+    indices = [int(k) for k in indices]
+    for k in indices:
+        if not 0 <= k < n:
+            raise ValueError(f"signal index {k} out of range [0, {n})")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for k in indices:
-        k = int(k)
-        if not 0 <= k < n:
-            raise ValueError(f"signal index {k} out of range [0, {n})")
         heat = influence_heatmap(lambda v: _embed(model, v), signal, k,
                                  n_perturb, seed=seed)
         name = model.masks.names[k].replace(":", "_")

@@ -1,10 +1,13 @@
 """Reference conv2d and conv_transpose2d for the kernel tests: the
-explicit-loop forms that ``dsaa.diffcore.ops`` used before it moved both
-convolutions onto one im2col/col2im pair. The convolution's input
+pixel-major (NHWC) forms that ``dsaa.diffcore.ops`` used before it moved
+both convolutions to a channel-first layout. The convolution's input
 gradient is k*k strided adds; the transpose is ``tensordot`` plus a k*k
-strided scatter. They run the same arithmetic in the same order as the
-im2col forms, so forwards and gradients must agree bit for bit. Test
-oracle only; production code calls ``dsaa.diffcore``.
+strided scatter. ``windows`` and ``add_windows`` are the oracle's window
+matrix and strided-add loop: the channel-first ``_im2col`` must equal the
+first transposed, and ``_col2im`` the second, bit for bit. The products
+built on them sum in another order under BLAS, so forwards and weight and
+input gradients agree to rounding only; bias gradients are bit for bit.
+Test oracle only; production code calls ``dsaa.diffcore``.
 """
 
 from __future__ import annotations
@@ -12,6 +15,30 @@ from __future__ import annotations
 import numpy as np
 
 from dsaa.diffcore.tensor import make_node
+
+
+def windows(xp: np.ndarray, kh: int, kw: int, s: int,
+            Ho: int, Wo: int) -> np.ndarray:
+    """The kh x kw windows of xp [N,C,Hp,Wp] at stride s as the rows of an
+    [N*Ho*Wo, C*kh*kw] matrix: rows over (n, i, j), columns over (c, u, v)."""
+    N, C = xp.shape[:2]
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::s, ::s]                      # [N,C,Ho,Wo,kh,kw]
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(N * Ho * Wo, C * kh * kw)
+
+
+def add_windows(rows: np.ndarray, shape, kh: int, kw: int, s: int,
+                Ho: int, Wo: int) -> np.ndarray:
+    """Adjoint of windows: add the rows of an [N*Ho*Wo, C*kh*kw] matrix back
+    into their windows of a zero array `shape`, one strided add per (u, v)."""
+    N, C = shape[:2]
+    rows = rows.reshape(N, Ho, Wo, C, kh, kw)
+    out = np.zeros(shape, dtype=rows.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            out[:, :, u:u + s * Ho:s, v:v + s * Wo:s] += \
+                rows[:, :, :, :, u, v].transpose(0, 3, 1, 2)
+    return out
 
 
 def conv2d(x, w, b=None, stride: int = 1, padding: int = 0):
@@ -25,9 +52,7 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0):
     Ho = (H + 2 * p - kh) // s + 1
     Wo = (W + 2 * p - kw) // s + 1
 
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::s, ::s]                      # [N,Ci,Ho,Wo,kh,kw]
-    col = win.transpose(0, 2, 3, 1, 4, 5).reshape(N * Ho * Wo, Ci * kh * kw)
+    col = windows(xp, kh, kw, s, Ho, Wo)
     w2 = wd.reshape(Co, Ci * kh * kw)
     out2 = col @ w2.T
     if b is not None:
@@ -41,12 +66,7 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0):
         if w.requires_grad:
             w.accumulate_grad((g2.T @ col).reshape(wd.shape))
         if x.requires_grad:
-            dcol = (g2 @ w2).reshape(N, Ho, Wo, Ci, kh, kw)
-            dxp = np.zeros_like(xp)
-            for u in range(kh):
-                for v in range(kw):
-                    dxp[:, :, u:u + s * Ho:s, v:v + s * Wo:s] += \
-                        dcol[:, :, :, :, u, v].transpose(0, 3, 1, 2)
+            dxp = add_windows(g2 @ w2, xp.shape, kh, kw, s, Ho, Wo)
             x.accumulate_grad(dxp[:, :, p:p + H, p:p + W] if p else dxp)
 
     parents = (x, w) if b is None else (x, w, b)

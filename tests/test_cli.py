@@ -197,6 +197,15 @@ def test_heatmap_rejects_zero_perturbations(cli_run, capsys):
     assert not list(out.glob("*.pgm"))
 
 
+def test_heatmap_checks_indices_before_writing(cli_run, capsys):
+    out = cli_run / "heat_range"
+    assert main(["heatmap", "--checkpoint", str(cli_run / "run"),
+                 "--dataset", str(cli_run / "data"), "--out", str(out),
+                 "--indices", "0,99", "--n-perturb", "2"]) == 2
+    assert "signal index 99 out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("where", ["flag", "config"])
 def test_gen_data_rejects_negative_test_fraction(tmp_path, capsys, where):
     cfg = tmp_path / "data.cfg"

@@ -44,7 +44,7 @@ def strip_rig(ncol=13, grid=16):
 def tiny_projector(masks, seed=0, hidden=6, out=4):
     store = dc.ParamStore()
     rng = np.random.default_rng(seed)
-    proj = cond.LocalizedProjector(store, "p", masks, hidden=hidden,
+    proj = cond.LocalizedProjector(store, "p", masks.data, hidden=hidden,
                                    out_channels=out, rng=rng, dtype=np.float64)
     return store, proj
 
@@ -212,7 +212,7 @@ def test_encode_float32_stays_float32():
     rng = np.random.default_rng(11)
     masks = random_masks(rng)
     store = dc.ParamStore()
-    proj = cond.LocalizedProjector(store, "p", masks, hidden=4, out_channels=3,
+    proj = cond.LocalizedProjector(store, "p", masks.data, hidden=4, out_channels=3,
                                    rng=rng, dtype=np.float32)
     e = proj(dc.Tensor(rng.normal(size=5).astype(np.float32)))
     assert e.data.dtype == np.float32

@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from dsaa import diffcore as dc
+from dsaa.diffcore.ops import LEAKY_ALPHA, _expit
 from raster_oracle import scatter_add_window
 
 
@@ -96,6 +97,57 @@ def test_scatter_add_window_clips_out_of_canvas():
     npt.assert_array_equal(out, [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
 
 
+# ------------------------------------------- mask-free pointwise kernels
+
+def _expit_masked(x):
+    """The boolean-index logistic that _expit replaced."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _edge_values(dtype):
+    """Signed zeros, infinities, subnormals, the extremes, values on both
+    sides of the kinks at 0 and where exp under- or overflows, and a
+    random spread."""
+    fi = np.finfo(dtype)
+    tiny, sub = float(fi.tiny), float(fi.smallest_subnormal)
+    edges = [0.0, np.inf, tiny, sub, tiny / 3, 7 * sub, float(fi.eps),
+             float(fi.max), 1e-30, 0.5, 1.0, 16.0, 17.0, 36.0, 37.0, 88.0,
+             89.0, 104.0, 710.0, 746.0]
+    spread = rng(40).normal(size=200) * np.repeat([1e-3, 1.0, 30.0], [50, 100, 50])
+    x = np.concatenate([edges, spread])
+    return np.concatenate([x, -x]).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_expit_bytes_match_masked_form(dtype):
+    x = _edge_values(dtype)
+    with np.errstate(over="ignore"):
+        want = _expit_masked(x)
+    got = _expit(x)
+    assert got.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_bytes_match_where_form(dtype):
+    alpha = LEAKY_ALPHA
+    assert 0.0 <= alpha <= 1.0 and (1.0 - alpha) + alpha == 1.0
+    d = _edge_values(dtype)
+    g = rng(41).normal(size=d.shape).astype(dtype)
+    x = dc.Tensor(d.copy(), requires_grad=True)
+    y = dc.leaky_relu(x)
+    dc.backward(y, g)
+    assert y.data.tobytes() == np.where(d > 0.0, d, alpha * d).tobytes()
+    want = np.zeros_like(d)
+    want += g * np.where(d > 0.0, 1.0, alpha)
+    assert x.grad.tobytes() == want.tobytes()
+
+
 # --------------------------------------------------------------- FD oracles
 
 FD_TOL = 1e-4   # acceptance line for per-op checks
@@ -152,7 +204,7 @@ def test_fd_relu_leaky_away_from_kink():
     x = rng(17).normal(size=(9,))
     x[np.abs(x) < 0.05] = 0.1
     check(lambda a: dc.sum_(dc.relu(a)), x)
-    check(lambda a: dc.sum_(dc.leaky_relu(a, 0.1)), x)
+    check(lambda a: dc.sum_(dc.leaky_relu(a)), x)
 
 
 def test_fd_minmax_clamp_away_from_ties():
