@@ -366,11 +366,9 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, s: int,
     Returns [C*kh*kw, N*Ho*Wo]: rows run over (c, u, v), the weight's own
     order; columns over (n, i, j), so column (n, i, j) is
     xp[n, :, s*i:s*i+kh, s*j:s*j+kw] flattened. Filled by one strided
-    slice copy per (u, v); a 1x1 stride-1 window set is a reshape of xp.
+    slice copy per (u, v).
     """
     N, C = xp.shape[:2]
-    if kh == kw == 1 and s == 1:
-        return xp.transpose(1, 0, 2, 3).reshape(C, N * Ho * Wo)
     col = np.empty((C, kh, kw, N, Ho, Wo), dtype=xp.dtype)
     for u in range(kh):
         for v in range(kw):

@@ -20,8 +20,8 @@ from conv_oracle import conv2d as oracle_conv2d
 from conv_oracle import conv_transpose2d as oracle_conv_transpose2d
 
 # (block/layer, x shape, w shape, stride, padding) of every conv2d call in
-# one default-config model call, plus the two largest and one 1x1 (whose
-# window matrix is a reshape of x) at batch 8
+# one default-config model call, plus the two largest and one 1x1 at
+# batch 8
 CONV2D = [
     ("enc/c0", (1, 3, 32, 32), (16, 3, 3, 3), 2, 1),
     ("enc/c1", (1, 16, 16, 16), (32, 16, 3, 3), 2, 1),
