@@ -10,7 +10,6 @@ from .ops import (
 from .geom import texture_sample, lbs_apply, upsample2d
 from .adam import Adam, ParamStore
 from .checkpoint import save_arrays, load_arrays, MAGIC
-from .fd import gradcheck, numeric_grad
 
 __all__ = [
     "Tensor", "backward", "no_grad", "nan_checks", "grad_enabled",
@@ -22,5 +21,4 @@ __all__ = [
     "texture_sample", "lbs_apply",
     "upsample2d",
     "Adam", "ParamStore", "save_arrays", "load_arrays", "MAGIC",
-    "gradcheck", "numeric_grad",
 ]

@@ -411,9 +411,7 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0):
     def bw(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(Co, N * Ho * Wo)
         if b is not None and b.requires_grad:
-            # row by row over the N*Ho*Wo pixels, the pixel-major kernels'
-            # order; a sum along g2's rows would pair terms differently
-            b.accumulate_grad(np.ascontiguousarray(g2.T).sum(axis=0))
+            b.accumulate_grad(g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
             w.accumulate_grad((g2 @ col.T).reshape(wd.shape))
         if x.requires_grad:

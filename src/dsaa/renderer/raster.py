@@ -8,13 +8,17 @@ of it.
 
 Forward stages, plain numpy over one flat list of (face, pixel) pairs:
 
-1. Window layout. Each face touches its own Ky x Kx pixel window around
-   its screen bbox, sized per axis so the sigmoid tail dropped outside it
-   is below coverage_tol, and capped per face at `window`. window=None
-   makes every window the whole image (no truncation; the mode gradient
-   checks run in). Only the on-canvas part of a window is enumerated:
-   pairs run face-major, then by row, then by column, so each face owns
-   one contiguous run (empty for a face with no on-canvas pixel).
+1. Pair layout. Each face has its own Ky x Kx pixel window around its
+   screen bbox widened by the coverage margin sqrt(sigma_r *
+   ln(1/coverage_tol)) + 1 px, capped per face at `window` and clipped to
+   the canvas. In each window row only the column span whose pixel
+   centres lie within the margin of the filled triangle is enumerated:
+   one interval per row, in closed form from the screen vertices, since
+   the dilated triangle is convex. Every dropped pair has coverage below
+   coverage_tol. window=None is an infinite margin: every face covers
+   every canvas pixel (no truncation; the mode gradient checks run in).
+   Pairs run face-major, then by row, then by column, so each face owns
+   one contiguous run (empty for a face with no pixel near it).
    Per-face constants are gathered once per pair.
 2. Edges and barycentrics. Per edge, the squared distance from the pixel
    center to the segment (projection parameter t clamped to [0,1]); d2
@@ -46,7 +50,7 @@ and canvas index per pair); per edge the pixel-to-vertex vectors, the
 unclamped t, the residual vectors and the edge-winner masks; the
 barycentrics before and after clamping; D, the depth factor, the face
 weight, the live rgb and bilinear taps; the canvas normalisers.
-Detached (no gradient): the inside/outside sign, the window layout and
+Detached (no gradient): the inside/outside sign, the pair layout and
 the depth shift. Subgradient conventions, as the generic ops had them: a
 clamp passes no gradient where it saturates (t, the barycentrics, zn, and
 the texel coordinates, so uv gets zero gradient where the texel clamp
@@ -120,22 +124,31 @@ def rasterize(verts: dc.Tensor, faces: np.ndarray, uvs: np.ndarray,
     return RenderTarget(dc.getitem(out, slice(0, 3)), dc.getitem(out, 3))
 
 
+def _coverage_margin(cfg: RasterConfig) -> float:
+    """Pixel distance from a face beyond which its coverage is below
+    coverage_tol: sigmoid(-d2 / sigma_r) < coverage_tol once
+    d2 > sigma_r * ln(1 / coverage_tol), plus one pixel to spare."""
+    return float(np.sqrt(cfg.sigma_r * np.log(1.0 / cfg.coverage_tol))) + 1.0
+
+
 def _window_layout(pf: np.ndarray, H: int, W: int, cfg: RasterConfig):
     """On-canvas window of every face from detached screen coordinates
     pf [F,3,2]: rows y0..y1-1 and columns x0..x1-1, four [F] arrays.
 
     The window is Ky x Kx pixels centered on the face's bbox widened by
     the coverage margin, each side its own need capped at `window`, then
-    clipped to the canvas (possibly to nothing)."""
+    clipped to the canvas (possibly to nothing). It bounds the face's
+    pairs: `_span_pairs` keeps the part of it near the face."""
     F = pf.shape[0]
     if cfg.window is None:
         zero = np.zeros(F, dtype=np.intp)
         return zero, np.full(F, H, dtype=np.intp), zero, np.full(F, W, dtype=np.intp)
     if not np.isfinite(pf).all():
         raise ValueError("non-finite screen coordinates")
-    margin = float(np.sqrt(cfg.sigma_r * np.log(1.0 / cfg.coverage_tol))) + 1.0
-    lo = pf.min(axis=1) - margin                       # [F,2] as (x, y)
-    hi = pf.max(axis=1) + margin
+    margin = _coverage_margin(cfg)
+    a, b, c = pf[:, 0], pf[:, 1], pf[:, 2]             # [F,2] as (x, y)
+    lo = np.minimum(np.minimum(a, b), c) - margin
+    hi = np.maximum(np.maximum(a, b), c) + margin
     K = np.clip(np.ceil(hi - lo).astype(np.intp) + 1, 2, min(max(H, W), cfg.window))
     o = np.floor(0.5 * (lo + hi)).astype(np.intp) - K // 2
     x0, y0 = np.clip(o, 0, (W, H)).T
@@ -143,16 +156,85 @@ def _window_layout(pf: np.ndarray, H: int, W: int, cfg: RasterConfig):
     return y0, y1, x0, x1
 
 
-def _pairs(y0, y1, x0, x1):
-    """Flat (face, pixel) pairs of the windows, face-major, then row, then
-    column: the pair count of every face [F] and the row and column of
-    every pair [P]. Windows expand into row runs, rows into pixels."""
-    ny, nx = y1 - y0, x1 - x0
-    row_face = np.repeat(np.arange(y0.size), ny)
-    row_nx = nx[row_face]
-    ys = np.repeat(y0[row_face] + ragged_arange(ny), row_nx)
-    xs = np.repeat(x0[row_face], row_nx) + ragged_arange(row_nx)
-    return ny * nx, ys, xs
+# Pixel centres this far (px) past a row's span are kept as well, so that
+# float64 rounding of the span ends never drops a pair within the margin.
+_SPAN_SLACK = 1e-6
+
+
+def _row_spans(pf: np.ndarray, margin: float, ny: np.ndarray, py: np.ndarray):
+    """Ends (left, right) [R] of the rows' sections of the faces'
+    triangles dilated by `margin`, in float64: ny [F] rows per face, in
+    face order, at pixel-centre heights py [R]. Both ends are nan where
+    the row misses the face.
+
+    The dilated triangle is convex and is the union of the three edge
+    capsules (the triangle's own row section ends on its edges), so the
+    section is the hull of the capsules' sections. A capsule's left end
+    is the least x(t) - sqrt(margin^2 - u(t)^2) over the edge points at
+    t in [0,1], u(t) the row's height above the point: a convex function
+    of t, least at its stationary point (where the row crosses the
+    capsule's offset side) clipped to [0,1] (a vertex disk). Its right
+    end mirrors it. A row parallel to an edge (zero-length edges
+    included) takes t = 0, the disk at the edge's start; the neighbouring
+    capsules hold the disk at its end. The root is nan where the row
+    misses the capsule, and np.fmin/np.fmax skip nan."""
+    v = pf.astype(np.float64).transpose(2, 1, 0)      # [2,3,F] as (x, y)
+    e = v[:, [1, 2, 0]] - v                            # edge j from vertex j to j+1
+    ex, ey = e
+    slanted = ey != 0.0
+    inv_ey = np.divide(1.0, ey, out=np.zeros_like(ey), where=slanted)
+    # the stationary t of the left end is dy / ey - shift, of the right
+    # end dy / ey + shift, dy the row's height above the edge's start
+    shift = np.divide(margin * ex, np.hypot(ex, ey) * np.abs(ey),
+                      out=np.zeros_like(ey), where=slanted)
+    # per-face constants repeated once per row, edge-major [18,R]
+    per_row = np.repeat(np.concatenate([v.reshape(6, -1), e.reshape(6, -1), inv_ey, shift]),
+                        ny, axis=1)
+    vx_r, vy_r, ex_r, ey_r, inv_ey_r, shift_r = (per_row[i:i + 3] for i in range(0, 18, 3))
+    m2 = margin * margin
+    lefts, rights = [], []
+    with np.errstate(invalid="ignore"):
+        for j in range(3):
+            dy = py - vy_r[j]
+            tau = dy * inv_ey_r[j]
+            for out, t, side in ((lefts, tau - shift_r[j], np.subtract),
+                                 (rights, tau + shift_r[j], np.add)):
+                t = np.clip(t, 0.0, 1.0)
+                u = dy - t * ey_r[j]
+                out.append(side(vx_r[j] + t * ex_r[j], np.sqrt(m2 - u * u)))
+    (l0, l1, l2), (r0, r1, r2) = lefts, rights
+    return np.fmin(np.fmin(l0, l1), l2), np.fmax(np.fmax(r0, r1), r2)
+
+
+def _span_pairs(pf: np.ndarray, H: int, W: int, cfg: RasterConfig):
+    """Flat (face, pixel) pairs from detached screen coordinates pf
+    [F,3,2]: the pair count of every face [F] and the row and column of
+    every pair [P].
+
+    Pairs run face-major, then by row, then by column, so each face owns
+    one contiguous run (empty for a face with no pixel near it). Every
+    row of the face's window contributes the columns of its window whose
+    pixel centres lie within the coverage margin (plus _SPAN_SLACK) of
+    the filled triangle. window=None is an infinite margin: whole canvas
+    rows."""
+    y0, y1, x0, x1 = _window_layout(pf, H, W, cfg)
+    ny = y1 - y0
+    row_face = np.repeat(np.arange(pf.shape[0]), ny)
+    row_y = y0[row_face] + ragged_arange(ny)
+    lo, hi = x0[row_face], x1[row_face]
+    if cfg.window is not None:
+        left, right = _row_spans(pf, _coverage_margin(cfg), ny, row_y + 0.5)
+        # columns c with left - slack <= c + 0.5 <= right + slack
+        # (a nan end, a row that misses the face, gives no column)
+        lo = np.fmax(np.fmin(np.ceil(left - (0.5 + _SPAN_SLACK)), hi), lo).astype(np.intp)
+        hi = np.fmax(np.fmin(np.floor(right + (_SPAN_SLACK - 0.5)) + 1.0, hi), lo).astype(np.intp)
+    nx = hi - lo
+    row_end = np.cumsum(nx)
+    ys = np.repeat(row_y, nx)
+    xs = np.repeat(lo - (row_end - nx), nx) + np.arange(ys.size)
+    row_end = np.concatenate([[0], row_end])
+    face_end = np.cumsum(ny)
+    return row_end[face_end] - row_end[face_end - ny], ys, xs
 
 
 def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
@@ -165,7 +247,7 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
     F, V = faces.shape[0], screen.shape[0]
     HW = H * W
     pf = screen.data[faces]                            # [F,3,2]
-    counts, ys, xs = _pairs(*_window_layout(pf, H, W, cfg))
+    counts, ys, xs = _span_pairs(pf, H, W, cfg)
     pix = ys * W + xs
     nonempty = counts > 0
     starts = (np.cumsum(counts) - counts)[nonempty]

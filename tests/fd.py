@@ -1,4 +1,4 @@
-"""Central finite-difference gradient checking.
+"""Central finite-difference gradient checking for the tests.
 
 Every op's backward is validated against this before it is trusted; the
 same harness drives the end-to-end render check. Always float64: the FD
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, backward
+from dsaa.diffcore import Tensor, backward
 
 
 def numeric_grad(fn, tensors, which: int, eps: float = 1e-6,

@@ -4,11 +4,12 @@ form of ``dsaa.renderer.rasterize``, built from generic tape ops (about
 
 It keeps a uniform [F,Ky,Kx] window per face, Ky x Kx the largest of the
 library's per-face windows (``_window_layout``), anchored at each face's
-own window; pixels outside a face's own window take part in no scatter
-and no shift max. Pairs are thus summed in the fused node's order (face,
-then row, then column), so float64 forwards agree bit for bit and
-gradients agree to rounding. It is a test oracle only; production code
-calls the fused rasterizer.
+own window; pixels that are not among the face's pairs in the library's
+layout (``_span_pairs``: the part of its own window within the coverage
+margin of the face) take part in no scatter and no shift max. Pairs are
+thus summed in the fused node's order (face, then row, then column), so
+float64 forwards agree bit for bit and gradients agree to rounding. It
+is a test oracle only; production code calls the fused rasterizer.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dsaa import diffcore as dc
 from dsaa.diffcore.tensor import make_node
 from dsaa.renderer import RasterConfig, RenderTarget
 from dsaa.renderer.camera import Camera, project
-from dsaa.renderer.raster import _window_layout
+from dsaa.renderer.raster import _span_pairs, _window_layout
 
 
 def window_indices(oy: np.ndarray, ox: np.ndarray, Ky: int, Kx: int, H: int, W: int):
@@ -171,7 +172,10 @@ def rasterize_graph(verts: dc.Tensor, faces: np.ndarray, uvs: np.ndarray,
     # The shift is the max full log-weight zn + gamma*ln(D), which bounds
     # the largest weight near 1 and the denominator away from 0.
     ys, xs, validw = window_indices(oy[0], ox[0], Ky, Kx, H, W)
-    own = (ys < y1[:, None, None]) & (xs < x1[:, None, None])
+    counts, pair_y, pair_x = _span_pairs(pf.data, H, W, cfg)
+    pair_face = np.repeat(np.arange(F), counts)
+    own = np.zeros((F, Ky, Kx), dtype=bool)
+    own[pair_face, pair_y - y0[pair_face], pair_x - x0[pair_face]] = True
     validw &= own
     # D underflows to exact 0 in float32; log -> -inf is correct here (the
     # face cannot win the max) but would warn, so floor at the dtype's tiny

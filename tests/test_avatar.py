@@ -7,6 +7,7 @@ import pytest
 
 from dsaa import avatar, body, diffcore as dc, renderer, rng
 from dsaa.conditioning import DrivingSignal
+from fd import gradcheck
 
 
 # ------------------------------------------------------------------ helpers
@@ -470,7 +471,7 @@ def test_render_loss_fd_wrt_decoder_and_shadow_weights():
         return renderer.l2_sum(rt.image, target)
 
     try:
-        err = dc.gradcheck(loss, [k.data for k in keep],
+        err = gradcheck(loss, [k.data for k in keep],
                            eps=1e-4, floor=1e-4, sample=5)
     finally:
         dec.w_trunk, dec.w_tex1, shd.w4 = keep

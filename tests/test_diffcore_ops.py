@@ -8,6 +8,7 @@ import pytest
 from dsaa import diffcore as dc
 from dsaa.diffcore.ops import LEAKY_ALPHA, _expit
 from raster_oracle import scatter_add_window
+from fd import gradcheck
 
 
 def rng(seed=0):
@@ -154,7 +155,7 @@ FD_TOL = 1e-4   # acceptance line for per-op checks
 
 
 def check(fn, *inputs, **kw):
-    err = dc.gradcheck(fn, list(inputs), **kw)
+    err = gradcheck(fn, list(inputs), **kw)
     assert err < FD_TOL, f"FD relative error {err:.3e}"
     return err
 

@@ -12,6 +12,7 @@ from dsaa import body, diffcore as dc, disentangle as dis
 from dsaa.avatar import LatentDistribution
 from dsaa.renderer import LossWeights
 from dsaa.rng import stream
+from fd import gradcheck
 
 
 # ------------------------------------------------------------------ helpers
@@ -239,7 +240,7 @@ def test_adversarial_loss_negates_bound_and_freezes_net():
 def test_adversarial_gradient_matches_fd():
     store, net = make_stats(2, 3, seed=60)
     c = stream(61, "c").standard_normal((6, 2))
-    err = dc.gradcheck(lambda zt: dis.adversarial_dis_loss(net, c, zt),
+    err = gradcheck(lambda zt: dis.adversarial_dis_loss(net, c, zt),
                        [stream(61, "z").standard_normal((6, 3))],
                        eps=1e-6, floor=1e-6)
     assert err < 1e-5

@@ -7,6 +7,7 @@ import pytest
 
 from dsaa import diffcore as dc, renderer, body
 from dsaa.renderer import raster
+from fd import gradcheck
 
 
 def front_cam(side=32, f=32.0):
@@ -178,7 +179,7 @@ def test_fd_gradients_verts_and_texture():
         rt = renderer.rasterize(v, faces, uvs, t, cam, DENSE)
         return dc.sum_(dc.mul(rt.image, probe))
 
-    err = dc.gradcheck(loss, [verts, tex], eps=1e-4, floor=1e-4)
+    err = gradcheck(loss, [verts, tex], eps=1e-4, floor=1e-4)
     assert err < 1e-3, f"render FD rel err {err:.3e}"
 
 
@@ -194,7 +195,7 @@ def test_fd_gradients_mask_path():
         rt = renderer.rasterize(v, faces, uvs, dc.Tensor(tex), cam, DENSE)
         return dc.sum_(dc.mul(rt.mask, probe))
 
-    err = dc.gradcheck(loss, [verts], eps=1e-4, floor=1e-4)
+    err = gradcheck(loss, [verts], eps=1e-4, floor=1e-4)
     assert err < 1e-3, f"mask FD rel err {err:.3e}"
 
 
