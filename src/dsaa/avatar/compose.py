@@ -23,14 +23,14 @@ class AvatarOutput:
     final: dc.Tensor           # [3,Ht,Wt] gain-modulated, clamped to [0,1]
 
 
-def apply_gain(texture: dc.Tensor, gain: dc.Tensor, clamp: bool = True) -> dc.Tensor:
-    """Multiply a texture by its bilinearly upsampled quarter-res gain."""
+def apply_gain(texture: dc.Tensor, gain: dc.Tensor) -> dc.Tensor:
+    """Multiply a texture by its bilinearly upsampled quarter-res gain,
+    clamped to [0, 1]."""
     _, H, W = texture.shape
     if H % 4 or W % 4 or tuple(gain.shape) != (1, H // 4, W // 4):
         raise ValueError(f"gain must be [1,{H // 4},{W // 4}] for a "
                          f"{H}x{W} texture, got {tuple(gain.shape)}")
-    out = dc.mul(texture, dc.upsample2d(gain, 4))
-    return dc.clamp(out, 0.0, 1.0) if clamp else out
+    return dc.clamp(dc.mul(texture, dc.upsample2d(gain, 4)), 0.0, 1.0)
 
 
 def pose(theta, displacement: dc.Tensor, template: TemplateMesh,

@@ -1,6 +1,6 @@
 """Signal-conditioned decoder: tiled latent bottleneck, two upsampling
 stages, localized-embedding concat, then a geometry head and a texture
-branch, plus the architecture-derived influence footprints."""
+branch."""
 
 from __future__ import annotations
 
@@ -8,9 +8,8 @@ import numpy as np
 
 from .. import diffcore as dc
 from ..conditioning import tile2d
-from ..conditioning.masks import dilate
 
-__all__ = ["AvatarDecoder", "displacement_footprint", "texture_footprint"]
+__all__ = ["AvatarDecoder"]
 
 
 class AvatarDecoder:
@@ -68,26 +67,3 @@ class AvatarDecoder:
         tx = dc.leaky_relu(dc.conv2d(tx, self.w_tex1, self.b_tex1, padding=1))
         tex = dc.sigmoid(dc.conv2d(tx, self.w_tex2, self.b_tex2))
         return dc.reshape(tex, (3, tr, tr))
-
-
-def displacement_footprint(mask) -> np.ndarray:
-    """Displacement texels a mask channel can reach: the 3x3 trunk conv
-    grows it by one texel and the 1x1 geometry head adds nothing."""
-    return dilate(mask)
-
-
-def texture_footprint(mask) -> np.ndarray:
-    """Texture pixels a mask channel can reach: one texel for the trunk,
-    then the 4/2/1 transposed conv sends texel i to rows 2i-1..2i+2, then
-    one more pixel for the 3x3 tail. Outside this set the texture is
-    bitwise independent of the signal scalar."""
-    m = dilate(mask)
-    h, w = m.shape
-    up = np.zeros((2 * h, 2 * w), dtype=bool)
-    ii, jj = np.nonzero(m)
-    for di in (-1, 0, 1, 2):
-        for dj in (-1, 0, 1, 2):
-            r, c = 2 * ii + di, 2 * jj + dj
-            ok = (r >= 0) & (r < 2 * h) & (c >= 0) & (c < 2 * w)
-            up[r[ok], c[ok]] = True
-    return dilate(up)

@@ -44,9 +44,6 @@ class TrainConfig:
     seed: int = 0
     checkpoint_every: int = 500
     ablate: str = "ours"
-    eval_frames: int = 200   # per-split cap for error tables
-    drive_steps: int = 40    # fit-mode gradient steps on z
-    drive_lr: float = 0.1
     model: AvatarConfig = AvatarConfig()
     weights: LossWeights = LossWeights()
 
@@ -55,10 +52,8 @@ class TrainConfig:
             raise ValueError("iters must be >= 1 and phase1 >= 0")
         if self.batch < 2:
             raise ValueError("batch must be >= 2")
-        if self.lr <= 0 or self.drive_lr <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.checkpoint_every < 1 or self.eval_frames < 1 or self.drive_steps < 1:
-            raise ValueError("checkpoint_every, eval_frames, drive_steps must be >= 1")
+        if self.lr <= 0 or self.checkpoint_every < 1:
+            raise ValueError("lr must be positive and checkpoint_every >= 1")
         if self.ablate not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablate!r}; "
                              f"choose from {', '.join(ABLATIONS)}")

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import diffcore as dc
-from ..body import (TemplateMesh, TexelAtlas, build_atlas, forward_kinematics,
+from ..body import (TemplateMesh, build_atlas, forward_kinematics,
                     lbs_apply, lbs_unpose, load_mesh, load_skeleton,
                     render_position_map)
 from ..conditioning import DrivingSignal
@@ -52,8 +52,7 @@ class TrainData:
         self._frames: dict[str, FrameRecord] = {}
         self._pos_maps: dict[str, np.ndarray] = {}
         self._ao: dict[str, np.ndarray] = {}
-        self._ao_atlas: TexelAtlas | None = None   # built by the first bake
-        self._ao_rays: TexelRays | None = None     # with the atlas
+        self._ao_rays: TexelRays | None = None     # built by the first bake
         self._ao_dirty = False
 
     # ------------------------------------------------------------- frames
@@ -107,15 +106,12 @@ class TrainData:
             posed = lbs_apply(self.template.verts, tf, self.template.weights)
             mesh = TemplateMesh(posed, self.template.faces, self.template.uvs,
                                 self.template.weights)
-            # default sampler only: the disk cache is keyed by resolution
-            sampler = AOSamplerConfig()
-            if self._ao_atlas is None:
-                self._ao_atlas = build_atlas(self.template.uvs,
-                                             self.template.faces,
-                                             self.ao_res, self.ao_res)
-                self._ao_rays = texel_rays(sampler, self._ao_atlas)
-            amap = compute_ao(mesh, sampler, self.ao_res,
-                              atlas=self._ao_atlas, rays=self._ao_rays)
+            if self._ao_rays is None:
+                # default sampler only: the disk cache is keyed by resolution
+                atlas = build_atlas(self.template.uvs, self.template.faces,
+                                    self.ao_res, self.ao_res)
+                self._ao_rays = texel_rays(AOSamplerConfig(), atlas)
+            amap = compute_ao(mesh, self._ao_rays)
             self._ao[frame_id] = np.where(amap.valid, amap.values,
                                           1.0).astype(np.float32)
             self._ao_dirty = True

@@ -19,8 +19,9 @@ from ..avatar import AvatarModel, parse_manifest
 from ..conditioning import build_masks, influence_heatmap
 from ..disentangle import StatisticsNet, fit_statistics, mi_estimate
 from ..imgio import write_pgm, write_ppm
-from ..renderer import RasterConfig, losses, rasterize
+from ..renderer import LossWeights, losses, rasterize
 from ..rng import stream
+from ..synthdata import raster_config
 from .config import ABLATIONS
 from .data import TrainData
 
@@ -64,10 +65,6 @@ def open_run(checkpoint, dataset) -> tuple[TrainData, AvatarModel]:
     return data, load_model(path, data)
 
 
-def _raster_config(data: TrainData) -> RasterConfig:
-    return RasterConfig(sigma_r=data.spec.sigma_r, gamma=data.spec.gamma_r)
-
-
 def union_l1(pred_img, pred_mask, gt_img, gt_mask) -> float:
     """Mean per-pixel L1 x 255 over the union of the two silhouettes."""
     union = (np.asarray(gt_mask) >= 0.5) | (np.asarray(pred_mask) >= 0.5)
@@ -82,7 +79,7 @@ def _camera_renders(model: AvatarModel, data: TrainData, frame_id: str, z):
     """Yield one RenderTarget per camera, in camera order: the frame's
     geometry and shadow gain decoded once at latent z, the texture for
     that camera's view, then rasterized."""
-    cfg = _raster_config(data)
+    cfg = raster_config(data.spec)
     posed, trunk = model.geometry(data.signal(frame_id, 0), z)
     gain = model.shadow_gain(data.ao(frame_id) if model.config.use_shadow
                              else None)
@@ -113,9 +110,10 @@ def _frame_errors(images, masks, fr) -> list[float]:
 
 # -------------------------------------------------------------------- drive
 
-def _fit_latent(model, data, frame_id, steps, lr, weights):
+def _fit_latent(model, data, frame_id, steps, lr):
     """Per-frame reconstruction: gradient descent on z against the ground
-    truth images over all cameras, keeping the best iterate seen.
+    truth images (default loss weights) over all cameras, keeping the best
+    iterate seen.
 
     Initialization at z = 0 makes the result at least as good as zero
     driving under the reported metric.
@@ -125,6 +123,7 @@ def _fit_latent(model, data, frame_id, steps, lr, weights):
     zt = zstore.add("z", np.zeros(model.config.d_z,
                                   dtype=model.config.np_dtype))
     opt = dc.Adam(zstore, lr=lr)
+    weights = LossWeights()
     best = None
     for it in range(steps + 1):
         zstore.zero_grad()
@@ -147,8 +146,7 @@ def _fit_latent(model, data, frame_id, steps, lr, weights):
 
 
 def drive(model: AvatarModel, data: TrainData, frame_ids, mode: str = "zero",
-          out_dir=None, seed: int = 0, steps: int = 40, lr: float = 0.1,
-          weights=None) -> dict:
+          out_dir=None, seed: int = 0, steps: int = 40, lr: float = 0.1) -> dict:
     """Render the requested frames under one imputation mode.
 
     zero: z = 0 (maximum-likelihood driving). sample: z ~ N(0, I) per
@@ -163,8 +161,6 @@ def drive(model: AvatarModel, data: TrainData, frame_ids, mode: str = "zero",
     if mode == "fit" and (steps < 0 or not lr > 0):
         raise ValueError(f"fit mode needs steps >= 0 and lr > 0, got "
                          f"steps={steps}, lr={lr}")
-    from ..renderer import LossWeights
-    weights = weights or LossWeights()
     frame_ids = list(frame_ids)
     if not frame_ids:
         raise ValueError("no frames requested")
@@ -177,8 +173,7 @@ def drive(model: AvatarModel, data: TrainData, frame_ids, mode: str = "zero",
     for fid in frame_ids:
         fr = data.frame(fid)
         if mode == "fit":
-            z, images, masks = _fit_latent(model, data, fid, steps, lr,
-                                           weights)
+            z, images, masks = _fit_latent(model, data, fid, steps, lr)
         else:
             z = (stream(seed, "drive", fid).standard_normal(model.config.d_z)
                  if mode == "sample" else None)
@@ -282,21 +277,22 @@ def _encodings(model, data, ids):
     return np.stack(mu), c, u
 
 
-def latent_mi(model, data, ids, seed: int = 0, steps: int = 400) -> float:
-    """MI(z; signal) lower bound from a freshly fit statistics net over
-    the posterior means of `ids`."""
+def latent_mi(model, data, ids, seed: int = 0) -> float:
+    """MI(z; signal) lower bound from a statistics net freshly fit for
+    400 steps over the posterior means of `ids`."""
     mu, c, _ = _encodings(model, data, ids)
     store = dc.ParamStore()
     stats = StatisticsNet(store, "mi", c.shape[1], mu.shape[1],
                           rng=stream(seed, "report-mi"))
-    fit_statistics(store, stats, c, mu, steps=steps,
+    fit_statistics(store, stats, c, mu, steps=400,
                    batch=min(64, len(ids)), seed=seed)
     return mi_estimate(stats, c, mu)
 
 
-def heatmap_locality(model: AvatarModel, data: TrainData, indices=None,
-                     n_perturb: int = 8, seed: int = 0) -> dict:
-    """Fraction of influence-heatmap mass inside each scalar's true mask.
+def heatmap_locality(model: AvatarModel, data: TrainData,
+                     seed: int = 0) -> dict:
+    """Fraction of influence-heatmap mass inside each pose scalar's true
+    mask, from 8 perturbations per scalar at the zero signal.
 
     Masks are rebuilt from the rig (not taken from the model), so the
     no-locality ablation is scored against the same reference. Scalars
@@ -306,17 +302,11 @@ def heatmap_locality(model: AvatarModel, data: TrainData, indices=None,
     ref = build_masks(data.template, data.skeleton, g, g,
                       tau=model.config.tau, n_face=model.config.n_face,
                       head_joint=model.config.head_joint)
-    n = ref.data.shape[0]
-    if indices is None:
-        indices = range(ref.n_pose)
-    base = np.zeros(n, dtype=np.float64)
+    base = np.zeros(ref.data.shape[0], dtype=np.float64)
     out = {}
-    for k in indices:
-        k = int(k)
-        if not 0 <= k < n:
-            raise ValueError(f"signal index {k} out of range [0, {n})")
-        heat = influence_heatmap(lambda v: _embed(model, v), base, k,
-                                 n_perturb, seed=seed)
+    for k in range(ref.n_pose):
+        heat = influence_heatmap(lambda v: _embed(model, v), base, k, 8,
+                                 seed=seed)
         total = heat.sum()
         if total > 0:
             out[k] = float((heat * ref.data[k]).sum() / total)

@@ -26,16 +26,16 @@ from .. import keyvalue
 from ..avatar import AvatarModel, reparameterize
 from ..disentangle import (StatisticsNet, adversarial_dis_loss, joint_sites,
                            kl_loss, mine_loss, perturbation_loss)
-from ..renderer import RasterConfig, losses, rasterize
+from ..renderer import losses, rasterize
 from ..rng import stream
+from ..synthdata import raster_config
 from .config import TrainConfig, config_text, parse_config
 from .data import TrainData
 
 __all__ = ["TrainingDiverged", "TrainResult", "train"]
 
 # resumable-run keys that may legitimately differ between sessions
-_RESUME_FREE = ("train.iters", "train.checkpoint_every", "train.eval_frames",
-                "train.drive_steps", "train.drive_lr", "train.out")
+_RESUME_FREE = ("train.iters", "train.checkpoint_every", "train.out")
 
 
 class TrainingDiverged(RuntimeError):
@@ -95,8 +95,7 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
                                dtype=mw.np_dtype)
         critic_opt = dc.Adam(critic_store, lr=cfg.lr)
     corr = joint_sites(data.template, data.skeleton) if lw.lam_pc > 0 else None
-    raster_cfg = RasterConfig(sigma_r=data.spec.sigma_r,
-                              gamma=data.spec.gamma_r)
+    raster_cfg = raster_config(data.spec)
 
     start = 0
     if state_path.exists():

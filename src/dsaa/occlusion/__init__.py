@@ -2,10 +2,10 @@
 
 from .ao import (AOSamplerConfig, AOMap, vertex_normals, build_frames,
                  stratified_square, hemisphere_dirs, TexelRays, texel_rays,
-                 texel_geometry, UniformGrid, ray_any_hit, compute_ao, ao_oracle)
+                 texel_geometry, UniformGrid, compute_ao)
 
 __all__ = [
     "AOSamplerConfig", "AOMap", "vertex_normals", "build_frames",
     "stratified_square", "hemisphere_dirs", "TexelRays", "texel_rays",
-    "texel_geometry", "UniformGrid", "ray_any_hit", "compute_ao", "ao_oracle",
+    "texel_geometry", "UniformGrid", "compute_ao",
 ]

@@ -11,14 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..body import TemplateMesh, TexelAtlas, build_atlas
+from ..body import TemplateMesh, TexelAtlas
 from ..diffcore.geom import ragged_arange
 from ..rng import stream
 
 __all__ = [
     "AOSamplerConfig", "AOMap", "vertex_normals", "build_frames",
     "stratified_square", "hemisphere_dirs", "TexelRays", "texel_rays",
-    "texel_geometry", "UniformGrid", "ray_any_hit", "compute_ao", "ao_oracle",
+    "texel_geometry", "UniformGrid", "compute_ao",
 ]
 
 # barycentric slack so rays crossing a shared edge cannot leak between the
@@ -27,19 +27,18 @@ _EDGE_TOL = 1e-9
 # rays walked together; bounds the walk's per-step (ray, triangle) arrays
 # (a 16x16 map of 64 rays per texel fits one walk)
 _WALK_RAYS = 16384
+# ray origins sit this far off the surface, times the mesh's bbox diagonal
+_OFFSET_SCALE = 1e-4
 
 
 @dataclass(frozen=True)
 class AOSamplerConfig:
     rays: int = 64
-    offset_scale: float = 1e-4   # ray origin offset, times bbox diagonal
     seed: int = 0
 
     def __post_init__(self):
         if self.rays < 1:
             raise ValueError("rays must be >= 1")
-        if not self.offset_scale > 0:
-            raise ValueError("offset_scale must be > 0")
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,7 @@ def build_frames(normals: np.ndarray) -> np.ndarray:
 
     Tangents come from the axis least aligned with n, so the frame is a
     deterministic function of the normal alone (not equivariant under
-    rigid motion; transport frames explicitly when that matters).
+    rigid motion).
     """
     n = np.asarray(normals, dtype=np.float64)
     ref = np.zeros_like(n)
@@ -112,10 +111,10 @@ def hemisphere_dirs(u: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class TexelRays:
     """Local (z-up) ray directions dirs [T,rays,3] of the valid texels
-    `texels` (flat atlas indices, row-major) under one sampler config.
-    They depend on neither the mesh nor the pose, so one set serves every
-    frame baked with that config on that atlas."""
-    config: AOSamplerConfig
+    `texels` (flat indices, row-major) of `atlas` under one sampler
+    config. They depend on neither the mesh nor the pose, so one set
+    serves every frame baked on that atlas."""
+    atlas: TexelAtlas
     texels: np.ndarray
     dirs: np.ndarray
 
@@ -128,7 +127,7 @@ def texel_rays(config: AOSamplerConfig, atlas: TexelAtlas) -> TexelRays:
     for row, k in enumerate(texels):
         rng = stream(config.seed, "ao", int(k))
         dirs[row] = hemisphere_dirs(stratified_square(rng, config.rays))
-    return TexelRays(config, texels, dirs)
+    return TexelRays(atlas, texels, dirs)
 
 
 def texel_geometry(mesh: TemplateMesh, atlas: TexelAtlas):
@@ -213,26 +212,6 @@ def _mt_any_hit(o, d, a, e1, e2, tol, t_min):
             & (u + v <= 1.0 + _EDGE_TOL) & (t > t_min))
 
 
-def ray_any_hit(origins, dirs, verts, faces, t_min=0.0, chunk=256):
-    """Brute-force any-hit over every triangle; the grid's reference."""
-    origins = np.asarray(origins, dtype=np.float64)
-    dirs = np.asarray(dirs, dtype=np.float64)
-    a, e1, e2, tol = _triangles(_corners(verts, faces))
-    F = len(tol)
-    hit = np.zeros(len(origins), dtype=bool)
-    if F == 0:
-        return hit
-    for s in range(0, len(origins), chunk):
-        o = origins[s:s + chunk].T
-        d = dirs[s:s + chunk].T
-        r = o.shape[1]
-        h = _mt_any_hit(np.repeat(o, F, axis=1), np.repeat(d, F, axis=1),
-                        np.tile(a, r), np.tile(e1, r), np.tile(e2, r),
-                        np.tile(tol, r), t_min)
-        hit[s:s + chunk] = h.reshape(r, F).any(axis=1)
-    return hit
-
-
 class UniformGrid:
     """Axis-aligned uniform grid over a triangle soup for any-hit queries.
 
@@ -243,19 +222,20 @@ class UniformGrid:
     the 3D-DDA of Amanatides & Woo (1987): per ray, tMax holds the t of
     the next cell plane on each axis and tDelta the t between planes, and
     each step crosses the nearest plane. At every step the rays still in
-    flight are tested, with the `_mt_any_hit` predicate of `ray_any_hit`,
-    against triangles of their current cell only; a ray retires as soon
-    as one test hits or it leaves the grid. A step changes one cell index,
-    so a triangle listed in the new cell but not in the old one has its
-    range start (or end) on that axis there: each cell also keeps, per
-    entry direction, the sub-list of such triangles, and a ray tests the
-    whole list only in its first cell and this sub-list after each step.
+    flight are tested, with the `_mt_any_hit` predicate, against triangles
+    of their current cell only; a ray retires as soon as one test hits or
+    it leaves the grid. A step changes one cell index, so a triangle
+    listed in the new cell but not in the old one has its range start (or
+    end) on that axis there: each cell also keeps, per entry direction,
+    the sub-list of such triangles, and a ray tests the whole list only in
+    its first cell and this sub-list after each step.
     Every triangle of every visited cell is thus tested once per run of
     cells, never skipped.
 
-    Hits equal `ray_any_hit` bit for bit. Each pair the walk tests is a
-    pair the brute force tests, with the same arithmetic, so the grid
-    reports no hit the brute force lacks. Conversely, a brute-force hit
+    Hits equal those of a brute-force `_mt_any_hit` over every triangle
+    (tests/ao_oracle.py) bit for bit. Each pair the walk tests is a pair
+    the brute force tests, with the same arithmetic, so the grid reports
+    no hit the brute force lacks. Conversely, a brute-force hit
     point lies inside the grid box at a t the walk covers, and on its
     triangle up to the barycentric slack; where it sits on or near a cell
     plane, the walk may hold the cell on either side (rounding of the
@@ -371,73 +351,25 @@ class UniformGrid:
         return hit
 
 
-def compute_ao(mesh: TemplateMesh, config: AOSamplerConfig, resolution: int,
-               atlas: TexelAtlas | None = None, frames: np.ndarray | None = None,
-               occluders=None, rays: TexelRays | None = None) -> AOMap:
-    """Visibility per atlas texel of the (posed) template.
+def compute_ao(mesh: TemplateMesh, rays: TexelRays) -> AOMap:
+    """Visibility per texel of the atlas `rays` were built on, over the
+    (posed) template.
 
     Ray sets are keyed by (seed, flat texel index) only, so texel order,
-    batching, and the pose all leave the sampling pattern untouched.
-    `occluders` appends extra blocking geometry (verts, faces) without
-    moving any texel. `frames` overrides the per-texel ray frames (row
-    order: valid texels, row-major). `rays` passes the `texel_rays` of
-    this config and atlas, built once for many poses.
+    batching, and the pose all leave the sampling pattern untouched; one
+    `texel_rays` set serves every pose.
     """
-    H = W = int(resolution)
-    if atlas is None:
-        atlas = build_atlas(mesh.uvs, mesh.faces, H, W)
-    if atlas.height != H or atlas.width != W:
-        raise ValueError("atlas resolution mismatch")
-    if rays is None:
-        rays = texel_rays(config, atlas)
-    elif rays.config != config or not np.array_equal(
-            rays.texels, np.flatnonzero(atlas.valid.reshape(-1))):
-        raise ValueError("rays were built for another sampler config or atlas")
-    pts, nrm, ok = texel_geometry(mesh, atlas)
-
-    # offset scales with the template itself so extra occluders cannot
-    # move ray origins (keeps added geometry strictly monotone)
-    diag = np.linalg.norm(mesh.verts.max(axis=0) - mesh.verts.min(axis=0))
-    eps = config.offset_scale * diag
-    occ_v, occ_f = mesh.verts, mesh.faces
-    if occluders is not None:
-        ev, ef = occluders
-        occ_f = np.vstack([occ_f, np.asarray(ef) + len(occ_v)])
-        occ_v = np.vstack([occ_v, np.asarray(ev, dtype=np.float64)])
-    grid = UniformGrid(occ_v, occ_f)
-
-    if frames is None:
-        frames = build_frames(nrm)
-    flat_ids = rays.texels
+    H, W = rays.atlas.height, rays.atlas.width
+    pts, nrm, ok = texel_geometry(mesh, rays.atlas)
     sel = np.flatnonzero(ok)
-    n = config.rays
-    values = np.zeros((H, W))
-    valid = np.zeros((H, W), dtype=bool)
-    if len(sel):
-        world = np.einsum("tij,tnj->tni", frames[sel], rays.dirs[sel])
-        origins = np.broadcast_to((pts[sel] + eps * nrm[sel])[:, None, :],
-                                  world.shape)
-        blocked = grid.any_hit(origins.reshape(-1, 3), world.reshape(-1, 3))
-        blocked = blocked.reshape(len(sel), n)
-        vis = 1.0 - blocked.mean(axis=1)
-        values.reshape(-1)[flat_ids[sel]] = vis
-        valid.reshape(-1)[flat_ids[sel]] = True
-    return AOMap(values, valid)
-
-
-def ao_oracle(point, normal, verts, faces, n_rays: int, seed: int = 0,
-              offset: float | None = None) -> float:
-    """Stratified hemisphere visibility at one point, no acceleration."""
-    point = np.asarray(point, dtype=np.float64)
-    normal = np.asarray(normal, dtype=np.float64)
-    if abs(np.linalg.norm(normal) - 1.0) > 1e-6:
-        raise ValueError("oracle requires a unit normal")
-    verts = np.asarray(verts, dtype=np.float64)
-    if offset is None:
-        offset = 1e-4 * np.linalg.norm(verts.max(axis=0) - verts.min(axis=0))
-    rng = stream(seed, "ao-oracle")
-    local = hemisphere_dirs(stratified_square(rng, n_rays))
-    d = local @ build_frames(normal[None])[0].T
-    o = np.broadcast_to(point + offset * normal, d.shape)
-    return float(1.0 - ray_any_hit(o, d, verts, faces).mean())
-
+    diag = np.linalg.norm(mesh.verts.max(axis=0) - mesh.verts.min(axis=0))
+    world = np.einsum("tij,tnj->tni", build_frames(nrm[sel]), rays.dirs[sel])
+    origins = pts[sel] + _OFFSET_SCALE * diag * nrm[sel]
+    origins = np.broadcast_to(origins[:, None, :], world.shape)
+    blocked = UniformGrid(mesh.verts, mesh.faces).any_hit(
+        origins.reshape(-1, 3), world.reshape(-1, 3)).reshape(world.shape[:2])
+    values = np.zeros(H * W)
+    valid = np.zeros(H * W, dtype=bool)
+    values[rays.texels[sel]] = 1.0 - blocked.mean(axis=1)
+    valid[rays.texels[sel]] = True
+    return AOMap(values.reshape(H, W), valid.reshape(H, W))

@@ -25,7 +25,10 @@ Forward stages, plain numpy over one flat list of (face, pixel) pairs:
    is the minimum over the three edges. Unnormalized barycentrics are
    twice the signed subtriangle areas, divided by the signed face area.
 3. Coverage. D = sigmoid(sign * d2 / sigma_r), sign +1 inside / -1
-   outside, and log(1 - D) = -softplus(sign * d2 / sigma_r).
+   outside, and log(1 - D) = -softplus(sign * d2 / sigma_r). A pair is
+   inside when its three barycentrics are nonnegative and its face has
+   nonzero signed area: a zero-area face has no inside, so it fades out
+   like an edge instead of covering every pixel of its span.
 4. Attributes. Barycentrics clamped to [0,1] and renormalised
    interpolate uv and depth.
 5. Depth softmax. Face weight D * exp((zn - shift) / gamma) with zn the
@@ -75,14 +78,14 @@ from ..diffcore.ops import _expit
 from ..diffcore.tensor import make_node
 from .camera import Camera, project
 
+_ZNEAR, _ZFAR = 1.0, 6.0   # camera depths where zn is 1 and 0
+
 
 @dataclass(frozen=True)
 class RasterConfig:
     sigma_r: float = 0.3          # edge sigmoid sharpness, pixel^2 units
     gamma: float = 0.05           # depth softmax temperature
     background: tuple = (0.0, 0.0, 0.0)
-    znear: float = 1.0
-    zfar: float = 6.0
     window: int | None = 16       # max window size per face; None = full image
     coverage_tol: float = 1e-4    # sigmoid tail allowed outside a window
 
@@ -295,7 +298,8 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
     w = [ex_p[j] * qy[j] - ey_p[j] * qx[j] for j in (1, 2, 0)]
     bary = [wk * inv_area_p for wk in w]
 
-    inside = (bary[0] >= 0.0) & (bary[1] >= 0.0) & (bary[2] >= 0.0)
+    inside = ((bary[0] >= 0.0) & (bary[1] >= 0.0) & (bary[2] >= 0.0)
+              & np.repeat(area2 != 0.0, counts))
     s = (inside * 2.0 - 1.0).astype(dt) / cfg.sigma_r
     take_ab = d2[0] <= d2[1]
     m01 = np.minimum(d2[0], d2[1])
@@ -313,8 +317,8 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
     z_pix = (bn[0] * zk_p[0] + bn[1] * zk_p[1]) + bn[2] * zk_p[2]
 
     # inverted normalized depth in [0,1], nearer -> larger softmax weight
-    zscale = 1.0 / (cfg.zfar - cfg.znear)
-    zn_raw = (float(cfg.zfar) - z_pix) * zscale
+    zscale = 1.0 / (_ZFAR - _ZNEAR)
+    zn_raw = (_ZFAR - z_pix) * zscale
     zn = np.clip(zn_raw, 0.0, 1.0)
 
     # Per-pixel shift of the depth exponent (detached; see the module

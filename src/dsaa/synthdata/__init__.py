@@ -10,12 +10,12 @@ from .dataset import (DatasetManifest, FrameEntry, FrameRecord,
                       split_dataset)
 from .figure import Figure, build_figure, figure_bytes
 from .generate import frame_mesh, frame_texture, render_views, wrinkle_displacement
-from .scene import (SceneSpec, default_scene, inject_correlation,
-                    sample_frame, scene_cameras)
+from .scene import (SceneSpec, default_scene, raster_config, sample_frame,
+                    scene_cameras)
 
 __all__ = [
     "Figure", "build_figure", "figure_bytes",
-    "SceneSpec", "default_scene", "inject_correlation", "sample_frame",
+    "SceneSpec", "default_scene", "raster_config", "sample_frame",
     "scene_cameras",
     "wrinkle_displacement", "frame_mesh", "frame_texture", "render_views",
     "DatasetManifest", "FrameEntry", "FrameRecord",

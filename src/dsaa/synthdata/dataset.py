@@ -148,12 +148,12 @@ def _write_frame(root: Path, spec: SceneSpec, frame_id: str, seed: int, *,
     return theta, u
 
 
-def generate_dataset(spec: SceneSpec, out_dir, n_frames: int,
-                     seed: int = None) -> DatasetManifest:
-    """Render n_frames sampled frames into out_dir and write the manifest."""
+def generate_dataset(spec: SceneSpec, out_dir,
+                     n_frames: int) -> DatasetManifest:
+    """Render n_frames frames sampled under spec.seed into out_dir and
+    write the manifest."""
     if n_frames < 2:
         raise ValueError("n_frames must be at least 2")
-    seed = spec.seed if seed is None else int(seed)
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     save_mesh(root / "template.obj", root / "template.weights",
@@ -162,7 +162,7 @@ def generate_dataset(spec: SceneSpec, out_dir, n_frames: int,
     thetas, us, entries = [], [], []
     for i in range(n_frames):
         fid = f"{i:06d}"
-        theta, u = _write_frame(root, spec, fid, seed)
+        theta, u = _write_frame(root, spec, fid, spec.seed)
         thetas.append(theta)
         us.append(u)
         entries.append(FrameEntry(fid, "standard", "unsplit"))
@@ -173,9 +173,8 @@ def generate_dataset(spec: SceneSpec, out_dir, n_frames: int,
         if np.abs(corr).max() > 4.5 / np.sqrt(n_frames):
             raise RuntimeError(
                 f"hidden factor correlates with pose ({np.abs(corr).max():.3f})")
-    m = DatasetManifest(root=root, spec=dataclasses.replace(spec, seed=seed),
-                        spec_hash="", frames=entries)
-    m.spec_hash = _spec_hash(m.spec)
+    m = DatasetManifest(root=root, spec=spec, spec_hash=_spec_hash(spec),
+                        frames=entries)
     _write_manifest(m)
     return m
 

@@ -12,8 +12,8 @@ import numpy as np
 
 from .. import diffcore as dc
 from ..body import forward_kinematics, lbs_apply
-from ..renderer import RasterConfig, rasterize
-from .scene import SceneSpec, scene_cameras
+from ..renderer import rasterize
+from .scene import SceneSpec, raster_config, scene_cameras
 
 __all__ = ["wrinkle_displacement", "frame_texture", "frame_mesh",
            "render_views"]
@@ -98,7 +98,7 @@ def render_views(spec: SceneSpec, posed: np.ndarray, texture: np.ndarray):
     Returns (images, masks) as float arrays, [3,H,W] and [H,W] each.
     """
     fig = spec.figure
-    cfg = RasterConfig(sigma_r=spec.sigma_r, gamma=spec.gamma_r)
+    cfg = raster_config(spec)
     verts = dc.Tensor(np.asarray(posed, dtype=np.float64))
     tex = dc.Tensor(np.asarray(texture, dtype=np.float64))
     images, masks = [], []

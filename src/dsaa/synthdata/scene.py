@@ -9,18 +9,17 @@ of the pose draw unless a spurious correlation is injected explicitly.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..renderer import Camera, look_at
+from ..renderer import Camera, RasterConfig, look_at
 from ..rng import stream
 from .figure import Figure, build_figure
 
-__all__ = ["SceneSpec", "default_scene", "scene_cameras",
-           "sample_frame", "inject_correlation"]
+__all__ = ["SceneSpec", "default_scene", "scene_cameras", "raster_config",
+           "sample_frame"]
 
 _MAX_ANGLE = 1.2  # rad; keeps blended skinning transforms well conditioned
 
@@ -84,13 +83,6 @@ def default_scene(**overrides) -> SceneSpec:
     return SceneSpec(figure=build_figure(), **overrides)
 
 
-def inject_correlation(spec: SceneSpec, rho: float) -> SceneSpec:
-    """Couple the hidden factor to one pose scalar with strength rho."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
-    return dataclasses.replace(spec, rho_spurious=rho)
-
-
 def scene_cameras(spec: SceneSpec):
     """Evenly spaced ring of inward-looking cameras around the figure."""
     cams = []
@@ -105,6 +97,12 @@ def scene_cameras(spec: SceneSpec):
                            rot=rot, t=t,
                            height=spec.image_size, width=spec.image_size))
     return cams
+
+
+def raster_config(spec: SceneSpec) -> RasterConfig:
+    """The rasterizer settings of the scene's renders; the model renders
+    a dataset's frames with the same ones."""
+    return RasterConfig(sigma_r=spec.sigma_r, gamma=spec.gamma_r)
 
 
 def sample_frame(spec: SceneSpec, frame_id: str, seed: int, *,

@@ -20,7 +20,7 @@ from dsaa import diffcore as dc
 from dsaa.diffcore.tensor import make_node
 from dsaa.renderer import RasterConfig, RenderTarget
 from dsaa.renderer.camera import Camera, project
-from dsaa.renderer.raster import _span_pairs, _window_layout
+from dsaa.renderer.raster import _ZFAR, _ZNEAR, _span_pairs, _window_layout
 
 
 def window_indices(oy: np.ndarray, ox: np.ndarray, Ky: int, Kx: int, H: int, W: int):
@@ -130,7 +130,7 @@ def rasterize_graph(verts: dc.Tensor, faces: np.ndarray, uvs: np.ndarray,
     bb = dc.mul(wb, inv_area)
     bc = dc.mul(wc, inv_area)
 
-    inside = (ba.data >= 0.0) & (bb.data >= 0.0) & (bc.data >= 0.0)
+    inside = (ba.data >= 0.0) & (bb.data >= 0.0) & (bc.data >= 0.0) & (area_d != 0.0)
     sign = np.where(inside, 1.0, -1.0).astype(dt)
 
     d2 = dc.minimum(dc.minimum(_edge_d2(pgrid, va, vb), _edge_d2(pgrid, vb, vc)),
@@ -162,8 +162,7 @@ def rasterize_graph(verts: dc.Tensor, faces: np.ndarray, uvs: np.ndarray,
     rgb = dc.transpose(dc.reshape(rgb, (F, Ky, Kx, 3)), (3, 0, 1, 2))  # [3,F,Ky,Kx]
 
     # inverted normalized depth in [0,1], nearer -> larger softmax weight
-    zn = dc.clamp(dc.mul(dc.sub(float(cfg.zfar), z_pix), 1.0 / (cfg.zfar - cfg.znear)),
-                  0.0, 1.0)
+    zn = dc.clamp(dc.mul(dc.sub(_ZFAR, z_pix), 1.0 / (_ZFAR - _ZNEAR)), 0.0, 1.0)
 
     # Per-pixel shift of the depth exponent keeps exp() in range at any
     # gamma. Shifting every weight (background included, pinned at zn=0)

@@ -2,6 +2,8 @@
 train runs with resume and their failure exit codes, drive in every mode,
 heatmap and report."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,29 @@ def test_resume_matches_uninterrupted_run(cli_run):
     for name in ("trainer.dsaa1", "model.dsaa1", "model.dsaa1.manifest"):
         assert (cli_run / "resumed" / name).read_bytes() \
             == (cli_run / "run" / name).read_bytes(), name
+
+
+def test_resume_refuses_config_with_removed_train_keys(cli_run, capsys):
+    # run directories written while TrainConfig still carried eval_frames,
+    # drive_steps and drive_lr hold those keys; they are a validation
+    # error on resume, not a divergence, and nothing in the run changes
+    run = cli_run / "old_keys"
+    shutil.copytree(cli_run / "run", run)
+    old = (run / "config.txt").read_text()
+    text = old.replace("train.ablate = ours\n",
+                       "train.ablate = ours\ntrain.eval_frames = 200\n"
+                       "train.drive_steps = 40\ntrain.drive_lr = 0.1\n")
+    assert text != old
+    (run / "config.txt").write_text(text)
+    state = (run / "trainer.dsaa1").read_bytes()
+    assert _train(cli_run, "old_keys", "--iters", "4", "--resume") == 2
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err
+    for key in ("train.eval_frames", "train.drive_steps", "train.drive_lr"):
+        assert key in err
+    assert (run / "config.txt").read_text() == text
+    assert (run / "trainer.dsaa1").read_bytes() == state
+    assert not (run / "diverged.txt").exists()
 
 
 def test_step_value_error_with_finite_params_is_not_divergence(

@@ -22,7 +22,7 @@ SMALL = AvatarConfig(geo_res=16, tex_res=32)
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("geometry")
-    sd.generate_dataset(sd.default_scene(image_size=32), root, 2, seed=3)
+    sd.generate_dataset(sd.default_scene(image_size=32, seed=3), root, 2)
     return root
 
 

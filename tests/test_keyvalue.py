@@ -40,9 +40,6 @@ train.lr = 0.001
 train.seed = 0
 train.checkpoint_every = 500
 train.ablate = ours
-train.eval_frames = 200
-train.drive_steps = 40
-train.drive_lr = 0.1
 model.d_z = 16
 model.geo_res = 32
 model.tex_res = 64

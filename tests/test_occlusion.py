@@ -1,6 +1,7 @@
 """Visibility-map oracles: analytic wall integral, convexity, enclosure,
-grid-vs-brute ray casting (random and traversal edge cases), monotonicity,
-rigid invariance, and a golden map of the posed default figure."""
+grid-vs-brute ray casting (random and traversal edge cases), the bake
+against the brute oracle, shared ray sets, and a golden map of the posed
+default figure."""
 
 import hashlib
 
@@ -10,9 +11,9 @@ import pytest
 
 from dsaa import body
 from dsaa.synthdata import default_scene
-from dsaa.occlusion import (AOSamplerConfig, ao_oracle, build_frames,
-                            compute_ao, ray_any_hit, texel_geometry,
+from dsaa.occlusion import (AOSamplerConfig, compute_ao, texel_geometry,
                             texel_rays, UniformGrid)
+from ao_oracle import ao_oracle, ray_any_hit
 
 
 def wall_visibility(d, h):
@@ -59,6 +60,12 @@ def as_template(verts, faces, uvs):
     return body.TemplateMesh(verts, faces, uvs, np.ones((len(verts), 1)))
 
 
+def bake(mesh, config, res):
+    """compute_ao on a fresh res x res atlas of the mesh's own UVs."""
+    atlas = body.build_atlas(mesh.uvs, mesh.faces, res, res)
+    return compute_ao(mesh, texel_rays(config, atlas))
+
+
 def composite_scene():
     """Two spheres and an overhanging plate, with disjoint UV islands."""
     v1, f1, u1 = uv_sphere(12, 9, radius=0.5, rect=(0.03, 0.03, 0.42, 0.42))
@@ -77,8 +84,6 @@ def composite_scene():
 def test_config_validation():
     with pytest.raises(ValueError):
         AOSamplerConfig(rays=0)
-    with pytest.raises(ValueError):
-        AOSamplerConfig(offset_scale=0.0)
 
 
 def test_oracle_open_halfspace_is_one():
@@ -268,7 +273,7 @@ def test_grid_empty_face_list_never_hits():
 
 def test_convex_sphere_is_fully_visible():
     tpl = as_template(*uv_sphere(16, 12))
-    ao = compute_ao(tpl, AOSamplerConfig(rays=256, seed=5), resolution=16)
+    ao = bake(tpl, AOSamplerConfig(rays=256, seed=5), 16)
     assert ao.valid.any()
     assert ao.values[ao.valid].min() >= 0.98
     npt.assert_array_equal(ao.values[~ao.valid], 0.0)
@@ -283,7 +288,7 @@ def test_degenerate_face_texels_flagged():
                     [0.55, 0.05], [0.95, 0.05], [0.55, 0.45]])
     tpl = as_template(verts, faces, uvs)
     atlas = body.build_atlas(uvs, faces, 16, 16)
-    ao = compute_ao(tpl, AOSamplerConfig(rays=16, seed=1), resolution=16)
+    ao = bake(tpl, AOSamplerConfig(rays=16, seed=1), 16)
     degen = atlas.face_idx == 0
     good = atlas.face_idx == 1
     assert degen.any() and good.any()
@@ -295,8 +300,8 @@ def test_degenerate_face_texels_flagged():
 def test_compute_ao_matches_brute_oracle():
     tpl = composite_scene()
     cfg = AOSamplerConfig(rays=256, seed=9)
-    ao = compute_ao(tpl, cfg, resolution=16)
     atlas = body.build_atlas(tpl.uvs, tpl.faces, 16, 16)
+    ao = compute_ao(tpl, texel_rays(cfg, atlas))
     pts, nrm, ok = texel_geometry(tpl, atlas)
     flat = np.flatnonzero(atlas.valid.reshape(-1))
     usable = np.flatnonzero(ok)
@@ -310,39 +315,11 @@ def test_compute_ao_matches_brute_oracle():
     assert worst < 0.05, worst
 
 
-def test_adding_occluders_never_raises_visibility():
-    tpl = as_template(*uv_sphere(12, 9, radius=0.5))
-    pv, pf = quad_mesh((-2, 0.8, -2), (2, 0.8, -2), (2, 0.8, 2), (-2, 0.8, 2))
-    cfg = AOSamplerConfig(rays=64, seed=13)
-    base = compute_ao(tpl, cfg, resolution=16)
-    shaded = compute_ao(tpl, cfg, resolution=16, occluders=(pv, pf))
-    assert (shaded.values <= base.values + 1e-12).all()
-    assert (shaded.values[shaded.valid] < base.values[base.valid]).any()
-
-
-def test_rigid_motion_with_transported_frames_is_exact():
-    tpl = composite_scene()
-    atlas = body.build_atlas(tpl.uvs, tpl.faces, 16, 16)
-    _, nrm, _ = texel_geometry(tpl, atlas)
-    frames = build_frames(nrm)
-    cfg = AOSamplerConfig(rays=64, seed=17)
-    base = compute_ao(tpl, cfg, resolution=16, frames=frames)
-
-    ang = 0.83
-    R = np.array([[np.cos(ang), 0, np.sin(ang)], [0, 1, 0], [-np.sin(ang), 0, np.cos(ang)]])
-    R = R @ np.array([[1, 0, 0], [0, np.cos(0.4), -np.sin(0.4)], [0, np.sin(0.4), np.cos(0.4)]])
-    moved = body.TemplateMesh(tpl.verts @ R.T + np.array([0.3, -1.2, 2.0]),
-                              tpl.faces, tpl.uvs, tpl.weights)
-    same = compute_ao(moved, cfg, resolution=16, frames=R[None] @ frames)
-    npt.assert_array_equal(base.values, same.values)
-    npt.assert_array_equal(base.valid, same.valid)
-
-
 def test_fixed_seed_is_bit_identical():
     tpl = composite_scene()
     cfg = AOSamplerConfig(rays=32, seed=23)
-    a = compute_ao(tpl, cfg, resolution=16)
-    b = compute_ao(tpl, cfg, resolution=16)
+    a = bake(tpl, cfg, 16)
+    b = bake(tpl, cfg, 16)
     npt.assert_array_equal(a.values, b.values)
     npt.assert_array_equal(a.valid, b.valid)
 
@@ -355,8 +332,8 @@ def test_default_figure_golden_map():
     theta = 0.5 * np.sin(np.arange(3 * len(sk.names)))
     posed = body.lbs_apply(tpl.verts, body.forward_kinematics(sk, theta),
                            tpl.weights)
-    ao = compute_ao(body.TemplateMesh(posed, tpl.faces, tpl.uvs, tpl.weights),
-                    AOSamplerConfig(rays=64), resolution=16)
+    ao = bake(body.TemplateMesh(posed, tpl.faces, tpl.uvs, tpl.weights),
+              AOSamplerConfig(rays=64), 16)
     assert hashlib.sha256(ao.values.tobytes()).hexdigest() == (
         "d156da2d2740808b1aeffee7f25bbc2710c0d03145576137f17cf8e9a2a9eaa2")
     assert hashlib.sha256(ao.valid.tobytes()).hexdigest() == (
@@ -364,8 +341,7 @@ def test_default_figure_golden_map():
 
 
 def test_shared_texel_rays_give_the_same_maps():
-    # one set of local ray directions serves every pose, and a set built
-    # for another sampler config or atlas is refused
+    # one set of local ray directions serves every pose
     fig = default_scene().figure
     tpl, sk = fig.template, fig.skeleton
     cfg = AOSamplerConfig(rays=16, seed=3)
@@ -376,13 +352,7 @@ def test_shared_texel_rays_give_the_same_maps():
         posed = body.lbs_apply(tpl.verts, body.forward_kinematics(sk, theta),
                                tpl.weights)
         mesh = body.TemplateMesh(posed, tpl.faces, tpl.uvs, tpl.weights)
-        fresh = compute_ao(mesh, cfg, 16, atlas=atlas)
-        shared = compute_ao(mesh, cfg, 16, atlas=atlas, rays=rays)
+        fresh = bake(mesh, cfg, 16)
+        shared = compute_ao(mesh, rays)
         assert shared.values.tobytes() == fresh.values.tobytes()
         npt.assert_array_equal(shared.valid, fresh.valid)
-    for other in (AOSamplerConfig(rays=16, seed=4), AOSamplerConfig(rays=8, seed=3)):
-        with pytest.raises(ValueError, match="another sampler"):
-            compute_ao(mesh, other, 16, atlas=atlas, rays=rays)
-    with pytest.raises(ValueError, match="another sampler"):
-        compute_ao(mesh, cfg, 8, atlas=body.build_atlas(tpl.uvs, tpl.faces, 8, 8),
-                   rays=rays)

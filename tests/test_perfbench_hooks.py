@@ -36,7 +36,7 @@ def test_block_probes_run(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import probes
 
-    sd.generate_dataset(sd.default_scene(image_size=32), tmp_path, 2, seed=3)
+    sd.generate_dataset(sd.default_scene(image_size=32, seed=3), tmp_path, 2)
     cfg = AvatarConfig(geo_res=16, tex_res=32)
     data = TrainData(tmp_path, geo_res=cfg.geo_res, ao_res=cfg.shadow_res)
     model = AvatarModel(data.template, data.skeleton, cfg, seed=0)
@@ -57,8 +57,8 @@ def test_traced_steps_run_what_each_phase_reads(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
-    sd.generate_dataset(sd.default_scene(image_size=32), tmp_path / "data",
-                        2, seed=3)
+    sd.generate_dataset(sd.default_scene(image_size=32, seed=3),
+                        tmp_path / "data", 2)
     cfg = TrainConfig(dataset=str(tmp_path / "data"), out=str(tmp_path / "run"),
                       iters=2, phase1=1, batch=2,
                       model=AvatarConfig(geo_res=16, tex_res=32))

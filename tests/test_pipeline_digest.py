@@ -1,0 +1,25 @@
+"""tools/pipeline_digest.py: its toy CLI pipeline runs on the working tree
+and hashes every kind of file it is meant to compare."""
+
+from pathlib import Path
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_digest_of_the_working_tree_covers_every_output(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(_ROOT / "tools"))
+    import pipeline_digest
+
+    digests = pipeline_digest.digest_tree(_ROOT, tmp_path / "run")
+    expected = ["data/manifest.txt", "data/ao8.dsaa1",
+                "data/frames/novel0000/cam1.ppm", "heatmap/heatmap_03_pose_spine_rx.pgm",
+                "report/report.kv", "report/report.txt"]
+    for v in pipeline_digest.VARIANTS:
+        expected += [f"runs/{v}/{name}" for name in
+                     ("config.txt", "model.dsaa1", "trainer.dsaa1", "train.log")]
+    for mode in ("zero", "sample", "fit"):
+        expected += [f"drive/{mode}/drive.kv", f"drive/{mode}/novel0000_cam0.ppm"]
+    missing = [name for name in expected if name not in digests]
+    assert not missing
+    assert all(len(h) == 64 for h in digests.values())
+    assert not [name for name in digests if name in pipeline_digest.INPUTS]

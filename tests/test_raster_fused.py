@@ -85,6 +85,25 @@ def test_float32_agrees_with_graph(scene, name, window, subset, cams):
             npt.assert_allclose(a, b, rtol=1e-4, atol=1e-4 * np.abs(b).max())
 
 
+def test_float64_zero_area_faces_match_graph(scene):
+    # faces [i, i, i] (a point) and [i, i, j] (a segment) have no inside in
+    # either form, next to ordinary faces
+    spec, posed, tex = scene
+    fig = spec.figure
+    ids = np.arange(0, len(posed), 50)
+    faces = np.vstack([fig.template.faces[::12],
+                       np.repeat(ids[:, None], 3, axis=1),
+                       np.stack([ids, ids, ids + 1], axis=1)])
+    cfg = raster_config(spec)
+    for k, cam in enumerate(sd.scene_cameras(spec)[:2]):
+        fused, graph = (render_with_grads(fn, posed, tex, faces, fig.template.uvs,
+                                          cam, cfg, np.float64, seed=k)
+                        for fn in (renderer.rasterize, rasterize_graph))
+        npt.assert_array_equal(fused[0], graph[0])
+        npt.assert_array_equal(fused[1], graph[1])
+        npt.assert_allclose(fused[3], graph[3], rtol=1e-9, atol=0.0)
+
+
 def shifted(cam, frac):
     """`cam` with the principal point moved sideways by frac * width."""
     return dataclasses.replace(cam, cx=cam.cx + frac * cam.width)

@@ -63,6 +63,27 @@ def test_all_behind_camera_errors():
                            dc.Tensor(flat_texture((1, 0, 0))), cam, DENSE)
 
 
+@pytest.mark.parametrize("window", [16, None])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_zero_area_faces_cover_no_pixel(window, dtype):
+    # three coincident vertices, and three collinear ones on the pixel
+    # centre row y = 16.5 (z = 2 keeps the projection exact): a face
+    # without area has no inside, so its coverage falls off like an edge's,
+    # from sigmoid(0) = 0.5 at the pixel centres that lie on it
+    cam = front_cam()
+    cfg = renderer.RasterConfig(window=window)
+    point = np.array([[0.1, 0.2, 2.0]] * 3)
+    row = np.array([[-0.5, 0.03125, 2.0], [0.0, 0.03125, 2.0],
+                    [0.5, 0.03125, 2.0]])
+    faces = np.array([[0, 1, 2]])
+    uvs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for verts in (point, row):
+        rt = renderer.rasterize(dc.Tensor(verts.astype(dtype)), faces, uvs,
+                                dc.Tensor(flat_texture((1, 0, 0)).astype(dtype)),
+                                cam, cfg)
+        assert rt.mask.data.max() <= 0.5
+
+
 def test_mask_in_unit_interval_and_deterministic():
     cam = front_cam()
     verts, faces, uvs = quad_scene(zshift=0.4)

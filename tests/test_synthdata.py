@@ -24,7 +24,8 @@ def small_spec(figure):
 @pytest.fixture(scope="module")
 def small_dataset(small_spec, tmp_path_factory):
     root = tmp_path_factory.mktemp("data") / "set"
-    manifest = sd.generate_dataset(small_spec, root, 6, seed=5)
+    manifest = sd.generate_dataset(dataclasses.replace(small_spec, seed=5),
+                                   root, 6)
     return manifest
 
 
@@ -127,8 +128,11 @@ def test_sampler_theta_u_independent(small_spec):
     assert np.abs(corr).max() < 0.08
 
 
+# correlation injection: rho_spurious couples the hidden factor to one pose
+# scalar
+
 def test_inject_correlation_zero_is_bitwise_identity(small_spec):
-    coupled = sd.inject_correlation(small_spec, 0.0)
+    coupled = dataclasses.replace(small_spec, rho_spurious=0.0)
     for i in range(50):
         a = sd.sample_frame(small_spec, f"{i:06d}", 7)
         b = sd.sample_frame(coupled, f"{i:06d}", 7)
@@ -138,7 +142,7 @@ def test_inject_correlation_zero_is_bitwise_identity(small_spec):
 
 
 def test_inject_correlation_one_is_deterministic(small_spec):
-    coupled = sd.inject_correlation(small_spec, 1.0)
+    coupled = dataclasses.replace(small_spec, rho_spurious=1.0)
     r = np.repeat(np.asarray(small_spec.pose_range), 3)
     for i in range(20):
         theta, _, u = sd.sample_frame(coupled, f"{i:06d}", 7)
@@ -146,7 +150,7 @@ def test_inject_correlation_one_is_deterministic(small_spec):
 
 
 def test_inject_correlation_strength(small_spec):
-    coupled = sd.inject_correlation(small_spec, 0.9)
+    coupled = dataclasses.replace(small_spec, rho_spurious=0.9)
     n = 1000
     tk = np.empty(n)
     us = np.empty(n)
@@ -154,10 +158,9 @@ def test_inject_correlation_strength(small_spec):
         theta, _, us[i] = sd.sample_frame(coupled, f"{i:06d}", 2)
         tk[i] = theta[coupled.corr_scalar]
     assert 0.85 <= np.corrcoef(tk, us)[0, 1] <= 0.95
-    with pytest.raises(ValueError):
-        sd.inject_correlation(small_spec, -0.1)
-    with pytest.raises(ValueError):
-        sd.inject_correlation(small_spec, 1.1)
+    for rho in (-0.1, 1.1):
+        with pytest.raises(ValueError, match="rho_spurious"):
+            dataclasses.replace(small_spec, rho_spurious=rho)
 
 
 # ------------------------------------------------------- wrinkles, texture
@@ -213,7 +216,7 @@ def test_texture_regions(small_spec):
 
 def test_generate_dataset_deterministic(small_spec, small_dataset, tmp_path):
     other = tmp_path / "again"
-    sd.generate_dataset(small_spec, other, 6, seed=5)
+    sd.generate_dataset(dataclasses.replace(small_spec, seed=5), other, 6)
     base = Path(small_dataset.root)
     rel = sorted(p.relative_to(base) for p in base.rglob("*") if p.is_file())
     assert rel == sorted(p.relative_to(other) for p in other.rglob("*")
@@ -266,8 +269,8 @@ def test_generate_dataset_validates(small_spec, tmp_path):
 def test_registration_bit_exact(figure, tmp_path):
     # re-rendering the stored mesh with the regenerated texture must
     # quantize to exactly the bytes on disk, for every frame and camera
-    spec = sd.SceneSpec(figure=figure)
-    manifest = sd.generate_dataset(spec, tmp_path / "set", 2, seed=3)
+    spec = sd.SceneSpec(figure=figure, seed=3)
+    manifest = sd.generate_dataset(spec, tmp_path / "set", 2)
     for fid in manifest.ids():
         rec = sd.load_frame(manifest, fid)
         tex = sd.frame_texture(spec, rec.u, rec.face)
@@ -298,7 +301,8 @@ def test_hidden_factor_changes_images_locally(figure):
 
 
 def test_split_dataset(small_spec, tmp_path):
-    manifest = sd.generate_dataset(small_spec, tmp_path / "set", 20, seed=1)
+    manifest = sd.generate_dataset(dataclasses.replace(small_spec, seed=1),
+                                   tmp_path / "set", 20)
     split = sd.split_dataset(manifest, 0.2, seed=9)
     train = split.ids(split="train")
     test_std = split.ids(group="standard", split="test")
