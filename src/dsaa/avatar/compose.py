@@ -15,11 +15,7 @@ __all__ = ["AvatarOutput", "apply_gain", "compose", "pose"]
 
 @dataclass
 class AvatarOutput:
-    displacement: dc.Tensor    # [3,Hg,Wg] corrective field in UV space
-    canonical: dc.Tensor       # [V,3] template plus sampled corrective
     posed: dc.Tensor           # [V,3] after blend skinning
-    texture: dc.Tensor         # [3,Ht,Wt] decoded, pre-gain
-    gain: dc.Tensor            # [1,Ht/4,Wt/4] quasi-shadow gain
     final: dc.Tensor           # [3,Ht,Wt] gain-modulated, clamped to [0,1]
 
 
@@ -34,8 +30,8 @@ def apply_gain(texture: dc.Tensor, gain: dc.Tensor) -> dc.Tensor:
 
 
 def pose(theta, displacement: dc.Tensor, template: TemplateMesh,
-         skeleton: Skeleton) -> tuple[dc.Tensor, dc.Tensor]:
-    """(canonical, posed) vertices; differentiable in displacement.
+         skeleton: Skeleton) -> dc.Tensor:
+    """Posed vertices [V,3]; differentiable in displacement.
 
     theta is a plain pose vector (posing is a constant transform per
     joint). The corrective is additive, so zero displacement leaves
@@ -47,7 +43,7 @@ def pose(theta, displacement: dc.Tensor, template: TemplateMesh,
                       template.weights)
     if not np.isfinite(posed.data).all():
         raise ValueError("composed geometry has non-finite vertices")
-    return canonical, posed
+    return posed
 
 
 def compose(theta, displacement: dc.Tensor, texture: dc.Tensor,
@@ -55,6 +51,5 @@ def compose(theta, displacement: dc.Tensor, texture: dc.Tensor,
             skeleton: Skeleton) -> AvatarOutput:
     """Build the posed, shaded avatar: `pose` plus the gain-modulated
     texture; differentiable in displacement, texture and gain."""
-    canonical, posed = pose(theta, displacement, template, skeleton)
-    return AvatarOutput(displacement, canonical, posed, texture, gain,
+    return AvatarOutput(pose(theta, displacement, template, skeleton),
                         apply_gain(texture, gain))

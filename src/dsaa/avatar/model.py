@@ -49,7 +49,7 @@ class AvatarModel:
             masks = InfluenceMask(np.ones_like(masks.data), masks.names)
         self.masks = masks
         self.atlas = build_atlas(template.uvs, template.faces, g, g)
-        ref, _ = render_position_map(template.verts, template.faces, self.atlas)
+        ref = render_position_map(template.verts, template.faces, self.atlas)
 
         self.store = dc.ParamStore()
         init = stream(seed, "init")
@@ -120,7 +120,7 @@ class AvatarModel:
     def geometry(self, signal: DrivingSignal, z=None):
         """(posed vertices [V,3], decoder trunk); the view is not read."""
         disp, trunk = self._trunk(signal, z)
-        return pose(signal.theta, disp, self.template, self.skeleton)[1], trunk
+        return pose(signal.theta, disp, self.template, self.skeleton), trunk
 
     def appearance(self, trunk: dc.Tensor, view, gain: dc.Tensor) -> dc.Tensor:
         """Final texture for one view: the texture branch times the gain."""

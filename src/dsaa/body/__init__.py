@@ -1,7 +1,7 @@
 """Articulation: skeleton, forward kinematics, skinning, Laplacian, atlas."""
 
-from .skeleton import (Skeleton, JointTransforms, euler_xyz,
-                       forward_kinematics, save_skeleton, load_skeleton)
+from .skeleton import (Skeleton, euler_xyz, forward_kinematics,
+                       save_skeleton, load_skeleton)
 from .mesh import TemplateMesh, mesh_laplacian
 from .lbs import lbs_apply, lbs_unpose
 from .atlas import TexelAtlas, build_atlas, render_position_map
@@ -9,7 +9,7 @@ from .io import (save_obj, load_obj, save_weights, load_weights,
                  save_mesh, load_mesh)
 
 __all__ = [
-    "Skeleton", "JointTransforms", "euler_xyz", "forward_kinematics",
+    "Skeleton", "euler_xyz", "forward_kinematics",
     "save_skeleton", "load_skeleton",
     "TemplateMesh", "mesh_laplacian",
     "lbs_apply", "lbs_unpose",

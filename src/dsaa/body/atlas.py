@@ -25,10 +25,6 @@ class TexelAtlas:
     def valid(self) -> np.ndarray:
         return self.face_idx >= 0
 
-    @property
-    def coverage(self) -> float:
-        return float(self.valid.mean())
-
 
 def build_atlas(uvs: np.ndarray, faces: np.ndarray, height: int, width: int) -> TexelAtlas:
     if height < 8 or width < 8:
@@ -75,10 +71,11 @@ def build_atlas(uvs: np.ndarray, faces: np.ndarray, height: int, width: int) -> 
     return TexelAtlas(face_idx, bary, H, W)
 
 
-def render_position_map(verts: np.ndarray, faces: np.ndarray, atlas: TexelAtlas):
-    """Bake 3D positions into UV space: covered texels hold the barycentric
-    blend of their triangle's vertex positions, the rest hold 0. Returns
-    (position map [3,H,W], validity [H,W] bool)."""
+def render_position_map(verts: np.ndarray, faces: np.ndarray,
+                        atlas: TexelAtlas) -> np.ndarray:
+    """Bake 3D positions into UV space, [3,H,W]: covered texels hold the
+    barycentric blend of their triangle's vertex positions, the rest hold
+    0 (`atlas.valid` tells them apart)."""
     verts = np.asarray(verts)
     H, W = atlas.height, atlas.width
     pos = np.zeros((3, H, W), dtype=verts.dtype)
@@ -89,4 +86,4 @@ def render_position_map(verts: np.ndarray, faces: np.ndarray, atlas: TexelAtlas)
         bw = atlas.bary[ii, jj].astype(verts.dtype)  # [M,3]
         p = np.einsum("mk,mkc->mc", bw, vf)
         pos[:, ii, jj] = p.T
-    return pos, atlas.valid.copy()
+    return pos

@@ -68,18 +68,15 @@ class TemplateMesh:
         return self._nbr
 
 
-def mesh_laplacian(mesh: TemplateMesh, verts=None):
+def mesh_laplacian(mesh: TemplateMesh, verts):
     """Differential coordinates L(x)_i = x_i - mean of 1-ring neighbors,
     computed as -mean of neighbor differences (x_u - x_i). The difference
     form annihilates constants bitwise, so exactly-representable
     translations leave the result bit-identical.
 
-    verts defaults to the template's own vertices; pass a Tensor [V,3] for
-    a differentiable result.
+    verts [V,3] is an array, or a Tensor for a differentiable result.
     """
     idx, inv_deg = mesh.neighbor_table()
-    if verts is None:
-        verts = mesh.verts
     if isinstance(verts, dc.Tensor):
         scale = inv_deg[:, None].astype(verts.dtype)
         nbrs = dc.getitem(verts, idx)                  # [V,Dmax,3]

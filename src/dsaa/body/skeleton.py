@@ -3,7 +3,8 @@
 Joints are topologically sorted (parent before child). Pose vectors hold
 XYZ intrinsic Euler angles in radians, 3 per joint, so theta has length
 3J and theta[3j:3j+3] belongs to joint j. Joint transforms returned by
-forward kinematics are rest-relative: identity at theta = 0.
+forward kinematics are rest-relative [J,3,4] matrices [R_j | t_j] mapping
+x -> R_j x + t_j: identity at theta = 0.
 """
 
 from __future__ import annotations
@@ -76,17 +77,7 @@ class Skeleton:
         return 3 * len(self.names)
 
 
-@dataclass(frozen=True)
-class JointTransforms:
-    """Rest-relative world transforms: x -> R_j x + t_j."""
-    rot: np.ndarray              # [J,3,3]
-    t: np.ndarray                # [J,3]
-
-    def as_mat34(self) -> np.ndarray:
-        return np.concatenate([self.rot, self.t[:, :, None]], axis=2)
-
-
-def forward_kinematics(skel: Skeleton, theta: np.ndarray) -> JointTransforms:
+def forward_kinematics(skel: Skeleton, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (skel.dof,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({skel.dof},)")
@@ -106,7 +97,7 @@ def forward_kinematics(skel: Skeleton, theta: np.ndarray) -> JointTransforms:
     R0, t0 = skel.rest_world_rot, skel.rest_world_t
     S_R = wr @ R0.transpose(0, 2, 1)
     S_t = wt - np.einsum("jrc,jc->jr", S_R, t0)
-    return JointTransforms(S_R, S_t)
+    return np.concatenate([S_R, S_t[:, :, None]], axis=2)
 
 
 def save_skeleton(path, skel: Skeleton) -> None:

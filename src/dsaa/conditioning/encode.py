@@ -33,15 +33,13 @@ class LocalizedProjector:
                             (rng.normal(size=(out_channels, hidden)) / np.sqrt(hidden)).astype(dtype))
         self.b2 = store.add(f"{prefix}/b2", np.zeros((out_channels, h, w), dtype=dtype))
 
-    def __call__(self, x) -> dc.Tensor:
-        if not isinstance(x, dc.Tensor):
-            x = dc.Tensor(np.asarray(x))
-        if x.data.shape != (self.n_signal,):
+    def __call__(self, x: np.ndarray) -> dc.Tensor:
+        if x.shape != (self.n_signal,):
             raise ValueError(
-                f"signal length {x.data.shape} does not match mask channels "
+                f"signal length {x.shape} does not match mask channels "
                 f"({self.n_signal})")
         h, w = self.grid
-        masked = dc.mul(tile2d(x, h, w), self._mask)
+        masked = dc.mul(tile2d(dc.Tensor(x), h, w), self._mask)
         z1 = dc.reshape(dc.matmul(self.w1, dc.reshape(masked, (self.n_signal, h * w))),
                         (self.w1.data.shape[0], h, w))
         a1 = dc.tanh(dc.add(z1, self.b1))

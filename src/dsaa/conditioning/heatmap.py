@@ -6,9 +6,11 @@ from ..rng import stream
 
 __all__ = ["influence_heatmap"]
 
+_SCALE = 0.25
+
 
 def influence_heatmap(eval_fn, signal: np.ndarray, k: int, n_perturb: int,
-                      scale: float = 0.25, seed: int = 0) -> np.ndarray:
+                      seed: int = 0) -> np.ndarray:
     """Mean |output change| per texel over random perturbations of scalar k.
 
     eval_fn maps a signal vector to an array whose trailing two axes are the
@@ -23,7 +25,7 @@ def influence_heatmap(eval_fn, signal: np.ndarray, k: int, n_perturb: int,
     rng = stream(seed, "heatmap", int(k))
     for _ in range(n_perturb):
         bumped = signal.copy()
-        bumped[k] += rng.normal() * scale
+        bumped[k] += rng.normal() * _SCALE
         diff = np.abs(np.asarray(eval_fn(bumped), dtype=np.float64) - base)
         acc += diff.reshape(-1, *base.shape[-2:]).mean(axis=0)
     acc /= n_perturb

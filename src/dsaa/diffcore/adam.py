@@ -11,6 +11,8 @@ import numpy as np
 
 from .tensor import Tensor
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 
 class ParamStore:
     """Ordered name -> Tensor map; creation order fixes serialization order."""
@@ -68,20 +70,16 @@ class ParamStore:
 
 
 class Adam:
-    def __init__(self, params: ParamStore, lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: ParamStore, lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _BETA1, _BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for k, p in self.params.items():
@@ -94,7 +92,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
 
     def state_arrays(self, prefix: str = "adam/") -> dict[str, np.ndarray]:
         out = {prefix + "t": np.array([float(self.t)])}

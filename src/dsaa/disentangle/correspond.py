@@ -23,13 +23,10 @@ class CorrespondenceSet:
 
     rows: tuple[int, ...]
     target: Callable[[Any], np.ndarray]
-    names: tuple[str, ...]
 
     def __post_init__(self):
         if len(self.rows) == 0:
             raise ValueError("correspondence set is empty")
-        if len(self.names) != len(self.rows):
-            raise ValueError(f"{len(self.names)} names for {len(self.rows)} rows")
         if any(int(r) != r or r < 0 for r in self.rows):
             raise ValueError("rows must be nonnegative integers")
         if not callable(self.target):
@@ -41,9 +38,9 @@ def joint_sites(template: TemplateMesh, skeleton: Skeleton) -> CorrespondenceSet
 
     The target poses the anchors by the signal's pose alone (template
     positions, no corrective displacement), so rows of the composed
-    geometry are pulled toward where the skeleton puts them. Accepts a
-    driving-signal object or a raw pose vector. Ties in the skinning
-    weights resolve to the lowest vertex index.
+    geometry are pulled toward where the skeleton puts them. The target
+    takes a DrivingSignal. Ties in the skinning weights resolve to the
+    lowest vertex index.
     """
     w = template.weights
     if w.shape[1] != len(skeleton.names):
@@ -54,8 +51,7 @@ def joint_sites(template: TemplateMesh, skeleton: Skeleton) -> CorrespondenceSet
     anchor_w = w[list(rows)].copy()
 
     def target(signal):
-        theta = np.asarray(getattr(signal, "theta", signal), dtype=np.float64)
-        return lbs_apply(anchor_v, forward_kinematics(skeleton, theta), anchor_w)
+        return lbs_apply(anchor_v, forward_kinematics(skeleton, signal.theta),
+                         anchor_w)
 
-    return CorrespondenceSet(rows=rows, target=target,
-                             names=tuple(skeleton.names))
+    return CorrespondenceSet(rows=rows, target=target)

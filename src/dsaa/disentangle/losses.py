@@ -93,8 +93,6 @@ def perturbation_loss(decode_fn, signals, z_samples, corr: CorrespondenceSet) ->
     corr.target(signals[b]); squared errors are summed over sites and
     averaged over the batch (one prior sample per element).
     """
-    if len(corr.rows) == 0:
-        raise ValueError("correspondence set is empty")
     z_samples = np.asarray(z_samples, dtype=np.float64)
     n = len(signals)
     if n == 0 or z_samples.shape[0] != n:

@@ -9,6 +9,8 @@ from ..rng import stream
 
 __all__ = ["StatisticsNet", "fit_statistics"]
 
+_FIT_LR = 1e-3
+
 
 class StatisticsNet:
     """Dense critic m = f(c, z): high on paired rows, low on shuffled ones.
@@ -56,8 +58,7 @@ class StatisticsNet:
 
 
 def fit_statistics(store: dc.ParamStore, stats: StatisticsNet, c, z, *,
-                   steps: int, batch: int, lr: float = 1e-3,
-                   seed: int = 0) -> list[float]:
+                   steps: int, batch: int, seed: int = 0) -> list[float]:
     """Adam-train the critic to tighten the pairing bound.
 
     `store` must hold only this net's parameters; it is stepped whole.
@@ -73,7 +74,7 @@ def fit_statistics(store: dc.ParamStore, stats: StatisticsNet, c, z, *,
         raise ValueError(f"batch mismatch: {n} signals vs {z.shape[0]} latents")
     if batch < 2:
         raise ValueError("minibatch must hold at least 2 rows")
-    opt = dc.Adam(store, lr=lr)
+    opt = dc.Adam(store, lr=_FIT_LR)
     r = stream(seed, "mi-fit")
     trace = []
     for _ in range(steps):

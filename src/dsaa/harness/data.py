@@ -89,9 +89,8 @@ class TrainData:
             fr = self.frame(frame_id)
             tf = forward_kinematics(self.skeleton, fr.theta)
             canonical = lbs_unpose(fr.verts, tf, self.template.weights)
-            pm, _ = render_position_map(canonical, self.template.faces,
-                                        self._atlas)
-            self._pos_maps[frame_id] = pm
+            self._pos_maps[frame_id] = render_position_map(
+                canonical, self.template.faces, self._atlas)
         return self._pos_maps[frame_id]
 
     def ao(self, frame_id: str) -> np.ndarray:

@@ -46,8 +46,6 @@ class TrainingDiverged(RuntimeError):
 @dataclass
 class TrainResult:
     model: AvatarModel
-    start_iter: int
-    end_iter: int
     history: list          # one dict per executed iteration
 
 
@@ -141,8 +139,7 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
     finally:
         log.close()
         data.flush_ao()
-    return TrainResult(model=model, start_iter=start, end_iter=cfg.iters,
-                       history=history)
+    return TrainResult(model=model, history=history)
 
 
 # ------------------------------------------------------------------ one step

@@ -190,13 +190,13 @@ def _dot(a, b):
     return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
 
 
-def _mt_any_hit(o, d, a, e1, e2, tol, t_min):
+def _mt_any_hit(o, d, a, e1, e2, tol):
     """Ray/triangle intersection in determinant form, column by column.
 
     Columns of the [3,N] component rows pair a ray (o, d) with one
-    triangle's `_triangles` constants. Both orientations count;
-    near-parallel rays are rejected (a grazing miss is acceptable for
-    occlusion queries).
+    triangle's `_triangles` constants; a hit needs t > 0. Both
+    orientations count; near-parallel rays are rejected (a grazing miss
+    is acceptable for occlusion queries).
     """
     p = _cross(d, e2)
     det = _dot(e1, p)
@@ -209,7 +209,7 @@ def _mt_any_hit(o, d, a, e1, e2, tol, t_min):
     v = _dot(d, q) * inv
     t = _dot(e2, q) * inv
     return (usable & (u >= -_EDGE_TOL) & (v >= -_EDGE_TOL)
-            & (u + v <= 1.0 + _EDGE_TOL) & (t > t_min))
+            & (u + v <= 1.0 + _EDGE_TOL) & (t > 0.0))
 
 
 class UniformGrid:
@@ -218,7 +218,7 @@ class UniformGrid:
     A triangle is listed in every cell that its bounding box touches once
     widened by a guard band of 1e-9 of the grid diagonal. `any_hit` clips
     each ray to the grid box (widened by the same guard) from
-    max(t_min, t_enter) on, and walks all rays at once, cell by cell, with
+    max(0, t_enter) on, and walks all rays at once, cell by cell, with
     the 3D-DDA of Amanatides & Woo (1987): per ray, tMax holds the t of
     the next cell plane on each axis and tDelta the t between planes, and
     each step crosses the nearest plane. At every step the rays still in
@@ -282,17 +282,17 @@ class UniformGrid:
         self._counts = np.bincount(cid, minlength=7 * int(self.res.prod()))
         self._start = np.cumsum(self._counts) - self._counts
 
-    def any_hit(self, origins, dirs, t_min=0.0):
+    def any_hit(self, origins, dirs):
         o = np.asarray(origins, dtype=np.float64)
         d = np.asarray(dirs, dtype=np.float64)
         hit = np.zeros(len(o), dtype=bool)
         if len(self._tris):
             for s in range(0, len(o), _WALK_RAYS):
                 hit[s:s + _WALK_RAYS] = self._walk(o[s:s + _WALK_RAYS],
-                                                   d[s:s + _WALK_RAYS], t_min)
+                                                   d[s:s + _WALK_RAYS])
         return hit
 
-    def _walk(self, o, d, t_min):
+    def _walk(self, o, d):
         hit = np.zeros(len(o), dtype=bool)
         box_lo, box_hi = self.lo - self._guard, self.hi + self._guard
         flat = d == 0.0
@@ -304,7 +304,7 @@ class UniformGrid:
                         np.minimum(ta, tb)).max(axis=1)
         far = np.where(flat, np.where(within, np.inf, -np.inf),
                        np.maximum(ta, tb)).min(axis=1)
-        t0 = np.maximum(near, t_min)
+        t0 = np.maximum(near, 0.0)
         ray = np.flatnonzero((t0 <= far) & ~flat.all(axis=1))
 
         # walk state in [3,R] component rows, rays along the last axis
@@ -332,8 +332,7 @@ class UniformGrid:
                 h = _mt_any_hit(
                     np.take(o, pr, axis=1), np.take(d, pr, axis=1),
                     *(np.take(x, tt, axis=-1)
-                      for x in (self._a, self._e1, self._e2, self._tol)),
-                    t_min)
+                      for x in (self._a, self._e1, self._e2, self._tol)))
                 got[pr[h]] = True
                 hit[ray[got]] = True
             n = np.arange(len(ray))

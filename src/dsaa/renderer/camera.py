@@ -8,6 +8,9 @@ import numpy as np
 
 from .. import diffcore as dc
 
+_UP = np.array([0.0, 1.0, 0.0])
+_Z_MIN = 0.05
+
 
 @dataclass(frozen=True)
 class Camera:
@@ -30,31 +33,30 @@ class Camera:
         object.__setattr__(self, "t", np.asarray(self.t, dtype=np.float64))
 
 
-def look_at(eye, target, up=(0.0, 1.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
+def look_at(eye, target) -> tuple[np.ndarray, np.ndarray]:
     """World->camera rotation and translation for a camera at `eye` looking
     at `target`, +z into the scene, +y down the image (row direction)."""
     eye = np.asarray(eye, dtype=np.float64)
     fwd = np.asarray(target, dtype=np.float64) - eye
     fwd /= np.linalg.norm(fwd)
-    upv = np.asarray(up, dtype=np.float64)
-    right = np.cross(fwd, upv)
+    right = np.cross(fwd, _UP)
     right /= np.linalg.norm(right)
     down = np.cross(fwd, right)
     R = np.stack([right, down, fwd])
     return R, -R @ eye
 
 
-def project(cam: Camera, verts: dc.Tensor, z_min: float = 0.05):
+def project(cam: Camera, verts: dc.Tensor):
     """Project [V,3] world vertices. Returns (screen xy [V,2] in pixel
     units, camera depth [V]). Pixel (i,j) has center (j+0.5, i+0.5).
 
-    Depth used for division is clamped below at z_min so near-plane
+    Depth used for division is clamped below at _Z_MIN so near-plane
     crossings do not blow up; callers must still reject all-behind meshes.
     """
     dt = verts.dtype
     Xc = dc.add(dc.matmul(verts, cam.rot.T.astype(dt)), cam.t.astype(dt))
     z = dc.getitem(Xc, (slice(None), 2))
-    z_safe = dc.maximum(z, z_min)
+    z_safe = dc.maximum(z, _Z_MIN)
     inv = dc.reciprocal(z_safe)
     sx = dc.add(dc.mul(dc.mul(dc.getitem(Xc, (slice(None), 0)), inv), cam.fx), cam.cx)
     sy = dc.add(dc.mul(dc.mul(dc.getitem(Xc, (slice(None), 1)), inv), cam.fy), cam.cy)

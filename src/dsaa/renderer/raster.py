@@ -10,12 +10,12 @@ Forward stages, plain numpy over one flat list of (face, pixel) pairs:
 
 1. Pair layout. Each face has its own Ky x Kx pixel window around its
    screen bbox widened by the coverage margin sqrt(sigma_r *
-   ln(1/coverage_tol)) + 1 px, capped per face at `window` and clipped to
+   ln(1/_COVERAGE_TOL)) + 1 px, capped per face at `window` and clipped to
    the canvas. In each window row only the column span whose pixel
    centres lie within the margin of the filled triangle is enumerated:
    one interval per row, in closed form from the screen vertices, since
    the dilated triangle is convex. Every dropped pair has coverage below
-   coverage_tol. window=None is an infinite margin: every face covers
+   _COVERAGE_TOL. window=None is an infinite margin: every face covers
    every canvas pixel (no truncation; the mode gradient checks run in).
    Pairs run face-major, then by row, then by column, so each face owns
    one contiguous run (empty for a face with no pixel near it).
@@ -32,16 +32,16 @@ Forward stages, plain numpy over one flat list of (face, pixel) pairs:
 4. Attributes. Barycentrics clamped to [0,1] and renormalised
    interpolate uv and depth.
 5. Depth softmax. Face weight D * exp((zn - shift) / gamma) with zn the
-   inverted normalised depth clamped to [0,1]; background weight
-   exp(-shift / gamma). The shift is the per-pixel max of
+   inverted normalised depth clamped to [0,1]; the black background's
+   weight is exp(-shift / gamma). The shift is the per-pixel max of
    zn + gamma * ln(D) (background pinned at 0); it cancels out of the
    softmax ratio, so it only keeps exp() in range.
 6. Texture. rgb is the bilinear sample at uv (helpers shared with
    dc.texture_sample), taken only at live pairs: those with a nonzero
    face weight. Every other pair would add an exact zero.
 7. Scatter. rgb * weight, weight and log(1 - D) are summed onto the
-   canvas with np.bincount in pair order; image = (sum rgb*w +
-   background * bg_w) / (sum w + bg_w), mask = 1 - exp(sum log(1 - D)).
+   canvas with np.bincount in pair order; image = sum rgb*w / (sum w +
+   bg_w), mask = 1 - exp(sum log(1 - D)).
 
 Every float64 output equals what the same formulas give as a graph of
 generic tape ops (tests/raster_oracle.py): the same operations in the
@@ -79,15 +79,14 @@ from ..diffcore.tensor import make_node
 from .camera import Camera, project
 
 _ZNEAR, _ZFAR = 1.0, 6.0   # camera depths where zn is 1 and 0
+_COVERAGE_TOL = 1e-4       # sigmoid tail allowed outside a window
 
 
 @dataclass(frozen=True)
 class RasterConfig:
     sigma_r: float = 0.3          # edge sigmoid sharpness, pixel^2 units
     gamma: float = 0.05           # depth softmax temperature
-    background: tuple = (0.0, 0.0, 0.0)
     window: int | None = 16       # max window size per face; None = full image
-    coverage_tol: float = 1e-4    # sigmoid tail allowed outside a window
 
     def __post_init__(self):
         if self.sigma_r <= 0 or self.gamma <= 0:
@@ -95,8 +94,6 @@ class RasterConfig:
         if self.window is not None and not (isinstance(self.window, (int, np.integer))
                                             and self.window >= 2):
             raise ValueError(f"window must be None or an int >= 2, got {self.window!r}")
-        if not 0.0 < self.coverage_tol < 1.0:
-            raise ValueError(f"coverage_tol must lie in (0, 1), got {self.coverage_tol!r}")
 
 
 @dataclass
@@ -116,9 +113,8 @@ def rasterize(verts: dc.Tensor, faces: np.ndarray, uvs: np.ndarray,
     dt = verts.dtype
 
     if faces.shape[0] == 0 or verts.shape[0] == 0:
-        bg = np.asarray(cfg.background, dtype=dt)
-        img = dc.Tensor(np.broadcast_to(bg[:, None, None], (3, H, W)).copy())
-        return RenderTarget(img, dc.Tensor(np.zeros((H, W), dtype=dt)))
+        return RenderTarget(dc.Tensor(np.zeros((3, H, W), dtype=dt)),
+                            dc.Tensor(np.zeros((H, W), dtype=dt)))
 
     screen, z = project(cam, verts)
     if not (z.data > 0.0).any():
@@ -129,9 +125,9 @@ def rasterize(verts: dc.Tensor, faces: np.ndarray, uvs: np.ndarray,
 
 def _coverage_margin(cfg: RasterConfig) -> float:
     """Pixel distance from a face beyond which its coverage is below
-    coverage_tol: sigmoid(-d2 / sigma_r) < coverage_tol once
-    d2 > sigma_r * ln(1 / coverage_tol), plus one pixel to spare."""
-    return float(np.sqrt(cfg.sigma_r * np.log(1.0 / cfg.coverage_tol))) + 1.0
+    _COVERAGE_TOL: sigmoid(-d2 / sigma_r) < _COVERAGE_TOL once
+    d2 > sigma_r * ln(1 / _COVERAGE_TOL), plus one pixel to spare."""
+    return float(np.sqrt(cfg.sigma_r * np.log(1.0 / _COVERAGE_TOL))) + 1.0
 
 
 def _window_layout(pf: np.ndarray, H: int, W: int, cfg: RasterConfig):
@@ -346,10 +342,9 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
         return np.bincount(idx, vals, minlength=HW).astype(dt)
 
     inv_den = 1.0 / (scatter(pix, wdepth) + bgw)
-    bg = np.asarray(cfg.background, dtype=dt)
     out = np.empty((C + 1, HW), dtype=dt)
     for c in range(C):
-        out[c] = (scatter(pix_live, rgb[c] * w_live) + bg[c] * bgw) * inv_den
+        out[c] = scatter(pix_live, rgb[c] * w_live) * inv_den
     emask = np.exp(scatter(pix, log1mD))
     out[C] = 1.0 - emask
 

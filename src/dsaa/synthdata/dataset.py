@@ -110,6 +110,8 @@ def load_manifest(root) -> DatasetManifest:
     frames = []
     for key in [k for k in kv if k.startswith("frame.")]:
         group, _, split = kv.pop(key).partition(" ")
+        if group not in ("standard", "novel") or split not in ("unsplit", "train", "test"):
+            raise ValueError(f"{key}: unknown group or split {group!r} {split!r}")
         frames.append(FrameEntry(key[len("frame."):], group, split))
     keyvalue.reject_unknown(kv, "manifest")
     if stored != _spec_hash(spec):

@@ -14,7 +14,7 @@ from dsaa.occlusion.ao import _corners, _mt_any_hit, _triangles
 from dsaa.rng import stream
 
 
-def ray_any_hit(origins, dirs, verts, faces, t_min=0.0, chunk=256):
+def ray_any_hit(origins, dirs, verts, faces, chunk=256):
     """Brute-force any-hit over every triangle; the grid's reference."""
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
@@ -29,7 +29,7 @@ def ray_any_hit(origins, dirs, verts, faces, t_min=0.0, chunk=256):
         r = o.shape[1]
         h = _mt_any_hit(np.repeat(o, F, axis=1), np.repeat(d, F, axis=1),
                         np.tile(a, r), np.tile(e1, r), np.tile(e2, r),
-                        np.tile(tol, r), t_min)
+                        np.tile(tol, r))
         hit[s:s + chunk] = h.reshape(r, F).any(axis=1)
     return hit
 

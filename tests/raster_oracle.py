@@ -77,17 +77,16 @@ def rasterize_graph(verts: dc.Tensor, faces: np.ndarray, uvs: np.ndarray,
               texture: dc.Tensor, cam: Camera, cfg: RasterConfig) -> RenderTarget:
     """verts [V,3] world space, faces [F,3], uvs [V,2], texture [3,Ht,Wt].
 
-    Differentiable w.r.t. verts and texture. Raises if the mesh is
-    entirely behind the camera.
+    Differentiable w.r.t. verts and texture; the background is black.
+    Raises if the mesh is entirely behind the camera.
     """
     H, W = cam.height, cam.width
     dt = verts.dtype
     F = faces.shape[0]
 
     if F == 0 or verts.shape[0] == 0:
-        bg = np.asarray(cfg.background, dtype=dt)
-        img = dc.Tensor(np.broadcast_to(bg[:, None, None], (3, H, W)).copy())
-        return RenderTarget(img, dc.Tensor(np.zeros((H, W), dtype=dt)))
+        return RenderTarget(dc.Tensor(np.zeros((3, H, W), dtype=dt)),
+                            dc.Tensor(np.zeros((H, W), dtype=dt)))
 
     screen, z = project(cam, verts)
     if not (z.data > 0.0).any():
@@ -195,8 +194,6 @@ def rasterize_graph(verts: dc.Tensor, faces: np.ndarray, uvs: np.ndarray,
 
     den = dc.add(dc.getitem(canvas, 3), bgw)
     inv_den = dc.reciprocal(den)
-    bg = np.asarray(cfg.background, dtype=dt)
-    img = dc.stack([dc.mul(dc.add(dc.getitem(canvas, c), bg[c] * bgw), inv_den)
-                    for c in range(3)])
+    img = dc.stack([dc.mul(dc.getitem(canvas, c), inv_den) for c in range(3)])
     mask = dc.sub(1.0, dc.exp(dc.getitem(canvas, 4)))
     return RenderTarget(img, mask)

@@ -127,7 +127,7 @@ def test_encode_shapes_floor_determinism():
     model, tpl, _ = build_model()
     wv = tpl.verts.copy()
     wv[:, 2] += 0.02 * np.sin(8.0 * np.pi * wv[:, 0])
-    pos, _ = body.render_position_map(wv, tpl.faces, model.atlas)
+    pos = body.render_position_map(wv, tpl.faces, model.atlas)
     dist = model.encode(pos)
     assert dist.mu.data.shape == (16,)
     assert dist.sigma.data.shape == (16,)
@@ -140,7 +140,7 @@ def test_encode_shapes_floor_determinism():
 def test_encode_sigma_floor_is_tight():
     model, tpl, _ = build_model()
     zero_params(model, "enc/head")
-    pos, _ = body.render_position_map(tpl.verts, tpl.faces, model.atlas)
+    pos = body.render_position_map(tpl.verts, tpl.faces, model.atlas)
     # zeroed head emits raw 0 -> sigma = softplus(0) + floor everywhere
     dist = model.encode(pos)
     npt.assert_allclose(dist.sigma.data, np.log(2.0) + 1e-6, rtol=1e-14)
@@ -155,7 +155,7 @@ def test_encode_rejects_bad_input():
     with pytest.raises(ValueError):
         model.encode(bad)
     nolat, _, _ = build_model(use_latent=False)
-    pos, _ = body.render_position_map(tpl.verts, tpl.faces, model.atlas)
+    pos = body.render_position_map(tpl.verts, tpl.faces, model.atlas)
     with pytest.raises(RuntimeError):
         nolat.encode(pos)
 
@@ -230,7 +230,7 @@ def test_zero_decoder_gives_template_lbs():
     ref = body.lbs_apply(tpl.verts, body.forward_kinematics(skel, theta),
                          tpl.weights)
     npt.assert_array_equal(out.posed.data, ref)
-    npt.assert_array_equal(out.canonical.data, tpl.verts)
+    npt.assert_array_equal(dc.texture_sample(disp, tpl.uvs).data, 0.0)
 
 
 def test_decode_validates_inputs():
@@ -380,10 +380,8 @@ def test_compose_identity():
     disp = dc.Tensor(np.zeros((3, 32, 32)))
     gain = dc.Tensor(np.ones((1, 16, 16)))
     out = avatar.compose(np.zeros(3), disp, tex, gain, tpl, skel)
-    npt.assert_array_equal(out.canonical.data, tpl.verts)
     npt.assert_array_equal(out.posed.data, tpl.verts)
     npt.assert_array_equal(out.final.data, tex.data)
-    npt.assert_array_equal(out.gain.data, 1.0)
 
 
 def test_gain_doubling_doubles_preclamp():
@@ -411,8 +409,9 @@ def test_corrective_additivity_exact():
     gain = dc.Tensor(np.ones((1, 16, 16)))
 
     def geo(d):
+        # the rest pose of this rig skins exactly, so posed = canonical
         return avatar.compose(np.zeros(3), dc.Tensor(d), tex, gain,
-                              tpl, skel).canonical.data
+                              tpl, skel).posed.data
 
     npt.assert_array_equal(geo(d1 + d2), geo(d1) + geo(d2) - tpl.verts)
 
@@ -469,7 +468,7 @@ def test_render_loss_fd_wrt_decoder_and_shadow_weights():
     def loss(wt, wx, ws):
         dec.w_trunk, dec.w_tex1, shd.w4 = wt, wx, ws
         out = model.forward(sig, z, ao)
-        assert float(dc.mul(out.texture, dc.upsample2d(out.gain, 4)).data.max()) < 0.99
+        assert float(out.final.data.max()) < 0.99      # below the clamp
         rt = renderer.rasterize(out.posed, tpl.faces, tpl.uvs, out.final, cam, rcfg)
         return renderer.l2_sum(rt.image, target)
 
@@ -536,8 +535,7 @@ def test_no_latent_variant(tmp_path):
 def test_shadow_flag_controls_gain_path():
     model, _, _ = build_model(use_shadow=False)
     assert not any(n.startswith("shadow/") for n in model.store.names())
-    out = model.forward(SIG, np.zeros(16))
-    npt.assert_array_equal(out.gain.data, 1.0)
+    npt.assert_array_equal(model.shadow_gain().data, 1.0)
     with pytest.raises(ValueError):
         model.forward(SIG, np.zeros(16), np.ones((1, 16, 16)))
     withshadow, _, _ = build_model()

@@ -29,8 +29,8 @@ def test_fk_rest_pose_is_identity():
     sk = chain_skeleton([(0, 0, 0), (1, 0, 0), (0.5, 0.2, 0)])
     tf = body.forward_kinematics(sk, np.zeros(sk.dof))
     for j in range(3):
-        npt.assert_allclose(tf.rot[j], np.eye(3), atol=1e-15)
-        npt.assert_allclose(tf.t[j], 0.0, atol=1e-15)
+        npt.assert_allclose(tf[j, :, :3], np.eye(3), atol=1e-15)
+        npt.assert_allclose(tf[j, :, 3], 0.0, atol=1e-15)
 
 
 def test_fk_two_bone_90deg():
@@ -39,7 +39,7 @@ def test_fk_two_bone_90deg():
     theta[2] = np.pi / 2          # root z rotation
     tf = body.forward_kinematics(sk, theta)
     # child rest world position (1,0,0) swings to (0,1,0)
-    p = tf.rot[1] @ np.array([1.0, 0.0, 0.0]) + tf.t[1]
+    p = tf[1, :, :3] @ np.array([1.0, 0.0, 0.0]) + tf[1, :, 3]
     npt.assert_allclose(p, [0.0, 1.0, 0.0], atol=1e-12)
 
 
@@ -50,8 +50,8 @@ def test_fk_leaf_rotation_leaves_ancestors():
     theta[6:9] = [0.3, -0.7, 1.1]  # leaf only
     tf = body.forward_kinematics(sk, theta)
     for j in (0, 1):
-        npt.assert_array_equal(tf.rot[j], base.rot[j])
-        npt.assert_array_equal(tf.t[j], base.t[j])
+        npt.assert_array_equal(tf[j, :, :3], base[j, :, :3])
+        npt.assert_array_equal(tf[j, :, 3], base[j, :, 3])
 
 
 def test_fk_rejects_wrong_length():
@@ -84,14 +84,15 @@ def test_lbs_unit_weight_follows_joint():
     theta = r.uniform(-1.0, 1.0, sk.dof)
     tf = body.forward_kinematics(sk, theta)
     posed = body.lbs_apply(verts, tf, w1)
-    expect = verts @ tf.rot[2].T + tf.t[2]
+    expect = verts @ tf[2, :, :3].T + tf[2, :, 3]
     npt.assert_allclose(posed, expect, atol=1e-12)
 
 
 def test_lbs_half_half_translations():
     sk = two_bone()
-    tf = body.JointTransforms(np.tile(np.eye(3), (2, 1, 1)),
-                              np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]))
+    tf = np.concatenate([np.tile(np.eye(3), (2, 1, 1)),
+                         np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])[:, :, None]],
+                        axis=2)
     verts = np.array([[0.3, 0.4, 0.5]])
     w = np.array([[0.5, 0.5]])
     posed = body.lbs_apply(verts, tf, w)
@@ -176,7 +177,7 @@ def grid_mesh(n=5):
 
 def test_laplacian_zero_on_grid_interior():
     mesh = grid_mesh()
-    L = body.mesh_laplacian(mesh)
+    L = body.mesh_laplacian(mesh, mesh.verts)
     center = 2 * 5 + 2
     npt.assert_allclose(L[center], 0.0, atol=1e-12)
 
@@ -197,7 +198,7 @@ def test_laplacian_isolated_vertex_errors():
     w = np.ones((4, 1))
     mesh = body.TemplateMesh(verts, faces, uvs, w)
     with pytest.raises(ValueError, match="isolated"):
-        body.mesh_laplacian(mesh)
+        body.mesh_laplacian(mesh, mesh.verts)
 
 
 def test_laplacian_differentiable_fd():
@@ -217,7 +218,8 @@ def test_position_map_centroid_texel():
     faces = np.array([[0, 1, 2]])
     verts = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 1.0], [1.0, 3.0, -1.0]])
     atlas = body.build_atlas(uvs, faces, 12, 12)
-    pos, valid = body.render_position_map(verts, faces, atlas)
+    pos = body.render_position_map(verts, faces, atlas)
+    valid = atlas.valid
     # UV centroid (0.375, 0.375) is exactly the center of texel (4,4)
     assert valid[4, 4]
     npt.assert_allclose(pos[:, 4, 4], verts.mean(axis=0), atol=1e-12)
@@ -231,9 +233,10 @@ def test_position_map_translation():
     r = np.random.default_rng(15)
     verts = r.normal(size=(3, 3))
     atlas = body.build_atlas(uvs, faces, 16, 16)
-    p0, valid = body.render_position_map(verts, faces, atlas)
+    p0 = body.render_position_map(verts, faces, atlas)
+    valid = atlas.valid
     c = np.array([0.5, -2.0, 1.25])
-    p1, _ = body.render_position_map(verts + c, faces, atlas)
+    p1 = body.render_position_map(verts + c, faces, atlas)
     shift = p1[:, valid] - p0[:, valid]
     npt.assert_allclose(shift, np.broadcast_to(c[:, None], shift.shape), atol=1e-12)
 
@@ -250,7 +253,7 @@ def test_atlas_allows_shared_edges():
     uvs = np.array([[0.05, 0.05], [0.95, 0.05], [0.95, 0.95], [0.05, 0.95]])
     faces = np.array([[0, 1, 2], [0, 2, 3]])
     atlas = body.build_atlas(uvs, faces, 16, 16)
-    assert atlas.coverage > 0.5
+    assert atlas.valid.mean() > 0.5
 
 
 def test_atlas_resolution_floor():

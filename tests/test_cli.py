@@ -10,6 +10,7 @@ import pytest
 from dsaa import keyvalue
 from dsaa.harness import ABLATIONS, trainer
 from dsaa.harness.cli import main
+from dsaa.harness.evaluate import open_run
 from dsaa.synthdata import load_manifest
 
 
@@ -140,6 +141,19 @@ def test_heatmap(cli_run):
     assert len(list(out.glob("heatmap_*.pgm"))) == 2
 
 
+@pytest.mark.parametrize("indices", ["pose", "all"])
+def test_heatmap_named_index_sets(cli_run, indices):
+    out = cli_run / f"heat_{indices}"
+    assert main(["heatmap", "--checkpoint", str(cli_run / "run"),
+                 "--dataset", str(cli_run / "data"), "--out", str(out),
+                 "--indices", indices, "--n-perturb", "2"]) == 0
+    masks = open_run(cli_run / "run", cli_run / "data")[1].masks
+    n = masks.n_pose if indices == "pose" else masks.data.shape[0]
+    assert masks.n_pose < masks.data.shape[0]
+    assert sorted(p.name for p in out.glob("heatmap_*.pgm")) == sorted(
+        f"heatmap_{k:02d}_{masks.names[k].replace(':', '_')}.pgm" for k in range(n))
+
+
 def test_report_uses_each_runs_resolutions(cli_run):
     # the run's shadow grid is 8, not the TrainData default of 16
     out = cli_run / "report"
@@ -191,6 +205,23 @@ def test_drive_on_truncated_checkpoint_exits_2(cli_run, capsys):
 
 
 # ------------------------------------------------- inputs rejected with exit 2
+
+def test_manifest_with_unknown_frame_split_is_rejected(cli_run, capsys):
+    # "tran" for "train": loaded as is, no frame would be in the train split
+    # and training would fall back to every standard frame, test ones too
+    data = cli_run / "data_retagged"
+    shutil.copytree(cli_run / "data", data)
+    text = (data / "manifest.txt").read_text()
+    assert text.count(" = standard train\n") == 2
+    (data / "manifest.txt").write_text(
+        text.replace(" = standard train\n", " = standard tran\n"))
+    with pytest.raises(ValueError, match=r"frame\.\d+: unknown group or split"):
+        load_manifest(data)
+    assert main(["train", "--config", str(cli_run / "train.cfg"),
+                 "--dataset", str(data), "--out", str(cli_run / "retagged"),
+                 "--seed", "1", "--iters", "1"]) == 2
+    assert "'tran'" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("extra", [["--steps", "-1"], ["--lr", "0"]])
 def test_drive_fit_rejects_bad_steps_and_lr(cli_run, capsys, extra):

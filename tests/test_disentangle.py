@@ -10,6 +10,7 @@ import scipy.stats
 
 from dsaa import body, diffcore as dc, disentangle as dis
 from dsaa.avatar import LatentDistribution
+from dsaa.conditioning import DrivingSignal
 from dsaa.renderer import LossWeights
 from dsaa.rng import stream
 from fd import gradcheck
@@ -67,8 +68,7 @@ def strip_rig(ncol=13):
 
 def scalar_corr():
     return dis.CorrespondenceSet(rows=(0,),
-                                 target=lambda c: np.reshape(c, (1, 1)),
-                                 names=("c",))
+                                 target=lambda c: np.reshape(c, (1, 1)))
 
 
 # ---------------------------------------------------------------- KL penalty
@@ -290,14 +290,13 @@ def test_perturbation_validates_shapes():
         dis.perturbation_loss(lambda c, z: dc.Tensor(np.zeros((1, 1))),
                               cs, zs[:3], corr)
     # selection row out of range for a 1-row output
-    bad = dis.CorrespondenceSet(rows=(2,), target=corr.target, names=("c",))
+    bad = dis.CorrespondenceSet(rows=(2,), target=corr.target)
     with pytest.raises(ValueError):
         dis.perturbation_loss(lambda c, z: dc.Tensor(np.zeros((1, 1))),
                               cs, zs, bad)
     # target dimensionality must match what the selection picks
     wide = dis.CorrespondenceSet(rows=(0,),
-                                 target=lambda c: np.zeros((1, 3)),
-                                 names=("c",))
+                                 target=lambda c: np.zeros((1, 3)))
     with pytest.raises(ValueError):
         dis.perturbation_loss(lambda c, z: dc.Tensor(np.zeros((1, 1))),
                               cs, zs, wide)
@@ -305,11 +304,9 @@ def test_perturbation_validates_shapes():
 
 def test_correspondence_validation():
     with pytest.raises(ValueError):
-        dis.CorrespondenceSet(rows=(), target=lambda c: c, names=())
+        dis.CorrespondenceSet(rows=(), target=lambda c: c)
     with pytest.raises(ValueError):
-        dis.CorrespondenceSet(rows=(0,), target=lambda c: c, names=("a", "b"))
-    with pytest.raises(ValueError):
-        dis.CorrespondenceSet(rows=(-1,), target=lambda c: c, names=("a",))
+        dis.CorrespondenceSet(rows=(-1,), target=lambda c: c)
 
 
 # ------------------------------------------------------ joint anchor builder
@@ -317,7 +314,6 @@ def test_correspondence_validation():
 def test_joint_sites_picks_strongest_vertex():
     tpl, skel = strip_rig()
     corr = dis.joint_sites(tpl, skel)
-    assert corr.names == ("root", "mid", "head")
     assert len(corr.rows) == 3
     for j, row in enumerate(corr.rows):
         best, bw = 0, -1.0
@@ -331,12 +327,14 @@ def test_joint_site_targets_follow_pose():
     tpl, skel = strip_rig()
     corr = dis.joint_sites(tpl, skel)
     rows = list(corr.rows)
-    rest = corr.target(np.zeros(9))
+    view = np.array([0.0, 0.0, 1.0])
+    rest = corr.target(DrivingSignal(np.zeros(9), np.zeros(4), view))
     npt.assert_allclose(rest, tpl.verts[rows], rtol=0, atol=1e-12)
     theta = stream(80, "th").uniform(-0.5, 0.5, size=9)
     full = body.lbs_apply(tpl.verts, body.forward_kinematics(skel, theta),
                           tpl.weights)
-    npt.assert_allclose(corr.target(theta), full[rows], rtol=1e-12, atol=1e-15)
+    npt.assert_allclose(corr.target(DrivingSignal(theta, np.zeros(4), view)),
+                        full[rows], rtol=1e-12, atol=1e-15)
 
 
 def test_joint_sites_rejects_mismatched_rig():

@@ -123,15 +123,15 @@ def test_grid_matches_brute_force():
     dirs = rng.normal(size=(2000, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     grid = UniformGrid(tpl.verts, tpl.faces)
-    fast = grid.any_hit(origins, dirs, t_min=1e-6)
-    slow = ray_any_hit(origins, dirs, tpl.verts, tpl.faces, t_min=1e-6)
+    fast = grid.any_hit(origins, dirs)
+    slow = ray_any_hit(origins, dirs, tpl.verts, tpl.faces)
     npt.assert_array_equal(fast, slow)
 
 
-def grid_matches_brute(verts, faces, origins, dirs, t_min=1e-6):
+def grid_matches_brute(verts, faces, origins, dirs):
     """UniformGrid.any_hit equals ray_any_hit; returns the hits."""
-    fast = UniformGrid(verts, faces).any_hit(origins, dirs, t_min=t_min)
-    slow = ray_any_hit(origins, dirs, verts, faces, t_min=t_min)
+    fast = UniformGrid(verts, faces).any_hit(origins, dirs)
+    slow = ray_any_hit(origins, dirs, verts, faces)
     npt.assert_array_equal(fast, slow)
     return fast
 
@@ -217,18 +217,6 @@ def test_grid_origins_outside_box_and_misses():
     hits = grid_matches_brute(tpl.verts, tpl.faces, np.vstack([origins, origins]),
                               np.vstack([toward, away]))
     assert hits[:800].any() and not hits[800:].any()
-
-
-def test_grid_t_min_beyond_exit():
-    tpl = composite_scene()
-    rng = np.random.default_rng(6)
-    origins = rng.normal(size=(500, 3)) * 0.8
-    dirs = unit_rows(rng, 500)
-    assert not grid_matches_brute(tpl.verts, tpl.faces, origins, dirs,
-                                  t_min=50.0).any()
-    # a t_min inside the box clips the walk's start
-    hits = grid_matches_brute(tpl.verts, tpl.faces, origins, dirs, t_min=0.7)
-    assert hits.any() and not hits.all()
 
 
 def test_grid_flat_single_plane_mesh():

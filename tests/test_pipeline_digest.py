@@ -1,7 +1,10 @@
 """tools/pipeline_digest.py: its toy CLI pipeline runs on the working tree
-and hashes every kind of file it is meant to compare."""
+and hashes every kind of file it is meant to compare, and its exit code
+tells whether any file differs."""
 
 from pathlib import Path
+
+import pytest
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,3 +26,23 @@ def test_digest_of_the_working_tree_covers_every_output(tmp_path, monkeypatch):
     assert not missing
     assert all(len(h) == 64 for h in digests.values())
     assert not [name for name in digests if name in pipeline_digest.INPUTS]
+
+
+_SAME = {"data/manifest.txt": "0" * 64, "report/report.kv": "1" * 64}
+
+
+@pytest.mark.parametrize("change, code", [
+    (_SAME, 0),
+    (dict(_SAME, **{"report/report.kv": "2" * 64}), 1),
+    (dict(_SAME, **{"report/extra.txt": "3" * 64}), 1),
+], ids=["identical", "hash-differs", "one-side-only"])
+def test_exit_code_says_whether_any_file_differs(monkeypatch, capsys, change, code):
+    monkeypatch.syspath_prepend(str(_ROOT / "tools"))
+    import pipeline_digest
+
+    digests = {"parent": _SAME, "change": change}
+    monkeypatch.setattr(pipeline_digest, "_export", lambda ref, dest: None)
+    monkeypatch.setattr(pipeline_digest, "digest_tree",
+                        lambda tree, workdir: digests[workdir.name])
+    assert pipeline_digest.main(["--parent", "HEAD"]) == code
+    assert f"files written, {code} differ" in capsys.readouterr().out

@@ -8,8 +8,8 @@ import pytest
 
 from dsaa.diffcore.ops import _expit
 from dsaa.renderer import RasterConfig
-from dsaa.renderer.raster import (_SPAN_SLACK, _coverage_margin, _span_pairs,
-                                  _window_layout)
+from dsaa.renderer.raster import (_COVERAGE_TOL, _SPAN_SLACK, _coverage_margin,
+                                  _span_pairs, _window_layout)
 
 H, W = 40, 48
 
@@ -72,7 +72,7 @@ def window_grid(pf, cfg):
 
 
 CONFIGS = [RasterConfig(sigma_r=0.3), RasterConfig(sigma_r=0.08, window=12),
-           RasterConfig(sigma_r=1.0, coverage_tol=1e-6, window=20)]
+           RasterConfig(sigma_r=1.0, window=20)]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -99,7 +99,7 @@ def test_spans_keep_exactly_the_pairs_within_the_margin(seed, cfg, dtype):
     dropped = inwin & ~kept
     assert dropped.sum() > kept.sum() // 4
     coverage = _expit(-dist[dropped] ** 2 / cfg.sigma_r)   # the node's D outside a face
-    assert coverage.max() < cfg.coverage_tol
+    assert coverage.max() < _COVERAGE_TOL
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -13,6 +13,7 @@ in zero, sample and fit mode, ``heatmap`` and ``report``. Steps that do
 not depend on each other run two at a time. Every file the pipeline
 writes is hashed (sha256), and each file whose hash differs between the
 trees, or that only one tree wrote, is printed with its line counts.
+Exits 1 when any file differs, 0 when every file is byte-identical.
 Standard library only.
 """
 
@@ -118,7 +119,7 @@ def main(argv=None) -> int:
         for n in differ:
             print(f"differs: {n} (lines {_lines(runs['parent'] / n)} -> "
                   f"{_lines(runs['change'] / n)})")
-    return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
