@@ -1,14 +1,11 @@
 """Driving evaluation, the ablation report, and influence heatmaps.
 
 The driving error is the mean per-pixel L1 over the foreground union
-(ground-truth or predicted silhouette), scaled by 255. Reports aggregate
-per-frame errors that are cached next to each run keyed by the model and
-dataset hashes, so regenerating a report is a pure re-aggregation.
+(ground-truth or predicted silhouette), scaled by 255.
 """
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +26,9 @@ __all__ = ["load_model", "model_path", "union_l1", "render_frame", "drive",
            "eval_errors", "build_report", "write_heatmaps", "heatmap_locality",
            "open_run", "VARIANT_LABELS"]
 
-VARIANT_LABELS = (("ours", "OURS"),
-                  ("pose+face", "pose+face"),
-                  ("pose+face+latent", "pose+face+latent"),
-                  ("no_disent", "OURS (no disent.)"),
-                  ("no_spatial_local", "OURS (no spat. local.)"),
-                  ("no_shadow", "OURS (no shadow)"))
+VARIANT_LABELS = dict(zip(ABLATIONS, (
+    "OURS", "pose+face", "pose+face+latent", "OURS (no disent.)",
+    "OURS (no spat. local.)", "OURS (no shadow)")))
 
 _METRIC_TAG = "union-l1-v1"
 
@@ -200,50 +194,13 @@ def drive(model: AvatarModel, data: TrainData, frame_ids, mode: str = "zero",
 
 # ------------------------------------------------------------------- report
 
-def eval_errors(model: AvatarModel, data: TrainData, frame_ids,
-                cache_path=None) -> dict:
-    """Zero-driving error per frame, with an optional keyed disk cache."""
-    frame_ids = list(frame_ids)
-    key = None
-    cached = {}
-    if cache_path is not None:
-        key = _cache_key(model, data)
-        cached = _read_cache(Path(cache_path), key)
-    missing = [f for f in frame_ids if f not in cached]
-    if missing and model.config.use_shadow:
-        data.ensure_ao(missing)
-    for fid in missing:
-        images, masks = render_frame(model, data, fid, None)
-        cached[fid] = float(np.mean(_frame_errors(images, masks,
-                                                  data.frame(fid))))
-    if cache_path is not None and missing:
-        _write_cache(Path(cache_path), key, cached)
-    return {f: cached[f] for f in frame_ids}
-
-
-def _cache_key(model, data) -> str:
-    h = hashlib.sha256()
-    for name, arr in model.store.state_arrays().items():
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
-    h.update(data.manifest.spec_hash.encode())
-    h.update(_METRIC_TAG.encode())
-    return h.hexdigest()
-
-
-def _read_cache(path: Path, key: str) -> dict:
-    if not path.exists():
-        return {}
-    kv = keyvalue.read(path.read_text())
-    if kv.pop("key", None) != key:
-        return {}
-    return {name[len("frame."):]: float(val) for name, val in kv.items()
-            if name.startswith("frame.")}
-
-
-def _write_cache(path: Path, key: str, errors: dict) -> None:
-    items = [(f"frame.{f}", repr(errors[f])) for f in sorted(errors)]
-    path.write_text(keyvalue.dump([("key", key)] + items))
+def eval_errors(model: AvatarModel, data: TrainData, frame_ids) -> dict:
+    """Zero-driving error per frame of the list frame_ids."""
+    if model.config.use_shadow:
+        data.ensure_ao(frame_ids)
+    return {fid: float(np.mean(_frame_errors(*render_frame(model, data, fid),
+                                             data.frame(fid))))
+            for fid in frame_ids}
 
 
 def _subsample(ids, limit, rng) -> list:
@@ -277,15 +234,14 @@ def _encodings(model, data, ids):
     return np.stack(mu), c, u
 
 
-def latent_mi(model, data, ids, seed: int = 0) -> float:
+def latent_mi(mu, c, seed: int = 0) -> float:
     """MI(z; signal) lower bound from a statistics net freshly fit for
-    400 steps over the posterior means of `ids`."""
-    mu, c, _ = _encodings(model, data, ids)
+    400 steps over posterior means mu [N,d_z] and their signals c."""
     store = dc.ParamStore()
     stats = StatisticsNet(store, "mi", c.shape[1], mu.shape[1],
                           rng=stream(seed, "report-mi"))
     fit_statistics(store, stats, c, mu, steps=400,
-                   batch=min(64, len(ids)), seed=seed)
+                   batch=min(64, len(mu)), seed=seed)
     return mi_estimate(stats, c, mu)
 
 
@@ -356,14 +312,11 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
 
     `data` supplies the frame lists; each run is scored on the dataset
     reopened at that run's own resolutions (open_run)."""
-    known = [v for v, _ in VARIANT_LABELS]
-    missing = [v for v in known if v not in runs]
-    if missing:
-        raise ValueError(f"missing variants: {', '.join(missing)}")
-    unknown = sorted(set(runs) - set(known))
-    if unknown:
-        raise ValueError(f"unknown variants: {', '.join(unknown)}; "
-                         f"expected {', '.join(ABLATIONS)}")
+    missing = [v for v in ABLATIONS if v not in runs]
+    unknown = sorted(set(runs) - set(ABLATIONS))
+    if missing or unknown:
+        raise ValueError(f"expected variants {', '.join(ABLATIONS)}; missing "
+                         f"[{', '.join(missing)}], unknown [{', '.join(unknown)}]")
 
     test_ids = _subsample(data.ids(group="standard", split="test"),
                           eval_frames, stream(seed, "report", "test"))
@@ -379,12 +332,10 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
     # the MI critic trains on minibatches of two or more test rows, and
     # the probe needs two rows per split to fit and to have a variance
     score_latent = min(len(train_ids), len(test_ids)) >= 2
-    for variant, label in VARIANT_LABELS:
-        run_dir = Path(runs[variant])
-        run_data, model = open_run(run_dir, data.root)
-        tr = eval_errors(model, run_data, train_ids,
-                         run_dir / "errors_train.kv")
-        te = eval_errors(model, run_data, test_ids, run_dir / "errors_test.kv")
+    for variant, label in VARIANT_LABELS.items():
+        run_data, model = open_run(runs[variant], data.root)
+        tr = eval_errors(model, run_data, train_ids)
+        te = eval_errors(model, run_data, test_ids)
         tr_m = float(np.mean(list(tr.values())))
         te_m = float(np.mean(list(te.values())))
         rows.append((label, tr_m, te_m))
@@ -396,9 +347,9 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
         kv.append((f"locality.{variant}", repr(loc_m)))
         extras = [f"locality {loc_m:.3f}"]
         if model.config.use_latent and score_latent:
-            mi = latent_mi(model, run_data, test_ids, seed=seed)
             mu_tr, _, u_tr = _encodings(model, run_data, train_ids)
-            mu_te, _, u_te = _encodings(model, run_data, test_ids)
+            mu_te, c_te, u_te = _encodings(model, run_data, test_ids)
+            mi = latent_mi(mu_te, c_te, seed=seed)
             r2 = _probe_r2(mu_tr, u_tr, mu_te, u_te)
             kv.append((f"mi.{variant}", repr(mi)))
             kv.append((f"probe_r2.{variant}", repr(r2)))

@@ -101,6 +101,7 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
         say(f"resuming at iteration {start}")
     if start == 0:
         _save_state(out, model, opt, critic_store, critic_opt, 0)
+    _trim_log(out / "train.log", start)
 
     history = []
     log = open(out / "train.log", "a")
@@ -135,6 +136,7 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
                     f"non-finite {', '.join(bad)} at iteration {rec['iter']}; "
                     f"last checkpoint kept, diagnostics in {out / 'diverged.txt'}")
             if (i + 1) % cfg.checkpoint_every == 0 or i + 1 == cfg.iters:
+                log.flush()
                 _save_state(out, model, opt, critic_store, critic_opt, i + 1)
     finally:
         log.close()
@@ -234,6 +236,14 @@ def _format(rec, iters):
     bits += [f"{k} {v:.6f}" for k, v in rec.items()
              if k not in ("iter", "phase", "total")]
     return " ".join(bits)
+
+
+def _trim_log(path, last):
+    """Drop the log lines after iteration `last`, which a resume reruns."""
+    if path.exists():
+        path.write_text("".join(
+            ln for ln in path.read_text().splitlines(keepends=True)
+            if ln.endswith("\n") and int(ln.split()[1].split("/")[0]) <= last))
 
 
 def _nonfinite_params(*stores):

@@ -150,6 +150,12 @@ def _write_frame(root: Path, spec: SceneSpec, frame_id: str, seed: int, *,
     return theta, u
 
 
+def _drop_ao_maps(root: Path) -> None:
+    """Delete the AO maps (ao<res>.dsaa1), which know frames by id alone."""
+    for path in root.glob("ao*.dsaa1"):
+        path.unlink()
+
+
 def generate_dataset(spec: SceneSpec, out_dir,
                      n_frames: int) -> DatasetManifest:
     """Render n_frames frames sampled under spec.seed into out_dir and
@@ -158,6 +164,7 @@ def generate_dataset(spec: SceneSpec, out_dir,
         raise ValueError("n_frames must be at least 2")
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
+    _drop_ao_maps(root)
     save_mesh(root / "template.obj", root / "template.weights",
               spec.figure.template)
     save_skeleton(root / "skeleton.txt", spec.figure.skeleton)
@@ -202,6 +209,7 @@ def split_dataset(manifest: DatasetManifest, test_fraction: float,
     frames = [dataclasses.replace(e, split="test" if i in hold else "train")
               for i, e in enumerate(standard)]
     limit = np.repeat(np.asarray(spec.pose_range), 3) * spec.novel_margin
+    _drop_ao_maps(manifest.root)
     for i in range(n_test):
         fid = f"novel{i:04d}"
         theta, _ = _write_frame(manifest.root, spec, fid, seed,

@@ -2,16 +2,17 @@
 train runs with resume and their failure exit codes, drive in every mode,
 heatmap and report."""
 
+import dataclasses
 import shutil
 
 import numpy as np
 import pytest
 
 from dsaa import keyvalue
-from dsaa.harness import ABLATIONS, trainer
+from dsaa.harness import ABLATIONS, TrainData, load_config, trainer
 from dsaa.harness.cli import main
 from dsaa.harness.evaluate import open_run
-from dsaa.synthdata import load_manifest
+from dsaa.synthdata import load_manifest, split_dataset
 
 
 def test_gen_data_train_drive(tmp_path):
@@ -35,6 +36,30 @@ def test_gen_data_train_drive(tmp_path):
     assert main(["drive", "--checkpoint", str(run), "--dataset", str(data),
                  "--frames", frame, "--mode", "zero", "--out", str(out)]) == 0
     assert (out / f"{frame}_cam0.ppm").exists()
+
+
+def test_rewritten_frames_get_fresh_ao(tmp_path):
+    # AO maps are stored by frame id alone, so regenerating a dataset or
+    # re-splitting it in place must not leave the old frames' maps behind
+    cfg = tmp_path / "data.cfg"
+    cfg.write_text("data.image_size = 32\n")
+
+    def gen(name, seed, split_seed=None):
+        assert main(["gen-data", "--config", str(cfg), "--out",
+                     str(tmp_path / name), "--frames", "4", "--seed", str(seed),
+                     "--test-fraction", "0"]) == 0
+        if split_seed is not None:
+            split_dataset(load_manifest(tmp_path / name), 0.5, split_seed)
+        return TrainData(tmp_path / name)
+
+    gen("data", 1).ensure_ao(["000000"])
+    np.testing.assert_array_equal(gen("data", 2).ao("000000"),
+                                  gen("fresh", 2).ao("000000"))
+
+    gen("split", 2, split_seed=1).ensure_ao(["novel0000"])
+    split_dataset(load_manifest(tmp_path / "split"), 0.5, 2)
+    np.testing.assert_array_equal(TrainData(tmp_path / "split").ao("novel0000"),
+                                  gen("fresh_split", 2, split_seed=2).ao("novel0000"))
 
 
 # ------------------------------------------------- one split dataset, one run
@@ -67,6 +92,55 @@ def test_resume_matches_uninterrupted_run(cli_run):
     for name in ("trainer.dsaa1", "model.dsaa1", "model.dsaa1.manifest"):
         assert (cli_run / "resumed" / name).read_bytes() \
             == (cli_run / "run" / name).read_bytes(), name
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.fixture(scope="module")
+def four_iters(cli_run):
+    """The config of a 4-iteration run checkpointed every 2 iterations,
+    and the directory it ran into uninterrupted."""
+    config = load_config(cli_run / "train.cfg", dataset=str(cli_run / "data"),
+                         seed=1, iters=4, checkpoint_every=2)
+    whole = cli_run / "four_whole"
+    trainer.train(dataclasses.replace(config, out=str(whole)))
+    return config, whole
+
+
+@pytest.mark.parametrize("stop", ["crash", "divergence"])
+def test_resume_between_checkpoints_logs_each_iteration_once(
+        four_iters, monkeypatch, stop):
+    # stopped during iteration 3, the run resumes from its iteration-2
+    # checkpoint and runs iteration 3 again
+    config, whole = four_iters
+    out = whole.with_name(f"four_{stop}")
+    config = dataclasses.replace(config, out=str(out))
+    if stop == "crash":
+        def echo(line):
+            if line.startswith("iter 3/"):
+                raise _Stop
+
+        with pytest.raises(_Stop):
+            trainer.train(config, echo=echo)
+    else:
+        real_step = trainer._step
+
+        def step(*args):
+            rec = real_step(*args)
+            if rec["iter"] == 3:
+                rec["total"] = float("nan")
+            return rec
+
+        monkeypatch.setattr(trainer, "_step", step)
+        with pytest.raises(trainer.TrainingDiverged):
+            trainer.train(config)
+        monkeypatch.undo()
+    assert "iter 3/4" in (out / "train.log").read_text()
+    trainer.train(config, resume=True)
+    for name in ("train.log", "trainer.dsaa1", "model.dsaa1"):
+        assert (out / name).read_bytes() == (whole / name).read_bytes(), name
 
 
 def test_resume_refuses_config_with_removed_train_keys(cli_run, capsys):
@@ -154,14 +228,28 @@ def test_heatmap_named_index_sets(cli_run, indices):
         f"heatmap_{k:02d}_{masks.names[k].replace(':', '_')}.pgm" for k in range(n))
 
 
-def test_report_uses_each_runs_resolutions(cli_run):
-    # the run's shadow grid is 8, not the TrainData default of 16
-    out = cli_run / "report"
+@pytest.fixture(scope="module")
+def cli_reports(cli_run):
+    """Two report directories, written one after the other by the same
+    report of every variant on the fixture's run."""
     runs = [f"--run={v}={cli_run / 'run'}" for v in ABLATIONS]
-    assert main(["report", "--dataset", str(cli_run / "data"),
-                 "--out", str(out), "--frames", "2", *runs]) == 0
-    kv = keyvalue.read((out / "report.kv").read_text())
+    outs = [cli_run / "report", cli_run / "report_again"]
+    for out in outs:
+        assert main(["report", "--dataset", str(cli_run / "data"),
+                     "--out", str(out), "--frames", "2", *runs]) == 0
+    return outs
+
+
+def test_report_uses_each_runs_resolutions(cli_reports):
+    # the run's shadow grid is 8, not the TrainData default of 16
+    kv = keyvalue.read((cli_reports[0] / "report.kv").read_text())
     assert all(f"error.{v}.test" in kv for v in ABLATIONS)
+
+
+def test_report_rescores_without_cache_files(cli_run, cli_reports):
+    first, again = (out / "report.kv" for out in cli_reports)
+    assert first.read_bytes() == again.read_bytes()
+    assert not list(cli_run.rglob("errors_*.kv"))
 
 
 def test_report_on_one_test_frame(tmp_path):
