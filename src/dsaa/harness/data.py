@@ -14,6 +14,7 @@ of the manifest.
 from __future__ import annotations
 
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -120,12 +121,26 @@ class TrainData:
         return self.root / f"ao{self.ao_res}.dsaa1"
 
     def flush_ao(self) -> None:
-        """Persist newly computed AO maps (atomic rewrite, sorted keys)."""
+        """Persist newly computed AO maps (atomic rewrite, sorted keys).
+
+        Each flush writes a temp file of its own in the dataset root and
+        renames it over the cache, so processes sharing a dataset never
+        write into one file. When they flush concurrently, the last
+        writer's maps win; a map missing from the disk cache is recomputed
+        bit-identically on demand.
+        """
         if not self._ao_dirty:
             return
-        tmp = self._ao_path().with_suffix(".tmp")
-        dc.save_arrays(tmp, {k: self._ao[k] for k in sorted(self._ao)})
-        os.replace(tmp, self._ao_path())
+        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=f"ao{self.ao_res}.",
+                                   suffix=".tmp")
+        os.close(fd)
+        try:
+            os.chmod(tmp, 0o644)        # mkstemp's 0600 would hide the cache
+            dc.save_arrays(tmp, {k: self._ao[k] for k in sorted(self._ao)})
+            os.replace(tmp, self._ao_path())
+        except BaseException:
+            os.unlink(tmp)
+            raise
         self._ao_dirty = False
 
     def ensure_ao(self, frame_ids) -> None:

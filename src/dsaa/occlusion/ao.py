@@ -24,9 +24,9 @@ __all__ = [
 # barycentric slack so rays crossing a shared edge cannot leak between the
 # two inclusive triangle tests
 _EDGE_TOL = 1e-9
-# rays walked together; bounds the walk's per-step (ray, triangle) arrays
-# (a 16x16 map of 64 rays per texel fits one walk)
-_WALK_RAYS = 16384
+# (ray, triangle) pairs the walk tests together; bounds its per-step
+# arrays (a step of a 16x16 map of 64 rays per texel lists ~100k pairs)
+_PAIR_BLOCK = 8192
 # ray origins sit this far off the surface, times the mesh's bbox diagonal
 _OFFSET_SCALE = 1e-4
 
@@ -212,6 +212,15 @@ def _mt_any_hit(o, d, a, e1, e2, tol):
             & (u + v <= 1.0 + _EDGE_TOL) & (t > 0.0))
 
 
+def _argmin3(t):
+    """np.argmin(t, axis=0) of [3,N] rows, NaN as the least value
+    included, without argmin's strided reduction."""
+    t0, t1, t2 = t
+    ax = np.where((t1 <= t2) | np.isnan(t1), 1, 2)
+    ax[((t0 <= t1) & (t0 <= t2)) | np.isnan(t0)] = 0
+    return ax
+
+
 class UniformGrid:
     """Axis-aligned uniform grid over a triangle soup for any-hit queries.
 
@@ -224,13 +233,15 @@ class UniformGrid:
     each step crosses the nearest plane. At every step the rays still in
     flight are tested, with the `_mt_any_hit` predicate, against triangles
     of their current cell only; a ray retires as soon as one test hits or
-    it leaves the grid. A step changes one cell index, so a triangle
-    listed in the new cell but not in the old one has its range start (or
-    end) on that axis there: each cell also keeps, per entry direction,
-    the sub-list of such triangles, and a ray tests the whole list only in
-    its first cell and this sub-list after each step.
-    Every triangle of every visited cell is thus tested once per run of
-    cells, never skipped.
+    it leaves the grid. Each step lists its (ray, triangle) pairs and
+    tests them in blocks of `_PAIR_BLOCK`, so the walk's memory is bounded
+    by pairs per block, whatever the number of rays. A step changes one
+    cell index, so a triangle listed in the new cell but not in the old
+    one has its range start (or end) on that axis there: each cell also
+    keeps, per entry direction, the sub-list of such triangles, and a ray
+    tests the whole list only in its first cell and this sub-list after
+    each step. Every triangle of every visited cell is thus tested once
+    per run of cells, never skipped.
 
     Hits equal those of a brute-force `_mt_any_hit` over every triangle
     (tests/ao_oracle.py) bit for bit. Each pair the walk tests is a pair
@@ -245,7 +256,9 @@ class UniformGrid:
 
     def __init__(self, verts: np.ndarray, faces: np.ndarray):
         corners = _corners(verts, faces)
-        self._a, self._e1, self._e2, self._tol = _triangles(corners)
+        # rows a (0-2), e1 (3-5), e2 (6-8) and tol (9) of each triangle
+        a, e1, e2, tol = _triangles(corners)
+        self._consts = np.concatenate([a, e1, e2, tol[None]])
         F = len(corners)
         lo = corners.reshape(-1, 3).min(axis=0) if F else np.zeros(3)
         hi = corners.reshape(-1, 3).max(axis=0) if F else np.ones(3)
@@ -285,68 +298,83 @@ class UniformGrid:
     def any_hit(self, origins, dirs):
         o = np.asarray(origins, dtype=np.float64)
         d = np.asarray(dirs, dtype=np.float64)
-        hit = np.zeros(len(o), dtype=bool)
-        if len(self._tris):
-            for s in range(0, len(o), _WALK_RAYS):
-                hit[s:s + _WALK_RAYS] = self._walk(o[s:s + _WALK_RAYS],
-                                                   d[s:s + _WALK_RAYS])
-        return hit
+        if not len(self._tris):
+            return np.zeros(len(o), dtype=bool)
+        return self._walk(o, d)
 
     def _walk(self, o, d):
+        # rays as [3,N] component rows from here on
         hit = np.zeros(len(o), dtype=bool)
-        box_lo, box_hi = self.lo - self._guard, self.hi + self._guard
+        o, d = np.ascontiguousarray(o.T), np.ascontiguousarray(d.T)
+        box_lo = (self.lo - self._guard)[:, None]
+        box_hi = (self.hi + self._guard)[:, None]
         flat = d == 0.0
         within = (o >= box_lo) & (o <= box_hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             ta = (box_lo - o) / d
             tb = (box_hi - o) / d
-        near = np.where(flat, np.where(within, -np.inf, np.inf),
-                        np.minimum(ta, tb)).max(axis=1)
-        far = np.where(flat, np.where(within, np.inf, -np.inf),
-                       np.maximum(ta, tb)).min(axis=1)
+        enter = np.where(flat, np.where(within, -np.inf, np.inf),
+                         np.minimum(ta, tb))
+        leave = np.where(flat, np.where(within, np.inf, -np.inf),
+                         np.maximum(ta, tb))
+        near = np.maximum(np.maximum(enter[0], enter[1]), enter[2])
+        far = np.minimum(np.minimum(leave[0], leave[1]), leave[2])
         t0 = np.maximum(near, 0.0)
-        ray = np.flatnonzero((t0 <= far) & ~flat.all(axis=1))
+        ray = np.flatnonzero((t0 <= far) & ~(flat[0] & flat[1] & flat[2]))
 
-        # walk state in [3,R] component rows, rays along the last axis
-        o, d = np.ascontiguousarray(o[ray].T), np.ascontiguousarray(d[ray].T)
+        # walk state in two arrays of C-contiguous [k,R] component rows,
+        # rays along the last axis: f holds o (rows 0-2), d (3-5), tDelta
+        # (6-8) and tMax (9-11), i the cell index (0-2) and step (3-5)
+        R = len(ray)
+        f = np.empty((12, R))
+        i = np.empty((6, R), dtype=int)
+        f[:3], f[3:6] = np.take(o, ray, axis=1), np.take(d, ray, axis=1)
+        o, d, idx, step = f[:3], f[3:6], i[:3], i[3:]
         lo, cell, res = self.lo[:, None], self.cell[:, None], self.res[:, None]
-        idx = np.clip(np.floor((o + t0[ray] * d - lo) / cell),
-                      0, res - 1).astype(int)
-        step = np.sign(d).astype(int)
+        idx[:] = np.clip(np.floor((o + t0[ray] * d - lo) / cell), 0, res - 1)
+        step[:] = np.sign(d)
         with np.errstate(divide="ignore", invalid="ignore"):
-            tdelta = cell / np.abs(d)
-            tmax = np.where(step == 0, np.inf,
-                            (lo + (idx + (step > 0)) * cell - o) / d)
-        key = np.full(len(ray), 6)            # whole list in the first cell
-        while len(ray):
-            cid = (key * self.res[0] + idx[0]) * self.res[1] + idx[1]
-            cid = cid * self.res[2] + idx[2]
+            f[6:9] = cell / np.abs(d)
+            f[9:] = np.where(step == 0, np.inf,
+                             (lo + (idx + (step > 0)) * cell - o) / d)
+        key = np.full(R, 6)                   # whole list in the first cell
+        while R:
+            cid = (key * self.res[0] + i[0]) * self.res[1] + i[1]
+            cid = cid * self.res[2] + i[2]
             cnt = self._counts[cid]
             rows = np.flatnonzero(cnt)
-            got = np.zeros(len(ray), dtype=bool)
+            got = np.zeros(R, dtype=bool)
             if len(rows):
                 cnt = cnt[rows]
                 pr = np.repeat(rows, cnt)
                 tt = self._tris[np.repeat(self._start[cid[rows]], cnt)
                                 + ragged_arange(cnt)]
-                h = _mt_any_hit(
-                    np.take(o, pr, axis=1), np.take(d, pr, axis=1),
-                    *(np.take(x, tt, axis=-1)
-                      for x in (self._a, self._e1, self._e2, self._tol)))
-                got[pr[h]] = True
+                for s in range(0, len(pr), _PAIR_BLOCK):
+                    p = pr[s:s + _PAIR_BLOCK]
+                    g = np.take(f[:6], p, axis=1)
+                    c = np.take(self._consts, tt[s:s + _PAIR_BLOCK], axis=1)
+                    h = _mt_any_hit(g[:3], g[3:], c[:3], c[3:6], c[6:9], c[9])
+                    got[p[h]] = True
                 hit[ray[got]] = True
-            n = np.arange(len(ray))
-            ax = np.argmin(tmax, axis=0)
-            moving = np.isfinite(tmax[ax, n])
-            idx[ax, n] += step[ax, n]
-            tmax[ax, n] += tdelta[ax, n]
-            j = idx[ax, n]
-            key = ax + 3 * (step[ax, n] < 0)
-            keep = np.flatnonzero(~got & moving & (j >= 0)
-                                  & (j < self.res[ax]))
-            ray, o, d, idx, step, tdelta, tmax, key = (
-                np.take(x, keep, axis=-1)
-                for x in (ray, o, d, idx, step, tdelta, tmax, key))
+            # cross the nearest plane: entry ax * R + r of a flat [3,R] row;
+            # f and i are C-contiguous (np.take keeps them so), so these
+            # reshapes are views that write through
+            ax = _argmin3(f[9:])
+            lin = ax * R + np.arange(R)
+            tmax, tdelta = f[9:].reshape(-1), f[6:9].reshape(-1)
+            idx, step = i[:3].reshape(-1), i[3:].reshape(-1)
+            moving = np.isfinite(tmax[lin])
+            st = step[lin]
+            j = idx[lin] + st
+            idx[lin] = j
+            tmax[lin] += tdelta[lin]
+            key = ax + 3 * (st < 0)
+            out = got | ~moving | (j < 0) | (j >= self.res[ax])
+            if out.any():
+                keep = np.flatnonzero(~out)
+                ray, key = ray[keep], key[keep]
+                f, i = np.take(f, keep, axis=1), np.take(i, keep, axis=1)
+                R = len(ray)
         return hit
 
 

@@ -1,6 +1,7 @@
 """Visibility-map oracles: analytic wall integral, convexity, enclosure,
-grid-vs-brute ray casting (random and traversal edge cases), the bake
-against the brute oracle, shared ray sets, and a golden map of the posed
+grid-vs-brute ray casting (random, traversal edge cases, and pair lists
+split into blocks), the bake against the brute oracle, shared ray sets,
+maps independent of the pair block size, and a golden map of the posed
 default figure."""
 
 import hashlib
@@ -13,6 +14,7 @@ from dsaa import body
 from dsaa.synthdata import default_scene
 from dsaa.occlusion import (AOSamplerConfig, compute_ao, texel_geometry,
                             texel_rays, UniformGrid)
+from dsaa.occlusion import ao as ao_module
 from ao_oracle import ao_oracle, ray_any_hit
 
 
@@ -248,6 +250,39 @@ def test_grid_single_triangle():
     assert hits.any() and not hits.all()
 
 
+def test_grid_blocks_large_steps_and_many_rays(monkeypatch):
+    # 20,000 rays in one walk, with steps whose pair lists span several
+    # blocks
+    tpl = composite_scene()
+    rng = np.random.default_rng(13)
+    n = 20000
+    origins = tpl.verts[rng.integers(0, len(tpl.verts), n)]
+    origins = origins + 0.05 * rng.normal(size=(n, 3))
+    dirs = unit_rows(rng, n)
+    grid = UniformGrid(tpl.verts, tpl.faces)
+    pairs = []                                  # pairs listed per step
+    real = ao_module.ragged_arange
+
+    def counting(cnt):
+        pairs.append(int(cnt.sum()))
+        return real(cnt)
+
+    monkeypatch.setattr(ao_module, "ragged_arange", counting)
+    fast = grid.any_hit(origins, dirs)
+    npt.assert_array_equal(fast, ray_any_hit(origins, dirs, tpl.verts,
+                                             tpl.faces))
+    assert max(pairs) > 2 * ao_module._PAIR_BLOCK
+    assert fast.any() and not fast.all()
+
+
+def test_argmin3_matches_argmin():
+    # the walk's axis choice, ties, infinities and NaN included
+    rng = np.random.default_rng(14)
+    t = rng.choice([-np.inf, -1.0, 0.0, 0.5, 1.0, np.inf, np.nan],
+                   size=(3, 4000))
+    npt.assert_array_equal(ao_module._argmin3(t), np.argmin(t, axis=0))
+
+
 def test_grid_empty_face_list_never_hits():
     rng = np.random.default_rng(9)
     origins = rng.normal(size=(50, 3))
@@ -344,3 +379,24 @@ def test_shared_texel_rays_give_the_same_maps():
         shared = compute_ao(mesh, rays)
         assert shared.values.tobytes() == fresh.values.tobytes()
         npt.assert_array_equal(shared.valid, fresh.valid)
+
+
+def test_maps_do_not_depend_on_the_pair_block(monkeypatch):
+    # blocks of 1 and 7 pairs cut every step's pair list at every place;
+    # the reference tests each step's whole list in one block
+    fig = default_scene().figure
+    tpl, sk = fig.template, fig.skeleton
+    theta = 0.5 * np.sin(np.arange(3 * len(sk.names)))
+    posed = body.lbs_apply(tpl.verts, body.forward_kinematics(sk, theta),
+                           tpl.weights)
+    mesh = body.TemplateMesh(posed, tpl.faces, tpl.uvs, tpl.weights)
+    atlas = body.build_atlas(tpl.uvs, tpl.faces, 16, 16)
+    rays = texel_rays(AOSamplerConfig(rays=8), atlas)
+    default = ao_module._PAIR_BLOCK
+    monkeypatch.setattr(ao_module, "_PAIR_BLOCK", 1 << 40)
+    ref = compute_ao(mesh, rays)
+    for block in (1, 7, default):
+        monkeypatch.setattr(ao_module, "_PAIR_BLOCK", block)
+        got = compute_ao(mesh, rays)
+        assert got.values.tobytes() == ref.values.tobytes(), block
+        assert got.valid.tobytes() == ref.valid.tobytes(), block
