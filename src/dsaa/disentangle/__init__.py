@@ -1,14 +1,12 @@
 """Latent/driving-signal separation: KL penalty, adversarial MI bound,
 perturbation consistency."""
 
-from ..renderer.losses import LossWeights
 from .correspond import CorrespondenceSet, joint_sites
 from .losses import (kl_loss, mine_loss, mi_estimate, adversarial_dis_loss,
                      perturbation_loss)
 from .stats import StatisticsNet, fit_statistics
 
 __all__ = [
-    "LossWeights",
     "CorrespondenceSet", "joint_sites",
     "kl_loss", "mine_loss", "mi_estimate", "adversarial_dis_loss",
     "perturbation_loss",

@@ -20,6 +20,7 @@ sizes stay identical so parameter counts are comparable.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .. import keyvalue
@@ -52,8 +53,10 @@ class TrainConfig:
             raise ValueError("iters must be >= 1 and phase1 >= 0")
         if self.batch < 2:
             raise ValueError("batch must be >= 2")
-        if self.lr <= 0 or self.checkpoint_every < 1:
-            raise ValueError("lr must be positive and checkpoint_every >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if self.checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be >= 1")
         if self.ablate not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablate!r}; "
                              f"choose from {', '.join(ABLATIONS)}")

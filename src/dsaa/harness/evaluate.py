@@ -123,8 +123,7 @@ def _fit_latent(model, data, frame_id, steps, lr):
         zstore.zero_grad()
         total, images, masks = None, [], []
         for k, rt in enumerate(_camera_renders(model, data, frame_id, zt)):
-            part, _ = losses(rt, fr.images[k], fr.masks[k], None, None,
-                             data.template, weights, 2, retain_lap=False)
+            part, _ = losses(rt, fr.images[k], fr.masks[k], weights)
             total = part if total is None else dc.add(total, part)
             images.append(rt.image.data.copy())
             masks.append(rt.mask.data.copy())

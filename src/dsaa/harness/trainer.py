@@ -1,12 +1,13 @@
 """Two-phase training loop.
 
 Phase 1 (mesh warmup) fits geometry directly against the registered
-meshes: it decodes and poses geometry only (no texture branch, shadow
-net or AO map) and never rasterizes. Phase 2 switches to the image
-objective plus the latent regularizers (KL, adversarial independence,
-perturbation consistency, which also reads posed geometry only). The
-adversary is a separate statistics net with its own optimizer, stepped
-once per model step on the same minibatch.
+meshes with the mesh objective: it decodes and poses geometry only (no
+texture branch, shadow net or AO map) and never rasterizes. Phase 2
+switches to the image objective, keeps the Laplacian term as a
+smoothness regularizer, and adds the latent regularizers (KL,
+adversarial independence, perturbation consistency, which also reads
+posed geometry only). The adversary is a separate statistics net with
+its own optimizer, stepped once per model step on the same minibatch.
 
 Every random draw comes from a stream keyed by (seed, purpose,
 iteration), so a resumed run consumes exactly the numbers the
@@ -26,7 +27,8 @@ from .. import keyvalue
 from ..avatar import AvatarModel, reparameterize
 from ..disentangle import (StatisticsNet, adversarial_dis_loss, joint_sites,
                            kl_loss, mine_loss, perturbation_loss)
-from ..renderer import losses, rasterize
+from ..renderer import (add_term, laplacian_loss, losses, mesh_loss,
+                        rasterize)
 from ..rng import stream
 from ..synthdata import raster_config
 from .config import TrainConfig, config_text, parse_config
@@ -127,15 +129,20 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
             line = _format(rec, cfg.iters)
             log.write(line + "\n")
             say(line)
+            save = (i + 1) % cfg.checkpoint_every == 0 or i + 1 == cfg.iters
             bad = [k for k, v in rec.items()
                    if isinstance(v, float) and not np.isfinite(v)]
+            if save:
+                # the loss is read before opt.step(), so only the
+                # parameters show whether this step's update diverged
+                bad += _nonfinite_params(model.store, critic_store)
             if bad:
                 log.flush()
                 _dump_divergence(out, rec, bad)
                 raise TrainingDiverged(
                     f"non-finite {', '.join(bad)} at iteration {rec['iter']}; "
                     f"last checkpoint kept, diagnostics in {out / 'diverged.txt'}")
-            if (i + 1) % cfg.checkpoint_every == 0 or i + 1 == cfg.iters:
+            if save:
                 log.flush()
                 _save_state(out, model, opt, critic_store, critic_opt, i + 1)
     finally:
@@ -161,13 +168,6 @@ def _step(cfg, data, model, opt, critic, critic_store, critic_opt, corr,
     model.store.zero_grad()
     total = None
     parts: dict[str, float] = {}
-
-    def acc(term, lam, name):
-        nonlocal total
-        parts[name] = parts.get(name, 0.0) + float(term.data)
-        scaled = dc.mul(term, lam)
-        total = scaled if total is None else dc.add(total, scaled)
-
     signals, z_list, dists = [], [], []
     for b, fid in enumerate(batch_ids):
         fr = data.frame(fid)
@@ -182,16 +182,16 @@ def _step(cfg, data, model, opt, critic, critic_store, critic_opt, corr,
             z_list.append(z)
         if phase == 1:
             posed = model.geometry(sig, z)[0]
-            loss_b, parts_b = losses(None, None, None, posed, fr.verts,
-                                     data.template, lw, 1)
+            loss_b, parts_b = mesh_loss(posed, fr.verts, data.template, lw)
         else:
             pred = model.forward(sig, z, data.ao(fid) if mw.use_shadow
                                  else None)
             render = rasterize(pred.posed, data.template.faces,
                                data.template.uvs, pred.final, cam, raster_cfg)
             loss_b, parts_b = losses(render, fr.images[int(cams[b])],
-                                     fr.masks[int(cams[b])], pred.posed,
-                                     fr.verts, data.template, lw, 2)
+                                     fr.masks[int(cams[b])], lw)
+            lap = laplacian_loss(data.template, pred.posed, fr.verts)
+            loss_b = add_term(loss_b, parts_b, "lap", lap, lw.lam_lap)
         for k, v in parts_b.items():
             parts[k] = parts.get(k, 0.0) + v
         total = loss_b if total is None else dc.add(total, loss_b)
@@ -202,15 +202,17 @@ def _step(cfg, data, model, opt, critic, critic_store, critic_opt, corr,
             kl = kl_loss(dists[0])
             for d in dists[1:]:
                 kl = dc.add(kl, kl_loss(d))
-            acc(kl, lw.lam_kl, "kl")
+            total = add_term(total, parts, "kl", kl, lw.lam_kl)
         if lw.lam_dis > 0:
             Z = dc.stack(z_list, axis=0)
-            acc(adversarial_dis_loss(critic, C, Z), lw.lam_dis, "dis")
+            dis = adversarial_dis_loss(critic, C, Z)
+            total = add_term(total, parts, "dis", dis, lw.lam_dis)
         if lw.lam_pc > 0:
             zp = stream(cfg.seed, "prior", i).standard_normal(
                 (cfg.batch, mw.d_z))
-            acc(perturbation_loss(lambda s, z: model.geometry(s, z)[0],
-                                  signals, zp, corr), lw.lam_pc, "pc")
+            pc = perturbation_loss(lambda s, z: model.geometry(s, z)[0],
+                                   signals, zp, corr)
+            total = add_term(total, parts, "pc", pc, lw.lam_pc)
 
     dc.backward(total)
     opt.step()

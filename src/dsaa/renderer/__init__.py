@@ -2,7 +2,9 @@
 
 from .camera import Camera, look_at, project
 from .raster import RasterConfig, RenderTarget, rasterize
-from .losses import LossWeights, losses, l1_sum, l2_sum
+from .losses import (LossWeights, add_term, l1_sum, l2_sum, laplacian_loss,
+                     losses, mesh_loss)
 
 __all__ = ["Camera", "look_at", "project", "RasterConfig", "RenderTarget",
-           "rasterize", "LossWeights", "losses", "l1_sum", "l2_sum"]
+           "rasterize", "LossWeights", "add_term", "l1_sum", "l2_sum",
+           "laplacian_loss", "losses", "mesh_loss"]

@@ -1,14 +1,16 @@
-"""Inverse-rendering losses and their schedule.
+"""Inverse-rendering objectives: the image loss and the mesh loss.
 
-All reductions are sums; the weights absorb scale. Phase 1 supervises
-geometry only (L_G + L_lap against the registered mesh), phase 2 runs the
-image losses, keeps L_lap by default as a smoothness regularizer, and
-drops L_G. The KL / disentanglement / perturbation terms are composed by
-the trainer, which owns those submodules.
+All reductions are sums; the weights absorb scale. The trainer's phase 1
+supervises geometry only with `mesh_loss` (L_G + L_lap against the
+registered mesh). Phase 2 runs the image objective `losses` and adds
+L_lap itself as a smoothness regularizer; L_G is dropped. The KL /
+disentanglement / perturbation terms are composed by the trainer, which
+owns those submodules. Every weighted sum goes through `add_term`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -30,8 +32,10 @@ class LossWeights:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0.0:
-                raise ValueError(f"{f.name} must be nonnegative")
+            v = getattr(self, f.name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"{f.name} must be finite and nonnegative, "
+                                 f"got {v}")
         if self.lam_img <= 0.0:
             raise ValueError("lam_img must be positive")
 
@@ -47,58 +51,45 @@ def l2_sum(a: dc.Tensor, b) -> dc.Tensor:
     return dc.sum_(dc.mul(d, d))
 
 
-def losses(render: RenderTarget | None, gt_image, gt_mask,
-           pred_verts: dc.Tensor | None, gt_verts,
-           template: TemplateMesh, weights: LossWeights, phase: int,
-           retain_lap: bool = True):
-    """Composite loss for one frame/view. Returns (total Tensor, parts).
+def add_term(total, parts: dict, name: str, term: dc.Tensor, lam: float):
+    """total + lam*term, where None starts the sum; the unweighted value
+    of term is added to parts[name]."""
+    parts[name] = parts.get(name, 0.0) + float(term.data)
+    scaled = dc.mul(term, lam)
+    return scaled if total is None else dc.add(total, scaled)
 
-    phase 1: lam_geom*L_G + lam_lap*L_lap, render may be None.
-    phase 2: lam_img*L_I + lam_mask*L_M (+ lam_lap*L_lap if retain_lap).
-    parts maps component name -> float value (unweighted).
-    """
-    if phase not in (1, 2):
-        raise ValueError(f"phase must be 1 or 2, got {phase}")
-    parts: dict[str, float] = {}
-    total = None
 
-    def acc(term, lam):
-        nonlocal total
-        scaled = dc.mul(term, lam)
-        total = scaled if total is None else dc.add(total, scaled)
-        return term
-
-    if phase == 1:
-        if pred_verts is None:
-            raise ValueError("phase 1 needs predicted vertices")
-        lg = acc(l2_sum(pred_verts, np.asarray(gt_verts, dtype=pred_verts.dtype)),
-                 weights.lam_geom)
-        ll = acc(_lap_term(template, pred_verts, gt_verts), weights.lam_lap)
-        parts["geom"] = float(lg.data)
-        parts["lap"] = float(ll.data)
-        return total, parts
-
-    if render is None:
-        raise ValueError("phase 2 needs a render")
+def losses(render: RenderTarget, gt_image, gt_mask, weights: LossWeights):
+    """Image objective of one view, lam_img*L_I + lam_mask*L_M. Returns
+    (total Tensor, parts) with parts the unweighted "img" and "mask"."""
     gt_image = np.asarray(gt_image, dtype=render.image.dtype)
     gt_mask = np.asarray(gt_mask, dtype=render.mask.dtype)
     if render.image.shape != gt_image.shape:
         raise ValueError(f"image shape mismatch: {render.image.shape} vs {gt_image.shape}")
     if render.mask.shape != gt_mask.shape:
         raise ValueError(f"mask shape mismatch: {render.mask.shape} vs {gt_mask.shape}")
-    li = acc(l1_sum(render.image, gt_image), weights.lam_img)
-    lm = acc(l2_sum(render.mask, gt_mask), weights.lam_mask)
-    parts["img"] = float(li.data)
-    parts["mask"] = float(lm.data)
-    if retain_lap:
-        if pred_verts is None:
-            raise ValueError("retain_lap needs predicted vertices")
-        ll = acc(_lap_term(template, pred_verts, gt_verts), weights.lam_lap)
-        parts["lap"] = float(ll.data)
+    parts = {}
+    total = add_term(None, parts, "img", l1_sum(render.image, gt_image),
+                     weights.lam_img)
+    total = add_term(total, parts, "mask", l2_sum(render.mask, gt_mask),
+                     weights.lam_mask)
     return total, parts
 
 
-def _lap_term(template: TemplateMesh, pred_verts: dc.Tensor, gt_verts) -> dc.Tensor:
-    la = mesh_laplacian(template, pred_verts)
-    lb = mesh_laplacian(template, np.asarray(gt_verts, dtype=pred_verts.dtype))
+def mesh_loss(posed: dc.Tensor, gt_verts, template: TemplateMesh,
+              weights: LossWeights):
+    """Mesh objective of one frame, lam_geom*L_G + lam_lap*L_lap. Returns
+    (total Tensor, parts) with parts the unweighted "geom" and "lap"."""
+    parts = {}
+    gt = np.asarray(gt_verts, dtype=posed.dtype)
+    total = add_term(None, parts, "geom", l2_sum(posed, gt), weights.lam_geom)
+    total = add_term(total, parts, "lap",
+                     laplacian_loss(template, posed, gt), weights.lam_lap)
+    return total, parts
+
+
+def laplacian_loss(template: TemplateMesh, posed: dc.Tensor, gt_verts):
+    """L_lap: the l2_sum between the two meshes' Laplacians."""
+    la = mesh_laplacian(template, posed)
+    lb = mesh_laplacian(template, np.asarray(gt_verts, dtype=posed.dtype))
     return l2_sum(la, lb)

@@ -193,6 +193,32 @@ def test_nan_parameter_is_divergence(cli_run, monkeypatch):
     assert text.splitlines()[0] == f"non-finite components: {poisoned[0]}"
 
 
+def test_nonfinite_update_is_not_checkpointed(cli_run, monkeypatch):
+    # each loss is read before its update, so a step that leaves a
+    # parameter non-finite still reports a finite loss; its state must not
+    # replace the last checkpoint
+    run = cli_run / "inf_update"
+    shutil.copytree(cli_run / "run", run)
+    names = ("trainer.dsaa1", "model.dsaa1")
+    before = {name: (run / name).read_bytes() for name in names}
+    real_step = trainer._step
+    poisoned = []
+
+    def step(cfg, data, model, *rest):
+        rec = real_step(cfg, data, model, *rest)
+        name, t = next(iter(model.store.items()))
+        t.data.reshape(-1)[0] = np.inf
+        poisoned.append(name)
+        return rec
+
+    monkeypatch.setattr(trainer, "_step", step)
+    assert _train(cli_run, "inf_update", "--iters", "4", "--resume") == 3
+    text = (run / "diverged.txt").read_text()
+    assert text.splitlines()[0] == f"non-finite components: {poisoned[0]}"
+    for name in names:
+        assert (run / name).read_bytes() == before[name], name
+
+
 @pytest.mark.parametrize("mode", ["sample", "fit"])
 def test_drive_sample_and_fit(cli_run, mode):
     frame = load_manifest(cli_run / "data").ids(split="test")[0]
@@ -347,6 +373,39 @@ def test_heatmap_checks_indices_before_writing(cli_run, capsys):
                  "--dataset", str(cli_run / "data"), "--out", str(out),
                  "--indices", "0,99", "--n-perturb", "2"]) == 2
     assert "signal index 99 out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["loss.lam_mask = nan", "loss.lam_lap = inf",
+                                  "train.lr = nan", "train.lr = inf"])
+def test_train_rejects_nonfinite_settings(cli_run, tmp_path, capsys, line):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text((cli_run / "train.cfg").read_text() + line + "\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--dataset",
+                 str(cli_run / "data"), "--out", str(out), "--seed", "1",
+                 "--iters", "2"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["drive", "heatmap"])
+def test_frame_missing_from_manifest_is_refused(cli_run, tmp_path, capsys,
+                                                command):
+    # regenerating a dataset with fewer frames in place leaves the old
+    # frames' directories behind; their ground truth is stale
+    data = tmp_path / "data"
+    for n in ("4", "2"):
+        assert main(["gen-data", "--config", str(cli_run / "data.cfg"),
+                     "--out", str(data), "--frames", n, "--test-fraction",
+                     "0", "--seed", "4"]) == 0
+    assert (data / "frames" / "000003").is_dir()
+    extra = {"drive": ["--frames", "000003"],
+             "heatmap": ["--frame", "000003", "--indices", "0"]}[command]
+    out = tmp_path / "out"
+    assert main([command, "--checkpoint", str(cli_run / "run"), "--dataset",
+                 str(data), "--out", str(out), *extra]) == 2
+    assert "'000003' is not in the dataset manifest" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -354,4 +354,6 @@ def test_loss_weights_validated():
         LossWeights(lam_kl=-0.1)
     with pytest.raises(ValueError):
         LossWeights(lam_img=0.0)
-    assert dis.LossWeights is LossWeights
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            LossWeights(lam_mask=bad)

@@ -143,9 +143,7 @@ def test_camera_renders_z_gradient_matches_per_camera_forward(dataset, dtype,
         z = dc.Tensor(z0.astype(model.config.np_dtype), requires_grad=True)
         total = None
         for k, rt in enumerate(renders(model, data, fid, z)):
-            part, _ = losses(rt, fr.images[k], fr.masks[k], None, None,
-                             data.template, LossWeights(), 2,
-                             retain_lap=False)
+            part, _ = losses(rt, fr.images[k], fr.masks[k], LossWeights())
             total = part if total is None else dc.add(total, part)
         dc.backward(total)
         return z.grad

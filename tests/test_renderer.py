@@ -239,40 +239,57 @@ def test_losses_zero_when_equal():
     gt_img = np.random.default_rng(5).random((3, 8, 8))
     gt_mask = np.random.default_rng(6).random((8, 8))
     rt = renderer.RenderTarget(dc.Tensor(gt_img.copy()), dc.Tensor(gt_mask.copy()))
-    w = renderer.LossWeights()
-    total, parts = renderer.losses(rt, gt_img, gt_mask, dc.Tensor(tpl.verts.copy()),
-                                   tpl.verts, tpl, w, phase=2)
-    assert parts["img"] == 0.0 and parts["mask"] == 0.0 and parts["lap"] == 0.0
+    total, parts = renderer.losses(rt, gt_img, gt_mask, renderer.LossWeights())
+    assert parts == {"img": 0.0, "mask": 0.0}
     assert float(total.data) == 0.0
+    lap = renderer.laplacian_loss(tpl, dc.Tensor(tpl.verts.copy()), tpl.verts)
+    assert float(lap.data) == 0.0
 
 
 def test_losses_phase1_zero_when_geometry_matches():
     tpl = grid_template()
-    w = renderer.LossWeights()
-    total, parts = renderer.losses(None, None, None, dc.Tensor(tpl.verts.copy()),
-                                   tpl.verts, tpl, w, phase=1)
-    assert parts["geom"] == 0.0 and parts["lap"] == 0.0
+    total, parts = renderer.mesh_loss(dc.Tensor(tpl.verts.copy()), tpl.verts,
+                                      tpl, renderer.LossWeights())
+    assert parts == {"geom": 0.0, "lap": 0.0}
     assert float(total.data) == 0.0
 
 
-def test_l1_uniform_offset_identity():
+def test_mesh_loss_is_weighted_geom_plus_laplacian():
+    # the mesh objective is exactly lam_geom*L_G + lam_lap*L_lap, summed in
+    # that order; the image objective reports its two terms and no others
     tpl = grid_template()
+    rng = np.random.default_rng(7)
+    posed = dc.Tensor(tpl.verts + 0.1 * rng.standard_normal(tpl.verts.shape))
+    w = renderer.LossWeights(lam_geom=0.7, lam_lap=3.0)
+    total, parts = renderer.mesh_loss(posed, tpl.verts, tpl, w)
+    geom = renderer.l2_sum(posed, tpl.verts)
+    lap = renderer.laplacian_loss(tpl, posed, tpl.verts)
+    ref = dc.add(dc.mul(geom, w.lam_geom), dc.mul(lap, w.lam_lap))
+    assert total.data.tobytes() == ref.data.tobytes()
+    assert parts == {"geom": float(geom.data), "lap": float(lap.data)}
+    assert parts["geom"] > 0.0 and parts["lap"] > 0.0
+
+    rt = renderer.RenderTarget(dc.Tensor(rng.random((3, 8, 8))),
+                               dc.Tensor(rng.random((8, 8))))
+    _, parts = renderer.losses(rt, np.zeros((3, 8, 8)), np.zeros((8, 8)), w)
+    assert sorted(parts) == ["img", "mask"]
+
+
+def test_l1_uniform_offset_identity():
     H = W = 8
     gt_img = np.full((3, H, W), 0.4)
     delta = 0.125
     rt = renderer.RenderTarget(dc.Tensor(gt_img + delta), dc.Tensor(np.zeros((H, W))))
-    w = renderer.LossWeights(lam_lap=0.0)
-    total, parts = renderer.losses(rt, gt_img, np.zeros((H, W)), None, None,
-                                   tpl, w, phase=2, retain_lap=False)
+    _, parts = renderer.losses(rt, gt_img, np.zeros((H, W)),
+                               renderer.LossWeights())
     npt.assert_allclose(parts["img"], 3 * H * W * abs(delta), rtol=1e-12)
 
 
 def test_losses_shape_mismatch_errors():
-    tpl = grid_template()
     rt = renderer.RenderTarget(dc.Tensor(np.zeros((3, 8, 8))), dc.Tensor(np.zeros((8, 8))))
     with pytest.raises(ValueError, match="mismatch"):
-        renderer.losses(rt, np.zeros((3, 9, 9)), np.zeros((8, 8)), None, None,
-                        tpl, renderer.LossWeights(), phase=2, retain_lap=False)
+        renderer.losses(rt, np.zeros((3, 9, 9)), np.zeros((8, 8)),
+                        renderer.LossWeights())
 
 
 def test_camera_validation_and_projection():
