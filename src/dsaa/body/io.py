@@ -69,11 +69,12 @@ def load_weights(path) -> np.ndarray:
                 continue
             idx = int(parts[0])
             w = [float(x) for x in parts[1:]]
-            if J is None:
-                J = len(w)
-            elif len(w) != J:
+            J = len(w) if J is None else J
+            if len(w) != J:
                 raise ValueError(f"inconsistent joint count at vertex {idx}")
             rows[idx] = w
+    if not rows:
+        raise ValueError(f"weights sidecar {path} holds no rows")
     V = max(rows) + 1
     if set(rows) != set(range(V)):
         raise ValueError("weights sidecar must cover every vertex exactly once")

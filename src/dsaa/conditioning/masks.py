@@ -71,14 +71,12 @@ def build_masks(template: TemplateMesh, skeleton: Skeleton, height: int,
     peak = np.zeros((J, height, width))
     iv = np.clip((template.uvs[:, 1] * height).astype(int), 0, height - 1)
     ju = np.clip((template.uvs[:, 0] * width).astype(int), 0, width - 1)
-    for j in range(J):
-        np.maximum.at(peak[j], (iv, ju), template.weights[:, j])
+    np.maximum.at(peak, (slice(None), iv, ju), template.weights.T)
 
     ti, tj = np.nonzero(atlas.valid)
     corner = template.faces[atlas.face_idx[ti, tj]]     # [T,3]
-    for j in range(J):
-        for k in range(3):
-            np.maximum.at(peak[j], (ti, tj), template.weights[corner[:, k], j])
+    np.maximum.at(peak, (slice(None), ti, tj),
+                  template.weights[corner].max(axis=1).T)
 
     joint_mask = np.zeros((J, height, width), dtype=np.uint8)
     for j in range(J):
@@ -91,15 +89,11 @@ def build_masks(template: TemplateMesh, skeleton: Skeleton, height: int,
     if n_face > 0 and head_joint not in skeleton.names:
         raise ValueError(f"skeleton has no joint named {head_joint!r}")
 
-    channels, names = [], []
-    for j, name in enumerate(skeleton.names):
-        for axis in ("rx", "ry", "rz"):
-            channels.append(joint_mask[j])
-            names.append(f"pose:{name}:{axis}")
+    channels = list(np.repeat(joint_mask, 3, axis=0))
+    names = [f"pose:{name}:{axis}" for name in skeleton.names
+             for axis in ("rx", "ry", "rz")]
     if n_face > 0:
-        head = joint_mask[skeleton.names.index(head_joint)]
-        for k in range(n_face):
-            channels.append(head)
-            names.append(f"face:{k}")
+        channels += [joint_mask[skeleton.names.index(head_joint)]] * n_face
+        names += [f"face:{k}" for k in range(n_face)]
     return InfluenceMask(np.stack(channels), tuple(names))
 

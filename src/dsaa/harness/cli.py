@@ -88,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------- commands
 
 def _cmd_gen_data(args) -> int:
-    from ..synthdata import default_scene, generate_dataset, split_dataset
+    from ..synthdata import (default_scene, generate_dataset, split_dataset,
+                             split_test_count)
 
     overrides, n_frames, test_fraction = parse_data_config(
         Path(args.config).read_text() if args.config else "")
@@ -100,6 +101,8 @@ def _cmd_gen_data(args) -> int:
         test_fraction = args.test_fraction
     if not test_fraction >= 0:
         raise ValueError(f"test fraction must be >= 0, got {test_fraction}")
+    if test_fraction > 0:
+        split_test_count(n_frames, test_fraction)     # before writing frames
     spec = default_scene(**overrides)
     manifest = generate_dataset(spec, args.out, n_frames)
     print(f"generated {n_frames} frames in {args.out}")

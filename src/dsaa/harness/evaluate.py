@@ -311,6 +311,8 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
 
     `data` supplies the frame lists; each run is scored on the dataset
     reopened at that run's own resolutions (open_run)."""
+    if eval_frames < 1:
+        raise ValueError(f"report frame cap must be >= 1, got {eval_frames}")
     missing = [v for v in ABLATIONS if v not in runs]
     unknown = sorted(set(runs) - set(ABLATIONS))
     if missing or unknown:

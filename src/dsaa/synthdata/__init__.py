@@ -7,7 +7,7 @@ verifiable manifest, train/test splitting, and a novel-pose test group.
 
 from .dataset import (DatasetManifest, FrameEntry, FrameRecord,
                       generate_dataset, load_frame, load_manifest,
-                      split_dataset)
+                      split_dataset, split_test_count)
 from .figure import Figure, build_figure, figure_bytes
 from .generate import frame_mesh, frame_texture, render_views, wrinkle_displacement
 from .scene import (SceneSpec, default_scene, raster_config, sample_frame,
@@ -18,6 +18,6 @@ __all__ = [
     "SceneSpec", "default_scene", "raster_config", "sample_frame",
     "scene_cameras",
     "wrinkle_displacement", "frame_mesh", "frame_texture", "render_views",
-    "DatasetManifest", "FrameEntry", "FrameRecord",
-    "generate_dataset", "split_dataset", "load_manifest", "load_frame",
+    "DatasetManifest", "FrameEntry", "FrameRecord", "load_frame",
+    "generate_dataset", "split_dataset", "split_test_count", "load_manifest",
 ]

@@ -188,6 +188,17 @@ def generate_dataset(spec: SceneSpec, out_dir,
     return m
 
 
+def split_test_count(n_frames: int, test_fraction: float) -> int:
+    """round(n_frames * test_fraction), the test frames a split holds out;
+    refuses a fraction outside (0, 1) or a split with an empty side."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError("test_fraction must lie in (0, 1)")
+    n_test = int(round(n_frames * test_fraction))
+    if not 0 < n_test < n_frames:
+        raise ValueError(f"degenerate split: {n_test} test frames of {n_frames}")
+    return n_test
+
+
 def split_dataset(manifest: DatasetManifest, test_fraction: float,
                   seed: int) -> DatasetManifest:
     """Tag a uniform train/test split and add a novel-pose test group.
@@ -196,14 +207,9 @@ def split_dataset(manifest: DatasetManifest, test_fraction: float,
     spec's novel_margin applied to every pose range, rendered, and tagged
     test; their ranges strictly exceed the training ranges by construction.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must lie in (0, 1)")
     spec = manifest.spec
     standard = [e for e in manifest.frames if e.group == "standard"]
-    n_test = int(round(len(standard) * test_fraction))
-    if not 0 < n_test < len(standard):
-        raise ValueError(
-            f"degenerate split: {n_test} test frames of {len(standard)}")
+    n_test = split_test_count(len(standard), test_fraction)
     hold = set(np.asarray(
         stream(seed, "split").permutation(len(standard))[:n_test]))
     frames = [dataclasses.replace(e, split="test" if i in hold else "train")

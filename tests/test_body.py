@@ -1,5 +1,7 @@
 """Articulation oracles: FK geometry, LBS contracts, Laplacian, atlas."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -280,6 +282,14 @@ def test_obj_weights_skeleton_roundtrip(tmp_path):
     npt.assert_array_equal(sk2.parents, sk.parents)
     npt.assert_array_equal(sk2.rest_rot, sk.rest_rot)
     npt.assert_array_equal(sk2.rest_t, sk.rest_t)
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_weights_rejects_empty_sidecar(tmp_path, text):
+    p = tmp_path / "m.weights"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"weights sidecar {p} holds no rows")):
+        body.load_weights(p)
 
 
 def test_obj_rejects_mismatched_vt(tmp_path):

@@ -278,6 +278,16 @@ def test_report_rescores_without_cache_files(cli_run, cli_reports):
     assert not list(cli_run.rglob("errors_*.kv"))
 
 
+@pytest.mark.parametrize("frames", ["0", "-1"])
+def test_report_rejects_frame_cap_below_one(cli_run, tmp_path, capsys, frames):
+    runs = [f"--run={v}={cli_run / 'run'}" for v in ABLATIONS]
+    out = tmp_path / "report"
+    assert main(["report", "--dataset", str(cli_run / "data"), "--out",
+                 str(out), "--frames", frames, *runs]) == 2
+    assert f"report frame cap must be >= 1, got {frames}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_on_one_test_frame(tmp_path):
     # a single test frame leaves too few rows for the MI critic's
     # minibatches and the probe's held-out variance: both are omitted
@@ -419,4 +429,20 @@ def test_gen_data_rejects_negative_test_fraction(tmp_path, capsys, where):
     assert main(["gen-data", "--config", str(cfg), "--out", str(out),
                  "--frames", "2", *extra]) == 2
     assert "test fraction" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fraction, message", [
+    ("0.1", "degenerate split: 0 test frames of 3"),
+    ("1", "test_fraction must lie in (0, 1)"),
+    ("inf", "test_fraction must lie in (0, 1)")])
+def test_gen_data_refuses_bad_split_before_writing(tmp_path, capsys, fraction,
+                                                   message):
+    cfg = tmp_path / "data.cfg"
+    cfg.write_text("data.image_size = 32\n")
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out),
+                 "--frames", "3", "--test-fraction", fraction]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.txt").exists()
     assert not out.exists()
