@@ -48,22 +48,22 @@ class AvatarDecoder:
     def __call__(self, z: dc.Tensor, e_pose: dc.Tensor, e_face: dc.Tensor):
         g, gr = self._bottleneck, self._geo_res
         zm = dc.reshape(tile2d(z, g, g), (1, z.data.shape[0], g, g))
-        x = dc.leaky_relu(dc.conv_transpose2d(zm, self.w_up1, self.b_up1))
-        x = dc.leaky_relu(dc.conv_transpose2d(x, self.w_up2, self.b_up2))
+        x = dc.conv_transpose2d(zm, self.w_up1, self.b_up1, act="leaky")
+        x = dc.conv_transpose2d(x, self.w_up2, self.b_up2, act="leaky")
         ep = dc.reshape(e_pose, (1,) + tuple(e_pose.shape))
         ef = dc.reshape(e_face, (1,) + tuple(e_face.shape))
-        trunk = dc.leaky_relu(dc.conv2d(dc.concat([x, ep, ef], axis=1),
-                                        self.w_trunk, self.b_trunk, padding=1))
-        disp = dc.reshape(dc.conv2d(trunk, self.w_geo, self.b_geo), (3, gr, gr))
+        trunk = dc.conv2d(dc.concat([x, ep, ef], axis=1), self.w_trunk,
+                          self.b_trunk, padding=1, act="leaky")
+        disp = dc.reshape(dc.conv2d(trunk, self.w_geo, self.b_geo, act=None), (3, gr, gr))
         return disp, trunk
 
     def texture(self, trunk: dc.Tensor, view: np.ndarray) -> dc.Tensor:
         tr = self._tex_res
-        tx = dc.leaky_relu(dc.conv_transpose2d(trunk, self.w_texup, self.b_texup))
+        tx = dc.conv_transpose2d(trunk, self.w_texup, self.b_texup, act="leaky")
         vmap = np.broadcast_to(
             np.asarray(view, dtype=self._dt)[None, :, None, None],
             (1, 3, tr, tr)).copy()
         tx = dc.concat([tx, dc.Tensor(vmap)], axis=1)
-        tx = dc.leaky_relu(dc.conv2d(tx, self.w_tex1, self.b_tex1, padding=1))
-        tex = dc.sigmoid(dc.conv2d(tx, self.w_tex2, self.b_tex2))
+        tx = dc.conv2d(tx, self.w_tex1, self.b_tex1, padding=1, act="leaky")
+        tex = dc.conv2d(tx, self.w_tex2, self.b_tex2, act="sigmoid")
         return dc.reshape(tex, (3, tr, tr))

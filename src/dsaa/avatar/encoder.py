@@ -81,9 +81,9 @@ class GeometryEncoder:
         x = dc.mul(dc.sub(x, self.ref), _RESIDUAL_GAIN)
         x = dc.reshape(x, (1,) + self.ref.shape)
         for w, b in self.convs:
-            x = dc.leaky_relu(dc.conv2d(x, w, b, stride=2, padding=1))
+            x = dc.conv2d(x, w, b, stride=2, padding=1, act="leaky")
         h = dc.reshape(x, (1, self._flat))
-        out = dc.reshape(dc.linear(h, self.head_w, self.head_b), (2 * self.d_z,))
+        out = dc.reshape(dc.linear(h, self.head_w, self.head_b, act=None), (2 * self.d_z,))
         mu = dc.getitem(out, slice(0, self.d_z))
         sigma = dc.add(dc.softplus(dc.getitem(out, slice(self.d_z, None))),
                        _SIGMA_FLOOR)

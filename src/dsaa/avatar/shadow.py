@@ -43,10 +43,10 @@ class ShadowNet:
         if not np.isfinite(ao).all():
             raise ValueError("AO map has non-finite entries")
         x = dc.Tensor(ao.astype(self._dt).reshape(1, 1, self.res, self.res))
-        s = dc.leaky_relu(dc.conv2d(x, self.w0, self.b0, padding=1))
-        d = dc.leaky_relu(dc.conv2d(s, self.w1, self.b1, stride=2, padding=1))
-        u = dc.leaky_relu(dc.conv_transpose2d(d, self.w2, self.b2))
-        h = dc.leaky_relu(dc.conv2d(dc.concat([u, s], axis=1),
-                                    self.w3, self.b3, padding=1))
-        g = dc.mul(dc.sigmoid(dc.conv2d(h, self.w4, self.b4)), 2.0)
+        s = dc.conv2d(x, self.w0, self.b0, padding=1, act="leaky")
+        d = dc.conv2d(s, self.w1, self.b1, stride=2, padding=1, act="leaky")
+        u = dc.conv_transpose2d(d, self.w2, self.b2, act="leaky")
+        h = dc.conv2d(dc.concat([u, s], axis=1), self.w3, self.b3, padding=1,
+                      act="leaky")
+        g = dc.mul(dc.conv2d(h, self.w4, self.b4, act="sigmoid"), 2.0)
         return dc.reshape(g, (1, self.res, self.res))

@@ -3,7 +3,7 @@
 from .tensor import Tensor, backward, no_grad, nan_checks, grad_enabled
 from .ops import (
     add, sub, mul, neg, matmul, reciprocal,
-    exp, log, tanh, relu, leaky_relu, softplus, sigmoid,
+    exp, log, tanh, relu, softplus, sigmoid,
     minimum, maximum, clamp, sum_, mean_, reshape, transpose,
     broadcast_to, concat, stack, getitem, conv2d, conv_transpose2d, linear,
 )
@@ -14,7 +14,7 @@ from .checkpoint import save_arrays, load_arrays, MAGIC
 __all__ = [
     "Tensor", "backward", "no_grad", "nan_checks", "grad_enabled",
     "add", "sub", "mul", "neg", "matmul", "reciprocal",
-    "exp", "log", "tanh", "relu", "leaky_relu", "softplus",
+    "exp", "log", "tanh", "relu", "softplus",
     "sigmoid", "minimum", "maximum", "clamp", "sum_", "mean_", "reshape",
     "transpose", "broadcast_to", "concat", "stack", "getitem",
     "conv2d", "conv_transpose2d", "linear",

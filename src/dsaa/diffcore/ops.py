@@ -1,5 +1,6 @@
-"""Differentiable ops: pointwise math, reductions, shape ops, conv2d and
-its transpose.
+"""Differentiable ops: pointwise math, reductions, shape ops, and the
+layers conv2d, conv_transpose2d and linear, each one tape node that
+applies its own activation (act = "leaky", "sigmoid" or None).
 
 Python-number operands stay raw scalars (keeps float32 graphs float32
 under NEP 50 promotion); numpy-array operands are treated as constants
@@ -7,9 +8,10 @@ unless wrapped in a Tensor. Gather/scatter style ops live in geom.py.
 
 Both convolutions are three matrix products around one layout pair,
 channel-first so that a product's [C, N*H*W] result is NCHW at N=1:
-_im2col turns the windows into the columns of a [C*kh*kw, N*Ho*Wo]
-matrix, and _col2im adds such columns back into their windows. conv2d
-is W @ im2col(x), with weight gradient g @ colᵀ and input gradient
+_im2col copies the windows of x, zero-padded, into the columns of a
+[C*kh*kw, N*Ho*Wo] matrix, and _col2im adds such columns back into x,
+dropping the taps in the padding, so no padded copy is made. conv2d is
+W @ im2col(x), with weight gradient g @ colᵀ and input gradient
 col2im(Wᵀ @ g); conv_transpose2d, its adjoint, swaps the two. Only
 those two helpers know the window layout.
 """
@@ -164,17 +166,6 @@ def relu(a):
 # 0 <= alpha <= 1, and the backward's slope on d > 0 is exactly 1 only if
 # (1 - alpha) + alpha == 1.0
 LEAKY_ALPHA = 0.1
-
-
-def leaky_relu(a):
-    d = a.data
-    y = np.maximum(d, LEAKY_ALPHA * d)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * ((d > 0.0) * (1.0 - LEAKY_ALPHA) + LEAKY_ALPHA))
-
-    return make_node(y, (a,), bw, "leaky_relu")
 
 
 def softplus(a):
@@ -357,73 +348,94 @@ def getitem(a, idx):
     return make_node(out, (a,), bw, "getitem")
 
 
-# ------------------------------------------------------------- convolutions
+# ------------------------------------------------------------------- layers
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, s: int,
+def _activate(z: np.ndarray, act):
+    """act ("leaky", "sigmoid" or None) of a layer's pre-activation z, and
+    the map from a gradient at that output back to one at z."""
+    if act is None:
+        return z, lambda g: g
+    if act == "leaky":
+        y = np.maximum(z, LEAKY_ALPHA * z)
+        # y > 0 exactly where z > 0. The slope is float64, so g * slope is
+        # rounded once to g's dtype: a float32 g * float32(LEAKY_ALPHA)
+        # rounds ~10% of the negative side otherwise, changing checkpoints.
+        return y, lambda g: (g * ((y > 0.0) * (1.0 - LEAKY_ALPHA) + LEAKY_ALPHA)
+                             ).astype(g.dtype, copy=False)
+    if act == "sigmoid":
+        y = _expit(z)
+        return y, lambda g: g * y * (1.0 - y)
+    raise ValueError(f"unknown activation {act!r}")
+
+
+def _taps(u: int, s: int, p: int, n: int, m: int):
+    """Tap u of m windows at stride s over an n-long axis padded by p: the
+    windows whose tap lands inside the axis and the slice they read."""
+    lo = max(0, -((u - p) // s))
+    hi = max(lo, min(m, (n - 1 + p - u) // s + 1))
+    first = s * lo + u - p
+    return slice(lo, hi), slice(first, first + s * (hi - lo), s)
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, s: int, p: int,
             Ho: int, Wo: int) -> np.ndarray:
-    """The kh x kw windows of xp [N,C,Hp,Wp] at stride s as columns.
-
-    Returns [C*kh*kw, N*Ho*Wo]: rows run over (c, u, v), the weight's own
-    order; columns over (n, i, j), so column (n, i, j) is
-    xp[n, :, s*i:s*i+kh, s*j:s*j+kw] flattened. Filled by one strided
-    slice copy per (u, v).
-    """
-    N, C = xp.shape[:2]
-    col = np.empty((C, kh, kw, N, Ho, Wo), dtype=xp.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            col[:, u, v] = xp[:, :, u:u + s * Ho:s, v:v + s * Wo:s].transpose(1, 0, 2, 3)
+    """The kh x kw windows at stride s of x [N,C,H,W] zero-padded by p as a
+    [C*kh*kw, N*Ho*Wo] matrix: rows run over (c, u, v), the weight's own
+    order; columns over (n, i, j), so column (n, i, j) is window (i, j)
+    of the padded x[n] flattened. One strided slice copy per (u, v)
+    fills the taps inside x; the rest stay zero."""
+    N, C, H, W = x.shape
+    col = np.zeros((C, kh, kw, N, Ho, Wo), dtype=x.dtype)
+    for u, v in np.ndindex(kh, kw):
+        (wi, rows), (wj, cols) = _taps(u, s, p, H, Ho), _taps(v, s, p, W, Wo)
+        col[:, u, v, :, wi, wj] = x[:, :, rows, cols].transpose(1, 0, 2, 3)
     return col.reshape(C * kh * kw, N * Ho * Wo)
 
 
-def _col2im(col: np.ndarray, shape, kh: int, kw: int, s: int,
+def _col2im(col: np.ndarray, shape, kh: int, kw: int, s: int, p: int,
             Ho: int, Wo: int) -> np.ndarray:
-    """Adjoint of _im2col: add the columns of col [C*kh*kw, N*Ho*Wo], laid
-    out as _im2col makes them, back into their windows of a zero
-    [N,C,Hp,Wp] array `shape`. Overlapping windows sum, in (u, v) order."""
-    N, C = shape[:2]
+    """Adjoint of _im2col: add the columns of col [C*kh*kw, N*Ho*Wo] into
+    their windows of a zero [N,C,H,W] array `shape`, dropping the taps in
+    the padding. Overlapping windows sum, in (u, v) order."""
+    N, C, H, W = shape
     col = col.reshape(C, kh, kw, N, Ho, Wo)
     out = np.zeros(shape, dtype=col.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            out[:, :, u:u + s * Ho:s, v:v + s * Wo:s] += col[:, u, v].transpose(1, 0, 2, 3)
+    for u, v in np.ndindex(kh, kw):
+        (wi, rows), (wj, cols) = _taps(u, s, p, H, Ho), _taps(v, s, p, W, Wo)
+        out[:, :, rows, cols] += col[:, u, v, :, wi, wj].transpose(1, 0, 2, 3)
     return out
 
 
-def conv2d(x, w, b=None, stride: int = 1, padding: int = 0):
-    """x [N,Ci,H,W], w [Co,Ci,kh,kw], b [Co] or None. Plain cross-correlation."""
+def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, act=None):
+    """x [N,Ci,H,W], w [Co,Ci,kh,kw], b [Co] or None: correlation, then act."""
     xd, wd = x.data, w.data
     N, Ci, H, W = xd.shape
     Co, Ci2, kh, kw = wd.shape
     assert Ci == Ci2, (Ci, Ci2)
     s, p = stride, padding
-    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
     Ho = (H + 2 * p - kh) // s + 1
     Wo = (W + 2 * p - kw) // s + 1
 
-    col = _im2col(xp, kh, kw, s, Ho, Wo)
+    col = _im2col(xd, kh, kw, s, p, Ho, Wo)
     w2 = wd.reshape(Co, Ci * kh * kw)
-    out2 = w2 @ col
-    if b is not None:
-        out2 = out2 + b.data[:, None]
-    out = out2.reshape(Co, N, Ho, Wo).transpose(1, 0, 2, 3)
+    out2 = w2 @ col if b is None else w2 @ col + b.data[:, None]
+    out, act_bw = _activate(out2.reshape(Co, N, Ho, Wo).transpose(1, 0, 2, 3), act)
 
     def bw(g):
+        g = act_bw(g)
         g2 = g.transpose(1, 0, 2, 3).reshape(Co, N * Ho * Wo)
         if b is not None and b.requires_grad:
             b.accumulate_grad(g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
             w.accumulate_grad((g2 @ col.T).reshape(wd.shape))
         if x.requires_grad:
-            dxp = _col2im(w2.T @ g2, xp.shape, kh, kw, s, Ho, Wo)
-            x.accumulate_grad(dxp[:, :, p:p + H, p:p + W] if p else dxp)
+            x.accumulate_grad(_col2im(w2.T @ g2, xd.shape, kh, kw, s, p, Ho, Wo))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return make_node(out, parents, bw, "conv2d")
+    return make_node(out, (x, w, b), bw, "conv2d")
 
 
-def conv_transpose2d(x, w, b=None, stride: int = 2, padding: int = 1):
-    """Adjoint of conv2d. x [N,Ci,H,W], w [Ci,Co,kh,kw].
+def conv_transpose2d(x, w, b=None, stride: int = 2, padding: int = 1, act=None):
+    """Adjoint of conv2d, then act. x [N,Ci,H,W], w [Ci,Co,kh,kw].
 
     The forward is conv2d's input gradient and the input gradient is
     conv2d's forward, with the weight read as [Ci, Co*kh*kw]. With
@@ -434,32 +446,39 @@ def conv_transpose2d(x, w, b=None, stride: int = 2, padding: int = 1):
     Ci2, Co, kh, kw = wd.shape
     assert Ci == Ci2, (Ci, Ci2)
     s, p = stride, padding
-    Hf = (H - 1) * s + kh
-    Wf = (W - 1) * s + kw
+    Ho = (H - 1) * s + kh - 2 * p
+    Wo = (W - 1) * s + kw - 2 * p
 
     x2 = xd.transpose(1, 0, 2, 3).reshape(Ci, N * H * W)
     w2 = wd.reshape(Ci, Co * kh * kw)
-    yf = _col2im(w2.T @ x2, (N, Co, Hf, Wf), kh, kw, s, H, W)
-    out = yf[:, :, p:Hf - p, p:Wf - p] if p else yf
-    if b is not None:
-        out = out + b.data[None, :, None, None]
+    yf = _col2im(w2.T @ x2, (N, Co, Ho, Wo), kh, kw, s, p, H, W)
+    out, act_bw = _activate(yf if b is None else yf + b.data[None, :, None, None], act)
 
     def bw(g):
+        g = act_bw(g)
         if b is not None and b.requires_grad:
             b.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        gp = np.pad(g, ((0, 0), (0, 0), (p, p), (p, p))) if p else g
-        col = _im2col(gp, kh, kw, s, H, W)
+        col = _im2col(g, kh, kw, s, p, H, W)
         if x.requires_grad:
             x.accumulate_grad((w2 @ col).reshape(Ci, N, H, W).transpose(1, 0, 2, 3))
         if w.requires_grad:
             w.accumulate_grad((x2 @ col.T).reshape(wd.shape))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return make_node(out, parents, bw, "conv_transpose2d")
+    return make_node(out, (x, w, b), bw, "conv_transpose2d")
 
 
-def linear(x, w, b=None):
-    """x [.., din] @ w [din, dout] (+ b [dout])."""
-    y = matmul(x, w)
-    return add(y, b) if b is not None else y
+def linear(x, w, b=None, act=None):
+    """x [B, din] @ w [din, dout] (+ b [dout]), then act."""
+    xd, wd = x.data, w.data
+    out, act_bw = _activate(xd @ wd if b is None else xd @ wd + b.data, act)
 
+    def bw(g):
+        g = act_bw(g)
+        if b is not None and b.requires_grad:
+            b.accumulate_grad(g.sum(axis=0))
+        if x.requires_grad:
+            x.accumulate_grad(g @ wd.T)
+        if w.requires_grad:
+            w.accumulate_grad(xd.T @ g)
+
+    return make_node(out, (x, w, b), bw, "linear")

@@ -52,9 +52,9 @@ class StatisticsNet:
             raise ValueError(f"batch mismatch: {c.shape[0]} vs {z.shape[0]}")
         ps = (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
         w1, b1, w2, b2, w3, b3 = (p.detach() for p in ps) if frozen else ps
-        h = dc.leaky_relu(dc.linear(dc.concat([c, z], axis=1), w1, b1))
-        h = dc.leaky_relu(dc.linear(h, w2, b2))
-        return dc.linear(h, w3, b3)
+        h = dc.linear(dc.concat([c, z], axis=1), w1, b1, act="leaky")
+        h = dc.linear(h, w2, b2, act="leaky")
+        return dc.linear(h, w3, b3, act=None)
 
 
 def fit_statistics(store: dc.ParamStore, stats: StatisticsNet, c, z, *,

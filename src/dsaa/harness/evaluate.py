@@ -6,6 +6,7 @@ The driving error is the mean per-pixel L1 over the foreground union
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -151,8 +152,8 @@ def drive(model: AvatarModel, data: TrainData, frame_ids, mode: str = "zero",
         raise ValueError(f"unknown imputation mode {mode!r}")
     if mode != "zero" and not model.config.use_latent:
         raise ValueError(f"{mode} imputation needs a latent-capable model")
-    if mode == "fit" and (steps < 0 or not lr > 0):
-        raise ValueError(f"fit mode needs steps >= 0 and lr > 0, got "
+    if mode == "fit" and (steps < 0 or not (math.isfinite(lr) and lr > 0)):
+        raise ValueError(f"fit mode needs steps >= 0 and a finite lr > 0, got "
                          f"steps={steps}, lr={lr}")
     frame_ids = list(frame_ids)
     if not frame_ids:

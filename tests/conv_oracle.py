@@ -7,14 +7,30 @@ matrix and strided-add loop: the channel-first ``_im2col`` must equal the
 first transposed, and ``_col2im`` the second, bit for bit. The products
 built on them sum in another order under BLAS, so forwards and weight and
 input gradients agree to rounding only; bias gradients are bit for bit.
-Test oracle only; production code calls ``dsaa.diffcore``.
+``leaky_relu`` is the separate activation node that the layers' fused
+``act="leaky"`` must reproduce byte for byte. Test oracle only;
+production code calls ``dsaa.diffcore``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from dsaa.diffcore.ops import LEAKY_ALPHA
 from dsaa.diffcore.tensor import make_node
+
+
+def leaky_relu(a):
+    """max(d, LEAKY_ALPHA * d), with the slope of its backward a float64
+    array whatever the dtype of d."""
+    d = a.data
+    y = np.maximum(d, LEAKY_ALPHA * d)
+
+    def bw(g):
+        if a.requires_grad:
+            a.accumulate_grad(g * ((d > 0.0) * (1.0 - LEAKY_ALPHA) + LEAKY_ALPHA))
+
+    return make_node(y, (a,), bw, "leaky_relu")
 
 
 def windows(xp: np.ndarray, kh: int, kw: int, s: int,

@@ -347,7 +347,8 @@ def test_manifest_with_unknown_frame_split_is_rejected(cli_run, capsys):
     assert "'tran'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra", [["--steps", "-1"], ["--lr", "0"]])
+@pytest.mark.parametrize("extra", [["--steps", "-1"], ["--lr", "0"],
+                                   ["--lr", "inf"]])
 def test_drive_fit_rejects_bad_steps_and_lr(cli_run, capsys, extra):
     frame = load_manifest(cli_run / "data").ids()[0]
     out = cli_run / "drive_bad_fit"

@@ -1,8 +1,10 @@
 """The channel-first convolutions against the pixel-major kernels in
-conv_oracle.py on every conv shape of the default model: the window copy
-and its adjoint bit for bit, the convolutions and bias gradients to
-rounding (their matrix products and sums run in another order); and
-golden digests of freshly initialised parameters."""
+conv_oracle.py on every conv shape of the default model and on odd sizes
+whose last window row lies in the padding: the padded window copy and
+its adjoint bit for bit, the convolutions and bias gradients to rounding
+(their matrix products and sums run in another order); each layer's
+fused activation against the layer followed by the oracle activation,
+byte for byte; and golden digests of freshly initialised parameters."""
 
 import hashlib
 
@@ -15,13 +17,15 @@ from dsaa import diffcore as dc
 from dsaa.avatar import AvatarModel
 from dsaa.diffcore.ops import _col2im, _im2col
 from dsaa.disentangle import StatisticsNet
-from conv_oracle import add_windows, windows
+from conv_oracle import add_windows, leaky_relu, windows
 from conv_oracle import conv2d as oracle_conv2d
 from conv_oracle import conv_transpose2d as oracle_conv_transpose2d
 
 # (block/layer, x shape, w shape, stride, padding) of every conv2d call in
 # one default-config model call, plus the two largest and one 1x1 at
-# batch 8
+# batch 8, and odd sizes at stride 2 where the last window's bottom row of
+# taps lies wholly in the padding (at 1x1, all taps but the centre row
+# and column do)
 CONV2D = [
     ("enc/c0", (1, 3, 32, 32), (16, 3, 3, 3), 2, 1),
     ("enc/c1", (1, 16, 16, 16), (32, 16, 3, 3), 2, 1),
@@ -37,6 +41,9 @@ CONV2D = [
     ("shadow/out", (1, 8, 16, 16), (1, 8, 1, 1), 1, 0),
     ("dec/trunk@8", (8, 48, 32, 32), (32, 48, 3, 3), 1, 1),
     ("dec/geo@8", (8, 32, 32, 32), (3, 32, 1, 1), 1, 0),
+    ("odd/5x7", (2, 3, 5, 7), (4, 3, 3, 3), 2, 1),
+    ("odd/3x1", (1, 2, 3, 1), (3, 2, 3, 3), 2, 1),
+    ("odd/1x1", (1, 2, 1, 1), (3, 2, 3, 3), 2, 1),
 ]
 CONV_T = [
     ("dec/up1", (1, 16, 8, 8), (16, 32, 4, 4), 2, 1),
@@ -44,6 +51,7 @@ CONV_T = [
     ("dec/texup", (1, 32, 32, 32), (32, 16, 4, 4), 2, 1),
     ("shadow/up", (1, 16, 8, 8), (16, 8, 4, 4), 2, 1),
     ("dec/texup@8", (8, 32, 32, 32), (32, 16, 4, 4), 2, 1),
+    ("odd/t5x3", (2, 3, 5, 3), (3, 2, 4, 4), 2, 1),
 ]
 
 
@@ -53,15 +61,22 @@ PRODUCT_TOL = {np.float32: 1e-5, np.float64: 1e-13}
 
 
 def _window_case(case, transpose):
-    """(padded input shape, kh, kw, stride, Ho, Wo) of the window matrix a
-    case builds: the padded input of a conv2d, or the padded output
-    gradient of a conv_transpose2d (windows over its input pixels)."""
+    """(unpadded input shape, kh, kw, stride, padding, Ho, Wo) of the
+    window matrix a case builds: over the input of a conv2d, or over the
+    output gradient of a conv_transpose2d (windows over its input
+    pixels)."""
     _, (N, Ci, H, W), ws, s, p = case
     kh, kw = ws[2:]
     if transpose:
-        return (N, ws[1], (H - 1) * s + kh, (W - 1) * s + kw), kh, kw, s, H, W
-    return ((N, Ci, H + 2 * p, W + 2 * p), kh, kw, s,
+        return ((N, ws[1], (H - 1) * s + kh - 2 * p, (W - 1) * s + kw - 2 * p),
+                kh, kw, s, p, H, W)
+    return ((N, Ci, H, W), kh, kw, s, p,
             (H + 2 * p - kh) // s + 1, (W + 2 * p - kw) // s + 1)
+
+
+def _same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 WINDOW_CASES = [(c, False) for c in CONV2D] + [(c, True) for c in CONV_T]
@@ -71,22 +86,26 @@ WINDOW_IDS = [c[0] for c, _ in WINDOW_CASES]
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("case,transpose", WINDOW_CASES, ids=WINDOW_IDS)
 def test_im2col_is_oracle_windows_transposed(case, transpose, dtype):
-    shape, kh, kw, s, Ho, Wo = _window_case(case, transpose)
-    xp = np.random.default_rng(sum(map(ord, case[0]))).normal(size=shape).astype(dtype)
-    got = _im2col(xp, kh, kw, s, Ho, Wo)
+    shape, kh, kw, s, p, Ho, Wo = _window_case(case, transpose)
+    x = np.random.default_rng(sum(map(ord, case[0]))).normal(size=shape).astype(dtype)
+    got = _im2col(x, kh, kw, s, p, Ho, Wo)
     assert got.dtype == dtype
-    npt.assert_array_equal(got, windows(xp, kh, kw, s, Ho, Wo).T)
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    _same_bytes(got, windows(xp, kh, kw, s, Ho, Wo).T)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("case,transpose", WINDOW_CASES, ids=WINDOW_IDS)
 def test_col2im_is_oracle_add_loop(case, transpose, dtype):
-    shape, kh, kw, s, Ho, Wo = _window_case(case, transpose)
+    shape, kh, kw, s, p, Ho, Wo = _window_case(case, transpose)
+    N, C, H, W = shape
     r = np.random.default_rng(sum(map(ord, case[0])))
-    rows = r.normal(size=(shape[0] * Ho * Wo, shape[1] * kh * kw)).astype(dtype)
-    got = _col2im(np.ascontiguousarray(rows.T), shape, kh, kw, s, Ho, Wo)
+    rows = r.normal(size=(N * Ho * Wo, C * kh * kw)).astype(dtype)
+    got = _col2im(np.ascontiguousarray(rows.T), shape, kh, kw, s, p, Ho, Wo)
     assert got.dtype == dtype
-    npt.assert_array_equal(got, add_windows(rows, shape, kh, kw, s, Ho, Wo))
+    padded = (N, C, H + 2 * p, W + 2 * p)
+    want = add_windows(rows, padded, kh, kw, s, Ho, Wo)[:, :, p:p + H, p:p + W]
+    _same_bytes(got, want)
 
 
 def _run(op, x, w, b, g, stride, padding):
@@ -124,6 +143,73 @@ def test_conv2d_matches_oracle(case, dtype):
 @pytest.mark.parametrize("case", CONV_T, ids=[c[0] for c in CONV_T])
 def test_conv_transpose2d_matches_oracle(case, dtype):
     _check(dc.conv_transpose2d, oracle_conv_transpose2d, case, dtype, 1)
+
+
+# -------------------------------------------------------- fused activation
+
+# (layer, x shape, w shape, keyword arguments, zeroed part of x), each
+# with 6 outputs; the zeros make a run of pre-activations equal to the
+# bias, which holds signed zeros, subnormals and the smallest normals, at
+# and around the kink
+FUSED = [
+    ("conv2d", (2, 3, 5, 7), (6, 3, 3, 3), {"padding": 1}, np.s_[..., :3]),
+    ("conv2d", (2, 3, 5, 7), (6, 3, 3, 3), {"stride": 2, "padding": 1},
+     np.s_[..., :3]),
+    ("conv2d", (2, 3, 5, 7), (6, 3, 1, 1), {}, np.s_[..., :3]),
+    ("conv_transpose2d", (2, 3, 3, 5), (3, 6, 4, 4), {}, np.s_[..., :2]),
+    ("linear", (5, 7), (7, 6), {}, np.s_[:2]),
+]
+ACTS = ["leaky", "sigmoid", None]
+
+
+def _edge_bias(dtype):
+    fi = np.finfo(dtype)
+    sub, tiny = fi.smallest_subnormal, fi.tiny
+    return np.array([0.0, -0.0, sub, -sub, tiny, -tiny], dtype=dtype)
+
+
+def _oracle_act(t, act):
+    return {"leaky": leaky_relu, "sigmoid": dc.sigmoid, None: lambda u: u}[act](t)
+
+
+def _layer_run(layer, x, w, b, g, kw, act, fused):
+    """Output and x, w, b gradients of the layer under upstream gradient
+    g, its activation fused or applied after it by the oracle."""
+    xt, wt, bt = (dc.Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+    op = getattr(dc, layer)
+    if fused:
+        out = op(xt, wt, bt, act=act, **kw)
+    else:
+        out = _oracle_act(op(xt, wt, bt, act=None, **kw), act)
+    dc.backward(out, g)
+    return out.data, xt.grad, wt.grad, bt.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("act", ACTS)
+@pytest.mark.parametrize("case", FUSED, ids=[f"{c[0]}{i}" for i, c in enumerate(FUSED)])
+def test_fused_activation_matches_layer_then_oracle(case, act, dtype):
+    layer, xs, ws, kw, zeros = case
+    r = np.random.default_rng(5)
+    x = r.normal(size=xs).astype(dtype)
+    x[zeros] = 0.0
+    w = r.normal(size=ws).astype(dtype)
+    b = _edge_bias(dtype)
+    ref = getattr(dc, layer)(dc.Tensor(x), dc.Tensor(w), dc.Tensor(b), **kw)
+    assert np.isin(b, ref.data).all()
+    g = r.normal(size=ref.shape).astype(dtype)
+    got = _layer_run(layer, x, w, b, g, kw, act, fused=True)
+    want = _layer_run(layer, x, w, b, g, kw, act, fused=False)
+    for what, u, v in zip(("forward", "dx", "dw", "db"), got, want):
+        assert u.dtype == v.dtype == dtype, what
+        assert u.shape == v.shape, what
+        assert u.tobytes() == v.tobytes(), f"{layer} {act} {what}"
+
+
+def test_unknown_activation_is_refused():
+    x = dc.Tensor(np.ones((1, 2)))
+    with pytest.raises(ValueError, match="unknown activation 'relu'"):
+        dc.linear(x, dc.Tensor(np.ones((2, 2))), act="relu")
 
 
 # ------------------------------------------------------ initial parameters

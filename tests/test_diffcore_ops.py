@@ -134,14 +134,21 @@ def test_expit_bytes_match_masked_form(dtype):
     assert got.tobytes() == want.tobytes()
 
 
+def _leaky_unit(x):
+    """x [n] through a 1 -> 1 linear layer of weight 1 with the fused
+    leaky activation, as [n, 1]."""
+    one = dc.Tensor(np.ones((1, 1), dtype=x.dtype))
+    return dc.linear(dc.reshape(x, (-1, 1)), one, act="leaky")
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_leaky_relu_bytes_match_where_form(dtype):
     alpha = LEAKY_ALPHA
     assert 0.0 <= alpha <= 1.0 and (1.0 - alpha) + alpha == 1.0
-    d = _edge_values(dtype)
+    x = dc.Tensor(_edge_values(dtype), requires_grad=True)
+    d = dc.reshape(x, (-1, 1)).data @ np.ones((1, 1), dtype=dtype)
     g = rng(41).normal(size=d.shape).astype(dtype)
-    x = dc.Tensor(d.copy(), requires_grad=True)
-    y = dc.leaky_relu(x)
+    y = _leaky_unit(x)
     dc.backward(y, g)
     assert y.data.tobytes() == np.where(d > 0.0, d, alpha * d).tobytes()
     want = np.zeros_like(d)
@@ -205,7 +212,7 @@ def test_fd_relu_leaky_away_from_kink():
     x = rng(17).normal(size=(9,))
     x[np.abs(x) < 0.05] = 0.1
     check(lambda a: dc.sum_(dc.relu(a)), x)
-    check(lambda a: dc.sum_(dc.leaky_relu(a)), x)
+    check(lambda a: dc.sum_(_leaky_unit(a)), x)
 
 
 def test_fd_minmax_clamp_away_from_ties():
@@ -271,6 +278,25 @@ def test_fd_conv_transpose2d():
     r = rng(23)
     check(lambda x, w, b: dc.sum_(dc.mul(dc.conv_transpose2d(x, w, b), 0.1)),
           r.normal(size=(1, 2, 3, 3)), r.normal(size=(2, 3, 4, 4)), r.normal(size=(3,)))
+
+
+@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+@pytest.mark.parametrize("act", ["leaky", "sigmoid", None])
+def test_fd_conv_layers_with_activation(act, stride, padding):
+    r = rng(29)
+    check(lambda x, w, b: dc.sum_(dc.mul(dc.conv2d(
+              x, w, b, stride=stride, padding=padding, act=act), 0.3)),
+          r.normal(size=(2, 2, 5, 5)), r.normal(size=(3, 2, 3, 3)), r.normal(size=(3,)))
+    check(lambda x, w, b: dc.sum_(dc.mul(dc.conv_transpose2d(
+              x, w, b, stride=stride, padding=padding, act=act), 0.3)),
+          r.normal(size=(1, 2, 3, 3)), r.normal(size=(2, 3, 4, 4)), r.normal(size=(3,)))
+
+
+@pytest.mark.parametrize("act", ["leaky", "sigmoid", None])
+def test_fd_linear_with_activation(act):
+    r = rng(32)
+    check(lambda x, w, b: dc.sum_(dc.mul(dc.linear(x, w, b, act=act), 0.3)),
+          r.normal(size=(4, 3)), r.normal(size=(3, 2)), r.normal(size=(2,)))
 
 
 def test_fd_texture_sample_tex_and_uv():

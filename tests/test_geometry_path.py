@@ -2,7 +2,8 @@
 phase-1 step and the perturbation term pose geometry alone, and the
 evaluators decode a frame's geometry and shadow gain once for all of its
 cameras. Each path is checked against the full per-call `forward` it
-stands for."""
+stands for. A phase-2 step builds one tape node per conv and linear
+layer, with no separate activation node and no padded copy."""
 
 from collections import Counter
 
@@ -79,6 +80,42 @@ def test_phase1_step_reads_no_texture_shadow_or_ao(dataset, tmp_path,
     names = ("AvatarDecoder", "ShadowNet", "TrainData")
     assert [calls[1, n] for n in names] == [0, 0, 0]
     assert [calls[2, n] for n in names] == [2, 2, 2]
+
+
+def test_phase2_step_builds_one_node_per_layer(dataset, tmp_path,
+                                                monkeypatch):
+    ops, pads, phase = Counter(), [0], []
+    real_step, real_backward, real_pad = trainer._step, dc.backward, np.pad
+
+    def step(cfg, *args):
+        phase.append(1 if args[-1] < cfg.phase1 else 2)
+        try:
+            return real_step(cfg, *args)
+        finally:
+            phase.pop()
+
+    def backward(loss, *args):
+        # walk each tape of the step from its loss
+        seen, todo = set(), [loss]
+        while phase == [2] and todo:
+            t = todo.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                ops[t.name] += 1
+                todo.extend(t._parents)
+        return real_backward(loss, *args)
+
+    def pad(*args, **kwargs):
+        pads[0] += phase == [2]
+        return real_pad(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "_step", step)
+    monkeypatch.setattr(dc, "backward", backward)
+    monkeypatch.setattr(np, "pad", pad)
+    _train_two_steps(dataset, tmp_path / "run")
+    assert ops["conv2d"] and ops["conv_transpose2d"] and ops["linear"]
+    assert ops["leaky_relu"] == ops["sigmoid"] == 0
+    assert pads[0] == 0
 
 
 def test_perturbation_term_matches_full_decode(dataset, tmp_path,
