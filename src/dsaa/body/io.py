@@ -13,13 +13,11 @@ from .mesh import TemplateMesh
 
 
 def save_obj(path, verts: np.ndarray, faces: np.ndarray, uvs: np.ndarray) -> None:
+    corners = np.repeat(np.asarray(faces) + 1, 2, axis=1)   # v/vt pairs
     with open(path, "w") as f:
-        for v in verts:
-            f.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for t in uvs:
-            f.write(f"vt {t[0]:.17g} {t[1]:.17g}\n")
-        for a, b, c in faces + 1:
-            f.write(f"f {a}/{a} {b}/{b} {c}/{c}\n")
+        f.write("v %.17g %.17g %.17g\n" * len(verts) % tuple(np.ravel(verts).tolist()))
+        f.write("vt %.17g %.17g\n" * len(uvs) % tuple(np.ravel(uvs).tolist()))
+        f.write("f %d/%d %d/%d %d/%d\n" * len(corners) % tuple(corners.ravel().tolist()))
 
 
 def load_obj(path):

@@ -221,6 +221,15 @@ def _argmin3(t):
     return ax
 
 
+def _stable_cell_order(cid):
+    """np.argsort(cid, kind="stable") of cell ids below 2**24 (the grid's
+    keys stay below 7 * 32**3), as two stable passes that numpy sorts by
+    radix: the low 16 bits as uint16, then the high bits as uint8."""
+    order = np.argsort((cid & 0xFFFF).astype(np.uint16), kind="stable")
+    high = (cid[order] >> 16).astype(np.uint8)
+    return order[np.argsort(high, kind="stable")]
+
+
 class UniformGrid:
     """Axis-aligned uniform grid over a triangle soup for any-hit queries.
 
@@ -291,7 +300,7 @@ class UniformGrid:
         e, key = np.nonzero(lists)
         cid = (key * self.res[0] + xyz[e, 0]) * self.res[1] + xyz[e, 1]
         cid = cid * self.res[2] + xyz[e, 2]
-        self._tris = tid[e][np.argsort(cid, kind="stable")]
+        self._tris = tid[e][_stable_cell_order(cid)]
         self._counts = np.bincount(cid, minlength=7 * int(self.res.prod()))
         self._start = np.cumsum(self._counts) - self._counts
 

@@ -8,6 +8,7 @@ import pytest
 
 from dsaa import body, diffcore as dc
 from fd import gradcheck
+from obj_oracle import save_obj_oracle
 
 
 def chain_skeleton(offsets):
@@ -282,6 +283,37 @@ def test_obj_weights_skeleton_roundtrip(tmp_path):
     npt.assert_array_equal(sk2.parents, sk.parents)
     npt.assert_array_equal(sk2.rest_rot, sk.rest_rot)
     npt.assert_array_equal(sk2.rest_t, sk.rest_t)
+
+
+def _obj_bytes_match_oracle(tmp_path, verts, faces, uvs):
+    body.save_obj(tmp_path / "new.obj", verts, faces, uvs)
+    save_obj_oracle(tmp_path / "old.obj", verts, faces, uvs)
+    return (tmp_path / "new.obj").read_bytes() == (tmp_path / "old.obj").read_bytes()
+
+
+def test_save_obj_matches_loop_writer_on_default_figure(tmp_path):
+    from dsaa.synthdata import build_figure
+    tpl = build_figure().template
+    assert _obj_bytes_match_oracle(tmp_path, tpl.verts, tpl.faces, tpl.uvs)
+
+
+def test_save_obj_matches_loop_writer_on_edge_floats(tmp_path):
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edge = [-0.0, 0.0, tiny, -tiny, 3 * tiny, 1e300, -1e300, 1.0, -2.0, 1e16,
+            1e17, 0.1, 1.0 / 3.0, -123456789.0, np.nextafter(1.0, 2.0), 5e-324]
+    rng = np.random.default_rng(5)
+    verts = rng.permutation(np.resize(edge, 48)).reshape(16, 3)
+    uvs = rng.permutation(np.resize(edge[::-1], 32)).reshape(16, 2)
+    faces = rng.integers(0, 16, size=(9, 3))
+    assert _obj_bytes_match_oracle(tmp_path, verts, faces, uvs)
+    back, _, back_uv = body.load_obj(tmp_path / "new.obj")
+    assert back.tobytes() == verts.tobytes() and back_uv.tobytes() == uvs.tobytes()
+
+
+def test_save_obj_of_an_empty_mesh_is_empty(tmp_path):
+    assert _obj_bytes_match_oracle(tmp_path, np.zeros((0, 3)),
+                                   np.zeros((0, 3), dtype=np.intp), np.zeros((0, 2)))
+    assert (tmp_path / "new.obj").read_bytes() == b""
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n"])

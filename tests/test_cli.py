@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dsaa import keyvalue
-from dsaa.harness import ABLATIONS, TrainData, load_config, trainer
+from dsaa.harness import ABLATIONS, TrainData, evaluate, load_config, trainer
 from dsaa.harness.cli import main
 from dsaa.harness.evaluate import open_run
 from dsaa.synthdata import load_manifest, split_dataset
@@ -229,6 +229,22 @@ def test_drive_sample_and_fit(cli_run, mode):
     kv = keyvalue.read((out / "drive.kv").read_text())
     assert kv["mode"] == mode and float(kv[f"frame.{frame}"]) >= 0.0
     assert (out / f"{frame}_cam0.ppm").exists()
+
+
+def test_drive_fit_leaves_the_model_parameters_as_it_found_them(cli_run, monkeypatch):
+    data, model = open_run(cli_run / "run", cli_run / "data")
+    frame = load_manifest(cli_run / "data").ids(split="test")[0]
+    params = model.store.tensors()
+    evaluate.drive(model, data, [frame], mode="fit", steps=2)
+    assert all(t.grad is None and t.requires_grad for t in params)
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("loss failed")
+
+    monkeypatch.setattr(evaluate, "losses", failing)
+    with pytest.raises(RuntimeError, match="loss failed"):
+        evaluate.drive(model, data, [frame], mode="fit", steps=2)
+    assert all(t.grad is None and t.requires_grad for t in params)
 
 
 def test_heatmap(cli_run):

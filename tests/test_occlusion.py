@@ -363,6 +363,31 @@ def test_default_figure_golden_map():
         "cd5f51b072e013b794b71f99ce265dbfe55e18b8646ca06bdab4a61afb601127")
 
 
+@pytest.mark.parametrize("n", [0, 1, 26000])
+def test_cell_order_is_the_stable_argsort_on_random_keys(n):
+    rng = np.random.default_rng(n)
+    for high in (7 * 32 ** 3, 300, 1 << 16, (1 << 16) + 3):
+        cid = rng.integers(0, high, size=n)
+        npt.assert_array_equal(ao_module._stable_cell_order(cid),
+                               np.argsort(cid, kind="stable"))
+
+
+def test_cell_order_is_the_stable_argsort_on_the_default_figure(monkeypatch):
+    seen = []
+    real = ao_module._stable_cell_order
+
+    def recording(cid):
+        seen.append(cid)
+        return real(cid)
+
+    monkeypatch.setattr(ao_module, "_stable_cell_order", recording)
+    tpl = default_scene().figure.template
+    UniformGrid(tpl.verts, tpl.faces)
+    (cid,) = seen
+    assert len(cid) > 10000 and cid.max() < 7 * 32 ** 3
+    npt.assert_array_equal(real(cid), np.argsort(cid, kind="stable"))
+
+
 def test_shared_texel_rays_give_the_same_maps():
     # one set of local ray directions serves every pose
     fig = default_scene().figure
