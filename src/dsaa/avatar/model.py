@@ -42,13 +42,13 @@ class AvatarModel:
         dt = config.np_dtype
         g = config.geo_res
 
-        masks = build_masks(template, skeleton, g, g, tau=config.tau,
+        self.atlas = build_atlas(template.uvs, template.faces, g, g)
+        masks = build_masks(template, skeleton, self.atlas, tau=config.tau,
                             n_face=config.n_face, head_joint=config.head_joint)
         if not config.spatial_local:
             # ablation: identical channel layout, no locality at all
             masks = InfluenceMask(np.ones_like(masks.data), masks.names)
         self.masks = masks
-        self.atlas = build_atlas(template.uvs, template.faces, g, g)
         ref = render_position_map(template.verts, template.faces, self.atlas)
 
         self.store = dc.ParamStore()

@@ -1,4 +1,4 @@
-"""Mesh file I/O: ASCII OBJ subset plus a skinning-weights sidecar.
+"""Mesh file I/O: an ASCII OBJ subset.
 
 The subset is v / vt / f with v/vt indices, and the v and vt indices of
 every face corner must agree (per-vertex UVs). Floats are written with
@@ -8,8 +8,6 @@ every face corner must agree (per-vertex UVs). Floats are written with
 from __future__ import annotations
 
 import numpy as np
-
-from .mesh import TemplateMesh
 
 
 def save_obj(path, verts: np.ndarray, faces: np.ndarray, uvs: np.ndarray) -> None:
@@ -49,42 +47,3 @@ def load_obj(path):
             np.array(faces, dtype=np.intp),
             np.array(uvs, dtype=np.float64))
 
-
-def save_weights(path, weights: np.ndarray) -> None:
-    """One line per vertex: vertex index then J floats."""
-    with open(path, "w") as f:
-        for i, row in enumerate(weights):
-            f.write(" ".join([str(i)] + [f"{w:.17g}" for w in row]) + "\n")
-
-
-def load_weights(path) -> np.ndarray:
-    rows = {}
-    J = None
-    with open(path) as f:
-        for line in f:
-            parts = line.split()
-            if not parts:
-                continue
-            idx = int(parts[0])
-            w = [float(x) for x in parts[1:]]
-            J = len(w) if J is None else J
-            if len(w) != J:
-                raise ValueError(f"inconsistent joint count at vertex {idx}")
-            rows[idx] = w
-    if not rows:
-        raise ValueError(f"weights sidecar {path} holds no rows")
-    V = max(rows) + 1
-    if set(rows) != set(range(V)):
-        raise ValueError("weights sidecar must cover every vertex exactly once")
-    return np.array([rows[i] for i in range(V)], dtype=np.float64)
-
-
-def save_mesh(obj_path, weights_path, mesh: TemplateMesh) -> None:
-    save_obj(obj_path, mesh.verts, mesh.faces, mesh.uvs)
-    save_weights(weights_path, mesh.weights)
-
-
-def load_mesh(obj_path, weights_path) -> TemplateMesh:
-    verts, faces, uvs = load_obj(obj_path)
-    weights = load_weights(weights_path)
-    return TemplateMesh(verts, faces, uvs, weights)

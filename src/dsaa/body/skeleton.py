@@ -99,29 +99,3 @@ def forward_kinematics(skel: Skeleton, theta: np.ndarray) -> np.ndarray:
     S_t = wt - np.einsum("jrc,jc->jr", S_R, t0)
     return np.concatenate([S_R, S_t[:, :, None]], axis=2)
 
-
-def save_skeleton(path, skel: Skeleton) -> None:
-    """One joint per line: name, parent index, rest rotation row-major (9
-    floats), rest translation (3 floats)."""
-    with open(path, "w") as f:
-        for j in range(skel.joint_count):
-            nums = list(skel.rest_rot[j].reshape(-1)) + list(skel.rest_t[j])
-            f.write(" ".join([skel.names[j], str(int(skel.parents[j]))]
-                             + [f"{x:.17g}" for x in nums]) + "\n")
-
-
-def load_skeleton(path) -> Skeleton:
-    names, parents, rots, ts = [], [], [], []
-    with open(path) as f:
-        for line in f:
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 14:
-                raise ValueError(f"skeleton line needs 14 fields, got {len(parts)}")
-            names.append(parts[0])
-            parents.append(int(parts[1]))
-            nums = np.array([float(x) for x in parts[2:]])
-            rots.append(nums[:9].reshape(3, 3))
-            ts.append(nums[9:])
-    return Skeleton(tuple(names), np.array(parents), np.array(rots), np.array(ts))

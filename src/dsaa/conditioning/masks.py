@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..body import Skeleton, TemplateMesh, build_atlas
+from ..body import Skeleton, TemplateMesh, TexelAtlas
 
 __all__ = ["InfluenceMask", "build_masks"]
 
@@ -59,11 +59,12 @@ def dilate(mask) -> np.ndarray:
     return out
 
 
-def build_masks(template: TemplateMesh, skeleton: Skeleton, height: int,
-                width: int, tau: float = 0.05, n_face: int = 4,
+def build_masks(template: TemplateMesh, skeleton: Skeleton,
+                atlas: TexelAtlas, *, tau: float = 0.05, n_face: int = 4,
                 head_joint: str = "head") -> InfluenceMask:
-    """Binary per-scalar influence channels on a height*width UV grid."""
-    atlas = build_atlas(template.uvs, template.faces, height, width)
+    """Binary per-scalar influence channels on the grid of `atlas`, the
+    template's UV atlas."""
+    height, width = atlas.height, atlas.width
     J = skeleton.joint_count
     if template.weights.shape[1] != J:
         raise ValueError("weight columns must match joint count")

@@ -2,7 +2,7 @@
 
 Subcommands: gen-data, train, drive, report, heatmap. Every command
 takes --seed and is deterministic under it. Exit codes: 0 success,
-2 validation error, 3 runtime failure.
+2 validation or path error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -195,7 +195,7 @@ def main(argv=None) -> int:
     except TrainingDiverged as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, FileNotFoundError) as e:
+    except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

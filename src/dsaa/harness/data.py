@@ -21,8 +21,7 @@ import numpy as np
 
 from .. import diffcore as dc
 from ..body import (TemplateMesh, build_atlas, forward_kinematics,
-                    lbs_apply, lbs_unpose, load_mesh, load_skeleton,
-                    render_position_map)
+                    lbs_apply, lbs_unpose, render_position_map)
 from ..conditioning import DrivingSignal
 from ..occlusion import AOSamplerConfig, TexelRays, compute_ao, texel_rays
 from ..renderer import Camera
@@ -34,6 +33,10 @@ __all__ = ["TrainData"]
 class TrainData:
     """Manifest-backed frame source with RAM caches for derived inputs.
 
+    The template and skeleton are the manifest's figure, which
+    `load_manifest` rebuilds from its tag and checks against the stored
+    spec hash.
+
     geo_res fixes the encoder position-map grid, ao_res the shadow input
     grid; both default to the standard model sizes.
     """
@@ -42,9 +45,8 @@ class TrainData:
         self.root = Path(dataset_root)
         self.manifest = load_manifest(self.root)
         self.spec = self.manifest.spec
-        self.template = load_mesh(self.root / "template.obj",
-                                  self.root / "template.weights")
-        self.skeleton = load_skeleton(self.root / "skeleton.txt")
+        self.template = self.spec.figure.template
+        self.skeleton = self.spec.figure.skeleton
         self.cameras: list[Camera] = scene_cameras(self.spec)
         self.geo_res = int(geo_res)
         self.ao_res = int(ao_res)

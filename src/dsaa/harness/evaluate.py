@@ -260,12 +260,12 @@ def heatmap_locality(model: AvatarModel, data: TrainData,
     """Fraction of influence-heatmap mass inside each pose scalar's true
     mask, from 8 perturbations per scalar at the zero signal.
 
-    Masks are rebuilt from the rig (not taken from the model), so the
-    no-locality ablation is scored against the same reference. Scalars
-    whose heatmap is identically zero are omitted.
+    Masks are rebuilt from the rig on the model's atlas (not taken from
+    the model's masks), so the no-locality ablation is scored against
+    the same reference. Scalars whose heatmap is identically zero are
+    omitted.
     """
-    g = model.config.geo_res
-    ref = build_masks(data.template, data.skeleton, g, g,
+    ref = build_masks(data.template, data.skeleton, model.atlas,
                       tau=model.config.tau, n_face=model.config.n_face,
                       head_joint=model.config.head_joint)
     base = np.zeros(ref.data.shape[0], dtype=np.float64)
@@ -302,12 +302,12 @@ def write_heatmaps(model: AvatarModel, out_dir, indices, signal=None,
     for k in indices:
         if not 0 <= k < n:
             raise ValueError(f"signal index {k} out of range [0, {n})")
+    heats = [influence_heatmap(lambda v: _embed(model, v), signal, k,
+                               n_perturb, seed=seed) for k in indices]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
-    for k in indices:
-        heat = influence_heatmap(lambda v: _embed(model, v), signal, k,
-                                 n_perturb, seed=seed)
+    for k, heat in zip(indices, heats):
         name = model.masks.names[k].replace(":", "_")
         path = out / f"heatmap_{k:02d}_{name}.pgm"
         write_pgm(path, heat)

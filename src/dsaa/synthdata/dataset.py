@@ -3,8 +3,11 @@
 Layout under a dataset root:
 
     manifest.txt
-    template.obj / template.weights / skeleton.txt
     frames/<id>/theta.txt  f.txt  u.txt  mesh.obj  cam<k>.ppm  cam<k>_mask.pgm
+
+The template mesh and skeleton are not stored: the manifest's figure tag
+rebuilds them.  Old datasets may still hold template.obj,
+template.weights and skeleton.txt; nothing reads them.
 
 Per-frame text files hold one float per line via repr(), which parses
 back to the identical float64 in any locale.  The manifest carries the
@@ -23,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import keyvalue
-from ..body import save_obj, load_obj, save_mesh, save_skeleton
+from ..body import save_obj, load_obj
 from ..imgio import read_pgm, read_ppm, write_pgm, write_ppm
 from ..rng import stream
 from .figure import build_figure, figure_bytes
@@ -165,9 +168,6 @@ def generate_dataset(spec: SceneSpec, out_dir,
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     _drop_ao_maps(root)
-    save_mesh(root / "template.obj", root / "template.weights",
-              spec.figure.template)
-    save_skeleton(root / "skeleton.txt", spec.figure.skeleton)
     thetas, us, entries = [], [], []
     for i in range(n_frames):
         fid = f"{i:06d}"

@@ -1,7 +1,5 @@
 """Articulation oracles: FK geometry, LBS contracts, Laplacian, atlas."""
 
-import re
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -267,22 +265,13 @@ def test_atlas_resolution_floor():
 
 # -------------------------------------------------------------------- I/O
 
-def test_obj_weights_skeleton_roundtrip(tmp_path):
+def test_obj_roundtrip(tmp_path):
     mesh = grid_mesh(3)
-    body.save_mesh(tmp_path / "m.obj", tmp_path / "m.weights", mesh)
-    back = body.load_mesh(tmp_path / "m.obj", tmp_path / "m.weights")
-    npt.assert_array_equal(back.verts, mesh.verts)
-    npt.assert_array_equal(back.faces, mesh.faces)
-    npt.assert_array_equal(back.uvs, mesh.uvs)
-    npt.assert_array_equal(back.weights, mesh.weights)
-
-    sk = chain_skeleton([(0, 0, 0), (0.5, 0.25, 0), (1.0 / 3.0, 0, 0.1)])
-    body.save_skeleton(tmp_path / "sk.txt", sk)
-    sk2 = body.load_skeleton(tmp_path / "sk.txt")
-    assert sk2.names == sk.names
-    npt.assert_array_equal(sk2.parents, sk.parents)
-    npt.assert_array_equal(sk2.rest_rot, sk.rest_rot)
-    npt.assert_array_equal(sk2.rest_t, sk.rest_t)
+    body.save_obj(tmp_path / "m.obj", mesh.verts, mesh.faces, mesh.uvs)
+    verts, faces, uvs = body.load_obj(tmp_path / "m.obj")
+    npt.assert_array_equal(verts, mesh.verts)
+    npt.assert_array_equal(faces, mesh.faces)
+    npt.assert_array_equal(uvs, mesh.uvs)
 
 
 def _obj_bytes_match_oracle(tmp_path, verts, faces, uvs):
@@ -314,14 +303,6 @@ def test_save_obj_of_an_empty_mesh_is_empty(tmp_path):
     assert _obj_bytes_match_oracle(tmp_path, np.zeros((0, 3)),
                                    np.zeros((0, 3), dtype=np.intp), np.zeros((0, 2)))
     assert (tmp_path / "new.obj").read_bytes() == b""
-
-
-@pytest.mark.parametrize("text", ["", "\n  \n"])
-def test_weights_rejects_empty_sidecar(tmp_path, text):
-    p = tmp_path / "m.weights"
-    p.write_text(text)
-    with pytest.raises(ValueError, match=re.escape(f"weights sidecar {p} holds no rows")):
-        body.load_weights(p)
 
 
 def test_obj_rejects_mismatched_vt(tmp_path):

@@ -391,7 +391,7 @@ def test_heatmap_rejects_zero_perturbations(cli_run, capsys):
                  "--dataset", str(cli_run / "data"), "--out", str(out),
                  "--indices", "0", "--n-perturb", "0"]) == 2
     assert "n_perturb" in capsys.readouterr().err
-    assert not list(out.glob("*.pgm"))
+    assert not out.exists()
 
 
 def test_heatmap_checks_indices_before_writing(cli_run, capsys):
@@ -401,6 +401,21 @@ def test_heatmap_checks_indices_before_writing(cli_run, capsys):
                  "--indices", "0,99", "--n-perturb", "2"]) == 2
     assert "signal index 99 out of range" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["out", "dataset"])
+def test_drive_path_errors_exit_2(cli_run, tmp_path, capsys, where):
+    # a file where a directory belongs
+    path = tmp_path / "a_file"
+    path.write_text("")
+    paths = {"out": str(tmp_path / "drive"), "dataset": str(cli_run / "data"),
+             where: str(path)}
+    frame = load_manifest(cli_run / "data").ids()[0]
+    assert main(["drive", "--checkpoint", str(cli_run / "run"),
+                 "--dataset", paths["dataset"], "--frames", frame,
+                 "--out", paths["out"]]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno")
+    assert path.read_text() == ""
 
 
 @pytest.mark.parametrize("line", ["loss.lam_mask = nan", "loss.lam_lap = inf",

@@ -86,17 +86,21 @@ def test_driving_signal_validation():
 
 # -------------------------------------------------------------- build_masks
 
+def atlas16(tpl):
+    return body.build_atlas(tpl.uvs, tpl.faces, 16, 16)
+
+
 def test_masks_zero_threshold_covers_valid_atlas():
     tpl, skel = strip_rig()
-    atlas = body.build_atlas(tpl.uvs, tpl.faces, 16, 16)
-    m = cond.build_masks(tpl, skel, 16, 16, tau=0.0, n_face=2)
+    atlas = atlas16(tpl)
+    m = cond.build_masks(tpl, skel, atlas, tau=0.0, n_face=2)
     assert m.data.shape == (3 * 3 + 2, 16, 16)
     assert (m.data[:, atlas.valid] == 1).all()
 
 
 def test_masks_fully_bound_vertex_active():
     tpl, skel = strip_rig()
-    m = cond.build_masks(tpl, skel, 16, 16, tau=1.0, n_face=1)
+    m = cond.build_masks(tpl, skel, atlas16(tpl), tau=1.0, n_face=1)
     for j, station in enumerate((0.0, 1.0, 2.0)):
         vid = int(np.argmax((tpl.verts[:, 0] == station) & (tpl.verts[:, 1] == 0.0)))
         u, v = tpl.uvs[vid]
@@ -107,12 +111,12 @@ def test_masks_fully_bound_vertex_active():
 def test_masks_empty_channel_raises():
     tpl, skel = strip_rig(ncol=12)   # mid joint tops out below 0.95
     with pytest.raises(ValueError, match="mid"):
-        cond.build_masks(tpl, skel, 16, 16, tau=0.95)
+        cond.build_masks(tpl, skel, atlas16(tpl), tau=0.95)
 
 
 def test_masks_face_channels_equal_head_region():
     tpl, skel = strip_rig()
-    m = cond.build_masks(tpl, skel, 16, 16, tau=0.05, n_face=4)
+    m = cond.build_masks(tpl, skel, atlas16(tpl), tau=0.05, n_face=4)
     head = m.data[6:9]
     for k in range(4):
         npt.assert_array_equal(m.data[9 + k], head[0])
@@ -122,8 +126,8 @@ def test_masks_face_channels_equal_head_region():
 
 def test_masks_rebuild_bit_exact_and_scalar_channels_match():
     tpl, skel = strip_rig()
-    a = cond.build_masks(tpl, skel, 16, 16, tau=0.05)
-    b = cond.build_masks(tpl, skel, 16, 16, tau=0.05)
+    a = cond.build_masks(tpl, skel, atlas16(tpl), tau=0.05)
+    b = cond.build_masks(tpl, skel, atlas16(tpl), tau=0.05)
     npt.assert_array_equal(a.data, b.data)
     assert a.names == b.names
     npt.assert_array_equal(a.data[0], a.data[1])   # scalars of one joint share a mask

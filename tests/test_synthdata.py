@@ -1,4 +1,5 @@
 import dataclasses
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import dsaa.synthdata as sd
 from dsaa.body import build_atlas
 from dsaa.conditioning import build_masks
+from dsaa.harness import TrainData
 from dsaa.imgio import write_pgm, write_ppm
 
 
@@ -69,7 +71,8 @@ def test_figure_atlas_coverage(figure):
 
 
 def test_figure_mask_areas(figure):
-    masks = build_masks(figure.template, figure.skeleton, 32, 32,
+    atlas = build_atlas(figure.template.uvs, figure.template.faces, 32, 32)
+    masks = build_masks(figure.template, figure.skeleton, atlas,
                         tau=0.05, n_face=4, head_joint="head")
     area = {n: float(m.sum()) for n, m in zip(masks.names, masks.data)}
     # distal joints influence less surface than the root
@@ -245,6 +248,29 @@ def test_dataset_layout_and_manifest(small_dataset):
     assert rec.u == want[2]
     assert rec.verts.shape == loaded.spec.figure.template.verts.shape
     assert rec.images[0].shape == (3, 32, 32)
+
+
+def test_dataset_root_holds_only_manifest_and_frames(small_dataset):
+    # the template and skeleton come from the manifest's figure tag
+    root = Path(small_dataset.root)
+    assert sorted(p.name for p in root.iterdir()) == ["frames", "manifest.txt"]
+
+
+def test_stale_rig_files_are_ignored(small_dataset, tmp_path):
+    # datasets written before the rig files were dropped still hold them
+    root = tmp_path / "old"
+    shutil.copytree(small_dataset.root, root)
+    for name in ("template.obj", "template.weights", "skeleton.txt"):
+        (root / name).write_text("garbage 1 2\nf x/y\n")
+    data = TrainData(root)
+    fig = sd.build_figure()
+    for key in ("verts", "faces", "uvs", "weights"):
+        got, want = getattr(data.template, key), getattr(fig.template, key)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
+    assert data.skeleton.names == fig.skeleton.names
+    for key in ("parents", "rest_rot", "rest_t"):
+        got, want = getattr(data.skeleton, key), getattr(fig.skeleton, key)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
 
 
 def test_manifest_tamper_detected(small_dataset, tmp_path):
