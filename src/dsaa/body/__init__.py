@@ -4,12 +4,10 @@ from .skeleton import Skeleton, euler_xyz, forward_kinematics
 from .mesh import TemplateMesh, mesh_laplacian
 from .lbs import lbs_apply, lbs_unpose
 from .atlas import TexelAtlas, build_atlas, render_position_map
-from .io import save_obj, load_obj
 
 __all__ = [
     "Skeleton", "euler_xyz", "forward_kinematics",
     "TemplateMesh", "mesh_laplacian",
     "lbs_apply", "lbs_unpose",
     "TexelAtlas", "build_atlas", "render_position_map",
-    "save_obj", "load_obj",
 ]

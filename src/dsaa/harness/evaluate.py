@@ -170,12 +170,16 @@ def drive(model: AvatarModel, data: TrainData, frame_ids, mode: str = "zero",
         raise ValueError("no frames requested")
     if len(set(frame_ids)) != len(frame_ids):
         raise ValueError(f"repeated frame ids in {frame_ids}")
+    # refuse bad frame ids and a bad out_dir before any bake or render
+    frames = [data.frame(fid) for fid in frame_ids]
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
     if model.config.use_shadow:
         data.ensure_ao(frame_ids)
 
     results = {}
-    for fid in frame_ids:
-        fr = data.frame(fid)
+    for fid, fr in zip(frame_ids, frames):
         if mode == "fit":
             z, images, masks = _fit_latent(model, data, fid, steps, lr)
         else:
@@ -187,8 +191,6 @@ def drive(model: AvatarModel, data: TrainData, frame_ids, mode: str = "zero",
                         "images": images, "masks": masks}
 
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         items = [("mode", mode), ("seed", seed)]
         for fid in frame_ids:
             r = results[fid]

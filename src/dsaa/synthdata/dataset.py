@@ -3,17 +3,22 @@
 Layout under a dataset root:
 
     manifest.txt
-    frames/<id>/theta.txt  f.txt  u.txt  mesh.obj  cam<k>.ppm  cam<k>_mask.pgm
+    frames/<id>/theta.txt  f.txt  u.txt  cam<k>.ppm  cam<k>_mask.pgm
 
 The template mesh and skeleton are not stored: the manifest's figure tag
-rebuilds them.  Old datasets may still hold template.obj,
-template.weights and skeleton.txt; nothing reads them.
+rebuilds them.  Nor is a frame's posed mesh: load_frame rebuilds it with
+frame_mesh from the stored theta and u.  Old datasets may still hold
+template.obj, template.weights, skeleton.txt and per-frame mesh.obj
+files; nothing reads them.
 
 Per-frame text files hold one float per line via repr(), which parses
 back to the identical float64 in any locale.  The manifest carries the
 full scene description plus a hash over it and the figure geometry, so
 a loaded manifest can prove it still matches the code that would
-regenerate it.
+regenerate it.  Because every frame's ground-truth geometry is computed
+on load, a change to frame_mesh's arithmetic changes every dataset's
+geometry: it must change _FORMAT, and load_manifest then refuses old
+datasets.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from .. import keyvalue
-from ..body import save_obj, load_obj
 from ..imgio import read_pgm, read_ppm, write_pgm, write_ppm
 from ..rng import stream
 from .figure import build_figure, figure_bytes
@@ -54,7 +58,8 @@ class FrameRecord:
     theta: np.ndarray
     face: np.ndarray
     u: float
-    verts: np.ndarray   # posed, wrinkled; the exact geometry behind the gt
+    verts: np.ndarray   # posed, wrinkled; rebuilt from theta and u, the
+                        # exact geometry behind the gt
     images: np.ndarray  # [n_cam,3,H,W] float32
     masks: np.ndarray   # [n_cam,H,W] float32
 
@@ -145,8 +150,6 @@ def _write_frame(root: Path, spec: SceneSpec, frame_id: str, seed: int, *,
     _floats_txt(d / "theta.txt", theta)
     _floats_txt(d / "f.txt", face)
     _floats_txt(d / "u.txt", [u])
-    tpl = spec.figure.template
-    save_obj(d / "mesh.obj", posed, tpl.faces, tpl.uvs)
     for k, (img, msk) in enumerate(zip(images, masks)):
         write_ppm(d / f"cam{k}.ppm", img)
         write_pgm(d / f"cam{k}_mask.pgm", msk)
@@ -232,12 +235,13 @@ def split_dataset(manifest: DatasetManifest, test_fraction: float,
 
 def load_frame(manifest: DatasetManifest, frame_id: str) -> FrameRecord:
     d = Path(manifest.root) / "frames" / frame_id
-    verts, _, _ = load_obj(d / "mesh.obj")
+    theta = _read_floats(d / "theta.txt")
+    u = float(_read_floats(d / "u.txt")[0])
     cams = range(manifest.spec.n_cameras)
     images = np.stack([read_ppm(d / f"cam{k}.ppm") for k in cams])
     masks = np.stack([read_pgm(d / f"cam{k}_mask.pgm") for k in cams])
-    return FrameRecord(id=frame_id, theta=_read_floats(d / "theta.txt"),
-                       face=_read_floats(d / "f.txt"),
-                       u=float(_read_floats(d / "u.txt")[0]), verts=verts,
+    return FrameRecord(id=frame_id, theta=theta,
+                       face=_read_floats(d / "f.txt"), u=u,
+                       verts=frame_mesh(manifest.spec, theta, u)[1],
                        images=images.astype(np.float32),
                        masks=masks.astype(np.float32))

@@ -2,8 +2,8 @@
 
 Everything here is a pure function of (spec, theta, face, u), which is
 what makes stored frames reproducible bit for bit: regenerating the
-texture from the stored factors and re-rendering the stored mesh must
-quantize to exactly the bytes on disk.
+texture from the stored factors and re-rendering the mesh rebuilt from
+the stored factors must quantize to exactly the bytes on disk.
 """
 
 from __future__ import annotations

@@ -6,7 +6,6 @@ import pytest
 
 from dsaa import body, diffcore as dc
 from fd import gradcheck
-from obj_oracle import save_obj_oracle
 
 
 def chain_skeleton(offsets):
@@ -261,55 +260,6 @@ def test_atlas_resolution_floor():
     uvs = np.array([[0.1, 0.1], [0.9, 0.1], [0.5, 0.9]])
     with pytest.raises(ValueError, match="resolution"):
         body.build_atlas(uvs, np.array([[0, 1, 2]]), 4, 4)
-
-
-# -------------------------------------------------------------------- I/O
-
-def test_obj_roundtrip(tmp_path):
-    mesh = grid_mesh(3)
-    body.save_obj(tmp_path / "m.obj", mesh.verts, mesh.faces, mesh.uvs)
-    verts, faces, uvs = body.load_obj(tmp_path / "m.obj")
-    npt.assert_array_equal(verts, mesh.verts)
-    npt.assert_array_equal(faces, mesh.faces)
-    npt.assert_array_equal(uvs, mesh.uvs)
-
-
-def _obj_bytes_match_oracle(tmp_path, verts, faces, uvs):
-    body.save_obj(tmp_path / "new.obj", verts, faces, uvs)
-    save_obj_oracle(tmp_path / "old.obj", verts, faces, uvs)
-    return (tmp_path / "new.obj").read_bytes() == (tmp_path / "old.obj").read_bytes()
-
-
-def test_save_obj_matches_loop_writer_on_default_figure(tmp_path):
-    from dsaa.synthdata import build_figure
-    tpl = build_figure().template
-    assert _obj_bytes_match_oracle(tmp_path, tpl.verts, tpl.faces, tpl.uvs)
-
-
-def test_save_obj_matches_loop_writer_on_edge_floats(tmp_path):
-    tiny = np.finfo(np.float64).smallest_subnormal
-    edge = [-0.0, 0.0, tiny, -tiny, 3 * tiny, 1e300, -1e300, 1.0, -2.0, 1e16,
-            1e17, 0.1, 1.0 / 3.0, -123456789.0, np.nextafter(1.0, 2.0), 5e-324]
-    rng = np.random.default_rng(5)
-    verts = rng.permutation(np.resize(edge, 48)).reshape(16, 3)
-    uvs = rng.permutation(np.resize(edge[::-1], 32)).reshape(16, 2)
-    faces = rng.integers(0, 16, size=(9, 3))
-    assert _obj_bytes_match_oracle(tmp_path, verts, faces, uvs)
-    back, _, back_uv = body.load_obj(tmp_path / "new.obj")
-    assert back.tobytes() == verts.tobytes() and back_uv.tobytes() == uvs.tobytes()
-
-
-def test_save_obj_of_an_empty_mesh_is_empty(tmp_path):
-    assert _obj_bytes_match_oracle(tmp_path, np.zeros((0, 3)),
-                                   np.zeros((0, 3), dtype=np.intp), np.zeros((0, 2)))
-    assert (tmp_path / "new.obj").read_bytes() == b""
-
-
-def test_obj_rejects_mismatched_vt(tmp_path):
-    p = tmp_path / "bad.obj"
-    p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nvt 0 0\nvt 1 0\nvt 0 1\nf 1/2 2/1 3/3\n")
-    with pytest.raises(ValueError, match="v/vt"):
-        body.load_obj(p)
 
 
 def test_mesh_validation():

@@ -404,18 +404,23 @@ def test_heatmap_checks_indices_before_writing(cli_run, capsys):
 
 
 @pytest.mark.parametrize("where", ["out", "dataset"])
-def test_drive_path_errors_exit_2(cli_run, tmp_path, capsys, where):
+def test_drive_path_errors_exit_2(cli_run, tmp_path, capsys, monkeypatch,
+                                  where):
     # a file where a directory belongs
     path = tmp_path / "a_file"
     path.write_text("")
     paths = {"out": str(tmp_path / "drive"), "dataset": str(cli_run / "data"),
              where: str(path)}
     frame = load_manifest(cli_run / "data").ids()[0]
+    renders = []
+    monkeypatch.setattr(evaluate, "rasterize",
+                        lambda *a, **k: renders.append(1))
     assert main(["drive", "--checkpoint", str(cli_run / "run"),
                  "--dataset", paths["dataset"], "--frames", frame,
                  "--out", paths["out"]]) == 2
     assert capsys.readouterr().err.startswith("error: [Errno")
     assert path.read_text() == ""
+    assert not renders      # refused before any frame is rendered
 
 
 @pytest.mark.parametrize("line", ["loss.lam_mask = nan", "loss.lam_lap = inf",

@@ -232,11 +232,10 @@ def test_dataset_layout_and_manifest(small_dataset):
     root = Path(small_dataset.root)
     assert (root / "manifest.txt").exists()
     frame = root / "frames" / "000000"
-    for name in ("theta.txt", "f.txt", "u.txt", "mesh.obj"):
-        assert (frame / name).exists()
-    for k in range(small_dataset.spec.n_cameras):
-        assert (frame / f"cam{k}.ppm").exists()
-        assert (frame / f"cam{k}_mask.pgm").exists()
+    cams = range(small_dataset.spec.n_cameras)
+    assert sorted(p.name for p in frame.iterdir()) == sorted(
+        ["theta.txt", "f.txt", "u.txt"] + [f"cam{k}.ppm" for k in cams]
+        + [f"cam{k}_mask.pgm" for k in cams])
     assert len((frame / "theta.txt").read_text().splitlines()) == 33
     loaded = sd.load_manifest(root)
     assert loaded.spec_hash == small_dataset.spec_hash
@@ -247,6 +246,9 @@ def test_dataset_layout_and_manifest(small_dataset):
     np.testing.assert_array_equal(rec.face, want[1])
     assert rec.u == want[2]
     assert rec.verts.shape == loaded.spec.figure.template.verts.shape
+    want_verts = sd.frame_mesh(loaded.spec, rec.theta, rec.u)[1]
+    assert rec.verts.dtype == want_verts.dtype
+    assert rec.verts.tobytes() == want_verts.tobytes()
     assert rec.images[0].shape == (3, 32, 32)
 
 
@@ -256,13 +258,21 @@ def test_dataset_root_holds_only_manifest_and_frames(small_dataset):
     assert sorted(p.name for p in root.iterdir()) == ["frames", "manifest.txt"]
 
 
-def test_stale_rig_files_are_ignored(small_dataset, tmp_path):
-    # datasets written before the rig files were dropped still hold them
+def test_stale_files_are_ignored(small_dataset, tmp_path):
+    # datasets written before the rig files and the frames' mesh.obj were
+    # dropped still hold them
     root = tmp_path / "old"
     shutil.copytree(small_dataset.root, root)
     for name in ("template.obj", "template.weights", "skeleton.txt"):
         (root / name).write_text("garbage 1 2\nf x/y\n")
+    ids = small_dataset.ids()
+    for fid in ids:
+        (root / "frames" / fid / "mesh.obj").write_text("garbage 1 2\nf x/y\n")
     data = TrainData(root)
+    fresh = sd.load_manifest(small_dataset.root)
+    for fid in ids:
+        got, want = data.frame(fid).verts, sd.load_frame(fresh, fid).verts
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), fid
     fig = sd.build_figure()
     for key in ("verts", "faces", "uvs", "weights"):
         got, want = getattr(data.template, key), getattr(fig.template, key)
