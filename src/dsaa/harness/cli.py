@@ -156,6 +156,8 @@ def _cmd_report(args) -> int:
         name, sep, path = item.partition("=")
         if not sep:
             raise ValueError(f"--run wants VARIANT=DIR, got {item!r}")
+        if name in runs:
+            raise ValueError(f"variant {name!r} given by more than one --run")
         runs[name] = path
     data = TrainData(args.dataset)
     text = build_report(runs, data, args.out, seed=args.seed,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .. import diffcore as dc
 from ..body import (TemplateMesh, build_atlas, forward_kinematics,
-                    lbs_apply, lbs_unpose, render_position_map)
+                    lbs_apply, render_position_map)
 from ..conditioning import DrivingSignal
 from ..occlusion import AOSamplerConfig, TexelRays, compute_ao, texel_rays
 from ..renderer import Camera
@@ -95,11 +95,9 @@ class TrainData:
     def pos_map(self, frame_id: str) -> np.ndarray:
         """Unposed ground-truth geometry resampled on the atlas, [3,g,g]."""
         if frame_id not in self._pos_maps:
-            fr = self.frame(frame_id)
-            tf = forward_kinematics(self.skeleton, fr.theta)
-            canonical = lbs_unpose(fr.verts, tf, self.template.weights)
             self._pos_maps[frame_id] = render_position_map(
-                canonical, self.template.faces, self._atlas)
+                self.frame(frame_id).canonical, self.template.faces,
+                self._atlas)
         return self._pos_maps[frame_id]
 
     def ao(self, frame_id: str) -> np.ndarray:

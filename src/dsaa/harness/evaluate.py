@@ -301,6 +301,10 @@ def write_heatmaps(model: AvatarModel, out_dir, indices, signal=None,
     if signal.shape != (n,):
         raise ValueError(f"signal must supply {n} scalars, got {signal.shape}")
     indices = [int(k) for k in indices]
+    if not indices:
+        raise ValueError("no signal indices requested")
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"repeated signal indices in {indices}")
     for k in indices:
         if not 0 <= k < n:
             raise ValueError(f"signal index {k} out of range [0, {n})")

@@ -63,6 +63,13 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
     out = Path(cfg.out)
     if not cfg.dataset or not cfg.out:
         raise ValueError("config needs dataset and out paths")
+    # a refused dataset or batch leaves no run directory behind
+    data = TrainData(cfg.dataset, geo_res=mw.geo_res,
+                     ao_res=mw.shadow_res)
+    train_ids = data.train_ids()
+    if len(train_ids) < cfg.batch:
+        raise ValueError(f"dataset provides {len(train_ids)} training "
+                         f"frames; batch size {cfg.batch} needs that many")
     out.mkdir(parents=True, exist_ok=True)
 
     state_path = out / "trainer.dsaa1"
@@ -72,13 +79,6 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
     if state_path.exists():
         _check_resumable(out / "config.txt", cfg)
     (out / "config.txt").write_text(config_text(cfg))
-
-    data = TrainData(cfg.dataset, geo_res=mw.geo_res,
-                     ao_res=mw.shadow_res)
-    train_ids = data.train_ids()
-    if len(train_ids) < cfg.batch:
-        raise ValueError(f"dataset provides {len(train_ids)} training "
-                         f"frames; batch size {cfg.batch} needs that many")
     say = echo if echo is not None else (lambda line: None)
     if mw.use_shadow:
         say(f"baking occlusion maps for {len(train_ids)} frames")

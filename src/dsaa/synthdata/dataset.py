@@ -6,19 +6,20 @@ Layout under a dataset root:
     frames/<id>/theta.txt  f.txt  u.txt  cam<k>.ppm  cam<k>_mask.pgm
 
 The template mesh and skeleton are not stored: the manifest's figure tag
-rebuilds them.  Nor is a frame's posed mesh: load_frame rebuilds it with
-frame_mesh from the stored theta and u.  Old datasets may still hold
-template.obj, template.weights, skeleton.txt and per-frame mesh.obj
-files; nothing reads them.
+rebuilds them.  Nor are a frame's meshes: load_frame rebuilds the
+canonical and the posed one with frame_mesh from the stored theta and
+u.  Old datasets may still hold template.obj, template.weights,
+skeleton.txt and per-frame mesh.obj files; nothing reads them.
 
 Per-frame text files hold one float per line via repr(), which parses
 back to the identical float64 in any locale.  The manifest carries the
 full scene description plus a hash over it and the figure geometry, so
 a loaded manifest can prove it still matches the code that would
-regenerate it.  Because every frame's ground-truth geometry is computed
-on load, a change to frame_mesh's arithmetic changes every dataset's
-geometry: it must change _FORMAT, and load_manifest then refuses old
-datasets.
+regenerate it.  Because every frame's geometry is computed on load, a
+change to the arithmetic of frame_mesh, or of the dc.lbs_apply that
+poses its mesh, changes every dataset's ground truth and, through the
+canonical mesh's position map, the geometry encoder's input: it must
+change _FORMAT, and load_manifest then refuses old datasets.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ class FrameRecord:
     theta: np.ndarray
     face: np.ndarray
     u: float
-    verts: np.ndarray   # posed, wrinkled; rebuilt from theta and u, the
-                        # exact geometry behind the gt
+    canonical: np.ndarray   # unposed, wrinkled: the encoder's geometry
+    verts: np.ndarray       # posed: the exact geometry behind the gt;
+                            # both rebuilt from theta and u
     images: np.ndarray  # [n_cam,3,H,W] float32
     masks: np.ndarray   # [n_cam,H,W] float32
 
@@ -240,8 +242,9 @@ def load_frame(manifest: DatasetManifest, frame_id: str) -> FrameRecord:
     cams = range(manifest.spec.n_cameras)
     images = np.stack([read_ppm(d / f"cam{k}.ppm") for k in cams])
     masks = np.stack([read_pgm(d / f"cam{k}_mask.pgm") for k in cams])
+    canonical, posed = frame_mesh(manifest.spec, theta, u)
     return FrameRecord(id=frame_id, theta=theta,
                        face=_read_floats(d / "f.txt"), u=u,
-                       verts=frame_mesh(manifest.spec, theta, u)[1],
+                       canonical=canonical, verts=posed,
                        images=images.astype(np.float32),
                        masks=masks.astype(np.float32))

@@ -106,31 +106,14 @@ def test_lbs_shape_mismatch_errors():
         body.lbs_apply(verts, tf, w[:, :3])
 
 
-def test_unpose_identity_pose():
+def test_lbs_array_and_tensor_share_one_formula():
     sk, verts, w = random_rig(5)
-    tf = body.forward_kinematics(sk, np.zeros(sk.dof))
-    npt.assert_allclose(body.lbs_unpose(verts, tf, w), verts, atol=1e-12)
-
-
-def test_unpose_roundtrip():
-    sk, verts, w = random_rig(6)
-    r = np.random.default_rng(7)
-    theta = r.uniform(-1.2, 1.2, sk.dof)
+    theta = np.random.default_rng(6).uniform(-1.2, 1.2, sk.dof)
     tf = body.forward_kinematics(sk, theta)
     posed = body.lbs_apply(verts, tf, w)
-    back = body.lbs_unpose(posed, tf, w)
-    assert np.max(np.abs(back - verts)) < 1e-9
-
-
-def test_unpose_candy_wrapper_is_singular():
-    sk = chain_skeleton([(0, 0, 0), (0, 0, 0)])
-    theta = np.zeros(6)
-    theta[3] = np.pi                 # child twisted 180 degrees about x
-    tf = body.forward_kinematics(sk, theta)
-    verts = np.array([[0.0, 0.5, 0.0]])
-    w = np.array([[0.5, 0.5]])
-    with pytest.raises(ValueError, match="vertex 0"):
-        body.lbs_unpose(verts, tf, w)
+    via_tensor = body.lbs_apply(dc.Tensor(verts), tf, w)
+    assert isinstance(posed, np.ndarray) and posed.dtype == np.float64
+    assert posed.tobytes() == via_tensor.data.tobytes()
 
 
 def test_rigid_equivariance_via_root():

@@ -3,11 +3,16 @@ train runs with resume and their failure exit codes, drive in every mode,
 heatmap and report."""
 
 import dataclasses
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dsaa
 from dsaa import keyvalue
 from dsaa.harness import ABLATIONS, TrainData, evaluate, load_config, trainer
 from dsaa.harness.cli import main
@@ -92,6 +97,23 @@ def test_resume_matches_uninterrupted_run(cli_run):
     for name in ("trainer.dsaa1", "model.dsaa1", "model.dsaa1.manifest"):
         assert (cli_run / "resumed" / name).read_bytes() \
             == (cli_run / "run" / name).read_bytes(), name
+
+
+def test_run_bytes_do_not_depend_on_blas_threads(cli_run):
+    # runs split into one-thread lanes must match a rerun on more threads
+    # byte for byte
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(dsaa.__file__).parents[1]))
+        subprocess.run([sys.executable, "-m", "dsaa.harness.cli", "train",
+                        "--config", str(cli_run / "train.cfg"),
+                        "--dataset", str(cli_run / "data"),
+                        "--out", str(cli_run / f"blas{threads}"),
+                        "--seed", "1", "--iters", "2"],
+                       env=env, check=True, capture_output=True)
+    for name in ("model.dsaa1", "trainer.dsaa1"):
+        assert (cli_run / "blas1" / name).read_bytes() \
+            == (cli_run / "blas2" / name).read_bytes(), name
 
 
 class _Stop(Exception):
@@ -304,6 +326,18 @@ def test_report_rejects_frame_cap_below_one(cli_run, tmp_path, capsys, frames):
     assert not out.exists()
 
 
+def test_report_refuses_a_repeated_variant(cli_run, tmp_path, capsys):
+    # the later --run would silently replace the earlier one's directory
+    runs = [f"--run={v}={cli_run / 'run'}" for v in ABLATIONS]
+    out = tmp_path / "report"
+    assert main(["report", "--dataset", str(cli_run / "data"), "--out",
+                 str(out), "--frames", "1", *runs,
+                 f"--run=ours={cli_run / 'run'}"]) == 2
+    assert "variant 'ours' given by more than one --run" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_on_one_test_frame(tmp_path):
     # a single test frame leaves too few rows for the MI critic's
     # minibatches and the probe's held-out variance: both are omitted
@@ -403,6 +437,19 @@ def test_heatmap_checks_indices_before_writing(cli_run, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("indices, message", [
+    (",", "no signal indices requested"),
+    ("0,0", "repeated signal indices in [0, 0]")])
+def test_heatmap_refuses_empty_or_repeated_indices(cli_run, tmp_path, capsys,
+                                                   indices, message):
+    out = tmp_path / "heat"
+    assert main(["heatmap", "--checkpoint", str(cli_run / "run"),
+                 "--dataset", str(cli_run / "data"), "--out", str(out),
+                 "--indices", indices, "--n-perturb", "2"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("where", ["out", "dataset"])
 def test_drive_path_errors_exit_2(cli_run, tmp_path, capsys, monkeypatch,
                                   where):
@@ -433,6 +480,23 @@ def test_train_rejects_nonfinite_settings(cli_run, tmp_path, capsys, line):
                  str(cli_run / "data"), "--out", str(out), "--seed", "1",
                  "--iters", "2"]) == 2
     assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("refusal", ["dataset", "batch"])
+def test_refused_train_leaves_no_run_directory(cli_run, tmp_path, capsys,
+                                               refusal):
+    # the split gives 2 training frames, too few for a batch of 3
+    cfg = tmp_path / "train.cfg"
+    text = (cli_run / "train.cfg").read_text()
+    cfg.write_text(text.replace("train.batch = 2", "train.batch = 3")
+                   if refusal == "batch" else text)
+    data = cli_run / "data" if refusal == "batch" else tmp_path / "nosuch"
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--dataset", str(data),
+                 "--out", str(out), "--seed", "1", "--iters", "2"]) == 2
+    err = capsys.readouterr().err
+    assert ("batch size 3" if refusal == "batch" else "nosuch") in err
     assert not out.exists()
 
 

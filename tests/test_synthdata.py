@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dsaa.synthdata as sd
-from dsaa.body import build_atlas
+from dsaa.body import build_atlas, render_position_map
 from dsaa.conditioning import build_masks
 from dsaa.harness import TrainData
 from dsaa.imgio import write_pgm, write_ppm
@@ -281,6 +281,22 @@ def test_stale_files_are_ignored(small_dataset, tmp_path):
     for key in ("parents", "rest_rot", "rest_t"):
         got, want = getattr(data.skeleton, key), getattr(fig.skeleton, key)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
+
+
+def test_pos_map_renders_the_frames_canonical_mesh(small_dataset):
+    # the encoder reads frame_mesh's own canonical mesh, not one recovered
+    # from the posed mesh by inverting the skinning
+    data = TrainData(small_dataset.root)
+    assert data.geo_res == 32
+    atlas = build_atlas(data.template.uvs, data.template.faces, 32, 32)
+    for fid in small_dataset.ids():
+        fr = data.frame(fid)
+        canonical, posed = sd.frame_mesh(small_dataset.spec, fr.theta, fr.u)
+        assert fr.canonical.tobytes() == canonical.tobytes()
+        assert fr.verts.tobytes() == posed.tobytes()
+        want = render_position_map(canonical, data.template.faces, atlas)
+        got = data.pos_map(fid)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), fid
 
 
 def test_manifest_tamper_detected(small_dataset, tmp_path):
