@@ -29,9 +29,9 @@ class AvatarModel:
     and skeleton, so a checkpoint plus its manifest reconstructs the model
     exactly.
 
-    `geometry` (posed vertices, decoder trunk) and `appearance` (one
-    view's final texture) split the model at the decoder trunk; `forward`
-    is `decode` + `shadow_gain` + `compose` over the same pieces.
+    `geometry` (posed vertices, decoder trunk), `shadow_gain` and
+    `appearance` (one view's final texture) are all the harness calls;
+    `forward` (`decode` + `shadow_gain` + `compose`) is the tests' reference.
     """
 
     def __init__(self, template: TemplateMesh, skeleton: Skeleton,

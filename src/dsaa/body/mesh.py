@@ -74,15 +74,13 @@ def mesh_laplacian(mesh: TemplateMesh, verts):
     form annihilates constants bitwise, so exactly-representable
     translations leave the result bit-identical.
 
-    verts [V,3] is an array, or a Tensor for a differentiable result.
+    verts [V,3]: an array gives an array, a Tensor a differentiable Tensor.
     """
     idx, inv_deg = mesh.neighbor_table()
-    if isinstance(verts, dc.Tensor):
-        scale = inv_deg[:, None].astype(verts.dtype)
-        nbrs = dc.getitem(verts, idx)                  # [V,Dmax,3]
-        diffs = dc.sub(nbrs, dc.reshape(verts, (verts.shape[0], 1, 3)))
-        return dc.mul(dc.neg(dc.sum_(diffs, axis=1)), scale)
-    v = np.asarray(verts)
-    diffs = v[idx] - v[:, None, :]
-    return -(diffs.sum(axis=1)) * inv_deg[:, None].astype(v.dtype)
+    v = verts if isinstance(verts, dc.Tensor) else dc.Tensor(verts)
+    scale = inv_deg[:, None].astype(v.dtype)
+    nbrs = dc.getitem(v, idx)                          # [V,Dmax,3]
+    diffs = dc.sub(nbrs, dc.reshape(v, (v.shape[0], 1, 3)))
+    out = dc.mul(dc.neg(dc.sum_(diffs, axis=1)), scale)
+    return out if v is verts else out.data
 

@@ -86,6 +86,12 @@ class TrainData:
         return DrivingSignal(theta=fr.theta, face=fr.face,
                              view=self.cameras[cam].rot[2])
 
+    def check_model(self, config) -> None:
+        """Refuse a model config that reads another face-scalar count."""
+        if config.n_face != self.spec.n_face:
+            raise ValueError(f"model reads {config.n_face} face scalars; the "
+                             f"dataset supplies {self.spec.n_face}")
+
     def scalars(self, frame_id: str) -> np.ndarray:
         fr = self.frame(frame_id)
         return np.concatenate([fr.theta, fr.face])

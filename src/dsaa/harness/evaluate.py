@@ -1,7 +1,7 @@
 """Driving evaluation, the ablation report, and influence heatmaps.
 
 The driving error is the mean per-pixel L1 over the foreground union
-(ground-truth or predicted silhouette), scaled by 255.
+(ground-truth or predicted silhouette), scaled by 255; `drive` scores it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from .. import diffcore as dc
 from .. import keyvalue
-from ..avatar import AvatarModel, parse_manifest
+from ..avatar import AvatarConfig, AvatarModel, parse_manifest
 from ..conditioning import build_masks, influence_heatmap
 from ..disentangle import StatisticsNet, fit_statistics, mi_estimate
 from ..imgio import write_pgm, write_ppm
@@ -24,8 +24,8 @@ from .config import ABLATIONS
 from .data import TrainData
 
 __all__ = ["load_model", "model_path", "union_l1", "render_frame", "drive",
-           "eval_errors", "build_report", "write_heatmaps", "heatmap_locality",
-           "open_run", "VARIANT_LABELS"]
+           "build_report", "write_heatmaps", "heatmap_locality", "open_run",
+           "VARIANT_LABELS"]
 
 VARIANT_LABELS = dict(zip(ABLATIONS, (
     "OURS", "pose+face", "pose+face+latent", "OURS (no disent.)",
@@ -51,12 +51,17 @@ def load_model(checkpoint, data: TrainData) -> AvatarModel:
     return AvatarModel.load(model_path(checkpoint), data.template, data.skeleton)
 
 
-def open_run(checkpoint, dataset) -> tuple[TrainData, AvatarModel]:
-    """The dataset at the resolutions the checkpoint was trained with
-    (its manifest's geo_res and shadow_res), and the model."""
+def _run_config(checkpoint) -> tuple[Path, AvatarConfig]:
     path = model_path(checkpoint)
-    config = parse_manifest(Path(f"{path}.manifest").read_text())
+    return path, parse_manifest(Path(f"{path}.manifest").read_text())
+
+
+def open_run(checkpoint, dataset) -> tuple[TrainData, AvatarModel]:
+    """The dataset at the checkpoint's resolutions (its manifest's geo_res
+    and shadow_res) and the model, if it reads the dataset's face scalars."""
+    path, config = _run_config(checkpoint)
     data = TrainData(dataset, geo_res=config.geo_res, ao_res=config.shadow_res)
+    data.check_model(config)
     return data, load_model(path, data)
 
 
@@ -84,18 +89,20 @@ def _camera_renders(model: AvatarModel, data: TrainData, frame_id: str, z):
                         camera, cfg)
 
 
+def _stack(renders):
+    """(images [n_cam,3,H,W], masks [n_cam,H,W]) of a list of renders."""
+    return (np.stack([rt.image.data for rt in renders]),
+            np.stack([rt.mask.data for rt in renders]))
+
+
 def render_frame(model: AvatarModel, data: TrainData, frame_id: str, z=None):
     """All-camera renders for one frame at a fixed latent.
 
     Returns (images [n_cam,3,H,W], masks [n_cam,H,W]) as plain arrays; no
     graph is kept.
     """
-    images, masks = [], []
     with dc.no_grad():
-        for rt in _camera_renders(model, data, frame_id, z):
-            images.append(rt.image.data.copy())
-            masks.append(rt.mask.data.copy())
-    return np.stack(images), np.stack(masks)
+        return _stack(list(_camera_renders(model, data, frame_id, z)))
 
 
 def _frame_errors(images, masks, fr) -> list[float]:
@@ -129,13 +136,12 @@ def _fit_latent(model, data, frame_id, steps, lr):
     try:
         for it in range(steps + 1):
             zstore.zero_grad()
-            total, images, masks = None, [], []
+            total, renders = None, []
             for k, rt in enumerate(_camera_renders(model, data, frame_id, zt)):
                 part, _ = losses(rt, fr.images[k], fr.masks[k], weights)
                 total = part if total is None else dc.add(total, part)
-                images.append(rt.image.data.copy())
-                masks.append(rt.mask.data.copy())
-            images, masks = np.stack(images), np.stack(masks)
+                renders.append(rt)
+            images, masks = _stack(renders)
             score = float(np.mean(_frame_errors(images, masks, fr)))
             if best is None or score < best[0]:
                 best = (score, zt.data.copy(), images, masks)
@@ -145,8 +151,7 @@ def _fit_latent(model, data, frame_id, steps, lr):
     finally:
         for t, flag in zip(params, live):
             t.requires_grad = flag
-    _, z, images, masks = best
-    return z, images, masks
+    return best[1:]         # z, images, masks
 
 
 def drive(model: AvatarModel, data: TrainData, frame_ids, mode: str = "zero",
@@ -155,8 +160,9 @@ def drive(model: AvatarModel, data: TrainData, frame_ids, mode: str = "zero",
 
     zero: z = 0 (maximum-likelihood driving). sample: z ~ N(0, I) per
     frame under `seed`. fit: per-frame optimization of z against the
-    ground truth. Returns {frame_id: {"z", "cams", "err"}} and, when
-    out_dir is given, writes the renders plus a drive.kv error table.
+    ground truth. Returns {frame_id: {"z", "cams", "err"}}. With out_dir,
+    each frame's renders are written as it is scored and drive.kv last (an
+    earlier one is removed first), so a failed drive leaves no drive.kv.
     """
     if mode not in ("zero", "sample", "fit"):
         raise ValueError(f"unknown imputation mode {mode!r}")
@@ -175,10 +181,11 @@ def drive(model: AvatarModel, data: TrainData, frame_ids, mode: str = "zero",
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        (out / "drive.kv").unlink(missing_ok=True)
     if model.config.use_shadow:
         data.ensure_ao(frame_ids)
 
-    results = {}
+    results, items = {}, [("mode", mode), ("seed", seed)]
     for fid, fr in zip(frame_ids, frames):
         if mode == "fit":
             z, images, masks = _fit_latent(model, data, fid, steps, lr)
@@ -187,33 +194,20 @@ def drive(model: AvatarModel, data: TrainData, frame_ids, mode: str = "zero",
                  if mode == "sample" else None)
             images, masks = render_frame(model, data, fid, z)
         errs = _frame_errors(images, masks, fr)
-        results[fid] = {"z": z, "cams": errs, "err": float(np.mean(errs)),
-                        "images": images, "masks": masks}
+        results[fid] = {"z": z, "cams": errs, "err": float(np.mean(errs))}
+        if out_dir is not None:
+            for k, image in enumerate(images):
+                write_ppm(out / f"{fid}_cam{k}.ppm", image)
+                items.append((f"frame.{fid}.cam{k}", repr(errs[k])))
+            items.append((f"frame.{fid}", repr(results[fid]["err"])))
 
     if out_dir is not None:
-        items = [("mode", mode), ("seed", seed)]
-        for fid in frame_ids:
-            r = results[fid]
-            for k in range(r["images"].shape[0]):
-                write_ppm(out / f"{fid}_cam{k}.ppm", r["images"][k])
-                items.append((f"frame.{fid}.cam{k}", repr(r["cams"][k])))
-            items.append((f"frame.{fid}", repr(r["err"])))
-        mean = float(np.mean([results[f]["err"] for f in frame_ids]))
-        items.append(("mean", repr(mean)))
-        (out / "drive.kv").write_text(keyvalue.dump(items))
+        mean = float(np.mean([r["err"] for r in results.values()]))
+        (out / "drive.kv").write_text(keyvalue.dump(items + [("mean", repr(mean))]))
     return results
 
 
 # ------------------------------------------------------------------- report
-
-def eval_errors(model: AvatarModel, data: TrainData, frame_ids) -> dict:
-    """Zero-driving error per frame of the list frame_ids."""
-    if model.config.use_shadow:
-        data.ensure_ao(frame_ids)
-    return {fid: float(np.mean(_frame_errors(*render_frame(model, data, fid),
-                                             data.frame(fid))))
-            for fid in frame_ids}
-
 
 def _subsample(ids, limit, rng) -> list:
     if len(ids) <= limit:
@@ -343,6 +337,10 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
     if not test_ids or not train_ids:
         raise ValueError("dataset provides no train/test frames to score")
 
+    # refuse a missing or mismatched run before any run is scored
+    for variant in ABLATIONS:
+        data.check_model(_run_config(runs[variant])[1])
+
     rows, kv = [], [("metric", _METRIC_TAG),
                     ("frames.train", len(train_ids)),
                     ("frames.test", len(test_ids))]
@@ -352,10 +350,9 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
     score_latent = min(len(train_ids), len(test_ids)) >= 2
     for variant, label in VARIANT_LABELS.items():
         run_data, model = open_run(runs[variant], data.root)
-        tr = eval_errors(model, run_data, train_ids)
-        te = eval_errors(model, run_data, test_ids)
-        tr_m = float(np.mean(list(tr.values())))
-        te_m = float(np.mean(list(te.values())))
+        tr_m, te_m = [float(np.mean([r["err"] for r in
+                                     drive(model, run_data, ids).values()]))
+                      for ids in (train_ids, test_ids)]
         rows.append((label, tr_m, te_m))
         kv.append((f"error.{variant}.train", repr(tr_m)))
         kv.append((f"error.{variant}.test", repr(te_m)))

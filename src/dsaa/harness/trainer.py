@@ -1,13 +1,14 @@
 """Two-phase training loop.
 
-Phase 1 (mesh warmup) fits geometry directly against the registered
-meshes with the mesh objective: it decodes and poses geometry only (no
-texture branch, shadow net or AO map) and never rasterizes. Phase 2
-switches to the image objective, keeps the Laplacian term as a
-smoothness regularizer, and adds the latent regularizers (KL,
-adversarial independence, perturbation consistency, which also reads
-posed geometry only). The adversary is a separate statistics net with
-its own optimizer, stepped once per model step on the same minibatch.
+Both phases pose each frame once with `AvatarModel.geometry`. Phase 1
+(mesh warmup) fits it to the registered meshes with the mesh objective,
+reads no texture branch, shadow net or AO map, and never rasterizes.
+Phase 2 rasterizes `appearance` under `shadow_gain` for the image
+objective, keeps the Laplacian term as a smoothness regularizer, and
+adds the latent regularizers (KL, adversarial independence, perturbation
+consistency, which also reads posed geometry only). The adversary is a
+separate statistics net with its own optimizer, stepped once per model
+step on the same minibatch.
 
 Every random draw comes from a stream keyed by (seed, purpose,
 iteration), so a resumed run consumes exactly the numbers the
@@ -63,9 +64,9 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
     out = Path(cfg.out)
     if not cfg.dataset or not cfg.out:
         raise ValueError("config needs dataset and out paths")
-    # a refused dataset or batch leaves no run directory behind
-    data = TrainData(cfg.dataset, geo_res=mw.geo_res,
-                     ao_res=mw.shadow_res)
+    # a refused dataset, model or batch leaves no run directory behind
+    data = TrainData(cfg.dataset, geo_res=mw.geo_res, ao_res=mw.shadow_res)
+    data.check_model(mw)
     train_ids = data.train_ids()
     if len(train_ids) < cfg.batch:
         raise ValueError(f"dataset provides {len(train_ids)} training "
@@ -170,9 +171,8 @@ def _step(cfg, data, model, opt, critic, critic_store, critic_opt, corr,
     parts: dict[str, float] = {}
     signals, z_list, dists = [], [], []
     for b, fid in enumerate(batch_ids):
-        fr = data.frame(fid)
-        cam = data.cameras[int(cams[b])]
-        sig = data.signal(fid, int(cams[b]))
+        fr, c = data.frame(fid), int(cams[b])
+        sig = data.signal(fid, c)
         signals.append(sig)
         z = None
         if mw.use_latent:
@@ -180,17 +180,16 @@ def _step(cfg, data, model, opt, critic, critic_store, critic_opt, corr,
             z = reparameterize(dist, eps[b])
             dists.append(dist)
             z_list.append(z)
+        posed, trunk = model.geometry(sig, z)
         if phase == 1:
-            posed = model.geometry(sig, z)[0]
             loss_b, parts_b = mesh_loss(posed, fr.verts, data.template, lw)
         else:
-            pred = model.forward(sig, z, data.ao(fid) if mw.use_shadow
-                                 else None)
-            render = rasterize(pred.posed, data.template.faces,
-                               data.template.uvs, pred.final, cam, raster_cfg)
-            loss_b, parts_b = losses(render, fr.images[int(cams[b])],
-                                     fr.masks[int(cams[b])], lw)
-            lap = laplacian_loss(data.template, pred.posed, fr.verts)
+            gain = model.shadow_gain(data.ao(fid) if mw.use_shadow else None)
+            render = rasterize(posed, data.template.faces, data.template.uvs,
+                               model.appearance(trunk, sig.view, gain),
+                               data.cameras[c], raster_cfg)
+            loss_b, parts_b = losses(render, fr.images[c], fr.masks[c], lw)
+            lap = laplacian_loss(data.template, posed, fr.verts)
             loss_b = add_term(loss_b, parts_b, "lap", lap, lw.lam_lap)
         for k, v in parts_b.items():
             parts[k] = parts.get(k, 0.0) + v

@@ -173,6 +173,16 @@ def test_laplacian_translation_invariance_exact():
     npt.assert_array_equal(La, Lb)
 
 
+def test_laplacian_array_and_tensor_agree_bitwise():
+    mesh = grid_mesh()
+    v = mesh.verts + np.random.default_rng(3).normal(size=mesh.verts.shape)
+    la = body.mesh_laplacian(mesh, v)
+    lt = body.mesh_laplacian(mesh, dc.Tensor(v, requires_grad=True))
+    assert isinstance(la, np.ndarray) and isinstance(lt, dc.Tensor)
+    assert la.dtype == lt.dtype == np.float64
+    assert la.tobytes() == lt.data.tobytes()
+
+
 def test_laplacian_isolated_vertex_errors():
     verts = np.zeros((4, 3))
     verts[:, 0] = np.arange(4)

@@ -253,6 +253,53 @@ def test_drive_sample_and_fit(cli_run, mode):
     assert (out / f"{frame}_cam0.ppm").exists()
 
 
+def test_drive_returns_what_drive_kv_records(cli_run, tmp_path):
+    data, model = open_run(cli_run / "run", cli_run / "data")
+    frames = load_manifest(cli_run / "data").ids(split="test")
+    out = tmp_path / "drive"
+    results = evaluate.drive(model, data, frames, mode="sample",
+                             out_dir=out, seed=3)
+    kv = keyvalue.read((out / "drive.kv").read_text())
+    n_cam = len(data.cameras)
+    assert list(results) == frames
+    assert set(kv) == {"mode", "seed", "mean"} | {
+        f"frame.{f}{c}" for f in frames
+        for c in ["", *(f".cam{k}" for k in range(n_cam))]}
+    for fid, r in results.items():
+        assert set(r) == {"z", "cams", "err"}
+        assert r["z"].shape == (model.config.d_z,)
+        assert r["cams"] == [float(kv[f"frame.{fid}.cam{k}"])
+                             for k in range(n_cam)]
+        assert r["err"] == float(kv[f"frame.{fid}"])
+    assert float(kv["mean"]) == float(np.mean([r["err"] for r in
+                                               results.values()]))
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["drive.kv"] + [f"{f}_cam{k}.ppm" for f in frames
+                        for k in range(n_cam)])
+
+
+def test_drive_failing_partway_leaves_renders_but_no_table(cli_run, tmp_path,
+                                                           monkeypatch):
+    data, model = open_run(cli_run / "run", cli_run / "data")
+    first, second = load_manifest(cli_run / "data").ids(group="standard",
+                                                          split="test")
+    real = evaluate.render_frame
+
+    def render_frame(model, data, frame_id, z=None):
+        if frame_id == second:
+            raise RuntimeError("render failed")
+        return real(model, data, frame_id, z)
+
+    monkeypatch.setattr(evaluate, "render_frame", render_frame)
+    out = tmp_path / "drive"
+    out.mkdir()
+    (out / "drive.kv").write_text("mode = zero\n")      # an earlier drive's
+    with pytest.raises(RuntimeError, match="render failed"):
+        evaluate.drive(model, data, [first, second], out_dir=out)
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"{first}_cam{k}.ppm" for k in range(len(data.cameras))]
+
+
 def test_drive_fit_leaves_the_model_parameters_as_it_found_them(cli_run, monkeypatch):
     data, model = open_run(cli_run / "run", cli_run / "data")
     frame = load_manifest(cli_run / "data").ids(split="test")[0]
@@ -335,6 +382,25 @@ def test_report_refuses_a_repeated_variant(cli_run, tmp_path, capsys):
                  f"--run=ours={cli_run / 'run'}"]) == 2
     assert "variant 'ours' given by more than one --run" \
         in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_checks_every_run_before_scoring_any(cli_run, tmp_path,
+                                                     capsys, monkeypatch):
+    runs = [f"--run={v}={cli_run / 'run'}" for v in ABLATIONS[:-1]]
+    runs.append(f"--run={ABLATIONS[-1]}={tmp_path / 'nosuch'}")
+    renders, real = [], evaluate.rasterize
+
+    def rasterize(*args, **kwargs):
+        renders.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "rasterize", rasterize)
+    out = tmp_path / "report"
+    assert main(["report", "--dataset", str(cli_run / "data"), "--out",
+                 str(out), "--frames", "1", *runs]) == 2
+    assert "no model checkpoint at" in capsys.readouterr().err
+    assert not renders      # no variant was scored
     assert not out.exists()
 
 
@@ -483,20 +549,47 @@ def test_train_rejects_nonfinite_settings(cli_run, tmp_path, capsys, line):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("refusal", ["dataset", "batch"])
-def test_refused_train_leaves_no_run_directory(cli_run, tmp_path, capsys,
-                                               refusal):
+_FACE_MISMATCH = "model reads 4 face scalars; the dataset supplies 2"
+
+
+@pytest.fixture(scope="module")
+def two_face_data(tmp_path_factory):
+    """An unsplit 2-frame dataset whose frames carry 2 face scalars; the
+    model default reads 4."""
+    root = tmp_path_factory.mktemp("two_face")
+    (root / "data.cfg").write_text("data.image_size = 32\ndata.n_face = 2\n")
+    assert main(["gen-data", "--config", str(root / "data.cfg"), "--out",
+                 str(root / "data"), "--frames", "2", "--test-fraction", "0",
+                 "--seed", "4"]) == 0
+    return root / "data"
+
+
+@pytest.mark.parametrize("refusal", ["dataset", "batch", "n_face"])
+def test_refused_train_leaves_no_run_directory(cli_run, two_face_data,
+                                               tmp_path, capsys, refusal):
     # the split gives 2 training frames, too few for a batch of 3
     cfg = tmp_path / "train.cfg"
     text = (cli_run / "train.cfg").read_text()
     cfg.write_text(text.replace("train.batch = 2", "train.batch = 3")
                    if refusal == "batch" else text)
-    data = cli_run / "data" if refusal == "batch" else tmp_path / "nosuch"
+    data, message = {
+        "dataset": (tmp_path / "nosuch", "nosuch"),
+        "batch": (cli_run / "data", "batch size 3"),
+        "n_face": (two_face_data, _FACE_MISMATCH)}[refusal]
     out = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--dataset", str(data),
                  "--out", str(out), "--seed", "1", "--iters", "2"]) == 2
-    err = capsys.readouterr().err
-    assert ("batch size 3" if refusal == "batch" else "nosuch") in err
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_drive_refuses_a_model_of_another_face_count(cli_run, two_face_data,
+                                                     tmp_path, capsys):
+    out = tmp_path / "drive"
+    assert main(["drive", "--checkpoint", str(cli_run / "run"), "--dataset",
+                 str(two_face_data), "--frames", "000000", "--out",
+                 str(out)]) == 2
+    assert _FACE_MISMATCH in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,9 +1,12 @@
-"""Each harness caller runs only the model part its output reads: a
-phase-1 step and the perturbation term pose geometry alone, and the
-evaluators decode a frame's geometry and shadow gain once for all of its
-cameras. Each path is checked against the full per-call `forward` it
-stands for. A phase-2 step builds one tape node per conv and linear
-layer, with no separate activation node and no padded copy."""
+"""Each harness caller runs only the model part its output reads,
+through `AvatarModel.geometry`, `shadow_gain` and `appearance`: a
+phase-1 step and the perturbation term pose geometry alone, a phase-2
+step shades each frame's trunk for its one camera, and the evaluators
+decode a frame's geometry and shadow gain once for all of its cameras.
+No harness path calls `forward`; each is checked against the full
+per-frame `forward` it stands for. A phase-2 step builds one tape node
+per conv and linear layer, with no separate activation node and no
+padded copy."""
 
 from collections import Counter
 
@@ -67,7 +70,7 @@ def test_phase1_step_reads_no_texture_shadow_or_ao(dataset, tmp_path,
 
         def counted(*args, **kwargs):
             if phase:
-                calls[phase[-1], owner.__name__] += 1
+                calls[phase[-1], f"{owner.__name__}.{attr}"] += 1
             return orig(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, counted)
@@ -76,10 +79,64 @@ def test_phase1_step_reads_no_texture_shadow_or_ao(dataset, tmp_path,
     count(AvatarDecoder, "texture")
     count(ShadowNet, "__call__")
     count(TrainData, "ao")
+    count(AvatarModel, "forward")
+    count(AvatarModel, "geometry")
     _train_two_steps(dataset, tmp_path / "run")
-    names = ("AvatarDecoder", "ShadowNet", "TrainData")
-    assert [calls[1, n] for n in names] == [0, 0, 0]
-    assert [calls[2, n] for n in names] == [2, 2, 2]
+    names = ("AvatarDecoder.texture", "ShadowNet.__call__", "TrainData.ao",
+             "AvatarModel.forward", "AvatarModel.geometry")
+    # one geometry call per frame; phase 2 adds one per perturbation sample
+    assert [calls[1, n] for n in names] == [0, 0, 0, 0, 2]
+    assert [calls[2, n] for n in names] == [2, 2, 2, 0, 4]
+
+
+def test_phase2_step_matches_per_frame_forward(dataset, tmp_path,
+                                               monkeypatch):
+    # the oracle runs each frame of the step through one `forward` call:
+    # `geometry` hands forward's output on in the trunk's place, and
+    # `appearance` takes its final texture back out; the perturbation
+    # term's geometry calls stay as they are
+    def step_result(out):
+        grads = []
+        real_adam_step = dc.Adam.step
+
+        def adam_step(opt):
+            if not grads:       # the model's optimizer steps before the critic's
+                grads.append({name: None if t.grad is None else t.grad.tobytes()
+                              for name, t in opt.params.items()})
+            return real_adam_step(opt)
+
+        with monkeypatch.context() as m:
+            m.setattr(dc.Adam, "step", adam_step)
+            rec, = train(TrainConfig(dataset=str(dataset), out=str(out),
+                                     iters=1, phase1=0, batch=2,
+                                     model=SMALL)).history
+        return rec, grads[0]
+
+    ref = step_result(tmp_path / "run")
+    pending = []
+    real_signal, real_geometry = TrainData.signal, AvatarModel.geometry
+
+    def signal(data, frame_id, cam):
+        pending.append((data, frame_id))
+        return real_signal(data, frame_id, cam)
+
+    def geometry(model, sig, z=None):
+        if not pending:
+            return real_geometry(model, sig, z)
+        data, frame_id = pending.pop()
+        pred = model.forward(sig, z, data.ao(frame_id)
+                             if model.config.use_shadow else None)
+        return pred.posed, pred
+
+    monkeypatch.setattr(TrainData, "signal", signal)
+    monkeypatch.setattr(AvatarModel, "geometry", geometry)
+    monkeypatch.setattr(AvatarModel, "appearance",
+                        lambda model, pred, view, gain: pred.final)
+    oracle = step_result(tmp_path / "oracle")
+    assert not pending
+    assert ref[0]["phase"] == 2 and "img" in ref[0] and "pc" in ref[0]
+    assert ref == oracle
+    assert any(g is not None for g in ref[1].values())
 
 
 def test_phase2_step_builds_one_node_per_layer(dataset, tmp_path,
