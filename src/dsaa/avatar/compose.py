@@ -19,14 +19,15 @@ class AvatarOutput:
     final: dc.Tensor           # [3,Ht,Wt] gain-modulated, clamped to [0,1]
 
 
-def apply_gain(texture: dc.Tensor, gain: dc.Tensor) -> dc.Tensor:
-    """Multiply a texture by its bilinearly upsampled quarter-res gain,
-    clamped to [0, 1]."""
-    _, H, W = texture.shape
+def apply_gain(textures: list[dc.Tensor], gain: dc.Tensor) -> list[dc.Tensor]:
+    """Multiply each texture (one per view, all [3,H,W]) by the quarter-res
+    gain, bilinearly upsampled once for all of them, clamped to [0, 1]."""
+    _, H, W = textures[0].shape
     if H % 4 or W % 4 or tuple(gain.shape) != (1, H // 4, W // 4):
         raise ValueError(f"gain must be [1,{H // 4},{W // 4}] for a "
                          f"{H}x{W} texture, got {tuple(gain.shape)}")
-    return dc.clamp(dc.mul(texture, dc.upsample2d(gain, 4)), 0.0, 1.0)
+    up = dc.upsample2d(gain, 4)
+    return [dc.clamp(dc.mul(t, up), 0.0, 1.0) for t in textures]
 
 
 def pose(theta, displacement: dc.Tensor, template: TemplateMesh,
@@ -52,4 +53,4 @@ def compose(theta, displacement: dc.Tensor, texture: dc.Tensor,
     """Build the posed, shaded avatar: `pose` plus the gain-modulated
     texture; differentiable in displacement, texture and gain."""
     return AvatarOutput(pose(theta, displacement, template, skeleton),
-                        apply_gain(texture, gain))
+                        apply_gain([texture], gain)[0])

@@ -16,8 +16,9 @@ class AvatarDecoder:
     """z is broadcast over a (geo_res/4)^2 bottleneck and upsampled twice;
     pose/face embeddings join at geo_res where a 3x3 trunk mixes them. A
     call returns the 1x1 geometry head's displacement map at geo_res and
-    the trunk; `texture(trunk, view)` upsamples once more, takes the tiled
-    view vector, and ends in a sigmoid so texels stay in (0, 1)."""
+    the trunk; `texture(trunk, views)` upsamples once more for all views,
+    then per view adds the tiled view vector; a sigmoid keeps texels in
+    (0, 1). It returns one [3,T,T] texture per view."""
 
     def __init__(self, store: dc.ParamStore, prefix: str, config,
                  rng: np.random.Generator):
@@ -57,13 +58,15 @@ class AvatarDecoder:
         disp = dc.reshape(dc.conv2d(trunk, self.w_geo, self.b_geo, act=None), (3, gr, gr))
         return disp, trunk
 
-    def texture(self, trunk: dc.Tensor, view: np.ndarray) -> dc.Tensor:
+    def texture(self, trunk: dc.Tensor, views) -> list[dc.Tensor]:
         tr = self._tex_res
-        tx = dc.conv_transpose2d(trunk, self.w_texup, self.b_texup, act="leaky")
-        vmap = np.broadcast_to(
-            np.asarray(view, dtype=self._dt)[None, :, None, None],
-            (1, 3, tr, tr)).copy()
-        tx = dc.concat([tx, dc.Tensor(vmap)], axis=1)
-        tx = dc.conv2d(tx, self.w_tex1, self.b_tex1, padding=1, act="leaky")
-        tex = dc.conv2d(tx, self.w_tex2, self.b_tex2, act="sigmoid")
-        return dc.reshape(tex, (3, tr, tr))
+        up = dc.conv_transpose2d(trunk, self.w_texup, self.b_texup, act="leaky")
+        textures = []
+        for view in views:
+            vmap = np.broadcast_to(np.asarray(view, dtype=self._dt)[None, :, None, None],
+                                   (1, 3, tr, tr)).copy()
+            tx = dc.concat([up, dc.Tensor(vmap)], axis=1)
+            tx = dc.conv2d(tx, self.w_tex1, self.b_tex1, padding=1, act="leaky")
+            tex = dc.conv2d(tx, self.w_tex2, self.b_tex2, act="sigmoid")
+            textures.append(dc.reshape(tex, (3, tr, tr)))
+        return textures

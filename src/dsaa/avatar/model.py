@@ -30,7 +30,7 @@ class AvatarModel:
     exactly.
 
     `geometry` (posed vertices, decoder trunk), `shadow_gain` and
-    `appearance` (one view's final texture) are all the harness calls;
+    `appearance` (one final texture per view) are all the harness calls;
     `forward` (`decode` + `shadow_gain` + `compose`) is the tests' reference.
     """
 
@@ -115,16 +115,16 @@ class AvatarModel:
         """(displacement map, texture) for a driving signal; z defaults to
         the zero vector (maximum-likelihood imputation)."""
         disp, trunk = self._trunk(signal, z)
-        return disp, self.decoder.texture(trunk, signal.view)
+        return disp, self.decoder.texture(trunk, [signal.view])[0]
 
     def geometry(self, signal: DrivingSignal, z=None):
         """(posed vertices [V,3], decoder trunk); the view is not read."""
         disp, trunk = self._trunk(signal, z)
         return pose(signal.theta, disp, self.template, self.skeleton), trunk
 
-    def appearance(self, trunk: dc.Tensor, view, gain: dc.Tensor) -> dc.Tensor:
-        """Final texture for one view: the texture branch times the gain."""
-        return apply_gain(self.decoder.texture(trunk, view), gain)
+    def appearance(self, trunk: dc.Tensor, views, gain: dc.Tensor) -> list[dc.Tensor]:
+        """Final textures, one per view; the view-independent upsamples run once."""
+        return apply_gain(self.decoder.texture(trunk, views), gain)
 
     def shadow_gain(self, ao=None) -> dc.Tensor:
         """Gain [1,R,R] from an AO map; exactly 1 without a shadow branch."""

@@ -77,14 +77,14 @@ def union_l1(pred_img, pred_mask, gt_img, gt_mask) -> float:
 
 def _camera_renders(model: AvatarModel, data: TrainData, frame_id: str, z):
     """Yield one RenderTarget per camera, in camera order: the frame's
-    geometry and shadow gain decoded once at latent z, the texture for
-    that camera's view, then rasterized."""
+    geometry, shadow gain and textures decoded once at latent z (one
+    `appearance` call for all views), then each camera's rasterized."""
     cfg = raster_config(data.spec)
     posed, trunk = model.geometry(data.signal(frame_id, 0), z)
     gain = model.shadow_gain(data.ao(frame_id) if model.config.use_shadow
                              else None)
-    for k, camera in enumerate(data.cameras):
-        final = model.appearance(trunk, data.signal(frame_id, k).view, gain)
+    views = [data.signal(frame_id, k).view for k in range(len(data.cameras))]
+    for final, camera in zip(model.appearance(trunk, views, gain), data.cameras):
         yield rasterize(posed, data.template.faces, data.template.uvs, final,
                         camera, cfg)
 

@@ -186,7 +186,7 @@ def _step(cfg, data, model, opt, critic, critic_store, critic_opt, corr,
         else:
             gain = model.shadow_gain(data.ao(fid) if mw.use_shadow else None)
             render = rasterize(posed, data.template.faces, data.template.uvs,
-                               model.appearance(trunk, sig.view, gain),
+                               model.appearance(trunk, [sig.view], gain)[0],
                                data.cameras[c], raster_cfg)
             loss_b, parts_b = losses(render, fr.images[c], fr.masks[c], lw)
             lap = laplacian_loss(data.template, posed, fr.verts)

@@ -37,8 +37,10 @@ Forward stages, plain numpy over one flat list of (face, pixel) pairs:
    zn + gamma * ln(D) (background pinned at 0); it cancels out of the
    softmax ratio, so it only keeps exp() in range.
 6. Texture. rgb is the bilinear sample at uv (helpers shared with
-   dc.texture_sample), taken only at live pairs: those with a nonzero
-   face weight. Every other pair would add an exact zero.
+   dc.texture_sample), taken at every pair. A dead pair (face weight 0)
+   adds exact zeros to every sum; with a finite window none is dead:
+   D >= sigmoid(-margin^2 / sigma_r) and the depth factor is >=
+   exp(-1 / gamma), >= ~4e-28 together at the scene's settings.
 7. Scatter. rgb * weight, weight and log(1 - D) are summed onto the
    canvas with np.bincount in pair order; image = sum rgb*w / (sum w +
    bg_w), mask = 1 - exp(sum log(1 - D)).
@@ -52,7 +54,7 @@ Backward is derived by hand. Saved for it: the pair layout (face runs
 and canvas index per pair); per edge the pixel-to-vertex vectors, the
 unclamped t, the residual vectors and the edge-winner masks; the
 barycentrics before and after clamping; D, the depth factor, the face
-weight, the live rgb and bilinear taps; the canvas normalisers.
+weight, the rgb and bilinear taps; the canvas normalisers.
 Detached (no gradient): the inside/outside sign, the pair layout and
 the depth shift. Subgradient conventions, as the generic ops had them: a
 clamp passes no gradient where it saturates (t, the barycentrics, zn, and
@@ -329,13 +331,8 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
     wdepth = D * edepth
     bgw = np.exp(-smap / dt.type(cfg.gamma))
 
-    # Texture only at live pairs (nonzero weight): the color scatter of
-    # any other pair adds exact zeros, so leaving it out changes no sum.
-    live = np.flatnonzero(wdepth != 0.0)
-    pix_live = pix[live]
-    w_live = wdepth[live]
     C, Ht, Wt = texture.shape
-    taps = BilinearTaps(u_pix[live], v_pix[live], Ht, Wt, texture.dtype)
+    taps = BilinearTaps(u_pix, v_pix, Ht, Wt, texture.dtype)
     rgb, slopes = bilinear_sample(texture.data.reshape(C, Ht * Wt), taps)
 
     def scatter(idx, vals):
@@ -344,28 +341,28 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
     inv_den = 1.0 / (scatter(pix, wdepth) + bgw)
     out = np.empty((C + 1, HW), dtype=dt)
     for c in range(C):
-        out[c] = scatter(pix_live, rgb[c] * w_live) * inv_den
+        out[c] = scatter(pix, rgb[c] * wdepth) * inv_den
     emask = np.exp(scatter(pix, log1mD))
     out[C] = 1.0 - emask
 
     def backward(g):
         g = g.reshape(C + 1, HW)
         # canvas gradients (image channels, weight sum, log(1 - D) sum),
-        # then gathered back to the pairs (live pairs for the colors)
+        # then gathered back to the pairs
         gcanvas = np.empty((C + 2, HW), dtype=dt)
         gcanvas[:C] = g[:C] * inv_den
         gcanvas[C] = -(g[:C] * out[:C]).sum(axis=0) * inv_den
         gcanvas[C + 1] = -g[C] * emask
-        g_rgb = gcanvas[:C, pix_live]                  # [3,live]
-        g_w = gcanvas[C, pix]
-        g_w[live] += (g_rgb[0] * rgb[0] + g_rgb[1] * rgb[1]) + g_rgb[2] * rgb[2]
+        g_rgb = gcanvas[:C, pix]                       # [3,P]
+        g_w = gcanvas[C, pix] + ((g_rgb[0] * rgb[0] + g_rgb[1] * rgb[1])
+                                 + g_rgb[2] * rgb[2])
         g_l = gcanvas[C + 1, pix]
 
         # subnormal coverage and weights (far outside a face) carry no
         # usable gradient but make every product they enter slow
         Dn = D * (D >= tiny)
         wn = wdepth * (wdepth >= tiny)
-        g_rgb *= wn[live]
+        g_rgb *= wn
         # D feeds the face weight and log(1 - D) = -softplus(x), whose
         # x-derivative is -sigmoid(x) = -D
         g_x = Dn * (g_w * edepth * (1.0 - Dn) - g_l)
@@ -375,8 +372,7 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
             texture.accumulate_grad(bilinear_tex_grad(g_rgb, taps, texture.dtype))
         if not (screen.requires_grad or z.requires_grad):
             return
-        du, dv = np.zeros((2, pix.size), dtype=dt)
-        du[live], dv[live] = bilinear_uv_grad(g_rgb, taps, slopes)
+        du, dv = bilinear_uv_grad(g_rgb, taps, slopes)
 
         fl = faces.ravel()
         if z.requires_grad:

@@ -390,13 +390,13 @@ def test_gain_doubling_doubles_preclamp():
     g = r.uniform(0.4, 1.1, size=(1, 16, 16))
     # tex * 2g stays below 1 where 2g <= 1, so the clamp leaves it alone
     small = np.minimum(g, 0.5)
-    once = avatar.apply_gain(tex, dc.Tensor(small))
-    twice = avatar.apply_gain(tex, dc.Tensor(2.0 * small))
+    once, = avatar.apply_gain([tex], dc.Tensor(small))
+    twice, = avatar.apply_gain([tex], dc.Tensor(2.0 * small))
     npt.assert_array_equal(twice.data, 2.0 * once.data)
-    clamped = avatar.apply_gain(tex, dc.Tensor(2.0 * g))
+    clamped, = avatar.apply_gain([tex], dc.Tensor(2.0 * g))
     assert clamped.data.max() == 1.0 and clamped.data.min() >= 0.0
     with pytest.raises(ValueError):
-        avatar.apply_gain(tex, dc.Tensor(np.ones((1, 8, 8))))
+        avatar.apply_gain([tex], dc.Tensor(np.ones((1, 8, 8))))
 
 
 def test_corrective_additivity_exact():
@@ -552,10 +552,28 @@ def test_geometry_and_appearance_match_forward(dtype, use_shadow):
           if use_shadow else None)
     ref = model.forward(SIG, z, ao)
     posed, trunk = model.geometry(SIG, z)
-    final = model.appearance(trunk, SIG.view, model.shadow_gain(ao))
+    final, = model.appearance(trunk, [SIG.view], model.shadow_gain(ao))
     assert posed.dtype == final.dtype == np.dtype(dtype)
     assert posed.data.tobytes() == ref.posed.data.tobytes()
     assert final.data.tobytes() == ref.final.data.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("use_shadow", [True, False])
+def test_appearance_over_views_matches_one_call_per_view(dtype, use_shadow):
+    model, _, _ = build_model(dtype=dtype, seed=5, use_shadow=use_shadow)
+    r = rng.stream(5, "views")
+    views = [SIG.view] + [unit(v) for v in r.normal(size=(3, 3))]
+    ao = r.uniform(0.3, 1.0, size=(1, 16, 16)) if use_shadow else None
+    _, trunk = model.geometry(SIG, r.normal(size=16))
+    gain = model.shadow_gain(ao)
+    finals = model.appearance(trunk, views, gain)
+    assert len(finals) == len(views)
+    for view, final in zip(views, finals):
+        one, = model.appearance(trunk, [view], gain)
+        assert final.dtype == one.dtype == np.dtype(dtype)
+        assert final.data.tobytes() == one.data.tobytes()
+    assert finals[0].data.tobytes() != finals[1].data.tobytes()
 
 
 def test_spatial_local_flag_widens_influence():

@@ -2,7 +2,8 @@
 through `AvatarModel.geometry`, `shadow_gain` and `appearance`: a
 phase-1 step and the perturbation term pose geometry alone, a phase-2
 step shades each frame's trunk for its one camera, and the evaluators
-decode a frame's geometry and shadow gain once for all of its cameras.
+decode a frame's geometry, shadow gain and texture upsample once for
+all of its cameras.
 No harness path calls `forward`; each is checked against the full
 per-frame `forward` it stands for. A phase-2 step builds one tape node
 per conv and linear layer, with no separate activation node and no
@@ -131,7 +132,7 @@ def test_phase2_step_matches_per_frame_forward(dataset, tmp_path,
     monkeypatch.setattr(TrainData, "signal", signal)
     monkeypatch.setattr(AvatarModel, "geometry", geometry)
     monkeypatch.setattr(AvatarModel, "appearance",
-                        lambda model, pred, view, gain: pred.final)
+                        lambda model, pred, views, gain: [pred.final])
     oracle = step_result(tmp_path / "oracle")
     assert not pending
     assert ref[0]["phase"] == 2 and "img" in ref[0] and "pc" in ref[0]
@@ -223,11 +224,37 @@ def test_render_frame_matches_per_camera_forward(dataset, use_shadow):
         assert masks[k].tobytes() == rt.mask.data.tobytes()
 
 
+def test_frame_cameras_share_one_texture_upsample(dataset, monkeypatch):
+    # the texture branch's 2x upsample reads the trunk alone, so a frame
+    # runs it once per decoded geometry, not once per camera
+    data, model = _data_and_model(dataset)
+    fid = data.ids()[0]
+    calls = Counter()
+    real_geometry, real_deconv = AvatarModel.geometry, dc.conv_transpose2d
+
+    def geometry(*args, **kwargs):
+        calls["geometry"] += 1
+        return real_geometry(*args, **kwargs)
+
+    def deconv(x, w, *args, **kwargs):
+        calls["texup"] += w is model.decoder.w_texup
+        return real_deconv(x, w, *args, **kwargs)
+
+    monkeypatch.setattr(AvatarModel, "geometry", geometry)
+    monkeypatch.setattr(dc, "conv_transpose2d", deconv)
+    images, _ = evaluate.render_frame(model, data, fid)
+    assert len(images) == len(data.cameras) > 1
+    assert calls == {"geometry": 1, "texup": 1}
+    calls.clear()
+    evaluate.drive(model, data, [fid], mode="fit", steps=1)
+    assert calls == {"geometry": 2, "texup": 2}
+
+
 @pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-12)])
 def test_camera_renders_z_gradient_matches_per_camera_forward(dataset, dtype,
                                                               tol):
-    # the shared geometry sums the cameras' z-gradients in another order,
-    # so only rounding may differ
+    # the shared geometry and the shared texture upsample sum the
+    # cameras' z-gradients in another order, so only rounding may differ
     data, model = _data_and_model(dataset, dtype=dtype)
     fid = data.ids()[0]
     fr = data.frame(fid)
