@@ -16,9 +16,13 @@ class AvatarDecoder:
     """z is broadcast over a (geo_res/4)^2 bottleneck and upsampled twice;
     pose/face embeddings join at geo_res where a 3x3 trunk mixes them. A
     call returns the 1x1 geometry head's displacement map at geo_res and
-    the trunk; `texture(trunk, views)` upsamples once more for all views,
-    then per view adds the tiled view vector; a sigmoid keeps texels in
-    (0, 1). It returns one [3,T,T] texture per view."""
+    the trunk; `texture(trunk, views)` upsamples once more and runs tex1's
+    3x3 conv over it once for all views. Each view adds its share of tex1
+    (the view vector tiled, a constant zero-padded map) as a bias map with
+    one value per row and column class (top/left border, interior,
+    bottom/right border): tex1 over the view tiled 3x3, spread to TxT by
+    0/1 matrices. A 1x1 head and a sigmoid keep texels in (0, 1). It
+    returns one [3,T,T] texture per view."""
 
     def __init__(self, store: dc.ParamStore, prefix: str, config,
                  rng: np.random.Generator):
@@ -45,6 +49,8 @@ class AvatarDecoder:
         self._bottleneck = config.geo_res // 4
         self._geo_res = config.geo_res
         self._tex_res = config.tex_res
+        # row (and column) i of the TxT map -> its class among the 3x3
+        self._spread = np.eye(3, dtype=dt)[np.r_[0, np.ones(config.tex_res - 2, int), 2]]
 
     def __call__(self, z: dc.Tensor, e_pose: dc.Tensor, e_face: dc.Tensor):
         g, gr = self._bottleneck, self._geo_res
@@ -61,12 +67,17 @@ class AvatarDecoder:
     def texture(self, trunk: dc.Tensor, views) -> list[dc.Tensor]:
         tr = self._tex_res
         up = dc.conv_transpose2d(trunk, self.w_texup, self.b_texup, act="leaky")
+        wt = up.shape[1]
+        tx = dc.conv2d(up, dc.getitem(self.w_tex1, (slice(None), slice(None, wt))),
+                       self.b_tex1, padding=1)
+        w_view = dc.getitem(self.w_tex1, (slice(None), slice(wt, None)))
         textures = []
         for view in views:
             vmap = np.broadcast_to(np.asarray(view, dtype=self._dt)[None, :, None, None],
-                                   (1, 3, tr, tr)).copy()
-            tx = dc.concat([up, dc.Tensor(vmap)], axis=1)
-            tx = dc.conv2d(tx, self.w_tex1, self.b_tex1, padding=1, act="leaky")
-            tex = dc.conv2d(tx, self.w_tex2, self.b_tex2, act="sigmoid")
+                                   (1, 3, 3, 3)).copy()
+            bias = dc.conv2d(dc.Tensor(vmap), w_view, padding=1)
+            bias = dc.matmul(dc.matmul(self._spread, bias), self._spread.T)
+            tex = dc.conv2d(dc.add(tx, bias, act="leaky"), self.w_tex2, self.b_tex2,
+                            act="sigmoid")
             textures.append(dc.reshape(tex, (3, tr, tr)))
         return textures

@@ -60,18 +60,22 @@ def bilinear_sample(tflat: np.ndarray, taps: BilinearTaps):
 
 def bilinear_tex_grad(g: np.ndarray, taps: BilinearTaps, dtype) -> np.ndarray:
     """Texture gradient [C,H,W] of bilinear samples given their gradient
-    g [C,M]. Each channel and corner is one bincount over the top-left
-    texel index, added into the canvas at the corner's offset; the sums
-    run in float64 in a fixed order and are then cast to dtype."""
+    g [C,M]. Each corner is one bincount over every channel's top-left
+    texel index offset by c*H*W (so each bin sums its own channel's
+    samples in order), added into the canvas at the corner's offset; the
+    sums run in float64 in a fixed order and are then cast to dtype."""
     C = g.shape[0]
     H, W, wx, wy = taps.H, taps.W, taps.wx, taps.wy
     HW = H * W
     corners = (((1 - wy) * (1 - wx), 0), ((1 - wy) * wx, 1),
                (wy * (1 - wx), W), (wy * wx, W + 1))
+    # the top-left texel is at most (H-2, W-2), so a corner's bins fit
+    # in the canvas without the last `shift` texels
+    idx = (taps.idx + HW * np.arange(C)[:, None]).ravel()
     out = np.zeros((C, HW))
-    for c in range(C):
-        for w, shift in corners:
-            out[c, shift:] += np.bincount(taps.idx, g[c] * w, minlength=HW - shift)
+    for w, shift in corners:
+        out[:, shift:] += np.bincount(idx, (g * w).ravel(),
+                                      minlength=C * HW).reshape(C, HW)[:, :HW - shift]
     return out.astype(dtype).reshape(C, H, W)
 
 

@@ -1,6 +1,7 @@
 """Differentiable ops: pointwise math, reductions, shape ops, and the
 layers conv2d, conv_transpose2d and linear, each one tape node that
-applies its own activation (act = "leaky", "sigmoid" or None).
+applies its own activation (act = "leaky", "sigmoid" or None); add takes
+act as well, for a layer whose bias is added after its product.
 
 Python-number operands stay raw scalars (keeps float32 graphs float32
 under NEP 50 promotion); numpy-array operands are treated as constants
@@ -50,11 +51,13 @@ def _expit(x: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------- arithmetic
 
-def add(a, b):
+def add(a, b, act=None):
+    """a + b, then act (as a layer applies it)."""
     ad, bd = _raw(a), _raw(b)
-    out = ad + bd
+    out, act_bw = _activate(ad + bd, act)
 
     def bw(g):
+        g = act_bw(g)
         if isinstance(a, Tensor) and a.requires_grad:
             a.accumulate_grad(_unbroadcast(g, a.shape))
         if isinstance(b, Tensor) and b.requires_grad:
@@ -169,8 +172,9 @@ LEAKY_ALPHA = 0.1
 
 
 def softplus(a):
+    """log(1 + exp(a)) as max(a, 0) + log1p(e), e = exp(-|a|) <= 1."""
     d = a.data
-    y = np.logaddexp(np.zeros((), dtype=d.dtype), d)
+    y = np.maximum(d, 0.0) + np.log1p(np.exp(-np.abs(d)))
 
     def bw(g):
         if a.requires_grad:

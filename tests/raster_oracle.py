@@ -197,3 +197,20 @@ def rasterize_graph(verts: dc.Tensor, faces: np.ndarray, uvs: np.ndarray,
     img = dc.stack([dc.mul(dc.getitem(canvas, c), inv_den) for c in range(3)])
     mask = dc.sub(1.0, dc.exp(dc.getitem(canvas, 4)))
     return RenderTarget(img, mask)
+
+
+def bilinear_tex_grad_per_channel(g: np.ndarray, taps, dtype) -> np.ndarray:
+    """Texture gradient [C,H,W] of bilinear samples at `taps` given their
+    gradient g [C,M]: per channel and corner, one bincount over the
+    top-left texel index added into the canvas at the corner's offset,
+    summed in float64, then cast to dtype."""
+    C = g.shape[0]
+    H, W, wx, wy = taps.H, taps.W, taps.wx, taps.wy
+    HW = H * W
+    corners = (((1 - wy) * (1 - wx), 0), ((1 - wy) * wx, 1),
+               (wy * (1 - wx), W), (wy * wx, W + 1))
+    out = np.zeros((C, HW))
+    for c in range(C):
+        for w, shift in corners:
+            out[c, shift:] += np.bincount(taps.idx, g[c] * w, minlength=HW - shift)
+    return out.astype(dtype).reshape(C, H, W)

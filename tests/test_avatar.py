@@ -576,6 +576,68 @@ def test_appearance_over_views_matches_one_call_per_view(dtype, use_shadow):
     assert finals[0].data.tobytes() != finals[1].data.tobytes()
 
 
+def concat_conv_texture(dec, trunk, views):
+    """The texture head as one tex1 conv per view over the upsample
+    concatenated with the view vector tiled over the whole map."""
+    up = dc.conv_transpose2d(trunk, dec.w_texup, dec.b_texup, act="leaky")
+    tr = up.shape[2]
+    out = []
+    for view in views:
+        vmap = np.broadcast_to(np.asarray(view, dtype=up.dtype)[None, :, None, None],
+                               (1, 3, tr, tr)).copy()
+        tx = dc.conv2d(dc.concat([up, dc.Tensor(vmap)], axis=1), dec.w_tex1,
+                       dec.b_tex1, padding=1, act="leaky")
+        tex = dc.conv2d(tx, dec.w_tex2, dec.b_tex2, act="sigmoid")
+        out.append(dc.reshape(tex, (3, tr, tr)))
+    return out
+
+
+@pytest.mark.parametrize("dtype,tol", [("float32", 1e-6), ("float64", 1e-12)])
+@pytest.mark.parametrize("geo_res", [8, 32])
+@pytest.mark.parametrize("n_views", [1, 4])
+def test_texture_matches_concat_and_conv(dtype, tol, geo_res, n_views):
+    model, _, _ = build_model(dtype=dtype, seed=7, geo_res=geo_res, tex_res=2 * geo_res)
+    r = rng.stream(7, "views")
+    views = [SIG.view] + [unit(v) for v in r.normal(size=(n_views - 1, 3))]
+    _, trunk = model.geometry(SIG, r.normal(size=16))
+    got = model.decoder.texture(trunk, views)
+    want = concat_conv_texture(model.decoder, trunk, views)
+    assert len(got) == len(want) == n_views
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.dtype(dtype)
+        assert g.shape == w.shape == (3, 2 * geo_res, 2 * geo_res)
+        assert np.abs(g.data - w.data).max() <= tol
+    # the view reaches every border class of the bias map
+    no_view, = concat_conv_texture(model.decoder, trunk, [np.zeros(3)])
+    rows = np.abs(want[0].data - no_view.data).max(axis=(0, 2))
+    assert (rows[[0, 1, -2, -1]] > 1e3 * tol).all()
+
+
+def test_texture_fd_wrt_tex1():
+    # both channel groups of w_tex1 (upsample and view) and its bias
+    model, _, _ = build_model(seed=8, geo_res=8, tex_res=16)
+    dec = model.decoder
+    r = rng.stream(8, "tex1")
+    views = [SIG.view, unit([0.5, -0.4, 0.2])]
+    _, trunk = model.geometry(SIG, r.normal(size=16))
+    trunk = dc.Tensor(trunk.data)
+    target = r.uniform(size=(len(views), 3, 16, 16))
+    wt = dec.w_tex1.shape[1] - 3
+    keep = dec.w_tex1, dec.b_tex1
+
+    def loss(w_up, w_view, b):
+        dec.w_tex1, dec.b_tex1 = dc.concat([w_up, w_view], axis=1), b
+        texs = dc.stack(dec.texture(trunk, views))
+        return dc.sum_(dc.mul(texs, target))
+
+    try:
+        err = gradcheck(loss, [keep[0].data[:, :wt], keep[0].data[:, wt:], keep[1].data],
+                        sample=12)
+    finally:
+        dec.w_tex1, dec.b_tex1 = keep
+    assert err < 1e-6, f"tex1 FD rel err {err:.3e}"
+
+
 def test_spatial_local_flag_widens_influence():
     local, _, _ = build_model(seed=2)
     dense, _, _ = build_model(seed=2, spatial_local=False)

@@ -3,8 +3,9 @@ conv_oracle.py on every conv shape of the default model and on odd sizes
 whose last window row lies in the padding: the padded window copy and
 its adjoint bit for bit, the convolutions and bias gradients to rounding
 (their matrix products and sums run in another order); each layer's
-fused activation against the layer followed by the oracle activation,
-byte for byte; and golden digests of freshly initialised parameters."""
+fused activation, and dc.add's, against the op followed by the oracle
+activation, byte for byte; and golden digests of freshly initialised
+parameters."""
 
 import hashlib
 
@@ -22,10 +23,12 @@ from conv_oracle import conv2d as oracle_conv2d
 from conv_oracle import conv_transpose2d as oracle_conv_transpose2d
 
 # (block/layer, x shape, w shape, stride, padding) of every conv2d call in
-# one default-config model call, plus the two largest and one 1x1 at
-# batch 8, and odd sizes at stride 2 where the last window's bottom row of
-# taps lies wholly in the padding (at 1x1, all taps but the centre row
-# and column do)
+# one default-config model call (tex1 runs over the upsample, and over the
+# view tiled on a 3x3 grid for its bias map; "dec/tex1" is the single conv
+# over both that the tests' texture reference runs), plus the two largest
+# and one 1x1 at batch 8, and odd sizes at stride 2 where the last
+# window's bottom row of taps lies wholly in the padding (at 1x1, all taps
+# but the centre row and column do)
 CONV2D = [
     ("enc/c0", (1, 3, 32, 32), (16, 3, 3, 3), 2, 1),
     ("enc/c1", (1, 16, 16, 16), (32, 16, 3, 3), 2, 1),
@@ -34,6 +37,8 @@ CONV2D = [
     ("dec/trunk", (1, 48, 32, 32), (32, 48, 3, 3), 1, 1),
     ("dec/geo", (1, 32, 32, 32), (3, 32, 1, 1), 1, 0),
     ("dec/tex1", (1, 19, 64, 64), (16, 19, 3, 3), 1, 1),
+    ("dec/tex1/up", (1, 16, 64, 64), (16, 16, 3, 3), 1, 1),
+    ("dec/tex1/view", (1, 3, 3, 3), (16, 3, 3, 3), 1, 1),
     ("dec/tex2", (1, 16, 64, 64), (3, 16, 1, 1), 1, 0),
     ("shadow/c0", (1, 1, 16, 16), (8, 1, 3, 3), 1, 1),
     ("shadow/down", (1, 8, 16, 16), (16, 8, 3, 3), 2, 1),
@@ -204,6 +209,26 @@ def test_fused_activation_matches_layer_then_oracle(case, act, dtype):
         assert u.dtype == v.dtype == dtype, what
         assert u.shape == v.shape, what
         assert u.tobytes() == v.tobytes(), f"{layer} {act} {what}"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_add_fused_leaky_matches_add_then_oracle(dtype):
+    # tex1's shared conv plus a view's bias map, leaky in the adding node
+    r = np.random.default_rng(6)
+    a = r.normal(size=(1, 6, 4, 5)).astype(dtype)
+    b = r.normal(size=(1, 6, 4, 5)).astype(dtype)
+    a[..., 0, :] = _edge_bias(dtype)[:, None]
+    b[..., 0, :] = -0.0                    # keeps -0.0 in a + b
+    g = r.normal(size=a.shape).astype(dtype)
+    runs = []
+    for fused in (True, False):
+        at, bt = (dc.Tensor(u.copy(), requires_grad=True) for u in (a, b))
+        out = dc.add(at, bt, act="leaky") if fused else leaky_relu(dc.add(at, bt))
+        dc.backward(out, g)
+        runs.append((out.data, at.grad, bt.grad))
+    for what, u, v in zip(("forward", "da", "db"), *runs):
+        assert u.dtype == v.dtype == dtype, what
+        assert u.tobytes() == v.tobytes(), what
 
 
 def test_unknown_activation_is_refused():

@@ -7,7 +7,8 @@ import pytest
 
 from dsaa import diffcore as dc
 from dsaa.diffcore.ops import LEAKY_ALPHA, _expit
-from raster_oracle import scatter_add_window
+from dsaa.diffcore.geom import BilinearTaps, bilinear_tex_grad
+from raster_oracle import bilinear_tex_grad_per_channel, scatter_add_window
 from fd import gradcheck
 
 
@@ -201,6 +202,32 @@ def test_fd_reciprocal_sqrt_pow():
 def test_fd_smooth_pointwise(op):
     x = rng(15).normal(size=(7,))
     check(lambda a: dc.sum_(op(a)), x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softplus_agrees_with_logaddexp(dtype):
+    mags = np.array([0.0, 1e-30, 1.0, 20.0, 100.0, 1e4])
+    x = np.concatenate([mags, -mags]).astype(dtype)
+    y = dc.softplus(dc.Tensor(x)).data
+    ref = np.logaddexp(0.0, x.astype(np.float64))
+    assert y.dtype == dtype and np.isfinite(y).all()
+    ulp = np.spacing(ref.astype(dtype)).astype(np.float64)
+    assert (np.abs(y - ref) <= 2 * ulp).all(), (x, y, ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bilinear_tex_grad_matches_per_channel_bincounts(dtype):
+    # taps on the last row and column (clamped) and past the border
+    r = rng(21)
+    u = np.concatenate([r.uniform(-0.1, 1.1, 300), [1.0, 0.99, 0.0, 1.0]])
+    v = np.concatenate([r.uniform(-0.1, 1.1, 300), [1.0, 1.0, 0.99, 0.0]])
+    taps = BilinearTaps(u.astype(dtype), v.astype(dtype), 5, 7, dtype)
+    assert (taps.idx == 3 * 7 + 5).any()
+    g = r.normal(size=(3, u.size)).astype(dtype)
+    got = bilinear_tex_grad(g, taps, dtype)
+    want = bilinear_tex_grad_per_channel(g, taps, dtype)
+    assert got.dtype == want.dtype == dtype and got.shape == (3, 5, 7)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_fd_log():

@@ -2,8 +2,8 @@
 through `AvatarModel.geometry`, `shadow_gain` and `appearance`: a
 phase-1 step and the perturbation term pose geometry alone, a phase-2
 step shades each frame's trunk for its one camera, and the evaluators
-decode a frame's geometry, shadow gain and texture upsample once for
-all of its cameras.
+decode a frame's geometry, shadow gain, texture upsample and tex1 conv
+over it once for all of its cameras.
 No harness path calls `forward`; each is checked against the full
 per-frame `forward` it stands for. A phase-2 step builds one tape node
 per conv and linear layer, with no separate activation node and no
@@ -225,12 +225,14 @@ def test_render_frame_matches_per_camera_forward(dataset, use_shadow):
 
 
 def test_frame_cameras_share_one_texture_upsample(dataset, monkeypatch):
-    # the texture branch's 2x upsample reads the trunk alone, so a frame
-    # runs it once per decoded geometry, not once per camera
+    # the texture branch's 2x upsample and tex1's 3x3 conv over it read
+    # the trunk alone, so a frame runs them once per decoded geometry,
+    # not once per camera
     data, model = _data_and_model(dataset)
     fid = data.ids()[0]
     calls = Counter()
-    real_geometry, real_deconv = AvatarModel.geometry, dc.conv_transpose2d
+    real_geometry, real_deconv, real_conv = (AvatarModel.geometry,
+                                             dc.conv_transpose2d, dc.conv2d)
 
     def geometry(*args, **kwargs):
         calls["geometry"] += 1
@@ -240,14 +242,20 @@ def test_frame_cameras_share_one_texture_upsample(dataset, monkeypatch):
         calls["texup"] += w is model.decoder.w_texup
         return real_deconv(x, w, *args, **kwargs)
 
+    def conv(x, w, *args, **kwargs):
+        # 3x3 convs at the texture resolution
+        calls["tex1"] += x.shape[2] == model.config.tex_res and w.shape[2] == 3
+        return real_conv(x, w, *args, **kwargs)
+
     monkeypatch.setattr(AvatarModel, "geometry", geometry)
     monkeypatch.setattr(dc, "conv_transpose2d", deconv)
+    monkeypatch.setattr(dc, "conv2d", conv)
     images, _ = evaluate.render_frame(model, data, fid)
     assert len(images) == len(data.cameras) > 1
-    assert calls == {"geometry": 1, "texup": 1}
+    assert calls == {"geometry": 1, "texup": 1, "tex1": 1}
     calls.clear()
     evaluate.drive(model, data, [fid], mode="fit", steps=1)
-    assert calls == {"geometry": 2, "texup": 2}
+    assert calls == {"geometry": 2, "texup": 2, "tex1": 2}
 
 
 @pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-12)])

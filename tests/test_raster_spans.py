@@ -1,11 +1,13 @@
 """The rasterizer's pair layout (`_span_pairs`) against brute-force
 point-to-triangle distances over every face's full window, on random
 screen-space meshes with degenerate faces, axis-parallel edges,
-off-canvas faces and windows at their cap."""
+off-canvas faces and windows at their cap, and what the margin bounds
+at the scene's settings."""
 
 import numpy as np
 import pytest
 
+import dsaa.synthdata as sd
 from dsaa.diffcore.ops import _expit
 from dsaa.renderer import RasterConfig
 from dsaa.renderer.raster import (_COVERAGE_TOL, _SPAN_SLACK, _coverage_margin,
@@ -100,6 +102,14 @@ def test_spans_keep_exactly_the_pairs_within_the_margin(seed, cfg, dtype):
     assert dropped.sum() > kept.sum() // 4
     coverage = _expit(-dist[dropped] ** 2 / cfg.sigma_r)   # the node's D outside a face
     assert coverage.max() < _COVERAGE_TOL
+
+
+def test_margin_bounds_a_dropped_pairs_depth_weight():
+    # a dropped pair's face weight against the background's 1 is
+    # D * exp(zn / gamma) <= exp(1 / gamma - margin^2 / sigma_r)
+    cfg = sd.raster_config(sd.default_scene())
+    bound = np.exp(1.0 / cfg.gamma - _coverage_margin(cfg) ** 2 / cfg.sigma_r)
+    assert bound <= 1e-9
 
 
 @pytest.mark.parametrize("seed", [0, 1])
