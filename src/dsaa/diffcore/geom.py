@@ -44,18 +44,28 @@ class BilinearTaps:
 def bilinear_sample(tflat: np.ndarray, taps: BilinearTaps):
     """Sample tflat [C,H*W] at taps. Returns (values [C,M], slopes), where
     slopes = (x-slope of the top row, of the bottom row, y-slope) feed
-    bilinear_uv_grad."""
+    bilinear_uv_grad.
+
+    One row of corners at a time, in place, so at most five [C,M] arrays
+    are alive (the rasterizer calls this near its memory peak); the sums
+    are the same as t00 + wx * (t01 - t00) and so on."""
     i, W = taps.idx, taps.W
     t00 = tflat.take(i, axis=1)
-    t01 = tflat.take(i + 1, axis=1)
+    sx_top = tflat.take(i + 1, axis=1)
+    sx_top -= t00
+    top = taps.wx * sx_top
+    top += t00
+    del t00
     t10 = tflat.take(i + W, axis=1)
-    t11 = tflat.take(i + W + 1, axis=1)
-    sx_top = t01 - t00
-    sx_bot = t11 - t10
-    top = t00 + taps.wx * sx_top
-    bot = t10 + taps.wx * sx_bot
-    sy = bot - top
-    return top + taps.wy * sy, (sx_top, sx_bot, sy)
+    sx_bot = tflat.take(i + W + 1, axis=1)
+    sx_bot -= t10
+    sy = taps.wx * sx_bot                              # the bottom row, then sy
+    sy += t10
+    del t10
+    sy -= top
+    out = taps.wy * sy
+    out += top
+    return out, (sx_top, sx_bot, sy)
 
 
 def bilinear_tex_grad(g: np.ndarray, taps: BilinearTaps, dtype) -> np.ndarray:

@@ -41,7 +41,8 @@ Forward stages, plain numpy over one flat list of (face, pixel) pairs:
    zn + gamma * ln(D) (background pinned at 0); it cancels out of the
    softmax ratio, so it only keeps exp() in range.
 6. Texture. rgb is the bilinear sample at uv (helpers shared with
-   dc.texture_sample), taken at every pair. A dead pair (face weight 0)
+   dc.texture_sample), taken at every pair; the code takes it right
+   after stage 4, ahead of the depth terms. A dead pair (face weight 0)
    adds exact zeros to every sum; with a finite window none is dead:
    D >= sigmoid(-margin^2 / sigma_r) and the depth factor is >=
    exp(-1 / gamma), >= ~4e-28 together at the scene's settings.
@@ -323,6 +324,12 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
     bn = [b * inv_bsum for b in bclip]
     u_pix = (bn[0] * uf_p[0] + bn[1] * uf_p[1]) + bn[2] * uf_p[2]
     v_pix = (bn[0] * vf_p[0] + bn[1] * vf_p[1]) + bn[2] * vf_p[2]
+    # sampled before the depth terms: the [3,P] samples and slopes are
+    # then allocated while the heap still has room, and the peak adds
+    # only [P] arrays, which fit the holes earlier pair arrays leave
+    C, Ht, Wt = texture.shape
+    taps = BilinearTaps(u_pix, v_pix, Ht, Wt, texture.dtype)
+    rgb, slopes = bilinear_sample(texture.data.reshape(C, Ht * Wt), taps)
     z_pix = (bn[0] * zk_p[0] + bn[1] * zk_p[1]) + bn[2] * zk_p[2]
 
     # inverted normalized depth in [0,1], nearer -> larger softmax weight
@@ -341,10 +348,6 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
     edepth = np.exp((zn - smap[pix]) * (1.0 / cfg.gamma))
     wdepth = D * edepth
     bgw = np.exp(-smap / dt.type(cfg.gamma))
-
-    C, Ht, Wt = texture.shape
-    taps = BilinearTaps(u_pix, v_pix, Ht, Wt, texture.dtype)
-    rgb, slopes = bilinear_sample(texture.data.reshape(C, Ht * Wt), taps)
 
     def scatter(idx, vals):
         return np.bincount(idx, vals, minlength=HW).astype(dt)
