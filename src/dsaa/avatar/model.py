@@ -30,8 +30,10 @@ class AvatarModel:
     exactly.
 
     `geometry` (posed vertices, decoder trunk), `shadow_gain` and
-    `appearance` (one final texture per view) are all the harness calls;
-    `forward` (`decode` + `shadow_gain` + `compose`) is the tests' reference.
+    `appearance` (one final texture per view) are all the harness calls,
+    with `displacement` (the corrective map alone) for the perturbation
+    term; `forward` (`decode` + `shadow_gain` + `compose`) is the tests'
+    reference.
     """
 
     def __init__(self, template: TemplateMesh, skeleton: Skeleton,
@@ -116,6 +118,10 @@ class AvatarModel:
         the zero vector (maximum-likelihood imputation)."""
         disp, trunk = self._trunk(signal, z)
         return disp, self.decoder.texture(trunk, [signal.view])[0]
+
+    def displacement(self, signal: DrivingSignal, z=None) -> dc.Tensor:
+        """Displacement map [3,G,G]; no texture branch, posing or FK."""
+        return self._trunk(signal, z)[0]
 
     def geometry(self, signal: DrivingSignal, z=None):
         """(posed vertices [V,3], decoder trunk); the view is not read."""

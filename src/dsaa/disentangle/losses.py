@@ -3,9 +3,9 @@
 Three mechanisms, applied in increasing order of directness: the KL
 penalty of the variational posterior, an adversarial mutual-information
 bound scored by a statistics network, and a perturbation-consistency
-term for signal components with a direct output correspondence. All are
-pure functions of their inputs; reductions are sums or batch means as
-documented per loss.
+term on the corrective at the joints' rigidly bound anchor vertices,
+whose place the pose alone fixes. All are pure functions of their
+inputs; reductions are sums or batch means as documented per loss.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .. import diffcore as dc
-from .correspond import CorrespondenceSet
 
 __all__ = ["kl_loss", "mine_loss", "mi_estimate", "adversarial_dis_loss",
-           "perturbation_loss"]
+           "joint_anchor_uvs", "perturbation_loss"]
 
 
 def kl_loss(dist) -> dc.Tensor:
@@ -85,34 +84,44 @@ def adversarial_dis_loss(stats, c, z) -> dc.Tensor:
     return _bound(stats, c, z, frozen=True)
 
 
-def perturbation_loss(decode_fn, signals, z_samples, corr: CorrespondenceSet) -> dc.Tensor:
-    """Penalty for prior samples dragging signal-corresponded outputs.
+def joint_anchor_uvs(template, skeleton) -> np.ndarray:
+    """UVs [J,2] of every joint's most strongly bound vertex, lowest
+    index on ties.
 
-    For each batch element b, decode_fn(signals[b], z_samples[b]) must
-    return a 2-d output whose rows corr.rows are compared against
-    corr.target(signals[b]); squared errors are summed over sites and
-    averaged over the batch (one prior sample per element).
+    Each anchor must be bound to its joint alone: blend skinning then
+    moves it by that joint's rigid transform, so a corrective c at the
+    anchor lands R_j c away from the pose-only position, at distance |c|
+    whatever the pose.
+    """
+    w = template.weights
+    if w.shape[1] != len(skeleton.names):
+        raise ValueError(
+            f"{w.shape[1]} weight columns for {len(skeleton.names)} joints")
+    rows = np.argmax(w, axis=0)
+    blended = np.count_nonzero(w[rows], axis=1) != 1
+    if blended.any():
+        raise ValueError(f"anchor vertices {rows[blended].tolist()} blend "
+                         "several joints; the term needs rigid anchors")
+    return template.uvs[rows]
+
+
+def perturbation_loss(displacement_fn, signals, z_samples,
+                      anchor_uvs) -> dc.Tensor:
+    """Penalty for prior samples moving geometry the pose alone fixes.
+
+    For each batch element b, displacement_fn(signals[b], z_samples[b])
+    returns a [3,H,W] displacement map; its corrective is sampled at the
+    anchor UVs (`joint_anchor_uvs`), squared and summed over anchors,
+    then averaged over the batch (one prior sample per element).
     """
     z_samples = np.asarray(z_samples, dtype=np.float64)
     n = len(signals)
     if n == 0 or z_samples.shape[0] != n:
         raise ValueError(
             f"need one latent sample per signal, got {z_samples.shape[0]} for {n}")
-    rows = list(corr.rows)
     total = None
-    for b in range(n):
-        out = decode_fn(signals[b], z_samples[b])
-        if out.ndim != 2:
-            raise ValueError(f"decoder output must be 2-d, got {out.shape}")
-        if max(rows) >= out.shape[0]:
-            raise ValueError(
-                f"selection row {max(rows)} out of range for output {out.shape}")
-        tgt = np.asarray(corr.target(signals[b]), dtype=out.dtype)
-        if tgt.shape != (len(rows), out.shape[1]):
-            raise ValueError(
-                f"target shape {tgt.shape} does not match selected "
-                f"({len(rows)}, {out.shape[1]})")
-        d = dc.sub(dc.getitem(out, rows), tgt)
-        term = dc.sum_(dc.mul(d, d))
+    for signal, z in zip(signals, z_samples):
+        c = dc.texture_sample(displacement_fn(signal, z), anchor_uvs)
+        term = dc.sum_(dc.mul(c, c))
         total = term if total is None else dc.add(total, term)
     return dc.mul(total, 1.0 / n)

@@ -251,8 +251,7 @@ def latent_mi(mu, c, seed: int = 0) -> float:
     return mi_estimate(stats, c, mu)
 
 
-def heatmap_locality(model: AvatarModel, data: TrainData,
-                     seed: int = 0) -> dict:
+def heatmap_locality(model: AvatarModel, seed: int = 0) -> dict:
     """Fraction of influence-heatmap mass inside each pose scalar's true
     mask, from 8 perturbations per scalar at the zero signal.
 
@@ -261,7 +260,7 @@ def heatmap_locality(model: AvatarModel, data: TrainData,
     the same reference. Scalars whose heatmap is identically zero are
     omitted.
     """
-    ref = build_masks(data.template, data.skeleton, model.atlas,
+    ref = build_masks(model.template, model.skeleton, model.atlas,
                       tau=model.config.tau, n_face=model.config.n_face,
                       head_joint=model.config.head_joint)
     base = np.zeros(ref.data.shape[0], dtype=np.float64)
@@ -357,7 +356,7 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
         kv.append((f"error.{variant}.train", repr(tr_m)))
         kv.append((f"error.{variant}.test", repr(te_m)))
 
-        loc = heatmap_locality(model, run_data, seed=seed)
+        loc = heatmap_locality(model, seed=seed)
         loc_m = float(np.mean(list(loc.values()))) if loc else float("nan")
         kv.append((f"locality.{variant}", repr(loc_m)))
         extras = [f"locality {loc_m:.3f}"]

@@ -5,8 +5,9 @@ Both phases pose each frame once with `AvatarModel.geometry`. Phase 1
 reads no texture branch, shadow net or AO map, and never rasterizes.
 Phase 2 rasterizes `appearance` under `shadow_gain` for the image
 objective, keeps the Laplacian term as a smoothness regularizer, and
-adds the latent regularizers (KL, adversarial independence, perturbation
-consistency, which also reads posed geometry only). The adversary is a
+adds the latent regularizers (KL, adversarial independence, and
+perturbation consistency, which reads a prior sample's displacement map
+at the joints' rigid anchors and nothing else). The adversary is a
 separate statistics net with its own optimizer, stepped once per model
 step on the same minibatch.
 
@@ -26,8 +27,9 @@ import numpy as np
 from .. import diffcore as dc
 from .. import keyvalue
 from ..avatar import AvatarModel, reparameterize
-from ..disentangle import (StatisticsNet, adversarial_dis_loss, joint_sites,
-                           kl_loss, mine_loss, perturbation_loss)
+from ..disentangle import (StatisticsNet, adversarial_dis_loss,
+                           joint_anchor_uvs, kl_loss, mine_loss,
+                           perturbation_loss)
 from ..renderer import (add_term, laplacian_loss, losses, mesh_loss,
                         rasterize)
 from ..rng import stream
@@ -95,7 +97,8 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
                                rng=stream(cfg.seed, "critic-init"),
                                dtype=mw.np_dtype)
         critic_opt = dc.Adam(critic_store, lr=cfg.lr)
-    corr = joint_sites(data.template, data.skeleton) if lw.lam_pc > 0 else None
+    anchors = (joint_anchor_uvs(data.template, data.skeleton)
+               if lw.lam_pc > 0 else None)
     raster_cfg = raster_config(data.spec)
 
     start = 0
@@ -112,7 +115,7 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
         for i in range(start, cfg.iters):
             try:
                 rec = _step(cfg, data, model, opt, critic, critic_store,
-                            critic_opt, corr, raster_cfg, train_ids, i)
+                            critic_opt, anchors, raster_cfg, train_ids, i)
             except (ValueError, FloatingPointError, OverflowError) as e:
                 # exploded parameters usually trip a shape-independent
                 # validation check before the loss itself reads non-finite;
@@ -154,7 +157,7 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
 
 # ------------------------------------------------------------------ one step
 
-def _step(cfg, data, model, opt, critic, critic_store, critic_opt, corr,
+def _step(cfg, data, model, opt, critic, critic_store, critic_opt, anchors,
           raster_cfg, train_ids, i):
     mw, lw = cfg.model, cfg.weights
     phase = 1 if i < cfg.phase1 else 2
@@ -209,8 +212,7 @@ def _step(cfg, data, model, opt, critic, critic_store, critic_opt, corr,
         if lw.lam_pc > 0:
             zp = stream(cfg.seed, "prior", i).standard_normal(
                 (cfg.batch, mw.d_z))
-            pc = perturbation_loss(lambda s, z: model.geometry(s, z)[0],
-                                   signals, zp, corr)
+            pc = perturbation_loss(model.displacement, signals, zp, anchors)
             total = add_term(total, parts, "pc", pc, lw.lam_pc)
 
     dc.backward(total)

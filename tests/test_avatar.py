@@ -553,9 +553,11 @@ def test_geometry_and_appearance_match_forward(dtype, use_shadow):
     ref = model.forward(SIG, z, ao)
     posed, trunk = model.geometry(SIG, z)
     final, = model.appearance(trunk, [SIG.view], model.shadow_gain(ao))
-    assert posed.dtype == final.dtype == np.dtype(dtype)
+    disp = model.displacement(SIG, z)
+    assert posed.dtype == final.dtype == disp.dtype == np.dtype(dtype)
     assert posed.data.tobytes() == ref.posed.data.tobytes()
     assert final.data.tobytes() == ref.final.data.tobytes()
+    assert disp.data.tobytes() == model.decode(SIG, z)[0].data.tobytes()
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])

@@ -10,6 +10,7 @@ import scipy.stats
 
 from dsaa import body, diffcore as dc, disentangle as dis
 from dsaa.avatar import LatentDistribution
+from dsaa.avatar.compose import pose
 from dsaa.conditioning import DrivingSignal
 from dsaa.renderer import LossWeights
 from dsaa.rng import stream
@@ -44,7 +45,8 @@ def gauss_pairs(n, rho, seed):
 
 def strip_rig(ncol=13):
     """Two-row strip driven by a 3-joint chain; same layout as the avatar
-    tests, here for the joint-anchor correspondence set."""
+    tests, here for the joint anchors. With an odd ncol every joint station
+    is a column, so each anchor is bound to its joint alone."""
     xs = np.linspace(0.0, 2.0, ncol)
     verts, uvs = [], []
     for row, y in enumerate((0.0, 0.2)):
@@ -66,9 +68,13 @@ def strip_rig(ncol=13):
     return tpl, skel
 
 
-def scalar_corr():
-    return dis.CorrespondenceSet(rows=(0,),
-                                 target=lambda c: np.reshape(c, (1, 1)))
+# one anchor on the centre of texel (0, 0) of a 2x2 map: it samples that
+# texel alone, with weight exactly 1
+ANCHOR = np.array([[0.25, 0.25]])
+
+
+def constant_map(value):
+    return dc.Tensor(np.full((1, 2, 2), value))
 
 
 # ---------------------------------------------------------------- KL penalty
@@ -249,20 +255,20 @@ def test_adversarial_gradient_matches_fd():
 # --------------------------------------------------- perturbation consistency
 
 def test_perturbation_zero_for_exact_copy():
+    # the map carries the signal everywhere but at the anchor's texel
     cs = stream(70, "c").standard_normal(16)
     zs = stream(70, "z").standard_normal((16, 1))
-    loss = dis.perturbation_loss(lambda c, z: dc.Tensor(np.reshape(c, (1, 1))),
-                                 cs, zs, scalar_corr())
+    loss = dis.perturbation_loss(
+        lambda c, z: dc.Tensor(np.array([[[0.0, c], [c, c]]])), cs, zs, ANCHOR)
     assert float(loss.data) == 0.0
 
 
 def test_perturbation_additive_noise_expectation():
-    # decoder output c + z leaks the whole sample: E[L] = E[z^2] = 1
+    # a corrective of z at the anchor leaks the whole sample: E[L] = E[z^2] = 1
     cs = stream(71, "c").standard_normal(20000)
     zs = stream(71, "z").standard_normal((20000, 1))
-    loss = dis.perturbation_loss(
-        lambda c, z: dc.Tensor(np.reshape(c + z[0], (1, 1))), cs, zs,
-        scalar_corr())
+    loss = dis.perturbation_loss(lambda c, z: constant_map(z[0]), cs, zs,
+                                 ANCHOR)
     got = float(loss.data)
     npt.assert_allclose(got, np.mean(zs ** 2), rtol=1e-9)
     assert abs(got - 1.0) < 0.05
@@ -273,10 +279,10 @@ def test_perturbation_nonnegative_and_gradient():
     zs = stream(72, "z").standard_normal((64, 1))
     a = dc.Tensor(np.array(1.5), requires_grad=True)
 
-    def decode(c, z):
-        return dc.reshape(dc.add(dc.mul(a, float(z[0])), float(c)), (1, 1))
+    def displacement(c, z):
+        return dc.mul(constant_map(float(z[0])), a)
 
-    loss = dis.perturbation_loss(decode, cs, zs, scalar_corr())
+    loss = dis.perturbation_loss(displacement, cs, zs, ANCHOR)
     assert float(loss.data) >= 0.0
     dc.backward(loss)
     npt.assert_allclose(a.grad, 2.0 * 1.5 * np.mean(zs ** 2), rtol=1e-9)
@@ -285,64 +291,68 @@ def test_perturbation_nonnegative_and_gradient():
 def test_perturbation_validates_shapes():
     cs = stream(73, "c").standard_normal(4)
     zs = stream(73, "z").standard_normal((4, 1))
-    corr = scalar_corr()
-    with pytest.raises(ValueError):
-        dis.perturbation_loss(lambda c, z: dc.Tensor(np.zeros((1, 1))),
-                              cs, zs[:3], corr)
-    # selection row out of range for a 1-row output
-    bad = dis.CorrespondenceSet(rows=(2,), target=corr.target)
-    with pytest.raises(ValueError):
-        dis.perturbation_loss(lambda c, z: dc.Tensor(np.zeros((1, 1))),
-                              cs, zs, bad)
-    # target dimensionality must match what the selection picks
-    wide = dis.CorrespondenceSet(rows=(0,),
-                                 target=lambda c: np.zeros((1, 3)))
-    with pytest.raises(ValueError):
-        dis.perturbation_loss(lambda c, z: dc.Tensor(np.zeros((1, 1))),
-                              cs, zs, wide)
+    for signals, samples in ((cs, zs[:3]), (cs[:0], zs[:0])):
+        with pytest.raises(ValueError, match="one latent sample per signal"):
+            dis.perturbation_loss(lambda c, z: constant_map(0.0), signals,
+                                  samples, ANCHOR)
 
 
-def test_correspondence_validation():
-    with pytest.raises(ValueError):
-        dis.CorrespondenceSet(rows=(), target=lambda c: c)
-    with pytest.raises(ValueError):
-        dis.CorrespondenceSet(rows=(-1,), target=lambda c: c)
-
-
-# ------------------------------------------------------ joint anchor builder
+# ------------------------------------------------------------- joint anchors
 
 def test_joint_sites_picks_strongest_vertex():
     tpl, skel = strip_rig()
-    corr = dis.joint_sites(tpl, skel)
-    assert len(corr.rows) == 3
-    for j, row in enumerate(corr.rows):
+    uvs = dis.joint_anchor_uvs(tpl, skel)
+    assert uvs.shape == (3, 2)
+    for j in range(3):
         best, bw = 0, -1.0
         for v in range(tpl.weights.shape[0]):
             if tpl.weights[v, j] > bw:
                 best, bw = v, float(tpl.weights[v, j])
-        assert row == best
+        # the second row binds as strongly; ties go to the lower index
+        assert best < 13
+        npt.assert_array_equal(uvs[j], tpl.uvs[best])
 
 
 def test_joint_site_targets_follow_pose():
+    # the pose-only anchor target (the template anchor, skinned) moves
+    # rigidly with its joint, so a posed anchor sits R_j c from it and
+    # the term equals the squared corrective at the anchors, for any pose
     tpl, skel = strip_rig()
-    corr = dis.joint_sites(tpl, skel)
-    rows = list(corr.rows)
+    rows = [0, 6, 12]
+    r = stream(80, "th")
+    disp = dc.Tensor(r.uniform(-0.1, 0.1, size=(3, 8, 8)))
+    thetas = [np.zeros(9)] + [r.uniform(-0.8, 0.8, size=9) for _ in range(4)]
     view = np.array([0.0, 0.0, 1.0])
-    rest = corr.target(DrivingSignal(np.zeros(9), np.zeros(4), view))
-    npt.assert_allclose(rest, tpl.verts[rows], rtol=0, atol=1e-12)
-    theta = stream(80, "th").uniform(-0.5, 0.5, size=9)
-    full = body.lbs_apply(tpl.verts, body.forward_kinematics(skel, theta),
-                          tpl.weights)
-    npt.assert_allclose(corr.target(DrivingSignal(theta, np.zeros(4), view)),
-                        full[rows], rtol=1e-12, atol=1e-15)
+    signals = [DrivingSignal(th, np.zeros(4), view) for th in thetas]
+    ref = 0.0
+    for th in thetas:
+        fk = body.forward_kinematics(skel, th)
+        target = body.lbs_apply(tpl.verts[rows], fk, tpl.weights[rows])
+        if not th.any():
+            npt.assert_allclose(target, tpl.verts[rows], rtol=0, atol=1e-12)
+        d = pose(th, disp, tpl, skel).data[rows] - target
+        ref += float((d * d).sum()) / len(thetas)
+    loss = dis.perturbation_loss(lambda s, z: disp, signals,
+                                 np.zeros((len(thetas), 1)),
+                                 dis.joint_anchor_uvs(tpl, skel))
+    assert ref > 1e-4
+    npt.assert_allclose(float(loss.data), ref, rtol=1e-12)
 
 
 def test_joint_sites_rejects_mismatched_rig():
     tpl, _ = strip_rig()
     eye = np.broadcast_to(np.eye(3), (2, 3, 3)).copy()
     two = body.Skeleton(("root", "mid"), np.array([-1, 0]), eye, np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        dis.joint_sites(tpl, two)
+    with pytest.raises(ValueError, match="weight columns"):
+        dis.joint_anchor_uvs(tpl, two)
+
+
+def test_joint_anchors_refuse_blended_weights():
+    # 12 columns miss the mid station: its strongest vertex (the lower of
+    # two at equal weight) blends two joints
+    tpl, skel = strip_rig(ncol=12)
+    with pytest.raises(ValueError, match=r"anchor vertices \[5\] blend"):
+        dis.joint_anchor_uvs(tpl, skel)
 
 
 # -------------------------------------------------------------- loss weights

@@ -1,7 +1,8 @@
 """Each harness caller runs only the model part its output reads,
 through `AvatarModel.geometry`, `shadow_gain` and `appearance`: a
-phase-1 step and the perturbation term pose geometry alone, a phase-2
-step shades each frame's trunk for its one camera, and the evaluators
+phase-1 step poses geometry alone, the perturbation term reads only
+`displacement` at the joint anchors and poses nothing, a phase-2 step
+shades each frame's trunk for its one camera, and the evaluators
 decode a frame's geometry, shadow gain, texture upsample and tex1 conv
 over it once for all of its cameras.
 No harness path calls `forward`; each is checked against the full
@@ -14,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dsaa import diffcore as dc
+from dsaa import body, diffcore as dc
 from dsaa import synthdata as sd
 from dsaa.avatar import AvatarConfig, AvatarDecoder, AvatarModel, ShadowNet, compose
 from dsaa.harness import TrainConfig, TrainData, evaluate, train, trainer
@@ -82,12 +83,15 @@ def test_phase1_step_reads_no_texture_shadow_or_ao(dataset, tmp_path,
     count(TrainData, "ao")
     count(AvatarModel, "forward")
     count(AvatarModel, "geometry")
+    count(AvatarModel, "displacement")
     _train_two_steps(dataset, tmp_path / "run")
     names = ("AvatarDecoder.texture", "ShadowNet.__call__", "TrainData.ao",
-             "AvatarModel.forward", "AvatarModel.geometry")
-    # one geometry call per frame; phase 2 adds one per perturbation sample
-    assert [calls[1, n] for n in names] == [0, 0, 0, 0, 2]
-    assert [calls[2, n] for n in names] == [2, 2, 2, 0, 4]
+             "AvatarModel.forward", "AvatarModel.geometry",
+             "AvatarModel.displacement")
+    # one geometry call per frame; phase 2 adds one displacement call per
+    # perturbation sample
+    assert [calls[1, n] for n in names] == [0, 0, 0, 0, 2, 0]
+    assert [calls[2, n] for n in names] == [2, 2, 2, 0, 2, 2]
 
 
 def test_phase2_step_matches_per_frame_forward(dataset, tmp_path,
@@ -95,7 +99,7 @@ def test_phase2_step_matches_per_frame_forward(dataset, tmp_path,
     # the oracle runs each frame of the step through one `forward` call:
     # `geometry` hands forward's output on in the trunk's place, and
     # `appearance` takes its final texture back out; the perturbation
-    # term's geometry calls stay as they are
+    # term reads `displacement`, which stays as it is
     def step_result(out):
         grads = []
         real_adam_step = dc.Adam.step
@@ -174,40 +178,66 @@ def test_phase2_step_builds_one_node_per_layer(dataset, tmp_path,
     assert ops["conv2d"] and ops["conv_transpose2d"] and ops["linear"]
     assert ops["leaky_relu"] == ops["sigmoid"] == 0
     assert pads[0] == 0
+    # one skinning node per frame of the batch; the perturbation term
+    # poses nothing
+    assert ops["lbs_apply"] == 2
 
 
 def test_perturbation_term_matches_full_decode(dataset, tmp_path,
                                                monkeypatch):
+    # the term squares each prior sample's corrective at the joint
+    # anchors; the oracle poses the full decode and subtracts the
+    # pose-only anchor positions, the two agreeing because every anchor
+    # is bound to one joint alone
     seen = []
     real = trainer.perturbation_loss
+    monkeypatch.setattr(trainer, "perturbation_loss",
+                        lambda *args: seen.append(args) or real(*args))
+    for dtype, tol in (("float32", 1e-5), ("float64", 1e-12)):
+        seen.clear()
+        model = train(TrainConfig(dataset=str(dataset),
+                                  out=str(tmp_path / dtype), iters=2,
+                                  phase1=1, batch=2,
+                                  model=AvatarConfig(geo_res=16, tex_res=32,
+                                                     dtype=dtype))).model
+        (displacement_fn, signals, z_samples, anchor_uvs), = seen
+        tpl, skel = model.template, model.skeleton
+        rows = np.argmax(tpl.weights, axis=0)
+        assert anchor_uvs.tobytes() == tpl.uvs[rows].tobytes()
 
-    def capture(decode_fn, signals, z_samples, corr):
-        seen.append((decode_fn, signals, z_samples, corr))
-        return real(decode_fn, signals, z_samples, corr)
+        def oracle():
+            # decode + compose with a unit gain, texture decoded and unread
+            r = model.config.shadow_res
+            ones = dc.Tensor(np.ones((1, r, r), dtype=model.config.np_dtype))
+            total = None
+            for sig, z in zip(signals, z_samples):
+                disp, tex = model.decode(sig, z)
+                posed = compose(sig.theta, disp, tex, ones, tpl, skel).posed
+                target = body.lbs_apply(
+                    tpl.verts[rows], body.forward_kinematics(skel, sig.theta),
+                    tpl.weights[rows])
+                d = dc.sub(dc.getitem(posed, list(rows)),
+                           target.astype(posed.dtype))
+                term = dc.sum_(dc.mul(d, d))
+                total = term if total is None else dc.add(total, term)
+            return dc.mul(total, 1.0 / len(signals))
 
-    monkeypatch.setattr(trainer, "perturbation_loss", capture)
-    model = _train_two_steps(dataset, tmp_path / "run").model
-    (decode_fn, signals, z_samples, corr), = seen
-
-    def oracle(sig, z):
-        # decode + compose with a unit gain, texture decoded and unread
-        disp, tex = model.decode(sig, z)
-        r = model.config.shadow_res
-        ones = dc.Tensor(np.ones((1, r, r), dtype=model.config.np_dtype))
-        return compose(sig.theta, disp, tex, ones, model.template,
-                       model.skeleton).posed
-
-    results = []
-    for fn in (decode_fn, oracle):
+        results = []
+        for fn in (lambda: real(displacement_fn, signals, z_samples,
+                                anchor_uvs), oracle):
+            model.store.zero_grad()
+            term = fn()
+            dc.backward(term)
+            results.append((float(term.data),
+                            {name: t.grad.copy() for name, t
+                             in model.store.items() if t.grad is not None}))
         model.store.zero_grad()
-        term = real(fn, signals, z_samples, corr)
-        dc.backward(term)
-        results.append((term.data.tobytes(),
-                        {name: None if t.grad is None else t.grad.tobytes()
-                         for name, t in model.store.items()}))
-    model.store.zero_grad()
-    assert results[0] == results[1]
-    assert any(g is not None for g in results[0][1].values())
+        (value, grads), (ref_value, ref_grads) = results
+        assert ref_value > 0 and abs(value - ref_value) <= tol * ref_value
+        assert ref_grads and grads.keys() == ref_grads.keys()
+        for name, ref in ref_grads.items():
+            err = np.linalg.norm(grads[name] - ref)
+            assert err <= tol * np.linalg.norm(ref), (dtype, name)
 
 
 @pytest.mark.parametrize("use_shadow", [True, False])
