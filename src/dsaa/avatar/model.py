@@ -3,12 +3,12 @@ decoder, shadow branch, and self-describing checkpoint I/O."""
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import numpy as np
 
 from .. import diffcore as dc
+from .. import keyvalue
 from ..body import Skeleton, TemplateMesh, build_atlas, render_position_map
 from ..conditioning import DrivingSignal, InfluenceMask, LocalizedProjector, build_masks
 from ..rng import stream
@@ -153,13 +153,12 @@ class AvatarModel:
     # -------------------------------------------------------- persistence
 
     def save(self, path) -> None:
-        """Parameter container at `path`, text manifest at `path`.manifest.
-        The container is written to `path`.tmp and renamed over `path`, so
-        an interrupted save leaves the previous container whole."""
-        tmp = f"{path}.tmp"
+        """Parameter container at `path` and text manifest at `path`.manifest,
+        each written to a temp file and renamed over the previous one."""
+        tmp = Path(f"{path}.tmp")
         dc.save_arrays(tmp, self.store.state_arrays())
-        os.replace(tmp, path)
-        Path(f"{path}.manifest").write_text(manifest_text(self.config))
+        tmp.replace(path)
+        keyvalue.write_atomic(f"{path}.manifest", manifest_text(self.config))
 
     @classmethod
     def load(cls, path, template: TemplateMesh,

@@ -52,7 +52,6 @@ class TrainData:
         self.ao_res = int(ao_res)
         self._atlas = build_atlas(self.template.uvs, self.template.faces,
                                   self.geo_res, self.geo_res)
-        self._known = frozenset(self.manifest.ids())
         self._frames: dict[str, FrameRecord] = {}
         self._pos_maps: dict[str, np.ndarray] = {}
         self._ao: dict[str, np.ndarray] = {}
@@ -72,11 +71,6 @@ class TrainData:
 
     def frame(self, frame_id: str) -> FrameRecord:
         if frame_id not in self._frames:
-            # frames/ may hold directories of frames an earlier generation
-            # or split wrote and the manifest no longer lists
-            if frame_id not in self._known:
-                raise ValueError(f"frame {frame_id!r} is not in the "
-                                 f"dataset manifest")
             self._frames[frame_id] = load_frame(self.manifest, frame_id)
         return self._frames[frame_id]
 

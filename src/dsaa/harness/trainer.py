@@ -18,7 +18,6 @@ uninterrupted run would have and checkpoints are bit-reproducible.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,7 +80,7 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
                          "--out at a fresh directory")
     if state_path.exists():
         _check_resumable(out / "config.txt", cfg)
-    (out / "config.txt").write_text(config_text(cfg))
+    keyvalue.write_atomic(out / "config.txt", config_text(cfg))
     say = echo if echo is not None else (lambda line: None)
     if mw.use_shadow:
         say(f"baking occlusion maps for {len(train_ids)} frames")
@@ -244,7 +243,7 @@ def _format(rec, iters):
 def _trim_log(path, last):
     """Drop the log lines after iteration `last`, which a resume reruns."""
     if path.exists():
-        path.write_text("".join(
+        keyvalue.write_atomic(path, "".join(
             ln for ln in path.read_text().splitlines(keepends=True)
             if ln.endswith("\n") and int(ln.split()[1].split("/")[0]) <= last))
 
@@ -277,7 +276,7 @@ def _save_state(out, model, opt, critic_store, critic_opt, it):
     expected = _state_arrays(model, opt, critic_store, critic_opt, it)
     tmp = out / "trainer.tmp"
     dc.save_arrays(tmp, expected)
-    os.replace(tmp, out / "trainer.dsaa1")
+    tmp.replace(out / "trainer.dsaa1")
     model.save(out / "model.dsaa1")
 
 

@@ -15,8 +15,10 @@ as, and hashes taken over written text stay valid across a reload.
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
-__all__ = ["dump", "read", "field_items", "take_fields", "reject_unknown"]
+__all__ = ["dump", "read", "field_items", "take_fields", "reject_unknown",
+           "write_atomic"]
 
 
 def _format_value(default, value) -> str:
@@ -48,6 +50,13 @@ def _parse_value(default, text: str):
 def dump(items) -> str:
     """One `key = value` line per (key, value) pair, each ending in a newline."""
     return "".join(f"{key} = {value}\n" for key, value in items)
+
+
+def write_atomic(path, text: str) -> None:
+    """Replace path's text whole: an interrupted write leaves the old text."""
+    tmp = Path(f"{path}.tmp")
+    tmp.write_text(text)
+    tmp.replace(path)
 
 
 def read(text: str) -> dict:

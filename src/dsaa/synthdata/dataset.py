@@ -3,28 +3,30 @@
 Layout under a dataset root:
 
     manifest.txt
-    frames/<id>/theta.txt  f.txt  u.txt  cam<k>.ppm  cam<k>_mask.pgm
+    frames/<id>/cam<k>.ppm  cam<k>_mask.pgm
 
-The template mesh and skeleton are not stored: the manifest's figure tag
-rebuilds them.  Nor are a frame's meshes: load_frame rebuilds the
-canonical and the posed one with frame_mesh from the stored theta and
-u.  Old datasets may still hold template.obj, template.weights,
-skeleton.txt and per-frame mesh.obj files; nothing reads them.
+A frame stores only its captures; its manifest entry implies the rest.
+sample_frame draws a standard frame's (theta, face, u) under the scene
+seed and a novel frame's under the split seed and the spec's
+novel_margin, frame_mesh rebuilds its canonical and posed meshes, and
+the figure tag the template and skeleton.  Older datasets may also hold
+rig files and per-frame mesh.obj, theta.txt, f.txt and u.txt; nothing
+reads them.
 
-Per-frame text files hold one float per line via repr(), which parses
-back to the identical float64 in any locale.  The manifest carries the
-full scene description plus a hash over it and the figure geometry, so
-a loaded manifest can prove it still matches the code that would
-regenerate it.  Because every frame's geometry is computed on load, a
-change to the arithmetic of frame_mesh, or of the dc.lbs_apply that
-poses its mesh, changes every dataset's ground truth and, through the
-canonical mesh's position map, the geometry encoder's input: it must
+The manifest carries the full scene description plus a hash over it
+and the figure geometry, so a loaded manifest can prove it still
+matches the code that would regenerate it; generate_dataset and
+split_dataset delete it before writing any frame and write it last.
+A change to the arithmetic of sample_frame or the rng.stream it draws
+from, of frame_mesh, or of the dc.lbs_apply that poses its mesh changes
+every dataset's ground truth and the geometry encoder's input: it must
 change _FORMAT, and load_manifest then refuses old datasets.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,8 +58,8 @@ class FrameEntry:
 @dataclass(frozen=True)
 class FrameRecord:
     id: str
-    theta: np.ndarray
-    face: np.ndarray
+    theta: np.ndarray       # theta, face and u drawn again from the
+    face: np.ndarray        # frame's manifest entry
     u: float
     canonical: np.ndarray   # unposed, wrinkled: the encoder's geometry
     verts: np.ndarray       # posed: the exact geometry behind the gt;
@@ -80,6 +82,10 @@ class DatasetManifest:
                 if (group is None or e.group == group)
                 and (split is None or e.split == split)]
 
+    @functools.cached_property
+    def _entries(self) -> dict:
+        return {e.id: e for e in self.frames}
+
 
 def _spec_items(spec: SceneSpec) -> list:
     return [("figure", spec.figure.tag)] + keyvalue.field_items(spec, "spec.")
@@ -101,7 +107,7 @@ def _write_manifest(m: DatasetManifest) -> None:
         items += [("split.test_fraction", repr(float(m.test_fraction))),
                   ("split.seed", str(int(m.split_seed)))]
     items += [(f"frame.{e.id}", f"{e.group} {e.split}") for e in m.frames]
-    (m.root / "manifest.txt").write_text(keyvalue.dump(items))
+    keyvalue.write_atomic(m.root / "manifest.txt", keyvalue.dump(items))
 
 
 def load_manifest(root) -> DatasetManifest:
@@ -124,6 +130,8 @@ def load_manifest(root) -> DatasetManifest:
             raise ValueError(f"{key}: unknown group or split {group!r} {split!r}")
         frames.append(FrameEntry(key[len("frame."):], group, split))
     keyvalue.reject_unknown(kv, "manifest")
+    if seed is None and any(e.group == "novel" for e in frames):
+        raise ValueError("manifest lists novel frames but no split.seed")
     if stored != _spec_hash(spec):
         raise ValueError("manifest hash does not match the regenerated scene")
     return DatasetManifest(root=root, spec=spec, spec_hash=stored,
@@ -132,34 +140,29 @@ def load_manifest(root) -> DatasetManifest:
                            split_seed=None if seed is None else int(seed))
 
 
-def _floats_txt(path, values) -> None:
-    with open(path, "w") as f:
-        for x in np.atleast_1d(np.asarray(values, dtype=np.float64)):
-            f.write(repr(float(x)) + "\n")
+def _factors(m: DatasetManifest, entry: FrameEntry):
+    """(theta, face, u) of a frame, drawn from its manifest entry."""
+    if entry.group == "novel":
+        return sample_frame(m.spec, entry.id, m.split_seed,
+                            extend=m.spec.novel_margin)
+    return sample_frame(m.spec, entry.id, m.spec.seed)
 
 
-def _read_floats(path) -> np.ndarray:
-    return np.array([float(ln) for ln in Path(path).read_text().split()])
-
-
-def _write_frame(root: Path, spec: SceneSpec, frame_id: str, seed: int, *,
-                 extend: float = 1.0):
-    theta, face, u = sample_frame(spec, frame_id, seed, extend=extend)
-    _, posed = frame_mesh(spec, theta, u)
-    images, masks = render_views(spec, posed, frame_texture(spec, u, face))
-    d = root / "frames" / frame_id
+def _write_frame(m: DatasetManifest, entry: FrameEntry):
+    theta, face, u = _factors(m, entry)
+    _, posed = frame_mesh(m.spec, theta, u)
+    images, masks = render_views(m.spec, posed, frame_texture(m.spec, u, face))
+    d = m.root / "frames" / entry.id
     d.mkdir(parents=True, exist_ok=True)
-    _floats_txt(d / "theta.txt", theta)
-    _floats_txt(d / "f.txt", face)
-    _floats_txt(d / "u.txt", [u])
     for k, (img, msk) in enumerate(zip(images, masks)):
         write_ppm(d / f"cam{k}.ppm", img)
         write_pgm(d / f"cam{k}_mask.pgm", msk)
     return theta, u
 
 
-def _drop_ao_maps(root: Path) -> None:
-    """Delete the AO maps (ao<res>.dsaa1), which know frames by id alone."""
+def _drop_derived(root: Path) -> None:
+    """Delete what rewritten frames make stale: the manifest and AO maps."""
+    (root / "manifest.txt").unlink(missing_ok=True)
     for path in root.glob("ao*.dsaa1"):
         path.unlink()
 
@@ -172,14 +175,11 @@ def generate_dataset(spec: SceneSpec, out_dir,
         raise ValueError("n_frames must be at least 2")
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    _drop_ao_maps(root)
-    thetas, us, entries = [], [], []
-    for i in range(n_frames):
-        fid = f"{i:06d}"
-        theta, u = _write_frame(root, spec, fid, spec.seed)
-        thetas.append(theta)
-        us.append(u)
-        entries.append(FrameEntry(fid, "standard", "unsplit"))
+    _drop_derived(root)
+    m = DatasetManifest(root=root, spec=spec, spec_hash=_spec_hash(spec),
+                        frames=[FrameEntry(f"{i:06d}", "standard", "unsplit")
+                                for i in range(n_frames)])
+    thetas, us = zip(*(_write_frame(m, e) for e in m.frames))
     if spec.rho_spurious == 0.0 and n_frames >= 500:
         # independence tripwire: honest seeds sit near 3/sqrt(n) at worst,
         # a shared-stream bug produces correlations near 1
@@ -187,8 +187,6 @@ def generate_dataset(spec: SceneSpec, out_dir,
         if np.abs(corr).max() > 4.5 / np.sqrt(n_frames):
             raise RuntimeError(
                 f"hidden factor correlates with pose ({np.abs(corr).max():.3f})")
-    m = DatasetManifest(root=root, spec=spec, spec_hash=_spec_hash(spec),
-                        frames=entries)
     _write_manifest(m)
     return m
 
@@ -219,32 +217,33 @@ def split_dataset(manifest: DatasetManifest, test_fraction: float,
         stream(seed, "split").permutation(len(standard))[:n_test]))
     frames = [dataclasses.replace(e, split="test" if i in hold else "train")
               for i, e in enumerate(standard)]
-    limit = np.repeat(np.asarray(spec.pose_range), 3) * spec.novel_margin
-    _drop_ao_maps(manifest.root)
-    for i in range(n_test):
-        fid = f"novel{i:04d}"
-        theta, _ = _write_frame(manifest.root, spec, fid, seed,
-                                extend=spec.novel_margin)
-        assert np.all(np.abs(theta) <= limit)
-        frames.append(FrameEntry(fid, "novel", "test"))
+    novel = [FrameEntry(f"novel{i:04d}", "novel", "test")
+             for i in range(n_test)]
     out = DatasetManifest(root=manifest.root, spec=spec,
-                          spec_hash=manifest.spec_hash, frames=frames,
+                          spec_hash=manifest.spec_hash, frames=frames + novel,
                           test_fraction=float(test_fraction),
                           split_seed=int(seed))
+    limit = np.repeat(np.asarray(spec.pose_range), 3) * spec.novel_margin
+    _drop_derived(out.root)
+    for e in novel:
+        theta, _ = _write_frame(out, e)
+        assert np.all(np.abs(theta) <= limit)
     _write_manifest(out)
     return out
 
 
 def load_frame(manifest: DatasetManifest, frame_id: str) -> FrameRecord:
+    # frames/ may hold frames an earlier generation or split listed
+    entry = manifest._entries.get(frame_id)
+    if entry is None:
+        raise ValueError(f"frame {frame_id!r} is not in the dataset manifest")
+    theta, face, u = _factors(manifest, entry)
     d = Path(manifest.root) / "frames" / frame_id
-    theta = _read_floats(d / "theta.txt")
-    u = float(_read_floats(d / "u.txt")[0])
     cams = range(manifest.spec.n_cameras)
     images = np.stack([read_ppm(d / f"cam{k}.ppm") for k in cams])
     masks = np.stack([read_pgm(d / f"cam{k}_mask.pgm") for k in cams])
     canonical, posed = frame_mesh(manifest.spec, theta, u)
-    return FrameRecord(id=frame_id, theta=theta,
-                       face=_read_floats(d / "f.txt"), u=u,
+    return FrameRecord(id=frame_id, theta=theta, face=face, u=u,
                        canonical=canonical, verts=posed,
                        images=images.astype(np.float32),
                        masks=masks.astype(np.float32))

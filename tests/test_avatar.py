@@ -1,6 +1,8 @@
 """Latent geometry encoder, signal-conditioned decoder, quasi-shadow gain,
 and LBS composition of the full avatar."""
 
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -507,6 +509,23 @@ def test_checkpoint_rejects_mismatched_manifest(tmp_path):
     mpath.write_text(text)
     with pytest.raises((ValueError, KeyError)):
         avatar.AvatarModel.load(path, tpl, skel)
+
+
+def test_interrupted_save_leaves_the_previous_manifest(tmp_path, monkeypatch):
+    model, _, _ = build_model(dtype="float32")
+    path = tmp_path / "model.ckpt"
+    model.save(path)
+    before = (tmp_path / "model.ckpt.manifest").read_bytes()
+
+    def torn(self, text, *args, **kwargs):
+        with open(self, "w") as f:
+            f.write(text[:len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", torn)
+    with pytest.raises(OSError):
+        model.save(path)
+    assert (tmp_path / "model.ckpt.manifest").read_bytes() == before
 
 
 def test_same_seed_same_parameters():

@@ -165,6 +165,37 @@ def test_resume_between_checkpoints_logs_each_iteration_once(
         assert (out / name).read_bytes() == (whole / name).read_bytes(), name
 
 
+def _torn_write_text(path, text, *args, **kwargs):
+    """Path.write_text that stops halfway, as on a full disk."""
+    with open(path, "w") as f:
+        f.write(text[:len(text) // 2])
+    raise OSError(28, "No space left on device")
+
+
+def test_interrupted_config_write_leaves_the_previous_config(cli_run,
+                                                             monkeypatch):
+    run = cli_run / "torn_config"
+    shutil.copytree(cli_run / "run", run)
+    before = (run / "config.txt").read_bytes()
+    with monkeypatch.context() as m:
+        m.setattr(Path, "write_text", _torn_write_text)
+        assert _train(cli_run, "torn_config", "--iters", "4", "--resume") == 2
+    assert (run / "config.txt").read_bytes() == before
+    assert _train(cli_run, "torn_config", "--iters", "4", "--resume") == 0
+
+
+def test_interrupted_log_trim_leaves_the_previous_log(cli_run, tmp_path,
+                                                      monkeypatch):
+    log = tmp_path / "train.log"
+    shutil.copy(cli_run / "run" / "train.log", log)
+    before = log.read_bytes()
+    assert before.count(b"\n") == 3
+    monkeypatch.setattr(Path, "write_text", _torn_write_text)
+    with pytest.raises(OSError):
+        trainer._trim_log(log, 1)
+    assert log.read_bytes() == before
+
+
 def test_resume_refuses_config_with_removed_train_keys(cli_run, capsys):
     # run directories written while TrainConfig still carried eval_frames,
     # drive_steps and drive_lr hold those keys; they are a validation
@@ -461,6 +492,23 @@ def test_manifest_with_unknown_frame_split_is_rejected(cli_run, capsys):
                  "--dataset", str(data), "--out", str(cli_run / "retagged"),
                  "--seed", "1", "--iters", "1"]) == 2
     assert "'tran'" in capsys.readouterr().err
+
+
+def test_manifest_with_novel_frames_and_no_split_seed_is_rejected(cli_run,
+                                                                 capsys):
+    # novel frames are drawn under the split seed; without it their
+    # factors are unknown
+    data = cli_run / "data_seedless"
+    shutil.copytree(cli_run / "data", data)
+    text = (data / "manifest.txt").read_text()
+    assert "\nsplit.seed = 4\n" in text
+    (data / "manifest.txt").write_text(text.replace("\nsplit.seed = 4\n", "\n"))
+    with pytest.raises(ValueError, match="no split.seed"):
+        load_manifest(data)
+    assert main(["drive", "--checkpoint", str(cli_run / "run"), "--dataset",
+                 str(data), "--frames", "novel0000", "--mode", "zero",
+                 "--out", str(cli_run / "seedless_drive")]) == 2
+    assert "no split.seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [["--steps", "-1"], ["--lr", "0"],

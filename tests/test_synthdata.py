@@ -234,9 +234,7 @@ def test_dataset_layout_and_manifest(small_dataset):
     frame = root / "frames" / "000000"
     cams = range(small_dataset.spec.n_cameras)
     assert sorted(p.name for p in frame.iterdir()) == sorted(
-        ["theta.txt", "f.txt", "u.txt"] + [f"cam{k}.ppm" for k in cams]
-        + [f"cam{k}_mask.pgm" for k in cams])
-    assert len((frame / "theta.txt").read_text().splitlines()) == 33
+        [f"cam{k}.ppm" for k in cams] + [f"cam{k}_mask.pgm" for k in cams])
     loaded = sd.load_manifest(root)
     assert loaded.spec_hash == small_dataset.spec_hash
     assert [e.id for e in loaded.frames] == [e.id for e in small_dataset.frames]
@@ -259,20 +257,26 @@ def test_dataset_root_holds_only_manifest_and_frames(small_dataset):
 
 
 def test_stale_files_are_ignored(small_dataset, tmp_path):
-    # datasets written before the rig files and the frames' mesh.obj were
-    # dropped still hold them
+    # datasets written before the rig files, the frames' mesh.obj and
+    # their factor files were dropped still hold them
     root = tmp_path / "old"
     shutil.copytree(small_dataset.root, root)
     for name in ("template.obj", "template.weights", "skeleton.txt"):
         (root / name).write_text("garbage 1 2\nf x/y\n")
     ids = small_dataset.ids()
     for fid in ids:
-        (root / "frames" / fid / "mesh.obj").write_text("garbage 1 2\nf x/y\n")
+        for name in ("mesh.obj", "theta.txt", "f.txt", "u.txt"):
+            (root / "frames" / fid / name).write_text("garbage 1 2\nf x/y\n")
     data = TrainData(root)
     fresh = sd.load_manifest(small_dataset.root)
+    spec = small_dataset.spec
     for fid in ids:
         got, want = data.frame(fid).verts, sd.load_frame(fresh, fid).verts
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), fid
+        theta, face, u = sd.sample_frame(spec, fid, spec.seed)
+        fr = data.frame(fid)
+        assert fr.theta.tobytes() == theta.tobytes(), fid
+        assert fr.face.tobytes() == face.tobytes() and fr.u == u, fid
     fig = sd.build_figure()
     for key in ("verts", "faces", "uvs", "weights"):
         got, want = getattr(data.template, key), getattr(fig.template, key)
@@ -378,6 +382,81 @@ def test_split_dataset(small_spec, tmp_path):
     text = (Path(split.root) / "manifest.txt").read_bytes()
     sd.split_dataset(manifest, 0.2, seed=9)
     assert (Path(split.root) / "manifest.txt").read_bytes() == text
+
+
+def test_frames_load_the_factors_their_manifest_entry_draws(small_spec,
+                                                            tmp_path):
+    # novel frames are drawn under the split seed, standard ones under the
+    # scene seed, however the two differ
+    manifest = sd.generate_dataset(dataclasses.replace(small_spec, seed=2),
+                                   tmp_path / "set", 4)
+    split = sd.split_dataset(manifest, 0.5, seed=7)
+    reloaded = sd.load_manifest(split.root)
+    spec = reloaded.spec
+    for fid in reloaded.ids():
+        if fid.startswith("novel"):
+            want = sd.sample_frame(spec, fid, 7, extend=spec.novel_margin)
+        else:
+            want = sd.sample_frame(spec, fid, 2)
+        rec = sd.load_frame(reloaded, fid)
+        assert rec.theta.dtype == want[0].dtype == np.float64
+        assert rec.theta.tobytes() == want[0].tobytes(), fid
+        assert rec.face.tobytes() == want[1].tobytes(), fid
+        assert rec.u == want[2], fid
+    assert len(reloaded.ids(group="novel")) == 2
+
+
+def test_manifest_with_novel_frames_needs_a_split_seed(small_spec, tmp_path):
+    manifest = sd.generate_dataset(small_spec, tmp_path / "set", 2)
+    sd.split_dataset(manifest, 0.5, seed=3)
+    path = tmp_path / "set" / "manifest.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    assert "split.seed = 3\n" in lines
+    path.write_text("".join(ln for ln in lines if ln != "split.seed = 3\n"))
+    with pytest.raises(ValueError, match="no split.seed"):
+        sd.load_manifest(tmp_path / "set")
+
+
+def test_load_frame_refuses_an_unknown_id(small_dataset):
+    # frames/ may hold a directory the manifest no longer lists
+    assert (Path(small_dataset.root) / "frames" / "000005").is_dir()
+    manifest = dataclasses.replace(small_dataset,
+                                   frames=small_dataset.frames[:5])
+    with pytest.raises(ValueError, match="'000005' is not in the dataset "
+                                         "manifest"):
+        sd.load_frame(manifest, "000005")
+    with pytest.raises(ValueError, match="is not in the dataset manifest"):
+        sd.load_frame(small_dataset, "novel0000")
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("step", ["generate", "split"])
+def test_interrupted_rewrite_leaves_no_manifest(small_spec, tmp_path,
+                                                monkeypatch, step):
+    # the manifest implies every frame's factors, so one left behind by a
+    # rewrite under another seed would disagree with the images on disk
+    manifest = sd.generate_dataset(small_spec, tmp_path / "set", 4)
+    manifest = sd.split_dataset(manifest, 0.5, seed=1)
+    real, calls = sd.dataset._write_frame, []
+
+    def write_frame(*args, **kwargs):
+        if calls:
+            raise _Stop
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(sd.dataset, "_write_frame", write_frame)
+    with pytest.raises(_Stop):
+        if step == "generate":
+            sd.generate_dataset(dataclasses.replace(small_spec, seed=2),
+                                tmp_path / "set", 4)
+        else:
+            sd.split_dataset(manifest, 0.5, seed=2)
+    assert len(calls) == 1
+    assert not (tmp_path / "set" / "manifest.txt").exists()
 
 
 def test_split_dataset_degenerate(small_dataset):

@@ -7,9 +7,12 @@ Run from the repository root. REF is exported (``git archive``, as in
 ``tools/bench_pairs.py``) into a temporary directory; the change is the
 working tree itself. In each tree the same pipeline runs, every step
 through ``python -m dsaa.harness.cli`` with that tree's ``src`` on
-PYTHONPATH: ``gen-data`` with a split, a 2-iteration ``train`` of each
+PYTHONPATH: ``gen-data`` with a split, a 3-iteration ``train`` of each
 report variant (``ours`` resumed after its first iteration), ``drive``
-in zero, sample and fit mode, ``heatmap`` and ``report``. Steps that do
+in zero, sample and fit mode, ``heatmap`` and ``report``. Each run
+takes one phase-1 and two phase-2 steps, so a change that moves only
+the decoder in the first phase-2 step reaches the encoder in the
+second, and with it the report's MI and probe entries. Steps that do
 not depend on each other run two at a time. Every file the pipeline
 writes is hashed (sha256), and each file whose hash differs between the
 trees, or that only one tree wrote, is printed with its line counts.
@@ -56,9 +59,9 @@ def pipeline() -> list[list[list[str]]]:
     return [
         [["gen-data", "--config", "data.cfg", "--out", "data", "--frames", "4",
           "--test-fraction", "0.5", "--seed", "4"]],
-        [train["ours"] + ["--iters", "1"], train["no_shadow"] + ["--iters", "2"]],
-        [train["ours"] + ["--iters", "2", "--resume"]]
-        + [train[v] + ["--iters", "2"] for v in VARIANTS
+        [train["ours"] + ["--iters", "1"], train["no_shadow"] + ["--iters", "3"]],
+        [train["ours"] + ["--iters", "3", "--resume"]]
+        + [train[v] + ["--iters", "3"] for v in VARIANTS
            if v not in ("ours", "no_shadow")],
         [drive["zero"], ["heatmap", "--checkpoint", "runs/ours", "--dataset", "data",
                          "--out", "heatmap", "--indices", "0,3", "--frame", "000001",
