@@ -154,10 +154,8 @@ class AvatarModel:
 
     def save(self, path) -> None:
         """Parameter container at `path` and text manifest at `path`.manifest,
-        each written to a temp file and renamed over the previous one."""
-        tmp = Path(f"{path}.tmp")
-        dc.save_arrays(tmp, self.store.state_arrays())
-        tmp.replace(path)
+        each replaced whole through `keyvalue.write_atomic`."""
+        dc.save_arrays(path, self.store.state_arrays())
         keyvalue.write_atomic(f"{path}.manifest", manifest_text(self.config))
 
     @classmethod

@@ -20,27 +20,28 @@ import struct
 
 import numpy as np
 
+from .. import keyvalue
+
 MAGIC = b"DSAA1"
 _TAGS = {np.dtype("<f8"): 0, np.dtype("<f4"): 1}
 _DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        for name, arr in arrays.items():
-            arr = np.ascontiguousarray(arr)
-            if arr.dtype.newbyteorder("<") not in _TAGS:
-                raise ValueError(f"{name}: unsupported dtype {arr.dtype}")
-            le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", _TAGS[le.dtype.newbyteorder('<')]))
-            f.write(struct.pack("<I", le.ndim))
-            for d in le.shape:
-                f.write(struct.pack("<I", d))
-            f.write(le.tobytes())
+    """Replace the container at path whole: records built in memory go to
+    `keyvalue.write_atomic`, so a refused dtype or a kill writes nothing."""
+    parts = [MAGIC]
+    for name, arr in arrays.items():
+        arr = np.ascontiguousarray(arr)
+        if arr.dtype.newbyteorder("<") not in _TAGS:
+            raise ValueError(f"{name}: unsupported dtype {arr.dtype}")
+        le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
+        nb = name.encode("utf-8")
+        parts += [struct.pack("<I", len(nb)), nb,
+                  struct.pack("<B", _TAGS[le.dtype]),
+                  struct.pack(f"<I{le.ndim}I", le.ndim, *le.shape),
+                  le.tobytes()]
+    keyvalue.write_atomic(path, b"".join(parts))
 
 
 def _read(f, n: int, path, what: str) -> bytes:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from pathlib import Path
 from dataclasses import dataclass
 
 from .. import keyvalue
@@ -113,8 +114,8 @@ def config_text(config: TrainConfig) -> str:
 
 def load_config(path, **overrides) -> TrainConfig:
     """Read a config file and apply CLI-style scalar overrides."""
-    config = parse_config(open(path).read())
-    return dataclasses.replace(config, **overrides) if overrides else config
+    return dataclasses.replace(parse_config(Path(path).read_text()),
+                               **overrides)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,6 @@ of the manifest.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -104,8 +102,7 @@ class TrainData:
         """Shadow-branch input [1,R,R]: template-at-pose visibility, with
         texels outside the atlas treated as unoccluded."""
         if not self._ao and self._ao_path().exists():
-            for k, v in dc.load_arrays(self._ao_path()).items():
-                self._ao[k] = v
+            self._ao.update(dc.load_arrays(self._ao_path()))
         if frame_id not in self._ao:
             fr = self.frame(frame_id)
             tf = forward_kinematics(self.skeleton, fr.theta)
@@ -127,26 +124,18 @@ class TrainData:
         return self.root / f"ao{self.ao_res}.dsaa1"
 
     def flush_ao(self) -> None:
-        """Persist newly computed AO maps (atomic rewrite, sorted keys).
+        """Persist newly computed AO maps (sorted keys) through
+        `dc.save_arrays`, which replaces the cache whole.
 
-        Each flush writes a temp file of its own in the dataset root and
-        renames it over the cache, so processes sharing a dataset never
-        write into one file. When they flush concurrently, the last
-        writer's maps win; a map missing from the disk cache is recomputed
-        bit-identically on demand.
+        Each flush renames a temp file of its own over the cache, so
+        processes sharing a dataset never write into one file. When they
+        flush concurrently, the last writer's maps win; a map missing
+        from the disk cache is recomputed bit-identically on demand.
         """
         if not self._ao_dirty:
             return
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=f"ao{self.ao_res}.",
-                                   suffix=".tmp")
-        os.close(fd)
-        try:
-            os.chmod(tmp, 0o644)        # mkstemp's 0600 would hide the cache
-            dc.save_arrays(tmp, {k: self._ao[k] for k in sorted(self._ao)})
-            os.replace(tmp, self._ao_path())
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        dc.save_arrays(self._ao_path(),
+                       {k: self._ao[k] for k in sorted(self._ao)})
         self._ao_dirty = False
 
     def ensure_ao(self, frame_ids) -> None:

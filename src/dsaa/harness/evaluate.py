@@ -161,8 +161,8 @@ def drive(model: AvatarModel, data: TrainData, frame_ids, mode: str = "zero",
     zero: z = 0 (maximum-likelihood driving). sample: z ~ N(0, I) per
     frame under `seed`. fit: per-frame optimization of z against the
     ground truth. Returns {frame_id: {"z", "cams", "err"}}. With out_dir,
-    each frame's renders are written as it is scored and drive.kv last (an
-    earlier one is removed first), so a failed drive leaves no drive.kv.
+    each frame's renders are written as it is scored, and drive.kv last
+    and whole, after removing an earlier one: a stopped drive leaves none.
     """
     if mode not in ("zero", "sample", "fit"):
         raise ValueError(f"unknown imputation mode {mode!r}")
@@ -203,7 +203,8 @@ def drive(model: AvatarModel, data: TrainData, frame_ids, mode: str = "zero",
 
     if out_dir is not None:
         mean = float(np.mean([r["err"] for r in results.values()]))
-        (out / "drive.kv").write_text(keyvalue.dump(items + [("mean", repr(mean))]))
+        keyvalue.write_atomic(out / "drive.kv",
+                              keyvalue.dump(items + [("mean", repr(mean))]))
     return results
 
 
@@ -317,7 +318,9 @@ def write_heatmaps(model: AvatarModel, out_dir, indices, signal=None,
 def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
                  eval_frames: int = 200) -> str:
     """Error table plus disentanglement diagnostics across the six
-    canonical variants; writes report.txt and report.kv into out_dir.
+    canonical variants; writes report.txt and report.kv, each whole, into
+    out_dir, which is made after every run is checked and before any is
+    scored.
 
     `data` supplies the frame lists; each run is scored on the dataset
     reopened at that run's own resolutions (open_run)."""
@@ -339,6 +342,8 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
     # refuse a missing or mismatched run before any run is scored
     for variant in ABLATIONS:
         data.check_model(_run_config(runs[variant])[1])
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     rows, kv = [], [("metric", _METRIC_TAG),
                     ("frames.train", len(train_ids)),
@@ -382,9 +387,6 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
         lines.append("MI(z;signal) and probe R2 omitted: they need at least "
                      "2 train and 2 test frames")
     text = "\n".join(lines) + "\n"
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.txt").write_text(text)
-    (out / "report.kv").write_text(keyvalue.dump(kv))
+    keyvalue.write_atomic(out / "report.txt", text)
+    keyvalue.write_atomic(out / "report.kv", keyvalue.dump(kv))
     return text

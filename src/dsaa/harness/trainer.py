@@ -87,25 +87,26 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
         data.ensure_ao(train_ids)
 
     model = AvatarModel(data.template, data.skeleton, mw, seed=cfg.seed)
-    opt = dc.Adam(model.store, lr=cfg.lr)
-    critic = critic_store = critic_opt = None
+    # one optimizer per parameter group, in checkpoint order
+    opts = {"model": dc.Adam(model.store, lr=cfg.lr)}
+    critic = None
     if mw.use_latent and lw.lam_dis > 0:
         critic_store = dc.ParamStore()
         n_signal = model.masks.n_pose + model.masks.n_face
         critic = StatisticsNet(critic_store, "critic", n_signal, mw.d_z,
                                rng=stream(cfg.seed, "critic-init"),
                                dtype=mw.np_dtype)
-        critic_opt = dc.Adam(critic_store, lr=cfg.lr)
+        opts["critic"] = dc.Adam(critic_store, lr=cfg.lr)
     anchors = (joint_anchor_uvs(data.template, data.skeleton)
                if lw.lam_pc > 0 else None)
     raster_cfg = raster_config(data.spec)
 
     start = 0
     if state_path.exists():
-        start = _load_state(state_path, model, opt, critic_store, critic_opt)
+        start = _load_state(state_path, opts)
         say(f"resuming at iteration {start}")
     if start == 0:
-        _save_state(out, model, opt, critic_store, critic_opt, 0)
+        _save_state(out, model, opts, 0)
     _trim_log(out / "train.log", start)
 
     history = []
@@ -113,14 +114,14 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
     try:
         for i in range(start, cfg.iters):
             try:
-                rec = _step(cfg, data, model, opt, critic, critic_store,
-                            critic_opt, anchors, raster_cfg, train_ids, i)
+                rec = _step(cfg, data, model, opts, critic, anchors,
+                            raster_cfg, train_ids, i)
             except (ValueError, FloatingPointError, OverflowError) as e:
                 # exploded parameters usually trip a shape-independent
                 # validation check before the loss itself reads non-finite;
                 # with every parameter finite, a ValueError is a config or
                 # shape error and propagates as one
-                bad = _nonfinite_params(model.store, critic_store)
+                bad = _nonfinite_params(opts)
                 if isinstance(e, ValueError) and not bad:
                     raise
                 _dump_divergence(out, {"iter": i + 1, "error": repr(e)}, bad)
@@ -138,7 +139,7 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
             if save:
                 # the loss is read before opt.step(), so only the
                 # parameters show whether this step's update diverged
-                bad += _nonfinite_params(model.store, critic_store)
+                bad += _nonfinite_params(opts)
             if bad:
                 log.flush()
                 _dump_divergence(out, rec, bad)
@@ -147,7 +148,7 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
                     f"last checkpoint kept, diagnostics in {out / 'diverged.txt'}")
             if save:
                 log.flush()
-                _save_state(out, model, opt, critic_store, critic_opt, i + 1)
+                _save_state(out, model, opts, i + 1)
     finally:
         log.close()
         data.flush_ao()
@@ -156,8 +157,7 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
 
 # ------------------------------------------------------------------ one step
 
-def _step(cfg, data, model, opt, critic, critic_store, critic_opt, anchors,
-          raster_cfg, train_ids, i):
+def _step(cfg, data, model, opts, critic, anchors, raster_cfg, train_ids, i):
     mw, lw = cfg.model, cfg.weights
     phase = 1 if i < cfg.phase1 else 2
     picks = stream(cfg.seed, "batch", i).choice(len(train_ids),
@@ -215,16 +215,16 @@ def _step(cfg, data, model, opt, critic, critic_store, critic_opt, anchors,
             total = add_term(total, parts, "pc", pc, lw.lam_pc)
 
     dc.backward(total)
-    opt.step()
+    opts["model"].step()
     model.store.zero_grad()
 
     if phase == 2 and critic is not None:
         Zd = np.stack([z.data for z in z_list])
-        critic_store.zero_grad()
+        # the model's loss reads the critic frozen, so its grads start empty
         closs = mine_loss(critic, C, Zd)
         dc.backward(closs)
-        critic_opt.step()
-        critic_store.zero_grad()
+        opts["critic"].step()
+        opts["critic"].params.zero_grad()
         parts["critic"] = float(closs.data)
 
     rec = {"iter": i + 1, "phase": phase, "total": float(total.data)}
@@ -248,51 +248,46 @@ def _trim_log(path, last):
             if ln.endswith("\n") and int(ln.split()[1].split("/")[0]) <= last))
 
 
-def _nonfinite_params(*stores):
+def _nonfinite_params(opts):
     """Names of the parameters holding a NaN or an infinity."""
-    return [name for store in stores if store is not None
-            for name, t in store.items() if not np.isfinite(t.data).all()]
+    return [name for opt in opts.values()
+            for name, t in opt.params.items() if not np.isfinite(t.data).all()]
 
 
 def _dump_divergence(out, rec, bad):
     head = f"non-finite components: {', '.join(bad)}\n" if bad else ""
-    (out / "diverged.txt").write_text(
-        head + keyvalue.dump((k, repr(v)) for k, v in rec.items()))
+    keyvalue.write_atomic(out / "diverged.txt", head + keyvalue.dump(
+        (k, repr(v)) for k, v in rec.items()))
 
 
 # ------------------------------------------------------------- persistence
+# trainer.dsaa1: "iter", then per group in `opts` order "<group>/" params
+# and "<group>-adam/" moments; it and model.dsaa1 are each replaced whole.
 
-def _state_arrays(model, opt, critic_store, critic_opt, it):
+def _state_arrays(opts, it):
     arrays = {"iter": np.array([float(it)])}
-    arrays.update(model.store.state_arrays("model/"))
-    arrays.update(opt.state_arrays("model-adam/"))
-    if critic_store is not None:
-        arrays.update(critic_store.state_arrays("critic/"))
-        arrays.update(critic_opt.state_arrays("critic-adam/"))
+    for group, opt in opts.items():
+        arrays.update(opt.params.state_arrays(f"{group}/"))
+        arrays.update(opt.state_arrays(f"{group}-adam/"))
     return arrays
 
 
-def _save_state(out, model, opt, critic_store, critic_opt, it):
-    expected = _state_arrays(model, opt, critic_store, critic_opt, it)
-    tmp = out / "trainer.tmp"
-    dc.save_arrays(tmp, expected)
-    tmp.replace(out / "trainer.dsaa1")
+def _save_state(out, model, opts, it):
+    dc.save_arrays(out / "trainer.dsaa1", _state_arrays(opts, it))
     model.save(out / "model.dsaa1")
 
 
-def _load_state(path, model, opt, critic_store, critic_opt) -> int:
+def _load_state(path, opts) -> int:
     arrays = dc.load_arrays(path)
-    expected = _state_arrays(model, opt, critic_store, critic_opt, 0)
+    expected = _state_arrays(opts, 0)
     extra = sorted(set(arrays) - set(expected))
     missing = sorted(set(expected) - set(arrays))
     if extra or missing:
         raise ValueError(f"trainer state does not match the configured run "
                          f"(missing {missing[:3]}, unexpected {extra[:3]})")
-    model.store.load_state(arrays, "model/")
-    opt.load_state(arrays, "model-adam/")
-    if critic_store is not None:
-        critic_store.load_state(arrays, "critic/")
-        critic_opt.load_state(arrays, "critic-adam/")
+    for group, opt in opts.items():
+        opt.params.load_state(arrays, f"{group}/")
+        opt.load_state(arrays, f"{group}-adam/")
     return int(arrays["iter"][0])
 
 

@@ -1,5 +1,6 @@
 """The `key = value` text codec behind the avatar and dataset manifests,
-the training and data configs, and the evaluation tables.
+the training and data configs, and the evaluation tables, and
+`write_atomic`, the one writer that replaces any file a run keeps.
 
 A text holds one `key = value` entry per line. Reading is strict: blank
 lines and lines starting with `#` are skipped, every other line must
@@ -15,6 +16,8 @@ as, and hashes taken over written text stay valid across a reload.
 from __future__ import annotations
 
 import dataclasses
+import os
+import tempfile
 from pathlib import Path
 
 __all__ = ["dump", "read", "field_items", "take_fields", "reject_unknown",
@@ -52,11 +55,21 @@ def dump(items) -> str:
     return "".join(f"{key} = {value}\n" for key, value in items)
 
 
-def write_atomic(path, text: str) -> None:
-    """Replace path's text whole: an interrupted write leaves the old text."""
-    tmp = Path(f"{path}.tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
+def write_atomic(path, data: str | bytes) -> None:
+    """Replace the file at path whole with data (a str as utf-8) through a
+    temp file of its own (mode 0644) in path's directory: a kill leaves the
+    previous file or none, and of writers sharing a path the last wins."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.",
+                               suffix=".tmp")
+    os.close(fd)
+    try:
+        os.chmod(tmp, 0o644)            # mkstemp's 0600 would hide the file
+        Path(tmp).write_bytes(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read(text: str) -> dict:

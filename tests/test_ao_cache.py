@@ -3,6 +3,8 @@ dataset: interleaved flushes each rename a temp file of their own, the
 last writer's maps win, and a map missing on disk is recomputed
 bit-identically."""
 
+from pathlib import Path
+
 import numpy as np
 
 from dsaa import diffcore as dc
@@ -17,19 +19,19 @@ def test_interleaved_flushes_keep_the_last_writers_maps(tmp_path,
     first, second = a.ids()[:2]
     map_a, map_b = a.ao(first), b.ao(second)
 
-    real = dc.save_arrays
+    real = Path.write_bytes
     inner = []
 
-    def save_then_flush_b(path, arrays):
-        # B flushes between A's write and A's rename
-        real(path, arrays)
+    def write_then_flush_b(path, data):
+        # B flushes between the one writer's write and rename for A
+        real(path, data)
         if not inner:
             inner.append(path)
             b.flush_ao()
 
-    monkeypatch.setattr(dc, "save_arrays", save_then_flush_b)
+    monkeypatch.setattr(Path, "write_bytes", write_then_flush_b)
     a.flush_ao()
-    monkeypatch.setattr(dc, "save_arrays", real)
+    monkeypatch.setattr(Path, "write_bytes", real)
 
     assert inner, "B never flushed"
     assert sorted(p.name for p in tmp_path.glob("ao16*")) == ["ao16.dsaa1"]

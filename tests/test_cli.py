@@ -165,10 +165,11 @@ def test_resume_between_checkpoints_logs_each_iteration_once(
         assert (out / name).read_bytes() == (whole / name).read_bytes(), name
 
 
-def _torn_write_text(path, text, *args, **kwargs):
-    """Path.write_text that stops halfway, as on a full disk."""
-    with open(path, "w") as f:
-        f.write(text[:len(text) // 2])
+def _torn_write_bytes(path, data):
+    """Path.write_bytes, the one writer's write step, stopping halfway as
+    on a full disk."""
+    with open(path, "wb") as f:
+        f.write(data[:len(data) // 2])
     raise OSError(28, "No space left on device")
 
 
@@ -178,7 +179,7 @@ def test_interrupted_config_write_leaves_the_previous_config(cli_run,
     shutil.copytree(cli_run / "run", run)
     before = (run / "config.txt").read_bytes()
     with monkeypatch.context() as m:
-        m.setattr(Path, "write_text", _torn_write_text)
+        m.setattr(Path, "write_bytes", _torn_write_bytes)
         assert _train(cli_run, "torn_config", "--iters", "4", "--resume") == 2
     assert (run / "config.txt").read_bytes() == before
     assert _train(cli_run, "torn_config", "--iters", "4", "--resume") == 0
@@ -190,7 +191,7 @@ def test_interrupted_log_trim_leaves_the_previous_log(cli_run, tmp_path,
     shutil.copy(cli_run / "run" / "train.log", log)
     before = log.read_bytes()
     assert before.count(b"\n") == 3
-    monkeypatch.setattr(Path, "write_text", _torn_write_text)
+    monkeypatch.setattr(Path, "write_bytes", _torn_write_bytes)
     with pytest.raises(OSError):
         trainer._trim_log(log, 1)
     assert log.read_bytes() == before

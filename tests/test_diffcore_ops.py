@@ -413,3 +413,19 @@ def test_float32_graph_stays_float32():
     assert y.dtype == np.float32
     dc.backward(y)
     assert x.grad.dtype == np.float32
+
+
+def test_nan_checks_name_the_op_and_restore_the_previous_flag():
+    zero = dc.Tensor(np.zeros(2))
+    with np.errstate(divide="ignore"):
+        assert np.isneginf(dc.log(zero).data).all()     # off by default
+        with dc.nan_checks():
+            with pytest.raises(FloatingPointError, match="log"):
+                dc.log(zero)
+            with pytest.raises(RuntimeError):
+                with dc.nan_checks(False):
+                    dc.log(zero)
+                    raise RuntimeError
+            with pytest.raises(FloatingPointError, match="log"):
+                dc.log(zero)                            # back on
+        dc.log(zero)                                    # back off

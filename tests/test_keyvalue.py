@@ -1,14 +1,19 @@
 """The shared `key = value` codec: strict reading, typed fields, round
 trips of every config and manifest, and golden texts that pin the
-written bytes (the dataset spec lines feed its stored hash)."""
+written bytes (the dataset spec lines feed its stored hash); and the one
+writer that replaces a file whole."""
 
 import dataclasses
+import os
+import warnings
+from pathlib import Path
 
 import pytest
 
 from dsaa import keyvalue
 from dsaa.avatar import AvatarConfig, manifest_text, parse_manifest
-from dsaa.harness import TrainConfig, config_text, parse_config, parse_data_config
+from dsaa.harness import (TrainConfig, config_text, load_config, parse_config,
+                          parse_data_config)
 from dsaa.synthdata import default_scene, generate_dataset, load_manifest
 
 GOLDEN_AVATAR_MANIFEST = """\
@@ -163,3 +168,46 @@ def test_rejects_bad_text(parse, text, match):
 def test_read_and_dump_are_inverse():
     items = [("a", "1"), ("b.c", "x y"), ("empty", "")]
     assert keyvalue.read(keyvalue.dump(items)) == dict(items)
+
+
+def test_load_config_closes_its_file(tmp_path):
+    path = tmp_path / "train.cfg"
+    path.write_text("train.batch = 2\n")
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert load_config(path, seed=3).batch == 2
+    assert not [w for w in seen if issubclass(w.category, ResourceWarning)]
+
+
+def test_write_atomic_replaces_text_and_bytes_whole(tmp_path):
+    path = tmp_path / "x.kv"
+    keyvalue.write_atomic(path, "a = 1\n")
+    assert path.read_bytes() == b"a = 1\n"
+    assert path.stat().st_mode & 0o777 == 0o644
+    keyvalue.write_atomic(str(path), b"DSAA1\x00\xff")
+    assert path.read_bytes() == b"DSAA1\x00\xff"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("step", ["write", "rename"])
+def test_failed_write_atomic_keeps_the_previous_file_and_no_temp(
+        tmp_path, monkeypatch, step):
+    path = tmp_path / "x.kv"
+    path.write_text("a = 1\n")
+
+    def torn(tmp, data):
+        with open(tmp, "wb") as f:
+            f.write(data[:len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    def refused(src, dst):
+        raise OSError(13, "Permission denied")
+
+    if step == "write":
+        monkeypatch.setattr(Path, "write_bytes", torn)
+    else:
+        monkeypatch.setattr(os, "replace", refused)
+    with pytest.raises(OSError):
+        keyvalue.write_atomic(path, "a = 2\n")
+    assert path.read_text() == "a = 1\n"
+    assert list(tmp_path.iterdir()) == [path]
