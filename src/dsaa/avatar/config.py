@@ -18,8 +18,10 @@ _FORMAT = "dsaa-avatar-1"
 class AvatarConfig:
     """Architecture sizes and ablation switches.
 
-    geo_res fixes the displacement / conditioning grid; the texture runs at
-    twice that and the shadow branch at a quarter of the texture. The
+    geo_res fixes the displacement / conditioning grid; the latent branch
+    runs on a min(geo_res, 12)-pixel square and is spread to it, the
+    texture runs at twice geo_res and the shadow branch at a quarter of
+    the texture. The
     ablation flags select reduced variants: use_latent=False drops the
     encoder and always drives with z = 0, use_shadow=False pins the gain
     at 1, spatial_local=False replaces the influence masks with all-ones

@@ -1,5 +1,6 @@
-"""Signal-conditioned decoder: tiled latent bottleneck, two upsampling
-stages, localized-embedding concat, then a geometry head and a texture
+"""Signal-conditioned decoder: the latent on a small tile, two upsampling
+stages and its share of the trunk, spread to the geometry grid, where
+the localized embeddings join; then a geometry head and a texture
 branch."""
 
 from __future__ import annotations
@@ -12,17 +13,47 @@ from ..conditioning import tile2d
 __all__ = ["AvatarDecoder"]
 
 
+def _spread(size: int, edge: int, period: int, dt) -> np.ndarray:
+    """[size, k] 0/1 matrix taking row i of a size-row map to its class
+    among k = 2*edge + period: the `edge` rows at either border each keep
+    their own class and interior rows repeat with `period`, so a k-row
+    map holds every class once. For size <= k it is the identity."""
+    k = 2 * edge + period
+    if size <= k:
+        return np.eye(size, dtype=dt)
+    r = np.arange(size)
+    cls = np.where(r < edge, r,
+                   np.where(r >= size - edge, r - (size - k), edge + (r - edge) % period))
+    return np.eye(k, dtype=dt)[cls]
+
+
 class AvatarDecoder:
-    """z is broadcast over a (geo_res/4)^2 bottleneck and upsampled twice;
-    pose/face embeddings join at geo_res where a 3x3 trunk mixes them. A
-    call returns the 1x1 geometry head's displacement map at geo_res and
-    the trunk; `texture(trunk, views)` upsamples once more and runs tex1's
-    3x3 conv over it once for all views. Each view adds its share of tex1
-    (the view vector tiled, a constant zero-padded map) as a bias map with
-    one value per row and column class (top/left border, interior,
-    bottom/right border): tex1 over the view tiled 3x3, spread to TxT by
-    0/1 matrices. A 1x1 head and a sigmoid keep texels in (0, 1). It
-    returns one [3,T,T] texture per view."""
+    """z is tiled on a t x t grid, t = min(geo_res/4, 3), and upsampled
+    twice (up1, up2: 4x4 stride-2 transposed convs) to 4t; the trunk's
+    first width_geo input channels (no bias) run over that, and 0/1
+    matrices spread the [width_geo, 4t, 4t] map's rows and columns to
+    geo_res. The pose/face embeddings' share (the trunk's other channels
+    and its bias) runs at geo_res and is added before the activation.
+
+    This equals the trunk over z broadcast to (geo_res/4)^2, upsampled and
+    concatenated with the embeddings. On a constant input a 4x4 stride-2
+    transposed conv leaves 1 edge row (and column) at each border and a
+    period-2 interior; after up2 that is 3 edge rows and period 4, after
+    the trunk's 3x3 conv 4 edge rows and period 4. So the 12x12 map holds
+    every row class and column class (4 top, 4 interior, 4 bottom), and
+    with n = geo_res/4 row r of the full map is class r for r < 4,
+    r - (4n - 12) for r >= 4n - 4 and 4 + (r - 4) mod 4 otherwise. For
+    geo_res <= 12 the tile is the whole bottleneck and the spread the
+    identity.
+
+    A call returns the 1x1 geometry head's displacement map at geo_res
+    and the trunk; `texture(trunk, views)` upsamples once more and runs
+    tex1's 3x3 conv over it once for all views. Each view adds its share
+    of tex1 (the view vector tiled, a constant zero-padded map) as a bias
+    map with one value per row and column class (1 edge, period 1): tex1
+    over the view tiled 3x3, spread to TxT the same way. A 1x1 head and a
+    sigmoid keep texels in (0, 1). It returns one [3,T,T] texture per
+    view."""
 
     def __init__(self, store: dc.ParamStore, prefix: str, config,
                  rng: np.random.Generator):
@@ -46,21 +77,28 @@ class AvatarDecoder:
         self.w_tex1, self.b_tex1 = conv("tex1", wt, wt + 3, 3)
         self.w_tex2, self.b_tex2 = conv("tex2", 3, wt, 1)
         self._dt = dt
-        self._bottleneck = config.geo_res // 4
+        self._tile = min(config.geo_res // 4, 3)
         self._geo_res = config.geo_res
         self._tex_res = config.tex_res
-        # row (and column) i of the TxT map -> its class among the 3x3
-        self._spread = np.eye(3, dtype=dt)[np.r_[0, np.ones(config.tex_res - 2, int), 2]]
+        # row (and column) i of a map -> its class on the small map
+        self._geo_spread = _spread(config.geo_res, 4, 4, dt)
+        self._tex_spread = _spread(config.tex_res, 1, 1, dt)
 
     def __call__(self, z: dc.Tensor, e_pose: dc.Tensor, e_face: dc.Tensor):
-        g, gr = self._bottleneck, self._geo_res
-        zm = dc.reshape(tile2d(z, g, g), (1, z.data.shape[0], g, g))
+        t, gr = self._tile, self._geo_res
+        wg = self.w_up2.shape[1]
+        zm = dc.reshape(tile2d(z, t, t), (1, z.data.shape[0], t, t))
         x = dc.conv_transpose2d(zm, self.w_up1, self.b_up1, act="leaky")
         x = dc.conv_transpose2d(x, self.w_up2, self.b_up2, act="leaky")
+        zs = dc.conv2d(x, dc.getitem(self.w_trunk, (slice(None), slice(None, wg))),
+                       padding=1)
+        zs = dc.matmul(dc.matmul(self._geo_spread, zs), self._geo_spread.T)
         ep = dc.reshape(e_pose, (1,) + tuple(e_pose.shape))
         ef = dc.reshape(e_face, (1,) + tuple(e_face.shape))
-        trunk = dc.conv2d(dc.concat([x, ep, ef], axis=1), self.w_trunk,
-                          self.b_trunk, padding=1, act="leaky")
+        es = dc.conv2d(dc.concat([ep, ef], axis=1),
+                       dc.getitem(self.w_trunk, (slice(None), slice(wg, None))),
+                       self.b_trunk, padding=1)
+        trunk = dc.add(zs, es, act="leaky")
         disp = dc.reshape(dc.conv2d(trunk, self.w_geo, self.b_geo, act=None), (3, gr, gr))
         return disp, trunk
 
@@ -76,7 +114,7 @@ class AvatarDecoder:
             vmap = np.broadcast_to(np.asarray(view, dtype=self._dt)[None, :, None, None],
                                    (1, 3, 3, 3)).copy()
             bias = dc.conv2d(dc.Tensor(vmap), w_view, padding=1)
-            bias = dc.matmul(dc.matmul(self._spread, bias), self._spread.T)
+            bias = dc.matmul(dc.matmul(self._tex_spread, bias), self._tex_spread.T)
             tex = dc.conv2d(dc.add(tx, bias, act="leaky"), self.w_tex2, self.b_tex2,
                             act="sigmoid")
             textures.append(dc.reshape(tex, (3, tr, tr)))

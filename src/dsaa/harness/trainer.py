@@ -262,7 +262,9 @@ def _dump_divergence(out, rec, bad):
 
 # ------------------------------------------------------------- persistence
 # trainer.dsaa1: "iter", then per group in `opts` order "<group>/" params
-# and "<group>-adam/" moments; it and model.dsaa1 are each replaced whole.
+# and "<group>-adam/" moments; it and model.dsaa1 are each replaced whole,
+# model.dsaa1 and its manifest first, so a replaced trainer.dsaa1 marks a
+# complete checkpoint.
 
 def _state_arrays(opts, it):
     arrays = {"iter": np.array([float(it)])}
@@ -273,8 +275,8 @@ def _state_arrays(opts, it):
 
 
 def _save_state(out, model, opts, it):
-    dc.save_arrays(out / "trainer.dsaa1", _state_arrays(opts, it))
     model.save(out / "model.dsaa1")
+    dc.save_arrays(out / "trainer.dsaa1", _state_arrays(opts, it))
 
 
 def _load_state(path, opts) -> int:

@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from dsaa import avatar, body, diffcore as dc, renderer, rng
-from dsaa.conditioning import DrivingSignal
+from dsaa.conditioning import DrivingSignal, tile2d
 from fd import gradcheck
 from footprints import displacement_footprint, texture_footprint
 
@@ -601,6 +601,90 @@ def test_appearance_over_views_matches_one_call_per_view(dtype, use_shadow):
         assert final.dtype == one.dtype == np.dtype(dtype)
         assert final.data.tobytes() == one.data.tobytes()
     assert finals[0].data.tobytes() != finals[1].data.tobytes()
+
+
+def full_tile_decoder(dec, z, e_pose, e_face):
+    """The decoder's call as z broadcast over the whole (geo_res/4)^2
+    bottleneck, upsampled twice and concatenated with the embeddings
+    under one 3x3 trunk conv."""
+    gr = e_pose.shape[1]
+    g = gr // 4
+    zm = dc.reshape(tile2d(z, g, g), (1, z.shape[0], g, g))
+    x = dc.conv_transpose2d(zm, dec.w_up1, dec.b_up1, act="leaky")
+    x = dc.conv_transpose2d(x, dec.w_up2, dec.b_up2, act="leaky")
+    ep = dc.reshape(e_pose, (1,) + tuple(e_pose.shape))
+    ef = dc.reshape(e_face, (1,) + tuple(e_face.shape))
+    trunk = dc.conv2d(dc.concat([x, ep, ef], axis=1), dec.w_trunk,
+                      dec.b_trunk, padding=1, act="leaky")
+    disp = dc.reshape(dc.conv2d(trunk, dec.w_geo, dec.b_geo), (3, gr, gr))
+    return disp, trunk
+
+
+def _decoder_run(model, call, z, e_pose, e_face, upstream):
+    """Outputs (displacement, trunk) and the gradients of z, e_pose,
+    e_face and every dec/ parameter under fixed upstream weights on the
+    displacement, the trunk and one texture."""
+    dec = model.decoder
+    model.store.zero_grad()
+    zt, ep, ef = (dc.Tensor(a.copy(), requires_grad=True) for a in (z, e_pose, e_face))
+    disp, trunk = call(dec, zt, ep, ef)
+    tex, = dec.texture(trunk, [SIG.view])
+    gd, gt, gx = upstream
+    dc.backward(dc.add(dc.add(dc.sum_(dc.mul(disp, gd)), dc.sum_(dc.mul(trunk, gt))),
+                       dc.sum_(dc.mul(tex, gx))))
+    grads = {"z": zt.grad, "e_pose": ep.grad, "e_face": ef.grad}
+    grads.update({n: t.grad for n, t in model.store.items() if n.startswith("dec/")})
+    return {"disp": disp.data, "trunk": trunk.data}, grads
+
+
+@pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-13)])
+@pytest.mark.parametrize("geo_res", [8, 12, 16, 32, 64])
+def test_decoder_matches_full_tile_reference(dtype, tol, geo_res):
+    model, _, _ = build_model(dtype=dtype, seed=6, geo_res=geo_res, tex_res=2 * geo_res)
+    r = rng.stream(6, "decoder", geo_res)
+    for name, t in model.store.items():
+        if name.startswith("dec/") and name.endswith("/b"):
+            t.data[...] = r.normal(scale=0.3, size=t.shape)
+    ec, dt = model.config.embed_channels, np.dtype(dtype)
+    z = r.normal(size=16).astype(dt)
+    e_pose, e_face = r.normal(size=(2, ec, geo_res, geo_res)).astype(dt)
+    upstream = (r.normal(size=(3, geo_res, geo_res)).astype(dt),
+                r.normal(size=(1, 32, geo_res, geo_res)).astype(dt),
+                r.normal(size=(3, 2 * geo_res, 2 * geo_res)).astype(dt))
+    got = _decoder_run(model, avatar.AvatarDecoder.__call__, z, e_pose, e_face, upstream)
+    want = _decoder_run(model, full_tile_decoder, z, e_pose, e_face, upstream)
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        for k in w:
+            assert g[k].dtype == w[k].dtype == dt, k
+            assert g[k].shape == w[k].shape, k
+            assert np.abs(g[k] - w[k]).max() <= tol * np.abs(w[k]).max(), k
+    assert len(want[1]) == 3 + 2 * 7
+    assert np.abs(want[1]["z"]).min() > 0.0
+
+
+def test_decoder_fd_wrt_trunk():
+    # both channel groups of w_trunk (latent and embeddings) and its bias
+    model, _, _ = build_model(seed=10, geo_res=16, tex_res=32)
+    dec = model.decoder
+    r = rng.stream(10, "trunk")
+    z = dc.Tensor(r.normal(size=16))
+    e_pose, e_face = (dc.Tensor(e) for e in r.normal(size=(2, 8, 16, 16)))
+    target = r.normal(size=(3, 16, 16))
+    wg = dec.w_up2.shape[1]
+    keep = dec.w_trunk, dec.b_trunk
+
+    def loss(w_z, w_e, b):
+        dec.w_trunk, dec.b_trunk = dc.concat([w_z, w_e], axis=1), b
+        disp, _ = dec(z, e_pose, e_face)
+        return dc.sum_(dc.mul(disp, target))
+
+    try:
+        err = gradcheck(loss, [keep[0].data[:, :wg], keep[0].data[:, wg:],
+                               r.normal(scale=0.3, size=keep[1].shape)], sample=12)
+    finally:
+        dec.w_trunk, dec.b_trunk = keep
+    assert err < 1e-6, f"trunk FD rel err {err:.3e}"
 
 
 def concat_conv_texture(dec, trunk, views):

@@ -23,18 +23,22 @@ from conv_oracle import conv2d as oracle_conv2d
 from conv_oracle import conv_transpose2d as oracle_conv_transpose2d
 
 # (block/layer, x shape, w shape, stride, padding) of every conv2d call in
-# one default-config model call (tex1 runs over the upsample, and over the
-# view tiled on a 3x3 grid for its bias map; "dec/tex1" is the single conv
-# over both that the tests' texture reference runs), plus the two largest
-# and one 1x1 at batch 8, and odd sizes at stride 2 where the last
-# window's bottom row of taps lies wholly in the padding (at 1x1, all taps
-# but the centre row and column do)
+# one default-config model call (the trunk runs over the latent's 12x12
+# tile and over the embeddings at geo_res, tex1 over the upsample and
+# over the view tiled on a 3x3 grid for its bias map; "dec/trunk" and
+# "dec/tex1" are the single convs over both that the tests' decoder and
+# texture references run), plus the two largest and one 1x1 at batch 8,
+# and odd sizes at stride 2 where the last window's bottom row of taps
+# lies wholly in the padding (at 1x1, all taps but the centre row and
+# column do)
 CONV2D = [
     ("enc/c0", (1, 3, 32, 32), (16, 3, 3, 3), 2, 1),
     ("enc/c1", (1, 16, 16, 16), (32, 16, 3, 3), 2, 1),
     ("enc/c2", (1, 32, 8, 8), (64, 32, 3, 3), 2, 1),
     ("enc/c3", (1, 64, 4, 4), (64, 64, 3, 3), 2, 1),
     ("dec/trunk", (1, 48, 32, 32), (32, 48, 3, 3), 1, 1),
+    ("dec/trunk/z", (1, 32, 12, 12), (32, 32, 3, 3), 1, 1),
+    ("dec/trunk/e", (1, 16, 32, 32), (32, 16, 3, 3), 1, 1),
     ("dec/geo", (1, 32, 32, 32), (3, 32, 1, 1), 1, 0),
     ("dec/tex1", (1, 19, 64, 64), (16, 19, 3, 3), 1, 1),
     ("dec/tex1/up", (1, 16, 64, 64), (16, 16, 3, 3), 1, 1),
@@ -50,9 +54,13 @@ CONV2D = [
     ("odd/3x1", (1, 2, 3, 1), (3, 2, 3, 3), 2, 1),
     ("odd/1x1", (1, 2, 1, 1), (3, 2, 3, 3), 2, 1),
 ]
+# the same for conv_transpose2d ("dec/up1" and "dec/up2" on the whole
+# (geo_res/4)^2 bottleneck are what the tests' decoder reference runs)
 CONV_T = [
     ("dec/up1", (1, 16, 8, 8), (16, 32, 4, 4), 2, 1),
     ("dec/up2", (1, 32, 16, 16), (32, 32, 4, 4), 2, 1),
+    ("dec/up1@tile", (1, 16, 3, 3), (16, 32, 4, 4), 2, 1),
+    ("dec/up2@tile", (1, 32, 6, 6), (32, 32, 4, 4), 2, 1),
     ("dec/texup", (1, 32, 32, 32), (32, 16, 4, 4), 2, 1),
     ("shadow/up", (1, 16, 8, 8), (16, 8, 4, 4), 2, 1),
     ("dec/texup@8", (8, 32, 32, 32), (32, 16, 4, 4), 2, 1),

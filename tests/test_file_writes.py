@@ -4,7 +4,9 @@ A toy gen-data, train, train --resume, drive and report pipeline runs
 with every `os.replace`, `os.rename`, `Path.write_text` and
 `Path.write_bytes` call recorded, and each must come from the one
 writer. Writes torn halfway, as on a full disk, leave the previous file
-whole (or none where a run first writes it) and no temp file behind."""
+whole (or none where a run first writes it) and no temp file behind; a
+checkpoint's trainer.dsaa1 is replaced last, so a torn save leaves it
+and model.dsaa1 at one save."""
 
 import os
 import shutil
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dsaa import keyvalue
+from dsaa import diffcore as dc, keyvalue
 from dsaa.harness import ABLATIONS, evaluate, trainer
 from dsaa.harness.cli import main
 from dsaa.synthdata import load_manifest
@@ -170,6 +172,48 @@ def test_torn_run_file_leaves_the_previous_file_and_no_temp(
     assert "No space left on device" in capsys.readouterr().err
     assert (run / name).read_bytes() == before[name]
     assert sorted(p.name for p in run.iterdir()) == sorted(before)
+
+
+def _resume(root, run, iters):
+    return main(["train", "--config", str(root / "train.cfg"),
+                 "--dataset", str(root / "data"), "--out", str(run),
+                 "--seed", "1", "--iters", str(iters), "--resume"])
+
+
+def test_torn_model_save_leaves_the_trainer_state_of_the_same_save(
+        pipeline, tmp_path, monkeypatch, capsys):
+    # model.dsaa1 is replaced before trainer.dsaa1, so a save torn there
+    # leaves both at the previous checkpoint
+    root, _ = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(root / "run", run)
+    _tear(monkeypatch, "model.dsaa1")
+    assert _resume(root, run, 3) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    state = dc.load_arrays(run / "trainer.dsaa1")
+    assert state["iter"][0] == 2
+    saved = dc.load_arrays(run / "model.dsaa1")
+    kept = {k[len("model/"):]: v for k, v in state.items()
+            if k.startswith("model/")}
+    assert saved.keys() == kept.keys()
+    for name, value in kept.items():
+        assert saved[name].tobytes() == value.tobytes(), name
+
+
+def test_resume_after_a_torn_trainer_save_matches_an_uninterrupted_run(
+        pipeline, tmp_path, capsys):
+    root, _ = pipeline
+    whole, torn = tmp_path / "whole", tmp_path / "torn"
+    for run in (whole, torn):
+        shutil.copytree(root / "run", run)
+    assert _resume(root, whole, 3) == 0
+    with pytest.MonkeyPatch.context() as m:
+        _tear(m, "trainer.dsaa1")
+        assert _resume(root, torn, 3) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert _resume(root, torn, 3) == 0
+    for name in ("model.dsaa1", "model.dsaa1.manifest", "trainer.dsaa1"):
+        assert (torn / name).read_bytes() == (whole / name).read_bytes(), name
 
 
 def test_report_refuses_an_out_file_before_driving(pipeline, tmp_path,

@@ -94,6 +94,48 @@ def test_phase1_step_reads_no_texture_shadow_or_ao(dataset, tmp_path,
     assert [calls[2, n] for n in names] == [2, 2, 2, 0, 2, 2]
 
 
+def test_phase1_step_runs_the_latent_branch_on_a_tile(dataset, tmp_path,
+                                                     monkeypatch):
+    # up1 and up2 read z tiled 3x3 and the trunk's latent share runs at
+    # 12x12; no conv at geo_res reads the latent and the embeddings at once
+    calls = Counter()
+    phase = []
+    real_step, real_deconv, real_conv = (trainer._step, dc.conv_transpose2d,
+                                         dc.conv2d)
+
+    def step(cfg, *args):
+        phase.append(1 if args[-1] < cfg.phase1 else 2)
+        try:
+            return real_step(cfg, *args)
+        finally:
+            phase.pop()
+
+    def deconv(x, w, *args, **kwargs):
+        if phase == [1]:
+            calls["conv_transpose2d", x.shape, w.shape] += 1
+        return real_deconv(x, w, *args, **kwargs)
+
+    def conv(x, w, *args, **kwargs):
+        if phase == [1]:
+            calls["conv2d", x.shape, w.shape] += 1
+        return real_conv(x, w, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "_step", step)
+    monkeypatch.setattr(dc, "conv_transpose2d", deconv)
+    monkeypatch.setattr(dc, "conv2d", conv)
+    _train_two_steps(dataset, tmp_path / "run")
+    dz, wg, ec, gr = SMALL.d_z, SMALL.width_geo, SMALL.embed_channels, SMALL.geo_res
+    decoder = {
+        ("conv_transpose2d", (1, dz, 3, 3), (dz, wg, 4, 4)): 2,
+        ("conv_transpose2d", (1, wg, 6, 6), (wg, wg, 4, 4)): 2,
+        ("conv2d", (1, wg, 12, 12), (wg, wg, 3, 3)): 2,
+        ("conv2d", (1, 2 * ec, gr, gr), (wg, 2 * ec, 3, 3)): 2,
+        ("conv2d", (1, wg, gr, gr), (3, wg, 1, 1)): 2,
+    }
+    assert {k: calls[k] for k in decoder} == decoder
+    assert not [k for k in calls if k[0] == "conv2d" and k[1][1:] == (wg + 2 * ec, gr, gr)]
+
+
 def test_phase2_step_matches_per_frame_forward(dataset, tmp_path,
                                                monkeypatch):
     # the oracle runs each frame of the step through one `forward` call:
