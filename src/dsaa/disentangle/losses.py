@@ -14,7 +14,7 @@ import numpy as np
 
 from .. import diffcore as dc
 
-__all__ = ["kl_loss", "mine_loss", "mi_estimate", "adversarial_dis_loss",
+__all__ = ["kl_loss", "mine_loss", "adversarial_dis_loss",
            "joint_anchor_uvs", "perturbation_loss"]
 
 
@@ -66,12 +66,6 @@ def mine_loss(stats, c, z) -> dc.Tensor:
     c and z are [B, n] batches with rows paired.
     """
     return dc.neg(_bound(stats, c, z, frozen=False))
-
-
-def mi_estimate(stats, c, z) -> float:
-    """Current MI lower-bound estimate in nats (no graph is built)."""
-    with dc.no_grad():
-        return float(_bound(stats, c, z, frozen=True).data)
 
 
 def adversarial_dis_loss(stats, c, z) -> dc.Tensor:

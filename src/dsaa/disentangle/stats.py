@@ -1,4 +1,5 @@
-"""Statistics network scoring (signal, latent) pairs, and its trainer."""
+"""Statistics network scoring (signal, latent) pairs, and a kernel
+independence test between latents and signals."""
 
 from __future__ import annotations
 
@@ -7,9 +8,9 @@ import numpy as np
 from .. import diffcore as dc
 from ..rng import stream
 
-__all__ = ["StatisticsNet", "fit_statistics"]
+__all__ = ["StatisticsNet", "hsic_test"]
 
-_FIT_LR = 1e-3
+_HSIC_PERMUTATIONS = 200
 
 
 class StatisticsNet:
@@ -57,35 +58,38 @@ class StatisticsNet:
         return dc.linear(h, w3, b3, act=None)
 
 
-def fit_statistics(store: dc.ParamStore, stats: StatisticsNet, c, z, *,
-                   steps: int, batch: int, seed: int = 0) -> list[float]:
-    """Adam-train the critic to tighten the pairing bound.
+def _gaussian_gram(x) -> np.ndarray:
+    """Gaussian Gram matrix [n, n] of the rows of x [n, d]: exp(-d^2 / m)
+    on columns standardised to unit population std, m the median nonzero
+    off-diagonal d^2; all zeros if there is none. A constant column
+    centres to copies of one value, so its std is exactly 0 and it stays
+    0. d^2 is summed column by column, without BLAS, so its bytes do not
+    depend on BLAS threads."""
+    x = np.asarray(x, dtype=np.float64)
+    centred = x - x.mean(axis=0)
+    sd = centred.std(axis=0)
+    x = np.divide(centred, sd, out=np.zeros_like(centred), where=sd > 0)
+    d2 = np.zeros((len(x), len(x)))
+    for col in x.T:
+        d2 += np.square(col[:, None] - col[None, :])
+    nonzero = d2[d2 > 0]       # the diagonal is exactly 0
+    return np.exp(-d2 / np.median(nonzero)) if nonzero.size else d2
 
-    `store` must hold only this net's parameters; it is stepped whole.
-    Returns the bound (nats) seen on each step's minibatch before the
-    update. batch >= the data size runs full-batch in data order.
-    """
-    from .losses import mine_loss
 
-    c = np.asarray(c, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    n = c.shape[0]
-    if z.shape[0] != n:
-        raise ValueError(f"batch mismatch: {n} signals vs {z.shape[0]} latents")
-    if batch < 2:
-        raise ValueError("minibatch must hold at least 2 rows")
-    opt = dc.Adam(store, lr=_FIT_LR)
-    r = stream(seed, "mi-fit")
-    trace = []
-    for _ in range(steps):
-        if batch < n:
-            idx = r.choice(n, size=batch, replace=False)
-            cb, zb = c[idx], z[idx]
-        else:
-            cb, zb = c, z
-        store.zero_grad()
-        loss = mine_loss(stats, cb, zb)
-        dc.backward(loss)
-        opt.step()
-        trace.append(-float(loss.data))
-    return trace
+def hsic_test(z, c, seed: int = 0) -> tuple[float, float]:
+    """Permutation test of independence between the rows of z [n, d_z]
+    and c [n, d_c] (Gretton et al., NeurIPS 2007): the biased HSIC
+    sum(K * HLH) / n^2 of their Gaussian Gram matrices, against
+    `_HSIC_PERMUTATIONS` permutations of z's rows drawn from
+    stream(seed, "report", "hsic"). Returns (stat, p) with
+    p = (1 + #{null >= stat}) / (1 + permutations)."""
+    if np.ndim(z) != 2 or np.ndim(c) != 2 or len(z) != len(c):
+        raise ValueError(f"need [n, d] inputs with equal rows, got "
+                         f"{np.shape(z)} and {np.shape(c)}")
+    k, gl = _gaussian_gram(z), _gaussian_gram(c)
+    hlh = gl - gl.mean(axis=0) - gl.mean(axis=1, keepdims=True) + gl.mean()
+    stat = float(np.sum(k * hlh) / k.size)
+    r = stream(seed, "report", "hsic")
+    perms = (r.permutation(len(k)) for _ in range(_HSIC_PERMUTATIONS))
+    exceed = sum(np.sum(k[np.ix_(p, p)] * hlh) / k.size >= stat for p in perms)
+    return stat, (1 + int(exceed)) / (1 + _HSIC_PERMUTATIONS)

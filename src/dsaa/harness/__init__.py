@@ -5,14 +5,14 @@ from .config import (ABLATIONS, TrainConfig, apply_ablation, config_text,
 from .data import TrainData
 from .trainer import TrainingDiverged, TrainResult, train
 from .evaluate import (VARIANT_LABELS, build_report, drive, heatmap_locality,
-                       latent_mi, load_model, open_run, render_frame,
-                       union_l1, write_heatmaps)
+                       load_model, open_run, render_frame, union_l1,
+                       write_heatmaps)
 
 __all__ = [
     "ABLATIONS", "TrainConfig", "apply_ablation", "config_text",
     "load_config", "parse_config", "parse_data_config",
     "TrainData",
     "TrainingDiverged", "TrainResult", "train",
-    "VARIANT_LABELS", "build_report", "drive", "heatmap_locality", "latent_mi",
+    "VARIANT_LABELS", "build_report", "drive", "heatmap_locality",
     "load_model", "open_run", "render_frame", "union_l1", "write_heatmaps",
 ]

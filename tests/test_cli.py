@@ -374,8 +374,13 @@ def test_heatmap_named_index_sets(cli_run, indices):
 @pytest.fixture(scope="module")
 def cli_reports(cli_run):
     """Two report directories, written one after the other by the same
-    report of every variant on the fixture's run."""
-    runs = [f"--run={v}={cli_run / 'run'}" for v in ABLATIONS]
+    report: pose+face on a latent-free run of its own, every other
+    variant on the fixture's run."""
+    assert _train(cli_run, "run_pose_face", "--iters", "3",
+                  "--ablate", "pose+face") == 0
+    runs = dict.fromkeys(ABLATIONS, cli_run / "run")
+    runs["pose+face"] = cli_run / "run_pose_face"
+    runs = [f"--run={v}={path}" for v, path in runs.items()]
     outs = [cli_run / "report", cli_run / "report_again"]
     for out in outs:
         assert main(["report", "--dataset", str(cli_run / "data"),
@@ -387,6 +392,20 @@ def test_report_uses_each_runs_resolutions(cli_reports):
     # the run's shadow grid is 8, not the TrainData default of 16
     kv = keyvalue.read((cli_reports[0] / "report.kv").read_text())
     assert all(f"error.{v}.test" in kv for v in ABLATIONS)
+
+
+def test_report_scores_independence_of_each_latent_variant(cli_reports):
+    kv = keyvalue.read((cli_reports[0] / "report.kv").read_text())
+    latent = [v for v in ABLATIONS if v != "pose+face"]
+    assert len(latent) == 5
+    for v in latent:
+        assert np.isfinite(float(kv[f"hsic.{v}"]))
+        assert 0.0 < float(kv[f"hsic_p.{v}"]) <= 1.0
+    assert not [k for k in kv if k.endswith(".pose+face")
+                and k.startswith(("hsic", "probe_r2."))]
+    assert not [k for k in kv if k.startswith("mi.")]
+    text = (cli_reports[0] / "report.txt").read_text()
+    assert "HSIC(z;signal)" in text and "MI(z;signal)" not in text
 
 
 def test_report_rescores_without_cache_files(cli_run, cli_reports):
@@ -437,8 +456,8 @@ def test_report_checks_every_run_before_scoring_any(cli_run, tmp_path,
 
 
 def test_report_on_one_test_frame(tmp_path):
-    # a single test frame leaves too few rows for the MI critic's
-    # minibatches and the probe's held-out variance: both are omitted
+    # a single test frame leaves too few rows for the HSIC test's
+    # permutations and the probe's held-out variance: both are omitted
     (tmp_path / "data.cfg").write_text("data.image_size = 32\n")
     (tmp_path / "train.cfg").write_text(
         "train.batch = 2\ntrain.phase1 = 1\n"
@@ -457,7 +476,7 @@ def test_report_on_one_test_frame(tmp_path):
     assert kv["frames.test"] == "1"
     assert all(f"error.{v}.test" in kv and f"locality.{v}" in kv
                for v in ABLATIONS)
-    assert not [k for k in kv if k.startswith(("mi.", "probe_r2."))]
+    assert not [k for k in kv if k.startswith(("mi.", "hsic", "probe_r2."))]
     assert "omitted" in (out / "report.txt").read_text()
 
 

@@ -1,6 +1,12 @@
-"""KL penalty, MINE-style mutual-information adversary, and perturbation
-consistency: the machinery that keeps the latent code independent of the
-driving signals."""
+"""KL penalty, MINE-style mutual-information adversary, perturbation
+consistency and the HSIC independence test: the machinery that keeps the
+latent code independent of the driving signals, and the test that checks
+it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -8,12 +14,14 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
+import dsaa
 from dsaa import body, diffcore as dc, disentangle as dis
 from dsaa.avatar import LatentDistribution
 from dsaa.avatar.compose import pose
 from dsaa.conditioning import DrivingSignal
 from dsaa.renderer import LossWeights
 from dsaa.rng import stream
+from critic_fit import fit_statistics
 from fd import gradcheck
 
 
@@ -33,6 +41,12 @@ def net_scores(store, prefix, c, z):
         x = x @ store[f"{prefix}/{layer}/w"].data + store[f"{prefix}/{layer}/b"].data
         x = np.where(x > 0, x, 0.1 * x)
     return x @ store[f"{prefix}/out/w"].data + store[f"{prefix}/out/b"].data
+
+
+def mi_estimate(net, c, z):
+    """The pairing bound in nats, read off the critic's loss."""
+    with dc.no_grad():
+        return -float(dis.mine_loss(net, c, z).data)
 
 
 def gauss_pairs(n, rho, seed):
@@ -195,8 +209,8 @@ def test_mine_independence_baseline():
     r = stream(21, "indep")
     c, z = r.standard_normal((20000, 1)), r.standard_normal((20000, 1))
     store, net = make_stats(1, 1, seed=21)
-    dis.fit_statistics(store, net, c, z, steps=600, batch=256, seed=21)
-    assert dis.mi_estimate(net, c, z) <= 0.05
+    fit_statistics(store, net, c, z, steps=600, batch=256, seed=21)
+    assert mi_estimate(net, c, z) <= 0.05
 
 
 def test_mine_gaussian_benchmark_band():
@@ -204,8 +218,8 @@ def test_mine_gaussian_benchmark_band():
     # lower bound, hence the asymmetric band
     c, z = gauss_pairs(20000, 0.9, seed=17)
     store, net = make_stats(1, 1, seed=17)
-    dis.fit_statistics(store, net, c, z, steps=1500, batch=256, seed=17)
-    est = dis.mi_estimate(net, c, z)
+    fit_statistics(store, net, c, z, steps=1500, batch=256, seed=17)
+    est = mi_estimate(net, c, z)
     assert 0.60 <= est <= 0.85
 
 
@@ -213,14 +227,14 @@ def test_mine_shuffled_pairing_estimates_zero():
     c, z = gauss_pairs(20000, 0.9, seed=30)
     zp = z[stream(31, "perm").permutation(20000)]
     store, net = make_stats(1, 1, seed=31)
-    dis.fit_statistics(store, net, c, zp, steps=600, batch=256, seed=31)
-    assert abs(dis.mi_estimate(net, c, zp)) <= 0.05
+    fit_statistics(store, net, c, zp, steps=600, batch=256, seed=31)
+    assert abs(mi_estimate(net, c, zp)) <= 0.05
 
 
 def test_stats_updates_raise_bound_on_fixed_batch():
     c, z = gauss_pairs(512, 0.9, seed=40)
     store, net = make_stats(1, 1, seed=40)
-    trace = dis.fit_statistics(store, net, c, z, steps=100, batch=512, seed=40)
+    trace = fit_statistics(store, net, c, z, steps=100, batch=512, seed=40)
     assert trace[-1] > trace[0]
     slack = 0.05 * (max(trace) - min(trace))
     assert all(b >= a - slack for a, b in zip(trace, trace[1:]))
@@ -250,6 +264,79 @@ def test_adversarial_gradient_matches_fd():
                        [stream(61, "z").standard_normal((6, 3))],
                        eps=1e-6, floor=1e-6)
     assert err < 1e-5
+
+
+# ------------------------------------------------------ HSIC independence test
+
+def report_shaped(seed):
+    """Independent latent [200, 16] and signal [200, 37] draws, the
+    report's shapes at its default frame cap."""
+    r = stream(seed, "hsic-inputs")
+    return r.standard_normal((200, 16)), r.standard_normal((200, 37))
+
+
+def test_hsic_calibrated_on_independent_inputs():
+    ps = [dis.hsic_test(*report_shaped(seed), seed=0)[1] for seed in range(20)]
+    assert all(1 / 201 <= p <= 1.0 for p in ps)
+    assert sum(p < 0.05 for p in ps) <= 3
+
+
+def test_hsic_detects_one_planted_signal_scalar():
+    for seed in range(5):
+        r = stream(seed, "hsic-planted")
+        c = r.uniform(-1.0, 1.0, size=(200, 37))
+        z = r.standard_normal((200, 16))
+        z[:, 0] = c[:, 9] / c[:, 9].std() + 0.5 * r.standard_normal(200)
+        assert dis.hsic_test(z, c, seed=0)[1] <= 0.01
+
+
+def test_hsic_same_inputs_and_seed_give_same_bytes():
+    z, c = report_shaped(40)
+    first = dis.hsic_test(z, c, seed=7)
+    assert repr(dis.hsic_test(z.copy(), c.copy(), seed=7)) == repr(first)
+
+
+def test_hsic_constant_signal_column_changes_nothing():
+    # 0.3 is not the mean of its own 200 copies in floating point, so
+    # centring alone leaves the column a tiny nonzero constant
+    z, c = report_shaped(41)
+    padded = np.insert(c, 5, 0.3, axis=1)
+    assert padded[:, 5].mean() != 0.3
+    with np.errstate(all="raise"):
+        assert repr(dis.hsic_test(z, padded, seed=2)) \
+            == repr(dis.hsic_test(z, c, seed=2))
+
+
+def test_hsic_constant_latent_is_independent():
+    _, c = report_shaped(42)
+    with np.errstate(all="raise"):
+        stat, p = dis.hsic_test(np.full((200, 16), 0.1), c, seed=2)
+    assert stat == 0.0 and p == 1.0
+
+
+def test_hsic_rejects_mismatched_rows():
+    z, c = report_shaped(43)
+    with pytest.raises(ValueError, match="equal rows"):
+        dis.hsic_test(z[:199], c)
+    with pytest.raises(ValueError, match="equal rows"):
+        dis.hsic_test(z[:, 0], c)
+
+
+def test_hsic_bytes_do_not_depend_on_blas_threads():
+    code = ("from dsaa.disentangle import hsic_test\n"
+            "from dsaa.rng import stream\n"
+            "r = stream(44, 'hsic-inputs')\n"
+            "z, c = r.standard_normal((200, 16)), r.standard_normal((200, 37))\n"
+            "print(repr(hsic_test(z, c, seed=1)))\n")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(dsaa.__file__).parents[1]))
+        out.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                  check=True, capture_output=True,
+                                  text=True).stdout)
+    assert out[0] == out[1]
+    assert out[0] == repr(dis.hsic_test(*report_shaped(44), seed=1)) + "\n"
 
 
 # --------------------------------------------------- perturbation consistency
