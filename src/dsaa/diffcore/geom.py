@@ -110,13 +110,13 @@ def texture_sample(tex: Tensor, uv):
     taps = BilinearTaps(uvd[:, 0], uvd[:, 1], H, W, tex.dtype)
     vals, slopes = bilinear_sample(tex.data.reshape(C, H * W), taps)
 
-    def bw(g):
+    def bw(g, needs):
         gT = g.T                       # [C,M]
-        if tex.requires_grad:
-            tex.accumulate_grad(bilinear_tex_grad(gT, taps, tex.dtype))
-        if isinstance(uv, Tensor) and uv.requires_grad:
-            du, dv = bilinear_uv_grad(gT, taps, slopes)
-            uv.accumulate_grad(np.stack([du, dv], axis=1).astype(uvd.dtype))
+        g_tex = bilinear_tex_grad(gT, taps, tex.dtype) if needs[0] else None
+        if not needs[1]:
+            return g_tex, None
+        du, dv = bilinear_uv_grad(gT, taps, slopes)
+        return g_tex, np.stack([du, dv], axis=1).astype(uvd.dtype)
 
     return make_node(vals.T, (tex, uv), bw, "texture_sample")
 
@@ -137,9 +137,8 @@ def lbs_apply(weights: np.ndarray, transforms: np.ndarray, verts: Tensor):
     M = np.tensordot(weights, transforms, axes=([1], [0]))      # [V,3,4]
     out = np.einsum("vrc,vc->vr", M[:, :, :3], verts.data) + M[:, :, 3]
 
-    def bw(g):
-        if verts.requires_grad:
-            verts.accumulate_grad(np.einsum("vrc,vr->vc", M[:, :, :3], g))
+    def bw(g, needs):
+        return (np.einsum("vrc,vr->vc", M[:, :, :3], g),)
 
     return make_node(out, (verts,), bw, "lbs_apply")
 

@@ -4,8 +4,11 @@ applies its own activation (act = "leaky", "sigmoid" or None); add takes
 act as well, for a layer whose bias is added after its product.
 
 Python-number operands stay raw scalars (keeps float32 graphs float32
-under NEP 50 promotion); numpy-array operands are treated as constants
-unless wrapped in a Tensor. Gather/scatter style ops live in geom.py.
+under NEP 50 promotion); numpy-array operands are constants unless
+wrapped in a Tensor. Each backward states the op's local derivatives
+only: it returns one gradient per operand, computing none that `needs`
+leaves out, and the tape (tensor.py) sums and adds them. Gather/scatter
+style ops live in geom.py.
 
 Both convolutions are three matrix products around one layout pair,
 channel-first so that a product's [C, N*H*W] result is NCHW at N=1:
@@ -24,20 +27,6 @@ import numpy as np
 from .tensor import Tensor, make_node
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum a broadcast gradient back down to `shape`."""
-    shape = tuple(shape)
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, s) in enumerate(zip(g.shape, shape)) if s == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
 def _raw(x):
     return x.data if isinstance(x, Tensor) else x
 
@@ -53,116 +42,63 @@ def _expit(x: np.ndarray) -> np.ndarray:
 
 def add(a, b, act=None):
     """a + b, then act (as a layer applies it)."""
-    ad, bd = _raw(a), _raw(b)
-    out, act_bw = _activate(ad + bd, act)
+    out, act_bw = _activate(_raw(a) + _raw(b), act)
 
-    def bw(g):
+    def bw(g, needs):
         g = act_bw(g)
-        if isinstance(a, Tensor) and a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if isinstance(b, Tensor) and b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
+        return g, g
 
     return make_node(out, (a, b), bw, "add")
 
 
 def sub(a, b):
-    ad, bd = _raw(a), _raw(b)
-    out = ad - bd
-
-    def bw(g):
-        if isinstance(a, Tensor) and a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if isinstance(b, Tensor) and b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.shape))
-
-    return make_node(out, (a, b), bw, "sub")
+    return make_node(_raw(a) - _raw(b), (a, b),
+                     lambda g, needs: (g, -g if needs[1] else None), "sub")
 
 
 def neg(a):
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(-g)
-
-    return make_node(-a.data, (a,), bw, "neg")
+    return make_node(-a.data, (a,), lambda g, needs: (-g,), "neg")
 
 
 def mul(a, b):
     ad, bd = _raw(a), _raw(b)
-    out = ad * bd
-
-    def bw(g):
-        if isinstance(a, Tensor) and a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * bd, a.shape))
-        if isinstance(b, Tensor) and b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * ad, b.shape))
-
-    return make_node(out, (a, b), bw, "mul")
+    return make_node(ad * bd, (a, b), lambda g, needs: (
+        g * bd if needs[0] else None, g * ad if needs[1] else None), "mul")
 
 
 def reciprocal(a):
     """1/a. Caller guarantees a is bounded away from zero."""
     y = 1.0 / a.data
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(-g * y * y)
-
-    return make_node(y, (a,), bw, "reciprocal")
+    return make_node(y, (a,), lambda g, needs: (-g * y * y,), "reciprocal")
 
 
 def matmul(a, b):
     ad, bd = _raw(a), _raw(b)
-    out = ad @ bd
-
-    def bw(g):
-        if isinstance(a, Tensor) and a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g @ bd.swapaxes(-1, -2), a.shape))
-        if isinstance(b, Tensor) and b.requires_grad:
-            b.accumulate_grad(_unbroadcast(ad.swapaxes(-1, -2) @ g, b.shape))
-
-    return make_node(out, (a, b), bw, "matmul")
+    return make_node(ad @ bd, (a, b), lambda g, needs: (
+        g @ bd.swapaxes(-1, -2) if needs[0] else None,
+        ad.swapaxes(-1, -2) @ g if needs[1] else None), "matmul")
 
 
 # ---------------------------------------------------------------- pointwise
 
 def exp(a):
     y = np.exp(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * y)
-
-    return make_node(y, (a,), bw, "exp")
+    return make_node(y, (a,), lambda g, needs: (g * y,), "exp")
 
 
 def log(a):
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g / a.data)
-
-    return make_node(np.log(a.data), (a,), bw, "log")
+    return make_node(np.log(a.data), (a,), lambda g, needs: (g / a.data,), "log")
 
 
 def tanh(a):
     y = np.tanh(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * (1.0 - y * y))
-
-    return make_node(y, (a,), bw, "tanh")
+    return make_node(y, (a,), lambda g, needs: (g * (1.0 - y * y),), "tanh")
 
 
 def relu(a):
     d = a.data
-    y = np.maximum(d, 0.0)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * (d > 0.0))
-
-    return make_node(y, (a,), bw, "relu")
+    return make_node(np.maximum(d, 0.0), (a,), lambda g, needs: (g * (d > 0.0),),
+                     "relu")
 
 
 # the negative slope: max(d, alpha * d) is the leaky ReLU only for
@@ -175,155 +111,88 @@ def softplus(a):
     """log(1 + exp(a)) as max(a, 0) + log1p(e), e = exp(-|a|) <= 1."""
     d = a.data
     y = np.maximum(d, 0.0) + np.log1p(np.exp(-np.abs(d)))
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * _expit(d))
-
-    return make_node(y, (a,), bw, "softplus")
+    return make_node(y, (a,), lambda g, needs: (g * _expit(d),), "softplus")
 
 
 def sigmoid(a):
     y = _expit(a.data)
+    return make_node(y, (a,), lambda g, needs: (g * y * (1.0 - y),), "sigmoid")
 
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * y * (1.0 - y))
 
-    return make_node(y, (a,), bw, "sigmoid")
+def _select(a, b, take_a, name):
+    """a where take_a, else b; the gradient follows the selection."""
+    return make_node(np.where(take_a, _raw(a), _raw(b)), (a, b), lambda g, needs: (
+        g * take_a if needs[0] else None, g * ~take_a if needs[1] else None), name)
 
 
 def minimum(a, b):
     """Elementwise min; on ties the gradient goes to the first argument."""
-    ad, bd = _raw(a), _raw(b)
-    take_a = ad <= bd
-    out = np.where(take_a, ad, bd)
-
-    def bw(g):
-        if isinstance(a, Tensor) and a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * take_a, a.shape))
-        if isinstance(b, Tensor) and b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * ~take_a, b.shape))
-
-    return make_node(out, (a, b), bw, "minimum")
+    return _select(a, b, _raw(a) <= _raw(b), "minimum")
 
 
 def maximum(a, b):
     """Elementwise max; on ties the gradient goes to the first argument."""
-    ad, bd = _raw(a), _raw(b)
-    take_a = ad >= bd
-    out = np.where(take_a, ad, bd)
-
-    def bw(g):
-        if isinstance(a, Tensor) and a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * take_a, a.shape))
-        if isinstance(b, Tensor) and b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * ~take_a, b.shape))
-
-    return make_node(out, (a, b), bw, "maximum")
+    return _select(a, b, _raw(a) >= _raw(b), "maximum")
 
 
 def clamp(a, lo: float, hi: float):
     """Clip to [lo, hi]; zero subgradient on the saturated set."""
     d = a.data
-    y = np.clip(d, lo, hi)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * ((d > lo) & (d < hi)))
-
-    return make_node(y, (a,), bw, "clamp")
+    return make_node(np.clip(d, lo, hi), (a,),
+                     lambda g, needs: (g * ((d > lo) & (d < hi)),), "clamp")
 
 
 # ---------------------------------------------------------------- reductions
 
+def _spread(g, a, axis, keepdims):
+    """A reduction's gradient g broadcast back over a's shape (a view)."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, a.shape)
+
+
 def sum_(a, axis=None, keepdims=False):
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a.accumulate_grad(np.broadcast_to(g, a.shape).copy())
-            return
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        a.accumulate_grad(np.broadcast_to(g, a.shape).copy())
-
-    return make_node(out, (a,), bw, "sum")
+    return make_node(a.data.sum(axis=axis, keepdims=keepdims), (a,),
+                     lambda g, needs: (_spread(g, a, axis, keepdims),), "sum")
 
 
 def mean_(a, axis=None, keepdims=False):
     out = a.data.mean(axis=axis, keepdims=keepdims)
     n = a.data.size if axis is None else a.data.size // out.size
-
-    def bw(g):
-        if not a.requires_grad:
-            return
-        g = g / n
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        a.accumulate_grad(np.broadcast_to(g, a.shape).copy())
-
-    return make_node(out, (a,), bw, "mean")
+    return make_node(out, (a,), lambda g, needs: (_spread(g / n, a, axis, keepdims),),
+                     "mean")
 
 
 # ---------------------------------------------------------------- shape ops
 
 def reshape(a, shape):
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.reshape(a.shape))
-
-    return make_node(a.data.reshape(shape), (a,), bw, "reshape")
+    return make_node(a.data.reshape(shape), (a,),
+                     lambda g, needs: (g.reshape(a.shape),), "reshape")
 
 
 def transpose(a, axes=None):
-    def bw(g):
-        if a.requires_grad:
-            inv = None if axes is None else tuple(np.argsort(axes))
-            a.accumulate_grad(np.transpose(g, inv))
-
-    return make_node(np.transpose(a.data, axes), (a,), bw, "transpose")
+    inv = None if axes is None else tuple(np.argsort(axes))
+    return make_node(np.transpose(a.data, axes), (a,),
+                     lambda g, needs: (np.transpose(g, inv),), "transpose")
 
 
 def broadcast_to(a, shape):
-    out = np.broadcast_to(a.data, shape).copy()
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-
-    return make_node(out, (a,), bw, "broadcast_to")
+    return make_node(np.broadcast_to(a.data, shape).copy(), (a,),
+                     lambda g, needs: (g,), "broadcast_to")
 
 
 def concat(tensors, axis=0):
-    tensors = list(tensors)
-    out = np.concatenate([_raw(t) for t in tensors], axis=axis)
-    sizes = [(_raw(t)).shape[axis] for t in tensors]
-
-    def bw(g):
-        ofs = 0
-        for t, s in zip(tensors, sizes):
-            if isinstance(t, Tensor) and t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(ofs, ofs + s)
-                t.accumulate_grad(g[tuple(sl)])
-            ofs += s
-
-    return make_node(out, tuple(tensors), bw, "concat")
+    tensors = tuple(tensors)
+    sizes = [_raw(t).shape[axis] for t in tensors]
+    return make_node(np.concatenate([_raw(t) for t in tensors], axis=axis), tensors,
+                     lambda g, needs: np.split(g, np.cumsum(sizes[:-1]), axis=axis),
+                     "concat")
 
 
 def stack(tensors, axis=0):
-    tensors = list(tensors)
-    out = np.stack([_raw(t) for t in tensors], axis=axis)
-
-    def bw(g):
-        for i, t in enumerate(tensors):
-            if isinstance(t, Tensor) and t.requires_grad:
-                t.accumulate_grad(np.take(g, i, axis=axis))
-
-    return make_node(out, tuple(tensors), bw, "stack")
+    tensors = tuple(tensors)
+    return make_node(np.stack([_raw(t) for t in tensors], axis=axis), tensors,
+                     lambda g, needs: tuple(np.moveaxis(g, axis, 0)), "stack")
 
 
 def _is_basic_index(idx) -> bool:
@@ -340,14 +209,13 @@ def getitem(a, idx):
     out = a.data[idx]
     basic = _is_basic_index(idx)
 
-    def bw(g):
-        if a.requires_grad:
-            dz = np.zeros_like(a.data)
-            if basic:
-                dz[idx] += g
-            else:      # array indices may repeat; add.at sums duplicates
-                np.add.at(dz, idx, g)
-            a.accumulate_grad(dz)
+    def bw(g, needs):
+        dz = np.zeros_like(a.data)
+        if basic:
+            dz[idx] += g
+        else:      # array indices may repeat; add.at sums duplicates
+            np.add.at(dz, idx, g)
+        return (dz,)
 
     return make_node(out, (a,), bw, "getitem")
 
@@ -425,15 +293,12 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, act=None):
     out2 = w2 @ col if b is None else w2 @ col + b.data[:, None]
     out, act_bw = _activate(out2.reshape(Co, N, Ho, Wo).transpose(1, 0, 2, 3), act)
 
-    def bw(g):
+    def bw(g, needs):
         g = act_bw(g)
         g2 = g.transpose(1, 0, 2, 3).reshape(Co, N * Ho * Wo)
-        if b is not None and b.requires_grad:
-            b.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        if w.requires_grad:
-            w.accumulate_grad((g2 @ col.T).reshape(wd.shape))
-        if x.requires_grad:
-            x.accumulate_grad(_col2im(w2.T @ g2, xd.shape, kh, kw, s, p, Ho, Wo))
+        return (_col2im(w2.T @ g2, xd.shape, kh, kw, s, p, Ho, Wo) if needs[0] else None,
+                (g2 @ col.T).reshape(wd.shape) if needs[1] else None,
+                g.sum(axis=(0, 2, 3)) if needs[2] else None)
 
     return make_node(out, (x, w, b), bw, "conv2d")
 
@@ -458,15 +323,12 @@ def conv_transpose2d(x, w, b=None, stride: int = 2, padding: int = 1, act=None):
     yf = _col2im(w2.T @ x2, (N, Co, Ho, Wo), kh, kw, s, p, H, W)
     out, act_bw = _activate(yf if b is None else yf + b.data[None, :, None, None], act)
 
-    def bw(g):
+    def bw(g, needs):
         g = act_bw(g)
-        if b is not None and b.requires_grad:
-            b.accumulate_grad(g.sum(axis=(0, 2, 3)))
         col = _im2col(g, kh, kw, s, p, H, W)
-        if x.requires_grad:
-            x.accumulate_grad((w2 @ col).reshape(Ci, N, H, W).transpose(1, 0, 2, 3))
-        if w.requires_grad:
-            w.accumulate_grad((x2 @ col.T).reshape(wd.shape))
+        return ((w2 @ col).reshape(Ci, N, H, W).transpose(1, 0, 2, 3) if needs[0] else None,
+                (x2 @ col.T).reshape(wd.shape) if needs[1] else None,
+                g.sum(axis=(0, 2, 3)) if needs[2] else None)
 
     return make_node(out, (x, w, b), bw, "conv_transpose2d")
 
@@ -476,13 +338,9 @@ def linear(x, w, b=None, act=None):
     xd, wd = x.data, w.data
     out, act_bw = _activate(xd @ wd if b is None else xd @ wd + b.data, act)
 
-    def bw(g):
+    def bw(g, needs):
         g = act_bw(g)
-        if b is not None and b.requires_grad:
-            b.accumulate_grad(g.sum(axis=0))
-        if x.requires_grad:
-            x.accumulate_grad(g @ wd.T)
-        if w.requires_grad:
-            w.accumulate_grad(xd.T @ g)
+        return (g @ wd.T if needs[0] else None, xd.T @ g if needs[1] else None,
+                g.sum(axis=0) if needs[2] else None)
 
     return make_node(out, (x, w, b), bw, "linear")

@@ -1,8 +1,16 @@
 """Reverse-mode autodiff tensor on numpy arrays.
 
-Graph nodes are Tensor objects; each op wires a _backward closure and the
-parent list. backward() does an iterative topological walk (no recursion,
-graphs here get a few thousand nodes deep) and accumulates into .grad.
+Graph nodes are Tensor objects. An op computes its output and hands it
+to make_node with its operands, Tensors or not, and a backward function.
+make_node fixes, once, which operands need a gradient: the Tensors that
+require one while grads are live. backward_fn(g, needs) returns one
+gradient per operand, or None where `needs` is False; it states only
+the op's local derivatives. backward() alone routes them: it sums each
+gradient down to its operand's shape (a broadcast operand gets the sum
+over the broadcast axes) and adds it into the operand's .grad, operands
+in order. The walk is an iterative topological sort (no recursion,
+graphs here get a few thousand nodes deep).
+
 Everything is plain numpy, float64 by default, float32 when the caller
 feeds float32 data. All reductions are ordinary numpy reductions, so a
 fixed graph replays bit-identically.
@@ -47,7 +55,8 @@ def nan_checks(enabled: bool = True):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
+                 "_operands", "_needs", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data)
@@ -57,6 +66,8 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._backward = None
         self._parents = ()
+        self._operands = ()
+        self._needs = ()
         self.name = name
 
     @property
@@ -74,9 +85,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def accumulate_grad(self, g: np.ndarray):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -87,16 +95,37 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
 
 
-def make_node(data: np.ndarray, parents, backward_fn, name: str | None = None) -> Tensor:
-    """Create an op output, recording the edge only when grads are live."""
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    """Sum a broadcast gradient back down to `shape`."""
+    extra = g.ndim - len(shape)
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, (gs, s) in enumerate(zip(g.shape, shape)) if s == 1 and gs != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
+def make_node(data: np.ndarray, operands, backward_fn, name: str | None = None) -> Tensor:
+    """Create an op output, recording the edge only when grads are live.
+
+    `operands` are everything the op read, raw numbers, arrays and None
+    included. `needs` is fixed here, once: True for each Tensor operand
+    that requires a gradient. Only then is the node wired; its
+    backward_fn(g, needs) returns one gradient per operand, None where
+    `needs` is False, and backward() sums and adds them. `_parents`
+    holds the Tensor operands, for the topological walk."""
     if _NAN_CHECKS and not np.all(np.isfinite(data)):
         raise FloatingPointError(f"non-finite values out of op {name or '?'}")
     out = Tensor(data, name=name)
-    parents = tuple(p for p in parents if isinstance(p, Tensor))
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward_fn
+    if _GRAD_ENABLED:
+        needs = tuple(isinstance(x, Tensor) and x.requires_grad for x in operands)
+        if any(needs):
+            out.requires_grad = True
+            out._parents = tuple(x for x in operands if isinstance(x, Tensor))
+            out._operands = operands
+            out._needs = needs
+            out._backward = backward_fn
     return out
 
 
@@ -128,5 +157,9 @@ def backward(loss: Tensor, grad: np.ndarray | None = None):
 
     loss.accumulate_grad(grad)
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node._backward is None or node.grad is None:
+            continue
+        grads = node._backward(node.grad, node._needs)
+        for x, need, g in zip(node._operands, node._needs, grads):
+            if need:
+                x.accumulate_grad(g if g.shape == x.shape else _unbroadcast(g, x.shape))

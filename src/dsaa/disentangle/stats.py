@@ -3,6 +3,9 @@ independence test between latents and signals."""
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 from .. import diffcore as dc
@@ -11,6 +14,12 @@ from ..rng import stream
 __all__ = ["StatisticsNet", "hsic_test"]
 
 _HSIC_PERMUTATIONS = 200
+# the fewest rows at which the test can reject: each draw that is the
+# identity reproduces the statistic, so with n! < _HSIC_PERMUTATIONS p
+# stays near (1 + _HSIC_PERMUTATIONS / n!) / (1 + _HSIC_PERMUTATIONS)
+# whatever z holds (6 rows at 200 permutations)
+_HSIC_MIN_ROWS = next(n for n in itertools.count(1)
+                      if math.factorial(n) >= _HSIC_PERMUTATIONS)
 
 
 class StatisticsNet:

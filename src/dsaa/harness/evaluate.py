@@ -16,6 +16,7 @@ from .. import keyvalue
 from ..avatar import AvatarConfig, AvatarModel, parse_manifest
 from ..conditioning import build_masks, influence_heatmap
 from ..disentangle import hsic_test
+from ..disentangle.stats import _HSIC_MIN_ROWS
 from ..imgio import write_pgm, write_ppm
 from ..renderer import LossWeights, losses, rasterize
 from ..rng import stream
@@ -335,9 +336,11 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
                     ("frames.train", len(train_ids)),
                     ("frames.test", len(test_ids))]
     diag = []
-    # the HSIC test needs two test rows to permute, and the probe two
-    # rows per split to fit and to have a variance
-    score_latent = min(len(train_ids), len(test_ids)) >= 2
+    # the HSIC test needs enough test rows for its permutations to be
+    # able to reject, and the probe two rows per split to fit and to
+    # have a variance
+    score_hsic = len(test_ids) >= _HSIC_MIN_ROWS
+    score_probe = min(len(train_ids), len(test_ids)) >= 2
     for variant, label in VARIANT_LABELS.items():
         run_data, model = open_run(runs[variant], data.root)
         tr_m, te_m = [float(np.mean([r["err"] for r in
@@ -351,17 +354,19 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
         loc_m = float(np.mean(list(loc.values()))) if loc else float("nan")
         kv.append((f"locality.{variant}", repr(loc_m)))
         extras = [f"locality {loc_m:.3f}"]
-        if model.config.use_latent and score_latent:
-            mu_tr, u_tr = _encodings(model, run_data, train_ids)
+        if model.config.use_latent and (score_hsic or score_probe):
             mu_te, u_te = _encodings(model, run_data, test_ids)
-            c_te = np.stack([run_data.scalars(f) for f in test_ids])
-            stat, p = hsic_test(mu_te, c_te, seed=seed)
-            r2 = _probe_r2(mu_tr, u_tr, mu_te, u_te)
-            kv.append((f"hsic.{variant}", repr(stat)))
-            kv.append((f"hsic_p.{variant}", repr(p)))
-            kv.append((f"probe_r2.{variant}", repr(r2)))
-            extras += [f"HSIC(z;signal) {stat:.4g} (p {p:.3f})",
-                       f"probe R2 {r2:.3f}"]
+            if score_hsic:
+                c_te = np.stack([run_data.scalars(f) for f in test_ids])
+                stat, p = hsic_test(mu_te, c_te, seed=seed)
+                kv.append((f"hsic.{variant}", repr(stat)))
+                kv.append((f"hsic_p.{variant}", repr(p)))
+                extras.append(f"HSIC(z;signal) {stat:.4g} (p {p:.3f})")
+            if score_probe:
+                mu_tr, u_tr = _encodings(model, run_data, train_ids)
+                r2 = _probe_r2(mu_tr, u_tr, mu_te, u_te)
+                kv.append((f"probe_r2.{variant}", repr(r2)))
+                extras.append(f"probe R2 {r2:.3f}")
         diag.append(f"{label}: " + ", ".join(extras))
 
     width = max(len(label) for label, _, _ in rows)
@@ -378,9 +383,12 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
         "HSIC(z;signal) tests z against the signal on the test frames: a "
         "small p says z depends on it",
         "probe R2 checks that z encodes u (held-out ridge fit)"]
-    if not score_latent:
-        lines.append("HSIC(z;signal) and probe R2 omitted: they need at least "
-                     "2 train and 2 test frames")
+    omitted = [name for name, scored in (("HSIC(z;signal)", score_hsic),
+                                         ("probe R2", score_probe)) if not scored]
+    if omitted:
+        lines.append(f"{' and '.join(omitted)} omitted: HSIC needs at least "
+                     f"{_HSIC_MIN_ROWS} test frames, the probe 2 train and 2 "
+                     "test frames")
     text = "\n".join(lines) + "\n"
     keyvalue.write_atomic(out / "report.txt", text)
     keyvalue.write_atomic(out / "report.kv", keyvalue.dump(kv))

@@ -359,7 +359,8 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
     emask = np.exp(scatter(pix, log1mD))
     out[C] = 1.0 - emask
 
-    def backward(g):
+    def backward(g, needs):
+        need_screen, need_z, need_tex = needs
         g = g.reshape(C + 1, HW)
         # canvas gradients (image channels, weight sum, log(1 - D) sum),
         # then gathered back to the pairs
@@ -382,18 +383,18 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
         g_x = Dn * (g_w * edepth * (1.0 - Dn) - g_l)
         g_zpix = (g_w * wn) * (-zscale / cfg.gamma) * ((zn_raw > 0.0) & (zn_raw < 1.0))
 
-        if texture.requires_grad:
-            texture.accumulate_grad(bilinear_tex_grad(g_rgb, taps, texture.dtype))
-        if not (screen.requires_grad or z.requires_grad):
-            return
+        g_tex = bilinear_tex_grad(g_rgb, taps, texture.dtype) if need_tex else None
+        if not (need_screen or need_z):
+            return None, None, g_tex
         du, dv = bilinear_uv_grad(g_rgb, taps, slopes)
 
         fl = faces.ravel()
-        if z.requires_grad:
+        g_z = None
+        if need_z:
             g_zf = np.stack([facesum(g_zpix * b) for b in bn], axis=1)
-            z.accumulate_grad(np.bincount(fl, g_zf.ravel(), minlength=V).astype(dt))
-        if not screen.requires_grad:
-            return
+            g_z = np.bincount(fl, g_zf.ravel(), minlength=V).astype(dt)
+        if not need_screen:
+            return None, g_z, g_tex
 
         # renormalised, clamped barycentrics -> raw barycentrics
         g_bn = [du * uf_p[k] + dv * vf_p[k] + g_zpix * zk_p[k] for k in range(3)]
@@ -438,7 +439,7 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
         gvy[0] -= g_area * (ux - wx)
         g_screen = [np.bincount(fl, np.stack(gv_, axis=1).ravel(), minlength=V)
                     for gv_ in (gvx, gvy)]
-        screen.accumulate_grad(np.stack(g_screen, axis=1).astype(dt))
+        return np.stack(g_screen, axis=1).astype(dt), g_z, g_tex
 
     return make_node(out.reshape(C + 1, H, W), (screen, z, texture), backward,
                      "rasterize")

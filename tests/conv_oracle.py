@@ -26,9 +26,8 @@ def leaky_relu(a):
     d = a.data
     y = np.maximum(d, LEAKY_ALPHA * d)
 
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * ((d > 0.0) * (1.0 - LEAKY_ALPHA) + LEAKY_ALPHA))
+    def bw(g, needs):
+        return (g * ((d > 0.0) * (1.0 - LEAKY_ALPHA) + LEAKY_ALPHA),)
 
     return make_node(y, (a,), bw, "leaky_relu")
 
@@ -75,18 +74,16 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0):
         out2 = out2 + b.data
     out = out2.reshape(N, Ho, Wo, Co).transpose(0, 3, 1, 2)
 
-    def bw(g):
+    def bw(g, needs):
         g2 = g.transpose(0, 2, 3, 1).reshape(N * Ho * Wo, Co)
-        if b is not None and b.requires_grad:
-            b.accumulate_grad(g2.sum(axis=0))
-        if w.requires_grad:
-            w.accumulate_grad((g2.T @ col).reshape(wd.shape))
-        if x.requires_grad:
+        dx = None
+        if needs[0]:
             dxp = add_windows(g2 @ w2, xp.shape, kh, kw, s, Ho, Wo)
-            x.accumulate_grad(dxp[:, :, p:p + H, p:p + W] if p else dxp)
+            dx = dxp[:, :, p:p + H, p:p + W] if p else dxp
+        return (dx, (g2.T @ col).reshape(wd.shape) if needs[1] else None,
+                g2.sum(axis=0) if needs[2] else None)
 
-    parents = (x, w) if b is None else (x, w, b)
-    return make_node(out, parents, bw, "conv2d")
+    return make_node(out, (x, w, b), bw, "conv2d")
 
 
 def conv_transpose2d(x, w, b=None, stride: int = 2, padding: int = 1):
@@ -112,9 +109,7 @@ def conv_transpose2d(x, w, b=None, stride: int = 2, padding: int = 1):
     if b is not None:
         out = out + b.data[None, :, None, None]
 
-    def bw(g):
-        if b is not None and b.requires_grad:
-            b.accumulate_grad(g.sum(axis=(0, 2, 3)))
+    def bw(g, needs):
         gf = np.zeros((N, Co, Hf, Wf), dtype=g.dtype)
         if p:
             gf[:, :, p:Hf - p, p:Wf - p] = g
@@ -125,13 +120,13 @@ def conv_transpose2d(x, w, b=None, stride: int = 2, padding: int = 1):
             for v in range(kw):
                 dxw[:, :, :, :, u, v] = \
                     gf[:, :, u:u + s * (H - 1) + 1:s, v:v + s * (W - 1) + 1:s].transpose(0, 2, 3, 1)
-        if x.requires_grad:
+        dx = dw = None
+        if needs[0]:
             dx = np.tensordot(dxw, wd, axes=([3, 4, 5], [1, 2, 3]))   # [N,H,W,Ci]
-            x.accumulate_grad(dx.transpose(0, 3, 1, 2))
-        if w.requires_grad:
+            dx = dx.transpose(0, 3, 1, 2)
+        if needs[1]:
             xt = xd.transpose(0, 2, 3, 1)
             dw = np.tensordot(xt, dxw, axes=([0, 1, 2], [0, 1, 2]))   # [Ci,Co,kh,kw]
-            w.accumulate_grad(dw)
+        return dx, dw, g.sum(axis=(0, 2, 3)) if needs[2] else None
 
-    parents = (x, w) if b is None else (x, w, b)
-    return make_node(out, parents, bw, "conv_transpose2d")
+    return make_node(out, (x, w, b), bw, "conv_transpose2d")

@@ -51,11 +51,9 @@ def scatter_add_window(vals: dc.Tensor, oy: np.ndarray, ox: np.ndarray, H: int, 
     out = np.zeros((N, H * W), dtype=vals.dtype)
     np.add.at(out, (nidx[valid], flat[valid]), vals.data[valid])
 
-    def bw(g):
-        if vals.requires_grad:
-            gf = g.reshape(N, H * W)
-            dv = gf[nidx, flat] * valid
-            vals.accumulate_grad(dv)
+    def bw(g, needs):
+        gf = g.reshape(N, H * W)
+        return (gf[nidx, flat] * valid,)
 
     return make_node(out.reshape(N, H, W), (vals,), bw, "scatter_add_window")
 

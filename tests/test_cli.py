@@ -394,8 +394,26 @@ def test_report_uses_each_runs_resolutions(cli_reports):
     assert all(f"error.{v}.test" in kv for v in ABLATIONS)
 
 
-def test_report_scores_independence_of_each_latent_variant(cli_reports):
-    kv = keyvalue.read((cli_reports[0] / "report.kv").read_text())
+@pytest.fixture(scope="module")
+def six_test_frame_report(cli_run, cli_reports):
+    """The report of cli_reports' runs on a dataset of the same scene with
+    2 train and 6 test frames, the fewest at which the HSIC test can
+    reject."""
+    root = cli_run / "six"
+    assert main(["gen-data", "--config", str(cli_run / "data.cfg"),
+                 "--out", str(root / "data"), "--frames", "8",
+                 "--test-fraction", "0.75", "--seed", "4"]) == 0
+    runs = dict.fromkeys(ABLATIONS, cli_run / "run")
+    runs["pose+face"] = cli_run / "run_pose_face"
+    out = root / "report"
+    assert main(["report", "--dataset", str(root / "data"), "--out", str(out),
+                 *[f"--run={v}={path}" for v, path in runs.items()]]) == 0
+    return out
+
+
+def test_report_scores_independence_of_each_latent_variant(six_test_frame_report):
+    kv = keyvalue.read((six_test_frame_report / "report.kv").read_text())
+    assert kv["frames.test"] == "6"
     latent = [v for v in ABLATIONS if v != "pose+face"]
     assert len(latent) == 5
     for v in latent:
@@ -404,8 +422,23 @@ def test_report_scores_independence_of_each_latent_variant(cli_reports):
     assert not [k for k in kv if k.endswith(".pose+face")
                 and k.startswith(("hsic", "probe_r2."))]
     assert not [k for k in kv if k.startswith("mi.")]
-    text = (cli_reports[0] / "report.txt").read_text()
+    text = (six_test_frame_report / "report.txt").read_text()
     assert "HSIC(z;signal)" in text and "MI(z;signal)" not in text
+    assert "omitted" not in text
+
+
+def test_report_omits_hsic_below_six_test_frames(cli_reports):
+    # at 2 test frames every permutation reproduces the statistic, so p
+    # is 1 whatever z holds; the probe needs only 2 frames per split
+    kv = keyvalue.read((cli_reports[0] / "report.kv").read_text())
+    assert kv["frames.test"] == "2"
+    latent = [v for v in ABLATIONS if v != "pose+face"]
+    for v in latent:
+        assert np.isfinite(float(kv[f"probe_r2.{v}"]))
+    assert not [k for k in kv if k.startswith("hsic")]
+    text = (cli_reports[0] / "report.txt").read_text()
+    assert "HSIC(z;signal) omitted: HSIC needs at least 6 test frames, " \
+        "the probe 2 train and 2 test frames" in text
 
 
 def test_report_rescores_without_cache_files(cli_run, cli_reports):

@@ -1,11 +1,14 @@
 """Finite-difference oracles for every differentiable op, plus the few
 hand-computable forward cases."""
 
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from dsaa import diffcore as dc
+from dsaa.diffcore.tensor import make_node
 from dsaa.diffcore.ops import LEAKY_ALPHA, _expit
 from dsaa.diffcore.geom import BilinearTaps, bilinear_tex_grad
 from raster_oracle import bilinear_tex_grad_per_channel, scatter_add_window
@@ -429,3 +432,58 @@ def test_nan_checks_name_the_op_and_restore_the_previous_flag():
             with pytest.raises(FloatingPointError, match="log"):
                 dc.log(zero)                            # back on
         dc.log(zero)                                    # back off
+
+
+_LAYERS = {
+    "conv2d": lambda x, w, b: dc.conv2d(x, w, b, padding=1),
+    "conv_transpose2d": lambda x, w, b: dc.conv_transpose2d(x, w, b),
+    "linear": lambda x, w, b: dc.linear(x, w, b),
+    "matmul": lambda x, w, b: dc.matmul(x, w),
+}
+_SHAPES = {"conv2d": ((1, 2, 4, 4), (3, 2, 3, 3), (3,)),
+           "conv_transpose2d": ((1, 2, 3, 3), (2, 3, 4, 4), (3,)),
+           "linear": ((4, 3), (3, 2), (2,)),
+           "matmul": ((4, 3), (3, 2), None)}
+
+
+@pytest.mark.parametrize("op", list(_LAYERS))
+def test_frozen_weight_gets_no_gradient(op):
+    r = rng(40)
+    xs, ws, bs = _SHAPES[op]
+    x = dc.Tensor(r.normal(size=xs), requires_grad=True)
+    w = dc.Tensor(r.normal(size=ws))
+    b = None if bs is None else dc.Tensor(r.normal(size=bs), requires_grad=True)
+    y = _LAYERS[op](x, w, b)
+    needs = (True, False, True) if b is not None else (True, False)
+    assert y._needs == needs
+    grads = y._backward(np.ones_like(y.data), y._needs)
+    assert grads[1] is None
+    assert all(g is not None for g, need in zip(grads, needs) if need)
+    dc.backward(dc.sum_(y))
+    assert w.grad is None and x.grad is not None
+    assert b is None or b.grad is not None
+
+
+def test_operand_passed_twice_gets_both_gradients_in_operand_order():
+    x = dc.Tensor(np.array([3.0]), requires_grad=True)
+    dc.backward(dc.sum_(dc.mul(x, x)))
+    npt.assert_array_equal(x.grad, [6.0])
+    # (1 + 1e-16) - 1 is 0 and (1 - 1) + 1e-16 is not: the first
+    # operand's gradient must be added first
+    x.grad = np.array([1.0])
+    y = make_node(x.data.copy(), (x, 2.0, x),
+                  lambda g, needs: (1e-16 * g, None, -g))
+    assert y._needs == (True, False, True)
+    dc.backward(y, np.ones(1))
+    npt.assert_array_equal(x.grad, [0.0])
+
+
+def test_only_the_tape_adds_gradients():
+    # ops return their operands' gradients; tensor.backward alone adds
+    # them, and no op reads requires_grad to decide what to compute
+    src = Path(dc.__file__).parents[1]
+    adders = sorted(str(path.relative_to(src)) for path in src.rglob("*.py")
+                    if ".accumulate_grad(" in path.read_text())
+    assert adders == [str(Path("diffcore", "tensor.py"))]
+    for path in ("diffcore/ops.py", "diffcore/geom.py", "renderer/raster.py"):
+        assert "requires_grad" not in (src / path).read_text(), path

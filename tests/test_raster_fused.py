@@ -11,6 +11,7 @@ import pytest
 
 import dsaa.synthdata as sd
 from dsaa import diffcore as dc, renderer
+from dsaa.renderer import raster
 from dsaa.renderer.camera import project
 from dsaa.renderer.raster import _window_layout
 from raster_oracle import rasterize_graph
@@ -190,3 +191,28 @@ def test_one_rasterize_call_adds_few_tape_nodes(scene):
         seen.add(id(node))
         stack.extend(node._parents)
     assert len(seen) <= 20, len(seen)
+
+
+def test_frozen_texture_gets_no_gradient_work(scene, monkeypatch):
+    # the fused node skips the texture's bincounts when the texture needs
+    # no gradient, and the verts' gradient does not depend on it
+    spec, posed, tex = scene
+    fig = spec.figure
+    calls, real = [], raster.bilinear_tex_grad
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(raster, "bilinear_tex_grad", counted)
+    grads = []
+    for trainable in (True, False):
+        v = dc.Tensor(posed, requires_grad=True)
+        t = dc.Tensor(tex, requires_grad=trainable)
+        rt = renderer.rasterize(v, fig.template.faces, fig.template.uvs, t,
+                                sd.scene_cameras(spec)[0], raster_config(spec))
+        dc.backward(dc.sum_(rt.image))
+        grads.append(v.grad)
+        assert (t.grad is None) == (not trainable)
+    assert len(calls) == 1              # the trainable texture's only
+    assert grads[0].tobytes() == grads[1].tobytes()
