@@ -2,7 +2,7 @@
 
 Adam keeps first/second moment estimates per parameter with bias
 correction; state round-trips through the checkpoint container so a
-resumed run continues bit-exactly.
+resumed run continues bit-exactly. A step consumes the gradients.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ class Adam:
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self):
+        """Apply each .grad (None counts as zero), then set it to None."""
         self.t += 1
         b1, b2 = _BETA1, _BETA2
         c1 = 1.0 - b1 ** self.t
@@ -93,6 +94,7 @@ class Adam:
             v *= b2
             v += (1.0 - b2) * g * g
             p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
+            p.grad = None
 
     def state_arrays(self, prefix: str = "adam/") -> dict[str, np.ndarray]:
         out = {prefix + "t": np.array([float(self.t)])}

@@ -7,9 +7,10 @@ require one while grads are live. backward_fn(g, needs) returns one
 gradient per operand, or None where `needs` is False; it states only
 the op's local derivatives. backward() alone routes them: it sums each
 gradient down to its operand's shape (a broadcast operand gets the sum
-over the broadcast axes) and adds it into the operand's .grad, operands
-in order. The walk is an iterative topological sort (no recursion,
-graphs here get a few thousand nodes deep).
+over the broadcast axes), adds it into the operand's .grad, operands in
+order, and frees the node's own .grad: only leaves keep one, until
+Adam.step consumes it. The walk is a topological sort over the operands
+`needs` marks, iterative (graphs here get a few thousand nodes deep).
 
 Everything is plain numpy, float64 by default, float32 when the caller
 feeds float32 data. All reductions are ordinary numpy reductions, so a
@@ -55,8 +56,8 @@ def nan_checks(enabled: bool = True):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "_operands", "_needs", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_operands",
+                 "_needs", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data)
@@ -65,7 +66,6 @@ class Tensor:
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._backward = None
-        self._parents = ()
         self._operands = ()
         self._needs = ()
         self.name = name
@@ -113,8 +113,8 @@ def make_node(data: np.ndarray, operands, backward_fn, name: str | None = None) 
     included. `needs` is fixed here, once: True for each Tensor operand
     that requires a gradient. Only then is the node wired; its
     backward_fn(g, needs) returns one gradient per operand, None where
-    `needs` is False, and backward() sums and adds them. `_parents`
-    holds the Tensor operands, for the topological walk."""
+    `needs` is False; backward() walks the operands `needs` marks, adds
+    their gradients and frees the node's .grad once it has routed it."""
     if _NAN_CHECKS and not np.all(np.isfinite(data)):
         raise FloatingPointError(f"non-finite values out of op {name or '?'}")
     out = Tensor(data, name=name)
@@ -122,7 +122,6 @@ def make_node(data: np.ndarray, operands, backward_fn, name: str | None = None) 
         needs = tuple(isinstance(x, Tensor) and x.requires_grad for x in operands)
         if any(needs):
             out.requires_grad = True
-            out._parents = tuple(x for x in operands if isinstance(x, Tensor))
             out._operands = operands
             out._needs = needs
             out._backward = backward_fn
@@ -130,7 +129,7 @@ def make_node(data: np.ndarray, operands, backward_fn, name: str | None = None) 
 
 
 def backward(loss: Tensor, grad: np.ndarray | None = None):
-    """Accumulate d(loss)/d(leaf) into .grad over the whole graph."""
+    """Accumulate d(loss)/d(leaf) into .grad; only leaves keep theirs."""
     if not loss.requires_grad:
         raise ValueError("backward() on a tensor that does not require grad")
     if grad is None:
@@ -151,15 +150,16 @@ def backward(loss: Tensor, grad: np.ndarray | None = None):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
+        for x, need in zip(node._operands, node._needs):
+            if need and id(x) not in seen:
+                stack.append((x, False))
 
     loss.accumulate_grad(grad)
     for node in reversed(order):
         if node._backward is None or node.grad is None:
             continue
         grads = node._backward(node.grad, node._needs)
+        node.grad = None
         for x, need, g in zip(node._operands, node._needs, grads):
             if need:
                 x.accumulate_grad(g if g.shape == x.shape else _unbroadcast(g, x.shape))

@@ -136,7 +136,6 @@ def _fit_latent(model, data, frame_id, steps, lr):
         t.requires_grad = False
     try:
         for it in range(steps + 1):
-            zstore.zero_grad()
             total, renders = None, []
             for k, rt in enumerate(_camera_renders(model, data, frame_id, zt)):
                 part, _ = losses(rt, fr.images[k], fr.masks[k], weights)

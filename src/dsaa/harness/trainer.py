@@ -168,7 +168,6 @@ def _step(cfg, data, model, opts, critic, anchors, raster_cfg, train_ids, i):
     eps = (stream(cfg.seed, "eps", i).standard_normal((cfg.batch, mw.d_z))
            if mw.use_latent else None)
 
-    model.store.zero_grad()
     total = None
     parts: dict[str, float] = {}
     signals, z_list, dists = [], [], []
@@ -216,7 +215,6 @@ def _step(cfg, data, model, opts, critic, anchors, raster_cfg, train_ids, i):
 
     dc.backward(total)
     opts["model"].step()
-    model.store.zero_grad()
 
     if phase == 2 and critic is not None:
         Zd = np.stack([z.data for z in z_list])
@@ -224,7 +222,6 @@ def _step(cfg, data, model, opts, critic, anchors, raster_cfg, train_ids, i):
         closs = mine_loss(critic, C, Zd)
         dc.backward(closs)
         opts["critic"].step()
-        opts["critic"].params.zero_grad()
         parts["critic"] = float(closs.data)
 
     rec = {"iter": i + 1, "phase": phase, "total": float(total.data)}

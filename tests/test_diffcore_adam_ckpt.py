@@ -28,6 +28,34 @@ def test_adam_first_step_hand_value():
     npt.assert_allclose(p.data, [expected], rtol=1e-12)
 
 
+def test_adam_step_consumes_the_gradients():
+    # step() sets every .grad to None, so a second step with no new
+    # backward applies a zero gradient: it moves by the moments alone
+    def fresh():
+        ps = dc.ParamStore()
+        ps.add("a", np.array([1.0, -2.0, 3.0]))
+        ps.add("b", np.array([0.5]))
+        return ps, dc.Adam(ps, lr=0.1)
+
+    ps, opt = fresh()
+    dc.backward(dc.sum_(dc.mul(dc.mul(ps["a"], ps["a"]), ps["b"])))
+    opt.step()
+    assert all(t.grad is None for t in ps.tensors())
+    after_one = [t.data.copy() for t in ps.tensors()]
+    opt.step()
+    assert all(t.grad is None for t in ps.tensors())
+
+    ref, ref_opt = fresh()
+    dc.backward(dc.sum_(dc.mul(dc.mul(ref["a"], ref["a"]), ref["b"])))
+    ref_opt.step()
+    for t in ref.tensors():
+        t.grad = np.zeros_like(t.data)
+    ref_opt.step()
+    for t, r, one in zip(ps.tensors(), ref.tensors(), after_one):
+        assert t.data.tobytes() == r.data.tobytes()
+        assert (t.data != one).all()
+
+
 def test_adam_converges_on_quadratic():
     ps = dc.ParamStore()
     p = ps.add("w", np.array([5.0, -3.0]))

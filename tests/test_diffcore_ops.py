@@ -1,6 +1,7 @@
 """Finite-difference oracles for every differentiable op, plus the few
 hand-computable forward cases."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -407,7 +408,7 @@ def test_no_grad_blocks_graph():
     x = dc.Tensor(np.ones(3), requires_grad=True)
     with dc.no_grad():
         y = dc.mul(x, 2.0)
-    assert not y.requires_grad and y._parents == ()
+    assert not y.requires_grad and y._operands == ()
 
 
 def test_float32_graph_stays_float32():
@@ -478,6 +479,28 @@ def test_operand_passed_twice_gets_both_gradients_in_operand_order():
     npt.assert_array_equal(x.grad, [0.0])
 
 
+def _shared_intermediate(x):
+    # h feeds two consumers, so its gradient is the sum of two routes;
+    # x gets one gradient per pass, so two passes add exactly twice it
+    h = dc.mul(x, 3.0)
+    return dc.sum_(dc.add(dc.mul(h, 2.0), dc.exp(h)))
+
+
+@pytest.mark.parametrize("graph", [
+    lambda x: dc.sum_(dc.mul(dc.mul(x, 3.0), 1.0)),
+    _shared_intermediate,
+], ids=["chain", "shared-intermediate"])
+def test_second_backward_adds_one_more_leaf_gradient(graph):
+    # the tape frees each intermediate gradient once routed, so a second
+    # pass over the same graph adds exactly one more copy of the first
+    x = dc.Tensor(np.array([0.5, -1.25, 2.0]), requires_grad=True)
+    loss = graph(x)
+    dc.backward(loss)
+    once = x.grad.copy()
+    dc.backward(loss)
+    assert x.grad.tobytes() == (once + once).tobytes()
+
+
 def test_only_the_tape_adds_gradients():
     # ops return their operands' gradients; tensor.backward alone adds
     # them, and no op reads requires_grad to decide what to compute
@@ -487,3 +510,14 @@ def test_only_the_tape_adds_gradients():
     assert adders == [str(Path("diffcore", "tensor.py"))]
     for path in ("diffcore/ops.py", "diffcore/geom.py", "renderer/raster.py"):
         assert "requires_grad" not in (src / path).read_text(), path
+
+
+def test_only_the_tape_and_the_optimizer_clear_gradients():
+    # the tape frees the gradients it routes and Adam.step consumes the
+    # leaves', so no caller clears one and only diffcore assigns .grad
+    src = Path(dc.__file__).parents[1]
+    for path in src.rglob("*.py"):
+        text = path.read_text()
+        assert "zero_grad(" not in text.replace("def zero_grad(", ""), path
+        if path.parent.name != "diffcore":
+            assert not re.search(r"\.grad\s*=(?!=)", text), path

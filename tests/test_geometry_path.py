@@ -186,6 +186,19 @@ def test_phase2_step_matches_per_frame_forward(dataset, tmp_path,
     assert any(g is not None for g in ref[1].values())
 
 
+def _tape(loss):
+    """Every node the tape walks from `loss`: the operands that need a
+    gradient, transitively, the leaves included."""
+    seen, todo, nodes = set(), [loss], []
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes.append(t)
+            todo.extend(x for x, need in zip(t._operands, t._needs) if need)
+    return nodes
+
+
 def test_phase2_step_builds_one_node_per_layer(dataset, tmp_path,
                                                 monkeypatch):
     ops, pads, phase = Counter(), [0], []
@@ -199,14 +212,9 @@ def test_phase2_step_builds_one_node_per_layer(dataset, tmp_path,
             phase.pop()
 
     def backward(loss, *args):
-        # walk each tape of the step from its loss
-        seen, todo = set(), [loss]
-        while phase == [2] and todo:
-            t = todo.pop()
-            if id(t) not in seen:
-                seen.add(id(t))
-                ops[t.name] += 1
-                todo.extend(t._parents)
+        # count each tape of the step from its loss
+        if phase == [2]:
+            ops.update(t.name for t in _tape(loss))
         return real_backward(loss, *args)
 
     def pad(*args, **kwargs):
@@ -223,6 +231,38 @@ def test_phase2_step_builds_one_node_per_layer(dataset, tmp_path,
     # one skinning node per frame of the batch; the perturbation term
     # poses nothing
     assert ops["lbs_apply"] == 2
+
+
+def test_phase2_backward_leaves_gradients_on_leaves_only(dataset, tmp_path,
+                                                        monkeypatch):
+    # after each backward of a phase-2 step (the model's loss, then the
+    # critic's) only parameters hold a gradient; every node an op made
+    # gave its gradient up once it was routed
+    held, real_step, real_backward = [], trainer._step, dc.backward
+    phase = []
+
+    def step(cfg, *args):
+        phase.append(1 if args[-1] < cfg.phase1 else 2)
+        try:
+            return real_step(cfg, *args)
+        finally:
+            phase.pop()
+
+    def backward(loss, *args):
+        real_backward(loss, *args)
+        if phase == [2]:
+            nodes = _tape(loss)
+            held.append(([t.name for t in nodes
+                          if t._backward is not None and t.grad is not None],
+                         sum(t._backward is None and t.grad is not None
+                             for t in nodes)))
+
+    monkeypatch.setattr(trainer, "_step", step)
+    monkeypatch.setattr(dc, "backward", backward)
+    _train_two_steps(dataset, tmp_path / "run")
+    assert len(held) == 2
+    for intermediates, leaves in held:
+        assert intermediates == [] and leaves > 0
 
 
 def test_perturbation_term_matches_full_decode(dataset, tmp_path,

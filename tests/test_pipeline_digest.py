@@ -24,6 +24,10 @@ def test_digest_of_the_working_tree_covers_every_output(tmp_path, monkeypatch):
         expected += [f"drive/{mode}/drive.kv", f"drive/{mode}/novel0000_cam0.ppm"]
     missing = [name for name in expected if name not in digests]
     assert not missing
+    # 6 test frames: the report scores HSIC, so the digest compares it
+    report = (tmp_path / "run" / "report" / "report.kv").read_text()
+    for key in ("hsic.ours", "hsic_p.ours"):
+        assert f"\n{key} = " in f"\n{report}", key
     assert all(len(h) == 64 for h in digests.values())
     assert not [name for name in digests if name in pipeline_digest.INPUTS]
 

@@ -189,7 +189,7 @@ def test_one_rasterize_call_adds_few_tape_nodes(scene):
         if id(node) in seen or node is v or node is t:
             continue
         seen.add(id(node))
-        stack.extend(node._parents)
+        stack.extend(x for x, need in zip(node._operands, node._needs) if need)
     assert len(seen) <= 20, len(seen)
 
 

@@ -7,14 +7,15 @@ Run from the repository root. REF is exported (``git archive``, as in
 ``tools/bench_pairs.py``) into a temporary directory; the change is the
 working tree itself. In each tree the same pipeline runs, every step
 through ``python -m dsaa.harness.cli`` with that tree's ``src`` on
-PYTHONPATH: ``gen-data`` with a split, a 3-iteration ``train`` of each
-report variant (``ours`` resumed after its first iteration), ``drive``
-in zero, sample and fit mode, ``heatmap`` and ``report``. Each run
+PYTHONPATH: ``gen-data`` of 12 frames split in half (6 train, 6 test
+and 6 novel frames), a 3-iteration ``train`` of each report variant
+(``ours`` resumed after its first iteration), ``drive`` in zero, sample
+and fit mode, ``heatmap`` and ``report`` on the 6 test frames. Each run
 takes one phase-1 and two phase-2 steps, so a change that moves only
 the decoder in the first phase-2 step reaches the encoder in the
-second, and with it the report's probe entries (its 2 test frames are
-too few for the HSIC test, so the report omits HSIC). Steps that do
-not depend on each other run two at a time. Every file the pipeline
+second, and with it the report's probe and HSIC entries (6 test frames
+are the fewest the HSIC test scores). Steps that do not depend on each
+other run two at a time. Every file the pipeline
 writes is hashed (sha256), and each file whose hash differs between the
 trees, or that only one tree wrote, is printed with its line counts.
 Exits 1 when any file differs, 0 when every file is byte-identical.
@@ -58,7 +59,7 @@ def pipeline() -> list[list[list[str]]]:
                     "--steps", "2", "--out", f"drive/{mode}"]
              for mode in ("zero", "sample", "fit")}
     return [
-        [["gen-data", "--config", "data.cfg", "--out", "data", "--frames", "4",
+        [["gen-data", "--config", "data.cfg", "--out", "data", "--frames", "12",
           "--test-fraction", "0.5", "--seed", "4"]],
         [train["ours"] + ["--iters", "1"], train["no_shadow"] + ["--iters", "3"]],
         [train["ours"] + ["--iters", "3", "--resume"]]
@@ -68,7 +69,7 @@ def pipeline() -> list[list[list[str]]]:
                          "--out", "heatmap", "--indices", "0,3", "--frame", "000001",
                          "--n-perturb", "4"]],
         [drive["sample"], drive["fit"]],
-        [["report", "--dataset", "data", "--out", "report", "--frames", "2",
+        [["report", "--dataset", "data", "--out", "report", "--frames", "6",
           *(f"--run={v}=runs/{v}" for v in VARIANTS)]],
     ]
 
