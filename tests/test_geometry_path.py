@@ -10,6 +10,7 @@ per-frame `forward` it stands for. A phase-2 step builds one tape node
 per conv and linear layer, with no separate activation node and no
 padded copy."""
 
+import gc
 from collections import Counter
 
 import numpy as np
@@ -263,6 +264,27 @@ def test_phase2_backward_leaves_gradients_on_leaves_only(dataset, tmp_path,
     assert len(held) == 2
     for intermediates, leaves in held:
         assert intermediates == [] and leaves > 0
+
+
+def test_training_steps_leave_no_cyclic_garbage(dataset, tmp_path,
+                                                 monkeypatch):
+    # the trainer holds the cyclic collector off over its loop; that is
+    # safe because a step's graphs (model and critic) hold no reference
+    # cycle, so refcounting alone frees every step's garbage
+    found, real_step = [], trainer._step
+
+    def step(*args):
+        assert not gc.isenabled()
+        gc.collect()
+        rec = real_step(*args)
+        found.append(gc.collect())
+        return rec
+
+    monkeypatch.setattr(trainer, "_step", step)
+    assert gc.isenabled()
+    _train_two_steps(dataset, tmp_path / "run")
+    assert gc.isenabled()
+    assert found == [0, 0]
 
 
 def test_perturbation_term_matches_full_decode(dataset, tmp_path,
