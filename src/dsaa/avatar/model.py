@@ -27,7 +27,8 @@ class AvatarModel:
     Parameters live in a single ParamStore; masks, the UV atlas, and the
     reference position map are derived deterministically from the template
     and skeleton, so a checkpoint plus its manifest reconstructs the model
-    exactly.
+    exactly; d_z, the widths and the mask parameters are `AvatarConfig`
+    constants, not manifest keys.
 
     `geometry` (posed vertices, decoder trunk), `shadow_gain` and
     `appearance` (one final texture per view) are all the harness calls,
@@ -164,8 +165,12 @@ class AvatarModel:
         config = parse_manifest(Path(f"{path}.manifest").read_text())
         model = cls(template, skeleton, config)
         arrays = dc.load_arrays(path)
-        extra = sorted(set(arrays) - set(model.store.names()))
+        names = set(model.store.names())
+        extra = sorted(set(arrays) - names)
         if extra:
             raise ValueError(f"checkpoint has unexpected arrays: {extra[:4]}")
+        missing = sorted(names - set(arrays))
+        if missing:
+            raise ValueError(f"checkpoint is missing arrays: {missing[:4]}")
         model.store.load_state(arrays)
         return model

@@ -15,14 +15,20 @@ definitions:
 
 The named variants only touch flags and loss weights; architecture
 sizes stay identical so parameter counts are comparable.
+
+A key exists only if a run varies it: code outside the tests sets it
+(model.geo_res, train.*), an ablation does (model.use_*, spatial_local,
+loss.*), it must match the dataset (n_face) or tests use its second
+value (dtype). The rest are constants: `AvatarConfig`'s sizes, the
+image and mesh weights in `dsaa.renderer.losses` and `TrainConfig.lr`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from pathlib import Path
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .. import keyvalue
 from ..avatar import AvatarConfig
@@ -37,12 +43,12 @@ ABLATIONS = ("ours", "pose+face", "pose+face+latent", "no_disent",
 
 @dataclass(frozen=True)
 class TrainConfig:
+    lr: ClassVar[float] = 1e-3
     dataset: str = ""
     out: str = ""
     iters: int = 4000
     phase1: int = 2000     # mesh-supervised warmup length
     batch: int = 8
-    lr: float = 1e-3
     seed: int = 0
     checkpoint_every: int = 500
     ablate: str = "ours"
@@ -54,16 +60,14 @@ class TrainConfig:
             raise ValueError("iters must be >= 1 and phase1 >= 0")
         if self.batch < 2:
             raise ValueError("batch must be >= 2")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if self.ablate not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablate!r}; "
                              f"choose from {', '.join(ABLATIONS)}")
-        if not self.model.use_latent and (self.weights.lam_dis > 0
-                                          or self.weights.lam_pc > 0):
-            raise ValueError("a latent-free model cannot carry "
+        w = self.weights
+        if not self.model.use_latent and max(w.lam_kl, w.lam_dis, w.lam_pc):
+            raise ValueError("a latent-free model cannot carry KL or "
                              "disentanglement loss terms")
 
     def resolved(self) -> "TrainConfig":

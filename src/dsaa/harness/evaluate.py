@@ -18,7 +18,7 @@ from ..conditioning import build_masks, influence_heatmap
 from ..disentangle import hsic_test
 from ..disentangle.stats import _HSIC_MIN_ROWS
 from ..imgio import write_pgm, write_ppm
-from ..renderer import LossWeights, losses, rasterize
+from ..renderer import losses, rasterize
 from ..rng import stream
 from ..synthdata import raster_config
 from .config import ABLATIONS
@@ -115,8 +115,8 @@ def _frame_errors(images, masks, fr) -> list[float]:
 
 def _fit_latent(model, data, frame_id, steps, lr):
     """Per-frame reconstruction: gradient descent on z against the ground
-    truth images (default loss weights) over all cameras, keeping the best
-    iterate seen.
+    truth images (the image objective `losses`) over all cameras, keeping
+    the best iterate seen.
 
     Initialization at z = 0 makes the result at least as good as zero
     driving under the reported metric. The model's parameters stay off
@@ -128,7 +128,6 @@ def _fit_latent(model, data, frame_id, steps, lr):
     zt = zstore.add("z", np.zeros(model.config.d_z,
                                   dtype=model.config.np_dtype))
     opt = dc.Adam(zstore, lr=lr)
-    weights = LossWeights()
     best = None
     params = model.store.tensors()
     live = [t.requires_grad for t in params]
@@ -138,7 +137,7 @@ def _fit_latent(model, data, frame_id, steps, lr):
         for it in range(steps + 1):
             total, renders = None, []
             for k, rt in enumerate(_camera_renders(model, data, frame_id, zt)):
-                part, _ = losses(rt, fr.images[k], fr.masks[k], weights)
+                part, _ = losses(rt, fr.images[k], fr.masks[k])
                 total = part if total is None else dc.add(total, part)
                 renders.append(rt)
             images, masks = _stack(renders)

@@ -30,8 +30,8 @@ from ..avatar import AvatarModel, reparameterize
 from ..disentangle import (StatisticsNet, adversarial_dis_loss,
                            joint_anchor_uvs, kl_loss, mine_loss,
                            perturbation_loss)
-from ..renderer import (add_term, laplacian_loss, losses, mesh_loss,
-                        rasterize)
+from ..renderer import (LAM_LAP, add_term, laplacian_loss, losses,
+                        mesh_loss, rasterize)
 from ..rng import stream
 from ..synthdata import raster_config
 from .config import TrainConfig, config_text, parse_config
@@ -192,15 +192,15 @@ def _step(cfg, data, model, opts, critic, anchors, raster_cfg, train_ids, i):
             z_list.append(z)
         posed, trunk = model.geometry(sig, z)
         if phase == 1:
-            loss_b, parts_b = mesh_loss(posed, fr.verts, data.template, lw)
+            loss_b, parts_b = mesh_loss(posed, fr.verts, data.template)
         else:
             gain = model.shadow_gain(data.ao(fid) if mw.use_shadow else None)
             render = rasterize(posed, data.template.faces, data.template.uvs,
                                model.appearance(trunk, [sig.view], gain)[0],
                                data.cameras[c], raster_cfg)
-            loss_b, parts_b = losses(render, fr.images[c], fr.masks[c], lw)
+            loss_b, parts_b = losses(render, fr.images[c], fr.masks[c])
             lap = laplacian_loss(data.template, posed, fr.verts)
-            loss_b = add_term(loss_b, parts_b, "lap", lap, lw.lam_lap)
+            loss_b = add_term(loss_b, parts_b, "lap", lap, LAM_LAP)
         for k, v in parts_b.items():
             parts[k] = parts.get(k, 0.0) + v
         total = loss_b if total is None else dc.add(total, loss_b)

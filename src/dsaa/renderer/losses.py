@@ -5,7 +5,8 @@ supervises geometry only with `mesh_loss` (L_G + L_lap against the
 registered mesh). Phase 2 runs the image objective `losses` and adds
 L_lap itself as a smoothness regularizer; L_G is dropped. The KL /
 disentanglement / perturbation terms are composed by the trainer, which
-owns those submodules. Every weighted sum goes through `add_term`.
+owns those submodules. Every weighted sum goes through `add_term`. The
+weights of L_I, L_M, L_lap and L_G are constants (LAM_*): no run varies them.
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ from .. import diffcore as dc
 from ..body import TemplateMesh, mesh_laplacian
 from .raster import RenderTarget
 
+LAM_IMG = 1.0
+LAM_MASK = 0.5
+LAM_LAP = 10.0
+LAM_GEOM = 1.0
+
 
 @dataclass(frozen=True)
 class LossWeights:
-    lam_img: float = 1.0
-    lam_mask: float = 0.5
-    lam_lap: float = 10.0
-    lam_geom: float = 1.0
+    """Weights of the terms the ablations set: KL, adversary, consistency."""
     lam_kl: float = 1e-3
     lam_dis: float = 0.1
     lam_pc: float = 0.1
@@ -36,8 +39,6 @@ class LossWeights:
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{f.name} must be finite and nonnegative, "
                                  f"got {v}")
-        if self.lam_img <= 0.0:
-            raise ValueError("lam_img must be positive")
 
 
 def l1_sum(a: dc.Tensor, b) -> dc.Tensor:
@@ -59,8 +60,8 @@ def add_term(total, parts: dict, name: str, term: dc.Tensor, lam: float):
     return scaled if total is None else dc.add(total, scaled)
 
 
-def losses(render: RenderTarget, gt_image, gt_mask, weights: LossWeights):
-    """Image objective of one view, lam_img*L_I + lam_mask*L_M. Returns
+def losses(render: RenderTarget, gt_image, gt_mask):
+    """Image objective of one view, LAM_IMG*L_I + LAM_MASK*L_M. Returns
     (total Tensor, parts) with parts the unweighted "img" and "mask"."""
     gt_image = np.asarray(gt_image, dtype=render.image.dtype)
     gt_mask = np.asarray(gt_mask, dtype=render.mask.dtype)
@@ -70,21 +71,20 @@ def losses(render: RenderTarget, gt_image, gt_mask, weights: LossWeights):
         raise ValueError(f"mask shape mismatch: {render.mask.shape} vs {gt_mask.shape}")
     parts = {}
     total = add_term(None, parts, "img", l1_sum(render.image, gt_image),
-                     weights.lam_img)
+                     LAM_IMG)
     total = add_term(total, parts, "mask", l2_sum(render.mask, gt_mask),
-                     weights.lam_mask)
+                     LAM_MASK)
     return total, parts
 
 
-def mesh_loss(posed: dc.Tensor, gt_verts, template: TemplateMesh,
-              weights: LossWeights):
-    """Mesh objective of one frame, lam_geom*L_G + lam_lap*L_lap. Returns
+def mesh_loss(posed: dc.Tensor, gt_verts, template: TemplateMesh):
+    """Mesh objective of one frame, LAM_GEOM*L_G + LAM_LAP*L_lap. Returns
     (total Tensor, parts) with parts the unweighted "geom" and "lap"."""
     parts = {}
     gt = np.asarray(gt_verts, dtype=posed.dtype)
-    total = add_term(None, parts, "geom", l2_sum(posed, gt), weights.lam_geom)
+    total = add_term(None, parts, "geom", l2_sum(posed, gt), LAM_GEOM)
     total = add_term(total, parts, "lap",
-                     laplacian_loss(template, posed, gt), weights.lam_lap)
+                     laplacian_loss(template, posed, gt), LAM_LAP)
     return total, parts
 
 

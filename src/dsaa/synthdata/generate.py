@@ -1,9 +1,9 @@
 """Frame synthesis: wrinkle fields, textures, posed meshes, renders.
 
 Everything here is a pure function of (spec, theta, face, u), which is
-what makes stored frames reproducible bit for bit: regenerating the
-texture from the stored factors and re-rendering the mesh rebuilt from
-the stored factors must quantize to exactly the bytes on disk.
+what makes stored frames reproducible bit for bit: the texture and mesh
+rebuilt from the factors `load_frame` draws from the frame's manifest
+entry must render and quantize to exactly the bytes on disk.
 """
 
 from __future__ import annotations

@@ -97,22 +97,16 @@ def zero_params(model, prefix):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        avatar.AvatarConfig(tex_res=48)            # not 2x geo_res
+        avatar.AvatarConfig(geo_res=30)             # not divisible by 4
     with pytest.raises(ValueError):
-        avatar.AvatarConfig(geo_res=30, tex_res=60)
-    with pytest.raises(ValueError):
-        avatar.AvatarConfig(d_z=0)
+        avatar.AvatarConfig(n_face=-1)
     with pytest.raises(ValueError):
         avatar.AvatarConfig(dtype="float16")
-    with pytest.raises(ValueError):
-        avatar.AvatarConfig(tau=0.0)
 
 
 def test_manifest_roundtrip():
-    cfg = avatar.AvatarConfig(d_z=8, geo_res=16, tex_res=32,
-                              enc_channels=(8, 16, 32, 32), tau=0.125,
-                              use_shadow=False, spatial_local=False,
-                              dtype="float64")
+    cfg = avatar.AvatarConfig(geo_res=16, n_face=2, use_shadow=False,
+                              spatial_local=False, dtype="float64")
     text = avatar.manifest_text(cfg)
     assert avatar.parse_manifest(text) == cfg
     assert avatar.parse_manifest(avatar.manifest_text(avatar.AvatarConfig())) \
@@ -120,7 +114,7 @@ def test_manifest_roundtrip():
     with pytest.raises(ValueError):
         avatar.parse_manifest(text + "bogus_key = 3\n")
     with pytest.raises(ValueError):
-        avatar.parse_manifest("d_z = 8\n")          # missing format line
+        avatar.parse_manifest("geo_res = 8\n")      # missing format line
 
 
 # ------------------------------------------------------------------- encoder
@@ -505,9 +499,15 @@ def test_checkpoint_rejects_mismatched_manifest(tmp_path):
     path = tmp_path / "model.ckpt"
     model.save(path)
     mpath = tmp_path / "model.ckpt.manifest"
-    text = mpath.read_text().replace("d_z = 16", "d_z = 8")
+    text = mpath.read_text().replace("use_shadow = true", "use_shadow = false")
     mpath.write_text(text)
-    with pytest.raises((ValueError, KeyError)):
+    with pytest.raises(ValueError, match="unexpected arrays"):
+        avatar.AvatarModel.load(path, tpl, skel)
+    # a manifest that asks for more arrays than the container holds
+    model, _, _ = build_model(dtype="float32", use_shadow=False)
+    model.save(path)
+    mpath.write_text(text.replace("use_shadow = false", "use_shadow = true"))
+    with pytest.raises(ValueError, match=r"missing arrays: \['shadow/"):
         avatar.AvatarModel.load(path, tpl, skel)
 
 
@@ -640,7 +640,7 @@ def _decoder_run(model, call, z, e_pose, e_face, upstream):
 @pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-13)])
 @pytest.mark.parametrize("geo_res", [8, 12, 16, 32, 64])
 def test_decoder_matches_full_tile_reference(dtype, tol, geo_res):
-    model, _, _ = build_model(dtype=dtype, seed=6, geo_res=geo_res, tex_res=2 * geo_res)
+    model, _, _ = build_model(dtype=dtype, seed=6, geo_res=geo_res)
     r = rng.stream(6, "decoder", geo_res)
     for name, t in model.store.items():
         if name.startswith("dec/") and name.endswith("/b"):
@@ -665,7 +665,7 @@ def test_decoder_matches_full_tile_reference(dtype, tol, geo_res):
 
 def test_decoder_fd_wrt_trunk():
     # both channel groups of w_trunk (latent and embeddings) and its bias
-    model, _, _ = build_model(seed=10, geo_res=16, tex_res=32)
+    model, _, _ = build_model(seed=10, geo_res=16)
     dec = model.decoder
     r = rng.stream(10, "trunk")
     z = dc.Tensor(r.normal(size=16))
@@ -707,7 +707,7 @@ def concat_conv_texture(dec, trunk, views):
 @pytest.mark.parametrize("geo_res", [8, 32])
 @pytest.mark.parametrize("n_views", [1, 4])
 def test_texture_matches_concat_and_conv(dtype, tol, geo_res, n_views):
-    model, _, _ = build_model(dtype=dtype, seed=7, geo_res=geo_res, tex_res=2 * geo_res)
+    model, _, _ = build_model(dtype=dtype, seed=7, geo_res=geo_res)
     r = rng.stream(7, "views")
     views = [SIG.view] + [unit(v) for v in r.normal(size=(n_views - 1, 3))]
     _, trunk = model.geometry(SIG, r.normal(size=16))
@@ -726,7 +726,7 @@ def test_texture_matches_concat_and_conv(dtype, tol, geo_res, n_views):
 
 def test_texture_fd_wrt_tex1():
     # both channel groups of w_tex1 (upsample and view) and its bias
-    model, _, _ = build_model(seed=8, geo_res=8, tex_res=16)
+    model, _, _ = build_model(seed=8, geo_res=8)
     dec = model.decoder
     r = rng.stream(8, "tex1")
     views = [SIG.view, unit([0.5, -0.4, 0.2])]

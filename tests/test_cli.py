@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dsaa
-from dsaa import keyvalue
+from dsaa import diffcore as dc, keyvalue
 from dsaa.harness import ABLATIONS, TrainData, evaluate, load_config, trainer
 from dsaa.harness.cli import main
 from dsaa.harness.evaluate import open_run
@@ -32,7 +32,7 @@ def test_gen_data_train_drive(tmp_path):
     run = tmp_path / "run"
     train_cfg = tmp_path / "train.cfg"
     train_cfg.write_text("train.batch = 2\ntrain.iters = 2\ntrain.phase1 = 1\n"
-                         "model.geo_res = 16\nmodel.tex_res = 32\n")
+                         "model.geo_res = 16\n")
     assert main(["train", "--config", str(train_cfg), "--dataset", str(data),
                  "--out", str(run), "--seed", "1"]) == 0
 
@@ -77,7 +77,7 @@ def cli_run(tmp_path_factory):
     (root / "data.cfg").write_text("data.image_size = 32\n")
     (root / "train.cfg").write_text(
         "train.batch = 2\ntrain.phase1 = 1\n"
-        "model.geo_res = 16\nmodel.tex_res = 32\n")
+        "model.geo_res = 16\n")
     assert main(["gen-data", "--config", str(root / "data.cfg"),
                  "--out", str(root / "data"), "--frames", "4",
                  "--test-fraction", "0.5", "--seed", "4"]) == 0
@@ -218,6 +218,25 @@ def test_resume_refuses_config_with_removed_train_keys(cli_run, capsys):
     assert (run / "config.txt").read_text() == text
     assert (run / "trainer.dsaa1").read_bytes() == state
     assert not (run / "diverged.txt").exists()
+
+
+def test_resume_refuses_config_with_keys_that_became_constants(cli_run,
+                                                               capsys):
+    # run directories written while the model sizes and the learning rate
+    # were settings hold model.tex_res, train.lr and their like; such a
+    # run no longer resumes, and no file in it changes
+    run = cli_run / "constant_keys"
+    shutil.copytree(cli_run / "run", run)
+    text = (run / "config.txt").read_text().replace(
+        "model.geo_res = 16\n",
+        "model.geo_res = 16\nmodel.tex_res = 32\n") + "train.lr = 0.001\n"
+    (run / "config.txt").write_text(text)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert _train(cli_run, "constant_keys", "--iters", "4", "--resume") == 2
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err
+    assert "model.tex_res" in err and "train.lr" in err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
 def test_step_value_error_with_finite_params_is_not_divergence(
@@ -494,7 +513,7 @@ def test_report_on_one_test_frame(tmp_path):
     (tmp_path / "data.cfg").write_text("data.image_size = 32\n")
     (tmp_path / "train.cfg").write_text(
         "train.batch = 2\ntrain.phase1 = 1\n"
-        "model.geo_res = 16\nmodel.tex_res = 32\n")
+        "model.geo_res = 16\n")
     assert main(["gen-data", "--config", str(tmp_path / "data.cfg"),
                  "--out", str(tmp_path / "data"), "--frames", "4",
                  "--test-fraction", "0.25", "--seed", "4"]) == 0
@@ -526,6 +545,23 @@ def test_drive_on_truncated_checkpoint_exits_2(cli_run, capsys):
                  "--dataset", str(cli_run / "data"), "--frames", frame,
                  "--mode", "zero", "--out", str(cli_run / "drive_cut")]) == 2
     assert "truncated" in capsys.readouterr().err
+
+
+def test_drive_on_checkpoint_missing_an_array_exits_2(cli_run, capsys):
+    run = cli_run / "missing_array"
+    shutil.copytree(cli_run / "run", run)
+    arrays = dc.load_arrays(run / "model.dsaa1")
+    name = next(iter(arrays))
+    del arrays[name]
+    dc.save_arrays(run / "model.dsaa1", arrays)
+    frame = load_manifest(cli_run / "data").ids()[0]
+    out = cli_run / "drive_missing_array"
+    assert main(["drive", "--checkpoint", str(run),
+                 "--dataset", str(cli_run / "data"), "--frames", frame,
+                 "--mode", "zero", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint is missing arrays" in err and repr(name) in err
+    assert not out.exists()
 
 
 # ------------------------------------------------- inputs rejected with exit 2
@@ -637,8 +673,7 @@ def test_drive_path_errors_exit_2(cli_run, tmp_path, capsys, monkeypatch,
     assert not renders      # refused before any frame is rendered
 
 
-@pytest.mark.parametrize("line", ["loss.lam_mask = nan", "loss.lam_lap = inf",
-                                  "train.lr = nan", "train.lr = inf"])
+@pytest.mark.parametrize("line", ["loss.lam_kl = nan", "loss.lam_pc = inf"])
 def test_train_rejects_nonfinite_settings(cli_run, tmp_path, capsys, line):
     cfg = tmp_path / "train.cfg"
     cfg.write_text((cli_run / "train.cfg").read_text() + line + "\n")
@@ -665,18 +700,22 @@ def two_face_data(tmp_path_factory):
     return root / "data"
 
 
-@pytest.mark.parametrize("refusal", ["dataset", "batch", "n_face"])
+@pytest.mark.parametrize("refusal", ["dataset", "batch", "n_face", "kl"])
 def test_refused_train_leaves_no_run_directory(cli_run, two_face_data,
                                                tmp_path, capsys, refusal):
-    # the split gives 2 training frames, too few for a batch of 3
+    # the split gives 2 training frames, too few for a batch of 3; a
+    # latent-free model has no KL term to weigh
     cfg = tmp_path / "train.cfg"
     text = (cli_run / "train.cfg").read_text()
-    cfg.write_text(text.replace("train.batch = 2", "train.batch = 3")
-                   if refusal == "batch" else text)
+    cfg.write_text({
+        "batch": text.replace("train.batch = 2", "train.batch = 3"),
+        "kl": text + "model.use_latent = false\nloss.lam_dis = 0.0\n"
+                     "loss.lam_pc = 0.0\n"}.get(refusal, text))
     data, message = {
         "dataset": (tmp_path / "nosuch", "nosuch"),
         "batch": (cli_run / "data", "batch size 3"),
-        "n_face": (two_face_data, _FACE_MISMATCH)}[refusal]
+        "n_face": (two_face_data, _FACE_MISMATCH),
+        "kl": (cli_run / "data", "latent-free model cannot carry KL")}[refusal]
     out = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--dataset", str(data),
                  "--out", str(out), "--seed", "1", "--iters", "2"]) == 2

@@ -449,8 +449,6 @@ def test_loss_weights_validated():
     LossWeights(lam_kl=1e-6, lam_dis=0.0, lam_pc=0.0)
     with pytest.raises(ValueError):
         LossWeights(lam_kl=-0.1)
-    with pytest.raises(ValueError):
-        LossWeights(lam_img=0.0)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
-            LossWeights(lam_mask=bad)
+            LossWeights(lam_pc=bad)

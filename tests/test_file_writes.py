@@ -54,7 +54,7 @@ def pipeline(tmp_path_factory):
     (root / "data.cfg").write_text("data.image_size = 32\n")
     (root / "train.cfg").write_text(
         "train.batch = 2\ntrain.phase1 = 1\n"
-        "model.geo_res = 16\nmodel.tex_res = 32\n")
+        "model.geo_res = 16\n")
     calls = []
     with pytest.MonkeyPatch.context() as m:
         for owner, name in _RECORDED:

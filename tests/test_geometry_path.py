@@ -20,10 +20,10 @@ from dsaa import body, diffcore as dc
 from dsaa import synthdata as sd
 from dsaa.avatar import AvatarConfig, AvatarDecoder, AvatarModel, ShadowNet, compose
 from dsaa.harness import TrainConfig, TrainData, evaluate, train, trainer
-from dsaa.renderer import LossWeights, RasterConfig, losses, rasterize
+from dsaa.renderer import RasterConfig, losses, rasterize
 from dsaa.rng import stream
 
-SMALL = AvatarConfig(geo_res=16, tex_res=32)
+SMALL = AvatarConfig(geo_res=16)
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ def _train_two_steps(dataset, out):
 
 
 def _data_and_model(dataset, **kw):
-    cfg = AvatarConfig(geo_res=16, tex_res=32, **kw)
+    cfg = AvatarConfig(geo_res=16, **kw)
     data = TrainData(dataset, geo_res=cfg.geo_res, ao_res=cfg.shadow_res)
     return data, AvatarModel(data.template, data.skeleton, cfg, seed=2)
 
@@ -302,7 +302,7 @@ def test_perturbation_term_matches_full_decode(dataset, tmp_path,
         model = train(TrainConfig(dataset=str(dataset),
                                   out=str(tmp_path / dtype), iters=2,
                                   phase1=1, batch=2,
-                                  model=AvatarConfig(geo_res=16, tex_res=32,
+                                  model=AvatarConfig(geo_res=16,
                                                      dtype=dtype))).model
         (displacement_fn, signals, z_samples, anchor_uvs), = seen
         tpl, skel = model.template, model.skeleton
@@ -406,7 +406,7 @@ def test_camera_renders_z_gradient_matches_per_camera_forward(dataset, dtype,
         z = dc.Tensor(z0.astype(model.config.np_dtype), requires_grad=True)
         total = None
         for k, rt in enumerate(renders(model, data, fid, z)):
-            part, _ = losses(rt, fr.images[k], fr.masks[k], LossWeights())
+            part, _ = losses(rt, fr.images[k], fr.masks[k])
             total = part if total is None else dc.add(total, part)
         dc.backward(total)
         return z.grad

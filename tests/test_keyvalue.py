@@ -14,9 +14,22 @@ from dsaa import keyvalue
 from dsaa.avatar import AvatarConfig, manifest_text, parse_manifest
 from dsaa.harness import (TrainConfig, config_text, load_config, parse_config,
                           parse_data_config)
+from dsaa.renderer import LossWeights
 from dsaa.synthdata import default_scene, generate_dataset, load_manifest
 
 GOLDEN_AVATAR_MANIFEST = """\
+format = dsaa-avatar-2
+geo_res = 32
+n_face = 4
+use_latent = true
+use_shadow = true
+spatial_local = true
+dtype = float32
+"""
+
+# a checkpoint written before the architecture sizes, tau and head_joint
+# became AvatarConfig constants; its format line refuses it
+FORMAT_1_AVATAR_MANIFEST = """\
 format = dsaa-avatar-1
 d_z = 16
 geo_res = 32
@@ -41,30 +54,15 @@ GOLDEN_CONFIG = "train.dataset = \ntrain.out = \n" + """\
 train.iters = 4000
 train.phase1 = 2000
 train.batch = 8
-train.lr = 0.001
 train.seed = 0
 train.checkpoint_every = 500
 train.ablate = ours
-model.d_z = 16
 model.geo_res = 32
-model.tex_res = 64
-model.embed_channels = 8
-model.hidden_signal = 16
-model.enc_channels = 16,32,64,64
-model.width_geo = 32
-model.width_tex = 16
-model.shadow_width = 8
 model.n_face = 4
-model.tau = 0.05
-model.head_joint = head
 model.use_latent = true
 model.use_shadow = true
 model.spatial_local = true
 model.dtype = float32
-loss.lam_img = 1.0
-loss.lam_mask = 0.5
-loss.lam_lap = 10.0
-loss.lam_geom = 1.0
 loss.lam_kl = 0.001
 loss.lam_dis = 0.1
 loss.lam_pc = 0.1
@@ -102,6 +100,19 @@ def test_golden_avatar_manifest_and_config():
     assert config_text(TrainConfig()) == GOLDEN_CONFIG
 
 
+def test_config_fields_are_what_a_run_varies():
+    names = [f.name for f in dataclasses.fields(AvatarConfig)]
+    assert names == ["geo_res", "n_face", "use_latent", "use_shadow",
+                     "spatial_local", "dtype"]
+    assert [f.name for f in dataclasses.fields(LossWeights)] \
+        == ["lam_kl", "lam_dis", "lam_pc"]
+    assert "lr" not in [f.name for f in dataclasses.fields(TrainConfig)]
+    # the constants still read as attributes, tex_res from geo_res
+    cfg = AvatarConfig(geo_res=16)
+    assert (cfg.d_z, cfg.tex_res, cfg.shadow_res) == (16, 32, 8)
+    assert TrainConfig().lr == 1e-3
+
+
 def test_int_given_for_float_field_reloads(tmp_path):
     # focal=62 (an int) must be written as 62.0, the value it reloads as,
     # or the stored hash no longer matches the regenerated scene
@@ -110,17 +121,17 @@ def test_int_given_for_float_field_reloads(tmp_path):
     assert "".join(lines[2:2 + GOLDEN_SPEC_LINES.count("\n")]) \
         == GOLDEN_SPEC_LINES
     assert load_manifest(tmp_path / "set").spec_hash == m.spec_hash
-    # the same for a config: lr=1 and lr=1.0 write the same text
-    assert config_text(TrainConfig(lr=1)) == config_text(TrainConfig(lr=1.0))
+    # the same for a config: lam_kl=1 and lam_kl=1.0 write the same text
+    assert config_text(TrainConfig(weights=LossWeights(lam_kl=1))) \
+        == config_text(TrainConfig(weights=LossWeights(lam_kl=1.0)))
 
 
 def test_config_round_trips():
     assert parse_config(config_text(TrainConfig())) == TrainConfig()
     cfg = TrainConfig(dataset="/data/set #2", out="runs/a", iters=7,
-                      ablate="no_shadow", lr=0.25,
-                      model=AvatarConfig(geo_res=16, tex_res=32,
-                                         enc_channels=(8, 8, 16),
-                                         use_shadow=False, dtype="float64"),
+                      ablate="no_shadow",
+                      model=AvatarConfig(geo_res=16, use_shadow=False,
+                                         dtype="float64"),
                       weights=dataclasses.replace(TrainConfig().weights,
                                                   lam_kl=1e-6))
     assert parse_config(config_text(cfg)) == cfg
@@ -150,10 +161,12 @@ def test_parse_data_config():
     (parse_data_config, "data.figure = x\n", "unknown config keys"),
     (parse_manifest, GOLDEN_AVATAR_MANIFEST + "extra = 1\n",
      "unknown manifest keys"),
-    (parse_manifest, GOLDEN_AVATAR_MANIFEST.replace("tau = 0.05\n", ""),
-     r"manifest missing keys: \['tau'\]"),
+    (parse_manifest, GOLDEN_AVATAR_MANIFEST.replace("n_face = 4\n", ""),
+     r"manifest missing keys: \['n_face'\]"),
     (parse_manifest, GOLDEN_AVATAR_MANIFEST.replace("format = ", "formt = "),
      "format"),
+    (parse_manifest, FORMAT_1_AVATAR_MANIFEST,
+     "must declare 'format = dsaa-avatar-2'"),
     (parse_manifest, GOLDEN_AVATAR_MANIFEST.replace("use_shadow = true",
                                                     "use_shadow = yes"),
      "true or false"),

@@ -10,16 +10,20 @@ through ``python -m dsaa.harness.cli`` with that tree's ``src`` on
 PYTHONPATH: ``gen-data`` of 12 frames split in half (6 train, 6 test
 and 6 novel frames), a 3-iteration ``train`` of each report variant
 (``ours`` resumed after its first iteration), ``drive`` in zero, sample
-and fit mode, ``heatmap`` and ``report`` on the 6 test frames. Each run
-takes one phase-1 and two phase-2 steps, so a change that moves only
-the decoder in the first phase-2 step reaches the encoder in the
-second, and with it the report's probe and HSIC entries (6 test frames
-are the fewest the HSIC test scores). Steps that do not depend on each
-other run two at a time. Every file the pipeline
-writes is hashed (sha256), and each file whose hash differs between the
-trees, or that only one tree wrote, is printed with its line counts.
+and fit mode, ``heatmap`` and ``report`` on the 6 test frames. The
+model runs on a 16-pixel geometry grid (``model.geo_res = 16``; the
+texture is twice that). Each run takes one phase-1 and two phase-2
+steps, so a change that moves only the decoder in the first phase-2
+step reaches the encoder in the second, and with it the report's probe
+and HSIC entries (6 test frames are the fewest the HSIC test scores).
+Steps that do not depend on each other run two at a time. Every file
+the pipeline writes is hashed (sha256), and each file whose hash
+differs between the trees, or that only one tree wrote, is printed with
+its line counts.
 Exits 1 when any file differs, 0 when every file is byte-identical.
-Standard library only.
+Both trees read the same ``INPUTS``, so a parent whose config keys
+differ cannot run them; for such a pair call ``digest_tree`` on each
+tree with its own inputs. Standard library only.
 """
 
 from __future__ import annotations
@@ -39,8 +43,7 @@ VARIANTS = ("ours", "pose+face", "pose+face+latent", "no_disent",
             "no_spatial_local", "no_shadow")
 INPUTS = {
     "data.cfg": "data.image_size = 32\ndata.n_cameras = 2\n",
-    "train.cfg": "train.batch = 2\ntrain.phase1 = 1\n"
-                 "model.geo_res = 16\nmodel.tex_res = 32\n",
+    "train.cfg": "train.batch = 2\ntrain.phase1 = 1\nmodel.geo_res = 16\n",
 }
 
 
