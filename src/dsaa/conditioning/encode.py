@@ -19,7 +19,7 @@ class LocalizedProjector:
     """
 
     def __init__(self, store: dc.ParamStore, prefix: str, masks: np.ndarray,
-                 hidden: int = 16, out_channels: int = 8, *,
+                 *, hidden: int, out_channels: int,
                  rng: np.random.Generator, dtype=np.float32):
         n, h, w = masks.shape
         self.grid = (h, w)

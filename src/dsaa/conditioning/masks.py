@@ -60,8 +60,8 @@ def dilate(mask) -> np.ndarray:
 
 
 def build_masks(template: TemplateMesh, skeleton: Skeleton,
-                atlas: TexelAtlas, *, tau: float = 0.05, n_face: int = 4,
-                head_joint: str = "head") -> InfluenceMask:
+                atlas: TexelAtlas, *, tau: float, n_face: int,
+                head_joint: str) -> InfluenceMask:
     """Binary per-scalar influence channels on the grid of `atlas`, the
     template's UV atlas."""
     height, width = atlas.height, atlas.width

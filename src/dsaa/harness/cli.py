@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import TrainConfig, load_config, parse_data_config
+from .config import TrainConfig, data_keys, load_config, parse_data_config
 from .data import TrainData
 from .evaluate import build_report, drive, open_run, write_heatmaps
 from .trainer import TrainingDiverged, train
@@ -29,7 +29,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="generate and split a dataset")
-    g.add_argument("--config", help="file of data.* = value lines")
+    g.add_argument("--config", help="file of key = value lines, keys from: "
+                                    + ", ".join(data_keys()))
     g.add_argument("--out", required=True)
     g.add_argument("--seed", type=int, help="override the scene seed")
     g.add_argument("--frames", type=int, help="override data.n_frames")

@@ -17,10 +17,13 @@ The named variants only touch flags and loss weights; architecture
 sizes stay identical so parameter counts are comparable.
 
 A key exists only if a run varies it: code outside the tests sets it
-(model.geo_res, train.*), an ablation does (model.use_*, spatial_local,
-loss.*), it must match the dataset (n_face) or tests use its second
-value (dtype). The rest are constants: `AvatarConfig`'s sizes, the
-image and mesh weights in `dsaa.renderer.losses` and `TrainConfig.lr`.
+(model.geo_res, train.*, data.image_size, data.n_cameras, data.seed,
+data.n_frames, data.test_fraction), an ablation does (model.use_*,
+spatial_local, loss.*), it must match the dataset (n_face, in model.*
+and data.*) or tests use its second value (dtype, data.rho_spurious).
+The rest are constants: `AvatarConfig`'s sizes, the image and mesh
+weights in `dsaa.renderer.losses`, `TrainConfig.lr` and the scene
+settings that are `SceneSpec` class constants.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ from typing import ClassVar
 from .. import keyvalue
 from ..avatar import AvatarConfig
 from ..renderer import LossWeights
+from ..synthdata import SceneSpec
 
 __all__ = ["TrainConfig", "ABLATIONS", "apply_ablation", "parse_config",
-           "config_text", "load_config", "parse_data_config"]
+           "config_text", "load_config", "parse_data_config", "data_keys"]
 
 ABLATIONS = ("ours", "pose+face", "pose+face+latent", "no_disent",
              "no_spatial_local", "no_shadow")
@@ -129,14 +133,18 @@ class _DataRun:
     test_fraction: float = 200.0 / 2200.0
 
 
+def data_keys() -> list:
+    """The keys parse_data_config accepts, in file order."""
+    return [f"data.{f.name}" for cls in (SceneSpec, _DataRun)
+            for f in dataclasses.fields(cls)]
+
+
 def parse_data_config(text: str):
     """`data.*` config for dataset generation.
 
     Returns (scene overrides, n_frames, test_fraction); scene keys are
-    the scalar scene fields, tuples given as comma lists.
+    the SceneSpec fields.
     """
-    from ..synthdata import SceneSpec
-
     kv = keyvalue.read(text)
     overrides = keyvalue.take_fields(SceneSpec, kv, "data.", complete=False)
     run = _DataRun(**keyvalue.take_fields(_DataRun, kv, "data.",

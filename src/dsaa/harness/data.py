@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import diffcore as dc
+from ..avatar import AvatarConfig
 from ..body import (TemplateMesh, build_atlas, forward_kinematics,
                     lbs_apply, render_position_map)
 from ..conditioning import DrivingSignal
@@ -31,15 +32,15 @@ __all__ = ["TrainData"]
 class TrainData:
     """Manifest-backed frame source with RAM caches for derived inputs.
 
-    The template and skeleton are the manifest's figure, which
-    `load_manifest` rebuilds from its tag and checks against the stored
-    spec hash.
+    The template and skeleton are `SceneSpec.figure`, which the stored
+    spec hash covers.
 
     geo_res fixes the encoder position-map grid, ao_res the shadow input
-    grid; both default to the standard model sizes.
+    grid; both default to those of `AvatarConfig()`.
     """
 
-    def __init__(self, dataset_root, geo_res: int = 32, ao_res: int = 16):
+    def __init__(self, dataset_root, geo_res: int = AvatarConfig.geo_res,
+                 ao_res: int = AvatarConfig().shadow_res):
         self.root = Path(dataset_root)
         self.manifest = load_manifest(self.root)
         self.spec = self.manifest.spec

@@ -7,10 +7,9 @@ lines and lines starting with `#` are skipped, every other line must
 hold `=`, and no key may repeat. Dataclass fields are written and read
 by the type of their declared default, not of the value they happen to
 hold: bool as `true`/`false`, int in decimal, float as repr(float(x))
-(which reads back to the same float64), str as is, and a tuple element
-by element, comma-joined, by the type of the default's first element.
-So 62 given to a float field is written `62.0`, the text it reads back
-as, and hashes taken over written text stay valid across a reload.
+(which reads back to the same float64) and str as is. So 1 given to a
+float field is written `1.0`, the text it reads back as, and hashes
+taken over written text stay valid across a reload.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ def _format_value(default, value) -> str:
     """Text of `value` for a field whose default is `default`."""
     if isinstance(default, bool):
         return "true" if value else "false"
-    if isinstance(default, tuple):
-        return ",".join(_format_value(default[0], x) for x in value)
     if isinstance(default, int):
         return str(int(value))
     if isinstance(default, float):
@@ -43,8 +40,6 @@ def _parse_value(default, text: str):
         if text not in ("true", "false"):
             raise ValueError(f"expected true or false, got {text!r}")
         return text == "true"
-    if isinstance(default, tuple):
-        return tuple(_parse_value(default[0], x) for x in text.split(","))
     if isinstance(default, (int, float)):
         return type(default)(text)
     return text
@@ -90,10 +85,16 @@ def read(text: str) -> dict:
 
 
 def _fields(cls):
-    """The fields of dataclass cls whose default is a scalar or a tuple;
-    nested dataclasses and fields without a default are not text."""
-    return [f for f in dataclasses.fields(cls)
-            if isinstance(f.default, (int, float, str, tuple))]
+    """The fields of dataclass cls whose default is a scalar; a nested
+    dataclass is written under its own prefix. Any other field raises
+    TypeError, so no field drops out of the text unnoticed."""
+    out = []
+    for f in dataclasses.fields(cls):
+        if isinstance(f.default, (int, float, str)):
+            out.append(f)
+        elif not dataclasses.is_dataclass(f.default):
+            raise TypeError(f"{cls.__name__}.{f.name} has no text form")
+    return out
 
 
 def field_items(obj, prefix: str = "") -> list:

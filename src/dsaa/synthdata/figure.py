@@ -56,7 +56,6 @@ _ISLAND_MARGIN = 0.025
 class Figure:
     """Template mesh, rig, and the UV island table the generators use."""
 
-    tag: str
     template: TemplateMesh
     skeleton: Skeleton
     islands: dict                # name -> (u0, v0, u1, v1)
@@ -84,7 +83,8 @@ def _blend(name: str, s: float) -> float:
 
 
 def build_figure() -> Figure:
-    """Deterministic construction of the default figure (tag default-v1)."""
+    """Deterministic construction of the figure, with read-only arrays:
+    `SceneSpec.figure` shares one build with every caller."""
     names = tuple(j[0] for j in _JOINTS)
     parents = np.array([j[1] for j in _JOINTS])
     world = np.array([j[2] for j in _JOINTS])
@@ -140,17 +140,21 @@ def build_figure() -> Figure:
     tpl = TemplateMesh(np.asarray(verts), np.asarray(faces),
                        np.asarray(uvs), np.asarray(weights))
     clothed = tuple(p[0] for p in _PARTS if p[7])
-    return Figure(tag="default-v1", template=tpl, skeleton=skel,
-                  islands=islands, island_of=np.asarray(island_of),
-                  island_names=island_names,
-                  normals=np.asarray(normals), clothed=clothed,
-                  head_island="head")
+    fig = Figure(template=tpl, skeleton=skel, islands=islands,
+                 island_of=np.asarray(island_of), island_names=island_names,
+                 normals=np.asarray(normals), clothed=clothed,
+                 head_island="head")
+    for a in (tpl.verts, tpl.faces, tpl.uvs, tpl.weights, skel.parents,
+              skel.rest_rot, skel.rest_t, skel.rest_world_rot,
+              skel.rest_world_t, fig.island_of, fig.normals):
+        a.flags.writeable = False
+    return fig
 
 
 def figure_bytes(fig: Figure) -> bytes:
     """Canonical byte dump of everything that defines the figure."""
     t = fig.template
-    parts = [fig.tag.encode(), ",".join(fig.skeleton.names).encode(),
+    parts = [",".join(fig.skeleton.names).encode(),
              np.asarray(fig.skeleton.parents, dtype=np.int64).tobytes(),
              fig.skeleton.rest_rot.tobytes(), fig.skeleton.rest_t.tobytes(),
              t.verts.tobytes(), np.asarray(t.faces, dtype=np.int64).tobytes(),

@@ -766,6 +766,27 @@ def test_gen_data_rejects_negative_test_fraction(tmp_path, capsys, where):
     assert not out.exists()
 
 
+def test_gen_data_refuses_a_key_that_became_a_constant(tmp_path, capsys):
+    cfg = tmp_path / "data.cfg"
+    cfg.write_text("data.image_size = 32\ndata.focal = 50\n")
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out),
+                 "--frames", "2"]) == 2
+    assert "unknown config keys: ['data.focal']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_data_help_lists_the_accepted_keys(capsys):
+    with pytest.raises(SystemExit):
+        main(["gen-data", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for key in ("n_face", "n_cameras", "image_size", "rho_spurious", "seed",
+                "n_frames", "test_fraction"):
+        assert f"data.{key}" in text, key
+    for key in ("focal", "pose_range", "sigma_r", "figure", "tex_size"):
+        assert f"data.{key}" not in text, key
+
+
 @pytest.mark.parametrize("fraction, message", [
     ("0.1", "degenerate split: 0 test frames of 3"),
     ("1", "test_fraction must lie in (0, 1)"),

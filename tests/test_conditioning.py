@@ -6,6 +6,9 @@ import numpy.testing as npt
 import pytest
 
 from dsaa import body, conditioning as cond, diffcore as dc
+from dsaa.avatar import AvatarConfig
+
+TAU, HEAD = AvatarConfig.tau, AvatarConfig.head_joint
 
 
 # ------------------------------------------------------------------ helpers
@@ -93,14 +96,15 @@ def atlas16(tpl):
 def test_masks_zero_threshold_covers_valid_atlas():
     tpl, skel = strip_rig()
     atlas = atlas16(tpl)
-    m = cond.build_masks(tpl, skel, atlas, tau=0.0, n_face=2)
+    m = cond.build_masks(tpl, skel, atlas, tau=0.0, n_face=2, head_joint=HEAD)
     assert m.data.shape == (3 * 3 + 2, 16, 16)
     assert (m.data[:, atlas.valid] == 1).all()
 
 
 def test_masks_fully_bound_vertex_active():
     tpl, skel = strip_rig()
-    m = cond.build_masks(tpl, skel, atlas16(tpl), tau=1.0, n_face=1)
+    m = cond.build_masks(tpl, skel, atlas16(tpl), tau=1.0, n_face=1,
+                         head_joint=HEAD)
     for j, station in enumerate((0.0, 1.0, 2.0)):
         vid = int(np.argmax((tpl.verts[:, 0] == station) & (tpl.verts[:, 1] == 0.0)))
         u, v = tpl.uvs[vid]
@@ -111,12 +115,14 @@ def test_masks_fully_bound_vertex_active():
 def test_masks_empty_channel_raises():
     tpl, skel = strip_rig(ncol=12)   # mid joint tops out below 0.95
     with pytest.raises(ValueError, match="mid"):
-        cond.build_masks(tpl, skel, atlas16(tpl), tau=0.95)
+        cond.build_masks(tpl, skel, atlas16(tpl), tau=0.95, n_face=4,
+                         head_joint=HEAD)
 
 
 def test_masks_face_channels_equal_head_region():
     tpl, skel = strip_rig()
-    m = cond.build_masks(tpl, skel, atlas16(tpl), tau=0.05, n_face=4)
+    m = cond.build_masks(tpl, skel, atlas16(tpl), tau=TAU, n_face=4,
+                         head_joint=HEAD)
     head = m.data[6:9]
     for k in range(4):
         npt.assert_array_equal(m.data[9 + k], head[0])
@@ -126,8 +132,10 @@ def test_masks_face_channels_equal_head_region():
 
 def test_masks_rebuild_bit_exact_and_scalar_channels_match():
     tpl, skel = strip_rig()
-    a = cond.build_masks(tpl, skel, atlas16(tpl), tau=0.05)
-    b = cond.build_masks(tpl, skel, atlas16(tpl), tau=0.05)
+    a = cond.build_masks(tpl, skel, atlas16(tpl), tau=TAU, n_face=4,
+                         head_joint=HEAD)
+    b = cond.build_masks(tpl, skel, atlas16(tpl), tau=TAU, n_face=4,
+                         head_joint=HEAD)
     npt.assert_array_equal(a.data, b.data)
     assert a.names == b.names
     npt.assert_array_equal(a.data[0], a.data[1])   # scalars of one joint share a mask

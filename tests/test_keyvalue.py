@@ -14,6 +14,7 @@ from dsaa import keyvalue
 from dsaa.avatar import AvatarConfig, manifest_text, parse_manifest
 from dsaa.harness import (TrainConfig, config_text, load_config, parse_config,
                           parse_data_config)
+from dsaa.harness.config import data_keys
 from dsaa.renderer import LossWeights
 from dsaa.synthdata import default_scene, generate_dataset, load_manifest
 
@@ -69,28 +70,10 @@ loss.lam_pc = 0.1
 """
 
 GOLDEN_SPEC_LINES = """\
-figure = default-v1
-spec.pose_range = 0.3,0.4,0.5,1.0,1.0,1.0,1.0,0.8,1.0,0.8,1.0
-spec.novel_margin = 1.2
 spec.n_face = 4
-spec.face_range = 1.0
-spec.wrinkle_amp = 0.035
-spec.wrinkle_freq = 2.0
-spec.phase_span = 1.5707963267948966
-spec.stripe_freq = 1.0
-spec.stripe_amp = 0.35
-spec.face_amp = 0.35
-spec.base_albedo = 0.62,0.5,0.42
 spec.n_cameras = 4
-spec.cam_radius = 2.4
-spec.cam_height = 0.3
-spec.focal = 62.0
 spec.image_size = 64
-spec.tex_size = 64
-spec.sigma_r = 0.08
-spec.gamma_r = 0.05
 spec.rho_spurious = 0.0
-spec.corr_scalar = 9
 spec.seed = 0
 """
 
@@ -114,9 +97,9 @@ def test_config_fields_are_what_a_run_varies():
 
 
 def test_int_given_for_float_field_reloads(tmp_path):
-    # focal=62 (an int) must be written as 62.0, the value it reloads as,
-    # or the stored hash no longer matches the regenerated scene
-    m = generate_dataset(default_scene(focal=62), tmp_path / "set", 2)
+    # rho_spurious=0 (an int) must be written as 0.0, the value it reloads
+    # as, or the stored hash no longer matches the regenerated scene
+    m = generate_dataset(default_scene(rho_spurious=0), tmp_path / "set", 2)
     lines = (tmp_path / "set" / "manifest.txt").read_text().splitlines(True)
     assert "".join(lines[2:2 + GOLDEN_SPEC_LINES.count("\n")]) \
         == GOLDEN_SPEC_LINES
@@ -148,11 +131,39 @@ def test_partial_config_keeps_defaults():
 def test_parse_data_config():
     assert parse_data_config("") == ({}, 2200, 200.0 / 2200.0)
     overrides, n_frames, fraction = parse_data_config(
-        "data.image_size = 32\ndata.base_albedo = 0.5,0.5,1\n"
+        "data.image_size = 32\ndata.rho_spurious = 1\n"
         "data.n_frames = 9\ndata.test_fraction = 0.25\n")
-    assert overrides == {"image_size": 32, "base_albedo": (0.5, 0.5, 1.0)}
+    assert overrides == {"image_size": 32, "rho_spurious": 1.0}
     assert type(overrides["image_size"]) is int
+    assert type(overrides["rho_spurious"]) is float
     assert (n_frames, fraction) == (9, 0.25)
+
+
+def test_data_config_keys_are_what_a_dataset_varies():
+    keys = ["data.n_face", "data.n_cameras", "data.image_size",
+            "data.rho_spurious", "data.seed", "data.n_frames",
+            "data.test_fraction"]
+    assert data_keys() == keys
+    overrides, _, _ = parse_data_config("".join(f"{k} = 1\n" for k in keys))
+    assert sorted(overrides) == sorted(k[len("data."):] for k in keys[:5])
+
+
+def test_field_without_a_text_form_raises():
+    # a field the codec cannot write must not drop out of hashed text
+    @dataclasses.dataclass
+    class WithTuple:
+        n: int = 1
+        pair: tuple = (1, 2)
+
+    @dataclasses.dataclass
+    class NoDefault:
+        n: int
+
+    for cls in (WithTuple, NoDefault):
+        with pytest.raises(TypeError, match="has no text form"):
+            keyvalue.field_items(cls(n=1))
+        with pytest.raises(TypeError, match="has no text form"):
+            keyvalue.take_fields(cls, {})
 
 
 @pytest.mark.parametrize("parse, text, match", [

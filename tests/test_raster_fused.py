@@ -19,7 +19,7 @@ from raster_oracle import rasterize_graph
 
 @pytest.fixture(scope="module")
 def scene():
-    spec = sd.SceneSpec(figure=sd.build_figure())
+    spec = sd.SceneSpec()
     theta, face, u = sd.sample_frame(spec, "000001", 7)
     _, posed = sd.frame_mesh(spec, theta, u)
     tex = sd.frame_texture(spec, u, face)

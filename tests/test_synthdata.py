@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dsaa.synthdata as sd
+from dsaa.avatar import AvatarConfig
 from dsaa.body import build_atlas, render_position_map
 from dsaa.conditioning import build_masks
 from dsaa.harness import TrainData
@@ -14,13 +15,13 @@ from dsaa.imgio import write_pgm, write_ppm
 
 @pytest.fixture(scope="module")
 def figure():
-    return sd.build_figure()
+    return sd.SceneSpec.figure
 
 
 @pytest.fixture(scope="module")
-def small_spec(figure):
+def small_spec():
     # 32px images keep dataset-level tests quick; geometry is unchanged
-    return sd.SceneSpec(figure=figure, image_size=32)
+    return sd.SceneSpec(image_size=32)
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +65,18 @@ def test_figure_deterministic(figure):
     assert sd.figure_bytes(figure) == sd.figure_bytes(again)
 
 
+def test_shared_figure_is_read_only(figure):
+    # every spec and every TrainData share one figure
+    assert sd.SceneSpec(seed=1).figure is figure is sd.default_scene().figure
+    skel = figure.skeleton
+    for a in (figure.template.verts, figure.template.faces,
+              figure.template.uvs, figure.template.weights, skel.parents,
+              skel.rest_rot, skel.rest_t, skel.rest_world_rot,
+              skel.rest_world_t, figure.island_of, figure.normals):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+
+
 def test_figure_atlas_coverage(figure):
     for size in (32, 64):
         atlas = build_atlas(figure.template.uvs, figure.template.faces, size, size)
@@ -73,7 +86,8 @@ def test_figure_atlas_coverage(figure):
 def test_figure_mask_areas(figure):
     atlas = build_atlas(figure.template.uvs, figure.template.faces, 32, 32)
     masks = build_masks(figure.template, figure.skeleton, atlas,
-                        tau=0.05, n_face=4, head_joint="head")
+                        tau=AvatarConfig.tau, n_face=4,
+                        head_joint=AvatarConfig.head_joint)
     area = {n: float(m.sum()) for n, m in zip(masks.names, masks.data)}
     # distal joints influence less surface than the root
     for joint in ("elbow_l", "elbow_r", "knee_l", "knee_r"):
@@ -90,19 +104,38 @@ def test_figure_mask_areas(figure):
 
 # ------------------------------------------------------------------ scene
 
-def test_scene_spec_validation(figure):
-    with pytest.raises(ValueError):
-        sd.SceneSpec(figure=figure, pose_range=(0.3,) * 10)
-    with pytest.raises(ValueError):  # range times margin exceeds the cap
-        sd.SceneSpec(figure=figure, pose_range=(1.1,) * 11)
-    with pytest.raises(ValueError):
-        sd.SceneSpec(figure=figure, novel_margin=1.0)
-    with pytest.raises(ValueError):
-        sd.SceneSpec(figure=figure, rho_spurious=1.5)
-    with pytest.raises(ValueError):
-        sd.SceneSpec(figure=figure, corr_scalar=33)
-    with pytest.raises(ValueError):
-        sd.SceneSpec(figure=figure, n_cameras=0)
+def test_scene_fields_are_what_a_dataset_varies():
+    assert [f.name for f in dataclasses.fields(sd.SceneSpec)] \
+        == ["n_face", "n_cameras", "image_size", "rho_spurious", "seed"]
+    spec = sd.SceneSpec(seed=2)
+    assert (spec.focal, spec.tex_size) == (62.0, 64)    # constants still read
+    assert dataclasses.replace(spec, seed=3).seed == 3
+    with pytest.raises(TypeError, match="focal"):
+        sd.SceneSpec(focal=50.0)
+
+
+def test_scene_spec_validation():
+    for bad in ({"rho_spurious": 1.5}, {"rho_spurious": -0.1},
+                {"n_cameras": 0}, {"n_face": 0}, {"image_size": 7}):
+        with pytest.raises(ValueError):
+            sd.SceneSpec(**bad)
+
+
+def test_scene_constants_meet_the_bounds_once_checked(figure):
+    # these were checks on settable fields; the constants must still
+    # meet them
+    spec = sd.SceneSpec
+    pr = np.asarray(spec.pose_range)
+    assert pr.shape == (len(figure.skeleton.names),)
+    assert np.all(pr >= 0.0)
+    assert spec.novel_margin > 1.0
+    # 1.2 rad keeps blended skinning transforms well conditioned
+    assert np.all(pr * spec.novel_margin <= 1.2 + 1e-12)
+    assert 0 <= spec.corr_scalar < 3 * len(figure.skeleton.names)
+    assert pr[spec.corr_scalar // 3] > 0.0     # rho > 0 divides by it
+    assert spec.tex_size >= 8
+    for name in ("face_range", "cam_radius", "focal", "sigma_r", "gamma_r"):
+        assert getattr(spec, name) > 0.0, name
 
 
 def test_scene_cameras(small_spec):
@@ -251,14 +284,14 @@ def test_dataset_layout_and_manifest(small_dataset):
 
 
 def test_dataset_root_holds_only_manifest_and_frames(small_dataset):
-    # the template and skeleton come from the manifest's figure tag
+    # the template and skeleton are SceneSpec.figure
     root = Path(small_dataset.root)
     assert sorted(p.name for p in root.iterdir()) == ["frames", "manifest.txt"]
 
 
 def test_stale_files_are_ignored(small_dataset, tmp_path):
-    # datasets written before the rig files, the frames' mesh.obj and
-    # their factor files were dropped still hold them
+    # rig files, per-frame meshes and factor files left in a dataset
+    # directory are not read
     root = tmp_path / "old"
     shutil.copytree(small_dataset.root, root)
     for name in ("template.obj", "template.weights", "skeleton.txt"):
@@ -309,7 +342,7 @@ def test_manifest_tamper_detected(small_dataset, tmp_path):
     copy.mkdir()
     text = (root / "manifest.txt").read_text()
     (copy / "manifest.txt").write_text(
-        text.replace("spec.stripe_amp = 0.35", "spec.stripe_amp = 0.36"))
+        text.replace("spec.rho_spurious = 0.0", "spec.rho_spurious = 0.5"))
     with pytest.raises(ValueError, match="hash"):
         sd.load_manifest(copy)
     (copy / "manifest.txt").write_text(text + "bogus = 1\n")
@@ -317,15 +350,36 @@ def test_manifest_tamper_detected(small_dataset, tmp_path):
         sd.load_manifest(copy)
 
 
+def test_format_1_manifest_is_refused(small_dataset, tmp_path):
+    # a dataset written when the scene constants were manifest lines
+    (tmp_path / "manifest.txt").write_text(
+        (Path(small_dataset.root) / "manifest.txt").read_text()
+        .replace("format = dsaa-dataset-2", "format = dsaa-dataset-1"))
+    with pytest.raises(ValueError,
+                       match="must declare 'format = dsaa-dataset-2'"):
+        sd.load_manifest(tmp_path)
+
+
+def test_edited_scene_constant_refuses_old_datasets(small_dataset,
+                                                    monkeypatch):
+    # the constants are in no manifest line, so only the hash catches a
+    # dataset whose ground truth the code no longer regenerates
+    assert sd.load_manifest(small_dataset.root).spec_hash \
+        == small_dataset.spec_hash
+    monkeypatch.setattr(sd.SceneSpec, "wrinkle_amp", 0.036)
+    with pytest.raises(ValueError, match="manifest hash does not match"):
+        sd.load_manifest(small_dataset.root)
+
+
 def test_generate_dataset_validates(small_spec, tmp_path):
     with pytest.raises(ValueError):
         sd.generate_dataset(small_spec, tmp_path / "x", 1)
 
 
-def test_registration_bit_exact(figure, tmp_path):
+def test_registration_bit_exact(tmp_path):
     # re-rendering the stored mesh with the regenerated texture must
     # quantize to exactly the bytes on disk, for every frame and camera
-    spec = sd.SceneSpec(figure=figure, seed=3)
+    spec = sd.SceneSpec(seed=3)
     manifest = sd.generate_dataset(spec, tmp_path / "set", 2)
     for fid in manifest.ids():
         rec = sd.load_frame(manifest, fid)
@@ -340,8 +394,8 @@ def test_registration_bit_exact(figure, tmp_path):
             assert (tmp_path / "re.pgm").read_bytes() == stored.read_bytes()
 
 
-def test_hidden_factor_changes_images_locally(figure):
-    spec = sd.SceneSpec(figure=figure)
+def test_hidden_factor_changes_images_locally():
+    spec = sd.SceneSpec()
     theta, face, _ = sd.sample_frame(spec, "000000", 0)
     _, p0 = sd.frame_mesh(spec, theta, 0.0)
     _, p1 = sd.frame_mesh(spec, theta, 1.0)
