@@ -18,7 +18,7 @@ _FORMAT = "dsaa-avatar-2"
 @dataclass(frozen=True)
 class AvatarConfig:
     """The fields are what a run varies (the rule is in dsaa.harness.config):
-    geo_res, n_face, the ablation switches and dtype; d_z, the widths, tau
+    geo_res, n_face, the variants' switches and dtype; d_z, the widths, tau
     and head_joint are class constants, read as `config.x` but in no
     manifest. geo_res fixes the displacement / conditioning grid; the
     latent branch runs on a min(geo_res, 12)-pixel square and is spread to

@@ -1,18 +1,17 @@
 """Experiment driver: configs, training loop, evaluation, reports."""
 
-from .config import (ABLATIONS, TrainConfig, apply_ablation, config_text,
+from .config import (VARIANTS, LossWeights, TrainConfig, config_text,
                      load_config, parse_config, parse_data_config)
 from .data import TrainData
 from .trainer import TrainingDiverged, TrainResult, train
-from .evaluate import (VARIANT_LABELS, build_report, drive, heatmap_locality,
-                       load_model, open_run, render_frame, union_l1,
-                       write_heatmaps)
+from .evaluate import (build_report, drive, heatmap_locality, load_model,
+                       open_run, render_frame, union_l1, write_heatmaps)
 
 __all__ = [
-    "ABLATIONS", "TrainConfig", "apply_ablation", "config_text",
+    "VARIANTS", "LossWeights", "TrainConfig", "config_text",
     "load_config", "parse_config", "parse_data_config",
     "TrainData",
     "TrainingDiverged", "TrainResult", "train",
-    "VARIANT_LABELS", "build_report", "drive", "heatmap_locality",
+    "build_report", "drive", "heatmap_locality",
     "load_model", "open_run", "render_frame", "union_l1", "write_heatmaps",
 ]

@@ -13,12 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import TrainConfig, data_keys, load_config, parse_data_config
+from .config import VARIANTS, data_keys, parse_config, parse_data_config
 from .data import TrainData
 from .evaluate import build_report, drive, open_run, write_heatmaps
 from .trainer import TrainingDiverged, train
 
 __all__ = ["main"]
+
+_ECHO_EVERY = 25        # train prints every 25th iteration, the first and last
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,12 +44,12 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--dataset", help="dataset directory")
     t.add_argument("--out", help="run directory")
     t.add_argument("--seed", type=int)
-    t.add_argument("--ablate", help="variant name (see docs)")
+    t.add_argument("--ablate", help="report variant, one of: "
+                                    + ", ".join(VARIANTS))
     t.add_argument("--iters", type=int)
     t.add_argument("--phase1", type=int)
     t.add_argument("--resume", action="store_true",
                    help="continue from out/trainer.dsaa1 when present")
-    t.add_argument("--echo-every", type=int, default=25)
 
     d = sub.add_parser("drive", help="render frames from driving signals")
     d.add_argument("--checkpoint", required=True,
@@ -61,9 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--steps", type=int, default=40,
                    help="fit-mode optimization steps")
-    d.add_argument("--lr", type=float, default=0.1)
 
-    r = sub.add_parser("report", help="ablation error table + diagnostics")
+    r = sub.add_parser("report", help="driving error of each variant + "
+                                      "diagnostics")
     r.add_argument("--dataset", required=True)
     r.add_argument("--out", required=True)
     r.add_argument("--run", action="append", default=[],
@@ -120,16 +122,13 @@ def _cmd_train(args) -> int:
     overrides = {k: getattr(args, k) for k in
                  ("dataset", "out", "seed", "ablate", "iters", "phase1")
                  if getattr(args, k) is not None}
-    if args.config:
-        config = load_config(args.config, **overrides)
-    else:
-        config = TrainConfig(**overrides)
-    every = max(1, args.echo_every)
+    config = parse_config(Path(args.config).read_text() if args.config
+                          else "", **overrides)
 
     def echo(line: str) -> None:
         if line.startswith("iter "):
             n = int(line.split()[1].split("/")[0])
-            if n % every and n != 1 and n != config.iters:
+            if n % _ECHO_EVERY and n != 1 and n != config.iters:
                 return
         print(line, flush=True)
 
@@ -142,7 +141,7 @@ def _cmd_drive(args) -> int:
     data, model = open_run(args.checkpoint, args.dataset)
     frames = [f for f in args.frames.split(",") if f]
     results = drive(model, data, frames, mode=args.mode, out_dir=args.out,
-                    seed=args.seed, steps=args.steps, lr=args.lr)
+                    seed=args.seed, steps=args.steps)
     for fid in frames:
         print(f"{fid}: error {results[fid]['err']:.3f}")
     mean = float(np.mean([results[f]["err"] for f in frames]))

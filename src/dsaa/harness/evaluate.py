@@ -1,4 +1,4 @@
-"""Driving evaluation, the ablation report, and influence heatmaps.
+"""Driving evaluation, the variant report, and influence heatmaps.
 
 The driving error is the mean per-pixel L1 over the foreground union
 (ground-truth or predicted silhouette), scaled by 255; `drive` scores it.
@@ -6,7 +6,6 @@ The driving error is the mean per-pixel L1 over the foreground union
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
@@ -21,18 +20,14 @@ from ..imgio import write_pgm, write_ppm
 from ..renderer import losses, rasterize
 from ..rng import stream
 from ..synthdata import raster_config
-from .config import ABLATIONS
+from .config import VARIANTS
 from .data import TrainData
 
 __all__ = ["load_model", "model_path", "union_l1", "render_frame", "drive",
-           "build_report", "write_heatmaps", "heatmap_locality", "open_run",
-           "VARIANT_LABELS"]
-
-VARIANT_LABELS = dict(zip(ABLATIONS, (
-    "OURS", "pose+face", "pose+face+latent", "OURS (no disent.)",
-    "OURS (no spat. local.)", "OURS (no shadow)")))
+           "build_report", "write_heatmaps", "heatmap_locality", "open_run"]
 
 _METRIC_TAG = "union-l1-v1"
+_FIT_LR = 0.1           # fit mode's Adam step size on z
 
 
 def model_path(checkpoint) -> Path:
@@ -113,7 +108,7 @@ def _frame_errors(images, masks, fr) -> list[float]:
 
 # -------------------------------------------------------------------- drive
 
-def _fit_latent(model, data, frame_id, steps, lr):
+def _fit_latent(model, data, frame_id, steps):
     """Per-frame reconstruction: gradient descent on z against the ground
     truth images (the image objective `losses`) over all cameras, keeping
     the best iterate seen.
@@ -127,7 +122,7 @@ def _fit_latent(model, data, frame_id, steps, lr):
     zstore = dc.ParamStore()
     zt = zstore.add("z", np.zeros(model.config.d_z,
                                   dtype=model.config.np_dtype))
-    opt = dc.Adam(zstore, lr=lr)
+    opt = dc.Adam(zstore, lr=_FIT_LR)
     best = None
     params = model.store.tensors()
     live = [t.requires_grad for t in params]
@@ -154,7 +149,7 @@ def _fit_latent(model, data, frame_id, steps, lr):
 
 
 def drive(model: AvatarModel, data: TrainData, frame_ids, mode: str = "zero",
-          out_dir=None, seed: int = 0, steps: int = 40, lr: float = 0.1) -> dict:
+          out_dir=None, seed: int = 0, steps: int = 40) -> dict:
     """Render the requested frames under one imputation mode.
 
     zero: z = 0 (maximum-likelihood driving). sample: z ~ N(0, I) per
@@ -167,9 +162,8 @@ def drive(model: AvatarModel, data: TrainData, frame_ids, mode: str = "zero",
         raise ValueError(f"unknown imputation mode {mode!r}")
     if mode != "zero" and not model.config.use_latent:
         raise ValueError(f"{mode} imputation needs a latent-capable model")
-    if mode == "fit" and (steps < 0 or not (math.isfinite(lr) and lr > 0)):
-        raise ValueError(f"fit mode needs steps >= 0 and a finite lr > 0, got "
-                         f"steps={steps}, lr={lr}")
+    if mode == "fit" and steps < 0:
+        raise ValueError(f"fit mode needs steps >= 0, got {steps}")
     frame_ids = list(frame_ids)
     if not frame_ids:
         raise ValueError("no frames requested")
@@ -187,7 +181,7 @@ def drive(model: AvatarModel, data: TrainData, frame_ids, mode: str = "zero",
     results, items = {}, [("mode", mode), ("seed", seed)]
     for fid, fr in zip(frame_ids, frames):
         if mode == "fit":
-            z, images, masks = _fit_latent(model, data, fid, steps, lr)
+            z, images, masks = _fit_latent(model, data, fid, steps)
         else:
             z = (stream(seed, "drive", fid).standard_normal(model.config.d_z)
                  if mode == "sample" else None)
@@ -303,18 +297,19 @@ def write_heatmaps(model: AvatarModel, out_dir, indices, signal=None,
 def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
                  eval_frames: int = 200) -> str:
     """Error table plus disentanglement diagnostics across the six
-    canonical variants; writes report.txt and report.kv, each whole, into
-    out_dir, which is made after every run is checked and before any is
-    scored.
+    `VARIANTS`; writes report.txt and report.kv, each whole, into out_dir,
+    which is made after every run is checked and before any is scored. A
+    run is checked against the switches its variant sets, so one run may
+    stand for several variants only where they differ in loss weights.
 
     `data` supplies the frame lists; each run is scored on the dataset
     reopened at that run's own resolutions (open_run)."""
     if eval_frames < 1:
         raise ValueError(f"report frame cap must be >= 1, got {eval_frames}")
-    missing = [v for v in ABLATIONS if v not in runs]
-    unknown = sorted(set(runs) - set(ABLATIONS))
+    missing = [v for v in VARIANTS if v not in runs]
+    unknown = sorted(set(runs) - set(VARIANTS))
     if missing or unknown:
-        raise ValueError(f"expected variants {', '.join(ABLATIONS)}; missing "
+        raise ValueError(f"expected variants {', '.join(VARIANTS)}; missing "
                          f"[{', '.join(missing)}], unknown [{', '.join(unknown)}]")
 
     test_ids = _subsample(data.ids(group="standard", split="test"),
@@ -324,9 +319,17 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
     if not test_ids or not train_ids:
         raise ValueError("dataset provides no train/test frames to score")
 
-    # refuse a missing or mismatched run before any run is scored
-    for variant in ABLATIONS:
-        data.check_model(_run_config(runs[variant])[1])
+    # refuse a missing, mismatched or misnamed run before any is scored
+    switches = sorted({k for v in VARIANTS.values() for k in v.switches})
+    for variant, spec in VARIANTS.items():
+        config = _run_config(runs[variant])[1]
+        data.check_model(config)
+        want = AvatarConfig(**spec.switches)
+        for name in switches:
+            got, wanted = getattr(config, name), getattr(want, name)
+            if got != wanted:
+                raise ValueError(f"run {runs[variant]} has {name} = {got}, "
+                                 f"but variant {variant} needs {wanted}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -339,7 +342,7 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
     # have a variance
     score_hsic = len(test_ids) >= _HSIC_MIN_ROWS
     score_probe = min(len(train_ids), len(test_ids)) >= 2
-    for variant, label in VARIANT_LABELS.items():
+    for variant, (label, _, _) in VARIANTS.items():
         run_data, model = open_run(runs[variant], data.root)
         tr_m, te_m = [float(np.mean([r["err"] for r in
                                      drive(model, run_data, ids).values()]))

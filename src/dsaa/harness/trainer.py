@@ -61,18 +61,17 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
     fresh otherwise; resume=False insists on a clean directory. echo, if
     given, receives one already-formatted line per iteration.
     """
-    cfg = config.resolved()
-    mw, lw = cfg.model, cfg.weights
-    out = Path(cfg.out)
-    if not cfg.dataset or not cfg.out:
+    mw, lw = config.model, config.weights
+    out = Path(config.out)
+    if not config.dataset or not config.out:
         raise ValueError("config needs dataset and out paths")
     # a refused dataset, model or batch leaves no run directory behind
-    data = TrainData(cfg.dataset, geo_res=mw.geo_res, ao_res=mw.shadow_res)
+    data = TrainData(config.dataset, geo_res=mw.geo_res, ao_res=mw.shadow_res)
     data.check_model(mw)
     train_ids = data.train_ids()
-    if len(train_ids) < cfg.batch:
+    if len(train_ids) < config.batch:
         raise ValueError(f"dataset provides {len(train_ids)} training "
-                         f"frames; batch size {cfg.batch} needs that many")
+                         f"frames; batch size {config.batch} needs that many")
     out.mkdir(parents=True, exist_ok=True)
 
     state_path = out / "trainer.dsaa1"
@@ -80,24 +79,24 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
         raise ValueError(f"{out} already holds a run; resume it or point "
                          "--out at a fresh directory")
     if state_path.exists():
-        _check_resumable(out / "config.txt", cfg)
-    keyvalue.write_atomic(out / "config.txt", config_text(cfg))
+        _check_resumable(out / "config.txt", config)
+    keyvalue.write_atomic(out / "config.txt", config_text(config))
     say = echo if echo is not None else (lambda line: None)
     if mw.use_shadow:
         say(f"baking occlusion maps for {len(train_ids)} frames")
         data.ensure_ao(train_ids)
 
-    model = AvatarModel(data.template, data.skeleton, mw, seed=cfg.seed)
+    model = AvatarModel(data.template, data.skeleton, mw, seed=config.seed)
     # one optimizer per parameter group, in checkpoint order
-    opts = {"model": dc.Adam(model.store, lr=cfg.lr)}
+    opts = {"model": dc.Adam(model.store, lr=config.lr)}
     critic = None
     if mw.use_latent and lw.lam_dis > 0:
         critic_store = dc.ParamStore()
         n_signal = model.masks.n_pose + model.masks.n_face
         critic = StatisticsNet(critic_store, "critic", n_signal, mw.d_z,
-                               rng=stream(cfg.seed, "critic-init"),
+                               rng=stream(config.seed, "critic-init"),
                                dtype=mw.np_dtype)
-        opts["critic"] = dc.Adam(critic_store, lr=cfg.lr)
+        opts["critic"] = dc.Adam(critic_store, lr=config.lr)
     anchors = (joint_anchor_uvs(data.template, data.skeleton)
                if lw.lam_pc > 0 else None)
     raster_cfg = raster_config(data.spec)
@@ -118,9 +117,9 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
     gc_was_on = gc.isenabled()
     gc.disable()
     try:
-        for i in range(start, cfg.iters):
+        for i in range(start, config.iters):
             try:
-                rec = _step(cfg, data, model, opts, critic, anchors,
+                rec = _step(config, data, model, opts, critic, anchors,
                             raster_cfg, train_ids, i)
             except (ValueError, FloatingPointError, OverflowError) as e:
                 # exploded parameters usually trip a shape-independent
@@ -136,10 +135,10 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
                     f"checkpoint kept, diagnostics in {out / 'diverged.txt'}"
                 ) from e
             history.append(rec)
-            line = _format(rec, cfg.iters)
+            line = _format(rec, config.iters)
             log.write(line + "\n")
             say(line)
-            save = (i + 1) % cfg.checkpoint_every == 0 or i + 1 == cfg.iters
+            save = (i + 1) % config.checkpoint_every == 0 or i + 1 == config.iters
             bad = [k for k, v in rec.items()
                    if isinstance(v, float) and not np.isfinite(v)]
             if save:
@@ -303,7 +302,7 @@ def _check_resumable(config_path, cfg: TrainConfig):
     if not config_path.exists():
         raise ValueError("run directory has state but no config.txt")
     old = parse_config(config_path.read_text())
-    old_lines = keyvalue.read(config_text(old.resolved()))
+    old_lines = keyvalue.read(config_text(old))
     new_lines = keyvalue.read(config_text(cfg))
     clash = [k for k in new_lines
              if k not in _RESUME_FREE and old_lines.get(k) != new_lines[k]]

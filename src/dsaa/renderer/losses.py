@@ -5,14 +5,13 @@ supervises geometry only with `mesh_loss` (L_G + L_lap against the
 registered mesh). Phase 2 runs the image objective `losses` and adds
 L_lap itself as a smoothness regularizer; L_G is dropped. The KL /
 disentanglement / perturbation terms are composed by the trainer, which
-owns those submodules. Every weighted sum goes through `add_term`. The
-weights of L_I, L_M, L_lap and L_G are constants (LAM_*): no run varies them.
+owns those submodules, under the weights a run's variant sets
+(`dsaa.harness.config.LossWeights`). Every weighted sum goes through
+`add_term`. The weights of L_I, L_M, L_lap and L_G are constants (LAM_*):
+no run varies them.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,21 +23,6 @@ LAM_IMG = 1.0
 LAM_MASK = 0.5
 LAM_LAP = 10.0
 LAM_GEOM = 1.0
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Weights of the terms the ablations set: KL, adversary, consistency."""
-    lam_kl: float = 1e-3
-    lam_dis: float = 0.1
-    lam_pc: float = 0.1
-
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{f.name} must be finite and nonnegative, "
-                                 f"got {v}")
 
 
 def l1_sum(a: dc.Tensor, b) -> dc.Tensor:

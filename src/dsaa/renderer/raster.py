@@ -90,8 +90,8 @@ _COVERAGE_TOL = 1e-4       # sigmoid tail allowed outside a window
 
 @dataclass(frozen=True)
 class RasterConfig:
-    sigma_r: float = 0.3          # edge sigmoid sharpness, pixel^2 units
-    gamma: float = 0.05           # depth softmax temperature
+    sigma_r: float                # edge sigmoid sharpness, pixel^2 units
+    gamma: float                  # depth softmax temperature
     window: int | None = 16       # max window size per face; None = full image
 
     def __post_init__(self):
@@ -138,8 +138,8 @@ def _coverage_margin(cfg: RasterConfig) -> float:
     coverage: that weight, D * exp(zn / gamma) against the background's
     1, reaches D * e^(1/gamma) (~4.9e8 D at gamma = 0.05). Past the margin
     it is below exp(1/gamma - margin^2 / sigma_r), ~8.6e-11 at the scene's
-    settings (synthdata.raster_config) but only ~0.027 at RasterConfig's
-    own defaults (sigma_r = 0.3)."""
+    settings (synthdata.raster_config, sigma_r = 0.08) but only ~0.027 at
+    sigma_r = 0.3, so RasterConfig has no default for either setting."""
     return float(np.sqrt(cfg.sigma_r * np.log(1.0 / _COVERAGE_TOL))) + 1.0
 
 

@@ -54,8 +54,8 @@ class SceneSpec:
     cam_height: ClassVar[float] = 0.3
     focal: ClassVar[float] = 62.0
     tex_size: ClassVar[int] = 64
-    # small sigma_r hardens edges; gamma_r stays at the renderer default
-    # so low-coverage depth weights die out inside the soft-mask falloff
+    # small sigma_r hardens edges, so low-coverage depth weights at
+    # gamma_r die out inside the soft-mask falloff
     sigma_r: ClassVar[float] = 0.08
     gamma_r: ClassVar[float] = 0.05
     corr_scalar: ClassVar[int] = 9  # flat pose-vector index tied to u

@@ -455,7 +455,7 @@ def test_render_loss_fd_wrt_decoder_and_shadow_weights():
 
     R, t = renderer.look_at((1.0, 0.1, -2.5), (1.0, 0.1, 0.0))
     cam = renderer.Camera(70.0, 70.0, 32.0, 32.0, R, t, 64, 64)
-    rcfg = renderer.RasterConfig(window=None)
+    rcfg = renderer.RasterConfig(sigma_r=0.3, gamma=0.05, window=None)
     target = r.uniform(0.0, 1.0, size=(3, 64, 64))
 
     dec, shd = model.decoder, model.shadow

@@ -14,7 +14,7 @@ import pytest
 
 import dsaa
 from dsaa import diffcore as dc, keyvalue
-from dsaa.harness import ABLATIONS, TrainData, evaluate, load_config, trainer
+from dsaa.harness import VARIANTS, TrainData, evaluate, load_config, trainer
 from dsaa.harness.cli import main
 from dsaa.harness.evaluate import open_run
 from dsaa.synthdata import load_manifest, split_dataset
@@ -89,6 +89,32 @@ def _train(root, run, *args):
     return main(["train", "--config", str(root / "train.cfg"),
                  "--dataset", str(root / "data"), "--out", str(root / run),
                  "--seed", "1", *args])
+
+
+def _variant_runs(root, *args):
+    """{variant: run directory} for a report on root's dataset: the run
+    at root/run (trained already) for each variant that sets no model
+    switch, and a run of its own, trained here with `args`, for each
+    variant that does."""
+    runs = {}
+    for v, spec in VARIANTS.items():
+        runs[v] = root / (f"run_{v}" if spec.switches else "run")
+        if spec.switches:
+            assert _train(root, runs[v].name, "--ablate", v, *args) == 0
+    return runs
+
+
+def _run_args(runs):
+    return [f"--run={v}={path}" for v, path in runs.items()]
+
+
+def test_phase1_flag_sets_the_warmup_length(cli_run):
+    # train.cfg says train.phase1 = 1; the flag wins
+    run = cli_run / "phase1_flag"
+    assert _train(cli_run, run.name, "--iters", "2", "--phase1", "2") == 0
+    log = (run / "train.log").read_text().splitlines()
+    assert [line.split()[2:4] for line in log] == [["phase", "1"]] * 2
+    assert "\ntrain.phase1 = 2\n" in (run / "config.txt").read_text()
 
 
 def test_resume_matches_uninterrupted_run(cli_run):
@@ -391,49 +417,50 @@ def test_heatmap_named_index_sets(cli_run, indices):
 
 
 @pytest.fixture(scope="module")
-def cli_reports(cli_run):
+def variant_runs(cli_run):
+    """The fixture's run for ours, no_disent and pose+face+latent, which
+    differ in loss weights only, and a 3-iteration run of each other
+    variant."""
+    return _variant_runs(cli_run, "--iters", "3")
+
+
+@pytest.fixture(scope="module")
+def cli_reports(cli_run, variant_runs):
     """Two report directories, written one after the other by the same
-    report: pose+face on a latent-free run of its own, every other
-    variant on the fixture's run."""
-    assert _train(cli_run, "run_pose_face", "--iters", "3",
-                  "--ablate", "pose+face") == 0
-    runs = dict.fromkeys(ABLATIONS, cli_run / "run")
-    runs["pose+face"] = cli_run / "run_pose_face"
-    runs = [f"--run={v}={path}" for v, path in runs.items()]
+    report of variant_runs."""
     outs = [cli_run / "report", cli_run / "report_again"]
     for out in outs:
         assert main(["report", "--dataset", str(cli_run / "data"),
-                     "--out", str(out), "--frames", "2", *runs]) == 0
+                     "--out", str(out), "--frames", "2",
+                     *_run_args(variant_runs)]) == 0
     return outs
 
 
 def test_report_uses_each_runs_resolutions(cli_reports):
     # the run's shadow grid is 8, not the TrainData default of 16
     kv = keyvalue.read((cli_reports[0] / "report.kv").read_text())
-    assert all(f"error.{v}.test" in kv for v in ABLATIONS)
+    assert all(f"error.{v}.test" in kv for v in VARIANTS)
 
 
 @pytest.fixture(scope="module")
-def six_test_frame_report(cli_run, cli_reports):
-    """The report of cli_reports' runs on a dataset of the same scene with
+def six_test_frame_report(cli_run, variant_runs):
+    """The report of variant_runs on a dataset of the same scene with
     2 train and 6 test frames, the fewest at which the HSIC test can
     reject."""
     root = cli_run / "six"
     assert main(["gen-data", "--config", str(cli_run / "data.cfg"),
                  "--out", str(root / "data"), "--frames", "8",
                  "--test-fraction", "0.75", "--seed", "4"]) == 0
-    runs = dict.fromkeys(ABLATIONS, cli_run / "run")
-    runs["pose+face"] = cli_run / "run_pose_face"
     out = root / "report"
     assert main(["report", "--dataset", str(root / "data"), "--out", str(out),
-                 *[f"--run={v}={path}" for v, path in runs.items()]]) == 0
+                 *_run_args(variant_runs)]) == 0
     return out
 
 
 def test_report_scores_independence_of_each_latent_variant(six_test_frame_report):
     kv = keyvalue.read((six_test_frame_report / "report.kv").read_text())
     assert kv["frames.test"] == "6"
-    latent = [v for v in ABLATIONS if v != "pose+face"]
+    latent = [v for v in VARIANTS if v != "pose+face"]
     assert len(latent) == 5
     for v in latent:
         assert np.isfinite(float(kv[f"hsic.{v}"]))
@@ -451,7 +478,7 @@ def test_report_omits_hsic_below_six_test_frames(cli_reports):
     # is 1 whatever z holds; the probe needs only 2 frames per split
     kv = keyvalue.read((cli_reports[0] / "report.kv").read_text())
     assert kv["frames.test"] == "2"
-    latent = [v for v in ABLATIONS if v != "pose+face"]
+    latent = [v for v in VARIANTS if v != "pose+face"]
     for v in latent:
         assert np.isfinite(float(kv[f"probe_r2.{v}"]))
     assert not [k for k in kv if k.startswith("hsic")]
@@ -467,31 +494,29 @@ def test_report_rescores_without_cache_files(cli_run, cli_reports):
 
 
 @pytest.mark.parametrize("frames", ["0", "-1"])
-def test_report_rejects_frame_cap_below_one(cli_run, tmp_path, capsys, frames):
-    runs = [f"--run={v}={cli_run / 'run'}" for v in ABLATIONS]
+def test_report_rejects_frame_cap_below_one(cli_run, variant_runs, tmp_path,
+                                            capsys, frames):
     out = tmp_path / "report"
     assert main(["report", "--dataset", str(cli_run / "data"), "--out",
-                 str(out), "--frames", frames, *runs]) == 2
+                 str(out), "--frames", frames,
+                 *_run_args(variant_runs)]) == 2
     assert f"report frame cap must be >= 1, got {frames}" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_report_refuses_a_repeated_variant(cli_run, tmp_path, capsys):
+def test_report_refuses_a_repeated_variant(cli_run, variant_runs, tmp_path,
+                                           capsys):
     # the later --run would silently replace the earlier one's directory
-    runs = [f"--run={v}={cli_run / 'run'}" for v in ABLATIONS]
     out = tmp_path / "report"
     assert main(["report", "--dataset", str(cli_run / "data"), "--out",
-                 str(out), "--frames", "1", *runs,
+                 str(out), "--frames", "1", *_run_args(variant_runs),
                  f"--run=ours={cli_run / 'run'}"]) == 2
     assert "variant 'ours' given by more than one --run" \
         in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_report_checks_every_run_before_scoring_any(cli_run, tmp_path,
-                                                     capsys, monkeypatch):
-    runs = [f"--run={v}={cli_run / 'run'}" for v in ABLATIONS[:-1]]
-    runs.append(f"--run={ABLATIONS[-1]}={tmp_path / 'nosuch'}")
+def _count_renders(monkeypatch):
     renders, real = [], evaluate.rasterize
 
     def rasterize(*args, **kwargs):
@@ -499,11 +524,34 @@ def test_report_checks_every_run_before_scoring_any(cli_run, tmp_path,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(evaluate, "rasterize", rasterize)
+    return renders
+
+
+def test_report_checks_every_run_before_scoring_any(cli_run, variant_runs,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+    runs = dict(variant_runs, no_shadow=tmp_path / "nosuch")
+    renders = _count_renders(monkeypatch)
     out = tmp_path / "report"
     assert main(["report", "--dataset", str(cli_run / "data"), "--out",
-                 str(out), "--frames", "1", *runs]) == 2
+                 str(out), "--frames", "1", *_run_args(runs)]) == 2
     assert "no model checkpoint at" in capsys.readouterr().err
     assert not renders      # no variant was scored
+    assert not out.exists()
+
+
+def test_report_refuses_a_run_listed_under_another_variant(
+        cli_run, variant_runs, tmp_path, capsys, monkeypatch):
+    # the ours run keeps its shadow branch, so it cannot stand in for
+    # no_shadow; the weights-only variants may share it
+    runs = dict(variant_runs, no_shadow=variant_runs["ours"])
+    renders = _count_renders(monkeypatch)
+    out = tmp_path / "report"
+    assert main(["report", "--dataset", str(cli_run / "data"), "--out",
+                 str(out), "--frames", "1", *_run_args(runs)]) == 2
+    assert (f"run {variant_runs['ours']} has use_shadow = True, but variant "
+            "no_shadow needs False") in capsys.readouterr().err
+    assert not renders
     assert not out.exists()
 
 
@@ -521,13 +569,13 @@ def test_report_on_one_test_frame(tmp_path):
                                                     split="test")) == 1
     assert _train(tmp_path, "run", "--iters", "2") == 0
     out = tmp_path / "report"
-    runs = [f"--run={v}={tmp_path / 'run'}" for v in ABLATIONS]
+    runs = _variant_runs(tmp_path, "--iters", "2")
     assert main(["report", "--dataset", str(tmp_path / "data"),
-                 "--out", str(out), *runs]) == 0
+                 "--out", str(out), *_run_args(runs)]) == 0
     kv = keyvalue.read((out / "report.kv").read_text())
     assert kv["frames.test"] == "1"
     assert all(f"error.{v}.test" in kv and f"locality.{v}" in kv
-               for v in ABLATIONS)
+               for v in VARIANTS)
     assert not [k for k in kv if k.startswith(("mi.", "hsic", "probe_r2."))]
     assert "omitted" in (out / "report.txt").read_text()
 
@@ -600,8 +648,7 @@ def test_manifest_with_novel_frames_and_no_split_seed_is_rejected(cli_run,
     assert "no split.seed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra", [["--steps", "-1"], ["--lr", "0"],
-                                   ["--lr", "inf"]])
+@pytest.mark.parametrize("extra", [["--steps", "-1"]])
 def test_drive_fit_rejects_bad_steps_and_lr(cli_run, capsys, extra):
     frame = load_manifest(cli_run / "data").ids()[0]
     out = cli_run / "drive_bad_fit"
@@ -785,6 +832,14 @@ def test_gen_data_help_lists_the_accepted_keys(capsys):
         assert f"data.{key}" in text, key
     for key in ("focal", "pose_range", "sigma_r", "figure", "tex_size"):
         assert f"data.{key}" not in text, key
+
+
+def test_train_help_lists_the_variants(capsys):
+    with pytest.raises(SystemExit):
+        main(["train", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("one of: ours, pose+face, pose+face+latent, no_disent, "
+            "no_spatial_local, no_shadow") in text
 
 
 @pytest.mark.parametrize("fraction, message", [

@@ -19,7 +19,7 @@ from dsaa import body, diffcore as dc, disentangle as dis
 from dsaa.avatar import LatentDistribution
 from dsaa.avatar.compose import pose
 from dsaa.conditioning import DrivingSignal
-from dsaa.renderer import LossWeights
+from dsaa.harness import LossWeights
 from dsaa.rng import stream
 from critic_fit import fit_statistics
 from fd import gradcheck

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from dsaa import diffcore as dc, keyvalue
-from dsaa.harness import ABLATIONS, evaluate, trainer
+from dsaa.harness import VARIANTS, evaluate, trainer
 from dsaa.harness.cli import main
 from dsaa.synthdata import load_manifest
 
@@ -38,18 +38,26 @@ def _drive(root, out):
                  "--out", str(out)])
 
 
+def _runs(root):
+    """The report's run of each variant: root/run where the variant sets
+    no model switch, root/run_<variant> where it does."""
+    return {v: root / (f"run_{v}" if spec.switches else "run")
+            for v, spec in VARIANTS.items()}
+
+
 def _report(root, out):
     return main(["report", "--dataset", str(root / "data"), "--out", str(out),
                  "--frames", "1",
-                 *(f"--run={v}={root / 'run'}" for v in ABLATIONS)])
+                 *(f"--run={v}={path}" for v, path in _runs(root).items())])
 
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """(root, calls): a split 32x32 dataset, a run trained 1 iteration and
-    resumed to 2, a drive and a report, all through main(argv); calls
-    holds (function name, calling code object, args) of each recorded
-    call the pipeline made."""
+    resumed to 2, a 1-iteration run of each variant that sets a model
+    switch, a drive and a report, all through main(argv); calls holds
+    (function name, calling code object, args) of each recorded call the
+    pipeline made."""
     root = tmp_path_factory.mktemp("writes")
     (root / "data.cfg").write_text("data.image_size = 32\n")
     (root / "train.cfg").write_text(
@@ -69,6 +77,10 @@ def pipeline(tmp_path_factory):
                      "--test-fraction", "0.5", "--seed", "4"]) == 0
         assert _train(root, "run", "--iters", "1") == 0
         assert _train(root, "run", "--iters", "2", "--resume") == 0
+        for v, run in _runs(root).items():
+            if run.name != "run":
+                assert _train(root, run.name, "--ablate", v,
+                              "--iters", "1") == 0
         assert _drive(root, root / "drive") == 0
         assert _report(root, root / "report") == 0
     return root, calls

@@ -12,10 +12,9 @@ import pytest
 
 from dsaa import keyvalue
 from dsaa.avatar import AvatarConfig, manifest_text, parse_manifest
-from dsaa.harness import (TrainConfig, config_text, load_config, parse_config,
-                          parse_data_config)
+from dsaa.harness import (VARIANTS, LossWeights, TrainConfig, config_text,
+                          load_config, parse_config, parse_data_config)
 from dsaa.harness.config import data_keys
-from dsaa.renderer import LossWeights
 from dsaa.synthdata import default_scene, generate_dataset, load_manifest
 
 GOLDEN_AVATAR_MANIFEST = """\
@@ -126,6 +125,50 @@ def test_partial_config_keeps_defaults():
     cfg = parse_config(text)
     assert cfg == TrainConfig(iters=12,
                               model=AvatarConfig(use_shadow=False))
+
+
+# each report variant written out: its label, (use_latent, use_shadow,
+# spatial_local) and (lam_kl, lam_dis, lam_pc)
+_VARIANTS = {
+    "ours": ("OURS", (True, True, True), (1e-3, 0.1, 0.1)),
+    "pose+face": ("pose+face", (False, True, True), (0.0, 0.0, 0.0)),
+    "pose+face+latent": ("pose+face+latent", (True, True, True),
+                         (1e-6, 0.0, 0.0)),
+    "no_disent": ("OURS (no disent.)", (True, True, True), (1e-3, 0.0, 0.0)),
+    "no_spatial_local": ("OURS (no spat. local.)", (True, True, False),
+                         (1e-3, 0.1, 0.1)),
+    "no_shadow": ("OURS (no shadow)", (True, False, True), (1e-3, 0.1, 0.1)),
+}
+
+
+def test_variants_keep_their_names_order_and_labels():
+    assert [(v, spec.label) for v, spec in VARIANTS.items()] \
+        == [(v, label) for v, (label, _, _) in _VARIANTS.items()]
+
+
+@pytest.mark.parametrize("variant", list(_VARIANTS))
+def test_variant_is_folded_in_when_the_config_is_built(variant):
+    _, (latent, shadow, local), (kl, dis, pc) = _VARIANTS[variant]
+    explicit = TrainConfig(
+        ablate=variant,
+        model=AvatarConfig(use_latent=latent, use_shadow=shadow,
+                           spatial_local=local),
+        weights=LossWeights(lam_kl=kl, lam_dis=dis, lam_pc=pc))
+    assert TrainConfig(ablate=variant) == explicit
+    # folding a folded config in again changes nothing
+    assert parse_config(config_text(explicit)) == explicit
+
+
+def test_override_picks_the_variant_before_it_is_folded_in(tmp_path):
+    # --ablate ours over a pose+face file trains a latent model with the
+    # default weights: the file's variant is never folded in
+    path = tmp_path / "train.cfg"
+    path.write_text("train.ablate = pose+face\n")
+    assert not load_config(path).model.use_latent
+    cfg = load_config(path, ablate="ours")
+    assert cfg.model.use_latent
+    assert cfg.weights == LossWeights()
+    assert cfg == TrainConfig()
 
 
 def test_parse_data_config():

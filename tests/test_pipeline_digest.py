@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from dsaa.harness import VARIANTS
+
 _ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -50,3 +52,12 @@ def test_exit_code_says_whether_any_file_differs(monkeypatch, capsys, change, co
                         lambda tree, workdir: digests[workdir.name])
     assert pipeline_digest.main(["--parent", "HEAD"]) == code
     assert f"files written, {code} differ" in capsys.readouterr().out
+
+
+def test_digest_trains_every_report_variant(monkeypatch):
+    # the tool keeps its own copy of the names, so it runs on a parent
+    # tree whose harness it cannot import
+    monkeypatch.syspath_prepend(str(_ROOT / "tools"))
+    import pipeline_digest
+
+    assert pipeline_digest.VARIANTS == tuple(VARIANTS)

@@ -73,8 +73,9 @@ def window_grid(pf, cfg):
     return ys, xs, inwin, (y0, y1, x0, x1)
 
 
-CONFIGS = [RasterConfig(sigma_r=0.3), RasterConfig(sigma_r=0.08, window=12),
-           RasterConfig(sigma_r=1.0, window=20)]
+CONFIGS = [RasterConfig(sigma_r=0.3, gamma=0.05),
+           RasterConfig(sigma_r=0.08, gamma=0.05, window=12),
+           RasterConfig(sigma_r=1.0, gamma=0.05, window=20)]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -115,7 +116,7 @@ def test_margin_bounds_a_dropped_pairs_depth_weight():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_pairs_run_face_major_then_row_then_column(seed):
     pf = random_faces(seed)
-    counts, ys, xs = _span_pairs(pf, H, W, RasterConfig())
+    counts, ys, xs = _span_pairs(pf, H, W, RasterConfig(sigma_r=0.3, gamma=0.05))
     face = np.repeat(np.arange(len(pf)), counts)
     key = (face * H + ys) * W + xs
     assert (np.diff(key) > 0).all()
@@ -124,7 +125,7 @@ def test_pairs_run_face_major_then_row_then_column(seed):
 
 def test_no_window_keeps_every_canvas_pixel_of_every_face():
     pf = random_faces(3, F=12)
-    counts, ys, xs = _span_pairs(pf, H, W, RasterConfig(window=None))
+    counts, ys, xs = _span_pairs(pf, H, W, RasterConfig(sigma_r=0.3, gamma=0.05, window=None))
     rows, cols = np.divmod(np.arange(H * W), W)
     assert (counts == H * W).all()
     assert (ys.reshape(12, H * W) == rows).all()
@@ -135,4 +136,4 @@ def test_spans_reject_non_finite_coordinates():
     pf = random_faces(4, F=12)
     pf[5, 1, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        _span_pairs(pf, H, W, RasterConfig())
+        _span_pairs(pf, H, W, RasterConfig(sigma_r=0.3, gamma=0.05))

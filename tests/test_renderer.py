@@ -30,7 +30,7 @@ def flat_texture(c, size=8):
                            (3, size, size)).copy()
 
 
-DENSE = renderer.RasterConfig(window=None)
+DENSE = renderer.RasterConfig(sigma_r=0.3, gamma=0.05, window=None)
 
 
 def test_interior_pixel_equals_texture_color():
@@ -48,7 +48,7 @@ def test_interior_pixel_equals_texture_color():
 
 def test_empty_scene_is_background():
     cam = front_cam()
-    cfg = renderer.RasterConfig(window=None)
+    cfg = renderer.RasterConfig(sigma_r=0.3, gamma=0.05, window=None)
     rt = renderer.rasterize(dc.Tensor(np.zeros((0, 3))), np.zeros((0, 3), dtype=int),
                             np.zeros((0, 2)), dc.Tensor(flat_texture((1, 1, 1))), cam, cfg)
     assert rt.image.shape == (3, cam.height, cam.width)
@@ -72,7 +72,7 @@ def test_zero_area_faces_cover_no_pixel(window, dtype):
     # without area has no inside, so its coverage falls off like an edge's,
     # from sigmoid(0) = 0.5 at the pixel centres that lie on it
     cam = front_cam()
-    cfg = renderer.RasterConfig(window=window)
+    cfg = renderer.RasterConfig(sigma_r=0.3, gamma=0.05, window=window)
     point = np.array([[0.1, 0.2, 2.0]] * 3)
     row = np.array([[-0.5, 0.03125, 2.0], [0.0, 0.03125, 2.0],
                     [0.5, 0.03125, 2.0]])
@@ -160,7 +160,7 @@ def test_near_triangle_dominates_small_gamma():
     tex = np.zeros((3, 16, 16))
     tex[0, :8, :] = 1.0        # red where v < 0.5
     tex[2, 8:, :] = 1.0        # blue where v > 0.5
-    cfg = renderer.RasterConfig(gamma=1e-3, window=None)
+    cfg = renderer.RasterConfig(sigma_r=0.3, gamma=1e-3, window=None)
     rt = renderer.rasterize(dc.Tensor(verts), faces, uvs, dc.Tensor(tex), cam, cfg)
     px = rt.image.data[:, 16, 16]
     npt.assert_allclose(px, [1.0, 0.0, 0.0], atol=1e-3)
@@ -173,7 +173,7 @@ def test_windowed_matches_dense():
     tex = r.random(size=(3, 8, 8))
     dense = renderer.rasterize(dc.Tensor(verts), faces, uvs, dc.Tensor(tex), cam, DENSE)
     win = renderer.rasterize(dc.Tensor(verts), faces, uvs, dc.Tensor(tex), cam,
-                             renderer.RasterConfig(window=24))
+                             renderer.RasterConfig(sigma_r=0.3, gamma=0.05, window=24))
     npt.assert_allclose(win.image.data, dense.image.data, atol=5e-4)
     npt.assert_allclose(win.mask.data, dense.mask.data, atol=5e-4)
 
@@ -370,7 +370,7 @@ def expected_windows(pf, cfg, side=64):
 def test_far_large_face_leaves_other_windows_alone(dtype):
     # every face sizes its own window, so adding a large triangle changes
     # no pixel outside that triangle's window, not even in the tails
-    cfg = renderer.RasterConfig()
+    cfg = renderer.RasterConfig(sigma_r=0.3, gamma=0.05)
     tex = np.random.default_rng(4).random(size=(3, 8, 8)).astype(dtype)
     renders = []
     for verts, faces, uvs in (small_mesh(), mixed_mesh()):
@@ -389,7 +389,7 @@ def test_far_large_face_leaves_other_windows_alone(dtype):
 
 
 def test_window_layout_gives_each_face_its_own_capped_need():
-    cfg = renderer.RasterConfig()
+    cfg = renderer.RasterConfig(sigma_r=0.3, gamma=0.05)
     verts, faces, _ = mixed_mesh()
     pf = screen_faces(verts, faces)
     y0, y1, x0, x1 = raster._window_layout(pf, 64, 64, cfg)
@@ -405,7 +405,7 @@ def test_mixed_windows_match_dense():
     tex = np.random.default_rng(5).random(size=(3, 8, 8))
     dense = renderer.rasterize(dc.Tensor(verts), faces, uvs, dc.Tensor(tex), MIX_CAM, DENSE)
     win = renderer.rasterize(dc.Tensor(verts), faces, uvs, dc.Tensor(tex), MIX_CAM,
-                             renderer.RasterConfig(window=24))
+                             renderer.RasterConfig(sigma_r=0.3, gamma=0.05, window=24))
     npt.assert_allclose(win.image.data, dense.image.data, atol=5e-4)
     npt.assert_allclose(win.mask.data, dense.mask.data, atol=5e-4)
 
@@ -422,7 +422,7 @@ def test_off_canvas_faces_add_nothing(dtype):
     uv3 = np.array([[0.1, 0.1], [0.9, 0.2], [0.5, 0.9]])
     tex = np.random.default_rng(6).random(size=(3, 8, 8)).astype(dtype)
     probe = np.random.default_rng(7).normal(size=(4, 64, 64)).astype(dtype)
-    cfg = renderer.RasterConfig()
+    cfg = renderer.RasterConfig(sigma_r=0.3, gamma=0.05)
 
     def run(verts, faces, uvs):
         v = dc.Tensor(verts.astype(dtype), requires_grad=True)
@@ -451,9 +451,9 @@ def test_off_canvas_faces_add_nothing(dtype):
 ])
 def test_raster_config_rejects_bad_window_settings(kwargs):
     with pytest.raises(ValueError):
-        renderer.RasterConfig(**kwargs)
+        renderer.RasterConfig(sigma_r=0.3, gamma=0.05, **kwargs)
 
 
 def test_raster_config_accepts_window_settings():
     for window in (2, 16, np.int64(8), None):
-        assert renderer.RasterConfig(window=window).window == window
+        assert renderer.RasterConfig(sigma_r=0.3, gamma=0.05, window=window).window == window
