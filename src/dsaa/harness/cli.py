@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override data.test_fraction (0 skips splitting)")
 
     t = sub.add_parser("train", help="run or resume a training job")
-    t.add_argument("--config", help="file of train./model./loss. lines")
+    t.add_argument("--config", help="file of train./model. lines")
     t.add_argument("--dataset", help="dataset directory")
     t.add_argument("--out", help="run directory")
     t.add_argument("--seed", type=int)
@@ -68,9 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                       "diagnostics")
     r.add_argument("--dataset", required=True)
     r.add_argument("--out", required=True)
-    r.add_argument("--run", action="append", default=[],
-                   metavar="VARIANT=DIR",
-                   help="one per variant, e.g. --run ours=runs/ours")
+    r.add_argument("--run", action="append", default=[], metavar="DIR",
+                   help="one run directory per variant, e.g. --run runs/ours")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--frames", type=int, default=200,
                    help="per-split frame cap")
@@ -151,16 +150,8 @@ def _cmd_drive(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    runs = {}
-    for item in args.run:
-        name, sep, path = item.partition("=")
-        if not sep:
-            raise ValueError(f"--run wants VARIANT=DIR, got {item!r}")
-        if name in runs:
-            raise ValueError(f"variant {name!r} given by more than one --run")
-        runs[name] = path
     data = TrainData(args.dataset)
-    text = build_report(runs, data, args.out, seed=args.seed,
+    text = build_report(args.run, data, args.out, seed=args.seed,
                         eval_frames=args.frames)
     print(text, end="")
     return 0

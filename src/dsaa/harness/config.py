@@ -8,18 +8,18 @@ parameter counts stay comparable.
 
 A key exists only if a run varies it: code outside the tests sets it
 (model.geo_res, train.*, data.image_size, data.n_cameras, data.seed,
-data.n_frames, data.test_fraction), a `VARIANTS` entry does
-(model.use_*, spatial_local, loss.*), it must match the dataset (n_face,
+data.n_frames, data.test_fraction), it must match the dataset (n_face,
 in model.* and data.*) or tests use its second value (dtype,
-data.rho_spurious). The rest are constants: `AvatarConfig`'s sizes, the
-image and mesh weights in `dsaa.renderer.losses`, `TrainConfig.lr` and
-the scene settings that are `SceneSpec` class constants.
+data.rho_spurious). A run's model switches and loss weights are its
+variant's (train.ablate), not keys, so a run is always the variant it
+names. The rest are constants: `AvatarConfig`'s sizes, the image and
+mesh weights in `dsaa.renderer.losses`, `TrainConfig.lr` and the scene
+settings that are `SceneSpec` class constants.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from pathlib import Path
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
@@ -34,17 +34,12 @@ __all__ = ["TrainConfig", "LossWeights", "VARIANTS", "parse_config",
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Weights of the terms the variants set: KL, adversary, consistency."""
+    """Weights of the terms the variants set: KL, adversary, consistency.
+    The defaults are OURS's; a run's weights are its `VARIANTS` entry's
+    (`TrainConfig.weights`), never set on their own."""
     lam_kl: float = 1e-3
     lam_dis: float = 0.1
     lam_pc: float = 0.1
-
-    def __post_init__(self):
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{f.name} must be finite and nonnegative, "
-                                 f"got {v}")
 
 
 class Variant(NamedTuple):
@@ -75,10 +70,19 @@ VARIANTS = {
 }
 
 
+# the AvatarConfig fields a variant may set, and those a config file sets
+_SWITCHES = sorted({k for v in VARIANTS.values() for k in v.switches})
+_MODEL_KEYS = [f.name for f in dataclasses.fields(AvatarConfig)
+               if f.name not in _SWITCHES]
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training options. Building one folds its variant's switches and
-    weights into `model` and `weights`, so every config in use is final."""
+    """Training options. `ablate` names the run's variant, the one source
+    of its model switches and loss weights: building a config folds the
+    variant's switches into `model`, and `weights` reads its weights.
+    A `model` must carry `AvatarConfig`'s default switches or the
+    variant's; any other set is refused, never overwritten."""
     lr: ClassVar[float] = 1e-3
     dataset: str = ""
     out: str = ""
@@ -89,7 +93,6 @@ class TrainConfig:
     checkpoint_every: int = 500
     ablate: str = "ours"
     model: AvatarConfig = AvatarConfig()
-    weights: LossWeights = LossWeights()
 
     def __post_init__(self):
         if self.iters < 1 or self.phase1 < 0:
@@ -101,38 +104,43 @@ class TrainConfig:
         if self.ablate not in VARIANTS:
             raise ValueError(f"unknown ablation {self.ablate!r}; "
                              f"choose from {', '.join(VARIANTS)}")
-        variant = VARIANTS[self.ablate]
-        object.__setattr__(self, "model", dataclasses.replace(
-            self.model, **variant.switches))
-        object.__setattr__(self, "weights", dataclasses.replace(
-            self.weights, **variant.weights))
-        w = self.weights
-        if not self.model.use_latent and max(w.lam_kl, w.lam_dis, w.lam_pc):
-            raise ValueError("a latent-free model cannot carry KL or "
-                             "disentanglement loss terms")
+        defaults = dataclasses.replace(self.model, **{
+            k: getattr(AvatarConfig, k) for k in _SWITCHES})
+        folded = dataclasses.replace(
+            defaults, **VARIANTS[self.ablate].switches)
+        if self.model not in (defaults, folded):
+            bad = [f"{k} = {getattr(self.model, k)}" for k in _SWITCHES
+                   if getattr(self.model, k) != getattr(folded, k)]
+            raise ValueError(f"variant {self.ablate} sets the model switches; "
+                             f"the model given has {', '.join(bad)}")
+        object.__setattr__(self, "model", folded)
+
+    @property
+    def weights(self) -> LossWeights:
+        return LossWeights(**VARIANTS[self.ablate].weights)
 
 
 # --------------------------------------------------------------- text I/O
 
 def parse_config(text: str, **overrides) -> TrainConfig:
     """Strict parse: every key must belong to a known section and field;
-    fields not given keep their defaults. `overrides` replace train.*
-    fields before the config is built, and so before its variant is
-    folded in."""
+    fields not given keep their defaults; a switch or loss-weight key is
+    unknown. `overrides` replace train.* fields before the config is
+    built, and so before its variant is folded in."""
     kv = keyvalue.read(text)
-    model = keyvalue.take_fields(AvatarConfig, kv, "model.", complete=False)
-    loss = keyvalue.take_fields(LossWeights, kv, "loss.", complete=False)
+    model = keyvalue.take_fields(AvatarConfig, {
+        k: kv.pop(f"model.{k}") for k in _MODEL_KEYS if f"model.{k}" in kv},
+        complete=False)
     train = keyvalue.take_fields(TrainConfig, kv, "train.", complete=False)
     keyvalue.reject_unknown(kv, "config")
-    return TrainConfig(model=AvatarConfig(**model),
-                       weights=LossWeights(**loss), **{**train, **overrides})
+    return TrainConfig(model=AvatarConfig(**model), **{**train, **overrides})
 
 
 def config_text(config: TrainConfig) -> str:
     """Canonical dump; parse_config(config_text(c)) == c field for field."""
-    return keyvalue.dump(keyvalue.field_items(config, "train.")
-                         + keyvalue.field_items(config.model, "model.")
-                         + keyvalue.field_items(config.weights, "loss."))
+    return keyvalue.dump(keyvalue.field_items(config, "train.") + [
+        (f"model.{k}", v) for k, v in keyvalue.field_items(config.model)
+        if k in _MODEL_KEYS])
 
 
 def load_config(path, **overrides) -> TrainConfig:

@@ -13,18 +13,18 @@ import numpy as np
 from .. import diffcore as dc
 from .. import keyvalue
 from ..avatar import AvatarConfig, AvatarModel, parse_manifest
-from ..conditioning import build_masks, influence_heatmap
+from ..conditioning import influence_heatmap
 from ..disentangle import hsic_test
 from ..disentangle.stats import _HSIC_MIN_ROWS
 from ..imgio import write_pgm, write_ppm
 from ..renderer import losses, rasterize
 from ..rng import stream
 from ..synthdata import raster_config
-from .config import VARIANTS
+from .config import VARIANTS, parse_config
 from .data import TrainData
 
 __all__ = ["load_model", "model_path", "union_l1", "render_frame", "drive",
-           "build_report", "write_heatmaps", "heatmap_locality", "open_run"]
+           "build_report", "write_heatmaps", "open_run"]
 
 _METRIC_TAG = "union-l1-v1"
 _FIT_LR = 0.1           # fit mode's Adam step size on z
@@ -231,29 +231,6 @@ def _encodings(model, data, ids):
     return np.stack(mu), np.array([data.frame(f).u for f in ids])
 
 
-def heatmap_locality(model: AvatarModel, seed: int = 0) -> dict:
-    """Fraction of influence-heatmap mass inside each pose scalar's true
-    mask, from 8 perturbations per scalar at the zero signal.
-
-    Masks are rebuilt from the rig on the model's atlas (not taken from
-    the model's masks), so the no-locality ablation is scored against
-    the same reference. Scalars whose heatmap is identically zero are
-    omitted.
-    """
-    ref = build_masks(model.template, model.skeleton, model.atlas,
-                      tau=model.config.tau, n_face=model.config.n_face,
-                      head_joint=model.config.head_joint)
-    base = np.zeros(ref.data.shape[0], dtype=np.float64)
-    out = {}
-    for k in range(ref.n_pose):
-        heat = influence_heatmap(lambda v: _embed(model, v), base, k, 8,
-                                 seed=seed)
-        total = heat.sum()
-        if total > 0:
-            out[k] = float((heat * ref.data[k]).sum() / total)
-    return out
-
-
 def _embed(model, scalars):
     n_pose = model.masks.n_pose
     dt = model.config.np_dtype
@@ -294,23 +271,51 @@ def write_heatmaps(model: AvatarModel, out_dir, indices, signal=None,
     return paths
 
 
-def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
+def _runs_by_variant(runs, data: TrainData) -> dict:
+    """{variant: run directory} of the listed runs, each under the variant
+    its config.txt names (train.ablate). Refuses a run without config.txt,
+    one whose model.dsaa1.manifest differs from its config's model or
+    that does not read the dataset's face scalars, two runs of one
+    variant and a variant with no run."""
+    by_variant = {}
+    for run in runs:
+        path = Path(run) / "config.txt"
+        if not path.is_file():
+            raise ValueError(f"run {run} has no config.txt")
+        config = parse_config(path.read_text())
+        if config.ablate in by_variant:
+            raise ValueError(f"runs {by_variant[config.ablate]} and {run} "
+                             f"are both variant {config.ablate}")
+        got, want = (dict(keyvalue.field_items(model)) for model in
+                     (_run_config(run)[1], config.model))
+        differ = [f"{k} = {got[k]} (config: {want[k]})" for k in got
+                  if got[k] != want[k]]
+        if differ:
+            raise ValueError(f"run {run}: model.dsaa1.manifest differs from "
+                             f"config.txt: {', '.join(differ)}")
+        data.check_model(config.model)
+        by_variant[config.ablate] = run
+    missing = [v for v in VARIANTS if v not in by_variant]
+    if missing:
+        raise ValueError(f"no run of variant {', '.join(missing)}; report "
+                         f"needs one run of each of {', '.join(VARIANTS)}")
+    return by_variant
+
+
+def build_report(runs, data: TrainData, out_dir, seed: int = 0,
                  eval_frames: int = 200) -> str:
     """Error table plus disentanglement diagnostics across the six
     `VARIANTS`; writes report.txt and report.kv, each whole, into out_dir,
-    which is made after every run is checked and before any is scored. A
-    run is checked against the switches its variant sets, so one run may
-    stand for several variants only where they differ in loss weights.
+    which is made after every run is checked and before any is scored.
+    `runs` lists one run directory per variant; each run is scored under
+    the variant its own config.txt names, and only there
+    (`_runs_by_variant`).
 
     `data` supplies the frame lists; each run is scored on the dataset
     reopened at that run's own resolutions (open_run)."""
     if eval_frames < 1:
         raise ValueError(f"report frame cap must be >= 1, got {eval_frames}")
-    missing = [v for v in VARIANTS if v not in runs]
-    unknown = sorted(set(runs) - set(VARIANTS))
-    if missing or unknown:
-        raise ValueError(f"expected variants {', '.join(VARIANTS)}; missing "
-                         f"[{', '.join(missing)}], unknown [{', '.join(unknown)}]")
+    runs = _runs_by_variant(runs, data)
 
     test_ids = _subsample(data.ids(group="standard", split="test"),
                           eval_frames, stream(seed, "report", "test"))
@@ -318,18 +323,6 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
                            stream(seed, "report", "train"))
     if not test_ids or not train_ids:
         raise ValueError("dataset provides no train/test frames to score")
-
-    # refuse a missing, mismatched or misnamed run before any is scored
-    switches = sorted({k for v in VARIANTS.values() for k in v.switches})
-    for variant, spec in VARIANTS.items():
-        config = _run_config(runs[variant])[1]
-        data.check_model(config)
-        want = AvatarConfig(**spec.switches)
-        for name in switches:
-            got, wanted = getattr(config, name), getattr(want, name)
-            if got != wanted:
-                raise ValueError(f"run {runs[variant]} has {name} = {got}, "
-                                 f"but variant {variant} needs {wanted}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -351,10 +344,7 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
         kv.append((f"error.{variant}.train", repr(tr_m)))
         kv.append((f"error.{variant}.test", repr(te_m)))
 
-        loc = heatmap_locality(model, seed=seed)
-        loc_m = float(np.mean(list(loc.values()))) if loc else float("nan")
-        kv.append((f"locality.{variant}", repr(loc_m)))
-        extras = [f"locality {loc_m:.3f}"]
+        extras = []
         if model.config.use_latent and (score_hsic or score_probe):
             mu_te, u_te = _encodings(model, run_data, test_ids)
             if score_hsic:
@@ -368,7 +358,8 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
                 r2 = _probe_r2(mu_tr, u_tr, mu_te, u_te)
                 kv.append((f"probe_r2.{variant}", repr(r2)))
                 extras.append(f"probe R2 {r2:.3f}")
-        diag.append(f"{label}: " + ", ".join(extras))
+        if extras:
+            diag.append(f"{label}: " + ", ".join(extras))
 
     width = max(len(label) for label, _, _ in rows)
     lines = ["driving error (mean per-pixel L1 x 255, foreground union)",
@@ -379,8 +370,6 @@ def build_report(runs: dict, data: TrainData, out_dir, seed: int = 0,
         lines.append(f"{label.ljust(width)} {tr_m:8.3f} {te_m:8.3f}")
     lines += ["", "diagnostics:"] + diag + [
         "",
-        "locality checks the architecture: it is 1.0 by construction for "
-        "every masked variant",
         "HSIC(z;signal) tests z against the signal on the test frames: a "
         "small p says z depends on it",
         "probe R2 checks that z encodes u (held-out ridge fit)"]

@@ -8,7 +8,8 @@ import numpy.testing as npt
 import pytest
 
 from dsaa import avatar, body, diffcore as dc, renderer, rng
-from dsaa.conditioning import DrivingSignal, tile2d
+from dsaa.conditioning import (DrivingSignal, build_masks,
+                               influence_heatmap, tile2d)
 from fd import gradcheck
 from footprints import displacement_footprint, texture_footprint
 
@@ -762,3 +763,25 @@ def test_spatial_local_flag_widens_influence():
     _, t1 = dense.decode(sig2, z)
     outside = (t1.data - t0.data)[:, ~fp]
     assert np.abs(outside).max() > 0.0
+
+
+@pytest.mark.parametrize("spatial_local", [True, False])
+def test_pose_heatmaps_lie_inside_their_masks(spatial_local):
+    # the projector's embedding of each pose scalar is zero outside the
+    # scalar's influence mask, rebuilt from the rig; without the masks
+    # every scalar reaches texels outside its own
+    model, tpl, skel = build_model(seed=2, spatial_local=spatial_local)
+    cfg = model.config
+    ref = build_masks(tpl, skel, model.atlas, tau=cfg.tau, n_face=cfg.n_face,
+                      head_joint=cfg.head_joint)
+
+    def embed(theta):
+        with dc.no_grad():
+            return model.proj_pose(theta.astype(cfg.np_dtype)).data
+
+    outside = []
+    for k in range(ref.n_pose):
+        heat = influence_heatmap(embed, np.zeros(ref.n_pose), k, 8)
+        assert heat.any(), k
+        outside.append(bool(heat[ref.data[k] == 0].any()))
+    assert outside == [not spatial_local] * ref.n_pose

@@ -92,20 +92,16 @@ def _train(root, run, *args):
 
 
 def _variant_runs(root, *args):
-    """{variant: run directory} for a report on root's dataset: the run
-    at root/run (trained already) for each variant that sets no model
-    switch, and a run of its own, trained here with `args`, for each
-    variant that does."""
-    runs = {}
-    for v, spec in VARIANTS.items():
-        runs[v] = root / (f"run_{v}" if spec.switches else "run")
-        if spec.switches:
-            assert _train(root, runs[v].name, "--ablate", v, *args) == 0
+    """{variant: run directory} for a report on root's dataset: one run
+    of each variant, trained here with `args` into root/run_<variant>."""
+    runs = {v: root / f"run_{v}" for v in VARIANTS}
+    for v, run in runs.items():
+        assert _train(root, run.name, "--ablate", v, *args) == 0
     return runs
 
 
 def _run_args(runs):
-    return [f"--run={v}={path}" for v, path in runs.items()]
+    return [f"--run={path}" for path in runs.values()]
 
 
 def test_phase1_flag_sets_the_warmup_length(cli_run):
@@ -246,22 +242,31 @@ def test_resume_refuses_config_with_removed_train_keys(cli_run, capsys):
     assert not (run / "diverged.txt").exists()
 
 
+# the model switches and loss weights that are a variant's, not keys
+_VARIANT_KEYS = {"model.use_latent": "false", "model.use_shadow": "false",
+                 "model.spatial_local": "false", "loss.lam_kl": "0.0",
+                 "loss.lam_dis": "0.0", "loss.lam_pc": "0.0"}
+
+
 def test_resume_refuses_config_with_keys_that_became_constants(cli_run,
                                                                capsys):
-    # run directories written while the model sizes and the learning rate
-    # were settings hold model.tex_res, train.lr and their like; such a
-    # run no longer resumes, and no file in it changes
+    # run directories written while the model sizes, the learning rate,
+    # the model switches and the loss weights were settings hold
+    # model.tex_res, train.lr, model.use_shadow, loss.lam_kl and their
+    # like; such a run no longer resumes, and no file in it changes
     run = cli_run / "constant_keys"
     shutil.copytree(cli_run / "run", run)
     text = (run / "config.txt").read_text().replace(
         "model.geo_res = 16\n",
         "model.geo_res = 16\nmodel.tex_res = 32\n") + "train.lr = 0.001\n"
+    text += "".join(f"{key} = {value}\n" for key, value in _VARIANT_KEYS.items())
     (run / "config.txt").write_text(text)
     before = {p.name: p.read_bytes() for p in run.iterdir()}
     assert _train(cli_run, "constant_keys", "--iters", "4", "--resume") == 2
     err = capsys.readouterr().err
     assert "unknown config keys" in err
-    assert "model.tex_res" in err and "train.lr" in err
+    for key in ("model.tex_res", "train.lr", *_VARIANT_KEYS):
+        assert key in err, key
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
@@ -418,9 +423,7 @@ def test_heatmap_named_index_sets(cli_run, indices):
 
 @pytest.fixture(scope="module")
 def variant_runs(cli_run):
-    """The fixture's run for ours, no_disent and pose+face+latent, which
-    differ in loss weights only, and a 3-iteration run of each other
-    variant."""
+    """A 3-iteration run of each variant."""
     return _variant_runs(cli_run, "--iters", "3")
 
 
@@ -504,18 +507,6 @@ def test_report_rejects_frame_cap_below_one(cli_run, variant_runs, tmp_path,
     assert not out.exists()
 
 
-def test_report_refuses_a_repeated_variant(cli_run, variant_runs, tmp_path,
-                                           capsys):
-    # the later --run would silently replace the earlier one's directory
-    out = tmp_path / "report"
-    assert main(["report", "--dataset", str(cli_run / "data"), "--out",
-                 str(out), "--frames", "1", *_run_args(variant_runs),
-                 f"--run=ours={cli_run / 'run'}"]) == 2
-    assert "variant 'ours' given by more than one --run" \
-        in capsys.readouterr().err
-    assert not out.exists()
-
-
 def _count_renders(monkeypatch):
     renders, real = [], evaluate.rasterize
 
@@ -527,32 +518,71 @@ def _count_renders(monkeypatch):
     return renders
 
 
-def test_report_checks_every_run_before_scoring_any(cli_run, variant_runs,
-                                                     tmp_path, capsys,
-                                                     monkeypatch):
-    runs = dict(variant_runs, no_shadow=tmp_path / "nosuch")
+def _refused_report(cli_run, tmp_path, monkeypatch, runs):
+    """Run a report of `runs` that must exit 2 before it renders anything
+    or makes its out directory."""
     renders = _count_renders(monkeypatch)
     out = tmp_path / "report"
     assert main(["report", "--dataset", str(cli_run / "data"), "--out",
                  str(out), "--frames", "1", *_run_args(runs)]) == 2
-    assert "no model checkpoint at" in capsys.readouterr().err
     assert not renders      # no variant was scored
     assert not out.exists()
 
 
-def test_report_refuses_a_run_listed_under_another_variant(
+def test_report_checks_every_run_before_scoring_any(cli_run, variant_runs,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+    # the last run listed has no config.txt, so its variant is unknown
+    nosuch = tmp_path / "nosuch"
+    _refused_report(cli_run, tmp_path, monkeypatch,
+                    dict(variant_runs, extra=nosuch))
+    assert f"run {nosuch} has no config.txt" in capsys.readouterr().err
+
+
+def test_report_refuses_a_repeated_variant(cli_run, variant_runs, tmp_path,
+                                           capsys, monkeypatch):
+    # the ours run listed where the no_disent run belongs is still an
+    # ours run; it must not be scored as OURS (no disent.) too
+    runs = dict(variant_runs, no_disent=variant_runs["ours"])
+    _refused_report(cli_run, tmp_path, monkeypatch, runs)
+    ours = variant_runs["ours"]
+    assert f"runs {ours} and {ours} are both variant ours" \
+        in capsys.readouterr().err
+
+
+def test_report_refuses_a_missing_variant(cli_run, variant_runs, tmp_path,
+                                          capsys, monkeypatch):
+    runs = {v: run for v, run in variant_runs.items() if v != "no_shadow"}
+    _refused_report(cli_run, tmp_path, monkeypatch, runs)
+    assert "no run of variant no_shadow" in capsys.readouterr().err
+
+
+def test_report_refuses_a_manifest_that_differs_from_the_config(
         cli_run, variant_runs, tmp_path, capsys, monkeypatch):
-    # the ours run keeps its shadow branch, so it cannot stand in for
-    # no_shadow; the weights-only variants may share it
-    runs = dict(variant_runs, no_shadow=variant_runs["ours"])
-    renders = _count_renders(monkeypatch)
-    out = tmp_path / "report"
-    assert main(["report", "--dataset", str(cli_run / "data"), "--out",
-                 str(out), "--frames", "1", *_run_args(runs)]) == 2
-    assert (f"run {variant_runs['ours']} has use_shadow = True, but variant "
-            "no_shadow needs False") in capsys.readouterr().err
-    assert not renders
-    assert not out.exists()
+    # a no_shadow run whose checkpoint says it has a shadow branch
+    run = tmp_path / "run_no_shadow"
+    shutil.copytree(variant_runs["no_shadow"], run)
+    manifest = run / "model.dsaa1.manifest"
+    text = manifest.read_text()
+    assert "use_shadow = false\n" in text
+    manifest.write_text(text.replace("use_shadow = false", "use_shadow = true"))
+    _refused_report(cli_run, tmp_path, monkeypatch,
+                    dict(variant_runs, no_shadow=run))
+    assert (f"run {run}: model.dsaa1.manifest differs from config.txt: "
+            "use_shadow = true (config: false)") in capsys.readouterr().err
+
+
+def test_report_refuses_a_config_with_loss_keys(cli_run, variant_runs,
+                                                tmp_path, capsys, monkeypatch):
+    # a run written while the loss weights were keys no longer says which
+    # variant it is alone; it is refused, not scored under train.ablate
+    run = tmp_path / "run_ours"
+    shutil.copytree(variant_runs["ours"], run)
+    (run / "config.txt").write_text((run / "config.txt").read_text()
+                                    + "loss.lam_dis = 0.0\n")
+    _refused_report(cli_run, tmp_path, monkeypatch,
+                    dict(variant_runs, ours=run))
+    assert "unknown config keys: ['loss.lam_dis']" in capsys.readouterr().err
 
 
 def test_report_on_one_test_frame(tmp_path):
@@ -567,16 +597,15 @@ def test_report_on_one_test_frame(tmp_path):
                  "--test-fraction", "0.25", "--seed", "4"]) == 0
     assert len(load_manifest(tmp_path / "data").ids(group="standard",
                                                     split="test")) == 1
-    assert _train(tmp_path, "run", "--iters", "2") == 0
     out = tmp_path / "report"
     runs = _variant_runs(tmp_path, "--iters", "2")
     assert main(["report", "--dataset", str(tmp_path / "data"),
                  "--out", str(out), *_run_args(runs)]) == 0
     kv = keyvalue.read((out / "report.kv").read_text())
     assert kv["frames.test"] == "1"
-    assert all(f"error.{v}.test" in kv and f"locality.{v}" in kv
-               for v in VARIANTS)
-    assert not [k for k in kv if k.startswith(("mi.", "hsic", "probe_r2."))]
+    assert all(f"error.{v}.test" in kv for v in VARIANTS)
+    assert not [k for k in kv if k.startswith(("mi.", "hsic", "probe_r2.",
+                                                "locality."))]
     assert "omitted" in (out / "report.txt").read_text()
 
 
@@ -720,18 +749,6 @@ def test_drive_path_errors_exit_2(cli_run, tmp_path, capsys, monkeypatch,
     assert not renders      # refused before any frame is rendered
 
 
-@pytest.mark.parametrize("line", ["loss.lam_kl = nan", "loss.lam_pc = inf"])
-def test_train_rejects_nonfinite_settings(cli_run, tmp_path, capsys, line):
-    cfg = tmp_path / "train.cfg"
-    cfg.write_text((cli_run / "train.cfg").read_text() + line + "\n")
-    out = tmp_path / "run"
-    assert main(["train", "--config", str(cfg), "--dataset",
-                 str(cli_run / "data"), "--out", str(out), "--seed", "1",
-                 "--iters", "2"]) == 2
-    assert "must be finite" in capsys.readouterr().err
-    assert not out.exists()
-
-
 _FACE_MISMATCH = "model reads 4 face scalars; the dataset supplies 2"
 
 
@@ -747,22 +764,23 @@ def two_face_data(tmp_path_factory):
     return root / "data"
 
 
-@pytest.mark.parametrize("refusal", ["dataset", "batch", "n_face", "kl"])
+@pytest.mark.parametrize("refusal",
+                         ["dataset", "batch", "n_face", *_VARIANT_KEYS])
 def test_refused_train_leaves_no_run_directory(cli_run, two_face_data,
                                                tmp_path, capsys, refusal):
     # the split gives 2 training frames, too few for a batch of 3; a
-    # latent-free model has no KL term to weigh
+    # switch or loss weight is the variant's to set, not the file's
     cfg = tmp_path / "train.cfg"
     text = (cli_run / "train.cfg").read_text()
     cfg.write_text({
         "batch": text.replace("train.batch = 2", "train.batch = 3"),
-        "kl": text + "model.use_latent = false\nloss.lam_dis = 0.0\n"
-                     "loss.lam_pc = 0.0\n"}.get(refusal, text))
+        **{key: f"{text}{key} = {value}\n"
+           for key, value in _VARIANT_KEYS.items()}}.get(refusal, text))
     data, message = {
         "dataset": (tmp_path / "nosuch", "nosuch"),
         "batch": (cli_run / "data", "batch size 3"),
-        "n_face": (two_face_data, _FACE_MISMATCH),
-        "kl": (cli_run / "data", "latent-free model cannot carry KL")}[refusal]
+        "n_face": (two_face_data, _FACE_MISMATCH)}.get(
+            refusal, (cli_run / "data", f"unknown config keys: ['{refusal}']"))
     out = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--dataset", str(data),
                  "--out", str(out), "--seed", "1", "--iters", "2"]) == 2

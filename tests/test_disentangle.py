@@ -19,7 +19,6 @@ from dsaa import body, diffcore as dc, disentangle as dis
 from dsaa.avatar import LatentDistribution
 from dsaa.avatar.compose import pose
 from dsaa.conditioning import DrivingSignal
-from dsaa.harness import LossWeights
 from dsaa.rng import stream
 from critic_fit import fit_statistics
 from fd import gradcheck
@@ -440,15 +439,3 @@ def test_joint_anchors_refuse_blended_weights():
     tpl, skel = strip_rig(ncol=12)
     with pytest.raises(ValueError, match=r"anchor vertices \[5\] blend"):
         dis.joint_anchor_uvs(tpl, skel)
-
-
-# -------------------------------------------------------------- loss weights
-
-def test_loss_weights_validated():
-    LossWeights()
-    LossWeights(lam_kl=1e-6, lam_dis=0.0, lam_pc=0.0)
-    with pytest.raises(ValueError):
-        LossWeights(lam_kl=-0.1)
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="finite"):
-            LossWeights(lam_pc=bad)

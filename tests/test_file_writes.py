@@ -39,23 +39,23 @@ def _drive(root, out):
 
 
 def _runs(root):
-    """The report's run of each variant: root/run where the variant sets
-    no model switch, root/run_<variant> where it does."""
-    return {v: root / (f"run_{v}" if spec.switches else "run")
-            for v, spec in VARIANTS.items()}
+    """The report's run of each variant: root/run for ours,
+    root/run_<variant> for each other."""
+    return {v: root / ("run" if v == "ours" else f"run_{v}")
+            for v in VARIANTS}
 
 
 def _report(root, out):
     return main(["report", "--dataset", str(root / "data"), "--out", str(out),
                  "--frames", "1",
-                 *(f"--run={v}={path}" for v, path in _runs(root).items())])
+                 *(f"--run={path}" for path in _runs(root).values())])
 
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """(root, calls): a split 32x32 dataset, a run trained 1 iteration and
-    resumed to 2, a 1-iteration run of each variant that sets a model
-    switch, a drive and a report, all through main(argv); calls holds
+    """(root, calls): a split 32x32 dataset, an ours run trained 1
+    iteration and resumed to 2, a 1-iteration run of each other variant,
+    a drive and a report, all through main(argv); calls holds
     (function name, calling code object, args) of each recorded call the
     pipeline made."""
     root = tmp_path_factory.mktemp("writes")

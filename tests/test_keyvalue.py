@@ -4,6 +4,7 @@ written bytes (the dataset spec lines feed its stored hash); and the one
 writer that replaces a file whole."""
 
 import dataclasses
+import math
 import os
 import warnings
 from pathlib import Path
@@ -59,13 +60,7 @@ train.checkpoint_every = 500
 train.ablate = ours
 model.geo_res = 32
 model.n_face = 4
-model.use_latent = true
-model.use_shadow = true
-model.spatial_local = true
 model.dtype = float32
-loss.lam_kl = 0.001
-loss.lam_dis = 0.1
-loss.lam_pc = 0.1
 """
 
 GOLDEN_SPEC_LINES = """\
@@ -88,6 +83,8 @@ def test_config_fields_are_what_a_run_varies():
                      "spatial_local", "dtype"]
     assert [f.name for f in dataclasses.fields(LossWeights)] \
         == ["lam_kl", "lam_dis", "lam_pc"]
+    assert [f.name for f in dataclasses.fields(TrainConfig)][-2:] \
+        == ["ablate", "model"]
     assert "lr" not in [f.name for f in dataclasses.fields(TrainConfig)]
     # the constants still read as attributes, tex_res from geo_res
     cfg = AvatarConfig(geo_res=16)
@@ -103,28 +100,22 @@ def test_int_given_for_float_field_reloads(tmp_path):
     assert "".join(lines[2:2 + GOLDEN_SPEC_LINES.count("\n")]) \
         == GOLDEN_SPEC_LINES
     assert load_manifest(tmp_path / "set").spec_hash == m.spec_hash
-    # the same for a config: lam_kl=1 and lam_kl=1.0 write the same text
-    assert config_text(TrainConfig(weights=LossWeights(lam_kl=1))) \
-        == config_text(TrainConfig(weights=LossWeights(lam_kl=1.0)))
 
 
 def test_config_round_trips():
     assert parse_config(config_text(TrainConfig())) == TrainConfig()
     cfg = TrainConfig(dataset="/data/set #2", out="runs/a", iters=7,
                       ablate="no_shadow",
-                      model=AvatarConfig(geo_res=16, use_shadow=False,
-                                         dtype="float64"),
-                      weights=dataclasses.replace(TrainConfig().weights,
-                                                  lam_kl=1e-6))
+                      model=AvatarConfig(geo_res=16, dtype="float64"))
     assert parse_config(config_text(cfg)) == cfg
+    assert not cfg.model.use_shadow
     assert parse_manifest(manifest_text(cfg.model)) == cfg.model
 
 
 def test_partial_config_keeps_defaults():
-    text = "# a comment line\n\ntrain.iters = 12\nmodel.use_shadow = false\n"
+    text = "# a comment line\n\ntrain.iters = 12\nmodel.geo_res = 16\n"
     cfg = parse_config(text)
-    assert cfg == TrainConfig(iters=12,
-                              model=AvatarConfig(use_shadow=False))
+    assert cfg == TrainConfig(iters=12, model=AvatarConfig(geo_res=16))
 
 
 # each report variant written out: its label, (use_latent, use_shadow,
@@ -152,11 +143,37 @@ def test_variant_is_folded_in_when_the_config_is_built(variant):
     explicit = TrainConfig(
         ablate=variant,
         model=AvatarConfig(use_latent=latent, use_shadow=shadow,
-                           spatial_local=local),
-        weights=LossWeights(lam_kl=kl, lam_dis=dis, lam_pc=pc))
+                           spatial_local=local))
     assert TrainConfig(ablate=variant) == explicit
+    assert explicit.weights == LossWeights(lam_kl=kl, lam_dis=dis, lam_pc=pc)
     # folding a folded config in again changes nothing
     assert parse_config(config_text(explicit)) == explicit
+    assert dataclasses.replace(explicit, iters=5).model == explicit.model
+
+
+@pytest.mark.parametrize("variant, switches", [
+    ("ours", {"use_shadow": False}),
+    ("no_shadow", {"use_latent": False}),
+    ("no_shadow", {"use_shadow": False, "spatial_local": False})])
+def test_config_refuses_switches_its_variant_does_not_set(variant, switches):
+    # a model carries the default switches or its variant's, so no
+    # switch is ever overwritten unseen
+    with pytest.raises(ValueError, match=f"variant {variant} sets the model "
+                                         "switches; the model given has"):
+        TrainConfig(ablate=variant, model=AvatarConfig(**switches))
+
+
+def test_variant_weights_are_finite_and_a_latent_free_variant_has_none():
+    latent_free = []
+    for variant in VARIANTS:
+        cfg = TrainConfig(ablate=variant)
+        values = [getattr(cfg.weights, f.name)
+                  for f in dataclasses.fields(LossWeights)]
+        assert all(math.isfinite(v) and v >= 0.0 for v in values), variant
+        if not cfg.model.use_latent:
+            assert values == [0.0, 0.0, 0.0], variant
+            latent_free.append(variant)
+    assert latent_free == ["pose+face"]
 
 
 def test_override_picks_the_variant_before_it_is_folded_in(tmp_path):

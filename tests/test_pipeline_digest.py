@@ -1,6 +1,7 @@
 """tools/pipeline_digest.py: its toy CLI pipeline runs on the working tree
-and hashes every kind of file it is meant to compare, and its exit code
-tells whether any file differs."""
+and hashes every kind of file it is meant to compare, the parent tree
+runs its own pipeline, and the exit code tells whether any file
+differs."""
 
 from pathlib import Path
 
@@ -48,10 +49,47 @@ def test_exit_code_says_whether_any_file_differs(monkeypatch, capsys, change, co
 
     digests = {"parent": _SAME, "change": change}
     monkeypatch.setattr(pipeline_digest, "_export", lambda ref, dest: None)
+    monkeypatch.setattr(pipeline_digest, "load_plan", lambda tree: None)
     monkeypatch.setattr(pipeline_digest, "digest_tree",
-                        lambda tree, workdir: digests[workdir.name])
+                        lambda tree, workdir, plan=None: digests[workdir.name])
     assert pipeline_digest.main(["--parent", "HEAD"]) == code
     assert f"files written, {code} differ" in capsys.readouterr().out
+
+
+_PARENT_TOOL = """\
+INPUTS = {"parent.cfg": "train.batch = 2\\n"}
+
+
+def pipeline():
+    return [[["gen-data", "--parent-flag"]], [["report", "--run=a=b"]]]
+"""
+
+
+def test_parent_tree_runs_its_own_pipeline(tmp_path, monkeypatch, capsys):
+    # a parent whose CLI arguments or config keys differ still runs, with
+    # the steps and inputs of its own tools/pipeline_digest.py
+    monkeypatch.syspath_prepend(str(_ROOT / "tools"))
+    import pipeline_digest
+
+    def export(ref, dest):
+        (dest / "tools").mkdir(parents=True)
+        (dest / "tools" / "pipeline_digest.py").write_text(_PARENT_TOOL)
+
+    steps = {"parent": [], "change": []}
+
+    def run_step(argv, workdir, env, tree):
+        steps[workdir.name].append(argv)
+        assert env["PYTHONPATH"] == str(Path(tree).resolve() / "src")
+
+    monkeypatch.setattr(pipeline_digest, "_export", export)
+    monkeypatch.setattr(pipeline_digest, "_run_step", run_step)
+    monkeypatch.chdir(_ROOT)
+    assert pipeline_digest.main(["--parent", "HEAD"]) == 0
+    assert steps["parent"] == [["gen-data", "--parent-flag"],
+                               ["report", "--run=a=b"]]
+    assert steps["change"] == [argv for stage in pipeline_digest.pipeline()
+                               for argv in stage]
+    assert "0 files written, 0 differ" in capsys.readouterr().out
 
 
 def test_digest_trains_every_report_variant(monkeypatch):

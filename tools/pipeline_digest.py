@@ -5,12 +5,15 @@ working tree.
 
 Run from the repository root. REF is exported (``git archive``, as in
 ``tools/bench_pairs.py``) into a temporary directory; the change is the
-working tree itself. In each tree the same pipeline runs, every step
-through ``python -m dsaa.harness.cli`` with that tree's ``src`` on
-PYTHONPATH: ``gen-data`` of 12 frames split in half (6 train, 6 test
-and 6 novel frames), a 3-iteration ``train`` of each report variant
-(``ours`` resumed after its first iteration), ``drive`` in zero, sample
-and fit mode, ``heatmap`` and ``report`` on the 6 test frames. The
+working tree itself. Each tree runs its own ``pipeline()`` with its own
+``INPUTS``, read from that tree's ``tools/pipeline_digest.py``, so a
+change to CLI arguments or config keys still compares in one command.
+Every step runs through ``python -m dsaa.harness.cli`` with that tree's
+``src`` on PYTHONPATH. The pipeline is ``gen-data`` of 12 frames split
+in half (6 train, 6 test and 6 novel frames), a 3-iteration ``train`` of
+each report variant (``ours`` resumed after its first iteration),
+``drive`` in zero, sample and fit mode, ``heatmap`` and ``report`` (one
+``--run=runs/<v>`` per variant) on the 6 test frames. The
 model runs on a 16-pixel geometry grid (``model.geo_res = 16``; the
 texture is twice that). Each run takes one phase-1 and two phase-2
 steps, so a change that moves only the decoder in the first phase-2
@@ -21,15 +24,14 @@ the pipeline writes is hashed (sha256), and each file whose hash
 differs between the trees, or that only one tree wrote, is printed with
 its line counts.
 Exits 1 when any file differs, 0 when every file is byte-identical.
-Both trees read the same ``INPUTS``, so a parent whose config keys
-differ cannot run them; for such a pair call ``digest_tree`` on each
-tree with its own inputs. Standard library only.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -73,7 +75,7 @@ def pipeline() -> list[list[list[str]]]:
                          "--n-perturb", "4"]],
         [drive["sample"], drive["fit"]],
         [["report", "--dataset", "data", "--out", "report", "--frames", "6",
-          *(f"--run={v}=runs/{v}" for v in VARIANTS)]],
+          *(f"--run=runs/{v}" for v in VARIANTS)]],
     ]
 
 
@@ -85,24 +87,36 @@ def _run_step(argv, workdir: Path, env: dict, tree: Path) -> None:
                            f"{proc.returncode}:\n{proc.stderr[-2000:]}")
 
 
-def digest_tree(tree: Path, workdir: Path) -> dict[str, str]:
-    """Run the pipeline in `workdir` on the sources of `tree`; returns
-    {path relative to workdir: sha256} of every file it wrote."""
+def load_plan(tree: Path):
+    """The ``tools/pipeline_digest.py`` module of `tree`, whose
+    ``pipeline()`` and ``INPUTS`` match that tree's CLI and config keys."""
+    path = Path(tree) / "tools" / "pipeline_digest.py"
+    spec = importlib.util.spec_from_file_location("_tree_pipeline_digest", path)
+    plan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(plan)
+    return plan
+
+
+def digest_tree(tree: Path, workdir: Path, plan=None) -> dict[str, str]:
+    """Run `plan`'s pipeline (this module's by default) in `workdir` on
+    the sources of `tree`; returns {path relative to workdir: sha256} of
+    every file it wrote."""
+    plan = plan or sys.modules[__name__]
     workdir.mkdir(parents=True, exist_ok=True)
-    for name, text in INPUTS.items():
+    for name, text in plan.INPUTS.items():
         (workdir / name).write_text(text)
     # two steps at a time, each on one BLAS thread, so they do not
     # oversubscribe a two-core machine
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    for steps in pipeline():
+    for steps in plan.pipeline():
         with ThreadPoolExecutor(max_workers=2) as pool:
             for done in [pool.submit(_run_step, argv, workdir, env, tree)
                          for argv in steps]:
                 done.result()
     written = (p for p in sorted(workdir.rglob("*")) if p.is_file())
     return {p.relative_to(workdir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in written if p.relative_to(workdir).as_posix() not in INPUTS}
+            for p in written if p.relative_to(workdir).as_posix() not in plan.INPUTS}
 
 
 def _lines(path: Path) -> str:
@@ -118,7 +132,8 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         _export(args.parent, tmp / "tree")
         runs = {"parent": tmp / "parent", "change": tmp / "change"}
-        digests = {"parent": digest_tree(tmp / "tree", runs["parent"]),
+        digests = {"parent": digest_tree(tmp / "tree", runs["parent"],
+                                         load_plan(tmp / "tree")),
                    "change": digest_tree(Path.cwd(), runs["change"])}
         names = sorted(set(digests["parent"]) | set(digests["change"]))
         differ = [n for n in names
