@@ -12,17 +12,24 @@ style ops live in geom.py.
 
 Both convolutions are three matrix products around one layout pair,
 channel-first so that a product's [C, N*H*W] result is NCHW at N=1:
-_im2col copies the windows of x, zero-padded, into the columns of a
-[C*kh*kw, N*Ho*Wo] matrix, and _col2im adds such columns back into x,
-dropping the taps in the padding, so no padded copy is made. conv2d is
-W @ im2col(x), with weight gradient g @ colᵀ and input gradient
-col2im(Wᵀ @ g); conv_transpose2d, its adjoint, swaps the two. Only
-those two helpers know the window layout.
+_im2col reads the windows of x, zero-padded, as one strided view and
+copies it into the columns of a [C*kh*kw, N*Ho*Wo] matrix, and _col2im
+adds such columns back into x, dropping the taps in the padding: over a
+narrow window grid in one scatter through a plan cached per geometry,
+over a wider one by one strided add per tap. Both sum each pixel's taps
+in (u, v) order from zero, as a plain loop over the taps would, so the
+bytes do not depend on the path. conv2d is W @ im2col(x), with weight
+gradient g @ colᵀ and input gradient col2im(Wᵀ @ g); conv_transpose2d,
+its adjoint, swaps the two. Only those two helpers know the window
+layout.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Tensor, make_node
 
@@ -240,41 +247,92 @@ def _activate(z: np.ndarray, act):
     raise ValueError(f"unknown activation {act!r}")
 
 
-def _taps(u: int, s: int, p: int, n: int, m: int):
-    """Tap u of m windows at stride s over an n-long axis padded by p: the
-    windows whose tap lands inside the axis and the slice they read."""
-    lo = max(0, -((u - p) // s))
-    hi = max(lo, min(m, (n - 1 + p - u) // s + 1))
-    first = s * lo + u - p
-    return slice(lo, hi), slice(first, first + s * (hi - lo), s)
-
-
 def _im2col(x: np.ndarray, kh: int, kw: int, s: int, p: int,
             Ho: int, Wo: int) -> np.ndarray:
     """The kh x kw windows at stride s of x [N,C,H,W] zero-padded by p as a
     [C*kh*kw, N*Ho*Wo] matrix: rows run over (c, u, v), the weight's own
     order; columns over (n, i, j), so column (n, i, j) is window (i, j)
-    of the padded x[n] flattened. One strided slice copy per (u, v)
-    fills the taps inside x; the rest stay zero."""
+    of the padded x[n] flattened. One zero-padded copy of x (none when
+    p = 0) is read as a read-only [C,kh,kw,N,Ho,Wo] window view, in
+    (c, u, v, n, i, j) order, and the reshape copies that view once: for
+    an N=1 1x1 conv at stride 1 over an unpadded C-contiguous x it is a
+    view of x, and nothing is copied."""
     N, C, H, W = x.shape
-    col = np.zeros((C, kh, kw, N, Ho, Wo), dtype=x.dtype)
-    for u, v in np.ndindex(kh, kw):
-        (wi, rows), (wj, cols) = _taps(u, s, p, H, Ho), _taps(v, s, p, W, Wo)
-        col[:, u, v, :, wi, wj] = x[:, :, rows, cols].transpose(1, 0, 2, 3)
-    return col.reshape(C * kh * kw, N * Ho * Wo)
+    if p:
+        xp = np.zeros((N, C, H + 2 * p, W + 2 * p), dtype=x.dtype)
+        xp[:, :, p:p + H, p:p + W] = x
+    else:
+        xp = x
+    sn, sc, sh, sw = xp.strides
+    win = as_strided(xp, (C, kh, kw, N, Ho, Wo), (sc, sh, sw, sn, s * sh, s * sw),
+                     writeable=False)
+    return win.reshape(C * kh * kw, N * Ho * Wo)
+
+
+# _col2im scatters col through a plan when the window grid is at most this
+# wide (Wo). The other path adds each tap as N*C*Ho strided rows of Wo
+# entries, and on rows this short numpy's cost per row outweighs
+# np.add.at's cost per entry (the two cross between Wo = 8 and 12)
+_SCATTER_MAX_WO = 8
+
+
+@lru_cache(maxsize=None)
+def _scatter_plan(N: int, C: int, H: int, W: int, kh: int, kw: int,
+                  s: int, p: int, Ho: int, Wo: int):
+    """(canvas, entry): for every col entry whose tap lies inside the
+    [N,C,H,W] canvas, in col order, its flat canvas index and its flat
+    col index. Read-only, as the cache shares them."""
+    c, u, v, n, i, j = np.ogrid[:C, :kh, :kw, :N, :Ho, :Wo]
+    y, x = s * i + u - p, s * j + v - p
+    full = (C, kh, kw, N, Ho, Wo)
+    inside = np.broadcast_to((y >= 0) & (y < H) & (x >= 0) & (x < W), full)
+    canvas = np.broadcast_to(((n * C + c) * H + y) * W + x, full)[inside]
+    entry = np.flatnonzero(inside)
+    canvas.flags.writeable = entry.flags.writeable = False
+    return canvas, entry
+
+
+@lru_cache(maxsize=None)
+def _tap_slices(kh: int, kw: int, s: int, p: int, H: int, W: int,
+                Ho: int, Wo: int) -> tuple:
+    """Per tap (u, v), in that order: its index into col viewed as
+    [C,kh,kw,N,Ho,Wo] (the windows whose tap lies inside the canvas) and
+    into the [N,C,H,W] canvas (the pixels that tap lands on)."""
+    def axis(k, n, m):      # per tap of an n-long axis with m windows
+        taps = []
+        for t in range(k):
+            lo = max(0, -((t - p) // s))
+            hi = max(lo, min(m, (n - 1 + p - t) // s + 1))
+            first = s * lo + t - p
+            taps.append((slice(lo, hi), slice(first, first + s * (hi - lo), s)))
+        return taps
+
+    rows, cols = axis(kh, H, Ho), axis(kw, W, Wo)
+    return tuple(((slice(None), u, v, slice(None), rows[u][0], cols[v][0]),
+                  (slice(None), slice(None), rows[u][1], cols[v][1]))
+                 for u, v in np.ndindex(kh, kw))
 
 
 def _col2im(col: np.ndarray, shape, kh: int, kw: int, s: int, p: int,
             Ho: int, Wo: int) -> np.ndarray:
     """Adjoint of _im2col: add the columns of col [C*kh*kw, N*Ho*Wo] into
     their windows of a zero [N,C,H,W] array `shape`, dropping the taps in
-    the padding. Overlapping windows sum, in (u, v) order."""
+    the padding. Each pixel is 0 plus its taps one at a time, in (u, v)
+    order and in col's dtype, on both paths, so both give the same
+    bytes: np.add.at adds in index order, and the plan lists a pixel's
+    taps in col order, (u, v) first; the other path adds whole taps in
+    (u, v) order."""
     N, C, H, W = shape
+    if Wo <= _SCATTER_MAX_WO:
+        canvas, entry = _scatter_plan(N, C, H, W, kh, kw, s, p, Ho, Wo)
+        out = np.zeros(N * C * H * W, dtype=col.dtype)
+        np.add.at(out, canvas, col.reshape(-1)[entry])
+        return out.reshape(shape)
     col = col.reshape(C, kh, kw, N, Ho, Wo)
     out = np.zeros(shape, dtype=col.dtype)
-    for u, v in np.ndindex(kh, kw):
-        (wi, rows), (wj, cols) = _taps(u, s, p, H, Ho), _taps(v, s, p, W, Wo)
-        out[:, :, rows, cols] += col[:, u, v, :, wi, wj].transpose(1, 0, 2, 3)
+    for src, dst in _tap_slices(kh, kw, s, p, H, W, Ho, Wo):
+        view = out[dst]     # out[dst] += ... would copy the sum back
+        np.add(view, col[src].transpose(1, 0, 2, 3), out=view)
     return out
 
 
@@ -283,7 +341,9 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, act=None):
     xd, wd = x.data, w.data
     N, Ci, H, W = xd.shape
     Co, Ci2, kh, kw = wd.shape
-    assert Ci == Ci2, (Ci, Ci2)
+    if Ci != Ci2:
+        raise ValueError(f"conv2d: input {xd.shape} has {Ci} channels, "
+                         f"weight {wd.shape} takes {Ci2}")
     s, p = stride, padding
     Ho = (H + 2 * p - kh) // s + 1
     Wo = (W + 2 * p - kw) // s + 1
@@ -313,7 +373,9 @@ def conv_transpose2d(x, w, b=None, stride: int = 2, padding: int = 1, act=None):
     xd, wd = x.data, w.data
     N, Ci, H, W = xd.shape
     Ci2, Co, kh, kw = wd.shape
-    assert Ci == Ci2, (Ci, Ci2)
+    if Ci != Ci2:
+        raise ValueError(f"conv_transpose2d: input {xd.shape} has {Ci} channels, "
+                         f"weight {wd.shape} takes {Ci2}")
     s, p = stride, padding
     Ho = (H - 1) * s + kh - 2 * p
     Wo = (W - 1) * s + kw - 2 * p

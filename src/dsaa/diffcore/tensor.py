@@ -8,9 +8,11 @@ gradient per operand, or None where `needs` is False; it states only
 the op's local derivatives. backward() alone routes them: it sums each
 gradient down to its operand's shape (a broadcast operand gets the sum
 over the broadcast axes), adds it into the operand's .grad, operands in
-order, and frees the node's own .grad: only leaves keep one, until
-Adam.step consumes it. The walk is a topological sort over the operands
-`needs` marks, iterative (graphs here get a few thousand nodes deep).
+order (the first gradient is 0 + g in a fresh array laid out as the
+data, each later one is added in place), and frees the node's own
+.grad: only leaves keep one, until Adam.step consumes it. The walk is a
+topological sort over the operands `needs` marks, iterative (graphs
+here get a few thousand nodes deep).
 
 Everything is plain numpy, float64 by default, float32 when the caller
 feeds float32 data. All reductions are ordinary numpy reductions, so a
@@ -87,8 +89,12 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # 0 + g rounded once to the data's dtype (-0.0 becomes +0.0),
+            # laid out as the data: a numpy reduction's order of summation
+            # follows the memory layout, so later sums keep their bytes
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""

@@ -108,15 +108,26 @@ def _frame_errors(images, masks, fr) -> list[float]:
 
 # -------------------------------------------------------------------- drive
 
+def _keep_best(best, z, images, masks, fr):
+    """(score, z, images, masks) of this iterate if it scores strictly
+    lower than `best` (or there is none yet), else `best`."""
+    score = float(np.mean(_frame_errors(images, masks, fr)))
+    if best is None or score < best[0]:
+        return score, z.copy(), images, masks
+    return best
+
+
 def _fit_latent(model, data, frame_id, steps):
     """Per-frame reconstruction: gradient descent on z against the ground
     truth images (the image objective `losses`) over all cameras, keeping
     the best iterate seen.
 
     Initialization at z = 0 makes the result at least as good as zero
-    driving under the reported metric. The model's parameters stay off
-    the tape meanwhile, so backward computes no gradient for them and
-    leaves no .grad on them.
+    driving under the reported metric. Each of the `steps` iterates is
+    scored from the renders its gradient step takes; the last one, which
+    no step follows, is scored through render_frame, without a graph.
+    The model's parameters stay off the tape meanwhile, so backward
+    computes no gradient for them and leaves no .grad on them.
     """
     fr = data.frame(frame_id)
     zstore = dc.ParamStore()
@@ -129,19 +140,16 @@ def _fit_latent(model, data, frame_id, steps):
     for t in params:
         t.requires_grad = False
     try:
-        for it in range(steps + 1):
+        for _ in range(steps):
             total, renders = None, []
             for k, rt in enumerate(_camera_renders(model, data, frame_id, zt)):
                 part, _ = losses(rt, fr.images[k], fr.masks[k])
                 total = part if total is None else dc.add(total, part)
                 renders.append(rt)
-            images, masks = _stack(renders)
-            score = float(np.mean(_frame_errors(images, masks, fr)))
-            if best is None or score < best[0]:
-                best = (score, zt.data.copy(), images, masks)
-            if it < steps:
-                dc.backward(total)
-                opt.step()
+            best = _keep_best(best, zt.data, *_stack(renders), fr)
+            dc.backward(total)
+            opt.step()
+        best = _keep_best(best, zt.data, *render_frame(model, data, frame_id, zt), fr)
     finally:
         for t, flag in zip(params, live):
             t.requires_grad = flag

@@ -398,6 +398,23 @@ def test_drive_fit_leaves_the_model_parameters_as_it_found_them(cli_run, monkeyp
     assert all(t.grad is None and t.requires_grad for t in params)
 
 
+@pytest.mark.parametrize("steps", [0, 2])
+def test_drive_fit_builds_a_loss_only_for_the_steps_it_takes(cli_run, monkeypatch, steps):
+    # the last iterate is scored without a graph: no losses for it
+    data, model = open_run(cli_run / "run", cli_run / "data")
+    frame = load_manifest(cli_run / "data").ids(split="test")[0]
+    calls = []
+    real = evaluate.losses
+
+    def counted(*args, **kwargs):
+        calls.append(frame)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "losses", counted)
+    evaluate.drive(model, data, [frame], mode="fit", steps=steps)
+    assert len(calls) == steps * len(data.cameras)
+
+
 def test_heatmap(cli_run):
     out = cli_run / "heat"
     frame = load_manifest(cli_run / "data").ids()[0]

@@ -1,13 +1,15 @@
 """The channel-first convolutions against the pixel-major kernels in
 conv_oracle.py on every conv shape of the default model and on odd sizes
 whose last window row lies in the padding: the padded window copy and
-its adjoint bit for bit, the convolutions and bias gradients to rounding
-(their matrix products and sums run in another order); each layer's
-fused activation, and dc.add's, against the op followed by the oracle
-activation, byte for byte; and golden digests of freshly initialised
-parameters."""
+its adjoint bit for bit, on contiguous arrays, transposed crop views
+and broadcast views, with both of the adjoint's paths covered; the
+convolutions and bias gradients to rounding (their matrix products and
+sums run in another order); each layer's fused activation, and dc.add's,
+against the op followed by the oracle activation, byte for byte; and
+golden digests of freshly initialised parameters."""
 
 import hashlib
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -16,7 +18,7 @@ import pytest
 import dsaa.synthdata as sd
 from dsaa import diffcore as dc
 from dsaa.avatar import AvatarModel
-from dsaa.diffcore.ops import _col2im, _im2col
+from dsaa.diffcore.ops import _col2im, _im2col, _scatter_plan
 from dsaa.disentangle import StatisticsNet
 from conv_oracle import add_windows, leaky_relu, windows
 from conv_oracle import conv2d as oracle_conv2d
@@ -94,31 +96,69 @@ def _same_bytes(got, want):
 
 WINDOW_CASES = [(c, False) for c in CONV2D] + [(c, True) for c in CONV_T]
 WINDOW_IDS = [c[0] for c, _ in WINDOW_CASES]
+# each dtype with the helpers' array operand laid out as made, as a
+# transposed crop view of a larger array, or with its last axis broadcast
+# (stride 0)
+DTYPE_LAYOUTS = [pytest.param(dtype, layout, id=np.dtype(dtype).name + suffix)
+                 for layout, suffix in [("contiguous", ""), ("crop", "-crop"),
+                                        ("broadcast", "-broadcast")]
+                 for dtype in (np.float32, np.float64)]
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def _as_layout(a, layout):
+    """a laid out as `layout` says: a itself, a's values seen through a
+    transposed crop of a larger NaN-filled array, or a[..., :1]
+    broadcast to a's shape."""
+    if layout == "broadcast":
+        return np.broadcast_to(a[..., :1], a.shape)
+    if layout == "crop":
+        big = np.full((a.shape[1] + 2, a.shape[0] + 3, *a.shape[2:]), np.nan, a.dtype)
+        big[1:-1, 2:-1] = a.swapaxes(0, 1)
+        return big[1:-1, 2:-1].swapaxes(0, 1)
+    return a
+
+
+@pytest.mark.parametrize("dtype,layout", DTYPE_LAYOUTS)
 @pytest.mark.parametrize("case,transpose", WINDOW_CASES, ids=WINDOW_IDS)
-def test_im2col_is_oracle_windows_transposed(case, transpose, dtype):
+def test_im2col_is_oracle_windows_transposed(case, transpose, dtype, layout):
     shape, kh, kw, s, p, Ho, Wo = _window_case(case, transpose)
     x = np.random.default_rng(sum(map(ord, case[0]))).normal(size=shape).astype(dtype)
+    x = _as_layout(x, layout)
     got = _im2col(x, kh, kw, s, p, Ho, Wo)
     assert got.dtype == dtype
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
     _same_bytes(got, windows(xp, kh, kw, s, Ho, Wo).T)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype,layout", DTYPE_LAYOUTS)
 @pytest.mark.parametrize("case,transpose", WINDOW_CASES, ids=WINDOW_IDS)
-def test_col2im_is_oracle_add_loop(case, transpose, dtype):
+def test_col2im_is_oracle_add_loop(case, transpose, dtype, layout):
     shape, kh, kw, s, p, Ho, Wo = _window_case(case, transpose)
     N, C, H, W = shape
     r = np.random.default_rng(sum(map(ord, case[0])))
     rows = r.normal(size=(N * Ho * Wo, C * kh * kw)).astype(dtype)
-    got = _col2im(np.ascontiguousarray(rows.T), shape, kh, kw, s, p, Ho, Wo)
+    col = _as_layout(np.ascontiguousarray(rows.T), layout)
+    got = _col2im(col, shape, kh, kw, s, p, Ho, Wo)
     assert got.dtype == dtype
     padded = (N, C, H + 2 * p, W + 2 * p)
-    want = add_windows(rows, padded, kh, kw, s, Ho, Wo)[:, :, p:p + H, p:p + W]
+    want = add_windows(col.T, padded, kh, kw, s, Ho, Wo)[:, :, p:p + H, p:p + W]
     _same_bytes(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_window_cases_reach_both_col2im_paths(dtype):
+    # _col2im scatters some cases through a cached plan and adds the rest
+    # tap by tap; the oracle tests above must cover both, whatever the
+    # bound between them
+    scattered = []
+    for case, transpose in WINDOW_CASES:
+        shape, kh, kw, s, p, Ho, Wo = _window_case(case, transpose)
+        N, C = shape[:2]
+        before = _scatter_plan.cache_info()
+        _col2im(np.zeros((C * kh * kw, N * Ho * Wo), dtype), shape, kh, kw, s, p, Ho, Wo)
+        after = _scatter_plan.cache_info()
+        scattered.append(after.hits + after.misses > before.hits + before.misses)
+    assert any(scattered) and not all(scattered)
 
 
 def _run(op, x, w, b, g, stride, padding):
@@ -237,6 +277,15 @@ def test_add_fused_leaky_matches_add_then_oracle(dtype):
     for what, u, v in zip(("forward", "da", "db"), *runs):
         assert u.dtype == v.dtype == dtype, what
         assert u.tobytes() == v.tobytes(), what
+
+
+@pytest.mark.parametrize("layer,w_shape", [("conv2d", (4, 2, 3, 3)),
+                                            ("conv_transpose2d", (2, 4, 4, 4))])
+def test_mismatched_channels_are_refused(layer, w_shape):
+    x = dc.Tensor(np.ones((1, 3, 5, 5)))
+    want = f"{layer}: input (1, 3, 5, 5) has 3 channels, weight {w_shape} takes 2"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        getattr(dc, layer)(x, dc.Tensor(np.ones(w_shape)))
 
 
 def test_unknown_activation_is_refused():

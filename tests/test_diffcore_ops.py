@@ -501,6 +501,22 @@ def test_second_backward_adds_one_more_leaf_gradient(graph):
     assert x.grad.tobytes() == (once + once).tobytes()
 
 
+def test_first_gradient_is_rounded_once_to_the_leaf_dtype():
+    # a float64 gradient into a float32 leaf (laid out transposed): the
+    # leaf keeps 0 + g rounded once to float32, laid out as its data; a
+    # lone -0.0 gradient leaves +0.0 bytes, as `+=` into zeros did
+    g = np.array([[1 + 2.0 ** -24, 1 + 2.0 ** -24 + 2.0 ** -50, -0.0],
+                  [0.1, -1e-46, 3.0]])
+    x = dc.Tensor(np.ones((3, 2), np.float32).T, requires_grad=True)
+    zero = dc.Tensor(np.ones(3, np.float32), requires_grad=True)
+    y = make_node(np.ones(1), (x, zero),
+                  lambda gy, needs: (g, np.full(3, -0.0)), "probe")
+    dc.backward(y)
+    assert x.grad.dtype == np.float32 and x.grad.strides == x.data.strides
+    assert x.grad.tobytes() == (g + 0.0).astype(np.float32).tobytes()
+    assert zero.grad.tobytes() == np.zeros(3, np.float32).tobytes()
+
+
 def test_only_the_tape_adds_gradients():
     # ops return their operands' gradients; tensor.backward alone adds
     # them, and no op reads requires_grad to decide what to compute
