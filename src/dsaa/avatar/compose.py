@@ -8,9 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import diffcore as dc
+from ..diffcore.geom import BilinearTaps
 from ..body import Skeleton, TemplateMesh, forward_kinematics, lbs_apply
 
-__all__ = ["AvatarOutput", "apply_gain", "compose", "pose"]
+__all__ = ["AvatarOutput", "Posing", "apply_gain", "compose", "pose"]
 
 
 @dataclass
@@ -30,21 +31,52 @@ def apply_gain(textures: list[dc.Tensor], gain: dc.Tensor) -> list[dc.Tensor]:
     return [dc.clamp(dc.mul(t, up), 0.0, 1.0) for t in textures]
 
 
+class Posing:
+    """`pose` for one rig and displacement maps of one grid and dtype, its
+    constants made once: the bilinear taps at the template UVs and the
+    template vertices in that dtype when built, the FK transforms on the
+    first call with each distinct pose (kept while the object lives). A
+    model keeps one for all of its steps."""
+
+    def __init__(self, template: TemplateMesh, skeleton: Skeleton,
+                 grid: tuple, dtype):
+        self.template = template
+        self.skeleton = skeleton
+        uvs = template.uvs
+        self.taps = BilinearTaps(uvs[:, 0], uvs[:, 1], *grid, dtype)
+        self.verts = template.verts.astype(dtype)
+        self._transforms: dict[tuple, np.ndarray] = {}
+
+    def transforms(self, theta) -> np.ndarray:
+        """`forward_kinematics` of theta, computed once per distinct pose."""
+        theta = np.asarray(theta, dtype=np.float64)
+        key = (theta.shape, theta.tobytes())
+        if key not in self._transforms:
+            tf = forward_kinematics(self.skeleton, theta)
+            tf.setflags(write=False)
+            self._transforms[key] = tf
+        return self._transforms[key]
+
+    def __call__(self, theta, displacement: dc.Tensor) -> dc.Tensor:
+        corrective = dc.texture_sample(displacement, self.taps)    # [V,3]
+        canonical = dc.add(corrective, self.verts)
+        posed = lbs_apply(canonical, self.transforms(theta),
+                          self.template.weights)
+        if not np.isfinite(posed.data).all():
+            raise ValueError("composed geometry has non-finite vertices")
+        return posed
+
+
 def pose(theta, displacement: dc.Tensor, template: TemplateMesh,
          skeleton: Skeleton) -> dc.Tensor:
     """Posed vertices [V,3]; differentiable in displacement.
 
     theta is a plain pose vector (posing is a constant transform per
-    joint). The corrective is additive, so zero displacement leaves
-    exactly the skinned template.
+    joint). The corrective, sampled at the vertex UVs, is additive, so
+    zero displacement leaves exactly the skinned template.
     """
-    corrective = dc.texture_sample(displacement, template.uvs)    # [V,3]
-    canonical = dc.add(corrective, template.verts.astype(displacement.dtype))
-    posed = lbs_apply(canonical, forward_kinematics(skeleton, theta),
-                      template.weights)
-    if not np.isfinite(posed.data).all():
-        raise ValueError("composed geometry has non-finite vertices")
-    return posed
+    return Posing(template, skeleton, displacement.shape[1:],
+                  displacement.dtype)(theta, displacement)
 
 
 def compose(theta, displacement: dc.Tensor, texture: dc.Tensor,

@@ -12,7 +12,7 @@ from .. import keyvalue
 from ..body import Skeleton, TemplateMesh, build_atlas, render_position_map
 from ..conditioning import DrivingSignal, InfluenceMask, LocalizedProjector, build_masks
 from ..rng import stream
-from .compose import AvatarOutput, apply_gain, compose, pose
+from .compose import AvatarOutput, Posing, apply_gain, compose
 from .config import AvatarConfig, manifest_text, parse_manifest
 from .decoder import AvatarDecoder
 from .encoder import GeometryEncoder, LatentDistribution
@@ -53,6 +53,7 @@ class AvatarModel:
             masks = InfluenceMask(np.ones_like(masks.data), masks.names)
         self.masks = masks
         ref = render_position_map(template.verts, template.faces, self.atlas)
+        self._posing = Posing(template, skeleton, (g, g), dt)
 
         self.store = dc.ParamStore()
         init = stream(seed, "init")
@@ -127,7 +128,7 @@ class AvatarModel:
     def geometry(self, signal: DrivingSignal, z=None):
         """(posed vertices [V,3], decoder trunk); the view is not read."""
         disp, trunk = self._trunk(signal, z)
-        return pose(signal.theta, disp, self.template, self.skeleton), trunk
+        return self._posing(signal.theta, disp), trunk
 
     def appearance(self, trunk: dc.Tensor, views, gain: dc.Tensor) -> list[dc.Tensor]:
         """Final textures, one per view; the view-independent upsamples run once."""

@@ -10,8 +10,9 @@ from .. import diffcore as dc
 class TemplateMesh:
     """Canonical-pose mesh with per-vertex UVs and skinning weights.
 
-    Treat as immutable after construction; derived operators (adjacency,
-    Laplacian matrix) are cached on first use.
+    Treat as immutable after construction; the 1-ring neighbor table
+    (`neighbor_table`, `neighbor_flat_index`) is built on first use and
+    cached.
     """
 
     def __init__(self, verts: np.ndarray, faces: np.ndarray,
@@ -39,6 +40,7 @@ class TemplateMesh:
         if np.max(np.abs(rowsum - 1.0)) > 1e-9:
             raise ValueError("skinning weight rows must sum to 1")
         self._nbr = None
+        self._flat_nbr = None
 
     @property
     def vertex_count(self) -> int:
@@ -66,6 +68,17 @@ class TemplateMesh:
                 idx[v, len(row):] = v
             self._nbr = (idx, 1.0 / degs)
         return self._nbr
+
+    def neighbor_flat_index(self) -> np.ndarray:
+        """Where each (vertex, neighbor slot, coordinate) entry of
+        `neighbor_table` lands in a flattened [V,3] array, as a flat
+        [V*Dmax*3] index: a scatter through it is one 1-D `np.add.at`
+        that sums each element's updates in the order the 2-D scatter
+        over the table rows does."""
+        if self._flat_nbr is None:
+            idx, _ = self.neighbor_table()
+            self._flat_nbr = (idx[:, :, None] * 3 + np.arange(3)).ravel()
+        return self._flat_nbr
 
 
 def mesh_laplacian(mesh: TemplateMesh, verts):

@@ -3,13 +3,13 @@
 import numpy as np
 
 from .. import diffcore as dc
-from .signal import tile2d
 
 __all__ = ["LocalizedProjector"]
 
 
 class LocalizedProjector:
-    """Two 1x1 layers with per-texel (untied) biases over masked tilings.
+    """Two 1x1 layers with per-texel (untied) biases over masked tilings
+    of a plain signal vector (the signal is an input, never fit).
 
     Weights are shared across texels; only the biases vary spatially, so a
     signal scalar can reach a texel solely through its own mask channel.
@@ -24,7 +24,7 @@ class LocalizedProjector:
         n, h, w = masks.shape
         self.grid = (h, w)
         self.n_signal = n
-        self._mask = masks.astype(dtype)
+        self._mask = masks.astype(dtype).reshape(n, h * w)
         self._union = masks.any(axis=0).astype(dtype)[None]
         self.w1 = store.add(f"{prefix}/w1",
                             (rng.normal(size=(hidden, n)) / np.sqrt(n)).astype(dtype))
@@ -39,8 +39,9 @@ class LocalizedProjector:
                 f"signal length {x.shape} does not match mask channels "
                 f"({self.n_signal})")
         h, w = self.grid
-        masked = dc.mul(tile2d(dc.Tensor(x), h, w), self._mask)
-        z1 = dc.reshape(dc.matmul(self.w1, dc.reshape(masked, (self.n_signal, h * w))),
+        # the signal is a constant: its masked tiling is one array product
+        masked = x[:, None] * self._mask
+        z1 = dc.reshape(dc.matmul(self.w1, masked),
                         (self.w1.data.shape[0], h, w))
         a1 = dc.tanh(dc.add(z1, self.b1))
         z2 = dc.reshape(dc.matmul(self.w2, dc.reshape(a1, (a1.data.shape[0], h * w))),

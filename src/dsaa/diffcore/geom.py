@@ -99,15 +99,23 @@ def bilinear_uv_grad(g: np.ndarray, taps: BilinearTaps, slopes):
 
 
 def texture_sample(tex: Tensor, uv):
-    """Bilinear sample of tex [C,H,W] at uv [M,2] in [0,1]^2.
+    """Bilinear sample of tex [C,H,W] at uv [M,2] in [0,1]^2, or at the
+    `BilinearTaps` of constant coordinates built once for tex's grid and
+    dtype (a caller sampling the same points every step builds them once).
 
     Texel centers sit at ((j+0.5)/W, (i+0.5)/H); coordinates clamp to the
-    border. Returns [M,C]. Differentiable in both tex and uv (uv gradient
-    is zero where the clamp saturates).
+    border. Returns [M,C]. Differentiable in tex, and in uv when uv is a
+    Tensor (uv gradient is zero where the clamp saturates).
     """
-    uvd = uv.data if isinstance(uv, Tensor) else np.asarray(uv)
     C, H, W = tex.shape
-    taps = BilinearTaps(uvd[:, 0], uvd[:, 1], H, W, tex.dtype)
+    if isinstance(uv, BilinearTaps):
+        taps, uvd = uv, None
+        if (taps.H, taps.W) != (H, W) or taps.wx.dtype != tex.dtype:
+            raise ValueError(f"taps of a {taps.H}x{taps.W} {taps.wx.dtype} "
+                             f"grid cannot sample a {H}x{W} {tex.dtype} one")
+    else:
+        uvd = uv.data if isinstance(uv, Tensor) else np.asarray(uv)
+        taps = BilinearTaps(uvd[:, 0], uvd[:, 1], H, W, tex.dtype)
     vals, slopes = bilinear_sample(tex.data.reshape(C, H * W), taps)
 
     def bw(g, needs):

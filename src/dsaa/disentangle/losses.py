@@ -105,8 +105,9 @@ def perturbation_loss(displacement_fn, signals, z_samples,
 
     For each batch element b, displacement_fn(signals[b], z_samples[b])
     returns a [3,H,W] displacement map; its corrective is sampled at the
-    anchor UVs (`joint_anchor_uvs`), squared and summed over anchors,
-    then averaged over the batch (one prior sample per element).
+    anchor UVs (`joint_anchor_uvs`, or their `BilinearTaps` on the map's
+    grid, as `dc.texture_sample` takes either), squared and summed over
+    anchors, then averaged over the batch (one prior sample per element).
     """
     z_samples = np.asarray(z_samples, dtype=np.float64)
     n = len(signals)

@@ -1,14 +1,15 @@
 """Training-side dataset access.
 
 Wraps a generated dataset directory with everything the trainer and the
-evaluators need per frame: ground-truth images/masks/mesh, the unposed
-position map that feeds the geometry encoder, and a cached
-ambient-occlusion map. AO is computed from the skinned template at the
-frame's pose (no corrective displacement), so it is a function of the
-driving signal alone and is equally available for novel frames at
-animation time. The per-frame maps are cached on disk next to the
-dataset (one container per resolution) because they are pure functions
-of the manifest.
+evaluators need per frame: ground-truth images/masks/mesh, the ground-truth
+mesh Laplacian that the Laplacian term compares against (computed once
+per frame and dtype, and kept in RAM), the unposed position map that
+feeds the geometry encoder, and a cached ambient-occlusion map. AO is
+computed from the skinned template at the frame's pose (no corrective
+displacement), so it is a function of the driving signal alone and is
+equally available for novel frames at animation time. The per-frame maps
+are cached on disk next to the dataset (one container per resolution)
+because they are pure functions of the manifest.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .. import diffcore as dc
 from ..avatar import AvatarConfig
 from ..body import (TemplateMesh, build_atlas, forward_kinematics,
-                    lbs_apply, render_position_map)
+                    lbs_apply, mesh_laplacian, render_position_map)
 from ..conditioning import DrivingSignal
 from ..occlusion import AOSamplerConfig, TexelRays, compute_ao, texel_rays
 from ..renderer import Camera
@@ -53,6 +54,7 @@ class TrainData:
                                   self.geo_res, self.geo_res)
         self._frames: dict[str, FrameRecord] = {}
         self._pos_maps: dict[str, np.ndarray] = {}
+        self._laplacians: dict[tuple, np.ndarray] = {}
         self._ao: dict[str, np.ndarray] = {}
         self._ao_rays: TexelRays | None = None     # built by the first bake
         self._ao_dirty = False
@@ -88,6 +90,18 @@ class TrainData:
     def scalars(self, frame_id: str) -> np.ndarray:
         fr = self.frame(frame_id)
         return np.concatenate([fr.theta, fr.face])
+
+    def laplacian(self, frame_id: str, dtype) -> np.ndarray:
+        """Ground-truth Laplacian [V,3] of the frame's registered mesh in
+        `dtype`: `mesh_laplacian` of its vertices cast to dtype, computed
+        on first use and kept (read-only) for every later step."""
+        key = (frame_id, np.dtype(dtype).str)
+        if key not in self._laplacians:
+            lap = mesh_laplacian(self.template,
+                                 self.frame(frame_id).verts.astype(dtype))
+            lap.setflags(write=False)
+            self._laplacians[key] = lap
+        return self._laplacians[key]
 
     # --------------------------------------------------- derived model inputs
 

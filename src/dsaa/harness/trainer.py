@@ -27,6 +27,7 @@ import numpy as np
 from .. import diffcore as dc
 from .. import keyvalue
 from ..avatar import AvatarModel, reparameterize
+from ..diffcore.geom import BilinearTaps
 from ..disentangle import (StatisticsNet, adversarial_dis_loss,
                            joint_anchor_uvs, kl_loss, mine_loss,
                            perturbation_loss)
@@ -97,8 +98,12 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
                                rng=stream(config.seed, "critic-init"),
                                dtype=mw.np_dtype)
         opts["critic"] = dc.Adam(critic_store, lr=config.lr)
-    anchors = (joint_anchor_uvs(data.template, data.skeleton)
-               if lw.lam_pc > 0 else None)
+    anchors = None
+    if lw.lam_pc > 0:
+        # the perturbation term samples the same anchors every step
+        uvs = joint_anchor_uvs(data.template, data.skeleton)
+        anchors = BilinearTaps(uvs[:, 0], uvs[:, 1], mw.geo_res, mw.geo_res,
+                               mw.np_dtype)
     raster_cfg = raster_config(data.spec)
 
     start = 0
@@ -191,14 +196,17 @@ def _step(cfg, data, model, opts, critic, anchors, raster_cfg, train_ids, i):
             z_list.append(z)
         posed, trunk = model.geometry(sig, z)
         if phase == 1:
-            loss_b, parts_b = mesh_loss(posed, fr.verts, data.template)
+            loss_b, parts_b = mesh_loss(posed, fr.verts,
+                                        data.laplacian(fid, posed.dtype),
+                                        data.template)
         else:
             gain = model.shadow_gain(data.ao(fid) if mw.use_shadow else None)
             render = rasterize(posed, data.template.faces, data.template.uvs,
                                model.appearance(trunk, [sig.view], gain)[0],
                                data.cameras[c], raster_cfg)
             loss_b, parts_b = losses(render, fr.images[c], fr.masks[c])
-            lap = laplacian_loss(data.template, posed, fr.verts)
+            lap = laplacian_loss(data.template, posed,
+                                 data.laplacian(fid, posed.dtype))
             loss_b = add_term(loss_b, parts_b, "lap", lap, LAM_LAP)
         for k, v in parts_b.items():
             parts[k] = parts.get(k, 0.0) + v

@@ -59,9 +59,12 @@ def vertex_normals(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Area-weighted vertex normals; rows stay zero where undefined."""
     a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
     fn = np.cross(b - a, c - a)
-    out = np.zeros_like(verts)
-    for k in range(3):
-        np.add.at(out, faces[:, k], fn)
+    # one 1-D scatter over the flattened [V,3] rows: every face's corner 0,
+    # then corner 1, then 2, the order three per-corner scatters add in
+    out = np.zeros(verts.shape, dtype=verts.dtype)
+    at = (faces.T.reshape(-1, 1) * 3 + np.arange(3)).reshape(-1)
+    np.add.at(out.reshape(-1), at,
+              np.broadcast_to(fn, (3,) + fn.shape).reshape(-1))
     norms = np.linalg.norm(out, axis=1)
     keep = norms > 1e-300
     out[keep] /= norms[keep, None]
@@ -162,6 +165,15 @@ def _corners(verts, faces):
     """[F,3,3] triangle corners of a (verts, faces) soup."""
     return np.asarray(verts, dtype=np.float64)[
         np.asarray(faces, dtype=np.intp).reshape(-1, 3)]
+
+
+def _to_world(frames, local):
+    """Directions [T,N,3] of local [T,N,3] in frames [T,3,3]: the products
+    np.einsum("tij,tnj->tni") forms, summed in its order, (j0 + j2) + j1,
+    so the bytes are the einsum's at a quarter of its time."""
+    f = frames[:, None]
+    return np.stack([(f[..., i, 0] * local[..., 0] + f[..., i, 2] * local[..., 2])
+                     + f[..., i, 1] * local[..., 1] for i in range(3)], axis=-1)
 
 
 def _triangles(tri):
@@ -399,7 +411,7 @@ def compute_ao(mesh: TemplateMesh, rays: TexelRays) -> AOMap:
     pts, nrm, ok = texel_geometry(mesh, rays.atlas)
     sel = np.flatnonzero(ok)
     diag = np.linalg.norm(mesh.verts.max(axis=0) - mesh.verts.min(axis=0))
-    world = np.einsum("tij,tnj->tni", build_frames(nrm[sel]), rays.dirs[sel])
+    world = _to_world(build_frames(nrm[sel]), rays.dirs[sel])
     origins = pts[sel] + _OFFSET_SCALE * diag * nrm[sel]
     origins = np.broadcast_to(origins[:, None, :], world.shape)
     blocked = UniformGrid(mesh.verts, mesh.faces).any_hit(

@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .. import diffcore as dc
-from ..body import TemplateMesh, mesh_laplacian
+from ..diffcore.tensor import make_node
+from ..body import TemplateMesh
 from .raster import RenderTarget
 
 LAM_IMG = 1.0
@@ -61,19 +62,59 @@ def losses(render: RenderTarget, gt_image, gt_mask):
     return total, parts
 
 
-def mesh_loss(posed: dc.Tensor, gt_verts, template: TemplateMesh):
-    """Mesh objective of one frame, LAM_GEOM*L_G + LAM_LAP*L_lap. Returns
-    (total Tensor, parts) with parts the unweighted "geom" and "lap"."""
+def mesh_loss(posed: dc.Tensor, gt_verts, gt_lap, template: TemplateMesh):
+    """Mesh objective of one frame, LAM_GEOM*L_G + LAM_LAP*L_lap, against
+    the registered vertices gt_verts and their Laplacian gt_lap (see
+    `laplacian_loss`). Returns (total Tensor, parts) with parts the
+    unweighted "geom" and "lap"."""
     parts = {}
     gt = np.asarray(gt_verts, dtype=posed.dtype)
     total = add_term(None, parts, "geom", l2_sum(posed, gt), LAM_GEOM)
     total = add_term(total, parts, "lap",
-                     laplacian_loss(template, posed, gt), LAM_LAP)
+                     laplacian_loss(template, posed, gt_lap), LAM_LAP)
     return total, parts
 
 
-def laplacian_loss(template: TemplateMesh, posed: dc.Tensor, gt_verts):
-    """L_lap: the l2_sum between the two meshes' Laplacians."""
-    la = mesh_laplacian(template, posed)
-    lb = mesh_laplacian(template, np.asarray(gt_verts, dtype=posed.dtype))
-    return l2_sum(la, lb)
+def laplacian_loss(template: TemplateMesh, posed: dc.Tensor, gt_lap):
+    """L_lap: the l2_sum between posed's Laplacian (`mesh_laplacian`) and
+    gt_lap [V,3], the ground-truth mesh's, in posed's dtype; training reads
+    it from `TrainData.laplacian`, which computes it once per frame.
+
+    One tape node, over (posed, posed). Its value and the two gradients
+    it hands posed are, byte for byte, those of the graph it replaces,
+    `l2_sum(mesh_laplacian(template, posed), gt_lap)`
+    (tests/test_laplacian_term.py keeps it as the oracle): the same
+    products and sums in the same order, the sums over neighbor slots
+    adding one slot after another as numpy's reduction over that axis
+    does, and the two gradients in that graph's order, first its
+    neighbor gather's, then its reshape's. Only signs of zero may differ
+    on the way, and the tape's `0 + g` drops them before they reach
+    posed's gradient. The gather's gradient is one 1-D `np.add.at` over
+    the flattened vertices (`TemplateMesh.neighbor_flat_index`), which
+    adds each element's updates in the order the 2-D scatter over the
+    table rows does.
+    """
+    gt_lap = np.asarray(gt_lap)
+    v = posed.data
+    if gt_lap.shape != v.shape or gt_lap.dtype != v.dtype:
+        raise ValueError(f"ground-truth Laplacian must be {v.dtype} "
+                         f"{v.shape}, got {gt_lap.dtype} {gt_lap.shape}")
+    idx, inv_deg = template.neighbor_table()
+    slots = idx.shape[1]
+    scale = inv_deg[:, None].astype(v.dtype)
+    # x_u - x_i with the neighbor slot leading, so the slot sum adds whole
+    # rows, in slot order, as mesh_laplacian's sum over its axis 1 does
+    diffs = np.take(v, idx.T, axis=0) - v             # [Dmax,V,3]
+    d = -diffs.sum(axis=0) * scale - gt_lap
+
+    def bw(g, needs):
+        gs = -((2 * (g * d)) * scale)      # through d*d, * scale and the -
+        g_nbrs = np.zeros(v.shape, dtype=v.dtype)
+        np.add.at(g_nbrs.reshape(-1), template.neighbor_flat_index(),
+                  np.repeat(gs, slots, axis=0).reshape(-1))
+        g_self = gs.copy()                 # the slot sum's spread, summed
+        for _ in range(slots - 1):         # back one slot at a time
+            g_self += gs
+        return g_nbrs, -g_self
+
+    return make_node((d * d).sum(), (posed, posed), bw, "laplacian")

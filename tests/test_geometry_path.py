@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from dsaa import body, diffcore as dc
+from dsaa.diffcore.geom import BilinearTaps
 from dsaa import synthdata as sd
 from dsaa.avatar import AvatarConfig, AvatarDecoder, AvatarModel, ShadowNet, compose
 from dsaa.harness import TrainConfig, TrainData, evaluate, train, trainer
@@ -234,6 +235,65 @@ def test_phase2_step_builds_one_node_per_layer(dataset, tmp_path,
     assert ops["lbs_apply"] == 2
 
 
+def test_steps_hold_one_laplacian_node_per_frame(dataset, tmp_path,
+                                                 monkeypatch):
+    # the Laplacian term is one tape node per frame in both phases, and no
+    # gather by an index array (the old term's neighbor gather) is left
+    ops, gathers, phase = Counter(), [], []
+    real_step, real_backward, real_getitem = (trainer._step, dc.backward,
+                                              dc.getitem)
+
+    def step(cfg, *args):
+        phase.append(1 if args[-1] < cfg.phase1 else 2)
+        try:
+            return real_step(cfg, *args)
+        finally:
+            phase.pop()
+
+    def getitem(a, idx):
+        out = real_getitem(a, idx)
+        if not dc.ops._is_basic_index(idx):
+            gathers.append(out)        # held, so ids stay unique
+        return out
+
+    def backward(loss, *args):
+        if phase:
+            tape = _tape(loss)
+            ops.update((phase[-1], t.name) for t in tape)
+            ops.update((phase[-1], "array getitem") for t in tape
+                       if any(t is g for g in gathers))
+        return real_backward(loss, *args)
+
+    monkeypatch.setattr(trainer, "_step", step)
+    monkeypatch.setattr(dc, "backward", backward)
+    monkeypatch.setattr(dc, "getitem", getitem)
+    _train_two_steps(dataset, tmp_path / "run")
+    for ph in (1, 2):
+        assert ops[ph, "laplacian"] == 2, ph          # batch 2
+        assert ops[ph, "array getitem"] == 0, ph
+    assert ops[2, "getitem"] > 0      # the critic's batch rotation slices
+
+
+def test_ground_truth_laplacian_is_cached_per_frame_and_dtype(dataset):
+    data = TrainData(dataset, geo_res=16)
+    fid = data.train_ids()[0]
+    seen = {}
+    for dtype in ("float32", "float64"):
+        model = AvatarModel(data.template, data.skeleton,
+                            AvatarConfig(geo_res=16, dtype=dtype), seed=2)
+        posed, _ = model.geometry(data.signal(fid, 0))
+        lap = data.laplacian(fid, posed.dtype)
+        ref = body.mesh_laplacian(data.template,
+                                  data.frame(fid).verts.astype(dtype))
+        assert lap.dtype == posed.dtype == np.dtype(dtype)
+        assert lap.tobytes() == ref.tobytes()
+        assert not lap.flags.writeable
+        seen[dtype] = lap
+    # each model keeps reading its own array, computed once
+    for dtype, lap in seen.items():
+        assert data.laplacian(fid, dtype) is lap
+
+
 def test_phase2_backward_leaves_gradients_on_leaves_only(dataset, tmp_path,
                                                         monkeypatch):
     # after each backward of a phase-2 step (the model's loss, then the
@@ -304,10 +364,17 @@ def test_perturbation_term_matches_full_decode(dataset, tmp_path,
                                   phase1=1, batch=2,
                                   model=AvatarConfig(geo_res=16,
                                                      dtype=dtype))).model
-        (displacement_fn, signals, z_samples, anchor_uvs), = seen
+        (displacement_fn, signals, z_samples, anchors), = seen
         tpl, skel = model.template, model.skeleton
         rows = np.argmax(tpl.weights, axis=0)
-        assert anchor_uvs.tobytes() == tpl.uvs[rows].tobytes()
+        # the run samples the anchors through taps built once, at the UVs
+        # of each joint's most strongly bound vertex
+        g = model.config.geo_res
+        ref = BilinearTaps(tpl.uvs[rows, 0], tpl.uvs[rows, 1], g, g,
+                           model.config.np_dtype)
+        assert all(getattr(anchors, k).tobytes() == getattr(ref, k).tobytes()
+                   for k in ("idx", "wx", "wy", "in_x", "in_y"))
+        assert (anchors.H, anchors.W) == (g, g)
 
         def oracle():
             # decode + compose with a unit gain, texture decoded and unread
@@ -328,7 +395,7 @@ def test_perturbation_term_matches_full_decode(dataset, tmp_path,
 
         results = []
         for fn in (lambda: real(displacement_fn, signals, z_samples,
-                                anchor_uvs), oracle):
+                                anchors), oracle):
             model.store.zero_grad()
             term = fn()
             dc.backward(term)

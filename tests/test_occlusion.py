@@ -283,6 +283,43 @@ def test_argmin3_matches_argmin():
     npt.assert_array_equal(ao_module._argmin3(t), np.argmin(t, axis=0))
 
 
+def _posed_default_figure():
+    fig = default_scene(image_size=32, seed=3).figure
+    theta = np.random.default_rng(21).uniform(-0.4, 0.4, fig.skeleton.dof)
+    tpl = fig.template
+    return body.lbs_apply(tpl.verts, body.forward_kinematics(fig.skeleton, theta),
+                          tpl.weights), tpl.faces
+
+
+def test_vertex_normals_scatter_is_the_per_corner_loop():
+    # one flat scatter adds each row's face normals in the order three
+    # per-corner np.add.at calls did, so the sums keep their bytes
+    verts, faces = _posed_default_figure()
+    rng = np.random.default_rng(22)
+    for v in (verts, rng.normal(size=verts.shape)):
+        a, b, c = v[faces[:, 0]], v[faces[:, 1]], v[faces[:, 2]]
+        fn = np.cross(b - a, c - a)
+        ref = np.zeros_like(v)
+        for k in range(3):
+            np.add.at(ref, faces[:, k], fn)
+        norms = np.linalg.norm(ref, axis=1)
+        keep = norms > 1e-300
+        ref[keep] /= norms[keep, None]
+        assert ao_module.vertex_normals(v, faces).tobytes() == ref.tobytes()
+
+
+def test_world_directions_are_the_einsum():
+    rng = np.random.default_rng(23)
+    verts, faces = _posed_default_figure()
+    normals = [ao_module.vertex_normals(verts, faces)[:300],
+               rng.normal(size=(257, 3))]
+    for n in normals:
+        frames = ao_module.build_frames(n)
+        local = rng.random((len(n), 64, 3)) * rng.choice([1e-3, 1.0, 1e3])
+        assert (ao_module._to_world(frames, local).tobytes()
+                == np.einsum("tij,tnj->tni", frames, local).tobytes())
+
+
 def test_grid_empty_face_list_never_hits():
     rng = np.random.default_rng(9)
     origins = rng.normal(size=(50, 3))
