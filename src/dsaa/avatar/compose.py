@@ -34,9 +34,14 @@ def apply_gain(textures: list[dc.Tensor], gain: dc.Tensor) -> list[dc.Tensor]:
 class Posing:
     """`pose` for one rig and displacement maps of one grid and dtype, its
     constants made once: the bilinear taps at the template UVs and the
-    template vertices in that dtype when built, the FK transforms on the
-    first call with each distinct pose (kept while the object lives). A
-    model keeps one for all of its steps."""
+    template vertices and skinning weights in that dtype when built, the
+    FK transforms on the first call with each distinct pose (kept while
+    the object lives). A model keeps one for all of its steps.
+
+    One frame is theta [P] with a [3,G,G] map, posed to [V,3]; a batch
+    is thetas [B,P] with maps [B,3,G,G], posed to [B,V,3] by one
+    `texture_sample` over all the maps and one `lbs_apply`, each frame
+    under its own pose."""
 
     def __init__(self, template: TemplateMesh, skeleton: Skeleton,
                  grid: tuple, dtype):
@@ -45,11 +50,15 @@ class Posing:
         uvs = template.uvs
         self.taps = BilinearTaps(uvs[:, 0], uvs[:, 1], *grid, dtype)
         self.verts = template.verts.astype(dtype)
+        self.weights = template.weights.astype(dtype)
         self._transforms: dict[tuple, np.ndarray] = {}
 
     def transforms(self, theta) -> np.ndarray:
-        """`forward_kinematics` of theta, computed once per distinct pose."""
+        """`forward_kinematics` of theta [P] ([J,3,4]), or of each row of
+        thetas [B,P] ([B,J,3,4]), computed once per distinct pose."""
         theta = np.asarray(theta, dtype=np.float64)
+        if theta.ndim == 2:
+            return np.stack([self.transforms(t) for t in theta])
         key = (theta.shape, theta.tobytes())
         if key not in self._transforms:
             tf = forward_kinematics(self.skeleton, theta)
@@ -58,10 +67,9 @@ class Posing:
         return self._transforms[key]
 
     def __call__(self, theta, displacement: dc.Tensor) -> dc.Tensor:
-        corrective = dc.texture_sample(displacement, self.taps)    # [V,3]
+        corrective = dc.texture_sample(displacement, self.taps)    # [..., V,3]
         canonical = dc.add(corrective, self.verts)
-        posed = lbs_apply(canonical, self.transforms(theta),
-                          self.template.weights)
+        posed = lbs_apply(canonical, self.transforms(theta), self.weights)
         if not np.isfinite(posed.data).all():
             raise ValueError("composed geometry has non-finite vertices")
         return posed

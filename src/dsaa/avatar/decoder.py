@@ -46,9 +46,14 @@ class AvatarDecoder:
     geo_res <= 12 the tile is the whole bottleneck and the spread the
     identity.
 
-    A call returns the 1x1 geometry head's displacement map at geo_res
-    and the trunk; `texture(trunk, views)` upsamples once more and runs
-    tex1's 3x3 conv over it once for all views. Each view adds its share
+    A call runs a batch of frames through each layer at once and returns
+    the 1x1 geometry head's displacement maps at geo_res and the trunk,
+    [B,...] each. Its forward products stay within a frame, so a frame's
+    outputs are those of a call on it alone; the weight gradients sum
+    the batch in one product. `texture(trunk, views)` takes one frame's
+    [1,wg,G,G] trunk (its 64x64 layers ran slower over a batch),
+    upsamples once more and runs tex1's 3x3 conv over it once for all
+    views. Each view adds its share
     of tex1 (the view vector tiled, a constant zero-padded map) as a bias
     map with one value per row and column class (1 edge, period 1): tex1
     over the view tiled 3x3, spread to TxT the same way. A 1x1 head and a
@@ -85,22 +90,27 @@ class AvatarDecoder:
         self._tex_spread = _spread(config.tex_res, 1, 1, dt)
 
     def __call__(self, z: dc.Tensor, e_pose: dc.Tensor, e_face: dc.Tensor):
+        """(displacement maps [B,3,G,G], trunk [B,wg,G,G]) of latents
+        z [B,d_z] and embeddings [B,C,G,G], each layer one call over the
+        batch; a single z [d_z] with [C,G,G] embeddings gives a [3,G,G]
+        map and a [1,wg,G,G] trunk."""
+        single = z.ndim == 1
+        if single:
+            z, e_pose, e_face = (dc.reshape(a, (1,) + tuple(a.shape))
+                                 for a in (z, e_pose, e_face))
         t, gr = self._tile, self._geo_res
         wg = self.w_up2.shape[1]
-        zm = dc.reshape(tile2d(z, t, t), (1, z.data.shape[0], t, t))
-        x = dc.conv_transpose2d(zm, self.w_up1, self.b_up1, act="leaky")
+        x = dc.conv_transpose2d(tile2d(z, t, t), self.w_up1, self.b_up1, act="leaky")
         x = dc.conv_transpose2d(x, self.w_up2, self.b_up2, act="leaky")
         zs = dc.conv2d(x, dc.getitem(self.w_trunk, (slice(None), slice(None, wg))),
                        padding=1)
         zs = dc.matmul(dc.matmul(self._geo_spread, zs), self._geo_spread.T)
-        ep = dc.reshape(e_pose, (1,) + tuple(e_pose.shape))
-        ef = dc.reshape(e_face, (1,) + tuple(e_face.shape))
-        es = dc.conv2d(dc.concat([ep, ef], axis=1),
+        es = dc.conv2d(dc.concat([e_pose, e_face], axis=1),
                        dc.getitem(self.w_trunk, (slice(None), slice(wg, None))),
                        self.b_trunk, padding=1)
         trunk = dc.add(zs, es, act="leaky")
-        disp = dc.reshape(dc.conv2d(trunk, self.w_geo, self.b_geo, act=None), (3, gr, gr))
-        return disp, trunk
+        disp = dc.conv2d(trunk, self.w_geo, self.b_geo, act=None)
+        return (dc.reshape(disp, (3, gr, gr)) if single else disp), trunk
 
     def texture(self, trunk: dc.Tensor, views) -> list[dc.Tensor]:
         tr = self._tex_res

@@ -21,7 +21,8 @@ _SIGMA_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class LatentDistribution:
-    """Diagonal Gaussian (mu, sigma); sigma strictly positive."""
+    """Diagonal Gaussian (mu, sigma), [d_z] or one row per frame
+    [B,d_z]; sigma strictly positive."""
 
     mu: dc.Tensor
     sigma: dc.Tensor
@@ -40,7 +41,7 @@ def reparameterize(dist: LatentDistribution, eps) -> dc.Tensor:
     latent size, and gradients reduce over the extra axes.
     """
     eps = np.asarray(eps)
-    d = dist.mu.data.shape[0]
+    d = dist.mu.data.shape[-1]
     if eps.shape[-1:] != (d,):
         raise ValueError(f"noise must end in a length-{d} axis, got {eps.shape}")
     return dc.add(dist.mu, dc.mul(dist.sigma, eps.astype(dist.sigma.dtype)))
@@ -48,7 +49,13 @@ def reparameterize(dist: LatentDistribution, eps) -> dc.Tensor:
 
 class GeometryEncoder:
     """Strided 3x3 conv stack over the residual to the template's position
-    map, flattened into a dense head that emits mu and pre-softplus sigma."""
+    map, flattened into a dense head that emits mu and pre-softplus sigma.
+
+    A batch of maps [B,3,H,W] runs each layer once over all frames and
+    gives moments [B,d_z]; one map [3,H,W] gives [d_z]. The convs form
+    each frame's windows on their own, but one product spans the batch:
+    the head (and at the last conv's few windows the product too) may
+    round a frame's moments otherwise than that frame alone."""
 
     def __init__(self, store: dc.ParamStore, prefix: str, ref_map: np.ndarray,
                  channels, d_z: int, rng: np.random.Generator, dtype):
@@ -72,19 +79,22 @@ class GeometryEncoder:
 
     def __call__(self, pos_map: np.ndarray) -> LatentDistribution:
         raw = np.asarray(pos_map)
-        if raw.shape != self.ref.shape:
+        batch = raw[None] if raw.ndim == 3 else raw
+        if batch.shape[1:] != self.ref.shape or batch.ndim != 4:
             raise ValueError(
                 f"position map must be {self.ref.shape}, got {raw.shape}")
-        if not np.isfinite(raw).all():
+        if not np.isfinite(batch).all():
             raise ValueError("position map has non-finite texels")
-        x = dc.Tensor(raw.astype(self.ref.dtype))
+        B = batch.shape[0]
+        x = dc.Tensor(batch.astype(self.ref.dtype))
         x = dc.mul(dc.sub(x, self.ref), _RESIDUAL_GAIN)
-        x = dc.reshape(x, (1,) + self.ref.shape)
         for w, b in self.convs:
             x = dc.conv2d(x, w, b, stride=2, padding=1, act="leaky")
-        h = dc.reshape(x, (1, self._flat))
-        out = dc.reshape(dc.linear(h, self.head_w, self.head_b, act=None), (2 * self.d_z,))
-        mu = dc.getitem(out, slice(0, self.d_z))
-        sigma = dc.add(dc.softplus(dc.getitem(out, slice(self.d_z, None))),
+        h = dc.reshape(x, (B, self._flat))
+        out = dc.linear(h, self.head_w, self.head_b, act=None)
+        mu = dc.getitem(out, (slice(None), slice(0, self.d_z)))
+        sigma = dc.add(dc.softplus(dc.getitem(out, (slice(None), slice(self.d_z, None)))),
                        _SIGMA_FLOOR)
+        if raw.ndim == 3:
+            mu, sigma = (dc.reshape(t, (self.d_z,)) for t in (mu, sigma))
         return LatentDistribution(mu, sigma)

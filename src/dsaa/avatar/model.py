@@ -34,7 +34,9 @@ class AvatarModel:
     `appearance` (one final texture per view) are all the harness calls,
     with `displacement` (the corrective map alone) for the perturbation
     term; `forward` (`decode` + `shadow_gain` + `compose`) is the tests'
-    reference.
+    reference. `encode`, `geometry`, `displacement` and `shadow_gain`
+    take one frame or a batch (training's minibatch, each block run once
+    over it); `appearance` takes one frame.
     """
 
     def __init__(self, template: TemplateMesh, skeleton: Skeleton,
@@ -75,67 +77,87 @@ class AvatarModel:
     # ------------------------------------------------------------- latent
 
     def encode(self, pos_map) -> LatentDistribution:
-        """Latent distribution from an unposed-geometry position map."""
+        """Latent distribution from an unposed-geometry position map
+        [3,H,W], or one row per frame from a batch of them [B,3,H,W]."""
         if self.encoder is None:
             raise RuntimeError("model was built without a latent encoder")
         return self.encoder(pos_map)
 
-    def _latent(self, z) -> dc.Tensor:
-        dz, dt = self.config.d_z, self.config.np_dtype
+    def _latent(self, z, lead: tuple) -> dc.Tensor:
+        """z as a model-dtype Tensor of shape lead + (d_z,); None is zeros."""
+        shape, dt = lead + (self.config.d_z,), self.config.np_dtype
         if z is None:
-            return dc.Tensor(np.zeros(dz, dtype=dt))
+            return dc.Tensor(np.zeros(shape, dtype=dt))
         if not self.config.use_latent:
             raise ValueError("z supplied to a latent-free model")
         if isinstance(z, dc.Tensor):
-            if z.data.shape != (dz,):
-                raise ValueError(f"z must have length {dz}, got {z.data.shape}")
+            if z.data.shape != shape:
+                raise ValueError(f"z must have shape {shape}, got {z.data.shape}")
             return z
         z = np.asarray(z)
-        if z.shape != (dz,):
-            raise ValueError(f"z must have length {dz}, got {z.shape}")
+        if z.shape != shape:
+            raise ValueError(f"z must have shape {shape}, got {z.shape}")
         if not np.isfinite(z).all():
             raise ValueError("z has non-finite entries")
         return dc.Tensor(z.astype(dt))
 
     # ------------------------------------------------------------ forward
+    # `signal` is one DrivingSignal or a sequence of them (a batch), and z
+    # then [d_z] or [B,d_z]; each block runs once over the batch
 
-    def _trunk(self, signal: DrivingSignal, z):
-        """(displacement map, decoder trunk) for a driving signal."""
-        dt = self.config.np_dtype
-        if signal.theta.shape != (self.masks.n_pose,):
+    def _scalars(self, signal):
+        """(theta [P], face [F]) of a driving signal, or of a batch of them
+        stacked, ([B,P], [B,F]), checked against the masks."""
+        single = isinstance(signal, DrivingSignal)
+        frames = [signal] if single else list(signal)
+        if not frames:
+            raise ValueError("no driving signals given")
+        theta = np.stack([s.theta for s in frames])
+        face = np.stack([s.face for s in frames])
+        if theta.shape[1:] != (self.masks.n_pose,):
             raise ValueError(f"theta must have {self.masks.n_pose} scalars, "
-                             f"got {signal.theta.shape}")
-        if signal.face.shape != (self.masks.n_face,):
+                             f"got {theta.shape[1:]}")
+        if face.shape[1:] != (self.masks.n_face,):
             raise ValueError(f"face must have {self.masks.n_face} scalars, "
-                             f"got {signal.face.shape}")
-        zt = self._latent(z)
+                             f"got {face.shape[1:]}")
+        return (theta[0], face[0]) if single else (theta, face)
+
+    def _trunk(self, theta, face, z):
+        """(displacement map, decoder trunk) for checked `_scalars`."""
+        dt = self.config.np_dtype
+        zt = self._latent(z, theta.shape[:-1])
         # pose and face scalars go through their own localized projectors,
         # cast to the model dtype so embeddings do not silently upcast
-        e_pose = self.proj_pose(signal.theta.astype(dt))
-        e_face = self.proj_face(signal.face.astype(dt))
+        e_pose = self.proj_pose(theta.astype(dt))
+        e_face = self.proj_face(face.astype(dt))
         return self.decoder(zt, e_pose, e_face)
 
     def decode(self, signal: DrivingSignal, z=None):
         """(displacement map, texture) for a driving signal; z defaults to
         the zero vector (maximum-likelihood imputation)."""
-        disp, trunk = self._trunk(signal, z)
+        disp, trunk = self._trunk(*self._scalars(signal), z)
         return disp, self.decoder.texture(trunk, [signal.view])[0]
 
-    def displacement(self, signal: DrivingSignal, z=None) -> dc.Tensor:
-        """Displacement map [3,G,G]; no texture branch, posing or FK."""
-        return self._trunk(signal, z)[0]
+    def displacement(self, signal, z=None) -> dc.Tensor:
+        """Displacement map [3,G,G] ([B,3,G,G] for a batch); no texture
+        branch, posing or FK."""
+        return self._trunk(*self._scalars(signal), z)[0]
 
-    def geometry(self, signal: DrivingSignal, z=None):
-        """(posed vertices [V,3], decoder trunk); the view is not read."""
-        disp, trunk = self._trunk(signal, z)
-        return self._posing(signal.theta, disp), trunk
+    def geometry(self, signal, z=None):
+        """(posed vertices [V,3], decoder trunk [1,wg,G,G]), or for a batch
+        ([B,V,3], [B,wg,G,G]); the view is not read."""
+        theta, face = self._scalars(signal)
+        disp, trunk = self._trunk(theta, face, z)
+        return self._posing(theta, disp), trunk
 
     def appearance(self, trunk: dc.Tensor, views, gain: dc.Tensor) -> list[dc.Tensor]:
-        """Final textures, one per view; the view-independent upsamples run once."""
+        """Final textures of one frame, one per view, from its [1,wg,G,G]
+        trunk and [1,R,R] gain; the view-independent upsamples run once."""
         return apply_gain(self.decoder.texture(trunk, views), gain)
 
     def shadow_gain(self, ao=None) -> dc.Tensor:
-        """Gain [1,R,R] from an AO map; exactly 1 without a shadow branch."""
+        """Gain [1,R,R] from an AO map, or [B,1,R,R] from a batch of them;
+        exactly 1 without a shadow branch (then [1,R,R], for any frame)."""
         if self.shadow is None:
             if ao is not None:
                 raise ValueError("AO map supplied to a model without a "

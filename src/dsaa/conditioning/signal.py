@@ -34,6 +34,7 @@ class DrivingSignal:
 
 
 def tile2d(x: dc.Tensor, h: int, w: int) -> dc.Tensor:
-    """Repeat a length-N Tensor over an h*w grid -> [N,h,w]."""
-    n = x.data.shape[0]
-    return dc.broadcast_to(dc.reshape(x, (n, 1, 1)), (n, h, w))
+    """Repeat a length-N Tensor over an h*w grid -> [N,h,w]; leading axes
+    ([B,N], a batch) are kept -> [B,N,h,w]."""
+    shape = tuple(x.shape)
+    return dc.broadcast_to(dc.reshape(x, shape + (1, 1)), shape + (h, w))

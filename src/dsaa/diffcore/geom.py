@@ -22,7 +22,7 @@ class BilinearTaps:
     and where each coordinate lies strictly inside the clamp range (the
     uv gradient is zero elsewhere)."""
 
-    __slots__ = ("idx", "wx", "wy", "in_x", "in_y", "H", "W")
+    __slots__ = ("idx", "wx", "wy", "in_x", "in_y", "H", "W", "_bins")
 
     def __init__(self, u, v, H: int, W: int, dtype):
         if H < 2 or W < 2:
@@ -39,6 +39,30 @@ class BilinearTaps:
         self.in_x = (px > 0.0) & (px < W - 1.0)
         self.in_y = (py > 0.0) & (py < H - 1.0)
         self.H, self.W = H, W
+        self._bins = {}
+
+    def corners(self):
+        """The four bilinear corners in canvas order (top-left, top-right,
+        bottom-left, bottom-right): (weights [M], flat texel offset)."""
+        wx, wy, W = self.wx, self.wy, self.W
+        return (((1 - wy) * (1 - wx), 0), ((1 - wy) * wx, 1),
+                (wy * (1 - wx), W), (wy * wx, W + 1))
+
+    def corner_bins(self, C: int):
+        """(texels, corners) for the texture gradient of C channels at
+        taps that sample the same points on every call: the texels any
+        corner touches, ascending, and per corner its weights and the flat
+        bin of each (channel, sample) among C copies of those texels.
+        Built on first use per C, and kept."""
+        if C not in self._bins:
+            corners = self.corners()
+            texels, inv = np.unique(
+                np.concatenate([self.idx + shift for _, shift in corners]),
+                return_inverse=True)
+            rows = texels.size * np.arange(C)[:, None]
+            self._bins[C] = texels, [(w, (b + rows).ravel()) for (w, _), b
+                                     in zip(corners, inv.reshape(4, -1))]
+        return self._bins[C]
 
 
 def bilinear_sample(tflat: np.ndarray, taps: BilinearTaps):
@@ -68,22 +92,35 @@ def bilinear_sample(tflat: np.ndarray, taps: BilinearTaps):
     return out, (sx_top, sx_bot, sy)
 
 
-def bilinear_tex_grad(g: np.ndarray, taps: BilinearTaps, dtype) -> np.ndarray:
+def bilinear_tex_grad(g: np.ndarray, taps: BilinearTaps, dtype,
+                      reused: bool = False) -> np.ndarray:
     """Texture gradient [C,H,W] of bilinear samples given their gradient
     g [C,M]. Each corner is one bincount over every channel's top-left
     texel index offset by c*H*W (so each bin sums its own channel's
     samples in order), added into the canvas at the corner's offset; the
-    sums run in float64 in a fixed order and are then cast to dtype."""
+    sums run in float64 in a fixed order and are then cast to dtype.
+
+    reused=True, for taps that sample the same points on every call,
+    bins over the texels the corners touch only (`corner_bins`): each
+    texel is still 0 plus its four corner sums in corner order, each sum
+    over the same samples in the same order, so the bytes are the same."""
     C = g.shape[0]
-    H, W, wx, wy = taps.H, taps.W, taps.wx, taps.wy
+    H, W = taps.H, taps.W
     HW = H * W
-    corners = (((1 - wy) * (1 - wx), 0), ((1 - wy) * wx, 1),
-               (wy * (1 - wx), W), (wy * wx, W + 1))
+    if reused:
+        texels, corners = taps.corner_bins(C)
+        n = C * texels.size
+        acc = np.zeros(n)
+        for w, bins in corners:
+            acc += np.bincount(bins, (g * w).ravel(), minlength=n)
+        out = np.zeros((C, HW), dtype=dtype)
+        out[:, texels] = acc.reshape(C, -1)
+        return out.reshape(C, H, W)
     # the top-left texel is at most (H-2, W-2), so a corner's bins fit
     # in the canvas without the last `shift` texels
     idx = (taps.idx + HW * np.arange(C)[:, None]).ravel()
     out = np.zeros((C, HW))
-    for w, shift in corners:
+    for w, shift in taps.corners():
         out[:, shift:] += np.bincount(idx, (g * w).ravel(),
                                       minlength=C * HW).reshape(C, HW)[:, :HW - shift]
     return out.astype(dtype).reshape(C, H, W)
@@ -99,15 +136,18 @@ def bilinear_uv_grad(g: np.ndarray, taps: BilinearTaps, slopes):
 
 
 def texture_sample(tex: Tensor, uv):
-    """Bilinear sample of tex [C,H,W] at uv [M,2] in [0,1]^2, or at the
-    `BilinearTaps` of constant coordinates built once for tex's grid and
-    dtype (a caller sampling the same points every step builds them once).
+    """Bilinear sample of tex [..., C,H,W] at uv [M,2] in [0,1]^2, or at
+    the `BilinearTaps` of constant coordinates built once for tex's grid
+    and dtype (a caller sampling the same points every step builds them
+    once, and their texture gradient bins over the texels they touch).
 
     Texel centers sit at ((j+0.5)/W, (i+0.5)/H); coordinates clamp to the
-    border. Returns [M,C]. Differentiable in tex, and in uv when uv is a
-    Tensor (uv gradient is zero where the clamp saturates).
+    border. Returns [..., M,C]: leading axes (a batch of maps) sample the
+    same points, each channel of each map on its own. Differentiable in
+    tex, and in uv when uv is a Tensor (uv gradient is zero where the
+    clamp saturates).
     """
-    C, H, W = tex.shape
+    *lead, C, H, W = tex.shape
     if isinstance(uv, BilinearTaps):
         taps, uvd = uv, None
         if (taps.H, taps.W) != (H, W) or taps.wx.dtype != tex.dtype:
@@ -116,17 +156,20 @@ def texture_sample(tex: Tensor, uv):
     else:
         uvd = uv.data if isinstance(uv, Tensor) else np.asarray(uv)
         taps = BilinearTaps(uvd[:, 0], uvd[:, 1], H, W, tex.dtype)
-    vals, slopes = bilinear_sample(tex.data.reshape(C, H * W), taps)
+    M = taps.idx.shape[0]
+    vals, slopes = bilinear_sample(tex.data.reshape(-1, H * W), taps)
 
     def bw(g, needs):
-        gT = g.T                       # [C,M]
-        g_tex = bilinear_tex_grad(gT, taps, tex.dtype) if needs[0] else None
+        gT = np.swapaxes(g, -1, -2).reshape(-1, M)         # [..*C,M]
+        g_tex = (bilinear_tex_grad(gT, taps, tex.dtype, uvd is None)
+                 .reshape(tex.shape) if needs[0] else None)
         if not needs[1]:
             return g_tex, None
         du, dv = bilinear_uv_grad(gT, taps, slopes)
         return g_tex, np.stack([du, dv], axis=1).astype(uvd.dtype)
 
-    return make_node(vals.T, (tex, uv), bw, "texture_sample")
+    return make_node(np.swapaxes(vals.reshape(*lead, C, M), -1, -2), (tex, uv),
+                     bw, "texture_sample")
 
 
 def ragged_arange(counts: np.ndarray) -> np.ndarray:
@@ -135,18 +178,43 @@ def ragged_arange(counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
+def blend_matrices(weights: np.ndarray, transforms: np.ndarray) -> np.ndarray:
+    """Per-vertex blended transforms M_v = sum_j w[v,j] T_j: [..., V,3,4]
+    for weights [V,J] and transforms [..., J,3,4], in their common dtype.
+    A batch of poses is one stacked matmul, which forms each pose's
+    matrices by the same product one pose alone would."""
+    J = weights.shape[1]
+    T = transforms.reshape(transforms.shape[:-3] + (J, 12))
+    return np.matmul(weights, T).reshape(T.shape[:-2] + (weights.shape[0], 3, 4))
+
+
+# lbs_apply's three-term sums, in the order np.einsum("vrc,vc->vr") and
+# np.einsum("vrc,vr->vc") add them over C-contiguous vertices: the forward
+# adds float64 products as (0 + 2) + 1 and float32 ones in order, the
+# backward both in order
+_FORWARD_ORDER = {np.dtype(np.float64): (0, 2, 1), np.dtype(np.float32): (0, 1, 2)}
+
+
 def lbs_apply(weights: np.ndarray, transforms: np.ndarray, verts: Tensor):
     """Apply blended transforms: out_v = sum_j w[v,j] (R_j x_v + t_j).
 
     weights [V,J] and transforms [J,3,4] are constants; verts [V,3] may
-    carry gradients. The per-vertex blended matrix M_v = sum_j w[v,j] T_j
-    is formed once; backward distributes through it analytically.
+    carry gradients. With transforms [B,J,3,4] and verts [B,V,3] each
+    frame takes its own pose. The blended matrices M_v are formed once
+    (`blend_matrices`); the products with them are written out per
+    component and summed in np.einsum's order, so the bytes are the
+    einsum's.
     """
-    M = np.tensordot(weights, transforms, axes=([1], [0]))      # [V,3,4]
-    out = np.einsum("vrc,vc->vr", M[:, :, :3], verts.data) + M[:, :, 3]
+    M = blend_matrices(weights, transforms)
+    x = verts.data
+    i, j, k = _FORWARD_ORDER[x.dtype]
+    out = np.stack([((M[..., r, i] * x[..., i] + M[..., r, j] * x[..., j])
+                     + M[..., r, k] * x[..., k]) + M[..., r, 3]
+                    for r in range(3)], axis=-1)
 
     def bw(g, needs):
-        return (np.einsum("vrc,vr->vc", M[:, :, :3], g),)
+        return (np.stack([(M[..., 0, c] * g[..., 0] + M[..., 1, c] * g[..., 1])
+                          + M[..., 2, c] * g[..., 2] for c in range(3)], axis=-1),)
 
     return make_node(out, (verts,), bw, "lbs_apply")
 

@@ -21,7 +21,8 @@ __all__ = ["kl_loss", "mine_loss", "adversarial_dis_loss",
 def kl_loss(dist) -> dc.Tensor:
     """KL(N(mu, sigma^2) || N(0, I)) = 0.5 * sum(mu^2 + sigma^2 - 1 - ln sigma^2).
 
-    Summed over latent dimensions (and any leading batch axes)."""
+    Summed over latent dimensions and any leading batch axes: a batched
+    posterior [B,d_z] gives the batch's total in one reduction."""
     mu, sg = dist.mu, dist.sigma
     if sg.data.min() <= 0.0:
         raise ValueError("kl_loss needs strictly positive sigma")
@@ -103,20 +104,17 @@ def perturbation_loss(displacement_fn, signals, z_samples,
                       anchor_uvs) -> dc.Tensor:
     """Penalty for prior samples moving geometry the pose alone fixes.
 
-    For each batch element b, displacement_fn(signals[b], z_samples[b])
-    returns a [3,H,W] displacement map; its corrective is sampled at the
-    anchor UVs (`joint_anchor_uvs`, or their `BilinearTaps` on the map's
-    grid, as `dc.texture_sample` takes either), squared and summed over
-    anchors, then averaged over the batch (one prior sample per element).
+    displacement_fn(signals, z_samples) returns the batch's displacement
+    maps [B,3,H,W] (`AvatarModel.displacement`), one prior sample per
+    element; each map's corrective is sampled at the anchor UVs
+    (`joint_anchor_uvs`, or their `BilinearTaps` on the map's grid, as
+    `dc.texture_sample` takes either), squared and summed over anchors
+    and the batch, then divided by the batch size.
     """
     z_samples = np.asarray(z_samples, dtype=np.float64)
     n = len(signals)
     if n == 0 or z_samples.shape[0] != n:
         raise ValueError(
             f"need one latent sample per signal, got {z_samples.shape[0]} for {n}")
-    total = None
-    for signal, z in zip(signals, z_samples):
-        c = dc.texture_sample(displacement_fn(signal, z), anchor_uvs)
-        term = dc.sum_(dc.mul(c, c))
-        total = term if total is None else dc.add(total, term)
-    return dc.mul(total, 1.0 / n)
+    c = dc.texture_sample(displacement_fn(signals, z_samples), anchor_uvs)
+    return dc.mul(dc.sum_(dc.mul(c, c)), 1.0 / n)

@@ -1,15 +1,25 @@
 """Two-phase training loop.
 
-Both phases pose each frame once with `AvatarModel.geometry`. Phase 1
-(mesh warmup) fits it to the registered meshes with the mesh objective,
-reads no texture branch, shadow net or AO map, and never rasterizes.
-Phase 2 rasterizes `appearance` under `shadow_gain` for the image
-objective, keeps the Laplacian term as a smoothness regularizer, and
-adds the latent regularizers (KL, adversarial independence, and
-perturbation consistency, which reads a prior sample's displacement map
-at the joints' rigid anchors and nothing else). The adversary is a
-separate statistics net with its own optimizer, stepped once per model
-step on the same minibatch.
+Both phases pose the whole minibatch at once with `AvatarModel.geometry`:
+the encoder, the localized projectors, the decoder trunk, posing and
+(in phase 2) the shadow net each run once per step over [B, ...]
+arrays. Phase 1 (mesh warmup) fits the posed batch to the registered
+meshes with the mesh objective, reads no texture branch, shadow net or
+AO map, and never rasterizes. Phase 2 rasterizes each frame's
+`appearance` under its `shadow_gain` for the image objective: the
+texture branch, the rasterizer and the image loss run per frame on that
+frame's slice of the trunk, vertices and gain, as they measured slower
+over a batch. It keeps the Laplacian term as a smoothness regularizer
+and adds the latent regularizers (KL, adversarial independence, and
+perturbation consistency, which reads the prior samples' displacement
+maps at the joints' rigid anchors and nothing else, one decoder call for
+the batch). The adversary is a separate statistics net with its own
+optimizer, stepped once per model step on the same minibatch.
+
+A parameter's gradient sums the batch inside one product (or one
+reduction), so a step rounds otherwise than B single-frame passes
+would; replays, resumes and BLAS thread counts still give the same
+bytes.
 
 Every random draw comes from a stream keyed by (seed, purpose,
 iteration), so a resumed run consumes exactly the numbers the
@@ -181,47 +191,46 @@ def _step(cfg, data, model, opts, critic, anchors, raster_cfg, train_ids, i):
     eps = (stream(cfg.seed, "eps", i).standard_normal((cfg.batch, mw.d_z))
            if mw.use_latent else None)
 
-    total = None
-    parts: dict[str, float] = {}
-    signals, z_list, dists = [], [], []
-    for b, fid in enumerate(batch_ids):
-        fr, c = data.frame(fid), int(cams[b])
-        sig = data.signal(fid, c)
-        signals.append(sig)
-        z = None
-        if mw.use_latent:
-            dist = model.encode(data.pos_map(fid))
-            z = reparameterize(dist, eps[b])
-            dists.append(dist)
-            z_list.append(z)
-        posed, trunk = model.geometry(sig, z)
-        if phase == 1:
-            loss_b, parts_b = mesh_loss(posed, fr.verts,
-                                        data.laplacian(fid, posed.dtype),
-                                        data.template)
-        else:
-            gain = model.shadow_gain(data.ao(fid) if mw.use_shadow else None)
-            render = rasterize(posed, data.template.faces, data.template.uvs,
-                               model.appearance(trunk, [sig.view], gain)[0],
-                               data.cameras[c], raster_cfg)
+    # the geometry half runs once over the batch: encoder, projectors,
+    # decoder trunk and posing, [B, ...] each
+    signals = [data.signal(fid, int(c)) for fid, c in zip(batch_ids, cams)]
+    z = dist = None
+    if mw.use_latent:
+        dist = model.encode(np.stack([data.pos_map(fid) for fid in batch_ids]))
+        z = reparameterize(dist, eps)
+    posed, trunk = model.geometry(signals, z)
+    laps = np.stack([data.laplacian(fid, posed.dtype) for fid in batch_ids])
+    if phase == 1:
+        total, parts = mesh_loss(posed, np.stack([data.frame(fid).verts
+                                                  for fid in batch_ids]),
+                                 laps, data.template)
+    else:
+        total, parts = None, {}
+        gain = (model.shadow_gain(np.stack([data.ao(fid) for fid in batch_ids]))
+                if mw.use_shadow else None)
+        # the texture branch, the rasterizer and the image loss run per
+        # frame, on that frame's slice of the trunk, vertices and gain
+        for b, fid in enumerate(batch_ids):
+            fr, c = data.frame(fid), int(cams[b])
+            gain_b = model.shadow_gain() if gain is None else dc.getitem(gain, b)
+            final = model.appearance(dc.getitem(trunk, slice(b, b + 1)),
+                                     [signals[b].view], gain_b)[0]
+            render = rasterize(dc.getitem(posed, b), data.template.faces,
+                               data.template.uvs, final, data.cameras[c],
+                               raster_cfg)
             loss_b, parts_b = losses(render, fr.images[c], fr.masks[c])
-            lap = laplacian_loss(data.template, posed,
-                                 data.laplacian(fid, posed.dtype))
-            loss_b = add_term(loss_b, parts_b, "lap", lap, LAM_LAP)
-        for k, v in parts_b.items():
-            parts[k] = parts.get(k, 0.0) + v
-        total = loss_b if total is None else dc.add(total, loss_b)
+            for k, v in parts_b.items():
+                parts[k] = parts.get(k, 0.0) + v
+            total = loss_b if total is None else dc.add(total, loss_b)
+        total = add_term(total, parts, "lap",
+                         laplacian_loss(data.template, posed, laps), LAM_LAP)
 
     if phase == 2 and mw.use_latent:
         C = np.stack([data.scalars(fid) for fid in batch_ids])
         if lw.lam_kl > 0:
-            kl = kl_loss(dists[0])
-            for d in dists[1:]:
-                kl = dc.add(kl, kl_loss(d))
-            total = add_term(total, parts, "kl", kl, lw.lam_kl)
+            total = add_term(total, parts, "kl", kl_loss(dist), lw.lam_kl)
         if lw.lam_dis > 0:
-            Z = dc.stack(z_list, axis=0)
-            dis = adversarial_dis_loss(critic, C, Z)
+            dis = adversarial_dis_loss(critic, C, z)
             total = add_term(total, parts, "dis", dis, lw.lam_dis)
         if lw.lam_pc > 0:
             zp = stream(cfg.seed, "prior", i).standard_normal(
@@ -233,9 +242,8 @@ def _step(cfg, data, model, opts, critic, anchors, raster_cfg, train_ids, i):
     opts["model"].step()
 
     if phase == 2 and critic is not None:
-        Zd = np.stack([z.data for z in z_list])
         # the model's loss reads the critic frozen, so its grads start empty
-        closs = mine_loss(critic, C, Zd)
+        closs = mine_loss(critic, C, z.data)
         dc.backward(closs)
         opts["critic"].step()
         parts["critic"] = float(closs.data)

@@ -86,8 +86,10 @@ def strip_rig(ncol=13):
 ANCHOR = np.array([[0.25, 0.25]])
 
 
-def constant_map(value):
-    return dc.Tensor(np.full((1, 2, 2), value))
+def constant_maps(values):
+    """One constant [1,2,2] map per value: a batch [B,1,2,2]."""
+    return dc.Tensor(np.asarray(values, dtype=np.float64)[:, None, None, None]
+                     * np.ones((1, 2, 2)))
 
 
 # ---------------------------------------------------------------- KL penalty
@@ -345,7 +347,8 @@ def test_perturbation_zero_for_exact_copy():
     cs = stream(70, "c").standard_normal(16)
     zs = stream(70, "z").standard_normal((16, 1))
     loss = dis.perturbation_loss(
-        lambda c, z: dc.Tensor(np.array([[[0.0, c], [c, c]]])), cs, zs, ANCHOR)
+        lambda cs, z: dc.Tensor(np.array([[[[0.0, c], [c, c]]] for c in cs])),
+        cs, zs, ANCHOR)
     assert float(loss.data) == 0.0
 
 
@@ -353,7 +356,7 @@ def test_perturbation_additive_noise_expectation():
     # a corrective of z at the anchor leaks the whole sample: E[L] = E[z^2] = 1
     cs = stream(71, "c").standard_normal(20000)
     zs = stream(71, "z").standard_normal((20000, 1))
-    loss = dis.perturbation_loss(lambda c, z: constant_map(z[0]), cs, zs,
+    loss = dis.perturbation_loss(lambda c, z: constant_maps(z[:, 0]), cs, zs,
                                  ANCHOR)
     got = float(loss.data)
     npt.assert_allclose(got, np.mean(zs ** 2), rtol=1e-9)
@@ -366,7 +369,7 @@ def test_perturbation_nonnegative_and_gradient():
     a = dc.Tensor(np.array(1.5), requires_grad=True)
 
     def displacement(c, z):
-        return dc.mul(constant_map(float(z[0])), a)
+        return dc.mul(constant_maps(z[:, 0]), a)
 
     loss = dis.perturbation_loss(displacement, cs, zs, ANCHOR)
     assert float(loss.data) >= 0.0
@@ -379,8 +382,8 @@ def test_perturbation_validates_shapes():
     zs = stream(73, "z").standard_normal((4, 1))
     for signals, samples in ((cs, zs[:3]), (cs[:0], zs[:0])):
         with pytest.raises(ValueError, match="one latent sample per signal"):
-            dis.perturbation_loss(lambda c, z: constant_map(0.0), signals,
-                                  samples, ANCHOR)
+            dis.perturbation_loss(lambda c, z: constant_maps(z[:, 0]),
+                                  signals, samples, ANCHOR)
 
 
 # ------------------------------------------------------------- joint anchors
@@ -418,7 +421,7 @@ def test_joint_site_targets_follow_pose():
             npt.assert_allclose(target, tpl.verts[rows], rtol=0, atol=1e-12)
         d = pose(th, disp, tpl, skel).data[rows] - target
         ref += float((d * d).sum()) / len(thetas)
-    loss = dis.perturbation_loss(lambda s, z: disp, signals,
+    loss = dis.perturbation_loss(lambda s, z: dc.stack([disp] * len(s)), signals,
                                  np.zeros((len(thetas), 1)),
                                  dis.joint_anchor_uvs(tpl, skel))
     assert ref > 1e-4

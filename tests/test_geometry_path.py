@@ -4,7 +4,10 @@ phase-1 step poses geometry alone, the perturbation term reads only
 `displacement` at the joint anchors and poses nothing, a phase-2 step
 shades each frame's trunk for its one camera, and the evaluators
 decode a frame's geometry, shadow gain, texture upsample and tex1 conv
-over it once for all of its cameras.
+over it once for all of its cameras. A training step runs the
+geometry half (encoder, projectors, decoder trunk, posing, shadow net)
+once over the minibatch and the texture branch and rasterizer per
+frame.
 No harness path calls `forward`; each is checked against the full
 per-frame `forward` it stands for. A phase-2 step builds one tape node
 per conv and linear layer, with no separate activation node and no
@@ -19,7 +22,8 @@ import pytest
 from dsaa import body, diffcore as dc
 from dsaa.diffcore.geom import BilinearTaps
 from dsaa import synthdata as sd
-from dsaa.avatar import AvatarConfig, AvatarDecoder, AvatarModel, ShadowNet, compose
+from dsaa.avatar import (AvatarConfig, AvatarDecoder, AvatarModel,
+                         LatentDistribution, ShadowNet, compose)
 from dsaa.harness import TrainConfig, TrainData, evaluate, train, trainer
 from dsaa.renderer import RasterConfig, losses, rasterize
 from dsaa.rng import stream
@@ -90,16 +94,18 @@ def test_phase1_step_reads_no_texture_shadow_or_ao(dataset, tmp_path,
     names = ("AvatarDecoder.texture", "ShadowNet.__call__", "TrainData.ao",
              "AvatarModel.forward", "AvatarModel.geometry",
              "AvatarModel.displacement")
-    # one geometry call per frame; phase 2 adds one displacement call per
-    # perturbation sample
-    assert [calls[1, n] for n in names] == [0, 0, 0, 0, 2, 0]
-    assert [calls[2, n] for n in names] == [2, 2, 2, 0, 2, 2]
+    # one geometry call for the batch; phase 2 adds one shadow-net call
+    # and one displacement call (the prior samples) for the batch, and
+    # the texture branch and an AO read per frame
+    assert [calls[1, n] for n in names] == [0, 0, 0, 0, 1, 0]
+    assert [calls[2, n] for n in names] == [2, 1, 2, 0, 1, 1]
 
 
 def test_phase1_step_runs_the_latent_branch_on_a_tile(dataset, tmp_path,
                                                      monkeypatch):
     # up1 and up2 read z tiled 3x3 and the trunk's latent share runs at
-    # 12x12; no conv at geo_res reads the latent and the embeddings at once
+    # 12x12, each layer once over the batch of 2; no conv at geo_res reads
+    # the latent and the embeddings at once
     calls = Counter()
     phase = []
     real_step, real_deconv, real_conv = (trainer._step, dc.conv_transpose2d,
@@ -128,11 +134,11 @@ def test_phase1_step_runs_the_latent_branch_on_a_tile(dataset, tmp_path,
     _train_two_steps(dataset, tmp_path / "run")
     dz, wg, ec, gr = SMALL.d_z, SMALL.width_geo, SMALL.embed_channels, SMALL.geo_res
     decoder = {
-        ("conv_transpose2d", (1, dz, 3, 3), (dz, wg, 4, 4)): 2,
-        ("conv_transpose2d", (1, wg, 6, 6), (wg, wg, 4, 4)): 2,
-        ("conv2d", (1, wg, 12, 12), (wg, wg, 3, 3)): 2,
-        ("conv2d", (1, 2 * ec, gr, gr), (wg, 2 * ec, 3, 3)): 2,
-        ("conv2d", (1, wg, gr, gr), (3, wg, 1, 1)): 2,
+        ("conv_transpose2d", (2, dz, 3, 3), (dz, wg, 4, 4)): 1,
+        ("conv_transpose2d", (2, wg, 6, 6), (wg, wg, 4, 4)): 1,
+        ("conv2d", (2, wg, 12, 12), (wg, wg, 3, 3)): 1,
+        ("conv2d", (2, 2 * ec, gr, gr), (wg, 2 * ec, 3, 3)): 1,
+        ("conv2d", (2, wg, gr, gr), (3, wg, 1, 1)): 1,
     }
     assert {k: calls[k] for k in decoder} == decoder
     assert not [k for k in calls if k[0] == "conv2d" and k[1][1:] == (wg + 2 * ec, gr, gr)]
@@ -140,17 +146,28 @@ def test_phase1_step_runs_the_latent_branch_on_a_tile(dataset, tmp_path,
 
 def test_phase2_step_matches_per_frame_forward(dataset, tmp_path,
                                                monkeypatch):
-    # the oracle runs each frame of the step through one `forward` call:
-    # `geometry` hands forward's output on in the trunk's place, and
-    # `appearance` takes its final texture back out; the perturbation
-    # term reads `displacement`, which stays as it is
+    # the oracle runs each frame of the step through one `forward` call
+    # and the encoder and the perturbation term's decoder per frame:
+    # `geometry` hands forward's final textures on in the trunk's place,
+    # and `appearance` takes a frame's back out. The step sums each
+    # parameter's gradient over the batch in one product, so the two
+    # agree to the dtype's rounding
+    for dtype, tol in (("float32", 1e-5), ("float64", 1e-12)):
+        with monkeypatch.context() as m:
+            _check_step_against_forward(dataset, tmp_path / dtype, m,
+                                        AvatarConfig(geo_res=16, dtype=dtype),
+                                        tol)
+
+
+def _check_step_against_forward(dataset, tmp_path, monkeypatch, model_cfg,
+                                tol):
     def step_result(out):
         grads = []
         real_adam_step = dc.Adam.step
 
         def adam_step(opt):
             if not grads:       # the model's optimizer steps before the critic's
-                grads.append({name: None if t.grad is None else t.grad.tobytes()
+                grads.append({name: None if t.grad is None else t.grad.copy()
                               for name, t in opt.params.items()})
             return real_adam_step(opt)
 
@@ -158,34 +175,57 @@ def test_phase2_step_matches_per_frame_forward(dataset, tmp_path,
             m.setattr(dc.Adam, "step", adam_step)
             rec, = train(TrainConfig(dataset=str(dataset), out=str(out),
                                      iters=1, phase1=0, batch=2,
-                                     model=SMALL)).history
+                                     model=model_cfg)).history
         return rec, grads[0]
 
-    ref = step_result(tmp_path / "run")
-    pending = []
-    real_signal, real_geometry = TrainData.signal, AvatarModel.geometry
+    ref_rec, ref_grads = step_result(tmp_path / "run")
+    frames = []
+    real_signal = TrainData.signal
+    real_encode, real_displacement = (AvatarModel.encode,
+                                      AvatarModel.displacement)
 
     def signal(data, frame_id, cam):
-        pending.append((data, frame_id))
+        frames.append((data, frame_id))
         return real_signal(data, frame_id, cam)
 
-    def geometry(model, sig, z=None):
-        if not pending:
-            return real_geometry(model, sig, z)
-        data, frame_id = pending.pop()
-        pred = model.forward(sig, z, data.ao(frame_id)
-                             if model.config.use_shadow else None)
-        return pred.posed, pred
+    def encode(model, pos_maps):
+        dists = [real_encode(model, p) for p in pos_maps]
+        return LatentDistribution(dc.stack([d.mu for d in dists]),
+                                  dc.stack([d.sigma for d in dists]))
+
+    def geometry(model, signals, z):
+        assert len(frames) == len(signals)
+        preds = [model.forward(sig, dc.getitem(z, b), data.ao(frame_id))
+                 for b, (sig, (data, frame_id)) in enumerate(zip(signals, frames))]
+        frames.clear()
+        return (dc.stack([p.posed for p in preds]),
+                dc.stack([p.final for p in preds]))
+
+    def displacement(model, signals, z):
+        return dc.stack([real_displacement(model, sig, zb)
+                         for sig, zb in zip(signals, z)])
 
     monkeypatch.setattr(TrainData, "signal", signal)
+    monkeypatch.setattr(AvatarModel, "encode", encode)
     monkeypatch.setattr(AvatarModel, "geometry", geometry)
+    monkeypatch.setattr(AvatarModel, "displacement", displacement)
     monkeypatch.setattr(AvatarModel, "appearance",
-                        lambda model, pred, views, gain: [pred.final])
-    oracle = step_result(tmp_path / "oracle")
-    assert not pending
-    assert ref[0]["phase"] == 2 and "img" in ref[0] and "pc" in ref[0]
-    assert ref == oracle
-    assert any(g is not None for g in ref[1].values())
+                        lambda model, final, views, gain:
+                        [dc.reshape(final, final.shape[1:])])
+    rec, grads = step_result(tmp_path / "oracle")
+    assert not frames
+    assert ref_rec["phase"] == 2 and "img" in ref_rec and "pc" in ref_rec
+    assert rec.keys() == ref_rec.keys()
+    for k, v in ref_rec.items():
+        assert abs(rec[k] - v) <= tol * abs(v), k
+    assert grads.keys() == ref_grads.keys()
+    assert any(g is not None for g in ref_grads.values())
+    for name, ref in ref_grads.items():
+        if ref is None:
+            assert grads[name] is None, name
+            continue
+        err = np.linalg.norm(grads[name] - ref)
+        assert err <= tol * np.linalg.norm(ref), name
 
 
 def _tape(loss):
@@ -230,15 +270,14 @@ def test_phase2_step_builds_one_node_per_layer(dataset, tmp_path,
     assert ops["conv2d"] and ops["conv_transpose2d"] and ops["linear"]
     assert ops["leaky_relu"] == ops["sigmoid"] == 0
     assert pads[0] == 0
-    # one skinning node per frame of the batch; the perturbation term
-    # poses nothing
-    assert ops["lbs_apply"] == 2
+    # one skinning node for the batch; the perturbation term poses nothing
+    assert ops["lbs_apply"] == 1
 
 
-def test_steps_hold_one_laplacian_node_per_frame(dataset, tmp_path,
-                                                 monkeypatch):
-    # the Laplacian term is one tape node per frame in both phases, and no
-    # gather by an index array (the old term's neighbor gather) is left
+def test_steps_hold_one_laplacian_node(dataset, tmp_path, monkeypatch):
+    # the Laplacian term is one tape node for the batch in both phases,
+    # and no gather by an index array (the old term's neighbor gather) is
+    # left
     ops, gathers, phase = Counter(), [], []
     real_step, real_backward, real_getitem = (trainer._step, dc.backward,
                                               dc.getitem)
@@ -269,9 +308,58 @@ def test_steps_hold_one_laplacian_node_per_frame(dataset, tmp_path,
     monkeypatch.setattr(dc, "getitem", getitem)
     _train_two_steps(dataset, tmp_path / "run")
     for ph in (1, 2):
-        assert ops[ph, "laplacian"] == 2, ph          # batch 2
+        assert ops[ph, "laplacian"] == 1, ph          # batch 2
         assert ops[ph, "array getitem"] == 0, ph
     assert ops[2, "getitem"] > 0      # the critic's batch rotation slices
+
+
+def test_steps_run_the_geometry_half_once_per_batch(tmp_path_factory,
+                                                    monkeypatch):
+    # at batch 4 each encoder, projector, decoder-trunk and shadow-net
+    # parameter is read by one tape node per step, not one per frame (the
+    # trunk weight by its two slices; in phase 2 the projectors and the
+    # trunk a second time, for the prior samples); the texture branch and
+    # the rasterizer still run once per frame
+    root = tmp_path_factory.mktemp("batch4")
+    sd.generate_dataset(sd.default_scene(image_size=32, seed=4), root, 4)
+    readers, phase = {}, []
+    real_step, real_backward = trainer._step, dc.backward
+
+    def step(cfg, *args):
+        phase.append(1 if args[-1] < cfg.phase1 else 2)
+        try:
+            return real_step(cfg, *args)
+        finally:
+            phase.pop()
+
+    def backward(loss, *args):
+        if len(phase) == 1 and phase[0] not in readers:
+            nodes = _tape(loss)
+            count = Counter(id(x) for t in nodes for x in t._operands)
+            count["rasterize"] = sum(t.name == "rasterize" for t in nodes)
+            readers[phase[0]] = count
+        return real_backward(loss, *args)
+
+    monkeypatch.setattr(trainer, "_step", step)
+    monkeypatch.setattr(dc, "backward", backward)
+    model = train(TrainConfig(dataset=str(root), out=str(tmp_path_factory.mktemp("run4")),
+                              iters=2, phase1=1, batch=4, model=SMALL)).model
+    geometry = [(name, t) for name, t in model.store.items()
+                if name.split("/")[0] in ("enc", "cond", "shadow")
+                or name.split("/")[1] in ("up1", "up2", "trunk", "geo")]
+    assert len(geometry) == 36
+    for name, t in geometry:
+        twice = 2 if name == "dec/trunk/w" else 1
+        if not name.startswith("shadow/"):
+            assert readers[1][id(t)] == twice, name
+        again = name.startswith("cond/") or name.startswith("dec/")
+        assert readers[2][id(t)] == twice * (2 if again else 1), name
+    texture = {"dec/texup/w": 4, "dec/texup/b": 4, "dec/tex1/w": 8,
+               "dec/tex1/b": 4, "dec/tex2/w": 4, "dec/tex2/b": 4}
+    params = dict(model.store.items())
+    assert {k: readers[2][id(params[k])] for k in texture} == texture
+    assert all(readers[1][id(params[k])] == 0 for k in texture)
+    assert readers[1]["rasterize"] == 0 and readers[2]["rasterize"] == 4
 
 
 def test_ground_truth_laplacian_is_cached_per_frame_and_dtype(dataset):
