@@ -32,16 +32,15 @@ def apply_gain(textures: list[dc.Tensor], gain: dc.Tensor) -> list[dc.Tensor]:
 
 
 class Posing:
-    """`pose` for one rig and displacement maps of one grid and dtype, its
+    """Posing for one rig and displacement maps of one grid and dtype, its
     constants made once: the bilinear taps at the template UVs and the
     template vertices and skinning weights in that dtype when built, the
     FK transforms on the first call with each distinct pose (kept while
     the object lives). A model keeps one for all of its steps.
 
-    One frame is theta [P] with a [3,G,G] map, posed to [V,3]; a batch
-    is thetas [B,P] with maps [B,3,G,G], posed to [B,V,3] by one
-    `texture_sample` over all the maps and one `lbs_apply`, each frame
-    under its own pose."""
+    It takes a batch only: thetas [B,P] with maps [B,3,G,G], posed to
+    [B,V,3] by one `texture_sample` over all the maps and one
+    `lbs_apply`, each frame under its own pose."""
 
     def __init__(self, template: TemplateMesh, skeleton: Skeleton,
                  grid: tuple, dtype):
@@ -51,25 +50,27 @@ class Posing:
         self.taps = BilinearTaps(uvs[:, 0], uvs[:, 1], *grid, dtype)
         self.verts = template.verts.astype(dtype)
         self.weights = template.weights.astype(dtype)
-        self._transforms: dict[tuple, np.ndarray] = {}
+        self._transforms: dict[bytes, np.ndarray] = {}
 
-    def transforms(self, theta) -> np.ndarray:
-        """`forward_kinematics` of theta [P] ([J,3,4]), or of each row of
-        thetas [B,P] ([B,J,3,4]), computed once per distinct pose."""
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.ndim == 2:
-            return np.stack([self.transforms(t) for t in theta])
-        key = (theta.shape, theta.tobytes())
-        if key not in self._transforms:
-            tf = forward_kinematics(self.skeleton, theta)
-            tf.setflags(write=False)
-            self._transforms[key] = tf
-        return self._transforms[key]
+    def transforms(self, thetas) -> np.ndarray:
+        """`forward_kinematics` of each row of thetas [B,P], [B,J,3,4],
+        computed once per distinct pose."""
+        thetas = np.asarray(thetas, dtype=np.float64)
+        if thetas.ndim != 2:
+            raise ValueError(f"poses must be [B,P], got {list(thetas.shape)}")
+        for theta in thetas:
+            if theta.tobytes() not in self._transforms:
+                self._transforms[theta.tobytes()] = forward_kinematics(
+                    self.skeleton, theta)
+        return np.stack([self._transforms[t.tobytes()] for t in thetas])
 
-    def __call__(self, theta, displacement: dc.Tensor) -> dc.Tensor:
-        corrective = dc.texture_sample(displacement, self.taps)    # [..., V,3]
+    def __call__(self, thetas, displacement: dc.Tensor) -> dc.Tensor:
+        if displacement.ndim != 4:
+            raise ValueError(f"displacement maps must be [B,3,G,G], got "
+                             f"{list(displacement.shape)}")
+        corrective = dc.texture_sample(displacement, self.taps)    # [B,V,3]
         canonical = dc.add(corrective, self.verts)
-        posed = lbs_apply(canonical, self.transforms(theta), self.weights)
+        posed = lbs_apply(canonical, self.transforms(thetas), self.weights)
         if not np.isfinite(posed.data).all():
             raise ValueError("composed geometry has non-finite vertices")
         return posed
@@ -77,20 +78,25 @@ class Posing:
 
 def pose(theta, displacement: dc.Tensor, template: TemplateMesh,
          skeleton: Skeleton) -> dc.Tensor:
-    """Posed vertices [V,3]; differentiable in displacement.
+    """Posed vertices [V,3] of one frame, its pose theta [P] and its
+    displacement map [3,G,G] run through `Posing` as a batch of one;
+    differentiable in displacement.
 
     theta is a plain pose vector (posing is a constant transform per
     joint). The corrective, sampled at the vertex UVs, is additive, so
     zero displacement leaves exactly the skinned template.
     """
-    return Posing(template, skeleton, displacement.shape[1:],
-                  displacement.dtype)(theta, displacement)
+    posing = Posing(template, skeleton, displacement.shape[1:],
+                    displacement.dtype)
+    batch = dc.reshape(displacement, (1,) + tuple(displacement.shape))
+    return dc.getitem(posing(np.asarray(theta)[None], batch), 0)
 
 
 def compose(theta, displacement: dc.Tensor, texture: dc.Tensor,
             gain: dc.Tensor, template: TemplateMesh,
             skeleton: Skeleton) -> AvatarOutput:
-    """Build the posed, shaded avatar: `pose` plus the gain-modulated
-    texture; differentiable in displacement, texture and gain."""
+    """Build one frame's posed, shaded avatar: `pose` plus the
+    gain-modulated texture; differentiable in displacement, texture and
+    gain."""
     return AvatarOutput(pose(theta, displacement, template, skeleton),
                         apply_gain([texture], gain)[0])

@@ -46,14 +46,14 @@ class AvatarDecoder:
     geo_res <= 12 the tile is the whole bottleneck and the spread the
     identity.
 
-    A call runs a batch of frames through each layer at once and returns
-    the 1x1 geometry head's displacement maps at geo_res and the trunk,
-    [B,...] each. Its forward products stay within a frame, so a frame's
-    outputs are those of a call on it alone; the weight gradients sum
-    the batch in one product. `texture(trunk, views)` takes one frame's
-    [1,wg,G,G] trunk (its 64x64 layers ran slower over a batch),
-    upsamples once more and runs tex1's 3x3 conv over it once for all
-    views. Each view adds its share
+    A call takes a batch of frames only, runs it through each layer at
+    once and returns the 1x1 geometry head's displacement maps at
+    geo_res and the trunk, [B,...] each. Its forward products stay within
+    a frame, so a frame's outputs are those of a batch of that frame
+    alone; the weight gradients sum the batch in one product.
+    `texture(trunk, views)` takes one frame's [1,wg,G,G] trunk (its
+    64x64 layers ran slower over a batch), upsamples once more and runs
+    tex1's 3x3 conv over it once for all views. Each view adds its share
     of tex1 (the view vector tiled, a constant zero-padded map) as a bias
     map with one value per row and column class (1 edge, period 1): tex1
     over the view tiled 3x3, spread to TxT the same way. A 1x1 head and a
@@ -83,7 +83,6 @@ class AvatarDecoder:
         self.w_tex2, self.b_tex2 = conv("tex2", 3, wt, 1)
         self._dt = dt
         self._tile = min(config.geo_res // 4, 3)
-        self._geo_res = config.geo_res
         self._tex_res = config.tex_res
         # row (and column) i of a map -> its class on the small map
         self._geo_spread = _spread(config.geo_res, 4, 4, dt)
@@ -92,13 +91,13 @@ class AvatarDecoder:
     def __call__(self, z: dc.Tensor, e_pose: dc.Tensor, e_face: dc.Tensor):
         """(displacement maps [B,3,G,G], trunk [B,wg,G,G]) of latents
         z [B,d_z] and embeddings [B,C,G,G], each layer one call over the
-        batch; a single z [d_z] with [C,G,G] embeddings gives a [3,G,G]
-        map and a [1,wg,G,G] trunk."""
-        single = z.ndim == 1
-        if single:
-            z, e_pose, e_face = (dc.reshape(a, (1,) + tuple(a.shape))
-                                 for a in (z, e_pose, e_face))
-        t, gr = self._tile, self._geo_res
+        batch."""
+        if z.ndim != 2 or any(e.ndim != 4 or e.shape[0] != z.shape[0]
+                              for e in (e_pose, e_face)):
+            raise ValueError(f"decoder takes z [B,d_z] and embeddings "
+                             f"[B,C,G,G], got {list(z.shape)}, "
+                             f"{list(e_pose.shape)} and {list(e_face.shape)}")
+        t = self._tile
         wg = self.w_up2.shape[1]
         x = dc.conv_transpose2d(tile2d(z, t, t), self.w_up1, self.b_up1, act="leaky")
         x = dc.conv_transpose2d(x, self.w_up2, self.b_up2, act="leaky")
@@ -110,7 +109,7 @@ class AvatarDecoder:
                        self.b_trunk, padding=1)
         trunk = dc.add(zs, es, act="leaky")
         disp = dc.conv2d(trunk, self.w_geo, self.b_geo, act=None)
-        return (dc.reshape(disp, (3, gr, gr)) if single else disp), trunk
+        return disp, trunk
 
     def texture(self, trunk: dc.Tensor, views) -> list[dc.Tensor]:
         tr = self._tex_res

@@ -51,11 +51,11 @@ class GeometryEncoder:
     """Strided 3x3 conv stack over the residual to the template's position
     map, flattened into a dense head that emits mu and pre-softplus sigma.
 
-    A batch of maps [B,3,H,W] runs each layer once over all frames and
-    gives moments [B,d_z]; one map [3,H,W] gives [d_z]. The convs form
-    each frame's windows on their own, but one product spans the batch:
-    the head (and at the last conv's few windows the product too) may
-    round a frame's moments otherwise than that frame alone."""
+    It takes a batch of maps [B,3,H,W] only, runs each layer once over
+    all frames and gives moments [B,d_z]. The convs form each frame's
+    windows on their own, but one product spans the batch: the head (and
+    at the last conv's few windows the product too) may round a frame's
+    moments otherwise than a batch of that frame alone."""
 
     def __init__(self, store: dc.ParamStore, prefix: str, ref_map: np.ndarray,
                  channels, d_z: int, rng: np.random.Generator, dtype):
@@ -78,11 +78,11 @@ class GeometryEncoder:
             rng, dtype)
 
     def __call__(self, pos_map: np.ndarray) -> LatentDistribution:
-        raw = np.asarray(pos_map)
-        batch = raw[None] if raw.ndim == 3 else raw
-        if batch.shape[1:] != self.ref.shape or batch.ndim != 4:
-            raise ValueError(
-                f"position map must be {self.ref.shape}, got {raw.shape}")
+        batch = np.asarray(pos_map)
+        if batch.ndim != 4 or batch.shape[1:] != self.ref.shape:
+            H, W = self.ref.shape[1:]
+            raise ValueError(f"position maps must be [B,3,{H},{W}], got "
+                             f"{list(batch.shape)}")
         if not np.isfinite(batch).all():
             raise ValueError("position map has non-finite texels")
         B = batch.shape[0]
@@ -95,6 +95,4 @@ class GeometryEncoder:
         mu = dc.getitem(out, (slice(None), slice(0, self.d_z)))
         sigma = dc.add(dc.softplus(dc.getitem(out, (slice(None), slice(self.d_z, None)))),
                        _SIGMA_FLOOR)
-        if raw.ndim == 3:
-            mu, sigma = (dc.reshape(t, (self.d_z,)) for t in (mu, sigma))
         return LatentDistribution(mu, sigma)

@@ -30,13 +30,16 @@ class AvatarModel:
     exactly; d_z, the widths and the mask parameters are `AvatarConfig`
     constants, not manifest keys.
 
-    `geometry` (posed vertices, decoder trunk), `shadow_gain` and
-    `appearance` (one final texture per view) are all the harness calls,
-    with `displacement` (the corrective map alone) for the perturbation
-    term; `forward` (`decode` + `shadow_gain` + `compose`) is the tests'
-    reference. `encode`, `geometry`, `displacement` and `shadow_gain`
-    take one frame or a batch (training's minibatch, each block run once
-    over it); `appearance` takes one frame.
+    Each method takes one calling form. `geometry` (posed vertices,
+    decoder trunk) and `displacement` (the corrective maps alone, for the
+    perturbation term) take a list of B signals with z [B,d_z], each
+    block run once over the batch; a lone frame is a batch of one.
+    `appearance` takes one frame's trunk and gain. The harness calls
+    these, the blocks `encoder` and `shadow` over a batch, and
+    `shadow_gain()` (the unit gain without a shadow branch). `encode`,
+    `shadow_gain(ao)` and `decode` wrap one frame as a batch of one for
+    `perfbench/probes.py`; `forward` (`decode` + `shadow_gain` +
+    `compose`) is the tests' reference.
     """
 
     def __init__(self, template: TemplateMesh, skeleton: Skeleton,
@@ -77,11 +80,13 @@ class AvatarModel:
     # ------------------------------------------------------------- latent
 
     def encode(self, pos_map) -> LatentDistribution:
-        """Latent distribution from an unposed-geometry position map
-        [3,H,W], or one row per frame from a batch of them [B,3,H,W]."""
+        """Latent distribution [d_z] of one unposed-geometry position map
+        [3,H,W], encoded as a batch of one."""
         if self.encoder is None:
             raise RuntimeError("model was built without a latent encoder")
-        return self.encoder(pos_map)
+        dist = self.encoder(np.asarray(pos_map)[None])
+        return LatentDistribution(*(dc.getitem(t, 0)
+                                    for t in (dist.mu, dist.sigma)))
 
     def _latent(self, z, lead: tuple) -> dc.Tensor:
         """z as a model-dtype Tensor of shape lead + (d_z,); None is zeros."""
@@ -102,52 +107,50 @@ class AvatarModel:
         return dc.Tensor(z.astype(dt))
 
     # ------------------------------------------------------------ forward
-    # `signal` is one DrivingSignal or a sequence of them (a batch), and z
-    # then [d_z] or [B,d_z]; each block runs once over the batch
 
-    def _scalars(self, signal):
-        """(theta [P], face [F]) of a driving signal, or of a batch of them
-        stacked, ([B,P], [B,F]), checked against the masks."""
-        single = isinstance(signal, DrivingSignal)
-        frames = [signal] if single else list(signal)
-        if not frames:
+    def _trunk(self, signals, z):
+        """(thetas [B,P], displacement maps, decoder trunk) of a list of B
+        driving signals, checked against the masks, at latents z [B,d_z]."""
+        if isinstance(signals, DrivingSignal):
+            raise ValueError("signals must be a list [B] of driving signals, "
+                             "got one")
+        if not signals:
             raise ValueError("no driving signals given")
-        theta = np.stack([s.theta for s in frames])
-        face = np.stack([s.face for s in frames])
+        theta = np.stack([s.theta for s in signals])
+        face = np.stack([s.face for s in signals])
         if theta.shape[1:] != (self.masks.n_pose,):
             raise ValueError(f"theta must have {self.masks.n_pose} scalars, "
                              f"got {theta.shape[1:]}")
         if face.shape[1:] != (self.masks.n_face,):
             raise ValueError(f"face must have {self.masks.n_face} scalars, "
                              f"got {face.shape[1:]}")
-        return (theta[0], face[0]) if single else (theta, face)
-
-    def _trunk(self, theta, face, z):
-        """(displacement map, decoder trunk) for checked `_scalars`."""
+        zt = self._latent(z, (len(signals),))
         dt = self.config.np_dtype
-        zt = self._latent(z, theta.shape[:-1])
         # pose and face scalars go through their own localized projectors,
         # cast to the model dtype so embeddings do not silently upcast
         e_pose = self.proj_pose(theta.astype(dt))
         e_face = self.proj_face(face.astype(dt))
-        return self.decoder(zt, e_pose, e_face)
+        return (theta,) + self.decoder(zt, e_pose, e_face)
 
     def decode(self, signal: DrivingSignal, z=None):
-        """(displacement map, texture) for a driving signal; z defaults to
-        the zero vector (maximum-likelihood imputation)."""
-        disp, trunk = self._trunk(*self._scalars(signal), z)
-        return disp, self.decoder.texture(trunk, [signal.view])[0]
+        """(displacement map [3,G,G], texture [3,T,T]) of one driving
+        signal, decoded as a batch of one; z [d_z] defaults to the zero
+        vector (maximum-likelihood imputation)."""
+        if z is not None:
+            z = dc.reshape(self._latent(z, ()), (1, self.config.d_z))
+        _, disp, trunk = self._trunk([signal], z)
+        return (dc.getitem(disp, 0),
+                self.decoder.texture(trunk, [signal.view])[0])
 
-    def displacement(self, signal, z=None) -> dc.Tensor:
-        """Displacement map [3,G,G] ([B,3,G,G] for a batch); no texture
-        branch, posing or FK."""
-        return self._trunk(*self._scalars(signal), z)[0]
+    def displacement(self, signals, z=None) -> dc.Tensor:
+        """Displacement maps [B,3,G,G] of B signals at latents z [B,d_z];
+        no texture branch, posing or FK."""
+        return self._trunk(signals, z)[1]
 
-    def geometry(self, signal, z=None):
-        """(posed vertices [V,3], decoder trunk [1,wg,G,G]), or for a batch
-        ([B,V,3], [B,wg,G,G]); the view is not read."""
-        theta, face = self._scalars(signal)
-        disp, trunk = self._trunk(theta, face, z)
+    def geometry(self, signals, z=None):
+        """(posed vertices [B,V,3], decoder trunk [B,wg,G,G]) of B signals
+        at latents z [B,d_z]; the views are not read."""
+        theta, disp, trunk = self._trunk(signals, z)
         return self._posing(theta, disp), trunk
 
     def appearance(self, trunk: dc.Tensor, views, gain: dc.Tensor) -> list[dc.Tensor]:
@@ -156,8 +159,9 @@ class AvatarModel:
         return apply_gain(self.decoder.texture(trunk, views), gain)
 
     def shadow_gain(self, ao=None) -> dc.Tensor:
-        """Gain [1,R,R] from an AO map, or [B,1,R,R] from a batch of them;
-        exactly 1 without a shadow branch (then [1,R,R], for any frame)."""
+        """Gain [1,R,R] of one frame's AO map [1,R,R], shaded as a batch
+        of one; without a shadow branch ao is None and the gain exactly 1,
+        for any frame."""
         if self.shadow is None:
             if ao is not None:
                 raise ValueError("AO map supplied to a model without a "
@@ -166,7 +170,7 @@ class AvatarModel:
             return dc.Tensor(np.ones((1, r, r), dtype=self.config.np_dtype))
         if ao is None:
             raise ValueError("shadow branch needs an ambient-occlusion map")
-        return self.shadow(ao)
+        return dc.getitem(self.shadow(np.asarray(ao)[None]), 0)
 
     def forward(self, signal: DrivingSignal, z=None, ao=None) -> AvatarOutput:
         """Decode, shade, and pose one frame."""

@@ -12,10 +12,10 @@ __all__ = ["ShadowNet"]
 
 
 class ShadowNet:
-    """Maps a [1,res,res] AO map to a gain map of the same resolution,
-    bounded to (0, 2] by a doubled sigmoid head. Zero parameters give a
-    unit gain exactly. A batch of maps [B,1,res,res] runs each layer once
-    over all frames, each frame's forward products on their own."""
+    """Maps a batch of AO maps [B,1,res,res] to gain maps of the same
+    shape, bounded to (0, 2] by a doubled sigmoid head. Zero parameters
+    give a unit gain exactly. Each layer runs once over all frames, each
+    frame's forward products on their own."""
 
     def __init__(self, store: dc.ParamStore, prefix: str, res: int,
                  width: int, rng: np.random.Generator, dtype):
@@ -39,16 +39,14 @@ class ShadowNet:
     def __call__(self, ao: np.ndarray) -> dc.Tensor:
         ao = np.asarray(ao)
         r = self.res
-        batch = ao[None] if ao.ndim == 3 else ao
-        if batch.shape[1:] != (1, r, r) or batch.ndim != 4:
-            raise ValueError(f"AO map must be [1,{r},{r}], got {ao.shape}")
-        if not np.isfinite(batch).all():
+        if ao.ndim != 4 or ao.shape[1:] != (1, r, r):
+            raise ValueError(f"AO maps must be [B,1,{r},{r}], got {list(ao.shape)}")
+        if not np.isfinite(ao).all():
             raise ValueError("AO map has non-finite entries")
-        x = dc.Tensor(batch.astype(self._dt))
+        x = dc.Tensor(ao.astype(self._dt))
         s = dc.conv2d(x, self.w0, self.b0, padding=1, act="leaky")
         d = dc.conv2d(s, self.w1, self.b1, stride=2, padding=1, act="leaky")
         u = dc.conv_transpose2d(d, self.w2, self.b2, act="leaky")
         h = dc.conv2d(dc.concat([u, s], axis=1), self.w3, self.b3, padding=1,
                       act="leaky")
-        g = dc.mul(dc.conv2d(h, self.w4, self.b4, act="sigmoid"), 2.0)
-        return dc.reshape(g, (1, r, r)) if ao.ndim == 3 else g
+        return dc.mul(dc.conv2d(h, self.w4, self.b4, act="sigmoid"), 2.0)

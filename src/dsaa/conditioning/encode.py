@@ -34,21 +34,18 @@ class LocalizedProjector:
         self.b2 = store.add(f"{prefix}/b2", np.zeros((out_channels, h, w), dtype=dtype))
 
     def __call__(self, x: np.ndarray) -> dc.Tensor:
-        """Embeddings [B,C,h,w] of signals x [B,n], each frame's through
-        its own products; a single signal [n] gives [C,h,w]."""
-        xb = x[None] if x.ndim == 1 else x
-        if xb.ndim != 2 or xb.shape[1] != self.n_signal:
-            raise ValueError(
-                f"signal length {x.shape} does not match mask channels "
-                f"({self.n_signal})")
-        B = xb.shape[0]
+        """Embeddings [B,C,h,w] of a batch of signals x [B,n] (its only
+        form), each frame's through its own products."""
+        if x.ndim != 2 or x.shape[1] != self.n_signal:
+            raise ValueError(f"signals must be [B,{self.n_signal}], got "
+                             f"{list(x.shape)}")
+        B = x.shape[0]
         h, w = self.grid
         hidden, c_out = self.w1.data.shape[0], self.w2.data.shape[0]
         # the signal is a constant: its masked tiling is one array product
-        masked = xb[:, :, None] * self._mask                 # [B,n,h*w]
+        masked = x[:, :, None] * self._mask                  # [B,n,h*w]
         z1 = dc.reshape(dc.matmul(self.w1, masked), (B, hidden, h, w))
         a1 = dc.tanh(dc.add(z1, self.b1))
         z2 = dc.reshape(dc.matmul(self.w2, dc.reshape(a1, (B, hidden, h * w))),
                         (B, c_out, h, w))
-        out = dc.mul(dc.add(z2, self.b2), self._union)
-        return dc.reshape(out, (c_out, h, w)) if x.ndim == 1 else out
+        return dc.mul(dc.add(z2, self.b2), self._union)

@@ -100,21 +100,15 @@ def joint_anchor_uvs(template, skeleton) -> np.ndarray:
     return template.uvs[rows]
 
 
-def perturbation_loss(displacement_fn, signals, z_samples,
-                      anchor_uvs) -> dc.Tensor:
+def perturbation_loss(prior_maps: dc.Tensor, anchor_uvs) -> dc.Tensor:
     """Penalty for prior samples moving geometry the pose alone fixes.
 
-    displacement_fn(signals, z_samples) returns the batch's displacement
-    maps [B,3,H,W] (`AvatarModel.displacement`), one prior sample per
-    element; each map's corrective is sampled at the anchor UVs
-    (`joint_anchor_uvs`, or their `BilinearTaps` on the map's grid, as
-    `dc.texture_sample` takes either), squared and summed over anchors
-    and the batch, then divided by the batch size.
+    prior_maps are the batch's displacement maps [B,3,H,W] at one prior
+    sample per element (`AvatarModel.displacement`); each map's
+    corrective is sampled at the anchor UVs (`joint_anchor_uvs`, or their
+    `BilinearTaps` on the map's grid, as `dc.texture_sample` takes
+    either), squared and summed over anchors and the batch, then divided
+    by the batch size.
     """
-    z_samples = np.asarray(z_samples, dtype=np.float64)
-    n = len(signals)
-    if n == 0 or z_samples.shape[0] != n:
-        raise ValueError(
-            f"need one latent sample per signal, got {z_samples.shape[0]} for {n}")
-    c = dc.texture_sample(displacement_fn(signals, z_samples), anchor_uvs)
-    return dc.mul(dc.sum_(dc.mul(c, c)), 1.0 / n)
+    c = dc.texture_sample(prior_maps, anchor_uvs)
+    return dc.mul(dc.sum_(dc.mul(c, c)), 1.0 / prior_maps.shape[0])

@@ -1,7 +1,7 @@
 """Experiment driver: configs, training loop, evaluation, reports."""
 
 from .config import (VARIANTS, LossWeights, TrainConfig, config_text,
-                     load_config, parse_config, parse_data_config)
+                     parse_config, parse_data_config)
 from .data import TrainData
 from .trainer import TrainingDiverged, TrainResult, train
 from .evaluate import (build_report, drive, load_model, open_run,
@@ -9,7 +9,7 @@ from .evaluate import (build_report, drive, load_model, open_run,
 
 __all__ = [
     "VARIANTS", "LossWeights", "TrainConfig", "config_text",
-    "load_config", "parse_config", "parse_data_config",
+    "parse_config", "parse_data_config",
     "TrainData",
     "TrainingDiverged", "TrainResult", "train",
     "build_report", "drive",

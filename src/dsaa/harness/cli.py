@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------- commands
 
 def _cmd_gen_data(args) -> int:
-    from ..synthdata import (default_scene, generate_dataset, split_dataset,
+    from ..synthdata import (SceneSpec, generate_dataset, split_dataset,
                              split_test_count)
 
     overrides, n_frames, test_fraction = parse_data_config(
@@ -105,7 +105,7 @@ def _cmd_gen_data(args) -> int:
         raise ValueError(f"test fraction must be >= 0, got {test_fraction}")
     if test_fraction > 0:
         split_test_count(n_frames, test_fraction)     # before writing frames
-    spec = default_scene(**overrides)
+    spec = SceneSpec(**overrides)
     manifest = generate_dataset(spec, args.out, n_frames)
     print(f"generated {n_frames} frames in {args.out}")
     if test_fraction > 0:

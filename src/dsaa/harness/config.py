@@ -20,7 +20,6 @@ settings that are `SceneSpec` class constants.
 from __future__ import annotations
 
 import dataclasses
-from pathlib import Path
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
@@ -29,7 +28,7 @@ from ..avatar import AvatarConfig
 from ..synthdata import SceneSpec
 
 __all__ = ["TrainConfig", "LossWeights", "VARIANTS", "parse_config",
-           "config_text", "load_config", "parse_data_config", "data_keys"]
+           "config_text", "parse_data_config", "data_keys"]
 
 
 @dataclass(frozen=True)
@@ -141,11 +140,6 @@ def config_text(config: TrainConfig) -> str:
     return keyvalue.dump(keyvalue.field_items(config, "train.") + [
         (f"model.{k}", v) for k, v in keyvalue.field_items(config.model)
         if k in _MODEL_KEYS])
-
-
-def load_config(path, **overrides) -> TrainConfig:
-    """Read a config file and apply CLI-style scalar overrides."""
-    return parse_config(Path(path).read_text(), **overrides)
 
 
 @dataclass(frozen=True)

@@ -73,12 +73,14 @@ def union_l1(pred_img, pred_mask, gt_img, gt_mask) -> float:
 
 def _camera_renders(model: AvatarModel, data: TrainData, frame_id: str, z):
     """Yield one RenderTarget per camera, in camera order: the frame's
-    geometry, shadow gain and textures decoded once at latent z (one
-    `appearance` call for all views), then each camera's rasterized."""
+    geometry, shadow gain and textures decoded once, as a batch of one,
+    at latent z [1,d_z] (None is zero; one `appearance` call for all
+    views), then each camera's rasterized."""
     cfg = raster_config(data.spec)
-    posed, trunk = model.geometry(data.signal(frame_id, 0), z)
-    gain = model.shadow_gain(data.ao(frame_id) if model.config.use_shadow
-                             else None)
+    posed, trunk = model.geometry([data.signal(frame_id, 0)], z)
+    gain = (dc.getitem(model.shadow(data.ao(frame_id)[None]), 0)
+            if model.config.use_shadow else model.shadow_gain())
+    posed = dc.getitem(posed, 0)
     views = [data.signal(frame_id, k).view for k in range(len(data.cameras))]
     for final, camera in zip(model.appearance(trunk, views, gain), data.cameras):
         yield rasterize(posed, data.template.faces, data.template.uvs, final,
@@ -92,11 +94,13 @@ def _stack(renders):
 
 
 def render_frame(model: AvatarModel, data: TrainData, frame_id: str, z=None):
-    """All-camera renders for one frame at a fixed latent.
+    """All-camera renders for one frame at a fixed latent z [d_z] (None
+    is zero).
 
     Returns (images [n_cam,3,H,W], masks [n_cam,H,W]) as plain arrays; no
     graph is kept.
     """
+    z = None if z is None else np.asarray(z)[None]
     with dc.no_grad():
         return _stack(list(_camera_renders(model, data, frame_id, z)))
 
@@ -131,7 +135,7 @@ def _fit_latent(model, data, frame_id, steps):
     """
     fr = data.frame(frame_id)
     zstore = dc.ParamStore()
-    zt = zstore.add("z", np.zeros(model.config.d_z,
+    zt = zstore.add("z", np.zeros((1, model.config.d_z),
                                   dtype=model.config.np_dtype))
     opt = dc.Adam(zstore, lr=_FIT_LR)
     best = None
@@ -146,10 +150,11 @@ def _fit_latent(model, data, frame_id, steps):
                 part, _ = losses(rt, fr.images[k], fr.masks[k])
                 total = part if total is None else dc.add(total, part)
                 renders.append(rt)
-            best = _keep_best(best, zt.data, *_stack(renders), fr)
+            best = _keep_best(best, zt.data[0], *_stack(renders), fr)
             dc.backward(total)
             opt.step()
-        best = _keep_best(best, zt.data, *render_frame(model, data, frame_id, zt), fr)
+        best = _keep_best(best, zt.data[0],
+                          *render_frame(model, data, frame_id, zt.data[0]), fr)
     finally:
         for t, flag in zip(params, live):
             t.requires_grad = flag
@@ -233,20 +238,21 @@ def _probe_r2(mu_train, u_train, mu_test, u_test) -> float:
 
 
 def _encodings(model, data, ids):
-    """(posterior means [N,d_z], hidden factors u [N]) of the frames."""
+    """(posterior means [N,d_z], hidden factors u [N]) of the frames, each
+    encoded as a batch of one."""
     with dc.no_grad():
-        mu = [model.encode(data.pos_map(fid)).mu.data.copy() for fid in ids]
+        mu = [model.encoder(data.pos_map(fid)[None]).mu.data[0] for fid in ids]
     return np.stack(mu), np.array([data.frame(f).u for f in ids])
 
 
 def _embed(model, scalars):
     n_pose = model.masks.n_pose
     dt = model.config.np_dtype
-    scalars = np.asarray(scalars, dtype=np.float64)
+    scalars = np.asarray(scalars, dtype=np.float64)[None].astype(dt)
     with dc.no_grad():
-        ep = model.proj_pose(scalars[:n_pose].astype(dt))
-        ef = model.proj_face(scalars[n_pose:].astype(dt))
-    return np.concatenate([ep.data, ef.data], axis=0)
+        ep = model.proj_pose(scalars[:, :n_pose])
+        ef = model.proj_face(scalars[:, n_pose:])
+    return np.concatenate([ep.data, ef.data], axis=1)[0]
 
 
 def write_heatmaps(model: AvatarModel, out_dir, indices, signal=None,

@@ -196,7 +196,7 @@ def _step(cfg, data, model, opts, critic, anchors, raster_cfg, train_ids, i):
     signals = [data.signal(fid, int(c)) for fid, c in zip(batch_ids, cams)]
     z = dist = None
     if mw.use_latent:
-        dist = model.encode(np.stack([data.pos_map(fid) for fid in batch_ids]))
+        dist = model.encoder(np.stack([data.pos_map(fid) for fid in batch_ids]))
         z = reparameterize(dist, eps)
     posed, trunk = model.geometry(signals, z)
     laps = np.stack([data.laplacian(fid, posed.dtype) for fid in batch_ids])
@@ -206,7 +206,7 @@ def _step(cfg, data, model, opts, critic, anchors, raster_cfg, train_ids, i):
                                  laps, data.template)
     else:
         total, parts = None, {}
-        gain = (model.shadow_gain(np.stack([data.ao(fid) for fid in batch_ids]))
+        gain = (model.shadow(np.stack([data.ao(fid) for fid in batch_ids]))
                 if mw.use_shadow else None)
         # the texture branch, the rasterizer and the image loss run per
         # frame, on that frame's slice of the trunk, vertices and gain
@@ -235,7 +235,7 @@ def _step(cfg, data, model, opts, critic, anchors, raster_cfg, train_ids, i):
         if lw.lam_pc > 0:
             zp = stream(cfg.seed, "prior", i).standard_normal(
                 (cfg.batch, mw.d_z))
-            pc = perturbation_loss(model.displacement, signals, zp, anchors)
+            pc = perturbation_loss(model.displacement(signals, zp), anchors)
             total = add_term(total, parts, "pc", pc, lw.lam_pc)
 
     dc.backward(total)

@@ -63,11 +63,11 @@ def losses(render: RenderTarget, gt_image, gt_mask):
 
 
 def mesh_loss(posed: dc.Tensor, gt_verts, gt_lap, template: TemplateMesh):
-    """Mesh objective, LAM_GEOM*L_G + LAM_LAP*L_lap, of one frame [V,3]
-    or summed over a batch [B,V,3], against the registered vertices
-    gt_verts and their Laplacian gt_lap (see `laplacian_loss`), shaped
-    as posed. Returns (total Tensor, parts) with parts the unweighted
-    "geom" and "lap"."""
+    """Mesh objective, LAM_GEOM*L_G + LAM_LAP*L_lap, summed over a batch
+    of posed vertices [B,V,3], against the registered vertices gt_verts
+    and their Laplacian gt_lap (see `laplacian_loss`), shaped as posed.
+    Returns (total Tensor, parts) with parts the unweighted "geom" and
+    "lap"."""
     parts = {}
     gt = np.asarray(gt_verts, dtype=posed.dtype)
     total = add_term(None, parts, "geom", l2_sum(posed, gt), LAM_GEOM)
@@ -77,12 +77,12 @@ def mesh_loss(posed: dc.Tensor, gt_verts, gt_lap, template: TemplateMesh):
 
 
 def laplacian_loss(template: TemplateMesh, posed: dc.Tensor, gt_lap):
-    """L_lap: the l2_sum between posed's Laplacian (`mesh_laplacian`) and
-    gt_lap [V,3], the ground-truth mesh's, in posed's dtype; training reads
-    it from `TrainData.laplacian`, which computes it once per frame. A
-    batch posed [B,V,3] with gt_lap [B,V,3] is one node over all frames,
-    its value summed over the batch; each frame's gradient is the one a
-    call on that frame alone hands it.
+    """L_lap: the l2_sum between the Laplacian (`mesh_laplacian`) of each
+    frame of posed [B,V,3] and gt_lap [B,V,3], the ground-truth meshes',
+    in posed's dtype, summed over the batch; training reads gt_lap from
+    `TrainData.laplacian`, which computes it once per frame. It is one
+    node over all frames; each frame's gradient is the one a batch of
+    that frame alone hands it.
 
     One tape node, over (posed, posed). Its value and the two gradients
     it hands posed are, byte for byte, those of the graph it replaces,
@@ -98,8 +98,10 @@ def laplacian_loss(template: TemplateMesh, posed: dc.Tensor, gt_lap):
     adds each element's updates in the order the 2-D scatter over the
     table rows does.
     """
-    gt_lap = np.asarray(gt_lap)
     v = posed.data
+    if v.ndim != 3 or v.shape[-1] != 3:
+        raise ValueError(f"posed vertices must be [B,V,3], got {list(v.shape)}")
+    gt_lap = np.asarray(gt_lap)
     if gt_lap.shape != v.shape or gt_lap.dtype != v.dtype:
         raise ValueError(f"ground-truth Laplacian must be {v.dtype} "
                          f"{v.shape}, got {gt_lap.dtype} {gt_lap.shape}")
@@ -108,15 +110,15 @@ def laplacian_loss(template: TemplateMesh, posed: dc.Tensor, gt_lap):
     scale = inv_deg[:, None].astype(v.dtype)
     # x_u - x_i with the neighbor slot leading, so the slot sum adds whole
     # rows, in slot order, as mesh_laplacian's sum over its axis 1 does
-    diffs = np.take(v, idx.T, axis=-2) - v[..., None, :, :]   # [..,Dmax,V,3]
-    d = -diffs.sum(axis=-3) * scale - gt_lap
+    diffs = np.take(v, idx.T, axis=1) - v[:, None]     # [B,Dmax,V,3]
+    d = -diffs.sum(axis=1) * scale - gt_lap
 
     def bw(g, needs):
         gs = -((2 * (g * d)) * scale)      # through d*d, * scale and the -
         g_nbrs = np.zeros(v.shape, dtype=v.dtype)
-        flat = template.neighbor_flat_index()
-        if v.ndim == 3:                    # each frame's block, in turn
-            flat = (flat + v[0].size * np.arange(v.shape[0])[:, None]).ravel()
+        # each frame's block of the flattened vertices, in turn
+        flat = (template.neighbor_flat_index()
+                + v[0].size * np.arange(v.shape[0])[:, None]).ravel()
         np.add.at(g_nbrs.reshape(-1), flat,
                   np.repeat(gs, slots, axis=-2).reshape(-1))
         g_self = gs.copy()                 # the slot sum's spread, summed

@@ -577,13 +577,13 @@ def test_geometry_and_appearance_match_forward(dtype, use_shadow):
     ao = (rng.stream(4, "ao").uniform(0.3, 1.0, size=(1, 16, 16))
           if use_shadow else None)
     ref = model.forward(SIG, z, ao)
-    posed, trunk = model.geometry(SIG, z)
+    posed, trunk = model.geometry([SIG], z[None])
     final, = model.appearance(trunk, [SIG.view], model.shadow_gain(ao))
-    disp = model.displacement(SIG, z)
+    disp = model.displacement([SIG], z[None])
     assert posed.dtype == final.dtype == disp.dtype == np.dtype(dtype)
-    assert posed.data.tobytes() == ref.posed.data.tobytes()
+    assert posed.data[0].tobytes() == ref.posed.data.tobytes()
     assert final.data.tobytes() == ref.final.data.tobytes()
-    assert disp.data.tobytes() == model.decode(SIG, z)[0].data.tobytes()
+    assert disp.data[0].tobytes() == model.decode(SIG, z)[0].data.tobytes()
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -593,7 +593,7 @@ def test_appearance_over_views_matches_one_call_per_view(dtype, use_shadow):
     r = rng.stream(5, "views")
     views = [SIG.view] + [unit(v) for v in r.normal(size=(3, 3))]
     ao = r.uniform(0.3, 1.0, size=(1, 16, 16)) if use_shadow else None
-    _, trunk = model.geometry(SIG, r.normal(size=16))
+    _, trunk = model.geometry([SIG], r.normal(size=(1, 16)))
     gain = model.shadow_gain(ao)
     finals = model.appearance(trunk, views, gain)
     assert len(finals) == len(views)
@@ -605,20 +605,15 @@ def test_appearance_over_views_matches_one_call_per_view(dtype, use_shadow):
 
 
 def full_tile_decoder(dec, z, e_pose, e_face):
-    """The decoder's call as z broadcast over the whole (geo_res/4)^2
-    bottleneck, upsampled twice and concatenated with the embeddings
-    under one 3x3 trunk conv."""
-    gr = e_pose.shape[1]
-    g = gr // 4
-    zm = dc.reshape(tile2d(z, g, g), (1, z.shape[0], g, g))
-    x = dc.conv_transpose2d(zm, dec.w_up1, dec.b_up1, act="leaky")
+    """The decoder's call as z [B,d_z] broadcast over the whole
+    (geo_res/4)^2 bottleneck, upsampled twice and concatenated with the
+    embeddings [B,C,G,G] under one 3x3 trunk conv."""
+    g = e_pose.shape[2] // 4
+    x = dc.conv_transpose2d(tile2d(z, g, g), dec.w_up1, dec.b_up1, act="leaky")
     x = dc.conv_transpose2d(x, dec.w_up2, dec.b_up2, act="leaky")
-    ep = dc.reshape(e_pose, (1,) + tuple(e_pose.shape))
-    ef = dc.reshape(e_face, (1,) + tuple(e_face.shape))
-    trunk = dc.conv2d(dc.concat([x, ep, ef], axis=1), dec.w_trunk,
+    trunk = dc.conv2d(dc.concat([x, e_pose, e_face], axis=1), dec.w_trunk,
                       dec.b_trunk, padding=1, act="leaky")
-    disp = dc.reshape(dc.conv2d(trunk, dec.w_geo, dec.b_geo), (3, gr, gr))
-    return disp, trunk
+    return dc.conv2d(trunk, dec.w_geo, dec.b_geo), trunk
 
 
 def _decoder_run(model, call, z, e_pose, e_face, upstream):
@@ -647,9 +642,10 @@ def test_decoder_matches_full_tile_reference(dtype, tol, geo_res):
         if name.startswith("dec/") and name.endswith("/b"):
             t.data[...] = r.normal(scale=0.3, size=t.shape)
     ec, dt = model.config.embed_channels, np.dtype(dtype)
-    z = r.normal(size=16).astype(dt)
-    e_pose, e_face = r.normal(size=(2, ec, geo_res, geo_res)).astype(dt)
-    upstream = (r.normal(size=(3, geo_res, geo_res)).astype(dt),
+    # a batch of one frame
+    z = r.normal(size=(1, 16)).astype(dt)
+    e_pose, e_face = r.normal(size=(2, 1, ec, geo_res, geo_res)).astype(dt)
+    upstream = (r.normal(size=(1, 3, geo_res, geo_res)).astype(dt),
                 r.normal(size=(1, 32, geo_res, geo_res)).astype(dt),
                 r.normal(size=(3, 2 * geo_res, 2 * geo_res)).astype(dt))
     got = _decoder_run(model, avatar.AvatarDecoder.__call__, z, e_pose, e_face, upstream)
@@ -669,9 +665,9 @@ def test_decoder_fd_wrt_trunk():
     model, _, _ = build_model(seed=10, geo_res=16)
     dec = model.decoder
     r = rng.stream(10, "trunk")
-    z = dc.Tensor(r.normal(size=16))
-    e_pose, e_face = (dc.Tensor(e) for e in r.normal(size=(2, 8, 16, 16)))
-    target = r.normal(size=(3, 16, 16))
+    z = dc.Tensor(r.normal(size=(1, 16)))
+    e_pose, e_face = (dc.Tensor(e) for e in r.normal(size=(2, 1, 8, 16, 16)))
+    target = r.normal(size=(1, 3, 16, 16))
     wg = dec.w_up2.shape[1]
     keep = dec.w_trunk, dec.b_trunk
 
@@ -711,7 +707,7 @@ def test_texture_matches_concat_and_conv(dtype, tol, geo_res, n_views):
     model, _, _ = build_model(dtype=dtype, seed=7, geo_res=geo_res)
     r = rng.stream(7, "views")
     views = [SIG.view] + [unit(v) for v in r.normal(size=(n_views - 1, 3))]
-    _, trunk = model.geometry(SIG, r.normal(size=16))
+    _, trunk = model.geometry([SIG], r.normal(size=(1, 16)))
     got = model.decoder.texture(trunk, views)
     want = concat_conv_texture(model.decoder, trunk, views)
     assert len(got) == len(want) == n_views
@@ -731,7 +727,7 @@ def test_texture_fd_wrt_tex1():
     dec = model.decoder
     r = rng.stream(8, "tex1")
     views = [SIG.view, unit([0.5, -0.4, 0.2])]
-    _, trunk = model.geometry(SIG, r.normal(size=16))
+    _, trunk = model.geometry([SIG], r.normal(size=(1, 16)))
     trunk = dc.Tensor(trunk.data)
     target = r.uniform(size=(len(views), 3, 16, 16))
     wt = dec.w_tex1.shape[1] - 3
@@ -777,7 +773,7 @@ def test_pose_heatmaps_lie_inside_their_masks(spatial_local):
 
     def embed(theta):
         with dc.no_grad():
-            return model.proj_pose(theta.astype(cfg.np_dtype)).data
+            return model.proj_pose(theta[None].astype(cfg.np_dtype)).data[0]
 
     outside = []
     for k in range(ref.n_pose):

@@ -1,8 +1,10 @@
 """The model's geometry blocks over a batch of frames, against the same
-blocks one frame at a time (the calls single-frame paths make).
+blocks on a batch of one frame at a time (the calls single-frame paths
+make; every block takes [B, ...] input only).
 
 Each frame's slice of a block's output is byte for byte the block's
-call on that frame alone where the block's forward products stay within
+call on a batch of that frame alone where the block's forward products
+stay within
 a frame: the projectors, the decoder trunk, the shadow net, posing and
 the Laplacian term. The encoder's head is one product over the batch
 (and its last conv's few windows per frame take another BLAS kernel at
@@ -21,7 +23,7 @@ from dsaa.diffcore import geom
 from dsaa.diffcore.geom import BilinearTaps, bilinear_tex_grad
 from dsaa.disentangle import kl_loss
 from dsaa.harness import TrainConfig, TrainData, train, trainer
-from dsaa.renderer import laplacian_loss, losses, rasterize
+from dsaa.renderer import laplacian_loss, losses, mesh_loss, rasterize
 from dsaa.rng import stream
 from dsaa.synthdata import raster_config
 
@@ -64,33 +66,66 @@ def test_frame_slices_equal_single_frame_calls(dataset, dtype, tol):
     face = np.stack([s.face for s in signals]).astype(dt)
 
     ep, ef = model.proj_pose(theta), model.proj_face(face)
-    assert _same(ep.data, [model.proj_pose(t).data for t in theta])
-    assert _same(ef.data, [model.proj_face(f).data for f in face])
+    assert _same(ep.data, [model.proj_pose(t[None]).data[0] for t in theta])
+    assert _same(ef.data, [model.proj_face(f[None]).data[0] for f in face])
 
     disp, trunk = model.decoder(dc.Tensor(z), ep, ef)
-    singles = [model.decoder(dc.Tensor(z[b]), dc.Tensor(ep.data[b]),
-                             dc.Tensor(ef.data[b])) for b in range(B)]
+    ones = [model.decoder(*(dc.Tensor(a[b:b + 1])
+                            for a in (z, ep.data, ef.data))) for b in range(B)]
     assert disp.shape == (B, 3, 16, 16)
-    assert _same(disp.data, [d.data for d, _ in singles])
-    assert _same(trunk.data, [t.data[0] for _, t in singles])
+    assert _same(disp.data, [d.data[0] for d, _ in ones])
+    assert _same(trunk.data, [t.data[0] for _, t in ones])
 
     ao = np.stack([data.ao(fid) for fid in ids])
     gain = model.shadow(ao)
-    assert _same(gain.data, [model.shadow(a).data for a in ao])
+    assert _same(gain.data, [model.shadow(a[None]).data[0] for a in ao])
 
     posed = model._posing(theta, disp)
     assert posed.shape == (B, len(data.template.verts), 3)
-    assert _same(posed.data, [model._posing(t, dc.Tensor(d.data))
-                              .data for t, d in zip(theta, disp.data)])
+    assert _same(posed.data, [model._posing(t[None], dc.Tensor(d[None]))
+                              .data[0] for t, d in zip(theta, disp.data)])
 
     # the encoder's head spans the batch: float32 rounding only
     maps = np.stack([data.pos_map(fid) for fid in ids])
-    dist = model.encode(maps)
+    dist = model.encoder(maps)
     for b, m in enumerate(maps):
-        one = model.encode(m)
+        one = model.encoder(m[None])
         for got, ref in ((dist.mu, one.mu), (dist.sigma, one.sigma)):
-            err = np.abs(got.data[b] - ref.data).max()
+            err = np.abs(got.data[b] - ref.data[0]).max()
             assert err <= tol * np.abs(ref.data).max(), "encoder"
+
+
+LONE_FRAME = ["projector", "encoder", "decoder", "shadow", "posing",
+              "transforms", "laplacian_loss", "mesh_loss", "geometry",
+              "displacement"]
+
+
+@pytest.mark.parametrize("block", LONE_FRAME)
+def test_blocks_refuse_a_lone_frame(dataset, block):
+    # each block takes [B, ...] input only: a lone frame is refused with
+    # the shape it needs, not run through a second, single-frame form
+    data, model, ids, signals = _setup(dataset, "float64")
+    sig, fid = signals[0], ids[0]
+    g, ec = model.config.geo_res, model.config.embed_channels
+    verts = dc.Tensor(data.frame(fid).verts.astype(np.float64))
+    lap = data.laplacian(fid, np.float64)
+    embed = dc.Tensor(np.zeros((ec, g, g)))
+    call = {
+        "projector": lambda: model.proj_pose(sig.theta),
+        "encoder": lambda: model.encoder(data.pos_map(fid)),
+        "decoder": lambda: model.decoder(
+            dc.Tensor(np.zeros(model.config.d_z)), embed, embed),
+        "shadow": lambda: model.shadow(data.ao(fid)),
+        "posing": lambda: model._posing(sig.theta,
+                                        dc.Tensor(np.zeros((3, g, g)))),
+        "transforms": lambda: model._posing.transforms(sig.theta),
+        "laplacian_loss": lambda: laplacian_loss(data.template, verts, lap),
+        "mesh_loss": lambda: mesh_loss(verts, verts.data, lap, data.template),
+        "geometry": lambda: model.geometry(sig),
+        "displacement": lambda: model.displacement(sig),
+    }[block]
+    with pytest.raises(ValueError, match=r"\[B[,\]]"):
+        call()
 
 
 @pytest.mark.parametrize("dtype,tol", DTYPES)
@@ -106,11 +141,11 @@ def test_laplacian_term_per_frame_gradients(dataset, dtype, tol):
     dc.backward(term)
     values, grads = [], []
     for b in range(B):
-        xb = dc.Tensor(verts[b].copy(), requires_grad=True)
-        one = laplacian_loss(data.template, xb, gt[b])
+        xb = dc.Tensor(verts[b:b + 1].copy(), requires_grad=True)
+        one = laplacian_loss(data.template, xb, gt[b:b + 1])
         dc.backward(one)
         values.append(float(one.data))
-        grads.append(xb.grad)
+        grads.append(xb.grad[0])
     assert _same(x.grad, grads)
     assert abs(float(term.data) - sum(values)) <= tol * sum(values)
 
@@ -118,7 +153,7 @@ def test_laplacian_term_per_frame_gradients(dataset, dtype, tol):
 def _model_pass(model, data, ids, signals, eps, batched):
     """Loss of the trainer's phase-2 forward on the frames (image, mask,
     Laplacian and KL terms), backpropagated: the geometry half once over
-    the batch, or every block one frame at a time."""
+    the batch, or every block on a batch of one frame at a time."""
     cfg = raster_config(data.spec)
     tpl = data.template
     laps = np.stack([data.laplacian(fid, model.config.np_dtype) for fid in ids])
@@ -130,10 +165,10 @@ def _model_pass(model, data, ids, signals, eps, batched):
         return losses(render, fr.images[cam], fr.masks[cam])[0]
 
     if batched:
-        dist = model.encode(np.stack([data.pos_map(fid) for fid in ids]))
+        dist = model.encoder(np.stack([data.pos_map(fid) for fid in ids]))
         z = reparameterize(dist, eps)
         posed, trunk = model.geometry(signals, z)
-        gain = model.shadow_gain(np.stack([data.ao(fid) for fid in ids]))
+        gain = model.shadow(np.stack([data.ao(fid) for fid in ids]))
         total = kl_loss(dist)
         for b in range(len(ids)):
             total = dc.add(total, image_terms(
@@ -142,11 +177,13 @@ def _model_pass(model, data, ids, signals, eps, batched):
         dc.backward(dc.add(total, laplacian_loss(tpl, posed, laps)))
         return
     for b, fid in enumerate(ids):
-        dist = model.encode(data.pos_map(fid))
-        posed, trunk = model.geometry(signals[b], reparameterize(dist, eps[b]))
+        dist = model.encoder(data.pos_map(fid)[None])
+        posed, trunk = model.geometry(signals[b:b + 1],
+                                      reparameterize(dist, eps[b:b + 1]))
+        gain = model.shadow(data.ao(fid)[None])
         total = dc.add(kl_loss(dist), image_terms(
-            posed, trunk, model.shadow_gain(data.ao(fid)), b))
-        dc.backward(dc.add(total, laplacian_loss(tpl, posed, laps[b])))
+            dc.getitem(posed, 0), trunk, dc.getitem(gain, 0), b))
+        dc.backward(dc.add(total, laplacian_loss(tpl, posed, laps[b:b + 1])))
 
 
 def test_batched_gradients_are_the_per_frame_sum(dataset):

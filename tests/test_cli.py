@@ -14,7 +14,7 @@ import pytest
 
 import dsaa
 from dsaa import diffcore as dc, keyvalue
-from dsaa.harness import VARIANTS, TrainData, evaluate, load_config, trainer
+from dsaa.harness import VARIANTS, TrainData, evaluate, parse_config, trainer
 from dsaa.harness.cli import main
 from dsaa.harness.evaluate import open_run
 from dsaa.synthdata import load_manifest, split_dataset
@@ -146,8 +146,9 @@ class _Stop(Exception):
 def four_iters(cli_run):
     """The config of a 4-iteration run checkpointed every 2 iterations,
     and the directory it ran into uninterrupted."""
-    config = load_config(cli_run / "train.cfg", dataset=str(cli_run / "data"),
-                         seed=1, iters=4, checkpoint_every=2)
+    config = parse_config((cli_run / "train.cfg").read_text(),
+                          dataset=str(cli_run / "data"), seed=1, iters=4,
+                          checkpoint_every=2)
     whole = cli_run / "four_whole"
     trainer.train(dataclasses.replace(config, out=str(whole)))
     return config, whole

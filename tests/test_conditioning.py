@@ -152,8 +152,8 @@ def random_masks(rng, n=5, h=8, w=8):
 def test_encode_zero_masks_signal_independent():
     masks = cond.InfluenceMask(np.zeros((3, 4, 4), dtype=np.uint8), ("a", "b", "c"))
     _, proj = tiny_projector(masks)
-    e1 = proj(np.array([1.0, 2.0, 3.0]))
-    e2 = proj(np.array([-5.0, 0.0, 9.0]))
+    e1 = proj(np.array([[1.0, 2.0, 3.0]]))
+    e2 = proj(np.array([[-5.0, 0.0, 9.0]]))
     npt.assert_array_equal(e1.data, e2.data)
     npt.assert_array_equal(e1.data, np.zeros_like(e1.data))
 
@@ -162,10 +162,10 @@ def test_encode_outside_union_is_zero():
     rng = np.random.default_rng(3)
     masks = random_masks(rng)
     _, proj = tiny_projector(masks, seed=4)
-    e = proj(rng.normal(size=5))
+    e = proj(rng.normal(size=(1, 5)))
     outside = ~masks.data.any(axis=0)
     assert outside.any()
-    npt.assert_array_equal(e.data[:, outside], 0.0)
+    npt.assert_array_equal(e.data[0][:, outside], 0.0)
 
 
 def test_encode_locality_gradient_exact():
@@ -179,7 +179,7 @@ def test_encode_locality_gradient_exact():
     # a perturbation: exactly zero off the mask, nonzero on it
     x2 = x.copy()
     x2[2] += 0.5
-    e, e2 = proj(x).data, proj(x2).data
+    e, e2 = proj(x[None]).data[0], proj(x2[None]).data[0]
     npt.assert_array_equal(e2[(slice(None),) + off], e[(slice(None),) + off])
     assert (e2[(slice(None),) + on] != e[(slice(None),) + on]).any()
 
@@ -191,8 +191,8 @@ def test_encode_perturbation_confined_to_mask():
     x = rng.normal(size=5)
     x2 = x.copy()
     x2[1] += 0.7
-    e1 = proj(x).data
-    e2 = proj(x2).data
+    e1 = proj(x[None]).data[0]
+    e2 = proj(x2[None]).data[0]
     changed = np.abs(e1 - e2).sum(axis=0) > 0
     assert not changed[masks.data[1] == 0].any()
     assert changed[masks.data[1] == 1].any()
@@ -205,8 +205,8 @@ def test_encode_masked_independence_between_joints():
     data[1, :, 2:] = 1
     masks = cond.InfluenceMask(data, ("a", "b"))
     _, proj = tiny_projector(masks, seed=9)
-    e1 = proj(np.array([0.5, 1.0])).data
-    e2 = proj(np.array([0.5, -4.0])).data
+    e1 = proj(np.array([[0.5, 1.0]])).data[0]
+    e2 = proj(np.array([[0.5, -4.0]])).data[0]
     only0 = data[0].astype(bool) & ~data[1].astype(bool)
     npt.assert_array_equal(e1[:, only0], e2[:, only0])
 
@@ -215,7 +215,7 @@ def test_encode_grid_mismatch_errors():
     masks = cond.InfluenceMask(np.ones((2, 4, 4), dtype=np.uint8), ("a", "b"))
     _, proj = tiny_projector(masks)
     with pytest.raises(ValueError):
-        proj(np.zeros(3))
+        proj(np.zeros((1, 3)))
 
 
 def test_encode_float32_stays_float32():
@@ -224,7 +224,7 @@ def test_encode_float32_stays_float32():
     store = dc.ParamStore()
     proj = cond.LocalizedProjector(store, "p", masks.data, hidden=4, out_channels=3,
                                    rng=rng, dtype=np.float32)
-    e = proj(rng.normal(size=5).astype(np.float32))
+    e = proj(rng.normal(size=(1, 5)).astype(np.float32))
     assert e.data.dtype == np.float32
 
 

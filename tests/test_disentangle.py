@@ -18,10 +18,10 @@ import dsaa
 from dsaa import body, diffcore as dc, disentangle as dis
 from dsaa.avatar import LatentDistribution
 from dsaa.avatar.compose import pose
-from dsaa.conditioning import DrivingSignal
 from dsaa.rng import stream
 from critic_fit import fit_statistics
 from fd import gradcheck
+from test_avatar import SIG, build_model
 
 
 # ------------------------------------------------------------------ helpers
@@ -345,45 +345,38 @@ def test_hsic_bytes_do_not_depend_on_blas_threads():
 def test_perturbation_zero_for_exact_copy():
     # the map carries the signal everywhere but at the anchor's texel
     cs = stream(70, "c").standard_normal(16)
-    zs = stream(70, "z").standard_normal((16, 1))
-    loss = dis.perturbation_loss(
-        lambda cs, z: dc.Tensor(np.array([[[[0.0, c], [c, c]]] for c in cs])),
-        cs, zs, ANCHOR)
+    maps = dc.Tensor(np.array([[[[0.0, c], [c, c]]] for c in cs]))
+    loss = dis.perturbation_loss(maps, ANCHOR)
     assert float(loss.data) == 0.0
 
 
 def test_perturbation_additive_noise_expectation():
     # a corrective of z at the anchor leaks the whole sample: E[L] = E[z^2] = 1
-    cs = stream(71, "c").standard_normal(20000)
     zs = stream(71, "z").standard_normal((20000, 1))
-    loss = dis.perturbation_loss(lambda c, z: constant_maps(z[:, 0]), cs, zs,
-                                 ANCHOR)
+    loss = dis.perturbation_loss(constant_maps(zs[:, 0]), ANCHOR)
     got = float(loss.data)
     npt.assert_allclose(got, np.mean(zs ** 2), rtol=1e-9)
     assert abs(got - 1.0) < 0.05
 
 
 def test_perturbation_nonnegative_and_gradient():
-    cs = stream(72, "c").standard_normal(64)
     zs = stream(72, "z").standard_normal((64, 1))
     a = dc.Tensor(np.array(1.5), requires_grad=True)
-
-    def displacement(c, z):
-        return dc.mul(constant_maps(z[:, 0]), a)
-
-    loss = dis.perturbation_loss(displacement, cs, zs, ANCHOR)
+    loss = dis.perturbation_loss(dc.mul(constant_maps(zs[:, 0]), a), ANCHOR)
     assert float(loss.data) >= 0.0
     dc.backward(loss)
     npt.assert_allclose(a.grad, 2.0 * 1.5 * np.mean(zs ** 2), rtol=1e-9)
 
 
 def test_perturbation_validates_shapes():
-    cs = stream(73, "c").standard_normal(4)
-    zs = stream(73, "z").standard_normal((4, 1))
-    for signals, samples in ((cs, zs[:3]), (cs[:0], zs[:0])):
-        with pytest.raises(ValueError, match="one latent sample per signal"):
-            dis.perturbation_loss(lambda c, z: constant_maps(z[:, 0]),
-                                  signals, samples, ANCHOR)
+    # the prior maps take one latent sample per signal: the model's z
+    # shape check refuses any other count, and no signal at all
+    model = build_model()[0]
+    zs = stream(73, "z").standard_normal((4, model.config.d_z))
+    for signals, samples, match in (([SIG] * 4, zs[:3], r"shape \(4, 16\)"),
+                                    ([], zs[:0], "no driving signals")):
+        with pytest.raises(ValueError, match=match):
+            model.displacement(signals, samples)
 
 
 # ------------------------------------------------------------- joint anchors
@@ -411,8 +404,6 @@ def test_joint_site_targets_follow_pose():
     r = stream(80, "th")
     disp = dc.Tensor(r.uniform(-0.1, 0.1, size=(3, 8, 8)))
     thetas = [np.zeros(9)] + [r.uniform(-0.8, 0.8, size=9) for _ in range(4)]
-    view = np.array([0.0, 0.0, 1.0])
-    signals = [DrivingSignal(th, np.zeros(4), view) for th in thetas]
     ref = 0.0
     for th in thetas:
         fk = body.forward_kinematics(skel, th)
@@ -421,8 +412,7 @@ def test_joint_site_targets_follow_pose():
             npt.assert_allclose(target, tpl.verts[rows], rtol=0, atol=1e-12)
         d = pose(th, disp, tpl, skel).data[rows] - target
         ref += float((d * d).sum()) / len(thetas)
-    loss = dis.perturbation_loss(lambda s, z: dc.stack([disp] * len(s)), signals,
-                                 np.zeros((len(thetas), 1)),
+    loss = dis.perturbation_loss(dc.stack([disp] * len(thetas)),
                                  dis.joint_anchor_uvs(tpl, skel))
     assert ref > 1e-4
     npt.assert_allclose(float(loss.data), ref, rtol=1e-12)

@@ -23,7 +23,8 @@ from dsaa import body, diffcore as dc
 from dsaa.diffcore.geom import BilinearTaps
 from dsaa import synthdata as sd
 from dsaa.avatar import (AvatarConfig, AvatarDecoder, AvatarModel,
-                         LatentDistribution, ShadowNet, compose)
+                         GeometryEncoder, LatentDistribution, ShadowNet,
+                         compose)
 from dsaa.harness import TrainConfig, TrainData, evaluate, train, trainer
 from dsaa.renderer import RasterConfig, losses, rasterize
 from dsaa.rng import stream
@@ -181,17 +182,17 @@ def _check_step_against_forward(dataset, tmp_path, monkeypatch, model_cfg,
     ref_rec, ref_grads = step_result(tmp_path / "run")
     frames = []
     real_signal = TrainData.signal
-    real_encode, real_displacement = (AvatarModel.encode,
-                                      AvatarModel.displacement)
+    real_encoder, real_displacement = (GeometryEncoder.__call__,
+                                       AvatarModel.displacement)
 
     def signal(data, frame_id, cam):
         frames.append((data, frame_id))
         return real_signal(data, frame_id, cam)
 
-    def encode(model, pos_maps):
-        dists = [real_encode(model, p) for p in pos_maps]
-        return LatentDistribution(dc.stack([d.mu for d in dists]),
-                                  dc.stack([d.sigma for d in dists]))
+    def encoder(enc, pos_maps):
+        dists = [real_encoder(enc, p[None]) for p in pos_maps]
+        return LatentDistribution(dc.concat([d.mu for d in dists], axis=0),
+                                  dc.concat([d.sigma for d in dists], axis=0))
 
     def geometry(model, signals, z):
         assert len(frames) == len(signals)
@@ -202,11 +203,11 @@ def _check_step_against_forward(dataset, tmp_path, monkeypatch, model_cfg,
                 dc.stack([p.final for p in preds]))
 
     def displacement(model, signals, z):
-        return dc.stack([real_displacement(model, sig, zb)
-                         for sig, zb in zip(signals, z)])
+        return dc.concat([real_displacement(model, [sig], zb[None])
+                          for sig, zb in zip(signals, z)], axis=0)
 
     monkeypatch.setattr(TrainData, "signal", signal)
-    monkeypatch.setattr(AvatarModel, "encode", encode)
+    monkeypatch.setattr(GeometryEncoder, "__call__", encoder)
     monkeypatch.setattr(AvatarModel, "geometry", geometry)
     monkeypatch.setattr(AvatarModel, "displacement", displacement)
     monkeypatch.setattr(AvatarModel, "appearance",
@@ -369,7 +370,7 @@ def test_ground_truth_laplacian_is_cached_per_frame_and_dtype(dataset):
     for dtype in ("float32", "float64"):
         model = AvatarModel(data.template, data.skeleton,
                             AvatarConfig(geo_res=16, dtype=dtype), seed=2)
-        posed, _ = model.geometry(data.signal(fid, 0))
+        posed, _ = model.geometry([data.signal(fid, 0)])
         lap = data.laplacian(fid, posed.dtype)
         ref = body.mesh_laplacian(data.template,
                                   data.frame(fid).verts.astype(dtype))
@@ -442,9 +443,11 @@ def test_perturbation_term_matches_full_decode(dataset, tmp_path,
     # pose-only anchor positions, the two agreeing because every anchor
     # is bound to one joint alone
     seen = []
-    real = trainer.perturbation_loss
+    real, real_displacement = trainer.perturbation_loss, AvatarModel.displacement
     monkeypatch.setattr(trainer, "perturbation_loss",
                         lambda *args: seen.append(args) or real(*args))
+    monkeypatch.setattr(AvatarModel, "displacement", lambda model, *args:
+                        seen.append(args) or real_displacement(model, *args))
     for dtype, tol in (("float32", 1e-5), ("float64", 1e-12)):
         seen.clear()
         model = train(TrainConfig(dataset=str(dataset),
@@ -452,7 +455,7 @@ def test_perturbation_term_matches_full_decode(dataset, tmp_path,
                                   phase1=1, batch=2,
                                   model=AvatarConfig(geo_res=16,
                                                      dtype=dtype))).model
-        (displacement_fn, signals, z_samples, anchors), = seen
+        (signals, z_samples), (_, anchors) = seen
         tpl, skel = model.template, model.skeleton
         rows = np.argmax(tpl.weights, axis=0)
         # the run samples the anchors through taps built once, at the UVs
@@ -482,7 +485,7 @@ def test_perturbation_term_matches_full_decode(dataset, tmp_path,
             return dc.mul(total, 1.0 / len(signals))
 
         results = []
-        for fn in (lambda: real(displacement_fn, signals, z_samples,
+        for fn in (lambda: real(real_displacement(model, signals, z_samples),
                                 anchors), oracle):
             model.store.zero_grad()
             term = fn()
@@ -557,17 +560,18 @@ def test_camera_renders_z_gradient_matches_per_camera_forward(dataset, dtype,
     fr = data.frame(fid)
     z0 = 0.5 * stream(2, "z").standard_normal(model.config.d_z)
 
-    def z_grad(renders):
-        z = dc.Tensor(z0.astype(model.config.np_dtype), requires_grad=True)
+    def z_grad(renders, shape):
+        z = dc.Tensor(z0.astype(model.config.np_dtype).reshape(shape),
+                      requires_grad=True)
         total = None
         for k, rt in enumerate(renders(model, data, fid, z)):
             part, _ = losses(rt, fr.images[k], fr.masks[k])
             total = part if total is None else dc.add(total, part)
         dc.backward(total)
-        return z.grad
+        return z.grad.reshape(-1)
 
-    g = z_grad(evaluate._camera_renders)
-    ref = z_grad(_per_camera)
+    g = z_grad(evaluate._camera_renders, (1, -1))     # a batch of one
+    ref = z_grad(_per_camera, (-1,))
     scale = np.abs(ref).max()
     assert scale > 0.0
     assert np.abs(g - ref).max() <= tol * scale

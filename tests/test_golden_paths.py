@@ -2,9 +2,10 @@
 model with every parameter moved off its initial value, on a small
 dataset, in float32 and float64: `render_frame`'s images and masks,
 `drive`'s renders and drive.kv in zero, sample and 3-step fit mode,
-`encode`'s moments (the report's input), and the parameter gradients of
+the encoder's moments (the report's input), and the parameter gradients of
 one frame through every block. Training runs the same blocks over a
-batch; these paths run them at one frame and must keep every byte."""
+batch; these paths run them at a batch of one and must keep every
+byte."""
 
 import hashlib
 
@@ -102,13 +103,14 @@ GRADS = {
 
 @pytest.mark.parametrize("dtype", sorted(ENCODE))
 def test_encode_bytes(dataset, dtype):
-    # the report's probe and HSIC entries read these moments
+    # the report's probe and HSIC entries read these moments, each frame
+    # encoded as a batch of one
     data, model = _model(dataset, dtype)
     h = hashlib.sha256()
     for fid in data.ids():
-        dist = model.encode(data.pos_map(fid))
-        h.update(dist.mu.data.tobytes())
-        h.update(dist.sigma.data.tobytes())
+        dist = model.encoder(data.pos_map(fid)[None])
+        h.update(dist.mu.data[0].tobytes())
+        h.update(dist.sigma.data[0].tobytes())
     assert h.hexdigest() == ENCODE[dtype]
 
 
@@ -118,14 +120,15 @@ def test_single_frame_gradient_bytes(dataset, dtype):
     data, model = _model(dataset, dtype)
     fid = data.ids()[0]
     fr = data.frame(fid)
-    eps = stream(7, "golden-eps").standard_normal(model.config.d_z)
-    z = reparameterize(model.encode(data.pos_map(fid)), eps)
+    eps = stream(7, "golden-eps").standard_normal((1, model.config.d_z))
+    z = reparameterize(model.encoder(data.pos_map(fid)[None]), eps)
     sig = data.signal(fid, 1)
-    posed, trunk = model.geometry(sig, z)
-    gain = model.shadow_gain(data.ao(fid))
+    posed, trunk = model.geometry([sig], z)
+    gain = dc.getitem(model.shadow(data.ao(fid)[None]), 0)
     final = model.appearance(trunk, [sig.view], gain)[0]
-    render = rasterize(posed, data.template.faces, data.template.uvs, final,
-                       data.cameras[1], raster_config(data.spec))
+    render = rasterize(dc.getitem(posed, 0), data.template.faces,
+                       data.template.uvs, final, data.cameras[1],
+                       raster_config(data.spec))
     total, _ = losses(render, fr.images[1], fr.masks[1])
     dc.backward(total)
     h = hashlib.sha256(total.data.tobytes())

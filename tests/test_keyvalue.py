@@ -13,8 +13,8 @@ import pytest
 
 from dsaa import keyvalue
 from dsaa.avatar import AvatarConfig, manifest_text, parse_manifest
-from dsaa.harness import (VARIANTS, LossWeights, TrainConfig, config_text,
-                          load_config, parse_config, parse_data_config)
+from dsaa.harness import (VARIANTS, LossWeights, TrainConfig, cli,
+                          config_text, parse_config, parse_data_config)
 from dsaa.harness.config import data_keys
 from dsaa.synthdata import default_scene, generate_dataset, load_manifest
 
@@ -181,8 +181,8 @@ def test_override_picks_the_variant_before_it_is_folded_in(tmp_path):
     # default weights: the file's variant is never folded in
     path = tmp_path / "train.cfg"
     path.write_text("train.ablate = pose+face\n")
-    assert not load_config(path).model.use_latent
-    cfg = load_config(path, ablate="ours")
+    assert not parse_config(path.read_text()).model.use_latent
+    cfg = parse_config(path.read_text(), ablate="ours")
     assert cfg.model.use_latent
     assert cfg.weights == LossWeights()
     assert cfg == TrainConfig()
@@ -254,12 +254,16 @@ def test_read_and_dump_are_inverse():
     assert keyvalue.read(keyvalue.dump(items)) == dict(items)
 
 
-def test_load_config_closes_its_file(tmp_path):
+def test_train_command_reads_its_config_file_and_closes_it(tmp_path,
+                                                           monkeypatch):
     path = tmp_path / "train.cfg"
     path.write_text("train.batch = 2\n")
+    configs = []
+    monkeypatch.setattr(cli, "train", lambda config, **_: configs.append(config))
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        assert load_config(path, seed=3).batch == 2
+        assert cli.main(["train", "--config", str(path), "--seed", "3"]) == 0
+    assert configs[0].batch == 2 and configs[0].seed == 3
     assert not [w for w in seen if issubclass(w.category, ResourceWarning)]
 
 

@@ -243,15 +243,17 @@ def test_losses_zero_when_equal():
     total, parts = renderer.losses(rt, gt_img, gt_mask)
     assert parts == {"img": 0.0, "mask": 0.0}
     assert float(total.data) == 0.0
-    lap = renderer.laplacian_loss(tpl, dc.Tensor(tpl.verts.copy()),
-                                  body.mesh_laplacian(tpl, tpl.verts))
+    lap = renderer.laplacian_loss(tpl, dc.Tensor(tpl.verts[None].copy()),
+                                  body.mesh_laplacian(tpl, tpl.verts)[None])
     assert float(lap.data) == 0.0
 
 
 def test_losses_phase1_zero_when_geometry_matches():
     tpl = grid_template()
-    total, parts = renderer.mesh_loss(dc.Tensor(tpl.verts.copy()), tpl.verts,
-                                      body.mesh_laplacian(tpl, tpl.verts), tpl)
+    total, parts = renderer.mesh_loss(dc.Tensor(tpl.verts[None].copy()),
+                                      tpl.verts[None],
+                                      body.mesh_laplacian(tpl, tpl.verts)[None],
+                                      tpl)
     assert parts == {"geom": 0.0, "lap": 0.0}
     assert float(total.data) == 0.0
 
@@ -261,8 +263,9 @@ def test_mesh_loss_is_weighted_geom_plus_laplacian():
     # that order; the image objective reports its two terms and no others
     tpl = grid_template()
     rng = np.random.default_rng(7)
-    posed = dc.Tensor(tpl.verts + 0.1 * rng.standard_normal(tpl.verts.shape))
-    gt_lap = body.mesh_laplacian(tpl, tpl.verts)
+    # a batch of one frame
+    posed = dc.Tensor(tpl.verts + 0.1 * rng.standard_normal((1,) + tpl.verts.shape))
+    gt_lap = body.mesh_laplacian(tpl, tpl.verts)[None]
     total, parts = renderer.mesh_loss(posed, tpl.verts, gt_lap, tpl)
     geom = renderer.l2_sum(posed, tpl.verts)
     lap = renderer.laplacian_loss(tpl, posed, gt_lap)
