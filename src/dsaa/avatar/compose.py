@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import diffcore as dc
-from ..diffcore.geom import BilinearTaps
 from ..body import Skeleton, TemplateMesh, forward_kinematics, lbs_apply
 
 __all__ = ["AvatarOutput", "Posing", "apply_gain", "compose", "pose"]
@@ -32,22 +31,19 @@ def apply_gain(textures: list[dc.Tensor], gain: dc.Tensor) -> list[dc.Tensor]:
 
 
 class Posing:
-    """Posing for one rig and displacement maps of one grid and dtype, its
-    constants made once: the bilinear taps at the template UVs and the
-    template vertices and skinning weights in that dtype when built, the
-    FK transforms on the first call with each distinct pose (kept while
-    the object lives). A model keeps one for all of its steps.
+    """Posing for one rig and displacement maps of one dtype, its
+    constants made once: the template vertices and skinning weights in
+    that dtype when built, the FK transforms on the first call with each
+    distinct pose (kept while the object lives). A model keeps one for
+    all of its steps.
 
     It takes a batch only: thetas [B,P] with maps [B,3,G,G], posed to
-    [B,V,3] by one `texture_sample` over all the maps and one
-    `lbs_apply`, each frame under its own pose."""
+    [B,V,3] by one `texture_sample` over all the maps at the template
+    UVs and one `lbs_apply`, each frame under its own pose."""
 
-    def __init__(self, template: TemplateMesh, skeleton: Skeleton,
-                 grid: tuple, dtype):
+    def __init__(self, template: TemplateMesh, skeleton: Skeleton, dtype):
         self.template = template
         self.skeleton = skeleton
-        uvs = template.uvs
-        self.taps = BilinearTaps(uvs[:, 0], uvs[:, 1], *grid, dtype)
         self.verts = template.verts.astype(dtype)
         self.weights = template.weights.astype(dtype)
         self._transforms: dict[bytes, np.ndarray] = {}
@@ -68,7 +64,7 @@ class Posing:
         if displacement.ndim != 4:
             raise ValueError(f"displacement maps must be [B,3,G,G], got "
                              f"{list(displacement.shape)}")
-        corrective = dc.texture_sample(displacement, self.taps)    # [B,V,3]
+        corrective = dc.texture_sample(displacement, self.template.uvs)  # [B,V,3]
         canonical = dc.add(corrective, self.verts)
         posed = lbs_apply(canonical, self.transforms(thetas), self.weights)
         if not np.isfinite(posed.data).all():
@@ -86,8 +82,7 @@ def pose(theta, displacement: dc.Tensor, template: TemplateMesh,
     joint). The corrective, sampled at the vertex UVs, is additive, so
     zero displacement leaves exactly the skinned template.
     """
-    posing = Posing(template, skeleton, displacement.shape[1:],
-                    displacement.dtype)
+    posing = Posing(template, skeleton, displacement.dtype)
     batch = dc.reshape(displacement, (1,) + tuple(displacement.shape))
     return dc.getitem(posing(np.asarray(theta)[None], batch), 0)
 

@@ -58,7 +58,7 @@ class AvatarModel:
             masks = InfluenceMask(np.ones_like(masks.data), masks.names)
         self.masks = masks
         ref = render_position_map(template.verts, template.faces, self.atlas)
-        self._posing = Posing(template, skeleton, (g, g), dt)
+        self._posing = Posing(template, skeleton, dt)
 
         self.store = dc.ParamStore()
         init = stream(seed, "init")

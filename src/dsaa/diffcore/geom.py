@@ -20,9 +20,10 @@ class BilinearTaps:
     """Where bilinear samples at flat (u, v) arrays in [0,1]^2 read an
     [H,W] grid: flat index of the top-left texel, the fractional weights,
     and where each coordinate lies strictly inside the clamp range (the
-    uv gradient is zero elsewhere)."""
+    uv gradient is zero elsewhere). `texture_sample` and the rasterizer
+    build them per call from the coordinates they sample."""
 
-    __slots__ = ("idx", "wx", "wy", "in_x", "in_y", "H", "W", "_bins")
+    __slots__ = ("idx", "wx", "wy", "in_x", "in_y", "H", "W")
 
     def __init__(self, u, v, H: int, W: int, dtype):
         if H < 2 or W < 2:
@@ -39,7 +40,6 @@ class BilinearTaps:
         self.in_x = (px > 0.0) & (px < W - 1.0)
         self.in_y = (py > 0.0) & (py < H - 1.0)
         self.H, self.W = H, W
-        self._bins = {}
 
     def corners(self):
         """The four bilinear corners in canvas order (top-left, top-right,
@@ -47,22 +47,6 @@ class BilinearTaps:
         wx, wy, W = self.wx, self.wy, self.W
         return (((1 - wy) * (1 - wx), 0), ((1 - wy) * wx, 1),
                 (wy * (1 - wx), W), (wy * wx, W + 1))
-
-    def corner_bins(self, C: int):
-        """(texels, corners) for the texture gradient of C channels at
-        taps that sample the same points on every call: the texels any
-        corner touches, ascending, and per corner its weights and the flat
-        bin of each (channel, sample) among C copies of those texels.
-        Built on first use per C, and kept."""
-        if C not in self._bins:
-            corners = self.corners()
-            texels, inv = np.unique(
-                np.concatenate([self.idx + shift for _, shift in corners]),
-                return_inverse=True)
-            rows = texels.size * np.arange(C)[:, None]
-            self._bins[C] = texels, [(w, (b + rows).ravel()) for (w, _), b
-                                     in zip(corners, inv.reshape(4, -1))]
-        return self._bins[C]
 
 
 def bilinear_sample(tflat: np.ndarray, taps: BilinearTaps):
@@ -92,30 +76,15 @@ def bilinear_sample(tflat: np.ndarray, taps: BilinearTaps):
     return out, (sx_top, sx_bot, sy)
 
 
-def bilinear_tex_grad(g: np.ndarray, taps: BilinearTaps, dtype,
-                      reused: bool = False) -> np.ndarray:
+def bilinear_tex_grad(g: np.ndarray, taps: BilinearTaps, dtype) -> np.ndarray:
     """Texture gradient [C,H,W] of bilinear samples given their gradient
     g [C,M]. Each corner is one bincount over every channel's top-left
     texel index offset by c*H*W (so each bin sums its own channel's
     samples in order), added into the canvas at the corner's offset; the
-    sums run in float64 in a fixed order and are then cast to dtype.
-
-    reused=True, for taps that sample the same points on every call,
-    bins over the texels the corners touch only (`corner_bins`): each
-    texel is still 0 plus its four corner sums in corner order, each sum
-    over the same samples in the same order, so the bytes are the same."""
+    sums run in float64 in a fixed order and are then cast to dtype."""
     C = g.shape[0]
     H, W = taps.H, taps.W
     HW = H * W
-    if reused:
-        texels, corners = taps.corner_bins(C)
-        n = C * texels.size
-        acc = np.zeros(n)
-        for w, bins in corners:
-            acc += np.bincount(bins, (g * w).ravel(), minlength=n)
-        out = np.zeros((C, HW), dtype=dtype)
-        out[:, texels] = acc.reshape(C, -1)
-        return out.reshape(C, H, W)
     # the top-left texel is at most (H-2, W-2), so a corner's bins fit
     # in the canvas without the last `shift` texels
     idx = (taps.idx + HW * np.arange(C)[:, None]).ravel()
@@ -136,10 +105,8 @@ def bilinear_uv_grad(g: np.ndarray, taps: BilinearTaps, slopes):
 
 
 def texture_sample(tex: Tensor, uv):
-    """Bilinear sample of tex [..., C,H,W] at uv [M,2] in [0,1]^2, or at
-    the `BilinearTaps` of constant coordinates built once for tex's grid
-    and dtype (a caller sampling the same points every step builds them
-    once, and their texture gradient bins over the texels they touch).
+    """Bilinear sample of tex [..., C,H,W] at uv [M,2] in [0,1]^2, an
+    array or a Tensor.
 
     Texel centers sit at ((j+0.5)/W, (i+0.5)/H); coordinates clamp to the
     border. Returns [..., M,C]: leading axes (a batch of maps) sample the
@@ -148,21 +115,15 @@ def texture_sample(tex: Tensor, uv):
     clamp saturates).
     """
     *lead, C, H, W = tex.shape
-    if isinstance(uv, BilinearTaps):
-        taps, uvd = uv, None
-        if (taps.H, taps.W) != (H, W) or taps.wx.dtype != tex.dtype:
-            raise ValueError(f"taps of a {taps.H}x{taps.W} {taps.wx.dtype} "
-                             f"grid cannot sample a {H}x{W} {tex.dtype} one")
-    else:
-        uvd = uv.data if isinstance(uv, Tensor) else np.asarray(uv)
-        taps = BilinearTaps(uvd[:, 0], uvd[:, 1], H, W, tex.dtype)
+    uvd = uv.data if isinstance(uv, Tensor) else np.asarray(uv)
+    taps = BilinearTaps(uvd[:, 0], uvd[:, 1], H, W, tex.dtype)
     M = taps.idx.shape[0]
     vals, slopes = bilinear_sample(tex.data.reshape(-1, H * W), taps)
 
     def bw(g, needs):
         gT = np.swapaxes(g, -1, -2).reshape(-1, M)         # [..*C,M]
-        g_tex = (bilinear_tex_grad(gT, taps, tex.dtype, uvd is None)
-                 .reshape(tex.shape) if needs[0] else None)
+        g_tex = (bilinear_tex_grad(gT, taps, tex.dtype).reshape(tex.shape)
+                 if needs[0] else None)
         if not needs[1]:
             return g_tex, None
         du, dv = bilinear_uv_grad(gT, taps, slopes)

@@ -105,10 +105,9 @@ def perturbation_loss(prior_maps: dc.Tensor, anchor_uvs) -> dc.Tensor:
 
     prior_maps are the batch's displacement maps [B,3,H,W] at one prior
     sample per element (`AvatarModel.displacement`); each map's
-    corrective is sampled at the anchor UVs (`joint_anchor_uvs`, or their
-    `BilinearTaps` on the map's grid, as `dc.texture_sample` takes
-    either), squared and summed over anchors and the batch, then divided
-    by the batch size.
+    corrective is sampled at the anchor UVs [A,2] (`joint_anchor_uvs`),
+    squared and summed over anchors and the batch, then divided by the
+    batch size.
     """
     c = dc.texture_sample(prior_maps, anchor_uvs)
     return dc.mul(dc.sum_(dc.mul(c, c)), 1.0 / prior_maps.shape[0])

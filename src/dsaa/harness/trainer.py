@@ -37,7 +37,6 @@ import numpy as np
 from .. import diffcore as dc
 from .. import keyvalue
 from ..avatar import AvatarModel, reparameterize
-from ..diffcore.geom import BilinearTaps
 from ..disentangle import (StatisticsNet, adversarial_dis_loss,
                            joint_anchor_uvs, kl_loss, mine_loss,
                            perturbation_loss)
@@ -108,12 +107,8 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
                                rng=stream(config.seed, "critic-init"),
                                dtype=mw.np_dtype)
         opts["critic"] = dc.Adam(critic_store, lr=config.lr)
-    anchors = None
-    if lw.lam_pc > 0:
-        # the perturbation term samples the same anchors every step
-        uvs = joint_anchor_uvs(data.template, data.skeleton)
-        anchors = BilinearTaps(uvs[:, 0], uvs[:, 1], mw.geo_res, mw.geo_res,
-                               mw.np_dtype)
+    anchors = (joint_anchor_uvs(data.template, data.skeleton)
+               if lw.lam_pc > 0 else None)
     raster_cfg = raster_config(data.spec)
 
     start = 0

@@ -20,7 +20,6 @@ from dsaa import body, diffcore as dc
 from dsaa import synthdata as sd
 from dsaa.avatar import AvatarConfig, AvatarModel, reparameterize
 from dsaa.diffcore import geom
-from dsaa.diffcore.geom import BilinearTaps, bilinear_tex_grad
 from dsaa.disentangle import kl_loss
 from dsaa.harness import TrainConfig, TrainData, train, trainer
 from dsaa.renderer import laplacian_loss, losses, mesh_loss, rasterize
@@ -247,37 +246,20 @@ def test_lbs_apply_is_the_einsum_bit_for_bit(dtype):
             assert np.ascontiguousarray(xt.grad[b]).tobytes() == ref_g.tobytes()
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_reused_taps_bin_touched_texels_to_the_same_bytes(dtype):
-    r = np.random.default_rng(32)
-    for H, W, M in ((5, 7, 300), (16, 16, 568), (32, 32, 40)):
-        u = np.concatenate([r.uniform(-0.1, 1.1, M), [1.0, 0.99, 0.0, 1.0]])
-        v = np.concatenate([r.uniform(-0.1, 1.1, M), [1.0, 1.0, 0.99, 0.0]])
-        taps = BilinearTaps(u, v, H, W, dtype)
-        for C in (1, 3, 9):
-            g = r.normal(size=(C, u.size)).astype(dtype)
-            want = bilinear_tex_grad(g, taps, dtype)
-            for _ in range(2):           # built on first use, then reused
-                got = bilinear_tex_grad(g, taps, dtype, reused=True)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
 def test_texture_sample_over_a_batch_of_maps():
     r = np.random.default_rng(33)
     tex = r.normal(size=(B, 3, 8, 8))
     uv = r.uniform(0, 1, size=(50, 2))
-    taps = BilinearTaps(uv[:, 0], uv[:, 1], 8, 8, np.float64)
     g = r.normal(size=(B, 50, 3))
     batch = dc.Tensor(tex, requires_grad=True)
-    dc.backward(dc.texture_sample(batch, taps), g)
+    dc.backward(dc.texture_sample(batch, uv), g)
     for b in range(B):
-        for where in (taps, uv):
-            one = dc.Tensor(tex[b].copy(), requires_grad=True)
-            out = dc.texture_sample(one, where)
-            dc.backward(out, g[b])
-            assert (out.data.tobytes()
-                    == dc.texture_sample(dc.Tensor(tex), where).data[b].tobytes())
-            assert one.grad.tobytes() == batch.grad[b].tobytes()
+        one = dc.Tensor(tex[b].copy(), requires_grad=True)
+        out = dc.texture_sample(one, uv)
+        dc.backward(out, g[b])
+        assert (out.data.tobytes()
+                == dc.texture_sample(dc.Tensor(tex), uv).data[b].tobytes())
+        assert one.grad.tobytes() == batch.grad[b].tobytes()
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
