@@ -31,29 +31,23 @@ def kl_loss(dist) -> dc.Tensor:
     return dc.mul(dc.sum_(inner), 0.5)
 
 
-def _rows(x) -> int:
-    d = x.data if isinstance(x, dc.Tensor) else np.asarray(x)
-    return d.shape[0]
-
-
 def _bound(stats, c, z, frozen: bool) -> dc.Tensor:
     """Pairing bound: mean f(c_b, z_b) - log mean exp f(c_b, zhat_b).
 
-    zhat is the batch rotated by one position, a fixed-point-free pairing
-    shuffle that is deterministic under the data order. The log-mean-exp
-    is shifted by the (detached) max score for overflow safety.
+    z is the latent batch as a [B, d_z] Tensor (`Tensor.detach` makes a
+    constant one). zhat is the batch rotated by one position, a
+    fixed-point-free pairing shuffle that is deterministic under the data
+    order. The log-mean-exp is shifted by the (detached) max score for
+    overflow safety.
     """
-    b = _rows(c)
-    if b != _rows(z):
-        raise ValueError(f"batch mismatch: {b} signals vs {_rows(z)} latents")
-    if b < 2:
+    if not isinstance(z, dc.Tensor) or z.ndim != 2:
+        got = list(z.shape) if isinstance(z, dc.Tensor) else type(z).__name__
+        raise ValueError(f"latents must be a [B, d_z] Tensor, got {got}")
+    if z.shape[0] < 2:
         raise ValueError("pairing shuffle needs a batch of at least 2")
     joint = stats(c, z, frozen=frozen)
-    if isinstance(z, dc.Tensor):
-        zhat = dc.concat([dc.getitem(z, slice(1, None)),
-                          dc.getitem(z, slice(None, 1))], axis=0)
-    else:
-        zhat = np.concatenate([z[1:], z[:1]], axis=0)
+    zhat = dc.concat([dc.getitem(z, slice(1, None)),
+                      dc.getitem(z, slice(None, 1))], axis=0)
     marg = stats(c, zhat, frozen=frozen)
     shift = float(marg.data.max())
     lse = dc.add(dc.log(dc.mean_(dc.exp(dc.sub(marg, shift)))), shift)
@@ -64,7 +58,8 @@ def mine_loss(stats, c, z) -> dc.Tensor:
     """Statistics-network training loss; its negative is the MI estimate.
 
     Minimized over the net's parameters it tightens the bound from below;
-    c and z are [B, n] batches with rows paired.
+    c [B, n] and z, a [B, d_z] Tensor, have their rows paired. The trainer
+    passes `z.detach()`, so the loss reaches the net alone.
     """
     return dc.neg(_bound(stats, c, z, frozen=False))
 
@@ -74,7 +69,7 @@ def adversarial_dis_loss(stats, c, z) -> dc.Tensor:
 
     The statistics net is evaluated frozen, so backward reaches only the
     latent path (encoder moments via z); its own parameters are trained
-    separately through mine_loss.
+    through mine_loss, which the trainer adds to the same walked graph.
     """
     return _bound(stats, c, z, frozen=True)
 

@@ -3,18 +3,20 @@
 Both phases pose the whole minibatch at once with `AvatarModel.geometry`:
 the encoder, the localized projectors, the decoder trunk, posing and
 (in phase 2) the shadow net each run once per step over [B, ...]
-arrays. Phase 1 (mesh warmup) fits the posed batch to the registered
-meshes with the mesh objective, reads no texture branch, shadow net or
-AO map, and never rasterizes. Phase 2 rasterizes each frame's
-`appearance` under its `shadow_gain` for the image objective: the
-texture branch, the rasterizer and the image loss run per frame on that
-frame's slice of the trunk, vertices and gain, as they measured slower
-over a batch. It keeps the Laplacian term as a smoothness regularizer
-and adds the latent regularizers (KL, adversarial independence, and
+arrays. `_step` builds the step's whole objective as one graph. Phase 1
+(mesh warmup) adds L_G against the registered meshes; it reads no
+texture branch, shadow net or AO map, and never rasterizes. Phase 2 adds
+each frame's image objective, rasterizing its `appearance` under its
+`shadow_gain`: the texture branch, the rasterizer and the image loss run
+per frame on that frame's slice of the trunk, vertices and gain, as they
+measured slower over a batch. Both phases then add the Laplacian term,
+and phase 2 the latent regularizers (KL, adversarial independence, and
 perturbation consistency, which reads the prior samples' displacement
 maps at the joints' rigid anchors and nothing else, one decoder call for
 the batch). The adversary is a separate statistics net with its own
-optimizer, stepped once per model step on the same minibatch.
+optimizer; its loss, `mine_loss` on `z.detach()`, joins the walked root,
+so one `dc.backward` per step fills both nets' gradients. The model
+steps first, then the critic; phase 1 never steps the critic.
 
 A parameter's gradient sums the batch inside one product (or one
 reduction), so a step rounds otherwise than B single-frame passes
@@ -40,8 +42,8 @@ from ..avatar import AvatarModel, reparameterize
 from ..disentangle import (StatisticsNet, adversarial_dis_loss,
                            joint_anchor_uvs, kl_loss, mine_loss,
                            perturbation_loss)
-from ..renderer import (LAM_LAP, add_term, laplacian_loss, losses,
-                        mesh_loss, rasterize)
+from ..renderer import (LAM_GEOM, LAM_LAP, add_term, l2_sum,
+                        laplacian_loss, losses, rasterize)
 from ..rng import stream
 from ..synthdata import raster_config
 from .config import TrainConfig, config_text, parse_config
@@ -194,13 +196,12 @@ def _step(cfg, data, model, opts, critic, anchors, raster_cfg, train_ids, i):
         dist = model.encoder(np.stack([data.pos_map(fid) for fid in batch_ids]))
         z = reparameterize(dist, eps)
     posed, trunk = model.geometry(signals, z)
-    laps = np.stack([data.laplacian(fid, posed.dtype) for fid in batch_ids])
+    total, parts = None, {}
     if phase == 1:
-        total, parts = mesh_loss(posed, np.stack([data.frame(fid).verts
-                                                  for fid in batch_ids]),
-                                 laps, data.template)
+        gt = np.stack([data.frame(fid).verts for fid in batch_ids])
+        total = add_term(None, parts, "geom",
+                         l2_sum(posed, gt.astype(posed.dtype)), LAM_GEOM)
     else:
-        total, parts = None, {}
         gain = (model.shadow(np.stack([data.ao(fid) for fid in batch_ids]))
                 if mw.use_shadow else None)
         # the texture branch, the rasterizer and the image loss run per
@@ -217,9 +218,11 @@ def _step(cfg, data, model, opts, critic, anchors, raster_cfg, train_ids, i):
             for k, v in parts_b.items():
                 parts[k] = parts.get(k, 0.0) + v
             total = loss_b if total is None else dc.add(total, loss_b)
-        total = add_term(total, parts, "lap",
-                         laplacian_loss(data.template, posed, laps), LAM_LAP)
+    laps = np.stack([data.laplacian(fid, posed.dtype) for fid in batch_ids])
+    total = add_term(total, parts, "lap",
+                     laplacian_loss(data.template, posed, laps), LAM_LAP)
 
+    closs = None
     if phase == 2 and mw.use_latent:
         C = np.stack([data.scalars(fid) for fid in batch_ids])
         if lw.lam_kl > 0:
@@ -227,21 +230,23 @@ def _step(cfg, data, model, opts, critic, anchors, raster_cfg, train_ids, i):
         if lw.lam_dis > 0:
             dis = adversarial_dis_loss(critic, C, z)
             total = add_term(total, parts, "dis", dis, lw.lam_dis)
+            # the critic's own loss reads z as a constant, so it reaches
+            # the critic alone, as the dis term reaches the model alone
+            closs = mine_loss(critic, C, z.detach())
+            parts["critic"] = float(closs.data)
         if lw.lam_pc > 0:
             zp = stream(cfg.seed, "prior", i).standard_normal(
                 (cfg.batch, mw.d_z))
             pc = perturbation_loss(model.displacement(signals, zp), anchors)
             total = add_term(total, parts, "pc", pc, lw.lam_pc)
 
-    dc.backward(total)
+    # one walk fills the model's and the critic's gradients; only a step
+    # that built the critic's loss steps the critic, as any step would
+    # advance its Adam count
+    dc.backward(total if closs is None else dc.add(total, closs))
     opts["model"].step()
-
-    if phase == 2 and critic is not None:
-        # the model's loss reads the critic frozen, so its grads start empty
-        closs = mine_loss(critic, C, z.data)
-        dc.backward(closs)
+    if closs is not None:
         opts["critic"].step()
-        parts["critic"] = float(closs.data)
 
     rec = {"iter": i + 1, "phase": phase, "total": float(total.data)}
     rec.update(sorted(parts.items()))

@@ -1,14 +1,16 @@
-"""Inverse-rendering objectives: the image loss and the mesh loss.
+"""Inverse-rendering objectives: the image loss and the mesh terms.
 
-All reductions are sums; the weights absorb scale. The trainer's phase 1
-supervises geometry only with `mesh_loss` (L_G + L_lap against the
-registered mesh). Phase 2 runs the image objective `losses` and adds
-L_lap itself as a smoothness regularizer; L_G is dropped. The KL /
-disentanglement / perturbation terms are composed by the trainer, which
-owns those submodules, under the weights a run's variant sets
-(`dsaa.harness.config.LossWeights`). Every weighted sum goes through
-`add_term`. The weights of L_I, L_M, L_lap and L_G are constants (LAM_*):
-no run varies them.
+All reductions are sums; the weights absorb scale. The trainer's `_step`
+builds a step's whole objective as one graph, adding each term where the
+step computes it: phase 1 adds L_G (`l2_sum` against the registered
+vertices) and phase 2 the image objective `losses` of each frame; both
+then add L_lap (`laplacian_loss`) once, after the phase branch, and
+phase 2 the KL / disentanglement / perturbation terms, under the weights
+a run's variant sets (`dsaa.harness.config.LossWeights`). The critic's
+loss joins that root, so a step makes one `dc.backward` walk; the model
+steps first, then the critic. Every weighted sum goes through
+`add_term`. The weights of L_I, L_M, L_lap and L_G are constants
+(LAM_*): no run varies them.
 """
 
 from __future__ import annotations
@@ -59,20 +61,6 @@ def losses(render: RenderTarget, gt_image, gt_mask):
                      LAM_IMG)
     total = add_term(total, parts, "mask", l2_sum(render.mask, gt_mask),
                      LAM_MASK)
-    return total, parts
-
-
-def mesh_loss(posed: dc.Tensor, gt_verts, gt_lap, template: TemplateMesh):
-    """Mesh objective, LAM_GEOM*L_G + LAM_LAP*L_lap, summed over a batch
-    of posed vertices [B,V,3], against the registered vertices gt_verts
-    and their Laplacian gt_lap (see `laplacian_loss`), shaped as posed.
-    Returns (total Tensor, parts) with parts the unweighted "geom" and
-    "lap"."""
-    parts = {}
-    gt = np.asarray(gt_verts, dtype=posed.dtype)
-    total = add_term(None, parts, "geom", l2_sum(posed, gt), LAM_GEOM)
-    total = add_term(total, parts, "lap",
-                     laplacian_loss(template, posed, gt_lap), LAM_LAP)
     return total, parts
 
 

@@ -75,6 +75,10 @@ class SceneSpec:
 
 
 def default_scene(**overrides) -> SceneSpec:
+    """`SceneSpec(**overrides)` under a second name. Its last callers are
+    `perfbench/workloads.py` and `tests/test_allocator.py` (which reads
+    the glibc heap layout), with `tests/test_golden_paths.py` and
+    `tests/test_perfbench_hooks.py`; new code calls `SceneSpec`."""
     return SceneSpec(**overrides)
 
 

@@ -37,7 +37,7 @@ def fit_statistics(store: dc.ParamStore, stats: StatisticsNet, c, z, *,
         else:
             cb, zb = c, z
         store.zero_grad()
-        loss = mine_loss(stats, cb, zb)
+        loss = mine_loss(stats, cb, dc.Tensor(zb))
         dc.backward(loss)
         opt.step()
         trace.append(-float(loss.data))

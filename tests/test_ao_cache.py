@@ -14,7 +14,7 @@ from dsaa.harness import TrainData
 
 def test_interleaved_flushes_keep_the_last_writers_maps(tmp_path,
                                                         monkeypatch):
-    sd.generate_dataset(sd.default_scene(image_size=32, seed=3), tmp_path, 2)
+    sd.generate_dataset(sd.SceneSpec(image_size=32, seed=3), tmp_path, 2)
     a, b = TrainData(tmp_path), TrainData(tmp_path)
     first, second = a.ids()[:2]
     map_a, map_b = a.ao(first), b.ao(second)

@@ -22,7 +22,7 @@ from dsaa.avatar import AvatarConfig, AvatarModel, reparameterize
 from dsaa.diffcore import geom
 from dsaa.disentangle import kl_loss
 from dsaa.harness import TrainConfig, TrainData, train, trainer
-from dsaa.renderer import laplacian_loss, losses, mesh_loss, rasterize
+from dsaa.renderer import laplacian_loss, losses, rasterize
 from dsaa.rng import stream
 from dsaa.synthdata import raster_config
 
@@ -33,7 +33,7 @@ DTYPES = [("float32", 1e-5), ("float64", 1e-12)]
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("batched")
-    sd.generate_dataset(sd.default_scene(image_size=32, seed=6), root, B)
+    sd.generate_dataset(sd.SceneSpec(image_size=32, seed=6), root, B)
     return root
 
 
@@ -95,8 +95,7 @@ def test_frame_slices_equal_single_frame_calls(dataset, dtype, tol):
 
 
 LONE_FRAME = ["projector", "encoder", "decoder", "shadow", "posing",
-              "transforms", "laplacian_loss", "mesh_loss", "geometry",
-              "displacement"]
+              "transforms", "laplacian_loss", "geometry", "displacement"]
 
 
 @pytest.mark.parametrize("block", LONE_FRAME)
@@ -119,7 +118,6 @@ def test_blocks_refuse_a_lone_frame(dataset, block):
                                         dc.Tensor(np.zeros((3, g, g)))),
         "transforms": lambda: model._posing.transforms(sig.theta),
         "laplacian_loss": lambda: laplacian_loss(data.template, verts, lap),
-        "mesh_loss": lambda: mesh_loss(verts, verts.data, lap, data.template),
         "geometry": lambda: model.geometry(sig),
         "displacement": lambda: model.displacement(sig),
     }[block]

@@ -45,7 +45,7 @@ def net_scores(store, prefix, c, z):
 def mi_estimate(net, c, z):
     """The pairing bound in nats, read off the critic's loss."""
     with dc.no_grad():
-        return -float(dis.mine_loss(net, c, z).data)
+        return -float(dis.mine_loss(net, c, dc.Tensor(z)).data)
 
 
 def gauss_pairs(n, rho, seed):
@@ -150,14 +150,14 @@ def test_mine_constant_statistics_is_zero():
     store["mi/out/b"].data[...] = 0.375
     r = stream(2, "const")
     c, z = r.standard_normal((8, 2)), r.standard_normal((8, 3))
-    assert float(dis.mine_loss(net, c, z).data) == 0.0
+    assert float(dis.mine_loss(net, c, dc.Tensor(z)).data) == 0.0
 
 
 def test_mine_matches_literal_two_pass():
     store, net = make_stats(3, 2, seed=4)
     r = stream(5, "pairs")
     c, z = r.standard_normal((16, 3)), r.standard_normal((16, 2))
-    got = float(dis.mine_loss(net, c, z).data)
+    got = float(dis.mine_loss(net, c, dc.Tensor(z)).data)
     s_joint = net_scores(store, "mi", c, z)[:, 0]
     zhat = np.concatenate([z[1:], z[:1]], axis=0)
     s_marg = net_scores(store, "mi", c, zhat)[:, 0]
@@ -170,22 +170,34 @@ def test_mine_stable_under_large_scores():
     store, net = make_stats(1, 1, seed=6)
     r = stream(7, "big")
     c, z = r.standard_normal((8, 1)), r.standard_normal((8, 1))
-    base = float(dis.mine_loss(net, c, z).data)
+    base = float(dis.mine_loss(net, c, dc.Tensor(z)).data)
     naive = net_scores(store, "mi", c, z)[:, 0] + 800.0
     with np.errstate(over="ignore"):
         assert np.isinf(np.mean(np.exp(naive)))
     store["mi/out/b"].data[...] += 800.0
-    shifted = float(dis.mine_loss(net, c, z).data)
+    shifted = float(dis.mine_loss(net, c, dc.Tensor(z)).data)
     assert np.isfinite(shifted)
     assert abs(shifted - base) < 1e-9
 
 
 def test_mine_rejects_tiny_or_mismatched_batches():
     store, net = make_stats(1, 1)
-    with pytest.raises(ValueError):
-        dis.mine_loss(net, np.zeros((1, 1)), np.zeros((1, 1)))
-    with pytest.raises(ValueError):
-        dis.mine_loss(net, np.zeros((4, 1)), np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="at least 2"):
+        dis.mine_loss(net, np.zeros((1, 1)), dc.Tensor(np.zeros((1, 1))))
+    with pytest.raises(ValueError, match="mismatch"):
+        dis.mine_loss(net, np.zeros((4, 1)), dc.Tensor(np.zeros((3, 1))))
+
+
+@pytest.mark.parametrize("loss", [dis.mine_loss, dis.adversarial_dis_loss])
+def test_bound_refuses_an_array_latent(loss):
+    # z comes in one form, a [B, d_z] Tensor (`Tensor.detach` makes a
+    # constant one); an array is refused, not run through a second path
+    store, net = make_stats(2, 3)
+    r = stream(8, "array-z")
+    c, z = r.standard_normal((4, 2)), r.standard_normal((4, 3))
+    with pytest.raises(ValueError, match=r"\[B, d_z\] Tensor"):
+        loss(net, c, z)
+    assert float(loss(net, c, dc.Tensor(z)).data) != 0.0
 
 
 def test_statistics_net_output_and_inputs():

@@ -34,7 +34,7 @@ SMALL = AvatarConfig(geo_res=16)
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("geometry")
-    sd.generate_dataset(sd.default_scene(image_size=32, seed=3), root, 2)
+    sd.generate_dataset(sd.SceneSpec(image_size=32, seed=3), root, 2)
     return root
 
 
@@ -321,7 +321,7 @@ def test_steps_run_the_geometry_half_once_per_batch(tmp_path_factory,
     # trunk a second time, for the prior samples); the texture branch and
     # the rasterizer still run once per frame
     root = tmp_path_factory.mktemp("batch4")
-    sd.generate_dataset(sd.default_scene(image_size=32, seed=4), root, 4)
+    sd.generate_dataset(sd.SceneSpec(image_size=32, seed=4), root, 4)
     readers, phase = {}, []
     real_step, real_backward = trainer._step, dc.backward
 
@@ -384,9 +384,9 @@ def test_ground_truth_laplacian_is_cached_per_frame_and_dtype(dataset):
 
 def test_phase2_backward_leaves_gradients_on_leaves_only(dataset, tmp_path,
                                                         monkeypatch):
-    # after each backward of a phase-2 step (the model's loss, then the
-    # critic's) only parameters hold a gradient; every node an op made
-    # gave its gradient up once it was routed
+    # after the one backward of a phase-2 step (the model's loss and the
+    # critic's, walked together) only parameters hold a gradient; every
+    # node an op made gave its gradient up once it was routed
     held, real_step, real_backward = [], trainer._step, dc.backward
     phase = []
 
@@ -409,9 +409,69 @@ def test_phase2_backward_leaves_gradients_on_leaves_only(dataset, tmp_path,
     monkeypatch.setattr(trainer, "_step", step)
     monkeypatch.setattr(dc, "backward", backward)
     _train_two_steps(dataset, tmp_path / "run")
-    assert len(held) == 2
+    assert len(held) == 1
     for intermediates, leaves in held:
         assert intermediates == [] and leaves > 0
+
+
+def test_phase2_step_walks_one_tape_for_model_and_critic(dataset, tmp_path,
+                                                         monkeypatch):
+    # a phase-2 step of `ours` calls dc.backward once, and at each
+    # optimizer's step every model and critic parameter holds the bytes
+    # two walks give: the model's loss, then the critic's loss on z.data
+    def run(out, two_walks):
+        phase, walks, grads, critic_losses = [], [], [], []
+        real_step, real_backward = trainer._step, dc.backward
+        real_adam_step, real_mine = dc.Adam.step, trainer.mine_loss
+
+        def step(cfg, *args):
+            phase.append(1 if args[-1] < cfg.phase1 else 2)
+            try:
+                return real_step(cfg, *args)
+            finally:
+                phase.pop()
+
+        def backward(loss, *args):
+            walks.append(phase[-1])
+            return real_backward(loss, *args)
+
+        def mine_loss(critic, c, z):
+            loss = real_mine(critic, c, z)
+            if not two_walks:
+                return loss
+            # the step walks the model's loss alone; the critic's is
+            # walked on its own before the critic's optimizer steps
+            critic_losses.append(real_mine(critic, c, dc.Tensor(z.data)))
+            return dc.Tensor(loss.data)
+
+        def adam_step(opt):
+            if phase == [2]:
+                if two_walks and opt.params.names()[0].startswith("critic/"):
+                    real_backward(critic_losses.pop())
+                grads.append({name: None if t.grad is None else t.grad.tobytes()
+                              for name, t in opt.params.items()})
+            return real_adam_step(opt)
+
+        with monkeypatch.context() as m:
+            m.setattr(trainer, "_step", step)
+            m.setattr(dc, "backward", backward)
+            m.setattr(trainer, "mine_loss", mine_loss)
+            m.setattr(dc.Adam, "step", adam_step)
+            history = _train_two_steps(dataset, out).history
+        assert not critic_losses
+        return walks, grads, history
+
+    walks, grads, history = run(tmp_path / "one", two_walks=False)
+    assert walks == [1, 2]
+    ref_walks, ref_grads, ref_history = run(tmp_path / "two", two_walks=True)
+    assert ref_walks == [1, 2]
+    assert history == ref_history and "critic" in history[1]
+    model, critic = grads
+    assert [g.keys() for g in grads] == [g.keys() for g in ref_grads]
+    assert all(name.startswith("critic/") for name in critic)
+    assert all(g is not None for g in critic.values())
+    assert any(g is not None for g in model.values())
+    assert grads == ref_grads
 
 
 def test_training_steps_leave_no_cyclic_garbage(dataset, tmp_path,

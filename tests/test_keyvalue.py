@@ -16,7 +16,7 @@ from dsaa.avatar import AvatarConfig, manifest_text, parse_manifest
 from dsaa.harness import (VARIANTS, LossWeights, TrainConfig, cli,
                           config_text, parse_config, parse_data_config)
 from dsaa.harness.config import data_keys
-from dsaa.synthdata import default_scene, generate_dataset, load_manifest
+from dsaa.synthdata import SceneSpec, generate_dataset, load_manifest
 
 GOLDEN_AVATAR_MANIFEST = """\
 format = dsaa-avatar-2
@@ -95,7 +95,7 @@ def test_config_fields_are_what_a_run_varies():
 def test_int_given_for_float_field_reloads(tmp_path):
     # rho_spurious=0 (an int) must be written as 0.0, the value it reloads
     # as, or the stored hash no longer matches the regenerated scene
-    m = generate_dataset(default_scene(rho_spurious=0), tmp_path / "set", 2)
+    m = generate_dataset(SceneSpec(rho_spurious=0), tmp_path / "set", 2)
     lines = (tmp_path / "set" / "manifest.txt").read_text().splitlines(True)
     assert "".join(lines[2:2 + GOLDEN_SPEC_LINES.count("\n")]) \
         == GOLDEN_SPEC_LINES

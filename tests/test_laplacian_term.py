@@ -23,7 +23,7 @@ from test_avatar import strip_rig
 
 
 def _default_figure():
-    return sd.default_scene(image_size=32, seed=3).figure.template
+    return sd.SceneSpec(image_size=32, seed=3).figure.template
 
 
 def _strip():

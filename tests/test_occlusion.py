@@ -11,7 +11,7 @@ import numpy.testing as npt
 import pytest
 
 from dsaa import body
-from dsaa.synthdata import default_scene
+from dsaa.synthdata import SceneSpec
 from dsaa.occlusion import (AOSamplerConfig, compute_ao, texel_geometry,
                             texel_rays, UniformGrid)
 from dsaa.occlusion import ao as ao_module
@@ -284,7 +284,7 @@ def test_argmin3_matches_argmin():
 
 
 def _posed_default_figure():
-    fig = default_scene(image_size=32, seed=3).figure
+    fig = SceneSpec(image_size=32, seed=3).figure
     theta = np.random.default_rng(21).uniform(-0.4, 0.4, fig.skeleton.dof)
     tpl = fig.template
     return body.lbs_apply(tpl.verts, body.forward_kinematics(fig.skeleton, theta),
@@ -387,7 +387,7 @@ def test_fixed_seed_is_bit_identical():
 def test_default_figure_golden_map():
     # digests of the posed default figure's map, as written before the
     # grid walk replaced the all-cells slab test
-    fig = default_scene().figure
+    fig = SceneSpec().figure
     tpl, sk = fig.template, fig.skeleton
     theta = 0.5 * np.sin(np.arange(3 * len(sk.names)))
     posed = body.lbs_apply(tpl.verts, body.forward_kinematics(sk, theta),
@@ -418,7 +418,7 @@ def test_cell_order_is_the_stable_argsort_on_the_default_figure(monkeypatch):
         return real(cid)
 
     monkeypatch.setattr(ao_module, "_stable_cell_order", recording)
-    tpl = default_scene().figure.template
+    tpl = SceneSpec().figure.template
     UniformGrid(tpl.verts, tpl.faces)
     (cid,) = seen
     assert len(cid) > 10000 and cid.max() < 7 * 32 ** 3
@@ -427,7 +427,7 @@ def test_cell_order_is_the_stable_argsort_on_the_default_figure(monkeypatch):
 
 def test_shared_texel_rays_give_the_same_maps():
     # one set of local ray directions serves every pose
-    fig = default_scene().figure
+    fig = SceneSpec().figure
     tpl, sk = fig.template, fig.skeleton
     cfg = AOSamplerConfig(rays=16, seed=3)
     atlas = body.build_atlas(tpl.uvs, tpl.faces, 16, 16)
@@ -446,7 +446,7 @@ def test_shared_texel_rays_give_the_same_maps():
 def test_maps_do_not_depend_on_the_pair_block(monkeypatch):
     # blocks of 1 and 7 pairs cut every step's pair list at every place;
     # the reference tests each step's whole list in one block
-    fig = default_scene().figure
+    fig = SceneSpec().figure
     tpl, sk = fig.template, fig.skeleton
     theta = 0.5 * np.sin(np.arange(3 * len(sk.names)))
     posed = body.lbs_apply(tpl.verts, body.forward_kinematics(sk, theta),

@@ -108,7 +108,7 @@ def test_spans_keep_exactly_the_pairs_within_the_margin(seed, cfg, dtype):
 def test_margin_bounds_a_dropped_pairs_depth_weight():
     # a dropped pair's face weight against the background's 1 is
     # D * exp(zn / gamma) <= exp(1 / gamma - margin^2 / sigma_r)
-    cfg = sd.raster_config(sd.default_scene())
+    cfg = sd.raster_config(sd.SceneSpec())
     bound = np.exp(1.0 / cfg.gamma - _coverage_margin(cfg) ** 2 / cfg.sigma_r)
     assert bound <= 1e-9
 

@@ -6,6 +6,9 @@ import numpy.testing as npt
 import pytest
 
 from dsaa import diffcore as dc, renderer, body
+from dsaa import synthdata as sd
+from dsaa.avatar import AvatarConfig, AvatarModel
+from dsaa.harness import TrainConfig, TrainData, trainer
 from dsaa.renderer import raster
 from dsaa.renderer.losses import LAM_GEOM, LAM_LAP
 from fd import gradcheck
@@ -248,32 +251,77 @@ def test_losses_zero_when_equal():
     assert float(lap.data) == 0.0
 
 
-def test_losses_phase1_zero_when_geometry_matches():
-    tpl = grid_template()
-    total, parts = renderer.mesh_loss(dc.Tensor(tpl.verts[None].copy()),
-                                      tpl.verts[None],
-                                      body.mesh_laplacian(tpl, tpl.verts)[None],
-                                      tpl)
-    assert parts == {"geom": 0.0, "lap": 0.0}
-    assert float(total.data) == 0.0
+@pytest.fixture(scope="module")
+def mesh_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("mesh")
+    sd.generate_dataset(sd.SceneSpec(image_size=32, seed=3), root, 2)
+    return root
 
 
-def test_mesh_loss_is_weighted_geom_plus_laplacian():
-    # the mesh objective is exactly LAM_GEOM*L_G + LAM_LAP*L_lap, summed in
-    # that order; the image objective reports its two terms and no others
-    tpl = grid_template()
-    rng = np.random.default_rng(7)
-    # a batch of one frame
-    posed = dc.Tensor(tpl.verts + 0.1 * rng.standard_normal((1,) + tpl.verts.shape))
-    gt_lap = body.mesh_laplacian(tpl, tpl.verts)[None]
-    total, parts = renderer.mesh_loss(posed, tpl.verts, gt_lap, tpl)
-    geom = renderer.l2_sum(posed, tpl.verts)
-    lap = renderer.laplacian_loss(tpl, posed, gt_lap)
+def _phase1_step(dataset, monkeypatch, exact=False):
+    """One phase-1 `trainer._step` of `ours` at batch 2, float32: (its
+    record, the root it walks, the posed batch, the batch's frame ids,
+    its data). With exact, the posed batch is the frames' registered
+    vertices."""
+    mw = AvatarConfig(geo_res=16)
+    data = TrainData(dataset, geo_res=mw.geo_res, ao_res=mw.shadow_res)
+    model = AvatarModel(data.template, data.skeleton, mw, seed=2)
+    cfg = TrainConfig(dataset=str(dataset), iters=1, phase1=1, batch=2,
+                      model=mw)
+    ids, seen = [], {}
+    real_signal, real_geometry, real_backward = (data.signal, model.geometry,
+                                                 dc.backward)
+
+    def signal(frame_id, cam):
+        ids.append(frame_id)        # the batch's frames, in batch order
+        return real_signal(frame_id, cam)
+
+    def geometry(signals, z):
+        posed, trunk = real_geometry(signals, z)
+        if exact:
+            gt = np.stack([data.frame(f).verts for f in ids])
+            posed = dc.Tensor(gt.astype(posed.dtype), requires_grad=True)
+        seen["posed"] = posed
+        return posed, trunk
+
+    def backward(loss, *args):
+        seen["root"] = loss
+        return real_backward(loss, *args)
+
+    monkeypatch.setattr(data, "signal", signal)
+    monkeypatch.setattr(model, "geometry", geometry)
+    monkeypatch.setattr(dc, "backward", backward)
+    opts = {"model": dc.Adam(model.store, lr=cfg.lr)}
+    rec = trainer._step(cfg, data, model, opts, None, None,
+                        sd.raster_config(data.spec), data.train_ids(), 0)
+    return rec, seen["root"], seen["posed"], ids, data
+
+
+def test_losses_phase1_zero_when_geometry_matches(mesh_dataset, monkeypatch):
+    rec, root, _, _, _ = _phase1_step(mesh_dataset, monkeypatch, exact=True)
+    assert rec == {"iter": 1, "phase": 1, "total": 0.0, "geom": 0.0,
+                   "lap": 0.0}
+    assert float(root.data) == 0.0
+
+
+def test_mesh_loss_is_weighted_geom_plus_laplacian(mesh_dataset, monkeypatch):
+    # a phase-1 step's objective is exactly LAM_GEOM*L_G + LAM_LAP*L_lap,
+    # summed in that order, in the model's dtype; the image objective
+    # reports its two terms and no others
+    rec, root, posed, ids, data = _phase1_step(mesh_dataset, monkeypatch)
+    gt = np.stack([data.frame(f).verts for f in ids]).astype(posed.dtype)
+    laps = np.stack([data.laplacian(f, posed.dtype) for f in ids])
+    geom = renderer.l2_sum(posed, gt)
+    lap = renderer.laplacian_loss(data.template, posed, laps)
     ref = dc.add(dc.mul(geom, LAM_GEOM), dc.mul(lap, LAM_LAP))
-    assert total.data.tobytes() == ref.data.tobytes()
-    assert parts == {"geom": float(geom.data), "lap": float(lap.data)}
-    assert parts["geom"] > 0.0 and parts["lap"] > 0.0
+    assert posed.dtype == np.float32 and len(ids) == 2
+    assert root.data.dtype == ref.data.dtype
+    assert root.data.tobytes() == ref.data.tobytes()
+    assert rec == {"iter": 1, "phase": 1, "total": float(ref.data),
+                   "geom": float(geom.data), "lap": float(lap.data)}
+    assert rec["geom"] > 0.0 and rec["lap"] > 0.0
 
+    rng = np.random.default_rng(7)
     rt = renderer.RenderTarget(dc.Tensor(rng.random((3, 8, 8))),
                                dc.Tensor(rng.random((8, 8))))
     _, parts = renderer.losses(rt, np.zeros((3, 8, 8)), np.zeros((8, 8)))

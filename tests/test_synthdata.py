@@ -67,7 +67,7 @@ def test_figure_deterministic(figure):
 
 def test_shared_figure_is_read_only(figure):
     # every spec and every TrainData share one figure
-    assert sd.SceneSpec(seed=1).figure is figure is sd.default_scene().figure
+    assert sd.SceneSpec(seed=1).figure is figure is sd.SceneSpec().figure
     skel = figure.skeleton
     for a in (figure.template.verts, figure.template.faces,
               figure.template.uvs, figure.template.weights, skel.parents,
