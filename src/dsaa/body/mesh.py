@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import diffcore as dc
-
 
 class TemplateMesh:
     """Canonical-pose mesh with per-vertex UVs and skinning weights.
@@ -87,13 +85,10 @@ def mesh_laplacian(mesh: TemplateMesh, verts):
     form annihilates constants bitwise, so exactly-representable
     translations leave the result bit-identical.
 
-    verts [V,3]: an array gives an array, a Tensor a differentiable Tensor.
+    verts [V,3]: a float array; the result has its dtype.
     """
     idx, inv_deg = mesh.neighbor_table()
-    v = verts if isinstance(verts, dc.Tensor) else dc.Tensor(verts)
+    v = np.asarray(verts)
     scale = inv_deg[:, None].astype(v.dtype)
-    nbrs = dc.getitem(v, idx)                          # [V,Dmax,3]
-    diffs = dc.sub(nbrs, dc.reshape(v, (v.shape[0], 1, 3)))
-    out = dc.mul(dc.neg(dc.sum_(diffs, axis=1)), scale)
-    return out if v is verts else out.data
+    return -(v[idx] - v[:, None]).sum(axis=1) * scale  # v[idx]: [V,Dmax,3]
 

@@ -14,14 +14,11 @@ Both convolutions are three matrix products around one layout pair,
 channel-first so that a product's [C, N*H*W] result is NCHW at N=1:
 _im2col reads the windows of x, zero-padded, as one strided view and
 copies it into the columns of a [C*kh*kw, N*Ho*Wo] matrix, and _col2im
-adds such columns back into x, dropping the taps in the padding: over a
-narrow window grid in one scatter through a plan cached per geometry,
-over a wider one by one strided add per tap. Both sum each pixel's taps
-in (u, v) order from zero, as a plain loop over the taps would, so the
-bytes do not depend on the path. conv2d is W @ im2col(x), with weight
-gradient g @ colᵀ and input gradient col2im(Wᵀ @ g); conv_transpose2d,
-its adjoint, swaps the two. Only those two helpers know the window
-layout.
+adds such columns back into x, dropping the taps in the padding, by one
+strided add per tap, in (u, v) order from zero, as a plain loop over the
+taps would. conv2d is W @ im2col(x), with weight gradient g @ colᵀ and
+input gradient col2im(Wᵀ @ g); conv_transpose2d, its adjoint, swaps the
+two. Only those two helpers know the window layout.
 """
 
 from __future__ import annotations
@@ -269,29 +266,6 @@ def _im2col(x: np.ndarray, kh: int, kw: int, s: int, p: int,
     return win.reshape(C * kh * kw, N * Ho * Wo)
 
 
-# _col2im scatters col through a plan when the window grid is at most this
-# wide (Wo). The other path adds each tap as N*C*Ho strided rows of Wo
-# entries, and on rows this short numpy's cost per row outweighs
-# np.add.at's cost per entry (the two cross between Wo = 8 and 12)
-_SCATTER_MAX_WO = 8
-
-
-@lru_cache(maxsize=None)
-def _scatter_plan(N: int, C: int, H: int, W: int, kh: int, kw: int,
-                  s: int, p: int, Ho: int, Wo: int):
-    """(canvas, entry): for every col entry whose tap lies inside the
-    [N,C,H,W] canvas, in col order, its flat canvas index and its flat
-    col index. Read-only, as the cache shares them."""
-    c, u, v, n, i, j = np.ogrid[:C, :kh, :kw, :N, :Ho, :Wo]
-    y, x = s * i + u - p, s * j + v - p
-    full = (C, kh, kw, N, Ho, Wo)
-    inside = np.broadcast_to((y >= 0) & (y < H) & (x >= 0) & (x < W), full)
-    canvas = np.broadcast_to(((n * C + c) * H + y) * W + x, full)[inside]
-    entry = np.flatnonzero(inside)
-    canvas.flags.writeable = entry.flags.writeable = False
-    return canvas, entry
-
-
 @lru_cache(maxsize=None)
 def _tap_slices(kh: int, kw: int, s: int, p: int, H: int, W: int,
                 Ho: int, Wo: int) -> tuple:
@@ -317,17 +291,10 @@ def _col2im(col: np.ndarray, shape, kh: int, kw: int, s: int, p: int,
             Ho: int, Wo: int) -> np.ndarray:
     """Adjoint of _im2col: add the columns of col [C*kh*kw, N*Ho*Wo] into
     their windows of a zero [N,C,H,W] array `shape`, dropping the taps in
-    the padding. Each pixel is 0 plus its taps one at a time, in (u, v)
-    order and in col's dtype, on both paths, so both give the same
-    bytes: np.add.at adds in index order, and the plan lists a pixel's
-    taps in col order, (u, v) first; the other path adds whole taps in
-    (u, v) order."""
+    the padding. Each tap (u, v) is added whole, in (u, v) order, as
+    N*C*Ho strided rows of Wo entries: each pixel is 0 plus its taps one
+    at a time, in that order and in col's dtype."""
     N, C, H, W = shape
-    if Wo <= _SCATTER_MAX_WO:
-        canvas, entry = _scatter_plan(N, C, H, W, kh, kw, s, p, Ho, Wo)
-        out = np.zeros(N * C * H * W, dtype=col.dtype)
-        np.add.at(out, canvas, col.reshape(-1)[entry])
-        return out.reshape(shape)
     col = col.reshape(C, kh, kw, N, Ho, Wo)
     out = np.zeros(shape, dtype=col.dtype)
     for src, dst in _tap_slices(kh, kw, s, p, H, W, Ho, Wo):

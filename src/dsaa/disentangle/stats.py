@@ -25,7 +25,8 @@ _HSIC_MIN_ROWS = next(n for n in itertools.count(1)
 class StatisticsNet:
     """Dense critic m = f(c, z): high on paired rows, low on shuffled ones.
 
-    Three linear layers with leaky activations between them. `frozen`
+    Three linear layers with leaky activations between them. The signal
+    batch c is an array, the latent batch z a [B, d_z] Tensor. `frozen`
     evaluation detaches the parameters, so a loss built on top of it can
     reach the inputs without touching the critic.
     """
@@ -46,9 +47,7 @@ class StatisticsNet:
         self.w2, self.b2 = lin("l2", width, width)
         self.w3, self.b3 = lin("out", width, 1)
 
-    def _wrap(self, x, n, what):
-        if not isinstance(x, dc.Tensor):
-            x = dc.Tensor(np.asarray(x, dtype=self.w1.dtype))
+    def _check(self, x: dc.Tensor, n, what):
         if x.ndim != 2 or x.shape[1] != n:
             raise ValueError(f"{what} must be [B, {n}], got {x.shape}")
         if not np.all(np.isfinite(x.data)):
@@ -56,8 +55,12 @@ class StatisticsNet:
         return x
 
     def __call__(self, c, z, frozen: bool = False) -> dc.Tensor:
-        c = self._wrap(c, self.n_signal, "signal batch")
-        z = self._wrap(z, self.n_latent, "latent batch")
+        if not isinstance(z, dc.Tensor):
+            raise ValueError(f"latent batch must be a [B, {self.n_latent}] "
+                             f"Tensor, got {type(z).__name__}")
+        c = self._check(dc.Tensor(np.asarray(c, dtype=self.w1.dtype)),
+                        self.n_signal, "signal batch")
+        z = self._check(z, self.n_latent, "latent batch")
         if c.shape[0] != z.shape[0]:
             raise ValueError(f"batch mismatch: {c.shape[0]} vs {z.shape[0]}")
         ps = (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)

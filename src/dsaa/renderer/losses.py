@@ -73,10 +73,10 @@ def laplacian_loss(template: TemplateMesh, posed: dc.Tensor, gt_lap):
     that frame alone hands it.
 
     One tape node, over (posed, posed). Its value and the two gradients
-    it hands posed are, byte for byte, those of the graph it replaces,
-    `l2_sum(mesh_laplacian(template, posed), gt_lap)`
-    (tests/test_laplacian_term.py keeps it as the oracle): the same
-    products and sums in the same order, the sums over neighbor slots
+    it hands posed are, byte for byte, those of the graph that
+    tests/test_laplacian_term.py builds as its oracle (`mesh_laplacian`'s
+    operations as tape ops on posed, then `l2_sum` against gt_lap): the
+    same products and sums in the same order, the sums over neighbor slots
     adding one slot after another as numpy's reduction over that axis
     does, and the two gradients in that graph's order, first its
     neighbor gather's, then its reshape's. Only signs of zero may differ

@@ -173,16 +173,6 @@ def test_laplacian_translation_invariance_exact():
     npt.assert_array_equal(La, Lb)
 
 
-def test_laplacian_array_and_tensor_agree_bitwise():
-    mesh = grid_mesh()
-    v = mesh.verts + np.random.default_rng(3).normal(size=mesh.verts.shape)
-    la = body.mesh_laplacian(mesh, v)
-    lt = body.mesh_laplacian(mesh, dc.Tensor(v, requires_grad=True))
-    assert isinstance(la, np.ndarray) and isinstance(lt, dc.Tensor)
-    assert la.dtype == lt.dtype == np.float64
-    assert la.tobytes() == lt.data.tobytes()
-
-
 def test_laplacian_isolated_vertex_errors():
     verts = np.zeros((4, 3))
     verts[:, 0] = np.arange(4)
@@ -192,16 +182,6 @@ def test_laplacian_isolated_vertex_errors():
     mesh = body.TemplateMesh(verts, faces, uvs, w)
     with pytest.raises(ValueError, match="isolated"):
         body.mesh_laplacian(mesh, mesh.verts)
-
-
-def test_laplacian_differentiable_fd():
-    mesh = grid_mesh(4)
-    probe = np.random.default_rng(14).normal(size=mesh.verts.shape)
-
-    def loss(v):
-        return dc.sum_(dc.mul(body.mesh_laplacian(mesh, v), probe))
-
-    assert gradcheck(loss, [mesh.verts]) < 1e-4
 
 
 # ----------------------------------------------------------------- atlas

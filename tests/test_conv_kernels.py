@@ -2,7 +2,7 @@
 conv_oracle.py on every conv shape of the default model and on odd sizes
 whose last window row lies in the padding: the padded window copy and
 its adjoint bit for bit, on contiguous arrays, transposed crop views
-and broadcast views, with both of the adjoint's paths covered; the
+and broadcast views, over window grids both narrow and wide; the
 convolutions and bias gradients to rounding (their matrix products and
 sums run in another order); each layer's fused activation, and dc.add's,
 against the op followed by the oracle activation, byte for byte; and
@@ -18,7 +18,7 @@ import pytest
 import dsaa.synthdata as sd
 from dsaa import diffcore as dc
 from dsaa.avatar import AvatarModel
-from dsaa.diffcore.ops import _col2im, _im2col, _scatter_plan
+from dsaa.diffcore.ops import _col2im, _im2col
 from dsaa.disentangle import StatisticsNet
 from conv_oracle import add_windows, leaky_relu, windows
 from conv_oracle import conv2d as oracle_conv2d
@@ -147,18 +147,13 @@ def test_col2im_is_oracle_add_loop(case, transpose, dtype, layout):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_window_cases_reach_both_col2im_paths(dtype):
-    # _col2im scatters some cases through a cached plan and adds the rest
-    # tap by tap; the oracle tests above must cover both, whatever the
-    # bound between them
-    scattered = []
-    for case, transpose in WINDOW_CASES:
-        shape, kh, kw, s, p, Ho, Wo = _window_case(case, transpose)
-        N, C = shape[:2]
-        before = _scatter_plan.cache_info()
-        _col2im(np.zeros((C * kh * kw, N * Ho * Wo), dtype), shape, kh, kw, s, p, Ho, Wo)
-        after = _scatter_plan.cache_info()
-        scattered.append(after.hits + after.misses > before.hits + before.misses)
-    assert any(scattered) and not all(scattered)
+    # test_col2im_is_oracle_add_loop runs window grids as narrow as the
+    # default model's bottleneck (Wo <= 8, where each tap adds short rows
+    # and the padding drops a large share of them) and as wide as its
+    # full-resolution layers (Wo >= 12), in this dtype
+    widths = [_window_case(case, transpose)[-1] for case, transpose in WINDOW_CASES]
+    assert min(widths) <= 8 and max(widths) >= 12
+    assert dtype in [param.values[0] for param in DTYPE_LAYOUTS]
 
 
 def _run(op, x, w, b, g, stride, padding):

@@ -206,7 +206,7 @@ def test_statistics_net_output_and_inputs():
     for a, b in zip(store1.tensors(), store2.tensors()):
         npt.assert_array_equal(a.data, b.data)
     r = stream(1, "x")
-    c, z = r.standard_normal((5, 2)), r.standard_normal((5, 2))
+    c, z = r.standard_normal((5, 2)), dc.Tensor(r.standard_normal((5, 2)))
     m = n1(c, z)
     assert m.data.shape == (5, 1)
     assert np.all(np.isfinite(m.data))
@@ -216,6 +216,16 @@ def test_statistics_net_output_and_inputs():
         n1(c[:, :1], z)
     with pytest.raises(ValueError):
         n1(c[:4], z)
+
+
+def test_statistics_net_refuses_an_array_latent():
+    # z comes in one form, a [B, d_z] Tensor; c stays an array
+    store, net = make_stats(2, 3)
+    r = stream(3, "array-z")
+    c, z = r.standard_normal((4, 2)), r.standard_normal((4, 3))
+    with pytest.raises(ValueError, match=r"\[B, 3\] Tensor, got ndarray"):
+        net(c, z)
+    assert net(c, dc.Tensor(z)).shape == (4, 1)
 
 
 def test_mine_independence_baseline():

@@ -2,15 +2,15 @@
 
 `renderer.laplacian_loss` reads a cached ground-truth Laplacian and
 builds one "laplacian" node over a batch of posed vertices (posed,
-posed). The oracle here is the old graph: `body.mesh_laplacian`'s ops on
-the posed Tensor (gather, reshape, sub, sum, neg, mul), over its leading
-batch axis, each frame's Laplacian checked against `body.mesh_laplacian`
-byte for byte, and `renderer.l2_sum` against the ground truth's
-Laplacian. Both must give the same loss bytes and the same bytes in
-posed's gradient, also when another node reads posed first, as the
-trainer's `sub` (L_G) and the rasterizer's `matmul` do: the tape then
-adds the term's two gradients into posed after that node's, in the old
-graph's order. Posed is a batch of one frame.
+posed). The oracle here is the old graph: `body.mesh_laplacian`'s ops as
+tape ops on the posed Tensor (gather, reshape, sub, sum, neg, mul), over
+its leading batch axis, each frame's Laplacian checked against
+`body.mesh_laplacian` byte for byte, and `renderer.l2_sum` against the
+ground truth's Laplacian. Both must give the same loss bytes and the
+same bytes in posed's gradient, also when another node reads posed
+first, as the trainer's `sub` (L_G) and the rasterizer's `matmul` do:
+the tape then adds the term's two gradients into posed after that
+node's, in the old graph's order. Posed is a batch of one frame.
 """
 
 import numpy as np
