@@ -48,8 +48,8 @@ class AvatarConfig:
     def __post_init__(self):
         if self.geo_res < 8 or self.geo_res % 4:
             raise ValueError("geo_res must be >= 8 and divisible by 4")
-        if self.n_face < 0:
-            raise ValueError("n_face must be >= 0")
+        if self.n_face < 1:
+            raise ValueError("n_face must be >= 1")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"unsupported dtype {self.dtype!r}")
 

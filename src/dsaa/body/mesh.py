@@ -9,8 +9,7 @@ class TemplateMesh:
     """Canonical-pose mesh with per-vertex UVs and skinning weights.
 
     Treat as immutable after construction; the 1-ring neighbor table
-    (`neighbor_table`, `neighbor_flat_index`) is built on first use and
-    cached.
+    (`neighbor_table`) is built on first use and cached.
     """
 
     def __init__(self, verts: np.ndarray, faces: np.ndarray,
@@ -38,7 +37,6 @@ class TemplateMesh:
         if np.max(np.abs(rowsum - 1.0)) > 1e-9:
             raise ValueError("skinning weight rows must sum to 1")
         self._nbr = None
-        self._flat_nbr = None
 
     @property
     def vertex_count(self) -> int:
@@ -67,17 +65,6 @@ class TemplateMesh:
             self._nbr = (idx, 1.0 / degs)
         return self._nbr
 
-    def neighbor_flat_index(self) -> np.ndarray:
-        """Where each (vertex, neighbor slot, coordinate) entry of
-        `neighbor_table` lands in a flattened [V,3] array, as a flat
-        [V*Dmax*3] index: a scatter through it is one 1-D `np.add.at`
-        that sums each element's updates in the order the 2-D scatter
-        over the table rows does."""
-        if self._flat_nbr is None:
-            idx, _ = self.neighbor_table()
-            self._flat_nbr = (idx[:, :, None] * 3 + np.arange(3)).ravel()
-        return self._flat_nbr
-
 
 def mesh_laplacian(mesh: TemplateMesh, verts):
     """Differential coordinates L(x)_i = x_i - mean of 1-ring neighbors,
@@ -85,10 +72,12 @@ def mesh_laplacian(mesh: TemplateMesh, verts):
     form annihilates constants bitwise, so exactly-representable
     translations leave the result bit-identical.
 
-    verts [V,3]: a float array; the result has its dtype.
+    verts [..., V, 3]: a float array, one mesh or a batch; the result has
+    its shape and dtype. The differences are summed over a leading neighbor
+    slot axis, whole slots in slot order, so a frame's bytes are its own.
     """
     idx, inv_deg = mesh.neighbor_table()
     v = np.asarray(verts)
     scale = inv_deg[:, None].astype(v.dtype)
-    return -(v[idx] - v[:, None]).sum(axis=1) * scale  # v[idx]: [V,Dmax,3]
-
+    diffs = np.take(v, idx.T, axis=-2) - v[..., None, :, :]  # [...,Dmax,V,3]
+    return -diffs.sum(axis=-3) * scale

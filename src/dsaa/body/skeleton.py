@@ -33,6 +33,20 @@ def euler_xyz(angles: np.ndarray) -> np.ndarray:
     return R
 
 
+def _chain(parents, rot, t):
+    """World rotations [J,3,3] and translations [J,3] of parent-relative
+    rotations rot [J,3,3] and offsets t [J,3], composed root to leaf."""
+    wr = np.empty(rot.shape)
+    wt = np.empty(t.shape)
+    for j, p in enumerate(parents):
+        if p < 0:
+            wr[j], wt[j] = rot[j], t[j]
+        else:
+            wr[j] = wr[p] @ rot[j]
+            wt[j] = wr[p] @ t[j] + wt[p]
+    return wr, wt
+
+
 @dataclass(frozen=True)
 class Skeleton:
     names: tuple
@@ -55,15 +69,7 @@ class Skeleton:
             R = self.rest_rot[j]
             if not np.allclose(R.T @ R, np.eye(3), atol=1e-9):
                 raise ValueError(f"rest rotation of joint {j} is not orthonormal")
-        wr = np.empty((J, 3, 3))
-        wt = np.empty((J, 3))
-        for j in range(J):
-            p = parents[j]
-            if p < 0:
-                wr[j], wt[j] = self.rest_rot[j], self.rest_t[j]
-            else:
-                wr[j] = wr[p] @ self.rest_rot[j]
-                wt[j] = wr[p] @ self.rest_t[j] + wt[p]
+        wr, wt = _chain(parents, self.rest_rot, self.rest_t)
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "rest_world_rot", wr)
         object.__setattr__(self, "rest_world_t", wt)
@@ -81,18 +87,8 @@ def forward_kinematics(skel: Skeleton, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (skel.dof,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({skel.dof},)")
-    J = skel.joint_count
-    Rl = euler_xyz(theta.reshape(J, 3))
-    wr = np.empty((J, 3, 3))
-    wt = np.empty((J, 3))
-    for j in range(J):
-        R = skel.rest_rot[j] @ Rl[j]
-        p = skel.parents[j]
-        if p < 0:
-            wr[j], wt[j] = R, skel.rest_t[j]
-        else:
-            wr[j] = wr[p] @ R
-            wt[j] = wr[p] @ skel.rest_t[j] + wt[p]
+    Rl = euler_xyz(theta.reshape(skel.joint_count, 3))
+    wr, wt = _chain(skel.parents, skel.rest_rot @ Rl, skel.rest_t)
     # rest-relative: S_j = A_j(theta) o A_j(0)^{-1}
     R0, t0 = skel.rest_world_rot, skel.rest_world_t
     S_R = wr @ R0.transpose(0, 2, 1)

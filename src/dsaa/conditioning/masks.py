@@ -87,14 +87,13 @@ def build_masks(template: TemplateMesh, skeleton: Skeleton,
                 f"joint {skeleton.names[j]!r} has no texel above tau={tau}")
         joint_mask[j] = m
 
-    if n_face > 0 and head_joint not in skeleton.names:
+    if head_joint not in skeleton.names:
         raise ValueError(f"skeleton has no joint named {head_joint!r}")
 
     channels = list(np.repeat(joint_mask, 3, axis=0))
+    channels += [joint_mask[skeleton.names.index(head_joint)]] * n_face
     names = [f"pose:{name}:{axis}" for name in skeleton.names
              for axis in ("rx", "ry", "rz")]
-    if n_face > 0:
-        channels += [joint_mask[skeleton.names.index(head_joint)]] * n_face
-        names += [f"face:{k}" for k in range(n_face)]
+    names += [f"face:{k}" for k in range(n_face)]
     return InfluenceMask(np.stack(channels), tuple(names))
 

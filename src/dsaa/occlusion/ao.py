@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..body import TemplateMesh, TexelAtlas
+from ..body import TemplateMesh, TexelAtlas, render_position_map
 from ..diffcore.geom import ragged_arange
 from ..rng import stream
 
@@ -136,26 +136,24 @@ def texel_rays(config: AOSamplerConfig, atlas: TexelAtlas) -> TexelRays:
 def texel_geometry(mesh: TemplateMesh, atlas: TexelAtlas):
     """Surface points, unit normals, and a usability flag per valid texel.
 
-    Rows follow the row-major order of valid atlas texels. Texels owned by
-    a zero-area face, or whose interpolated normal vanishes, come back with
-    ok=False and must be skipped.
+    Rows follow the row-major order of valid atlas texels. Points and raw
+    normals are the mesh's positions and vertex normals interpolated
+    through `render_position_map`. Texels owned by a zero-area face, or
+    whose interpolated normal vanishes, come back with ok=False and must
+    be skipped.
     """
-    flat_face = atlas.face_idx.reshape(-1)
-    ids = np.flatnonzero(flat_face >= 0)
-    fi = flat_face[ids]
-    bc = atlas.bary.reshape(-1, 3)[ids]
-    tri = mesh.faces[fi]
-    pts = np.einsum("tk,tkc->tc", bc, mesh.verts[tri])
+    valid = atlas.valid
+    pts = render_position_map(mesh.verts, mesh.faces, atlas)[:, valid].T
+    raw = render_position_map(vertex_normals(mesh.verts, mesh.faces),
+                              mesh.faces, atlas)[:, valid].T
 
     a, b, c = (mesh.verts[mesh.faces[:, k]] for k in range(3))
     face_area2 = np.linalg.norm(np.cross(b - a, c - a), axis=1)
     diag = np.linalg.norm(mesh.verts.max(axis=0) - mesh.verts.min(axis=0))
     degenerate = face_area2 <= 1e-12 * max(diag, 1e-300) ** 2
 
-    vn = vertex_normals(mesh.verts, mesh.faces)
-    raw = np.einsum("tk,tkc->tc", bc, vn[tri])
     nn = np.linalg.norm(raw, axis=1)
-    ok = ~degenerate[fi] & (nn > 1e-12)
+    ok = ~degenerate[atlas.face_idx[valid]] & (nn > 1e-12)
     normals = np.zeros_like(raw)
     normals[ok] = raw[ok] / nn[ok, None]
     return pts, normals, ok

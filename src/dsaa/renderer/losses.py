@@ -19,7 +19,7 @@ import numpy as np
 
 from .. import diffcore as dc
 from ..diffcore.tensor import make_node
-from ..body import TemplateMesh
+from ..body import TemplateMesh, mesh_laplacian
 from .raster import RenderTarget
 
 LAM_IMG = 1.0
@@ -65,9 +65,9 @@ def losses(render: RenderTarget, gt_image, gt_mask):
 
 
 def laplacian_loss(template: TemplateMesh, posed: dc.Tensor, gt_lap):
-    """L_lap: the l2_sum between the Laplacian (`mesh_laplacian`) of each
-    frame of posed [B,V,3] and gt_lap [B,V,3], the ground-truth meshes',
-    in posed's dtype, summed over the batch; training reads gt_lap from
+    """L_lap: the l2_sum between `mesh_laplacian` of posed [B,V,3], its
+    forward, and gt_lap [B,V,3], the ground-truth meshes' Laplacians, in
+    posed's dtype, summed over the batch; training reads gt_lap from
     `TrainData.laplacian`, which computes it once per frame. It is one
     node over all frames; each frame's gradient is the one a batch of
     that frame alone hands it.
@@ -82,9 +82,8 @@ def laplacian_loss(template: TemplateMesh, posed: dc.Tensor, gt_lap):
     neighbor gather's, then its reshape's. Only signs of zero may differ
     on the way, and the tape's `0 + g` drops them before they reach
     posed's gradient. The gather's gradient is one 1-D `np.add.at` over
-    the flattened vertices (`TemplateMesh.neighbor_flat_index`), which
-    adds each element's updates in the order the 2-D scatter over the
-    table rows does.
+    the flattened vertices, which adds each element's updates in the
+    order the 2-D scatter over the table rows does.
     """
     v = posed.data
     if v.ndim != 3 or v.shape[-1] != 3:
@@ -96,17 +95,15 @@ def laplacian_loss(template: TemplateMesh, posed: dc.Tensor, gt_lap):
     idx, inv_deg = template.neighbor_table()
     slots = idx.shape[1]
     scale = inv_deg[:, None].astype(v.dtype)
-    # x_u - x_i with the neighbor slot leading, so the slot sum adds whole
-    # rows, in slot order, as mesh_laplacian's sum over its axis 1 does
-    diffs = np.take(v, idx.T, axis=1) - v[:, None]     # [B,Dmax,V,3]
-    d = -diffs.sum(axis=1) * scale - gt_lap
+    d = mesh_laplacian(template, v) - gt_lap
 
     def bw(g, needs):
         gs = -((2 * (g * d)) * scale)      # through d*d, * scale and the -
         g_nbrs = np.zeros(v.shape, dtype=v.dtype)
-        # each frame's block of the flattened vertices, in turn
-        flat = (template.neighbor_flat_index()
-                + v[0].size * np.arange(v.shape[0])[:, None]).ravel()
+        # where each (vertex, slot, coordinate) update lands in a frame's
+        # flattened [V,3], then each frame's block of them in turn
+        at = (idx[:, :, None] * 3 + np.arange(3)).ravel()
+        flat = (at + v[0].size * np.arange(v.shape[0])[:, None]).ravel()
         np.add.at(g_nbrs.reshape(-1), flat,
                   np.repeat(gs, slots, axis=-2).reshape(-1))
         g_self = gs.copy()                 # the slot sum's spread, summed

@@ -360,7 +360,7 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
     out[C] = 1.0 - emask
 
     def backward(g, needs):
-        need_screen, need_z, need_tex = needs
+        need_screen, _, need_tex = needs
         g = g.reshape(C + 1, HW)
         # canvas gradients (image channels, weight sum, log(1 - D) sum),
         # then gathered back to the pairs
@@ -384,17 +384,14 @@ def _soft_raster(screen: dc.Tensor, z: dc.Tensor, texture: dc.Tensor,
         g_zpix = (g_w * wn) * (-zscale / cfg.gamma) * ((zn_raw > 0.0) & (zn_raw < 1.0))
 
         g_tex = bilinear_tex_grad(g_rgb, taps, texture.dtype) if need_tex else None
-        if not (need_screen or need_z):
+        # screen and z both come from project(cam, verts): one gate for both
+        if not need_screen:
             return None, None, g_tex
         du, dv = bilinear_uv_grad(g_rgb, taps, slopes)
 
         fl = faces.ravel()
-        g_z = None
-        if need_z:
-            g_zf = np.stack([facesum(g_zpix * b) for b in bn], axis=1)
-            g_z = np.bincount(fl, g_zf.ravel(), minlength=V).astype(dt)
-        if not need_screen:
-            return None, g_z, g_tex
+        g_zf = np.stack([facesum(g_zpix * b) for b in bn], axis=1)
+        g_z = np.bincount(fl, g_zf.ravel(), minlength=V).astype(dt)
 
         # renormalised, clamped barycentrics -> raw barycentrics
         g_bn = [du * uf_p[k] + dv * vf_p[k] + g_zpix * zk_p[k] for k in range(3)]

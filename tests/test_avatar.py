@@ -105,6 +105,11 @@ def test_config_validation():
         avatar.AvatarConfig(dtype="float16")
 
 
+def test_config_refuses_a_model_without_face_scalars():
+    with pytest.raises(ValueError, match="n_face"):
+        avatar.AvatarConfig(n_face=0)
+
+
 def test_manifest_roundtrip():
     cfg = avatar.AvatarConfig(geo_res=16, n_face=2, use_shadow=False,
                               spatial_local=False, dtype="float64")

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dsaa import body, diffcore as dc
+from dsaa import body, diffcore as dc, synthdata as sd
 from fd import gradcheck
 
 
@@ -171,6 +171,23 @@ def test_laplacian_translation_invariance_exact():
     La = body.mesh_laplacian(mesh, mesh.verts)
     Lb = body.mesh_laplacian(mesh, mesh.verts + c)
     npt.assert_array_equal(La, Lb)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_laplacian_of_a_batch_is_its_frames_laplacians(dtype):
+    # posed frames of the generator's figure: the batch gathers along its
+    # vertex axis, so each frame's bytes are those it gets alone
+    spec = sd.default_scene()
+    frames = []
+    for k in range(3):
+        theta, _, u = sd.sample_frame(spec, f"f{k}", 7)
+        frames.append(sd.frame_mesh(spec, theta, u)[1])
+    batch = np.stack(frames).astype(dtype)
+    tpl = spec.figure.template
+    lap = body.mesh_laplacian(tpl, batch)
+    assert lap.dtype == dtype and lap.shape == batch.shape
+    assert lap.tobytes() == np.stack(
+        [body.mesh_laplacian(tpl, v) for v in batch]).tobytes()
 
 
 def test_laplacian_isolated_vertex_errors():
