@@ -32,41 +32,29 @@ def apply_gain(textures: list[dc.Tensor], gain: dc.Tensor) -> list[dc.Tensor]:
 
 class Posing:
     """Posing for one rig and displacement maps of one dtype, its
-    constants made once: the template vertices and skinning weights in
-    that dtype when built, the FK transforms on the first call with each
-    distinct pose (kept while the object lives). A model keeps one for
-    all of its steps.
+    constants made once, when built: the template vertices and skinning
+    weights in that dtype. A model keeps one for all of its steps.
 
     It takes a batch only: thetas [B,P] with maps [B,3,G,G], posed to
-    [B,V,3] by one `texture_sample` over all the maps at the template
-    UVs and one `lbs_apply`, each frame under its own pose."""
+    [B,V,3] by one `forward_kinematics` over all the poses, one
+    `texture_sample` over all the maps at the template UVs and one
+    `lbs_apply`, each frame under its own pose. Nothing is kept per pose."""
 
     def __init__(self, template: TemplateMesh, skeleton: Skeleton, dtype):
         self.template = template
         self.skeleton = skeleton
         self.verts = template.verts.astype(dtype)
         self.weights = template.weights.astype(dtype)
-        self._transforms: dict[bytes, np.ndarray] = {}
-
-    def transforms(self, thetas) -> np.ndarray:
-        """`forward_kinematics` of each row of thetas [B,P], [B,J,3,4],
-        computed once per distinct pose."""
-        thetas = np.asarray(thetas, dtype=np.float64)
-        if thetas.ndim != 2:
-            raise ValueError(f"poses must be [B,P], got {list(thetas.shape)}")
-        for theta in thetas:
-            if theta.tobytes() not in self._transforms:
-                self._transforms[theta.tobytes()] = forward_kinematics(
-                    self.skeleton, theta)
-        return np.stack([self._transforms[t.tobytes()] for t in thetas])
 
     def __call__(self, thetas, displacement: dc.Tensor) -> dc.Tensor:
-        if displacement.ndim != 4:
-            raise ValueError(f"displacement maps must be [B,3,G,G], got "
+        if np.ndim(thetas) != 2 or displacement.ndim != 4:
+            raise ValueError(f"posing takes poses [B,P] with displacement maps "
+                             f"[B,3,G,G], got {list(np.shape(thetas))} and "
                              f"{list(displacement.shape)}")
         corrective = dc.texture_sample(displacement, self.template.uvs)  # [B,V,3]
         canonical = dc.add(corrective, self.verts)
-        posed = lbs_apply(canonical, self.transforms(thetas), self.weights)
+        posed = lbs_apply(canonical, forward_kinematics(self.skeleton, thetas),
+                          self.weights)
         if not np.isfinite(posed.data).all():
             raise ValueError("composed geometry has non-finite vertices")
         return posed

@@ -34,16 +34,17 @@ def euler_xyz(angles: np.ndarray) -> np.ndarray:
 
 
 def _chain(parents, rot, t):
-    """World rotations [J,3,3] and translations [J,3] of parent-relative
-    rotations rot [J,3,3] and offsets t [J,3], composed root to leaf."""
+    """World rotations [...,J,3,3] and translations [...,J,3] of
+    parent-relative rotations rot [...,J,3,3] and offsets t [J,3],
+    composed root to leaf for each pose along rot's leading axes."""
     wr = np.empty(rot.shape)
-    wt = np.empty(t.shape)
+    wt = np.empty(rot.shape[:-1])
     for j, p in enumerate(parents):
         if p < 0:
-            wr[j], wt[j] = rot[j], t[j]
+            wr[..., j, :, :], wt[..., j, :] = rot[..., j, :, :], t[j]
         else:
-            wr[j] = wr[p] @ rot[j]
-            wt[j] = wr[p] @ t[j] + wt[p]
+            wr[..., j, :, :] = wr[..., p, :, :] @ rot[..., j, :, :]
+            wt[..., j, :] = wr[..., p, :, :] @ t[j] + wt[..., p, :]
     return wr, wt
 
 
@@ -84,14 +85,15 @@ class Skeleton:
 
 
 def forward_kinematics(skel: Skeleton, theta: np.ndarray) -> np.ndarray:
+    """Rest-relative joint transforms [...,J,3,4] of poses theta [...,P],
+    each pose composed on its own."""
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (skel.dof,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({skel.dof},)")
-    Rl = euler_xyz(theta.reshape(skel.joint_count, 3))
+    if theta.shape[-1:] != (skel.dof,):
+        raise ValueError(f"theta has shape {theta.shape}, expected (..., {skel.dof})")
+    Rl = euler_xyz(theta.reshape(theta.shape[:-1] + (skel.joint_count, 3)))
     wr, wt = _chain(skel.parents, skel.rest_rot @ Rl, skel.rest_t)
     # rest-relative: S_j = A_j(theta) o A_j(0)^{-1}
     R0, t0 = skel.rest_world_rot, skel.rest_world_t
     S_R = wr @ R0.transpose(0, 2, 1)
-    S_t = wt - np.einsum("jrc,jc->jr", S_R, t0)
-    return np.concatenate([S_R, S_t[:, :, None]], axis=2)
-
+    S_t = wt - np.einsum("...jrc,jc->...jr", S_R, t0)
+    return np.concatenate([S_R, S_t[..., None]], axis=-1)

@@ -7,7 +7,7 @@ from .ops import (
     minimum, maximum, clamp, sum_, mean_, reshape, transpose,
     broadcast_to, concat, stack, getitem, conv2d, conv_transpose2d, linear,
 )
-from .geom import texture_sample, lbs_apply, upsample2d
+from .geom import texture_sample, upsample2d
 from .adam import Adam, ParamStore
 from .checkpoint import save_arrays, load_arrays, MAGIC
 
@@ -18,7 +18,6 @@ __all__ = [
     "sigmoid", "minimum", "maximum", "clamp", "sum_", "mean_", "reshape",
     "transpose", "broadcast_to", "concat", "stack", "getitem",
     "conv2d", "conv_transpose2d", "linear",
-    "texture_sample", "lbs_apply",
-    "upsample2d",
+    "texture_sample", "upsample2d",
     "Adam", "ParamStore", "save_arrays", "load_arrays", "MAGIC",
 ]

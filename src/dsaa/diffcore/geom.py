@@ -1,7 +1,7 @@
 """Gather/scatter style differentiable ops used by the geometry pipeline:
-bilinear texture sampling, blend-skinning application and small
-interpolation-matrix upsamplers, plus the ragged-run index helper the
-rasterizer and the AO grid share.
+bilinear texture sampling and small interpolation-matrix upsamplers,
+plus the ragged-run index helper the rasterizer and the AO grid share.
+Blend skinning is body.lbs_apply.
 
 Every scatter (np.add.at, np.bincount) applies its updates in index
 order, so repeated runs are bit-identical. The bilinear helpers are
@@ -137,47 +137,6 @@ def ragged_arange(counts: np.ndarray) -> np.ndarray:
     """Position of each element inside its run, for consecutive runs of
     `counts` elements."""
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
-def blend_matrices(weights: np.ndarray, transforms: np.ndarray) -> np.ndarray:
-    """Per-vertex blended transforms M_v = sum_j w[v,j] T_j: [..., V,3,4]
-    for weights [V,J] and transforms [..., J,3,4], in their common dtype.
-    A batch of poses is one stacked matmul, which forms each pose's
-    matrices by the same product one pose alone would."""
-    J = weights.shape[1]
-    T = transforms.reshape(transforms.shape[:-3] + (J, 12))
-    return np.matmul(weights, T).reshape(T.shape[:-2] + (weights.shape[0], 3, 4))
-
-
-# lbs_apply's three-term sums, in the order np.einsum("vrc,vc->vr") and
-# np.einsum("vrc,vr->vc") add them over C-contiguous vertices: the forward
-# adds float64 products as (0 + 2) + 1 and float32 ones in order, the
-# backward both in order
-_FORWARD_ORDER = {np.dtype(np.float64): (0, 2, 1), np.dtype(np.float32): (0, 1, 2)}
-
-
-def lbs_apply(weights: np.ndarray, transforms: np.ndarray, verts: Tensor):
-    """Apply blended transforms: out_v = sum_j w[v,j] (R_j x_v + t_j).
-
-    weights [V,J] and transforms [J,3,4] are constants; verts [V,3] may
-    carry gradients. With transforms [B,J,3,4] and verts [B,V,3] each
-    frame takes its own pose. The blended matrices M_v are formed once
-    (`blend_matrices`); the products with them are written out per
-    component and summed in np.einsum's order, so the bytes are the
-    einsum's.
-    """
-    M = blend_matrices(weights, transforms)
-    x = verts.data
-    i, j, k = _FORWARD_ORDER[x.dtype]
-    out = np.stack([((M[..., r, i] * x[..., i] + M[..., r, j] * x[..., j])
-                     + M[..., r, k] * x[..., k]) + M[..., r, 3]
-                    for r in range(3)], axis=-1)
-
-    def bw(g, needs):
-        return (np.stack([(M[..., 0, c] * g[..., 0] + M[..., 1, c] * g[..., 1])
-                          + M[..., 2, c] * g[..., 2] for c in range(3)], axis=-1),)
-
-    return make_node(out, (verts,), bw, "lbs_apply")
 
 
 _INTERP_CACHE: dict = {}

@@ -141,11 +141,8 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
                 bad = _nonfinite_params(opts)
                 if isinstance(e, ValueError) and not bad:
                     raise
-                _dump_divergence(out, {"iter": i + 1, "error": repr(e)}, bad)
-                raise TrainingDiverged(
-                    f"training failed at iteration {i + 1}: {e}; last "
-                    f"checkpoint kept, diagnostics in {out / 'diverged.txt'}"
-                ) from e
+                raise _diverged(out, {"iter": i + 1, "error": repr(e)}, bad,
+                                f"training failed at iteration {i + 1}: {e}") from e
             history.append(rec)
             line = _format(rec, config.iters)
             log.write(line + "\n")
@@ -159,10 +156,8 @@ def train(config: TrainConfig, resume: bool = False, echo=None) -> TrainResult:
                 bad += _nonfinite_params(opts)
             if bad:
                 log.flush()
-                _dump_divergence(out, rec, bad)
-                raise TrainingDiverged(
-                    f"non-finite {', '.join(bad)} at iteration {rec['iter']}; "
-                    f"last checkpoint kept, diagnostics in {out / 'diverged.txt'}")
+                raise _diverged(out, rec, bad, f"non-finite {', '.join(bad)} "
+                                f"at iteration {rec['iter']}")
             if save:
                 log.flush()
                 _save_state(out, model, opts, i + 1)
@@ -275,10 +270,14 @@ def _nonfinite_params(opts):
             for name, t in opt.params.items() if not np.isfinite(t.data).all()]
 
 
-def _dump_divergence(out, rec, bad):
+def _diverged(out, rec, bad, what):
+    """Write rec and the non-finite names bad to diverged.txt; return the
+    TrainingDiverged that says `what` went wrong and where to look."""
     head = f"non-finite components: {', '.join(bad)}\n" if bad else ""
     keyvalue.write_atomic(out / "diverged.txt", head + keyvalue.dump(
         (k, repr(v)) for k, v in rec.items()))
+    return TrainingDiverged(f"{what}; last checkpoint kept, diagnostics in "
+                            f"{out / 'diverged.txt'}")
 
 
 # ------------------------------------------------------------- persistence

@@ -17,7 +17,7 @@ geometry, so a loaded manifest can prove it still matches the code that
 would regenerate it; generate_dataset and split_dataset delete it before
 writing any frame and write it last. A change to the arithmetic of
 sample_frame or the rng.stream it draws from, of frame_mesh, or of the
-dc.lbs_apply that poses its mesh changes every dataset's ground truth
+body.lbs_apply that poses its mesh changes every dataset's ground truth
 and the geometry encoder's input: it must change _FORMAT, and
 load_manifest then refuses old datasets.
 """

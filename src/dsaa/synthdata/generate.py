@@ -57,9 +57,7 @@ def _texel_grid(fig, name, size):
     centers = (np.arange(size) + 0.5) / size
     cu, cv = np.meshgrid(centers, centers, indexing="xy")  # cv rows, cu cols
     inside = (cu >= u0) & (cu <= u1) & (cv >= v0) & (cv <= v1)
-    lu = (cu - u0) / (u1 - u0)
-    lv = (cv - v0) / (v1 - v0)
-    return inside, lu, lv
+    return (inside, *_island_coords(fig, name, np.stack([cu, cv], axis=-1)))
 
 
 _FACE_SITES = ((0.30, 0.35, 0.12), (0.70, 0.35, 0.12),

@@ -13,13 +13,15 @@ gradient sums the batch inside one product, so a batched pass's
 gradients equal the sum of the per-frame ones to the dtype's rounding.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
 from dsaa import body, diffcore as dc
 from dsaa import synthdata as sd
 from dsaa.avatar import AvatarConfig, AvatarModel, reparameterize
-from dsaa.diffcore import geom
+from dsaa.body import lbs
 from dsaa.disentangle import kl_loss
 from dsaa.harness import TrainConfig, TrainData, train, trainer
 from dsaa.renderer import laplacian_loss, losses, rasterize
@@ -95,7 +97,7 @@ def test_frame_slices_equal_single_frame_calls(dataset, dtype, tol):
 
 
 LONE_FRAME = ["projector", "encoder", "decoder", "shadow", "posing",
-              "transforms", "laplacian_loss", "geometry", "displacement"]
+              "posing_lone_pose", "laplacian_loss", "geometry", "displacement"]
 
 
 @pytest.mark.parametrize("block", LONE_FRAME)
@@ -116,7 +118,8 @@ def test_blocks_refuse_a_lone_frame(dataset, block):
         "shadow": lambda: model.shadow(data.ao(fid)),
         "posing": lambda: model._posing(sig.theta,
                                         dc.Tensor(np.zeros((3, g, g)))),
-        "transforms": lambda: model._posing.transforms(sig.theta),
+        "posing_lone_pose": lambda: model._posing(
+            sig.theta, dc.Tensor(np.zeros((1, 3, g, g)))),
         "laplacian_loss": lambda: laplacian_loss(data.template, verts, lap),
         "geometry": lambda: model.geometry(sig),
         "displacement": lambda: model.displacement(sig),
@@ -231,12 +234,12 @@ def test_lbs_apply_is_the_einsum_bit_for_bit(dtype):
         x = (r.normal(size=(B, V, 3)) * r.choice([1e-3, 1.0, 1e3])).astype(dtype)
         g = r.normal(size=(B, V, 3)).astype(dtype)
         xt = dc.Tensor(x, requires_grad=True)
-        dc.backward(dc.lbs_apply(w, tf, xt), g)
-        posed = dc.lbs_apply(w, tf, dc.Tensor(x)).data
+        dc.backward(body.lbs_apply(xt, tf, w), g)
+        posed = body.lbs_apply(dc.Tensor(x), tf, w).data
         for b in range(B):
             ref, ref_g = _einsum_lbs(w, tf[b], x[b], g[b])
             one = dc.Tensor(x[b].copy(), requires_grad=True)
-            out = dc.lbs_apply(w, tf[b], one)
+            out = body.lbs_apply(one, tf[b], w)
             dc.backward(out, g[b].copy())
             assert out.data.tobytes() == ref.tobytes()
             assert one.grad.tobytes() == ref_g.tobytes()
@@ -266,7 +269,7 @@ def test_posing_blends_once_per_step_in_the_model_dtype(dataset, tmp_path,
     # a step builds the blend matrices once, for all of its frames, from
     # the skinning weights the model cast once: no call casts them again
     calls, steps = [], []
-    real_blend, real_step = geom.blend_matrices, trainer._step
+    real_blend, real_step = lbs.blend_matrices, trainer._step
 
     def blend(weights, transforms):
         if steps:
@@ -280,7 +283,7 @@ def test_posing_blends_once_per_step_in_the_model_dtype(dataset, tmp_path,
         finally:
             steps.pop()
 
-    monkeypatch.setattr(geom, "blend_matrices", blend)
+    monkeypatch.setattr(lbs, "blend_matrices", blend)
     monkeypatch.setattr(trainer, "_step", step)
     model = train(TrainConfig(dataset=str(dataset), out=str(tmp_path / "run"),
                               iters=2, phase1=1, batch=B,
@@ -296,13 +299,30 @@ def test_posing_blends_once_per_step_in_the_model_dtype(dataset, tmp_path,
         assert shape == (B, J, 3, 4)
 
 
+def test_posing_runs_fk_once_over_its_poses(dataset, monkeypatch):
+    # one forward_kinematics call poses the whole batch, each time: no
+    # pose is looked up from an earlier call
+    data, model, ids, signals = _setup(dataset, "float64")
+    g = model.config.geo_res
+    thetas = np.stack([s.theta for s in signals])
+    maps = dc.Tensor(np.zeros((len(signals), 3, g, g)))
+    compose = importlib.import_module("dsaa.avatar.compose")
+    seen, real = [], compose.forward_kinematics
+    monkeypatch.setattr(compose, "forward_kinematics", lambda sk, th:
+                        seen.append(th.shape) or real(sk, th))
+    first = model._posing(thetas, maps).data
+    again = model._posing(thetas, maps).data
+    assert seen == [thetas.shape] * 2
+    assert first.tobytes() == again.tobytes()
+
+
 def test_body_lbs_apply_keeps_weights_in_the_vertex_dtype(monkeypatch):
     r = np.random.default_rng(34)
     w = r.random((6, 2)).astype(np.float32)
     tf = r.normal(size=(2, 3, 4))
-    seen, real = [], dc.lbs_apply
-    monkeypatch.setattr(dc, "lbs_apply", lambda weights, t, v:
-                        seen.append(weights) or real(weights, t, v))
+    seen, real = [], lbs.blend_matrices
+    monkeypatch.setattr(lbs, "blend_matrices", lambda weights, t:
+                        seen.append(weights) or real(weights, t))
     body.lbs_apply(dc.Tensor(r.normal(size=(6, 3)).astype(np.float32)), tf, w)
     body.lbs_apply(r.normal(size=(6, 3)), tf, w)
     assert seen[0] is w                              # used as it is

@@ -54,6 +54,20 @@ def test_fk_leaf_rotation_leaves_ancestors():
         npt.assert_array_equal(tf[j, :, 3], base[j, :, 3])
 
 
+@pytest.mark.parametrize("B", [1, 8])
+def test_fk_of_a_batch_is_the_stack_of_its_poses(B):
+    # each pose composes its own chain: a batch of poses gives, byte for
+    # byte, the transforms each pose gives alone
+    spec = sd.default_scene()
+    sk = spec.figure.skeleton
+    thetas = np.stack([sd.sample_frame(spec, f"f{k}", 11, extend=1.5)[0]
+                       for k in range(B)])
+    tf = body.forward_kinematics(sk, thetas)
+    assert tf.shape == (B, sk.joint_count, 3, 4)
+    assert tf.tobytes() == np.stack(
+        [body.forward_kinematics(sk, t) for t in thetas]).tobytes()
+
+
 def test_fk_rejects_wrong_length():
     with pytest.raises(ValueError, match="theta"):
         body.forward_kinematics(two_bone(), np.zeros(5))

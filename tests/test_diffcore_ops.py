@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dsaa import diffcore as dc
+from dsaa import body, diffcore as dc
 from dsaa.diffcore.tensor import make_node
 from dsaa.diffcore.ops import LEAKY_ALPHA, _expit
 from dsaa.diffcore.geom import BilinearTaps, bilinear_tex_grad
@@ -354,7 +354,7 @@ def test_fd_lbs_apply():
     W /= W.sum(axis=1, keepdims=True)
     T = r.normal(size=(3, 3, 4))
     x = r.normal(size=(5, 3))
-    check(lambda v: dc.sum_(dc.mul(dc.lbs_apply(W, T, v), 0.3)), x)
+    check(lambda v: dc.sum_(dc.mul(body.lbs_apply(v, T, W), 0.3)), x)
 
 
 def test_fd_upsample_bilinear():
